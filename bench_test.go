@@ -1,8 +1,10 @@
 package lazyetl_test
 
 // Benchmarks regenerating the paper's evaluation, one benchmark family per
-// experiment in DESIGN.md §4. `go test -bench=. -benchmem` runs them all;
-// cmd/experiments prints the corresponding human-readable tables.
+// experiment (E1..E9, indexed in internal/experiments). `go test -bench=.
+// -benchmem` runs them all; cmd/experiments prints the corresponding
+// human-readable tables, and benchmark/README.md describes the end-to-end
+// serving benchmark.
 
 import (
 	"fmt"
@@ -150,7 +152,7 @@ func BenchmarkE4_CacheWarmup(b *testing.B) {
 }
 
 // BenchmarkE4_Granularity compares per-record extraction against whole-file
-// prefetch on a narrow query (the DESIGN.md granularity ablation).
+// prefetch on a narrow query (the granularity ablation).
 func BenchmarkE4_Granularity(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
 	narrow := `SELECT COUNT(*) FROM mseed.dataview
@@ -331,46 +333,58 @@ func BenchmarkDerivedPruning(b *testing.B) {
 	})
 }
 
-// BenchmarkExtractOverlap measures the push-pipeline extension end to end:
-// a ~1M-row cold scan where run N+1 is read and Steim-decoded by prefetch
-// workers while run N's morsels flow through the pipeline, against the
-// materializing oracle that extracts everything before computing. The warm
-// variant isolates the pipeline itself (pure cache reads, no extraction).
+// BenchmarkExtractOverlap measures the push pipeline end to end: a ~1M-row
+// cold scan where run N+1 is read and Steim-decoded by prefetch workers
+// while run N's morsels flow through the pipeline, against the serial
+// reference that extracts everything before computing. The warm variant
+// isolates the pipeline itself (pure cache reads, no extraction). The
+// grouped cases run the Figure-1 Q2 shape with and without the production
+// memory budget: the budget must not change which engine runs the query,
+// so the two should cost the same.
 func BenchmarkExtractOverlap(b *testing.B) {
 	dir := benchRepo(b, "overlap", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 35000})
 	q := `SELECT COUNT(*), AVG(D.sample_value) FROM mseed.dataview WHERE D.sample_value > -100000`
-	open := func(pipelined bool) *lazyetl.Warehouse {
-		w, err := lazyetl.Open(dir, lazyetl.Options{
-			Mode: lazyetl.Lazy, Workers: 4, NoPipeline: !pipelined,
-			ETL: lazyetl.ETLOptions{Parallelism: 4},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return w
+	grouped := `SELECT F.station, COUNT(*), AVG(D.sample_value) FROM mseed.dataview
+		WHERE D.sample_value > -100000 GROUP BY F.station`
+	cases := []struct {
+		name      string
+		pipelined bool
+		budget    int64
+		q         string
+	}{
+		{"materialize", false, 0, q},
+		{"pipeline", true, 0, q},
+		{"pipeline/grouped", true, 0, grouped},
+		{"pipeline/grouped/budget=512MiB", true, 512 << 20, grouped},
 	}
-	for _, pipelined := range []bool{false, true} {
-		name := "materialize"
-		if pipelined {
-			name = "pipeline"
+	for _, c := range cases {
+		open := func() *lazyetl.Warehouse {
+			w, err := lazyetl.Open(dir, lazyetl.Options{
+				Mode: lazyetl.Lazy, Workers: 4, NoPipeline: !c.pipelined, MemoryBudget: c.budget,
+				ETL: lazyetl.ETLOptions{Parallelism: 4},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return w
 		}
-		b.Run("cold/"+name, func(b *testing.B) {
+		b.Run("cold/"+c.name, func(b *testing.B) {
 			var prefetched int64
 			for i := 0; i < b.N; i++ {
-				w := open(pipelined)
-				mustQuery(b, w, q)
+				w := open()
+				mustQuery(b, w, c.q)
 				prefetched = w.Stats().Extraction.PrefetchedRuns
 			}
-			if pipelined {
+			if c.pipelined {
 				b.ReportMetric(float64(prefetched), "prefetched-runs")
 			}
 		})
-		b.Run("warm/"+name, func(b *testing.B) {
-			w := open(pipelined)
-			mustQuery(b, w, q)
+		b.Run("warm/"+c.name, func(b *testing.B) {
+			w := open()
+			mustQuery(b, w, c.q)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mustQuery(b, w, q)
+				mustQuery(b, w, c.q)
 			}
 		})
 	}

@@ -1,5 +1,5 @@
-// Command experiments regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index).
+// Command experiments regenerates the paper's tables and figures (package
+// internal/experiments indexes them as E1..E9).
 //
 // Usage:
 //

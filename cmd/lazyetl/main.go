@@ -39,8 +39,7 @@ func main() {
 	gen := flag.Bool("gen", false, "generate a demo repository into -repo if it is empty or missing")
 	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
 	workers := flag.Int("workers", 0, "query-execution workers (0 = GOMAXPROCS, 1 = serial engine)")
-	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes (0 = unlimited); joins and aggregations spill to disk under pressure, cache admissions are declined")
-	noPipeline := flag.Bool("no-pipeline", false, "disable morsel-wise push pipelines; run every query on the materializing oracle engine")
+	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes (0 = unlimited); join builds spill to disk under pressure, cache admissions are declined")
 	noQueryCache := flag.Bool("no-query-cache", false, "disable the two-tier query cache (plan/statement cache and snapshot-versioned result cache); every query pays full parse -> plan -> execute")
 	noTrace := flag.Bool("no-trace", false, "disable per-query trace spans (\\trace shows plans only; latency histograms stay on)")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of any query at or over this duration (0 = off), e.g. 250ms")
@@ -78,8 +77,7 @@ func main() {
 	start := time.Now()
 	w, err := warehouse.Open(*repoDir, warehouse.Options{
 		Mode: mode, Workers: *workers, MemoryBudget: *memBudget,
-		NoPipeline: *noPipeline, NoQueryCache: *noQueryCache,
-		NoTrace: *noTrace, SlowQueryThreshold: *slowQuery,
+		NoQueryCache: *noQueryCache, NoTrace: *noTrace, SlowQueryThreshold: *slowQuery,
 		ETL: etl.Options{CacheBudget: *cache},
 	})
 	if err != nil {
@@ -421,23 +419,23 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 			st.Exec.JoinBuilds, st.Exec.JoinBuildPartitions, st.Exec.JoinParallelBuilds,
 			st.Exec.JoinBuildRows, st.Exec.JoinProbeRows, st.Exec.JoinMatches,
 			st.Exec.RadixSorts, st.Exec.ComparatorSorts, st.Exec.SortRows, st.Exec.SortRunsMerged)
-		if st.Exec.Pipelines > 0 || st.Exec.PipelineFallbacks > 0 {
+		if st.Exec.Pipelines > 0 {
 			sel := ""
 			if st.Exec.FilterRowsIn > 0 {
 				sel = fmt.Sprintf("; filter stages kept %d of %d rows (%.1f%%)",
 					st.Exec.FilterRowsOut, st.Exec.FilterRowsIn,
 					100*float64(st.Exec.FilterRowsOut)/float64(st.Exec.FilterRowsIn))
 			}
-			fmt.Printf("pipelines: %d pushed (%d morsels), %d fell back to materializing%s\n",
-				st.Exec.Pipelines, st.Exec.PipelineMorsels, st.Exec.PipelineFallbacks, sel)
+			fmt.Printf("pipelines: %d pushed (%d morsels)%s\n",
+				st.Exec.Pipelines, st.Exec.PipelineMorsels, sel)
 		}
 		budget := "unlimited"
 		if st.Mem.Budget > 0 {
 			budget = fmt.Sprintf("%d bytes", st.Mem.Budget)
 		}
-		fmt.Printf("mem: budget=%s used=%d high-water=%d denials=%d; spill: %d join partitions + %d agg shards (%d rows, %d bytes, %v)\n",
+		fmt.Printf("mem: budget=%s used=%d high-water=%d denials=%d; spill: %d join partitions (%d rows, %d bytes, %v)\n",
 			budget, st.Mem.Used, st.Mem.HighWater, st.Mem.Denials,
-			st.Exec.JoinPartitionsSpilled, st.Exec.AggShardsSpilled,
+			st.Exec.JoinPartitionsSpilled,
 			st.Exec.RowsSpilled, st.Exec.BytesSpilled,
 			time.Duration(st.Exec.SpillNanos).Round(time.Microsecond))
 		fmt.Printf("queries: %d\n", st.Queries)

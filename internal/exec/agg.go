@@ -82,144 +82,34 @@ func aggOutType(fn string, in column.Type) (column.Type, error) {
 // expressions, a single global group is produced (even over zero rows, per
 // SQL semantics: COUNT is 0, other aggregates NULL).
 //
-// Grouping is hash-based with two key paths: a single integer-family key
-// indexes a map[int64] directly (nulls get a dedicated group), and
-// composite or string keys are encoded into a reused byte buffer with
-// fixed-width numeric encoding, whose map[string] lookups do not allocate.
+// This is the batch form of the engine's one aggregator: grouped input is
+// one morsel through an AggSink (see pipeline.go for the two key paths),
+// and a global aggregate folds through the batch form of the fixed-shape
+// chunk tree (globalagg.go) that the sink streams — the same bits either
+// way, which is what lets this function serve as the serial reference.
 func Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
-	keyCols, args, err := evalAggInputs(b, groupBy, aggs)
+	if len(groupBy) > 0 {
+		s, err := NewAggSink(b.Range(0, 0), groupBy, aggs, nil)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Consume(Morsel{B: b}); err != nil {
+			return nil, err
+		}
+		return s.Finish()
+	}
+	_, args, err := evalAggInputs(b, nil, aggs)
 	if err != nil {
 		return nil, err
 	}
-
-	n := b.NumRows()
-	var groups []aggGroup
-	if len(groupBy) > 0 {
-		groups = groupRows(keyCols, args, len(aggs), n, intKeyed(groupBy, keyCols), nil, 0, 0, nil)
-	} else {
-		// Global aggregate: a single group over all rows, folded through the
-		// fixed-shape chunk tree (see globalagg.go) that the parallel and
-		// pipelined engines share, so every engine produces the same bits.
-		groups = []aggGroup{{firstRow: 0, states: globalStates(nil, args, n)}}
-		if n == 0 {
-			groups[0].firstRow = -1
-		}
-	}
-
-	return buildAggOutput(keyCols, groupBy, args, aggs, groups)
+	groups := []aggGroup{{states: globalStates(args, b.NumRows())}}
+	return buildAggOutput(nil, nil, args, aggs, groups)
 }
 
 // intKeyed reports whether the grouping takes the integer-keyed fast path:
 // a single key of an integer-family type, hashed as the raw int64.
 func intKeyed(groupBy []sql.Expr, keyCols []*column.Column) bool {
 	return len(groupBy) == 1 && keyCols[0].Type() != column.Float64 && keyCols[0].Type() != column.String
-}
-
-// encodedRows persists per-row key encodings produced by a parallel hash
-// pass: one byte arena per morsel plus each row's start offset within its
-// arena (a row's end is the next row's start, or the arena's end for the
-// last row of a morsel). Shard workers and partition builders read keys
-// back with row() instead of encoding every row a second time.
-type encodedRows struct {
-	n      int
-	morsel int
-	arenas [][]byte
-	offs   []uint32
-}
-
-func newEncodedRows(n, morselRows, mcount int) *encodedRows {
-	return &encodedRows{
-		n:      n,
-		morsel: morselRows,
-		arenas: make([][]byte, mcount),
-		offs:   make([]uint32, n),
-	}
-}
-
-// row returns row i's encoded key without copying.
-func (e *encodedRows) row(i int) []byte {
-	mi := i / e.morsel
-	arena := e.arenas[mi]
-	hi := (mi + 1) * e.morsel
-	if hi > e.n {
-		hi = e.n
-	}
-	if i+1 < hi {
-		return arena[e.offs[i]:e.offs[i+1]]
-	}
-	return arena[e.offs[i]:]
-}
-
-// groupRows scans rows [0, n) in order and builds the group table — the
-// one grouping implementation both engines share. With a nil hashes every
-// row is processed (the serial path); otherwise only rows whose key hash
-// lands in shard (of nshards) are, which is how the parallel engine gives
-// each worker sole ownership of its groups while preserving the serial
-// per-group update order. A non-nil enc supplies the rows' pre-encoded
-// keys from the hash pass (generic path only); with enc nil each selected
-// row is encoded here.
-func groupRows(keyCols []*column.Column, args []aggArg, naggs, n int, intKey bool, hashes []uint64, nshards, shard uint64, enc *encodedRows) []aggGroup {
-	var groups []aggGroup
-	addGroup := func(row int) int {
-		groups = append(groups, aggGroup{firstRow: int32(row), states: make([]aggState, naggs)})
-		return len(groups) - 1
-	}
-	if intKey {
-		// Integer-keyed fast path: the raw int64 is the hash key.
-		ints := keyCols[0].Int64s()
-		nulls := keyCols[0].Nulls()
-		idx := make(map[int64]int, 64)
-		nullGroup := -1
-		for row := 0; row < n; row++ {
-			if hashes != nil && hashes[row]%nshards != shard {
-				continue
-			}
-			var gi int
-			if nulls != nil && nulls[row] {
-				if nullGroup < 0 {
-					nullGroup = addGroup(row)
-				}
-				gi = nullGroup
-			} else {
-				k := ints[row]
-				g, ok := idx[k]
-				if !ok {
-					g = addGroup(row)
-					idx[k] = g
-				}
-				gi = g
-			}
-			updateAggStates(groups[gi].states, args, row)
-		}
-		return groups
-	}
-	// Generic path: encode the key tuple into a reused byte buffer. Map
-	// lookups with a string(buf) index expression do not allocate; the key
-	// string is only copied when a new group is inserted.
-	idx := make(map[string]int, 64)
-	buf := make([]byte, 0, 16*len(keyCols))
-	for row := 0; row < n; row++ {
-		if hashes != nil && hashes[row]%nshards != shard {
-			continue
-		}
-		var key []byte
-		if enc != nil {
-			key = enc.row(row)
-		} else {
-			buf = buf[:0]
-			for _, kc := range keyCols {
-				buf = appendRowKey(buf, kc, row)
-			}
-			key = buf
-		}
-		gi, ok := idx[string(key)]
-		if !ok {
-			gi = addGroup(row)
-			idx[string(key)] = gi
-		}
-		updateAggStates(groups[gi].states, args, row)
-	}
-	return groups
 }
 
 // evalAggInputs evaluates the group-key expressions and unpacks the

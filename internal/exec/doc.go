@@ -22,12 +22,13 @@
 //     broadcast column is ever allocated) and a null-free fast path when
 //     the column has no null bitmap.
 //
-// Filter gathers the batch exactly once, after the full predicate list has
-// been reduced to one selection vector. Operators that produce new columns
-// (arithmetic, aggregation) write into preallocated typed slices sized from
-// their inputs instead of growing columns value by value.
+// A filter gathers at most once, after the full predicate list has been
+// reduced to one selection vector — and in a pipeline not at all: the
+// vector travels with the morsel to the sink. Operators that produce new
+// columns (arithmetic, aggregation) write into preallocated typed slices
+// sized from their inputs instead of growing columns value by value.
 //
-// Aggregate hashes group keys without boxing: a single integer-family key
+// Aggregation hashes group keys without boxing: a single integer-family key
 // indexes a map[int64] directly, and composite or string keys are encoded
 // into a reused fixed-width byte buffer whose map lookups do not allocate.
 //
@@ -50,40 +51,36 @@
 // Both are stable under the same total preorder, so they produce the same
 // permutation the comparator always did.
 //
-// # Morsel-driven parallelism
+// # One engine: push pipelines over a morsel-driven pool
 //
-// Pool is the parallel layer over the same kernels. An operator invocation
-// partitions its input into contiguous row-range morsels; workers claim
-// morsel indices from an atomic cursor (dynamic stealing, so a selective
-// range and an unselective one still balance) and run the unchanged serial
-// kernels over a Batch.Range view of their [lo, hi) window. The serial
-// functions remain the reference implementation — a nil or 1-worker Pool
-// routes straight to them — and the oracle test suite runs every operator
-// against both engines across worker counts and morsel sizes.
+// Every query runs as a push pipeline (pipeline.go). A BatchSource yields
+// morsels (a batch view plus an optional selection vector), PipeStages
+// transform them in place — FilterStage refines the selection vector with
+// no gather, ProbeStage probes a prebuilt join table (radix-partitioned
+// when the build was, restitching per-partition match lists into left-row
+// order) — and a PipeSink terminates the pipeline: CollectSink appends
+// surviving rows to the output, AggSink folds them into group states. One
+// morsel flows through the whole stage chain before the next starts, so
+// scan -> filter -> probe -> aggregate runs fused with no intermediate
+// batch. The pipeline breakers are join build sides, a join whose build
+// spilled (below), sort, and the final output.
 //
-// Determinism guarantee: parallel output is bit-identical to serial
-// output, for every operator, at every worker count and morsel size.
-// Each operator earns it structurally rather than by locking:
+// Pool.RunPipeline keeps the serial semantics structurally: a feeder
+// sequences morsels, workers claim them and run the stage chain
+// concurrently, and the consumer releases results to the sink strictly in
+// sequence order — so order-sensitive sink state (float accumulation,
+// group first-appearance, the first error) folds exactly as the serial
+// loop would, and output is bit-identical at every worker count and morsel
+// size. Global (ungrouped) aggregates fold over a fixed-shape chunk tree
+// (globalagg.go): the row stream splits at fixed 16384-row boundaries into
+// per-chunk states merged pairwise-adjacent — a reduction shape that
+// depends only on the input length, never on morsel size — and DISTINCT
+// arguments fold in one continuous state.
 //
-//   - Filter evaluates predicates per morsel and concatenates the
-//     per-range ascending selection vectors in range order, which is
-//     exactly the serial engine's single vector; the final gather writes
-//     disjoint output windows per worker into preallocated vectors.
-//   - Aggregate shards the group table by key hash instead of splitting
-//     rows: a first parallel pass hashes every row's key (persisting each
-//     generic key's encoding in a per-morsel arena, reused by the owning
-//     shard instead of a second encode), then each worker scans all rows
-//     but owns only the groups in its hash shard, applying updates in
-//     global row order. Every group's state — including order-sensitive
-//     float sums — is built by one worker in the serial update order, and
-//     the merge sorts groups by first-appearance row, the serial output
-//     order. Global (ungrouped) aggregates fold over a fixed-shape chunk
-//     tree (globalagg.go): the input splits at fixed 16384-row boundaries
-//     into per-chunk states folded serially within each chunk, merged
-//     pairwise-adjacent — a reduction shape that depends only on the input
-//     length, never on the worker count, so float sums come out
-//     bit-identical at every parallelism. DISTINCT arguments fold serially
-//     over the full stream in one continuous state on every engine.
+// The breakers run on the same pool, over contiguous row-range morsels
+// claimed from an atomic cursor, and earn the same guarantee structurally
+// rather than by locking:
+//
 //   - HashJoin radix-partitions its build side on the high bits of the
 //     key hash: hash-and-count per morsel, a prefix sum that lays each
 //     partition's rows out in morsel (hence ascending row) order, a
@@ -92,9 +89,9 @@
 //     partition and every chain links build rows ascending — the same
 //     chains the serial single-table build produces — so probe output is
 //     independent of the partition count and of which worker built what.
-//     Probes then cover disjoint left ranges concurrently (the table is
-//     read-only during the probe) and per-range match lists concatenate
-//     in range order — the serial probe order.
+//     A whole-batch probe covers disjoint left ranges concurrently (the
+//     table is read-only during the probe) and per-range match lists
+//     concatenate in range order — the serial probe order.
 //   - Sort splits comparator-ordered inputs into independently sorted
 //     morsel runs and merges them pairwise in fixed tree shape; the runs
 //     hold ascending disjoint row ranges and ties take the left run, so
@@ -110,74 +107,65 @@
 // concurrent use by many queries; nothing in the engine mutates shared
 // data during a parallel phase except each worker's own output slot.
 //
-// # Push pipelines
-//
-// RunPipeline (pipeline.go) is the morsel-wise push alternative to the
-// materializing operators: a BatchSource yields morsels (a batch view plus
-// an optional selection vector), PipeStages transform them in place —
-// FilterStage refines the selection vector with no gather, ProbeStage
-// probes a prebuilt join table (radix-partitioned when the build was,
-// restitching per-partition match lists into left-row order) — and a
-// PipeSink terminates the pipeline: CollectSink appends surviving rows to
-// the output, AggSink folds them into group states. One morsel flows
-// through the whole stage chain before the next starts, so scan -> filter
-// -> probe -> aggregate runs fused with no intermediate batch. The only
-// pipeline breakers are join build sides, sort, spill and the final
-// output.
-//
-// The parallel driver keeps the serial semantics structurally: a feeder
-// sequences morsels, workers run the stage chain concurrently, and the
-// consumer releases results to the sink strictly in sequence order — so
-// order-sensitive sink state (float accumulation, group first-appearance,
-// the first error) folds exactly as the serial loop would, and pipelined
-// output is bit-identical to the materializing engine at every worker
-// count and morsel size. The materializing operators remain the oracle the
-// pipeline is tested against.
+// The whole-batch functions Filter, Aggregate and HashJoin are the serial
+// reference: the planner's NoPipeline mode runs plans on them one operator
+// at a time, and the oracle tests hold every pipeline to their output bit
+// for bit.
 //
 // # Memory governance and determinism
 //
 // Operators run against a query-scoped memory context (QueryMem): a budget
-// ledger (internal/mem) that join tables, aggregation group tables and
-// recycler-cache admissions reserve working-set bytes from, plus a
-// per-query temp directory for spill files, removed on every query exit
+// ledger (internal/mem) that join tables, the aggregation sink's group
+// table and recycler-cache admissions reserve working-set bytes from, plus
+// a per-query temp directory for spill files, removed on every query exit
 // path. A nil QueryMem — or an unlimited ledger — reproduces the unbounded
-// engine exactly; a finite budget makes the two unbounded operators
-// degrade to disk instead of failing:
+// engine exactly. A finite budget never selects a different engine; it
+// moves one breaker and tightens the accounting:
 //
 //   - HashJoin goes grace-hash. The build is radix-partitioned (even under
 //     the serial engine); each partition's table is granted before it is
 //     built, and a denied partition serializes its (row, hash, encoded key)
 //     build rows to a spill file in the same ascending row order the
-//     in-memory build would insert them. At probe time, resident partitions
-//     are probed as usual (spilled rows skipped), then each spilled
-//     partition — strictly one at a time, in ascending partition index —
-//     is rebuilt from its file and probed.
-//   - Aggregate shards reserve an estimate per new group; the first denial
-//     cuts the shard over to spilling every subsequent shard row. After the
-//     scan, spilled shards replay their files one at a time in ascending
-//     shard index, continuing the very group table the scan left off with.
+//     in-memory build would insert them. A build that spilled cannot be
+//     probed morsel by morsel — a spilled partition is rebuilt once and
+//     must then meet every probe row that hashes into it — so the join
+//     becomes a pipeline breaker, decided right after the build and before
+//     any morsel flows: the stages so far run into a CollectSink,
+//     ProbeStage.ProbeBatch probes resident partitions as usual (spilled
+//     rows set aside) and then each spilled partition — strictly one at a
+//     time, in ascending partition index — rebuilt from its file, and the
+//     remaining stages continue over the joined batch. Nothing restarts:
+//     the source, extraction included, is read exactly once.
+//   - AggSink reserves, once per consumed morsel, an estimate for the
+//     groups and COUNT(DISTINCT) set entries that morsel created, and does
+//     not spill. It is the pipeline's single consumer with a single group
+//     table whose final states must all be resident to be emitted, so
+//     deferring rows to disk could only postpone the same allocation — and
+//     the rows would have to carry their evaluated arguments, since the
+//     morsel they indexed is gone by then. A denied reservation is taken
+//     unconditionally instead: the denial registers as pressure (join
+//     partitions spill and cache admissions are declined sooner) and the
+//     overage is recorded in the ledger's high-water mark.
 //
 // Why spilling preserves bit-identity. The engine's determinism never
-// depended on *where* a partition or shard is processed, only on the
-// *order of row-level effects within it*: a join chain must link build
-// rows ascending, and a group's state must fold its rows in global row
-// order. Spill files record rows in exactly that order, and replay applies
-// them in file order, so a spilled partition produces the same chains —
-// and a spilled shard the same group states — as its resident twin. What
-// remains is interleaving across partitions: join matches are merged back
-// by left row (each left key hashes to exactly one partition, so the merge
-// has no cross-list ties), and aggregation output is sorted by
-// first-appearance row exactly as the unlimited merge is. Spill order is
-// therefore fixed by partition/shard index — never by which worker or
-// grant race finished first — and output is bit-identical to the
+// depended on *where* a partition is processed, only on the *order of
+// row-level effects within it*: a join chain must link build rows
+// ascending. Spill files record rows in exactly that order, and the
+// rebuild inserts them in file order, so a spilled partition produces the
+// same chains as its resident twin. What remains is interleaving across
+// partitions: join matches are merged back by left row (each left key
+// hashes to exactly one partition, so the merge has no cross-list ties).
+// Spill order is therefore fixed by partition index — never by which worker
+// or grant race finished first — and output is bit-identical to the
 // in-memory path at every worker count, morsel size and budget. Budget
-// pressure can change only *stats* (which partitions spilled), never
-// results.
+// pressure can change only *stats* (which partitions spilled) and where
+// the pipeline breaks, never results.
 //
-// What the budget bounds: the concurrent working set of operator build
-// phases (resident partitions/shards, plus one spilled partition or shard
-// being rebuilt at a time, reserved unconditionally as the minimum the
-// algorithm can run in — overage is recorded in the ledger's high-water
-// mark). The final output columns of a query must still fit in memory;
-// external output runs are a recorded follow-on.
+// What the budget bounds: the concurrent working set of join builds
+// (resident partitions, plus one spilled partition being rebuilt at a
+// time, reserved unconditionally as the minimum the algorithm can run in —
+// overage is recorded in the ledger's high-water mark). The batch collected
+// at a spilled-build breaker, the aggregation's group table and the final
+// output columns of a query must still fit in memory; external output runs
+// are a recorded follow-on.
 package exec

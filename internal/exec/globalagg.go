@@ -7,17 +7,17 @@ import "repro/internal/column"
 // folded serially in row order, and the chunk states are merged pairwise-
 // adjacent. The chunk layout depends only on the input length — never on
 // worker count, morsel size, or arrival batching — so float SUM/AVG
-// produce identical bits on the serial, parallel, and pipelined engines.
-// DISTINCT arguments are the exception: their dedup set must see the whole
-// stream, so they fold serially in one continuous state on every engine.
+// produce identical bits from the batch fold (globalStates, the serial
+// reference) and the pipeline's streaming fold (globalAgg). DISTINCT
+// arguments are the exception: their dedup set must see the whole stream,
+// so they fold in one continuous state in both forms.
 
 // globalAggChunkRows is the fixed reduction-tree leaf size.
 const globalAggChunkRows = 16384
 
 // globalStates computes the single global group's states over rows [0, n)
-// of args. A nil pool folds the chunks serially; otherwise chunks fold on
-// pool workers. Both shapes merge identically.
-func globalStates(p *Pool, args []aggArg, n int) []aggState {
+// of args.
+func globalStates(args []aggArg, n int) []aggState {
 	naggs := len(args)
 	if n <= globalAggChunkRows {
 		// Single leaf: the tree degenerates to the plain serial fold,
@@ -37,7 +37,7 @@ func globalStates(p *Pool, args []aggArg, n int) []aggState {
 	}
 	nchunks := (n + globalAggChunkRows - 1) / globalAggChunkRows
 	chunks := make([][]aggState, nchunks)
-	p.orSerial().run(nchunks, func(c int) {
+	for c := range chunks {
 		lo := c * globalAggChunkRows
 		hi := lo + globalAggChunkRows
 		if hi > n {
@@ -53,7 +53,7 @@ func globalStates(p *Pool, args []aggArg, n int) []aggState {
 			}
 		}
 		chunks[c] = states
-	})
+	}
 	merged := mergeGlobalTree(chunks, args)
 	if hasDistinct {
 		distinct := make([]aggState, naggs)
@@ -140,8 +140,7 @@ func mergeOneAgg(dst, src *aggState, a *aggArg) {
 	}
 }
 
-// globalAgg is the streaming form of globalStates for the pipelined
-// engine: rows arrive one at a time (in source order), chunks seal at the
+// globalAgg is the streaming form of globalStates for AggSink: rows arrive one at a time (in source order), chunks seal at the
 // same fixed boundaries, and finish() runs the same merge tree — so the
 // result is bit-identical to the batch fold over the same row stream.
 type globalAgg struct {

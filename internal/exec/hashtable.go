@@ -72,10 +72,68 @@ func floatKeyBits(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// hashIntKey hashes a packed integer key pair with the splitmix64 finalizer
-// the sharded aggregator uses; single-key tables pass b == 0.
+// hashIntKey hashes a packed integer key pair; single-key tables pass
+// b == 0.
 func hashIntKey(a, b int64) uint64 {
 	return mix64(uint64(a) ^ mix64(uint64(b)))
+}
+
+// mix64 is the splitmix64 finalizer: a cheap, deterministic scrambler that
+// spreads dense integer keys (ids, timestamps) uniformly across partitions.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
+// fnv1a is the 64-bit FNV-1a hash of the encoded key tuple. Deterministic
+// across runs (unlike runtime map hashing), which keeps partition
+// assignment — and therefore which partitions spill — stable.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// encodedRows persists per-row key encodings produced by the partitioned
+// build's hash pass: one byte arena per morsel plus each row's start offset
+// within its arena (a row's end is the next row's start, or the arena's end
+// for the last row of a morsel). Partition builders read keys back with
+// row() instead of encoding every row a second time.
+type encodedRows struct {
+	n      int
+	morsel int
+	arenas [][]byte
+	offs   []uint32
+}
+
+func newEncodedRows(n, morselRows, mcount int) *encodedRows {
+	return &encodedRows{
+		n:      n,
+		morsel: morselRows,
+		arenas: make([][]byte, mcount),
+		offs:   make([]uint32, n),
+	}
+}
+
+// row returns row i's encoded key without copying.
+func (e *encodedRows) row(i int) []byte {
+	mi := i / e.morsel
+	arena := e.arenas[mi]
+	hi := (mi + 1) * e.morsel
+	if hi > e.n {
+		hi = e.n
+	}
+	if i+1 < hi {
+		return arena[e.offs[i]:e.offs[i+1]]
+	}
+	return arena[e.offs[i]:]
 }
 
 // nextPow2 returns the smallest power of two >= n (minimum 1).
@@ -354,7 +412,9 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 	// Grant pass: decide, in partition-index order, which partitions build
 	// in memory and which spill. The decision only affects where a
 	// partition's table is built — output is identical either way — so the
-	// probe result stays bit-identical at every budget.
+	// probe result stays bit-identical at every budget. An unlimited ledger
+	// accounts the reservations (its high-water mark reflects the build's
+	// working set) and never denies one.
 	jt.avgKey = jt.estKeyBytes()
 	if !jt.intKeys {
 		var total int64
@@ -365,32 +425,16 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 			jt.avgKey = total / int64(rn)
 		}
 	}
-	spillNeeded := false
-	if qm.Limited() {
-		jt.spilled = make([]bool, nparts)
-		for pt := 0; pt < nparts; pt++ {
-			rows := int(partStart[pt+1] - partStart[pt])
-			if rows == 0 {
-				continue
+	for pt := 0; pt < nparts; pt++ {
+		rows := int(partStart[pt+1] - partStart[pt])
+		if rows > 0 && !jt.grant.Try(joinPartBytes(rows, jt.intKeys, jt.avgKey)) {
+			if jt.spilled == nil {
+				jt.spilled = make([]bool, nparts)
 			}
-			if !jt.grant.Try(joinPartBytes(rows, jt.intKeys, jt.avgKey)) {
-				jt.spilled[pt] = true
-				spillNeeded = true
-			}
-		}
-		if !spillNeeded {
-			jt.spilled = nil
-		}
-	} else {
-		// No budget to enforce, but the reservations still run so the
-		// ledger's high-water mark reflects the build's working set —
-		// an unlimited ledger accounts, it just never denies.
-		for pt := 0; pt < nparts; pt++ {
-			if rows := int(partStart[pt+1] - partStart[pt]); rows > 0 {
-				jt.grant.Try(joinPartBytes(rows, jt.intKeys, jt.avgKey))
-			}
+			jt.spilled[pt] = true
 		}
 	}
+	spillNeeded := jt.spilled != nil
 
 	// Pass 3: build each partition's table privately, in ascending row
 	// order, so every chain matches the serial single-table build. Spilled

@@ -46,16 +46,17 @@ func HashJoin(left, right *column.Batch, leftKeys, rightKeys []string) (*column.
 	return b, err
 }
 
-// joinTable is the build side of a hash join plus the probe-side key
-// columns: everything a probe over any [lo, hi) window of left rows needs.
-// The table is the flat open-addressing structure of hashtable.go — slot
-// arrays per partition plus one chained next row index — not a Go map.
-// Probing is read-only and safe for concurrent use by morsel workers.
+// joinTable is the build side of a hash join. The table is the flat
+// open-addressing structure of hashtable.go — slot arrays per partition
+// plus one chained next row index — not a Go map. The probe side is bound
+// by key name per probed batch (see bind): a pipelined build exists before
+// any probe row does. Probing resident partitions is read-only and safe for
+// concurrent use by morsel workers.
 type joinTable struct {
-	lkc, rkc []*column.Column
-	lkeys    []string // probe-side key names (to rebind onto morsel views)
-	intKeys  bool
-	lpk, rpk []packedKeyCol // int-path packing adapters (intKeys only)
+	rkc     []*column.Column
+	lkeys   []string // probe-side key names
+	intKeys bool
+	rpk     []packedKeyCol // int-path packing adapters (intKeys only)
 
 	parts []joinPart
 	shift uint    // partition = hash >> shift (64 when single-table)
@@ -111,7 +112,6 @@ func buildJoinTable(left, right *column.Batch, leftKeys, rightKeys []string, p *
 	}
 
 	jt := &joinTable{
-		lkc:     lkc,
 		rkc:     rkc,
 		lkeys:   append([]string(nil), leftKeys...),
 		intKeys: intKeys,
@@ -120,7 +120,6 @@ func buildJoinTable(left, right *column.Batch, leftKeys, rightKeys []string, p *
 		grant:   qm.Ledger().NewGrant(),
 	}
 	if intKeys {
-		jt.lpk = packKeyCols(lkc)
 		jt.rpk = packKeyCols(rkc)
 	}
 	jt.stats = JoinStats{IntKeys: intKeys, Partitions: 1, BuildRows: right.NumRows()}
@@ -144,9 +143,8 @@ func packKeyCols(cols []*column.Column) []packedKeyCol {
 	return out
 }
 
-// packRight packs build row i's key; packLeft packs probe row i's key.
+// packRight packs build row i's key.
 func (jt *joinTable) packRight(i int) (int64, int64) { return packKey(jt.rpk, i) }
-func (jt *joinTable) packLeft(i int) (int64, int64)  { return packKey(jt.lpk, i) }
 
 func packKey(cols []packedKeyCol, i int) (int64, int64) {
 	a := cols[0].at(i)
@@ -167,29 +165,47 @@ func (jt *joinTable) encodeKey(buf []byte, cols []*column.Column, row int) []byt
 	return buf
 }
 
-// probeRange probes left rows [lo, hi) in ascending order, returning the
-// matched (left, right) row-index pairs. Each key lives in exactly one
-// partition and each chain walks build rows in ascending order, so
-// concatenating the results of adjacent ranges reproduces the full serial
-// probe exactly, whatever partition count the build chose. Rows whose key
-// hashes into a spilled partition are not probed here; their (row, hash)
-// pairs are returned for probeSpilled to handle partition-by-partition,
-// reusing the hash this pass already computed.
+// probeKeys are the probe-side key columns of one batch or morsel view.
+type probeKeys struct {
+	kc []*column.Column
+	pk []packedKeyCol // int path only
+}
+
+// bind resolves the probe-side key columns on b.
+func (jt *joinTable) bind(b *column.Batch) (probeKeys, error) {
+	kc, err := keyColumns(b, jt.lkeys)
+	if err != nil {
+		return probeKeys{}, err
+	}
+	k := probeKeys{kc: kc}
+	if jt.intKeys {
+		k.pk = packKeyCols(kc)
+	}
+	return k, nil
+}
+
+// probe probes the rows sel selects (ascending; nil = every row of
+// [lo, hi)) in order, returning the matched (left, right) row-index pairs.
+// Each key lives in exactly one partition and each chain walks build rows
+// in ascending order, so concatenating the results of adjacent ranges
+// reproduces the full serial probe exactly, whatever partition count the
+// build chose. Rows whose key hashes into a spilled partition are not
+// probed here; their (row, hash) pairs are returned for probeSpilled to
+// handle partition-by-partition, reusing the hash this pass already
+// computed.
 //
 // A partitioned build takes the radix-partitioned probe path; a
 // single-table build keeps the original row-at-a-time loop, which doubles
 // as the oracle the partitioned path is tested against.
-func (jt *joinTable) probeRange(lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
+func (jt *joinTable) probe(k probeKeys, sel []int32, lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
 	if len(jt.parts) > 1 {
-		return jt.probePartitioned(jt.lkc, jt.lpk, nil, lo, hi)
+		return jt.probePartitioned(k.kc, k.pk, sel, lo, hi)
 	}
-	return jt.probeDirect(jt.lkc, jt.lpk, nil, lo, hi)
+	return jt.probeDirect(k.kc, k.pk, sel, lo, hi)
 }
 
 // probeDirect is the row-at-a-time probe: each row walks straight into its
-// partition's table. kc/pk are the probe-side key columns (jt.lkc for the
-// batch engine; a morsel view's columns when pipelined). sel selects the
-// rows to probe (ascending); a nil sel probes [lo, hi).
+// partition's table.
 func (jt *joinTable) probeDirect(kc []*column.Column, pk []packedKeyCol, sel []int32, lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
 	nr := hi - lo
 	if sel != nil {
@@ -341,39 +357,31 @@ func (jt *joinTable) probePartitioned(kc []*column.Column, pk []packedKeyCol, se
 }
 
 // probeMorsel probes the selected rows of one pipeline morsel (sel nil =
-// all rows) against the built table, rebinding the key columns onto the
-// morsel's view. Spilled partitions are a pipeline breaker — decomposition
-// never pipelines a join under a finite budget, so hitting one here is a
-// defensive fallback, not a supported path.
+// all rows) against a fully resident table. A build that spilled is probed
+// whole-batch through probeAll instead — the planner decides that right
+// after the build, before any morsel flows.
 func (jt *joinTable) probeMorsel(b *column.Batch, sel []int32) ([]int32, []int32, error) {
-	kc, err := keyColumns(b, jt.lkeys)
+	k, err := jt.bind(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	var pk []packedKeyCol
-	if jt.intKeys {
-		pk = packKeyCols(kc)
-	}
-	var lsel, rsel, spl []int32
-	if len(jt.parts) > 1 {
-		lsel, rsel, spl, _ = jt.probePartitioned(kc, pk, sel, 0, b.NumRows())
-	} else {
-		lsel, rsel, spl, _ = jt.probeDirect(kc, pk, sel, 0, b.NumRows())
-	}
-	if len(spl) > 0 {
-		return nil, nil, fmt.Errorf("%w: probe hit spilled join partition", ErrPipelineFallback)
-	}
+	lsel, rsel, _, _ := jt.probe(k, sel, 0, b.NumRows())
 	return lsel, rsel, nil
 }
 
-// probeAll probes every left row: resident partitions through probeRange
+// probeAll probes every row of left: resident partitions through probe
 // (parallel over morsels when the pool allows), spilled partitions via
 // probeSpilled, merged back into the serial probe order.
-func (jt *joinTable) probeAll(p *Pool, ln int) ([]int32, []int32, error) {
+func (jt *joinTable) probeAll(p *Pool, left *column.Batch) ([]int32, []int32, error) {
+	k, err := jt.bind(left)
+	if err != nil {
+		return nil, nil, err
+	}
+	ln := left.NumRows()
 	var lsel, rsel, spl []int32
 	var sph []uint64
 	if p.serialFor(ln) {
-		lsel, rsel, spl, sph = jt.probeRange(0, ln)
+		lsel, rsel, spl, sph = jt.probe(k, nil, 0, ln)
 	} else {
 		mcount := p.morselCount(ln)
 		lparts := make([][]int32, mcount)
@@ -382,7 +390,7 @@ func (jt *joinTable) probeAll(p *Pool, ln int) ([]int32, []int32, error) {
 		sphParts := make([][]uint64, mcount)
 		p.run(mcount, func(mi int) {
 			lo, hi := p.morselBounds(mi, ln)
-			lparts[mi], rparts[mi], splParts[mi], sphParts[mi] = jt.probeRange(lo, hi)
+			lparts[mi], rparts[mi], splParts[mi], sphParts[mi] = jt.probe(k, nil, lo, hi)
 		})
 		lsel, rsel = concatSel(lparts), concatSel(rparts)
 		if jt.spilled != nil {
@@ -396,7 +404,7 @@ func (jt *joinTable) probeAll(p *Pool, ln int) ([]int32, []int32, error) {
 	if jt.spilled == nil {
 		return lsel, rsel, nil
 	}
-	return jt.probeSpilled(lsel, rsel, spl, sph)
+	return jt.probeSpilled(k, lsel, rsel, spl, sph)
 }
 
 // probeSpilled handles the spilled partitions of a grace-hash join: the
@@ -408,7 +416,7 @@ func (jt *joinTable) probeAll(p *Pool, ln int) ([]int32, []int32, error) {
 // row's key lives in exactly one partition, so merging the per-partition
 // match lists with the resident matches by left row reproduces the serial
 // probe order exactly.
-func (jt *joinTable) probeSpilled(residentL, residentR, spl []int32, sph []uint64) ([]int32, []int32, error) {
+func (jt *joinTable) probeSpilled(k probeKeys, residentL, residentR, spl []int32, sph []uint64) ([]int32, []int32, error) {
 	t0 := time.Now()
 	defer func() { jt.stats.SpillNanos += time.Since(t0).Nanoseconds() }()
 
@@ -426,7 +434,7 @@ func (jt *joinTable) probeSpilled(residentL, residentR, spl []int32, sph []uint6
 		if !jt.spilled[pi] {
 			continue
 		}
-		pl, pr, err := jt.probeOneSpilled(pi, pRows[pi], pHash[pi])
+		pl, pr, err := jt.probeOneSpilled(k, pi, pRows[pi], pHash[pi])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -442,7 +450,7 @@ func (jt *joinTable) probeSpilled(residentL, residentR, spl []int32, sph []uint6
 // working set unconditionally (Must): one partition at a time is the
 // minimum the grace-hash join can run in, so overage is recorded in the
 // ledger's high-water mark rather than dead-ending.
-func (jt *joinTable) probeOneSpilled(pi int, rows []int32, hashes []uint64) (lsel, rsel []int32, err error) {
+func (jt *joinTable) probeOneSpilled(k probeKeys, pi int, rows []int32, hashes []uint64) (lsel, rsel []int32, err error) {
 	est := joinPartBytes(jt.spillRows[pi], jt.intKeys, jt.avgKey)
 	jt.grant.Must(est)
 	defer jt.grant.Release(est)
@@ -485,19 +493,19 @@ func (jt *joinTable) probeOneSpilled(pi int, rows []int32, hashes []uint64) (lse
 	lsel = make([]int32, 0, len(rows))
 	rsel = make([]int32, 0, len(rows))
 	if jt.intKeys {
-		for k, i := range rows {
-			a, b := jt.packLeft(int(i))
-			for ri := tab.lookupInt(hashes[k], a, b); ri >= 0; ri = jt.next[ri] {
+		for j, i := range rows {
+			a, b := packKey(k.pk, int(i))
+			for ri := tab.lookupInt(hashes[j], a, b); ri >= 0; ri = jt.next[ri] {
 				lsel = append(lsel, i)
 				rsel = append(rsel, ri)
 			}
 		}
 		return lsel, rsel, nil
 	}
-	buf := make([]byte, 0, 16*len(jt.lkc))
-	for k, i := range rows {
-		buf = jt.encodeKey(buf[:0], jt.lkc, int(i))
-		for ri := tab.lookupGen(hashes[k], buf); ri >= 0; ri = jt.next[ri] {
+	buf := make([]byte, 0, 16*len(k.kc))
+	for j, i := range rows {
+		buf = jt.encodeKey(buf[:0], k.kc, int(i))
+		for ri := tab.lookupGen(hashes[j], buf); ri >= 0; ri = jt.next[ri] {
 			lsel = append(lsel, i)
 			rsel = append(rsel, ri)
 		}

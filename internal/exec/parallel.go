@@ -2,12 +2,10 @@ package exec
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/column"
-	"repro/internal/sql"
 )
 
 // DefaultMorselRows is the row-range granularity the pool hands to workers.
@@ -16,18 +14,17 @@ import (
 // still load-balances across workers by stealing.
 const DefaultMorselRows = 16384
 
-// Pool is the morsel-driven parallel execution layer. An operator
-// invocation partitions its input batch into contiguous row-range morsels;
-// workers pull morsel indices from a shared atomic cursor (dynamic
-// stealing, no static assignment) and run the ordinary serial kernels over
-// their [lo, hi) window. Per-morsel results are placed by morsel index and
-// concatenated in order, so every operator's output is bit-identical to
-// the serial engine's — see doc.go for the determinism argument.
+// Pool is the morsel-driven parallel execution layer: RunPipeline drives
+// push pipelines over it (pipeline.go), and the pipeline breakers — join
+// build and grace-hash probe, sort, gather — partition their input into
+// contiguous row-range morsels that workers pull from a shared atomic
+// cursor (dynamic stealing, no static assignment). Per-morsel results are
+// placed by morsel index and concatenated in order, so every operator's
+// output is bit-identical to the serial engine's — see doc.go for the
+// determinism argument.
 //
-// A nil *Pool and a 1-worker pool both mean the serial engine: every
-// method delegates to the plain function of the same name, which is kept
-// alive as the oracle the parallel paths are tested against. Pools hold no
-// goroutines between calls and are safe for concurrent use by multiple
+// A nil *Pool and a 1-worker pool both mean the serial engine. Pools hold
+// no goroutines between calls and are safe for concurrent use by multiple
 // queries.
 type Pool struct {
 	workers int
@@ -71,8 +68,8 @@ func (p *Pool) Workers() int {
 }
 
 // orSerial returns p, or a one-worker pool when p is nil — the memory
-// governor's spill paths run the partitioned build/shard machinery on it
-// even under the serial engine.
+// governor's spill path runs the partitioned join build on it even under
+// the serial engine.
 func (p *Pool) orSerial() *Pool {
 	if p == nil {
 		return &Pool{workers: 1}
@@ -172,90 +169,6 @@ func concatSel(parts [][]int32) []int32 {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Filter
-// ---------------------------------------------------------------------------
-
-// Filter is the morsel-driven Filter: each worker evaluates the full
-// predicate list over a row-range view of the batch, producing that
-// range's ascending selection vector; the per-range vectors are offset and
-// concatenated in range order, which reproduces the serial engine's single
-// selection vector exactly. The final gather also runs on the pool.
-func (p *Pool) Filter(b *column.Batch, preds []sql.Expr) (*column.Batch, error) {
-	if len(preds) == 0 {
-		return b, nil
-	}
-	n := b.NumRows()
-	if p.serialFor(n) {
-		return Filter(b, preds)
-	}
-	mcount := p.morselCount(n)
-	parts := make([][]int32, mcount)
-	errs := make([]error, mcount)
-	p.run(mcount, func(mi int) {
-		lo, hi := p.morselBounds(mi, n)
-		view := b.Range(lo, hi)
-		// Exactly the serial Filter loop over the view; every evalPredSel
-		// success returns a materialized vector, so (like serial Filter)
-		// sel is non-nil from the first predicate on.
-		var sel []int32
-		for _, pred := range preds {
-			s, err := evalPredSel(pred, view, sel)
-			if err != nil {
-				errs[mi] = err
-				return
-			}
-			sel = s
-			if len(sel) == 0 {
-				break
-			}
-		}
-		for i := range sel {
-			sel[i] += int32(lo)
-		}
-		parts[mi] = sel
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	sel := concatSel(parts)
-	if len(sel) == n {
-		return b, nil // every row passes: same no-copy fast path as serial
-	}
-	return p.gather(b, sel), nil
-}
-
-// EvalPredicate is the morsel-driven EvalPredicate, for callers that want
-// the selection vector itself.
-func (p *Pool) EvalPredicate(e sql.Expr, b *column.Batch) ([]int32, error) {
-	n := b.NumRows()
-	if p.serialFor(n) {
-		return EvalPredicate(e, b)
-	}
-	mcount := p.morselCount(n)
-	parts := make([][]int32, mcount)
-	errs := make([]error, mcount)
-	p.run(mcount, func(mi int) {
-		lo, hi := p.morselBounds(mi, n)
-		sel, err := evalPredSel(e, b.Range(lo, hi), nil)
-		if err != nil {
-			errs[mi] = err
-			return
-		}
-		if sel == nil {
-			sel = selAll(hi - lo)
-		}
-		for i := range sel {
-			sel[i] += int32(lo)
-		}
-		parts[mi] = sel
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return concatSel(parts), nil
-}
-
 // gather is Batch.Gather parallelized over chunks of the selection vector:
 // output vectors are preallocated and every worker writes a disjoint row
 // window of each column, so the result is identical to the serial gather.
@@ -336,214 +249,6 @@ func (p *Pool) gather(b *column.Batch, sel []int32) *column.Batch {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate
-// ---------------------------------------------------------------------------
-
-// nullKeyHash shards all null keys of the integer fast path into one group
-// table; the shard worker still tells null rows apart via the null bitmap.
-const nullKeyHash = uint64(0x9E3779B97F4A7C15)
-
-// mix64 is the splitmix64 finalizer: a cheap, deterministic scrambler that
-// spreads dense integer keys (ids, timestamps) uniformly across shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// fnv1a is the 64-bit FNV-1a hash of the encoded key tuple. Deterministic
-// across runs (unlike runtime map hashing), which keeps shard assignment —
-// and therefore nothing observable — stable.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Aggregate is the sharded Aggregate; see AggregateMem.
-func (p *Pool) Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
-	out, _, err := p.AggregateMem(nil, b, groupBy, aggs)
-	return out, err
-}
-
-// AggregateMem is the sharded Aggregate under the memory governor. Rather
-// than splitting rows across workers (which would reorder float
-// accumulation and lose bit-identity), the group table is sharded by key
-// hash: a first parallel pass hashes every row's key into a vector, then
-// each worker scans all rows but owns only the groups whose hash lands in
-// its shard, applying updates in global row order. Every group's state is
-// thus built by exactly one worker in exactly the serial engine's update
-// order. The merge concatenates the shards' groups and sorts by
-// first-appearance row, which is the serial output order.
-//
-// Under a finite qm budget the sharded path always runs (on a one-worker
-// pool when the engine is serial) and each shard's group table draws on a
-// memory grant; a shard whose grant is denied cuts over to spilling its
-// remaining rows to disk, replayed shard-by-shard afterwards — see
-// aggShard. Output is bit-identical at every budget and worker count.
-//
-// Global aggregates (no GROUP BY) fold through the fixed-shape chunk
-// reduction tree in globalagg.go: constant-size chunks fold on workers and
-// merge pairwise-adjacent, so float SUM/AVG bits depend only on the input
-// length — identical at every worker count, and identical to the serial
-// engine (which runs the same tree).
-func (p *Pool) AggregateMem(qm *QueryMem, b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, AggStats, error) {
-	n := b.NumRows()
-	limited := qm.Limited()
-	if len(groupBy) == 0 {
-		keyCols, args, err := evalAggInputs(b, groupBy, aggs)
-		if err != nil {
-			return nil, AggStats{}, err
-		}
-		groups := []aggGroup{{firstRow: 0, states: globalStates(p, args, n)}}
-		if n == 0 {
-			groups[0].firstRow = -1
-		}
-		out, err := buildAggOutput(keyCols, groupBy, args, aggs, groups)
-		if err != nil {
-			return nil, AggStats{}, err
-		}
-		return out, AggStats{Rows: n, Groups: 1}, nil
-	}
-	if p.serialFor(n) {
-		if !limited {
-			return serialAggWithStats(b, groupBy, aggs)
-		}
-		// Under a budget the serial path is still safe when even the worst
-		// case — every row its own group and its own distinct value — fits
-		// the grant; only a denial pays for the shard-granular machinery.
-		ndistinct := 0
-		for _, a := range aggs {
-			if a.Distinct {
-				ndistinct++
-			}
-		}
-		worst := int64(n) * (aggGroupBytes(len(aggs), 16*len(groupBy)) + int64(ndistinct)*distinctSeenBytes)
-		g := qm.Ledger().NewGrant()
-		if g.Try(worst) {
-			defer g.Close()
-			return serialAggWithStats(b, groupBy, aggs)
-		}
-		g.Close()
-	}
-	ep := p.orSerial()
-	keyCols, args, err := evalAggInputs(b, groupBy, aggs)
-	if err != nil {
-		return nil, AggStats{}, err
-	}
-
-	intKey := intKeyed(groupBy, keyCols)
-	hashes := make([]uint64, n)
-	mcount := ep.morselCount(n)
-	var enc *encodedRows
-	if intKey {
-		ints := keyCols[0].Int64s()
-		nulls := keyCols[0].Nulls()
-		ep.run(mcount, func(mi int) {
-			lo, hi := ep.morselBounds(mi, n)
-			for i := lo; i < hi; i++ {
-				if nulls != nil && nulls[i] {
-					hashes[i] = nullKeyHash
-				} else {
-					hashes[i] = mix64(uint64(ints[i]))
-				}
-			}
-		})
-	} else {
-		// The hash pass persists each row's encoded key into its morsel's
-		// arena, so the owning shard reads it back instead of encoding the
-		// row a second time.
-		enc = newEncodedRows(n, ep.morselRows(), mcount)
-		ep.run(mcount, func(mi int) {
-			lo, hi := ep.morselBounds(mi, n)
-			buf := make([]byte, 0, 16*len(keyCols)*(hi-lo))
-			for i := lo; i < hi; i++ {
-				enc.offs[i] = uint32(len(buf))
-				for _, kc := range keyCols {
-					buf = appendRowKey(buf, kc, i)
-				}
-				hashes[i] = fnv1a(buf[enc.offs[i]:])
-			}
-			enc.arenas[mi] = buf
-		})
-	}
-
-	nshards := ep.Workers()
-	if limited && nshards < spillMinShards {
-		// Shard-granular spill needs shards even under the serial engine:
-		// a spilled shard's replay is what bounds the concurrent working
-		// set to the resident shards plus one replaying shard.
-		nshards = spillMinShards
-	}
-	st := AggStats{Rows: n, Shards: nshards}
-
-	var groups []aggGroup
-	if !limited {
-		shards := make([][]aggGroup, nshards)
-		ep.run(nshards, func(w int) {
-			shards[w] = groupRows(keyCols, args, len(aggs), n, intKey, hashes, uint64(nshards), uint64(w), enc)
-		})
-		for _, s := range shards {
-			groups = append(groups, s...)
-		}
-		// No budget to enforce, but account the group tables' working set
-		// post hoc so the ledger's high-water mark stays meaningful on an
-		// unlimited ledger (held until the output is materialized).
-		if acct := qm.Ledger().NewGrant(); acct != nil {
-			defer acct.Close()
-			keyEst := 9
-			if !intKey {
-				keyEst = 16 * len(keyCols)
-			}
-			est := int64(len(groups)) * aggGroupBytes(len(aggs), keyEst)
-			for gi := range groups {
-				for si := range groups[gi].states {
-					if m := groups[gi].states[si].seen; m != nil {
-						est += int64(len(m)) * distinctSeenBytes
-					}
-				}
-			}
-			acct.Try(est)
-		}
-	} else {
-		// The grant is held here — not inside aggregateSpilled — so the
-		// group tables stay reserved until the output batch below has been
-		// materialized from them.
-		grant := qm.Ledger().NewGrant()
-		defer grant.Close()
-		groups, err = aggregateSpilled(qm, grant, &st, ep, keyCols, args, len(aggs), n, intKey, hashes, nshards, enc)
-		if err != nil {
-			return nil, st, err
-		}
-	}
-
-	// Deterministic merge: output order is first appearance, i.e. ascending
-	// first row; each group exists in exactly one shard.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].firstRow < groups[j].firstRow })
-	out, err := buildAggOutput(keyCols, groupBy, args, aggs, groups)
-	if err == nil {
-		st.Groups = out.NumRows()
-	}
-	return out, st, err
-}
-
-// serialAggWithStats wraps the serial oracle Aggregate in AggStats.
-func serialAggWithStats(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, AggStats, error) {
-	out, err := Aggregate(b, groupBy, aggs)
-	st := AggStats{Rows: b.NumRows()}
-	if err == nil {
-		st.Groups = out.NumRows()
-	}
-	return out, st, err
-}
-
-// ---------------------------------------------------------------------------
 // HashJoin
 // ---------------------------------------------------------------------------
 
@@ -551,11 +256,6 @@ func serialAggWithStats(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*c
 func (p *Pool) HashJoin(left, right *column.Batch, leftKeys, rightKeys []string) (*column.Batch, error) {
 	out, _, err := p.HashJoinMem(nil, left, right, leftKeys, rightKeys)
 	return out, err
-}
-
-// HashJoinWithStats is HashJoinMem without a memory context (unlimited).
-func (p *Pool) HashJoinWithStats(left, right *column.Batch, leftKeys, rightKeys []string) (*column.Batch, JoinStats, error) {
-	return p.HashJoinMem(nil, left, right, leftKeys, rightKeys)
 }
 
 // HashJoinMem is the morsel-driven HashJoin under the memory governor: the
@@ -578,12 +278,11 @@ func (p *Pool) HashJoinMem(qm *QueryMem, left, right *column.Batch, leftKeys, ri
 		return nil, JoinStats{}, err
 	}
 	defer jt.grant.Close()
-	ln := left.NumRows()
-	lsel, rsel, err := jt.probeAll(p, ln)
+	lsel, rsel, err := jt.probeAll(p, left)
 	if err != nil {
 		return nil, jt.stats, err
 	}
-	jt.stats.ProbeRows = ln
+	jt.stats.ProbeRows = left.NumRows()
 	jt.stats.Matches = len(lsel)
 	out, err := assembleJoin(left, right, rightKeys, lsel, rsel, p)
 	return out, jt.stats, err

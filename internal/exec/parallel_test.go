@@ -90,7 +90,7 @@ func TestPoolGatherMatchesSerialGather(t *testing.T) {
 	}
 }
 
-// TestPoolSharedAcrossGoroutines runs concurrent operators on one shared
+// TestPoolSharedAcrossGoroutines runs concurrent pipelines on one shared
 // pool — the shape a multi-query warehouse produces — and checks every
 // result against the serial engine. Run under -race this doubles as the
 // engine's data-race probe.
@@ -119,7 +119,7 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				fb, err := p.Filter(b, []sql.Expr{pred})
+				fb, err := pipeFilter(p, b, []sql.Expr{pred})
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -128,7 +128,7 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 					errs <- "filter: " + diff
 					return
 				}
-				ab, err := p.Aggregate(b, groupBy, aggs)
+				ab, err := pipeAggregate(p, nil, b, groupBy, aggs)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -148,44 +148,17 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestPoolFilterErrorMatchesSerial checks that a failing predicate reports
-// the same error through the parallel path as through the serial one.
+// the same error through a parallel pipeline as through the serial Filter.
 func TestPoolFilterErrorMatchesSerial(t *testing.T) {
 	p := &Pool{workers: 4, morsel: 16}
 	b := benchBatch(1000)
 	bad := []sql.Expr{&sql.Binary{Op: sql.OpGt, L: &sql.ColumnRef{Name: "nope"}, R: &sql.Literal{Val: column.NewInt64(0)}}}
 	_, serialErr := Filter(b, bad)
-	_, parErr := p.Filter(b, bad)
+	_, parErr := pipeFilter(p, b, bad)
 	if serialErr == nil || parErr == nil {
 		t.Fatalf("expected errors, got serial=%v parallel=%v", serialErr, parErr)
 	}
 	if serialErr.Error() != parErr.Error() {
 		t.Fatalf("error mismatch:\nserial:   %v\nparallel: %v", serialErr, parErr)
-	}
-}
-
-// TestPoolEvalPredicateMatchesSerial checks the standalone selection-vector
-// entry point across morsel boundaries.
-func TestPoolEvalPredicateMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	p := &Pool{workers: 8, morsel: 13}
-	for iter := 0; iter < 60; iter++ {
-		b := randNullBatch(rng, 150)
-		e := randPredExpr(rng, 2)
-		got, err := p.EvalPredicate(e, b)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		want, err := EvalPredicate(e, b)
-		if err != nil {
-			t.Fatalf("iter %d: serial: %v", iter, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d selected vs serial %d", iter, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d: sel[%d] = %d vs serial %d", iter, i, got[i], want[i])
-			}
-		}
 	}
 }

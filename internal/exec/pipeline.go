@@ -1,21 +1,13 @@
 package exec
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/column"
+	"repro/internal/mem"
 	"repro/internal/sql"
 )
-
-// ErrPipelineFallback signals that a pipelined execution cannot proceed
-// (e.g. a probe row hashed into a spilled build partition) and the caller
-// should re-run the plan on the materializing engine. It is a control-flow
-// sentinel, not a user-visible failure: output stays bit-identical because
-// the materializing engine is the oracle the pipeline is checked against.
-var ErrPipelineFallback = errors.New("exec: pipeline fallback to materializing engine")
 
 // Morsel is the unit of work flowing through a push pipeline: a batch view
 // plus a selection vector of the rows still alive. Sel == nil means all
@@ -111,43 +103,53 @@ type PipelineStats struct {
 	Morsels int
 }
 
-// RunPipeline drives src through the stages into sink. With a nil or
-// one-worker pool the loop is fully serial; otherwise a feeder goroutine
-// sequences morsels, workers apply the stage chain concurrently, and the
-// consumer releases morsels to the sink strictly in sequence order, so the
-// sink observes exactly the serial order at every worker count. The first
-// error in sequence order is the one returned — the same error the serial
-// loop would hit.
+// RunPipeline drives src through the stages into sink. A nil or one-worker
+// pool runs every morsel on the calling goroutine. Any other pool looks one
+// morsel ahead: a source that ends within its first morsel (a metadata
+// scan, a point lookup) runs there too and never pays for goroutines and
+// channel hops; otherwise the caller folds the first morsel while a feeder
+// goroutine sequences the rest and workers apply the stage chain to them
+// concurrently, and the caller then releases their results to the sink
+// strictly in sequence order. The sink observes exactly the serial order
+// at every worker count, and the first error in sequence order is the one
+// returned — the same error the serial loop would hit.
 func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (PipelineStats, error) {
 	defer src.Close()
 	var st PipelineStats
-	if p.Workers() <= 1 {
-		for {
-			m, ok, err := src.Next()
-			if err != nil {
-				return st, err
-			}
-			if !ok {
-				return st, nil
-			}
-			st.Morsels++
-			m, err = applyStages(stages, m)
-			if err != nil {
-				return st, err
-			}
-			if m.Rows() > 0 {
-				if err := sink.Consume(m); err != nil {
-					return st, err
-				}
-			}
+	fold := func(m Morsel) error {
+		m, err := applyStages(stages, m)
+		if err != nil || m.Rows() == 0 {
+			return err
 		}
+		return sink.Consume(m)
 	}
-
 	type result struct {
 		seq int
 		m   Morsel
 		err error
 	}
+	first, ok, err := src.Next()
+	if err != nil || !ok {
+		return st, err
+	}
+	st.Morsels = 1
+	serial := p.Workers() <= 1
+	var head result // what follows first: seq 0 of the parallel driver
+	if !serial {
+		head.m, ok, head.err = src.Next()
+		serial = !ok && head.err == nil
+	}
+	if serial {
+		for m := first; ; st.Morsels++ {
+			if err := fold(m); err != nil || !ok { // !ok: the look-ahead met the end
+				return st, err
+			}
+			if m, ok, err = src.Next(); err != nil || !ok {
+				return st, err
+			}
+		}
+	}
+
 	w := p.Workers()
 	in := make(chan result, w)
 	out := make(chan result, 2*w)
@@ -155,27 +157,26 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 
-	var morsels atomic.Int64
-	go func() { // feeder: owns src, assigns sequence numbers
+	var fed atomic.Int64 // morsels the feeder handed out
+	go func() {          // feeder: owns src, assigns sequence numbers
 		defer close(in)
-		for seq := 0; ; seq++ {
-			m, ok, err := src.Next()
-			if err != nil {
-				select {
-				case in <- result{seq: seq, err: err}:
-				case <-stop:
-				}
-				return
+		for r := head; ; {
+			if r.err == nil {
+				fed.Add(1)
 			}
-			if !ok {
-				return
-			}
-			morsels.Add(1)
 			select {
-			case in <- result{seq: seq, m: m}:
+			case in <- r:
 			case <-stop:
 				return
 			}
+			if r.err != nil {
+				return
+			}
+			m, ok, err := src.Next()
+			if err == nil && !ok {
+				return
+			}
+			r = result{seq: r.seq + 1, m: m, err: err}
 		}
 	}()
 
@@ -198,11 +199,14 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	}
 	go func() { wg.Wait(); close(out) }()
 
-	// Consumer: reorder by sequence number, feed the sink in order, stop at
-	// the first in-order error.
+	// Consumer: the first morsel, then the workers' results reordered by
+	// sequence number; stop at the first in-order error.
 	next := 0
 	pending := make(map[int]result)
-	var firstErr error
+	firstErr := fold(first)
+	if firstErr != nil {
+		halt()
+	}
 	for r := range out {
 		if firstErr != nil {
 			continue // draining after halt
@@ -231,7 +235,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 		}
 	}
 	halt()
-	st.Morsels = int(morsels.Load())
+	st.Morsels += int(fed.Load())
 	return st, firstErr
 }
 
@@ -254,8 +258,7 @@ func applyStages(stages []PipeStage, m Morsel) (Morsel, error) {
 // ---------------------------------------------------------------------------
 
 // FilterStage refines each morsel's selection vector through a predicate
-// list — the fused equivalent of the materializing Filter, minus the
-// gather.
+// list — the serial Filter's loop, minus the gather.
 type FilterStage struct {
 	preds   []sql.Expr
 	in, out atomic.Int64
@@ -325,18 +328,21 @@ func BuildProbeTable(leftProto, right *column.Batch, leftKeys, rightKeys []strin
 }
 
 // Spilled reports whether the build spilled any partition. A spilled build
-// is a pipeline breaker: the grace-hash probe needs the whole probe side,
-// so the caller must fall back to the materializing engine.
+// is a pipeline breaker: the grace-hash probe rebuilds one spilled
+// partition at a time against every probe row that hashes into it, so it
+// needs the whole probe side — the caller collects the morsels so far and
+// probes them with ProbeStage.ProbeBatch instead of streaming them through
+// Process.
 func (jp *JoinProbe) Spilled() bool { return jp.jt.spilled != nil }
 
-// Stats returns the build-side stats (probe counters are on the stage).
+// Stats returns the build-side stats, spill counters included (probe
+// counters are on the stage).
 func (jp *JoinProbe) Stats() JoinStats { return jp.jt.stats }
 
-// Close releases the build table's memory grant.
+// Close releases the build table's memory grant. Idempotent.
 func (jp *JoinProbe) Close() { jp.jt.grant.Close() }
 
-// NewStage returns a probe stage over this build table. Several stages may
-// share one table (the table is read-only during probing).
+// NewStage returns the probe stage over this build table.
 func (jp *JoinProbe) NewStage() *ProbeStage { return &ProbeStage{jp: jp} }
 
 // Proto returns the stage's output schema for a given input schema: the
@@ -382,6 +388,21 @@ func (s *ProbeStage) Process(m Morsel) (Morsel, error) {
 	return Morsel{B: out}, nil
 }
 
+// ProbeBatch is the breaker form of Process for a build that spilled: it
+// probes every row of a materialized batch — resident partitions in
+// parallel over the pool, spilled partitions rebuilt from disk one at a
+// time — and assembles the joined batch in the serial probe order, which
+// is the order the morsel-wise probe of the same rows would have produced.
+func (s *ProbeStage) ProbeBatch(b *column.Batch, p *Pool) (*column.Batch, error) {
+	lsel, rsel, err := s.jp.jt.probeAll(p, b)
+	if err != nil {
+		return nil, err
+	}
+	s.in.Add(int64(b.NumRows()))
+	s.out.Add(int64(len(lsel)))
+	return assembleJoin(b, s.jp.right, s.jp.rightKeys, lsel, rsel, p)
+}
+
 // ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
@@ -425,17 +446,26 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 // scan → filter → aggregate path with no intermediate batch. Morsels arrive
 // in source order (the driver guarantees it), so float accumulation and
 // group first-appearance order match the serial engine exactly; global
-// aggregates go through the same fixed-shape chunk tree as the batch
-// engines, so the result is bit-identical at every morsel size and worker
-// count.
+// aggregates go through the fixed-shape chunk tree of globalagg.go, so the
+// result is bit-identical at every morsel size and worker count.
+//
+// Grouping is hash-based with two key paths: a single integer-family key
+// indexes a map[int64] directly (nulls get a dedicated group), and
+// composite or string keys are encoded into a reused byte buffer with
+// fixed-width numeric encoding, whose map[string] lookups do not allocate.
+//
+// The sink accounts its working set on the query's ledger — one
+// reservation per Consume for the groups and COUNT(DISTINCT) set entries
+// that morsel created, taken unconditionally when denied — and does not
+// spill; doc.go, "Memory governance", says why.
 type AggSink struct {
 	groupBy []sql.Expr
 	aggs    []AggSpec
-	qm      *QueryMem
+	grant   *mem.Grant
 
-	intKey    bool
-	protoKeys []*column.Column
-	protoArgs []aggArg
+	intKey      bool
+	hasDistinct bool
+	protoArgs   []aggArg
 
 	// Grouped state: a persistent index across morsels plus captured key
 	// values (the key columns live only as long as their morsel).
@@ -454,8 +484,8 @@ type AggSink struct {
 
 // NewAggSink builds an aggregation sink. proto is a zero-row prototype of
 // the pipeline's morsels; evaluating the expressions over it pins key and
-// argument types before any data flows. Distinct aggregates under a finite
-// memory budget are a planner-level fallback, not handled here.
+// argument types before any data flows. The caller must Close the sink on
+// every path (Finish does so itself).
 func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *QueryMem) (*AggSink, error) {
 	keyCols, args, err := evalAggInputs(proto, groupBy, aggs)
 	if err != nil {
@@ -464,10 +494,12 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 	s := &AggSink{
 		groupBy:   groupBy,
 		aggs:      aggs,
-		qm:        qm,
-		protoKeys: keyCols,
+		grant:     qm.Ledger().NewGrant(),
 		protoArgs: args,
 		nullGrp:   -1,
+	}
+	for _, a := range aggs {
+		s.hasDistinct = s.hasDistinct || a.Distinct
 	}
 	if len(groupBy) == 0 {
 		s.global = newGlobalAgg(args)
@@ -490,38 +522,72 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 // RowsIn returns the number of rows folded so far.
 func (s *AggSink) RowsIn() int64 { return s.rowsIn }
 
+// Close releases the sink's ledger reservations. Idempotent.
+func (s *AggSink) Close() { s.grant.Close() }
+
+// seenEntries counts the COUNT(DISTINCT) set entries held by states.
+func seenEntries(states []aggState) int64 {
+	var n int64
+	for i := range states {
+		n += int64(len(states[i].seen))
+	}
+	return n
+}
+
+// foldRow folds row into one group's states and returns the seen-set
+// entries that added (always 0 without a DISTINCT aggregate).
+func foldRow(states []aggState, args []aggArg, row int, distinct bool) int64 {
+	if !distinct {
+		updateAggStates(states, args, row)
+		return 0
+	}
+	before := seenEntries(states)
+	updateAggStates(states, args, row)
+	return seenEntries(states) - before
+}
+
 // Consume implements PipeSink.
 func (s *AggSink) Consume(m Morsel) error {
 	keyCols, args, err := evalAggInputs(m.B, s.groupBy, s.aggs)
 	if err != nil {
 		return err
 	}
-	n := m.B.NumRows()
 	sel := m.Sel
 	if sel == nil {
-		sel = selAll(n)
+		sel = selAll(m.B.NumRows())
 	}
 	s.rowsIn += int64(len(sel))
+	var grown int64 // bytes of group table and seen sets this morsel added
 	if s.global != nil {
+		before := seenEntries(s.global.distinct)
 		for _, row := range sel {
 			s.global.add(args, int(row))
 		}
-		return nil
+		grown = (seenEntries(s.global.distinct) - before) * distinctSeenBytes
+	} else if grown, err = s.consumeGrouped(keyCols, args, sel); err != nil {
+		return err
 	}
-	return s.consumeGrouped(keyCols, args, sel)
+	if !s.grant.Try(grown) {
+		s.grant.Must(grown)
+	}
+	return nil
 }
 
-func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []int32) error {
+// consumeGrouped folds one morsel into the group table and returns the
+// estimated bytes it grew by.
+func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []int32) (int64, error) {
 	// newRows collects the morsel-local first rows of groups created by this
 	// morsel, in creation order (= ascending global first appearance), so
 	// their key values can be captured before the morsel is dropped.
 	var newRows []int32
-	addGroup := func(row int32) int {
+	var grown, seen int64
+	addGroup := func(row int32, keyLen int) int {
 		s.groups = append(s.groups, aggGroup{
 			firstRow: int32(len(s.groups)),
 			states:   make([]aggState, len(s.aggs)),
 		})
 		newRows = append(newRows, row)
+		grown += aggGroupBytes(len(s.aggs), keyLen)
 		return len(s.groups) - 1
 	}
 	if s.intKey {
@@ -531,19 +597,19 @@ func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []
 			var gi int
 			if nulls != nil && nulls[row] {
 				if s.nullGrp < 0 {
-					s.nullGrp = addGroup(row)
+					s.nullGrp = addGroup(row, 1)
 				}
 				gi = s.nullGrp
 			} else {
 				k := ints[row]
 				g, ok := s.idxInt[k]
 				if !ok {
-					g = addGroup(row)
+					g = addGroup(row, 9)
 					s.idxInt[k] = g
 				}
 				gi = g
 			}
-			updateAggStates(s.groups[gi].states, args, int(row))
+			seen += foldRow(s.groups[gi].states, args, int(row), s.hasDistinct)
 		}
 	} else {
 		for _, row := range sel {
@@ -554,63 +620,29 @@ func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []
 			s.keybuf = buf
 			gi, ok := s.idxGen[string(buf)]
 			if !ok {
-				gi = addGroup(row)
+				gi = addGroup(row, len(buf))
 				s.idxGen[string(buf)] = gi
 			}
-			updateAggStates(s.groups[gi].states, args, int(row))
+			seen += foldRow(s.groups[gi].states, args, int(row), s.hasDistinct)
 		}
 	}
 	for i, kc := range keyCols {
 		if err := s.captured[i].AppendColumn(kc.Gather(newRows)); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return grown + seen*distinctSeenBytes, nil
 }
 
-// Finish implements PipeSink.
+// Finish implements PipeSink. The ledger reservations are held until the
+// output columns have been built from the group table, then released.
 func (s *AggSink) Finish() (*column.Batch, error) {
-	if s.global != nil {
-		groups := []aggGroup{{firstRow: 0, states: s.global.finish()}}
-		if s.rowsIn == 0 {
-			groups[0].firstRow = -1
-		}
-		return buildAggOutput(s.protoKeys, s.groupBy, s.protoArgs, s.aggs, groups)
-	}
-	// Account the group table's working set post hoc, mirroring the
-	// unlimited-budget batch path, so the ledger high-water mark stays
-	// meaningful.
-	if acct := s.qm.Ledger().NewGrant(); acct != nil {
-		keyEst := 9
-		if !s.intKey {
-			keyEst = 16 * len(s.protoKeys)
-		}
-		est := int64(len(s.groups)) * aggGroupBytes(len(s.aggs), keyEst)
-		for gi := range s.groups {
-			for si := range s.groups[gi].states {
-				if m := s.groups[gi].states[si].seen; m != nil {
-					est += int64(len(m)) * distinctSeenBytes
-				}
-			}
-		}
-		acct.Try(est)
-		acct.Close()
-	}
+	defer s.Close()
 	// groups are in creation order = first-appearance order, with firstRow
-	// rewritten to index the captured key columns.
-	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, s.groups)
-}
-
-// Groups returns the number of output groups folded so far.
-func (s *AggSink) Groups() int {
+	// indexing the captured key columns; the global group has no key.
+	groups := s.groups
 	if s.global != nil {
-		return 1
+		groups = []aggGroup{{states: s.global.finish()}}
 	}
-	return len(s.groups)
-}
-
-// StageSummary formats one stage's in/out counters for observer events.
-func StageSummary(st PipeStage) string {
-	in, out := st.Rows()
-	return fmt.Sprintf("%s: %d -> %d rows", st.Label(), in, out)
+	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, groups)
 }

@@ -82,12 +82,13 @@ var pipeAggs = []AggSpec{
 
 // TestRunPipelineMatchesMaterializing drives filter -> sink pipelines
 // across worker counts and morsel sizes and requires bit-identical output
-// to the materializing oracle (serial Filter + Aggregate), for the collect
-// sink, the global aggregation sink, and the grouped aggregation sink.
+// to the serial reference (Filter + Aggregate over whole batches), for the
+// collect sink, the global aggregation sink, and the grouped aggregation
+// sink.
 func TestRunPipelineMatchesMaterializing(t *testing.T) {
 	b := pipeBatch(50_000)
 	preds := pipePred(t, "v > -800 AND file_id < 48")
-	filtered, err := (*Pool)(nil).Filter(b, preds)
+	filtered, err := Filter(b, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,22 +143,23 @@ func TestRunPipelineMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestGlobalAggBitIdenticalAcrossWorkers requires the fixed-shape reduction
-// tree to produce the same float bits at every worker count, above and
-// below the chunking threshold.
+// TestGlobalAggBitIdenticalAcrossWorkers requires the streaming chunk tree
+// of the sink to produce the float bits of the batch fold at every worker
+// count, above and below the chunking threshold.
 func TestGlobalAggBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, n := range []int{0, 1, globalAggChunkRows, globalAggChunkRows + 1, 100_000} {
 		b := pipeBatch(n)
-		var want string
+		ref, err := Aggregate(b, nil, pipeAggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderBits(ref)
 		for _, workers := range []int{1, 2, 3, 8} {
-			out, _, err := NewPool(workers).AggregateMem(nil, b, nil, pipeAggs)
+			out, err := pipeAggregate(NewPoolMorsel(workers, 4099), nil, b, nil, pipeAggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderBits(out)
-			if want == "" {
-				want = got
-			} else if got != want {
+			if got := renderBits(out); got != want {
 				t.Errorf("n=%d workers=%d: global aggregate bits diverged:\nwant %s\ngot  %s", n, workers, want, got)
 			}
 		}
@@ -237,10 +239,11 @@ func TestProbeStagePartitionedMatchesDirect(t *testing.T) {
 	}
 }
 
-// BenchmarkPipelineFilterAgg compares the materializing filter+aggregate
-// path against the fused pipeline on a low-selectivity 1M-row query (the
-// predicate keeps ~93% of rows, so the materializing path pays for a large
-// intermediate gather that the pipeline never builds).
+// BenchmarkPipelineFilterAgg compares the serial reference's filter then
+// aggregate over whole batches against the fused pipeline on a
+// low-selectivity 1M-row query (the predicate keeps ~93% of rows, so the
+// reference pays for a large intermediate gather that the pipeline never
+// builds).
 func BenchmarkPipelineFilterAgg(b *testing.B) {
 	batch := pipeBatch(1_000_000)
 	stmt, err := sql.Parse("SELECT x FROM t WHERE v > -1500")
@@ -253,21 +256,21 @@ func BenchmarkPipelineFilterAgg(b *testing.B) {
 		{Func: "SUM", Arg: &sql.ColumnRef{Name: "v"}, OutName: "sum_v"},
 		{Func: "AVG", Arg: &sql.ColumnRef{Name: "v"}, OutName: "avg_v"},
 	}
+	b.Run("materialize", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(batch.NumRows()) * 8)
+		for i := 0; i < b.N; i++ {
+			f, err := Filter(batch, preds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Aggregate(f, nil, aggs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, workers := range []int{1, 8} {
 		p := NewPool(workers)
-		b.Run(fmt.Sprintf("materialize/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(batch.NumRows()) * 8)
-			for i := 0; i < b.N; i++ {
-				f, err := p.Filter(batch, preds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := p.AggregateMem(nil, f, nil, aggs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("pipeline/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(batch.NumRows()) * 8)

@@ -1,9 +1,10 @@
 package exec
 
-// Memory-governed execution: the query-scoped spill context (QueryMem) and
-// the spill-file row codec shared by the grace-hash join and the sharded
-// aggregation. See doc.go, "Memory governance", for how partition-indexed
-// spilling preserves the engine's bit-identity guarantee.
+// Memory-governed execution: the query-scoped spill context (QueryMem),
+// the spill-file row codec of the grace-hash join, and the working-set
+// estimates operators reserve from the ledger. See doc.go, "Memory
+// governance", for how partition-indexed spilling preserves the engine's
+// bit-identity guarantee.
 
 import (
 	"bufio"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -23,7 +25,7 @@ import (
 // on every query exit path, success or error — callers defer it right after
 // construction. A nil *QueryMem means unlimited memory and no spilling;
 // every operator accepts it. Spill counters live in the per-operator stats
-// (JoinStats, AggStats), not here.
+// (JoinStats), not here.
 type QueryMem struct {
 	ledger *mem.Ledger
 	root   string // parent dir for the spill dir; "" = os.TempDir()
@@ -53,10 +55,6 @@ func (q *QueryMem) Ledger() *mem.Ledger {
 	}
 	return q.ledger
 }
-
-// Limited reports whether the query runs under a finite memory budget —
-// the switch that arms the spill paths.
-func (q *QueryMem) Limited() bool { return q != nil && q.ledger.Limited() }
 
 // opPrefix returns a query-unique spill-file prefix for one operator
 // instance, so two joins in the same query never collide on file names.
@@ -136,8 +134,8 @@ func appendSpillRecord(buf []byte, row int32, hash uint64, key []byte) []byte {
 	return append(buf, key...)
 }
 
-// spillWriter streams records of one spilled partition/shard into a file
-// under the query's spill dir. Not safe for concurrent use; each partition
+// spillWriter streams records of one spilled partition into a file under
+// the query's spill dir. Not safe for concurrent use; each partition
 // owns its writer.
 type spillWriter struct {
 	q     *QueryMem
@@ -286,5 +284,9 @@ func joinPartBytes(nrows int, intKeys bool, avgKey int64) int64 {
 // aggGroupBytes estimates the marginal memory of one new aggregation group:
 // its states, its map entry, and its copied key.
 func aggGroupBytes(naggs int, keyLen int) int64 {
-	return int64(naggs)*aggStateBytes + int64(keyLen) + 64
+	return int64(naggs)*int64(unsafe.Sizeof(aggState{})) + int64(keyLen) + 64
 }
+
+// distinctSeenBytes is the per-element estimate for a COUNT(DISTINCT)
+// seen-set entry: the 8-byte (or short string) key plus map overhead.
+const distinctSeenBytes = 56

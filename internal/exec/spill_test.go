@@ -2,9 +2,10 @@ package exec
 
 // Oracle tests for memory-governed execution: the full join/aggregate
 // matrix across worker counts and budgets must be bit-identical to the
-// serial in-memory engine, spill files must round-trip exactly, corruption
-// must fail deterministically, and per-query spill directories must be
-// removed on every exit path — mid-spill failure included.
+// serial in-memory engine, the aggregation sink must account on the ledger
+// without spilling, spill files must round-trip exactly, corruption must
+// fail deterministically, and per-query spill directories must be removed
+// on every exit path — mid-spill failure included.
 
 import (
 	"bytes"
@@ -21,8 +22,8 @@ import (
 )
 
 // The budget axis of the spill matrix: tinyBudget is small enough that
-// every partition/shard grant is denied (the forced-spill case); midBudget
-// lets some partitions stay resident while others spill.
+// every partition grant is denied (the forced-spill case); midBudget lets
+// some partitions stay resident while others spill.
 const (
 	tinyBudget = 1 << 10
 	midBudget  = 24 << 10
@@ -126,6 +127,29 @@ func TestJoinSpillBitIdenticalToInMemory(t *testing.T) {
 					if bg.budget == 0 && js.SpilledPartitions != 0 {
 						t.Fatalf("unlimited budget must not spill, stats = %+v", js)
 					}
+					// The pipeline's form of the same join: the table is built
+					// against a zero-row prototype, then probed morsel-wise when
+					// resident or as one collected batch when it spilled.
+					jp, err := BuildProbeTable(left.Range(0, 0), right, cfg.lk, cfg.rk, eng.pool, qm)
+					if err != nil {
+						t.Fatalf("BuildProbeTable: %v", err)
+					}
+					defer jp.Close()
+					var piped *column.Batch
+					if jp.Spilled() {
+						piped, err = jp.NewStage().ProbeBatch(left, eng.pool)
+					} else {
+						sink := NewCollectSink(oracle.Range(0, 0))
+						if _, err = eng.pool.RunPipeline(NewBatchMorsels(left, eng.pool.MorselRows()), []PipeStage{jp.NewStage()}, sink); err == nil {
+							piped, err = sink.Finish()
+						}
+					}
+					if err != nil {
+						t.Fatalf("pipelined probe: %v", err)
+					}
+					if diff, ok := bitIdenticalBatches(piped, oracle); !ok {
+						t.Fatalf("pipelined probe (spilled=%v) not bit-identical to in-memory oracle: %s", jp.Spilled(), diff)
+					}
 				})
 			}
 		}
@@ -154,7 +178,11 @@ func spillAggInputs(rng *rand.Rand, n, nkeys int) *column.Batch {
 	return column.MustNewBatch(k, s, v, d)
 }
 
-func TestAggregateSpillBitIdenticalToInMemory(t *testing.T) {
+// TestAggSinkBudgetBitIdenticalToInMemory runs the aggregation sink under
+// every budget: output must match the unbudgeted serial reference, a budget
+// the group table outgrows must show up as denials and high-water overage
+// rather than as spill files, and Finish must return every reserved byte.
+func TestAggSinkBudgetBitIdenticalToInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	b := spillAggInputs(rng, 3000, 400)
 	aggs := []AggSpec{
@@ -168,6 +196,7 @@ func TestAggregateSpillBitIdenticalToInMemory(t *testing.T) {
 		name    string
 		groupBy []sql.Expr
 	}{
+		{"global", nil},
 		{"int-key", []sql.Expr{&sql.ColumnRef{Name: "k"}}},
 		{"string-key", []sql.Expr{&sql.ColumnRef{Name: "s"}}},
 		{"multi-key", []sql.Expr{&sql.ColumnRef{Name: "k"}, &sql.ColumnRef{Name: "s"}}},
@@ -181,20 +210,32 @@ func TestAggregateSpillBitIdenticalToInMemory(t *testing.T) {
 		for _, eng := range spillEngines() {
 			for _, budget := range budgets {
 				t.Run(fmt.Sprintf("%s/%s/budget=%d", cfg.name, eng.name, budget), func(t *testing.T) {
-					qm := NewQueryMem(mem.New(budget), t.TempDir())
+					root := t.TempDir()
+					led := mem.New(budget)
+					qm := NewQueryMem(led, root)
 					defer qm.Cleanup()
-					got, as, err := eng.pool.AggregateMem(qm, b, cfg.groupBy, aggs)
+					got, err := pipeAggregate(eng.pool, qm, b, cfg.groupBy, aggs)
 					if err != nil {
-						t.Fatalf("AggregateMem: %v", err)
+						t.Fatalf("pipeAggregate: %v", err)
 					}
 					if diff, ok := bitIdenticalBatches(got, oracle); !ok {
 						t.Fatalf("not bit-identical to in-memory oracle: %s", diff)
 					}
-					if budget == tinyBudget && (as.SpilledShards == 0 || as.SpilledBytes == 0) {
-						t.Fatalf("tiny budget must force shard spilling, stats = %+v", as)
+					snap := led.Snapshot()
+					if snap.Used != 0 {
+						t.Fatalf("sink left %d bytes reserved after Finish", snap.Used)
 					}
-					if budget == 0 && as.SpilledShards != 0 {
-						t.Fatalf("unlimited budget must not spill, stats = %+v", as)
+					if snap.HighWater == 0 {
+						t.Fatal("sink reserved nothing: group table and DISTINCT sets must be accounted")
+					}
+					if budget == tinyBudget && (snap.Denials == 0 || snap.HighWater <= budget) {
+						t.Fatalf("tiny budget must be denied and overrun, ledger = %+v", snap)
+					}
+					if budget == 0 && snap.Denials != 0 {
+						t.Fatalf("unlimited budget must never deny, ledger = %+v", snap)
+					}
+					if entries, _ := os.ReadDir(root); len(entries) != 0 {
+						t.Fatalf("the sink must not spill, found %d entries under the spill root", len(entries))
 					}
 				})
 			}
@@ -281,26 +322,32 @@ func TestSpillReaderCorruptionIsDeterministic(t *testing.T) {
 	}
 }
 
-// forceSpillJoin builds a join table under a tiny budget and returns it
-// with its QueryMem; at least one partition is guaranteed spilled.
-func forceSpillJoin(t *testing.T, qm *QueryMem) *joinTable {
+// forceSpillJoin builds a probe table against a zero-row prototype of the
+// left side under qm's tiny budget — the pipeline's build step — and returns
+// it with the left batch; at least one partition is guaranteed spilled.
+func forceSpillJoin(t *testing.T, qm *QueryMem) (*JoinProbe, *column.Batch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	left, right := spillJoinInputs(rng, 600, 900)
-	jt, err := buildJoinTable(left, right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
+	jp, err := BuildProbeTable(left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
 	if err != nil {
-		t.Fatalf("buildJoinTable: %v", err)
+		t.Fatalf("BuildProbeTable: %v", err)
 	}
-	if jt.stats.SpilledPartitions == 0 {
+	if !jp.Spilled() || jp.Stats().SpilledPartitions == 0 {
 		t.Fatal("setup: no partition spilled under tiny budget")
 	}
-	return jt
+	return jp, left
 }
 
+// TestJoinProbeFailsDeterministicallyOnCorruptSpillFile drives the
+// spilled-build breaker's probe step over truncated spill files: the batch
+// probe must fail the same way every time, and closing the JoinProbe on
+// that error path must return every reserved byte.
 func TestJoinProbeFailsDeterministicallyOnCorruptSpillFile(t *testing.T) {
 	qm := NewQueryMem(mem.New(tinyBudget), t.TempDir())
 	defer qm.Cleanup()
-	jt := forceSpillJoin(t, qm)
+	jp, left := forceSpillJoin(t, qm)
+	jt := jp.jt
 	// Truncate every spill file mid-record: the probe must fail with the
 	// first (lowest-indexed) spilled partition's error, deterministically.
 	dir, err := qm.spillDir()
@@ -320,13 +367,18 @@ func TestJoinProbeFailsDeterministicallyOnCorruptSpillFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err1 := jt.probeAll(&Pool{workers: 2, morsel: 61}, 600)
+	p := &Pool{workers: 2, morsel: 61}
+	_, err1 := jp.NewStage().ProbeBatch(left, p)
 	if err1 == nil || !strings.Contains(err1.Error(), "spill") {
 		t.Fatalf("probe over truncated spill files must fail with a spill error, got %v", err1)
 	}
-	_, _, err2 := jt.probeAll(&Pool{workers: 2, morsel: 61}, 600)
+	_, err2 := jp.NewStage().ProbeBatch(left, p)
 	if fmt.Sprint(err1) != fmt.Sprint(err2) {
 		t.Fatalf("corruption error must be deterministic: %v vs %v", err1, err2)
+	}
+	jp.Close()
+	if used := qm.Ledger().Used(); used != 0 {
+		t.Fatalf("closed JoinProbe left %d bytes reserved after a failed probe", used)
 	}
 }
 
@@ -339,6 +391,16 @@ func TestMidSpillFailureCleansUpSpillDir(t *testing.T) {
 	_, _, err := (&Pool{workers: 2, morsel: 61}).HashJoinMem(qm, left, right, []string{"lid"}, []string{"rid"})
 	if err == nil || !strings.Contains(err.Error(), "injected write failure") {
 		t.Fatalf("mid-spill failure must surface, got %v", err)
+	}
+	// The pipeline's spilled-build breaker takes the same failure at its
+	// build step: no JoinProbe comes back, and the failed build has already
+	// returned its partition reservations to the ledger.
+	jp, err := BuildProbeTable(left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
+	if err == nil || jp != nil || !strings.Contains(err.Error(), "injected write failure") {
+		t.Fatalf("mid-spill failure must fail the probe-table build, got %v", err)
+	}
+	if used := qm.Ledger().Used(); used != 0 {
+		t.Fatalf("failed builds left %d bytes reserved", used)
 	}
 	// The spill dir exists (spilling had started) until cleanup removes it.
 	entries, rerr := os.ReadDir(root)
@@ -367,25 +429,6 @@ func TestMidSpillFailureCleansUpSpillDir(t *testing.T) {
 	}
 }
 
-func TestAggregateMidSpillFailureSurfaces(t *testing.T) {
-	root := t.TempDir()
-	qm := NewQueryMem(mem.New(tinyBudget), root)
-	qm.testFailAfterBytes = 64
-	rng := rand.New(rand.NewSource(7))
-	b := spillAggInputs(rng, 2000, 300)
-	aggs := []AggSpec{{Func: "COUNT", Star: true, OutName: "n"}}
-	_, _, err := (&Pool{workers: 2, morsel: 61}).AggregateMem(qm, b, []sql.Expr{&sql.ColumnRef{Name: "k"}}, aggs)
-	if err == nil || !strings.Contains(err.Error(), "injected write failure") {
-		t.Fatalf("mid-spill failure must surface, got %v", err)
-	}
-	if cerr := qm.Cleanup(); cerr != nil {
-		t.Fatalf("Cleanup after error: %v", cerr)
-	}
-	if entries, _ := os.ReadDir(root); len(entries) != 0 {
-		t.Fatalf("spill dir must be removed on the error path, found %d entries", len(entries))
-	}
-}
-
 func TestLedgerReleasedAfterSpillJoin(t *testing.T) {
 	l := mem.New(tinyBudget)
 	qm := NewQueryMem(l, t.TempDir())
@@ -403,10 +446,11 @@ func TestLedgerReleasedAfterSpillJoin(t *testing.T) {
 	}
 }
 
-// TestSpillMillionRowAcceptance is the issue's acceptance scenario at full
-// scale: a 1M-row join and a 1M-row high-cardinality GROUP BY under a
-// budget that forces spilling, bit-identical to the unbounded path at
-// workers {1, 2, 8}. Skipped under -short.
+// TestSpillMillionRowAcceptance is the memory governor's acceptance
+// scenario at full scale: a 1M-row join under a budget that forces
+// spilling and a 1M-row high-cardinality GROUP BY whose group table
+// outgrows it, bit-identical to the unbounded path at workers {1, 2, 8}.
+// Skipped under -short.
 func TestSpillMillionRowAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row spill acceptance is not a -short test")
@@ -459,12 +503,13 @@ func TestSpillMillionRowAcceptance(t *testing.T) {
 		if diff, ok := bitIdenticalBatches(got, joinOracle); !ok {
 			t.Fatalf("workers=%d: join not bit-identical: %s", workers, diff)
 		}
-		agot, as, err := p.AggregateMem(qm, gb, groupBy, aggs)
+		denied := qm.Ledger().Snapshot().Denials
+		agot, err := pipeAggregate(p, qm, gb, groupBy, aggs)
 		if err != nil {
 			t.Fatalf("workers=%d: aggregate: %v", workers, err)
 		}
-		if as.SpilledShards == 0 || as.SpilledBytes == 0 {
-			t.Fatalf("workers=%d: 1M-row GROUP BY must spill under 2MiB, stats = %+v", workers, as)
+		if qm.Ledger().Snapshot().Denials == denied {
+			t.Fatalf("workers=%d: 1M-row GROUP BY must be denied reservations under 2MiB", workers)
 		}
 		if diff, ok := bitIdenticalBatches(agot, aggOracle); !ok {
 			t.Fatalf("workers=%d: aggregate not bit-identical: %s", workers, diff)

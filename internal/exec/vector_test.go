@@ -438,11 +438,35 @@ func batchesEqual(a, b *column.Batch) (string, bool) {
 	return "", true
 }
 
+// pipeFilter runs preds the way production does: a FilterStage over b's
+// morsels into a CollectSink, driven by p.
+func pipeFilter(p *Pool, b *column.Batch, preds []sql.Expr) (*column.Batch, error) {
+	sink := NewCollectSink(b.Range(0, 0))
+	if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), []PipeStage{NewFilterStage(preds)}, sink); err != nil {
+		return nil, err
+	}
+	return sink.Finish()
+}
+
+// pipeAggregate runs the aggregation the way production does: b's morsels
+// folded into an AggSink (reserving from qm's ledger), driven by p.
+func pipeAggregate(p *Pool, qm *QueryMem, b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
+	sink, err := NewAggSink(b.Range(0, 0), groupBy, aggs, qm)
+	if err != nil {
+		return nil, err
+	}
+	defer sink.Close()
+	if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), nil, sink); err != nil {
+		return nil, err
+	}
+	return sink.Finish()
+}
+
 // testEngines is the execution matrix every oracle test runs against: the
 // serial reference plus morsel-driven pools across worker counts {1, 2, 8}
 // and small odd morsel sizes (7, 13, 61) that split null runs and 8/64-row
-// bitmap word boundaries mid-word. A nil pool exercises the plain serial
-// functions through the same nil-safe method calls.
+// bitmap word boundaries mid-word. A nil pool drives pipelines and the
+// breaker operators serially through the same nil-safe method calls.
 func testEngines() []struct {
 	name string
 	pool *Pool
@@ -514,7 +538,7 @@ func TestFilterMatchesOracleOnRandomBatches(t *testing.T) {
 				for i := range preds {
 					preds[i] = randPredExpr(rng, 2)
 				}
-				got, err := eng.pool.Filter(b, preds)
+				got, err := pipeFilter(eng.pool, b, preds)
 				if err != nil {
 					t.Fatalf("iter %d: Filter(%v): %v", iter, preds, err)
 				}
@@ -695,7 +719,7 @@ func TestAggregateMatchesOracleOnRandomBatches(t *testing.T) {
 					{Func: "COUNT", Arg: &sql.ColumnRef{Name: "id"}, Distinct: true, OutName: "cd_id"},
 					{Func: "COUNT", Arg: &sql.ColumnRef{Name: "v"}, Distinct: true, OutName: "cd_v"},
 				}
-				got, err := eng.pool.Aggregate(b, groupBy, aggs)
+				got, err := pipeAggregate(eng.pool, nil, b, groupBy, aggs)
 				if err != nil {
 					t.Fatalf("iter %d: %v", iter, err)
 				}
@@ -1343,7 +1367,7 @@ func TestAggregateFloatKeyCanonicalization(t *testing.T) {
 		{Func: "COUNT", Arg: &sql.ColumnRef{Name: "v"}, Distinct: true, OutName: "cd"},
 	}
 	for _, eng := range testEngines() {
-		got, err := eng.pool.Aggregate(b, groupBy, aggs)
+		got, err := pipeAggregate(eng.pool, nil, b, groupBy, aggs)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.name, err)
 		}

@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's experimental narrative: one
 // runnable experiment per table/figure/claim, each printing a table in the
-// style of the original evaluation. See DESIGN.md §4 for the experiment
-// index (E1..E9) and EXPERIMENTS.md for recorded results.
+// style of the original evaluation (E1..E9, one function each below).
+// benchmark/README.md records measured results of the serving benchmark.
 package experiments
 
 import (

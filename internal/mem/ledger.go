@@ -4,7 +4,7 @@
 //
 // The ledger is pure accounting — it never allocates or frees anything
 // itself. Callers reserve an estimate before building a memory-hungry
-// structure (a join partition table, an aggregation shard's group table, a
+// structure (a join partition table, the aggregation sink's group table, a
 // cache entry) and release it when the structure dies. A reservation that
 // would exceed the budget is denied, which is the signal the exec layer's
 // spill paths trigger on; the denial itself is recorded so operators can

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/catalog"
@@ -55,17 +54,21 @@ type Env struct {
 	// 1-worker pool) selects the serial engine; output is bit-identical
 	// either way.
 	Pool *exec.Pool
-	// Mem is the query's memory context: the budget ledger operators
-	// reserve working-set bytes from and the spill-file directory they
-	// degrade to under pressure. nil means unlimited memory (no spilling).
+	// Mem is the query's memory context: the budget ledger join builds and
+	// the aggregation sink reserve working-set bytes from, and the
+	// spill-file directory a join build degrades to under pressure. The
+	// budget never selects an engine; it decides which joins break the
+	// pipeline (see pipeline.go). nil means unlimited memory (no spilling).
 	// Output is bit-identical at every budget.
 	Mem *exec.QueryMem
 	// Stats, when non-nil, accumulates operator-level counters (join build
 	// partitions, probe volumes, sort strategies, spill activity) across
 	// queries.
 	Stats *ExecStats
-	// NoPipeline forces the materializing engine for every plan — the
-	// bit-identity oracle the push pipelines are tested against.
+	// NoPipeline runs every plan on executeNode, the operator-at-a-time
+	// reference: no morsels, no fusion, serial filter and aggregate. It is
+	// the bit-identity oracle the push pipelines are tested against and is
+	// set by tests and benchmarks only.
 	NoPipeline bool
 	// NoSkipping disables every statistics-driven shortcut — record
 	// zone-map pruning before extraction and batch zone-range skipping on
@@ -86,20 +89,15 @@ func (e *Env) obs() Observer {
 	return e.Obs
 }
 
-// Execute runs the plan to completion and returns the result batch. Plans
-// whose spine decomposes into a push pipeline (see pipeline.go) run
-// morsel-wise with no intermediate batches; everything else — and
-// everything when Env.NoPipeline is set — runs on the materializing
-// engine, which is retained as the bit-identity oracle.
+// Execute runs the plan to completion and returns the result batch. Every
+// plan with work to fuse — a predicate, a join, an aggregate, a lazy
+// extraction — runs as a push pipeline (see pipeline.go), whatever the
+// memory budget. executeNode serves only bare table reads, which have
+// nothing to fuse, and everything when Env.NoPipeline is set.
 func Execute(n Node, env *Env) (*column.Batch, error) {
 	if !env.NoPipeline {
-		if pp, ok := decompose(n); ok && pp.allowed(env) {
-			out, err := executePipelined(pp, env)
-			if err != nil && errors.Is(err, exec.ErrPipelineFallback) {
-				env.Stats.recordPipelineFallback()
-				return executeNode(n, env)
-			}
-			return out, err
+		if pp, ok := decompose(n); ok && pp.fuses() {
+			return executePipelined(pp, env)
 		}
 	}
 	return executeNode(n, env)
@@ -143,8 +141,8 @@ func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 	return b, nil
 }
 
-// executeNode is the materializing engine: every operator consumes a fully
-// materialized input batch and produces one.
+// executeNode is the operator-at-a-time reference engine: every operator
+// consumes a fully materialized input batch and produces one.
 func executeNode(n Node, env *Env) (*column.Batch, error) {
 	obs := env.obs()
 	switch x := n.(type) {
@@ -155,7 +153,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		rows := b.NumRows()
-		b, err = env.Pool.Filter(b, x.Preds)
+		b, err = exec.Filter(b, x.Preds)
 		if err != nil {
 			return nil, fmt.Errorf("plan: scan %s: %w", x.Table, err)
 		}
@@ -184,22 +182,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		}
 		sp.AddRows(int64(out.NumRows()))
 		sp.End()
-		env.Stats.recordJoin(js)
-		build := "serial"
-		if js.ParallelBuild {
-			build = "parallel"
-		}
-		keyPath := "encoded"
-		if js.IntKeys {
-			keyPath = "packed-int"
-		}
-		spill := ""
-		if js.SpilledPartitions > 0 {
-			spill = fmt.Sprintf("; spilled %d partitions, %d rows, %d bytes", js.SpilledPartitions, js.SpilledRows, js.SpilledBytes)
-		}
-		obs.Event("join", fmt.Sprintf("%s: %d x %d -> %d rows (build: %d rows, %d partitions, %s, %s keys; probed %d rows%s)",
-			x.Describe(), l.NumRows(), r.NumRows(), out.NumRows(),
-			js.BuildRows, js.Partitions, build, keyPath, js.ProbeRows, spill))
+		reportJoin(env, x, r.NumRows(), js)
 		return out, nil
 
 	case *Filter:
@@ -208,7 +191,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		sp := env.Trace.StartChild("filter " + exprList(x.Preds))
-		out, err := env.Pool.Filter(in, x.Preds)
+		out, err := exec.Filter(in, x.Preds)
 		if err != nil {
 			return nil, err
 		}
@@ -218,28 +201,9 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		return out, nil
 
 	case *LazyExtract:
-		// Step 1 (§3.1): execute the metadata part of the plan. Its operator
-		// spans group under a "metadata" child so the trace separates the
-		// metadata phase from the extraction it triggers.
-		msp := env.Trace.StartChild("metadata")
-		menv := *env
-		menv.Trace = msp
-		meta, err := Execute(x.Meta, &menv)
+		meta, prune, err := lazyMeta(x, env)
 		if err != nil {
 			return nil, err
-		}
-		msp.AddRows(int64(meta.NumRows()))
-		msp.End()
-		obs.Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
-		if env.Source == nil {
-			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
-		}
-		// Step 2: the rewriting operator injects cache-read / extract
-		// operators for exactly the qualifying records, minus the ones the
-		// zone maps prove irrelevant.
-		prune := x.Prune
-		if env.NoSkipping {
-			prune = nil
 		}
 		out, err := env.Source.Extract(meta, prune, obs)
 		if err != nil {
@@ -254,35 +218,73 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		sp := env.Trace.StartChild("aggregate")
-		out, as, err := env.Pool.AggregateMem(env.Mem, in, x.GroupBy, x.Aggs)
+		out, err := exec.Aggregate(in, x.GroupBy, x.Aggs)
 		if err != nil {
 			return nil, err
 		}
 		sp.AddRows(int64(out.NumRows()))
 		sp.End()
-		env.Stats.recordAgg(as)
-		spill := ""
-		if as.SpilledShards > 0 {
-			spill = fmt.Sprintf(" (spilled %d of %d shards, %d rows, %d bytes)", as.SpilledShards, as.Shards, as.SpilledRows, as.SpilledBytes)
-		}
-		obs.Event("aggregate", fmt.Sprintf("%d rows -> %d groups%s", in.NumRows(), out.NumRows(), spill))
+		env.Stats.recordAgg(out.NumRows())
+		obs.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", in.NumRows(), out.NumRows()))
 		return out, nil
 
-	case *Project:
+	case *Project, *Sort, *Limit:
+		in, err := Execute(n.Children()[0], env)
+		if err != nil {
+			return nil, err
+		}
+		return applyPost(n, in, env)
+
+	case *RestoreOrder:
 		in, err := Execute(x.Child, env)
 		if err != nil {
 			return nil, err
 		}
+		return applyRestore(x, in, env)
+
+	default:
+		return nil, fmt.Errorf("plan: unknown node %T", n)
+	}
+}
+
+// lazyMeta is step 1 of a lazy extraction (§3.1): execute the metadata part
+// of the plan and hand back the qualifying records plus the zone-map prune
+// test the source may apply. The metadata operators' spans group under a
+// "metadata" child so the trace separates the metadata phase from the
+// extraction it triggers. Step 2 is the caller's: the rewriting operator
+// injects cache-read / extract operators for exactly those records, minus
+// the ones the zone maps prove irrelevant.
+func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
+	msp := env.Trace.StartChild("metadata")
+	menv := *env
+	menv.Trace = msp
+	meta, err := Execute(x.Meta, &menv)
+	if err != nil {
+		return nil, nil, err
+	}
+	msp.AddRows(int64(meta.NumRows()))
+	msp.End()
+	env.obs().Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
+	if env.Source == nil {
+		return nil, nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
+	}
+	if env.NoSkipping {
+		return meta, nil, nil
+	}
+	return meta, x.Prune, nil
+}
+
+// applyPost runs one Project, Sort or Limit over its materialized input —
+// the operators above a plan's last pipeline breaker, the same code on
+// both engines.
+func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
+	switch x := n.(type) {
+	case *Project:
 		sp := env.Trace.StartChild("project")
 		out, err := exec.Project(in, x.Exprs, x.Names)
 		sp.End()
 		return out, err
-
 	case *Sort:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
 		sp := env.Trace.StartChild("sort")
 		out, ss, err := env.Pool.SortWithStats(in, x.Keys)
 		if err != nil {
@@ -292,35 +294,48 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		sp.End()
 		env.Stats.recordSort(ss)
 		if ss.Strategy != exec.SortStrategyNone {
-			obs.Event("sort", fmt.Sprintf("%s sort of %d rows (%d runs)", ss.Strategy, ss.Rows, ss.Runs))
+			env.obs().Event("sort", fmt.Sprintf("%s sort of %d rows (%d runs)", ss.Strategy, ss.Rows, ss.Runs))
 		}
 		return out, nil
-
 	case *Limit:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
 		return exec.Limit(in, x.N), nil
-
-	case *RestoreOrder:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		sp := env.Trace.StartChild("restore-order")
-		out, err := restoreOrder(in, x.RowIDs, x.Cols)
-		if err != nil {
-			return nil, err
-		}
-		sp.AddRows(int64(out.NumRows()))
-		sp.End()
-		obs.Event("restore-order", fmt.Sprintf("%d rows re-sequenced to the SQL join order", out.NumRows()))
-		return out, nil
-
 	default:
-		return nil, fmt.Errorf("plan: unknown node %T", n)
+		return nil, fmt.Errorf("plan: %T is not a post-breaker operator", n)
 	}
+}
+
+// applyRestore re-sequences a reordered join spine's output to the SQL
+// join order.
+func applyRestore(x *RestoreOrder, in *column.Batch, env *Env) (*column.Batch, error) {
+	sp := env.Trace.StartChild("restore-order")
+	out, err := restoreOrder(in, x.RowIDs, x.Cols)
+	if err != nil {
+		return nil, err
+	}
+	sp.AddRows(int64(out.NumRows()))
+	sp.End()
+	env.obs().Event("restore-order", fmt.Sprintf("%d rows re-sequenced to the SQL join order", out.NumRows()))
+	return out, nil
+}
+
+// reportJoin folds one executed join into the stats and the observer log.
+func reportJoin(env *Env, x *Join, buildRows int, js exec.JoinStats) {
+	env.Stats.recordJoin(js)
+	build := "serial"
+	if js.ParallelBuild {
+		build = "parallel"
+	}
+	keyPath := "encoded"
+	if js.IntKeys {
+		keyPath = "packed-int"
+	}
+	spill := ""
+	if js.SpilledPartitions > 0 {
+		spill = fmt.Sprintf("; spilled %d partitions, %d rows, %d bytes", js.SpilledPartitions, js.SpilledRows, js.SpilledBytes)
+	}
+	env.obs().Event("join", fmt.Sprintf("%s: %d x %d -> %d rows (build: %d rows, %d partitions, %s, %s keys; probed %d rows%s)",
+		x.Describe(), js.ProbeRows, buildRows, js.Matches,
+		js.BuildRows, js.Partitions, build, keyPath, js.ProbeRows, spill))
 }
 
 // MetaPredicates returns the predicates that the compile-time reorder

@@ -56,7 +56,7 @@ func FuzzZoneMapPrune(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := exec.NewPool(1).Filter(b, []sql.Expr{pred})
+		out, err := exec.Filter(b, []sql.Expr{pred})
 		if err != nil {
 			t.Fatal(err)
 		}

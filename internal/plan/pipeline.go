@@ -2,35 +2,50 @@ package plan
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sql"
 )
 
 // Pipeline decomposition: a plan spine of the shape
 //
-//	[Limit] [Sort] [Project] [Aggregate] (Filter | Join)* (Scan | LazyExtract)
+//	[Limit] [Sort] [Project] [Aggregate] [RestoreOrder] (Filter | Join)* (Scan | LazyExtract)
 //
-// runs as one morsel-wise push pipeline. The leaf produces morsels (table
-// row ranges, or the lazy extraction stream), Filter and Join probe stages
-// run fused over each morsel's selection vector, and the pipeline ends at
-// one of its breakers: the aggregation sink or the final-output collector.
-// Join build sides, sort, spill, and the metadata plan under a LazyExtract
-// remain materializing — they need their whole input by nature. The
-// materializing engine stays behind Env.NoPipeline as the bit-identity
-// oracle.
+// runs as one morsel-wise push pipeline, and every plan Build produces has
+// that shape — there is one execution engine. The leaf produces morsels
+// (table row ranges, or the lazy extraction stream), Filter and Join probe
+// stages run fused over each morsel's selection vector, and the pipeline
+// ends at one of its breakers: the aggregation sink or the final-output
+// collector. Join build sides, sort, the order restoration of a reordered
+// join spine, and the metadata plan under a LazyExtract materialize — they
+// need their whole input by nature.
+//
+// The memory budget (Env.Mem) never changes the engine, only where the
+// breakers fall. A join build that spilled partitions to disk cannot be
+// probed morsel by morsel — the grace-hash probe rebuilds one spilled
+// partition at a time against every probe row that hashes into it — so
+// that join becomes a breaker, decided right after its build and before
+// any morsel flows: the stages so far run into a collector, the collected
+// batch is probed whole, and the remaining stages continue over the joined
+// batch. Nothing aborts mid-flight and the leaf (extraction included) runs
+// exactly once. The aggregation sink reserves its group table from the
+// same ledger and does not spill (package exec's "Memory governance"
+// says why).
+//
+// executeNode (execute.go) stays behind Env.NoPipeline as the serial
+// reference the bit-identity tests compare against.
 
-// StreamSource is optionally implemented by an ExtractSource that can
-// deliver the universal table as a morsel stream instead of one batch,
-// overlapping read+decode of run N+1 with compute over run N. Prefetch
-// buffers are charged to led (nil = unlimited), so overlap degrades to
-// synchronous extraction under budget pressure rather than blowing it.
-// prune carries the same zone-map admissibility test as Extract (nil =
-// stream everything). Returning a nil BatchSource (with nil error) means
-// streaming is not available for this request and the caller should fall
-// back to Extract.
+// StreamSource is the ExtractSource a pipeline needs: it delivers the
+// universal table as a morsel stream instead of one batch, overlapping
+// read+decode of run N+1 with compute over run N. Prefetch buffers are
+// charged to led (nil = unlimited), so overlap degrades to synchronous
+// extraction under budget pressure rather than blowing it. prune carries
+// the same zone-map admissibility test as Extract (nil = stream
+// everything).
 type StreamSource interface {
 	ExtractStream(meta *column.Batch, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
 }
@@ -77,8 +92,8 @@ peel:
 	}
 	// A reordered join spine re-sequences its output below the aggregate.
 	// The spine underneath still pipelines; the restore itself is a breaker
-	// (it needs every row), so the aggregate then runs materializing on the
-	// restored batch.
+	// (it needs every row), and the aggregate sink is then fed the restored
+	// batch morsel by morsel.
 	if r, ok := n.(*RestoreOrder); ok {
 		pp.restore = r
 		n = r.Child
@@ -104,33 +119,12 @@ peel:
 	}
 }
 
-// allowed decides whether a decomposed spine actually runs pipelined.
-// Under a finite memory budget, joins and grouped aggregates stay on the
-// materializing engine: their spill paths need the whole input on hand
-// (grace-hash probe, shard replay), and falling back mid-stream would
-// re-run extraction. The decision is made here, before any operator
-// starts, so a pipeline never aborts halfway.
-func (pp *pipePlan) allowed(env *Env) bool {
-	hasJoin, hasFilter := false, false
-	for _, op := range pp.ops {
-		switch op.(type) {
-		case *Join:
-			hasJoin = true
-		case *Filter:
-			hasFilter = true
-		}
-	}
-	scanPreds := false
+// fuses reports whether a decomposed spine has any work to fuse. A bare
+// table read — a Scan with no predicate under at most Project/Sort/Limit —
+// has none, and executeNode serves it without the morsel machinery.
+func (pp *pipePlan) fuses() bool {
 	if s, ok := pp.leaf.(*Scan); ok {
-		scanPreds = len(s.Preds) > 0
-	}
-	_, lazy := pp.leaf.(*LazyExtract)
-	if !lazy && !hasJoin && !hasFilter && pp.agg == nil && !scanPreds {
-		return false // bare table read; nothing to fuse
-	}
-	if env.Mem.Limited() && (hasJoin || (pp.agg != nil && len(pp.agg.GroupBy) > 0)) {
-		env.Stats.recordPipelineFallback()
-		return false
+		return len(s.Preds) > 0 || len(pp.ops) > 0 || pp.agg != nil
 	}
 	return true
 }
@@ -148,44 +142,146 @@ func extractProto(meta *column.Batch) (*column.Batch, error) {
 	return p, nil
 }
 
+// pipeRun is one pipelined execution in flight: the segment being assembled
+// (a source plus the stages not yet run over it) and everything that must
+// be released whichever way the execution ends.
+type pipeRun struct {
+	env     *Env
+	src     exec.BatchSource // nil while RunPipeline, which closes it, has it
+	proto   *column.Batch    // zero-row schema of the morsels leaving the last stage
+	stages  []exec.PipeStage
+	closers []func() // join-table and sink grants
+	reports []func() // per-operator stats, events and span row tallies, leaf to root
+	morsels int
+	fused   int
+}
+
+// close stops a source no segment consumed and releases every grant. It
+// runs on every exit path of executePipelined.
+func (r *pipeRun) close() {
+	if r.src != nil {
+		r.src.Close()
+	}
+	for _, c := range r.closers {
+		c()
+	}
+}
+
+// span opens st's Add-style trace span (nil when tracing is off): stage
+// work runs on pool workers, so its time is cumulative across them.
+func (r *pipeRun) span(st exec.PipeStage) *obs.Span {
+	if r.env.Trace == nil {
+		return nil
+	}
+	sp := r.env.Trace.Child("stage " + st.Label())
+	r.reports = append(r.reports, func() {
+		_, kept := st.Rows()
+		sp.AddRows(kept)
+	})
+	return sp
+}
+
+// addStage appends st to the segment being assembled.
+func (r *pipeRun) addStage(st exec.PipeStage) {
+	r.fused++
+	if sp := r.span(st); sp != nil {
+		st = &timedStage{inner: st, sp: sp}
+	}
+	r.stages = append(r.stages, st)
+}
+
+// addFilter appends a filter stage; event logs its row counts afterwards.
+func (r *pipeRun) addFilter(preds []sql.Expr, event func(in, kept int64)) {
+	fs := exec.NewFilterStage(preds)
+	r.addStage(fs)
+	r.reports = append(r.reports, func() {
+		in, kept := fs.Rows()
+		r.env.Stats.recordFilterStage(in, kept)
+		event(in, kept)
+	})
+}
+
+// drain runs the assembled segment into sink and returns the sink's result.
+func (r *pipeRun) drain(sink exec.PipeSink, span string) (*column.Batch, error) {
+	if r.env.Trace != nil {
+		sink = &timedSink{inner: sink, sp: r.env.Trace.Child(span)}
+	}
+	src, stages := r.src, r.stages
+	r.src, r.stages = nil, nil
+	ps, err := r.env.Pool.RunPipeline(src, stages, sink)
+	r.morsels += ps.Morsels
+	if err != nil {
+		return nil, err
+	}
+	return sink.Finish()
+}
+
+// collect drains the segment into a final-output collector.
+func (r *pipeRun) collect() (*column.Batch, error) {
+	return r.drain(exec.NewCollectSink(r.proto), "stage collect")
+}
+
+// resume starts the next segment over a materialized breaker result.
+func (r *pipeRun) resume(b *column.Batch) {
+	r.src = exec.NewBatchMorsels(b, r.env.Pool.MorselRows())
+	r.proto = b.Range(0, 0)
+}
+
+// addJoin builds x's probe table and appends its probe stage — or, when the
+// build spilled, breaks the pipeline: collect the stages so far, probe the
+// collected batch against the grace-hash table, and resume over the joined
+// batch. That table is dead once probed, so its grant is released there
+// rather than at the end of the query.
+func (r *pipeRun) addJoin(x *Join) error {
+	env := r.env
+	bsp := env.Trace.StartChild("join-build " + x.Describe())
+	benv := *env
+	benv.Trace = bsp
+	right, err := Execute(x.R, &benv)
+	if err != nil {
+		return err
+	}
+	jp, err := exec.BuildProbeTable(r.proto, right, x.LKeys, x.RKeys, env.Pool, env.Mem)
+	if err != nil {
+		return err
+	}
+	r.closers = append(r.closers, jp.Close)
+	buildRows := right.NumRows()
+	bsp.AddRows(int64(buildRows))
+	bsp.End()
+	st := jp.NewStage()
+	r.reports = append(r.reports, func() {
+		js := jp.Stats()
+		probed, matches := st.Rows()
+		js.ProbeRows, js.Matches = int(probed), int(matches)
+		reportJoin(env, x, buildRows, js)
+	})
+	if !jp.Spilled() {
+		r.addStage(st)
+		r.proto, err = jp.Proto(r.proto)
+		return err
+	}
+	collected, err := r.collect()
+	if err != nil {
+		return err
+	}
+	sp := r.span(st)
+	t0 := time.Now()
+	joined, err := st.ProbeBatch(collected, env.Pool)
+	sp.Add(time.Since(t0))
+	jp.Close()
+	if err != nil {
+		return err
+	}
+	r.resume(joined)
+	return nil
+}
+
 // executePipelined runs a decomposed spine as one push pipeline.
 func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 	o := env.obs()
-	var (
-		src     exec.BatchSource
-		proto   *column.Batch
-		stages  []exec.PipeStage
-		closers []func()
-	)
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
-	ran := false
-	defer func() {
-		if !ran && src != nil {
-			src.Close() // stop a stream we never handed to RunPipeline
-		}
-	}()
-
-	type filterInfo struct {
-		x  *Filter
-		st *exec.FilterStage
-	}
-	type joinInfo struct {
-		x     *Join
-		jp    *exec.JoinProbe
-		st    *exec.ProbeStage
-		rRows int
-	}
-	var filters []filterInfo
-	var joins []joinInfo
-	var scanX *Scan
-	var scanFS *exec.FilterStage
-	scanRows := 0
-
-	var scanSp *obs.Span
+	r := &pipeRun{env: env}
+	defer r.close()
 
 	switch leaf := pp.leaf.(type) {
 	case *Scan:
@@ -194,250 +290,124 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		scanRows := b.NumRows()
+		sp.AddRows(int64(scanRows))
 		sp.End()
-		scanSp = sp
-		scanX, scanRows = leaf, b.NumRows()
-		proto = b.Range(0, 0)
-		if len(leaf.Preds) > 0 {
-			scanFS = exec.NewFilterStage(leaf.Preds)
-			stages = append(stages, scanFS)
+		r.resume(b)
+		if len(leaf.Preds) == 0 {
+			o.Event("scan", fmt.Sprintf("%s: %d rows", leaf.Table, scanRows))
+			break
 		}
-		src = exec.NewBatchMorsels(b, env.Pool.MorselRows())
+		r.addFilter(leaf.Preds, func(_, kept int64) {
+			o.Event("scan", fmt.Sprintf("%s: %d of %d rows pass %s", leaf.Table, kept, scanRows, exprList(leaf.Preds)))
+		})
 		// Zone-range skipping: morsels over ranges the batch statistics
 		// prove empty against the pushed-down predicates never enter the
 		// pipeline. The filter stage stays — surviving ranges are a
 		// superset — so output is bit-identical to the full feed.
-		if !env.NoSkipping && len(leaf.Preds) > 0 {
-			stored, _ := env.Store.Table(leaf.Table)
-			bz := env.Store.TableZones(leaf.Table)
-			if stored != nil && bz != nil && bz.Rows == b.NumRows() {
-				if checks := compileZoneChecks(leaf.Preds, leaf.Prefix, stored); len(checks) > 0 {
-					segs, skRanges, skRows := keptSegments(bz, checks)
-					if skRanges > 0 {
-						src = newSegmentMorsels(b, segs, env.Pool.MorselRows())
-						env.Stats.recordScanSkip(skRanges, skRows)
-						ReportScan(o, ScanReport{
-							Target:      leaf.Table,
-							Rows:        int64(scanRows) - skRows,
-							RowsSkipped: skRows,
-						})
-						o.Event("scan-skip", fmt.Sprintf("%s: zone maps skip %d ranges (%d of %d rows) against %s",
-							leaf.Table, skRanges, skRows, scanRows, exprList(leaf.Preds)))
-					}
+		if env.NoSkipping {
+			break
+		}
+		stored, _ := env.Store.Table(leaf.Table)
+		bz := env.Store.TableZones(leaf.Table)
+		if stored != nil && bz != nil && bz.Rows == scanRows {
+			if checks := compileZoneChecks(leaf.Preds, leaf.Prefix, stored); len(checks) > 0 {
+				segs, skRanges, skRows := keptSegments(bz, checks)
+				if skRanges > 0 {
+					r.src = newSegmentMorsels(b, segs, env.Pool.MorselRows())
+					env.Stats.recordScanSkip(skRanges, skRows)
+					ReportScan(o, ScanReport{
+						Target:      leaf.Table,
+						Rows:        int64(scanRows) - skRows,
+						RowsSkipped: skRows,
+					})
+					o.Event("scan-skip", fmt.Sprintf("%s: zone maps skip %d ranges (%d of %d rows) against %s",
+						leaf.Table, skRanges, skRows, scanRows, exprList(leaf.Preds)))
 				}
 			}
 		}
 
 	case *LazyExtract:
-		msp := env.Trace.StartChild("metadata")
-		menv := *env
-		menv.Trace = msp
-		meta, err := Execute(leaf.Meta, &menv)
+		meta, prune, err := lazyMeta(leaf, env)
 		if err != nil {
 			return nil, err
 		}
-		msp.AddRows(int64(meta.NumRows()))
-		msp.End()
-		o.Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
-		if env.Source == nil {
-			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
+		ss, ok := env.Source.(StreamSource)
+		if !ok {
+			return nil, fmt.Errorf("plan: extract source %T cannot stream", env.Source)
 		}
-		prune := leaf.Prune
-		if env.NoSkipping {
-			prune = nil
+		if r.src, err = ss.ExtractStream(meta, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+			return nil, err
 		}
-		if ss, ok := env.Source.(StreamSource); ok {
-			s, err := ss.ExtractStream(meta, prune, o, env.Pool.MorselRows(), env.Mem.Ledger())
-			if err != nil {
-				return nil, err
-			}
-			src = s
+		if rc, ok := r.src.(RowsServedCounter); ok {
+			r.reports = append(r.reports, func() {
+				o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", rc.RowsServed()))
+			})
 		}
-		if src != nil {
-			if proto, err = extractProto(meta); err != nil {
-				return nil, err
-			}
-		} else {
-			// Source cannot stream: extract in one batch, pipeline the
-			// compute above it.
-			out, err := env.Source.Extract(meta, prune, o)
-			if err != nil {
-				return nil, err
-			}
-			o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", out.NumRows()))
-			src = exec.NewBatchMorsels(out, env.Pool.MorselRows())
-			proto = out.Range(0, 0)
+		if r.proto, err = extractProto(meta); err != nil {
+			return nil, err
 		}
 	}
 
 	for _, op := range pp.ops {
 		switch x := op.(type) {
 		case *Filter:
-			fs := exec.NewFilterStage(x.Preds)
-			stages = append(stages, fs)
-			filters = append(filters, filterInfo{x: x, st: fs})
+			r.addFilter(x.Preds, func(in, kept int64) {
+				o.Event("filter", fmt.Sprintf("%s: %d -> %d rows", exprList(x.Preds), in, kept))
+			})
 		case *Join:
-			bsp := env.Trace.StartChild("join-build " + x.Describe())
-			benv := *env
-			benv.Trace = bsp
-			r, err := Execute(x.R, &benv)
-			if err != nil {
-				return nil, err
-			}
-			jp, err := exec.BuildProbeTable(proto, r, x.LKeys, x.RKeys, env.Pool, env.Mem)
-			if err != nil {
-				return nil, err
-			}
-			bsp.AddRows(int64(r.NumRows()))
-			bsp.End()
-			closers = append(closers, jp.Close)
-			if jp.Spilled() {
-				// Defensive: allowed() keeps joins off pipelines under a
-				// finite budget, and unlimited builds never spill.
-				return nil, fmt.Errorf("%w: join build spilled", exec.ErrPipelineFallback)
-			}
-			st := jp.NewStage()
-			stages = append(stages, st)
-			joins = append(joins, joinInfo{x: x, jp: jp, st: st, rRows: r.NumRows()})
-			if proto, err = jp.Proto(proto); err != nil {
+			if err := r.addJoin(x); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	var sink exec.PipeSink
-	var aggSink *exec.AggSink
-	if pp.agg != nil && pp.restore == nil {
-		var err error
-		aggSink, err = exec.NewAggSink(proto, pp.agg.GroupBy, pp.agg.Aggs, env.Mem)
+	// The spine's own breakers: the order restoration collects, the
+	// aggregate folds whatever segment is pending — the fused stages, or
+	// the restored batch — into its sink.
+	var out *column.Batch
+	var err error
+	if pp.restore != nil {
+		if out, err = r.collect(); err != nil {
+			return nil, err
+		}
+		if out, err = applyRestore(pp.restore, out, env); err != nil {
+			return nil, err
+		}
+		if pp.agg != nil {
+			r.resume(out)
+		}
+	}
+	switch {
+	case pp.agg != nil:
+		sink, err := exec.NewAggSink(r.proto, pp.agg.GroupBy, pp.agg.Aggs, env.Mem)
 		if err != nil {
 			return nil, err
 		}
-		sink = aggSink
-	} else {
-		sink = exec.NewCollectSink(proto)
-	}
-
-	// With tracing on, wrap every stage and the sink so per-morsel compute
-	// time accumulates into Add-style spans (cumulative across pool
-	// workers). The typed refs held above (scanFS, filters, joins, aggSink)
-	// keep pointing at the inner stages, so post-run reporting is untouched.
-	var timed []*timedStage
-	if env.Trace != nil {
-		for i, st := range stages {
-			ts := &timedStage{inner: st, sp: env.Trace.Child("stage " + st.Label())}
-			stages[i] = ts
-			timed = append(timed, ts)
-		}
-		name := "stage collect"
-		if aggSink != nil {
-			name = "stage aggregate"
-		}
-		sink = &timedSink{inner: sink, sp: env.Trace.Child(name)}
-	}
-
-	ran = true
-	ps, err := env.Pool.RunPipeline(src, stages, sink)
-	if err != nil {
-		return nil, err
-	}
-	out, err := sink.Finish()
-	if err != nil {
-		return nil, err
-	}
-	for _, ts := range timed {
-		_, kept := ts.inner.Rows()
-		ts.sp.AddRows(kept)
-	}
-	scanSp.AddRows(int64(scanRows))
-
-	env.Stats.recordPipeline(ps.Morsels)
-	if scanX != nil {
-		if scanFS != nil {
-			in, kept := scanFS.Rows()
-			env.Stats.recordFilterStage(in, kept)
-			o.Event("scan", fmt.Sprintf("%s: %d of %d rows pass %s", scanX.Table, kept, scanRows, exprList(scanX.Preds)))
-		} else {
-			o.Event("scan", fmt.Sprintf("%s: %d rows", scanX.Table, scanRows))
-		}
-	}
-	if rc, ok := src.(RowsServedCounter); ok {
-		o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", rc.RowsServed()))
-	}
-	for _, fi := range filters {
-		in, kept := fi.st.Rows()
-		env.Stats.recordFilterStage(in, kept)
-		o.Event("filter", fmt.Sprintf("%s: %d -> %d rows", exprList(fi.x.Preds), in, kept))
-	}
-	for _, ji := range joins {
-		js := ji.jp.Stats()
-		probed, matches := ji.st.Rows()
-		js.ProbeRows = int(probed)
-		js.Matches = int(matches)
-		env.Stats.recordJoin(js)
-		build := "serial"
-		if js.ParallelBuild {
-			build = "parallel"
-		}
-		keyPath := "encoded"
-		if js.IntKeys {
-			keyPath = "packed-int"
-		}
-		o.Event("join", fmt.Sprintf("%s: %d x %d -> %d rows (build: %d rows, %d partitions, %s, %s keys; probed %d rows)",
-			ji.x.Describe(), probed, ji.rRows, matches,
-			js.BuildRows, js.Partitions, build, keyPath, probed))
-	}
-	if aggSink != nil {
-		env.Stats.recordAgg(exec.AggStats{Rows: int(aggSink.RowsIn()), Groups: out.NumRows()})
-		o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", aggSink.RowsIn(), out.NumRows()))
-	}
-	o.Event("pipeline", fmt.Sprintf("%d stage(s) fused over %d morsels", len(stages), ps.Morsels))
-
-	if pp.restore != nil {
-		rsp := env.Trace.StartChild("restore-order")
-		if out, err = restoreOrder(out, pp.restore.RowIDs, pp.restore.Cols); err != nil {
+		r.closers = append(r.closers, sink.Close)
+		if out, err = r.drain(sink, "stage aggregate"); err != nil {
 			return nil, err
 		}
-		rsp.AddRows(int64(out.NumRows()))
-		rsp.End()
-		o.Event("restore-order", fmt.Sprintf("%d rows re-sequenced to the SQL join order", out.NumRows()))
-		if pp.agg != nil {
-			in := out.NumRows()
-			asp := env.Trace.StartChild("aggregate")
-			var as exec.AggStats
-			if out, as, err = env.Pool.AggregateMem(env.Mem, out, pp.agg.GroupBy, pp.agg.Aggs); err != nil {
-				return nil, err
-			}
-			asp.AddRows(int64(out.NumRows()))
-			asp.End()
-			env.Stats.recordAgg(as)
-			o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", in, out.NumRows()))
+		r.reports = append(r.reports, func() {
+			env.Stats.recordAgg(out.NumRows())
+			o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", sink.RowsIn(), out.NumRows()))
+		})
+	case pp.restore == nil:
+		if out, err = r.collect(); err != nil {
+			return nil, err
 		}
 	}
+
+	env.Stats.recordPipeline(r.morsels)
+	for _, report := range r.reports {
+		report()
+	}
+	o.Event("pipeline", fmt.Sprintf("%d stage(s) fused over %d morsels", r.fused, r.morsels))
 
 	// Post-pipeline breakers, innermost first.
 	for i := len(pp.post) - 1; i >= 0; i-- {
-		switch x := pp.post[i].(type) {
-		case *Project:
-			psp := env.Trace.StartChild("project")
-			if out, err = exec.Project(out, x.Exprs, x.Names); err != nil {
-				return nil, err
-			}
-			psp.End()
-		case *Sort:
-			ssp := env.Trace.StartChild("sort")
-			var ss exec.SortStats
-			if out, ss, err = env.Pool.SortWithStats(out, x.Keys); err != nil {
-				return nil, err
-			}
-			ssp.AddRows(int64(out.NumRows()))
-			ssp.End()
-			env.Stats.recordSort(ss)
-			if ss.Strategy != exec.SortStrategyNone {
-				o.Event("sort", fmt.Sprintf("%s sort of %d rows (%d runs)", ss.Strategy, ss.Rows, ss.Runs))
-			}
-		case *Limit:
-			out = exec.Limit(out, x.N)
+		if out, err = applyPost(pp.post[i], out, env); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

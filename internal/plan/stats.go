@@ -27,18 +27,15 @@ type ExecStats struct {
 	aggGroups    atomic.Int64
 
 	joinSpills            atomic.Int64
-	aggSpills             atomic.Int64
 	joinPartitionsSpilled atomic.Int64
-	aggShardsSpilled      atomic.Int64
 	rowsSpilled           atomic.Int64
 	bytesSpilled          atomic.Int64
 	spillNanos            atomic.Int64
 
-	pipelines         atomic.Int64
-	pipelineMorsels   atomic.Int64
-	pipelineFallbacks atomic.Int64
-	filterRowsIn      atomic.Int64
-	filterRowsOut     atomic.Int64
+	pipelines       atomic.Int64
+	pipelineMorsels atomic.Int64
+	filterRowsIn    atomic.Int64
+	filterRowsOut   atomic.Int64
 
 	scanRangesSkipped atomic.Int64
 	scanRowsSkipped   atomic.Int64
@@ -62,28 +59,25 @@ type ExecSnapshot struct {
 	Aggregations int64 // aggregations executed
 	AggGroups    int64 // total output groups across them
 
-	// Memory-governed spill counters. PartitionsSpilled is the combined
-	// count of join partitions and aggregation shards that degraded to
-	// disk under budget pressure; the breakdown fields split it.
+	// Memory-governed spill counters. The grace-hash join is the one
+	// operator that degrades to disk under budget pressure, so
+	// PartitionsSpilled and JoinPartitionsSpilled count the same build
+	// partitions (both names are part of the stats surface).
 	PartitionsSpilled     int64
 	JoinSpills            int64 // joins that spilled at least one partition
-	AggSpills             int64 // aggregations that spilled at least one shard
 	JoinPartitionsSpilled int64
-	AggShardsSpilled      int64
 	RowsSpilled           int64
 	BytesSpilled          int64
 	SpillNanos            int64
 
-	// Push-pipeline counters: pipelined plan executions, the morsels they
-	// drove, and spine shapes that fell back to the materializing engine
-	// (joins and grouped aggregates under a finite memory budget). The
-	// filter counters sum rows into and out of every pipelined filter
-	// stage — per-operator selectivity for the stats surface.
-	Pipelines         int64
-	PipelineMorsels   int64
-	PipelineFallbacks int64
-	FilterRowsIn      int64
-	FilterRowsOut     int64
+	// Push-pipeline counters: pipelined plan executions and the morsels
+	// they drove. The filter counters sum rows into and out of every
+	// pipelined filter stage — per-operator selectivity for the stats
+	// surface.
+	Pipelines       int64
+	PipelineMorsels int64
+	FilterRowsIn    int64
+	FilterRowsOut   int64
 
 	// Zone-map skipping counters: scan zone ranges (and the rows inside
 	// them) proven empty against pushed-down predicates and never fed to a
@@ -113,20 +107,17 @@ func (s *ExecStats) Snapshot() ExecSnapshot {
 		Aggregations: s.aggregations.Load(),
 		AggGroups:    s.aggGroups.Load(),
 
-		PartitionsSpilled:     s.joinPartitionsSpilled.Load() + s.aggShardsSpilled.Load(),
+		PartitionsSpilled:     s.joinPartitionsSpilled.Load(),
 		JoinSpills:            s.joinSpills.Load(),
-		AggSpills:             s.aggSpills.Load(),
 		JoinPartitionsSpilled: s.joinPartitionsSpilled.Load(),
-		AggShardsSpilled:      s.aggShardsSpilled.Load(),
 		RowsSpilled:           s.rowsSpilled.Load(),
 		BytesSpilled:          s.bytesSpilled.Load(),
 		SpillNanos:            s.spillNanos.Load(),
 
-		Pipelines:         s.pipelines.Load(),
-		PipelineMorsels:   s.pipelineMorsels.Load(),
-		PipelineFallbacks: s.pipelineFallbacks.Load(),
-		FilterRowsIn:      s.filterRowsIn.Load(),
-		FilterRowsOut:     s.filterRowsOut.Load(),
+		Pipelines:       s.pipelines.Load(),
+		PipelineMorsels: s.pipelineMorsels.Load(),
+		FilterRowsIn:    s.filterRowsIn.Load(),
+		FilterRowsOut:   s.filterRowsOut.Load(),
 
 		ScanRangesSkipped: s.scanRangesSkipped.Load(),
 		ScanRowsSkipped:   s.scanRowsSkipped.Load(),
@@ -161,15 +152,6 @@ func (s *ExecStats) recordPipeline(morsels int) {
 	s.pipelineMorsels.Add(int64(morsels))
 }
 
-// recordPipelineFallback counts a spine that qualified for pipelining but
-// was sent to the materializing engine instead.
-func (s *ExecStats) recordPipelineFallback() {
-	if s == nil {
-		return
-	}
-	s.pipelineFallbacks.Add(1)
-}
-
 // recordFilterStage folds one pipelined filter stage's row counters.
 func (s *ExecStats) recordFilterStage(in, out int64) {
 	if s == nil {
@@ -201,20 +183,13 @@ func (s *ExecStats) recordJoin(js exec.JoinStats) {
 	}
 }
 
-// recordAgg folds one aggregation's stats into the counters.
-func (s *ExecStats) recordAgg(as exec.AggStats) {
+// recordAgg folds one aggregation's output group count into the counters.
+func (s *ExecStats) recordAgg(groups int) {
 	if s == nil {
 		return
 	}
 	s.aggregations.Add(1)
-	s.aggGroups.Add(int64(as.Groups))
-	if as.SpilledShards > 0 {
-		s.aggSpills.Add(1)
-		s.aggShardsSpilled.Add(int64(as.SpilledShards))
-		s.rowsSpilled.Add(int64(as.SpilledRows))
-		s.bytesSpilled.Add(as.SpilledBytes)
-		s.spillNanos.Add(as.SpillNanos)
-	}
+	s.aggGroups.Add(int64(groups))
 }
 
 // recordSort folds one sort's stats into the counters.

@@ -94,13 +94,11 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	es := w.exec.Snapshot()
 	b = obs.AppendHeader(b, "lazyetl_pipelines_total", "counter", "Plans executed as push pipelines.")
 	b = obs.AppendInt(b, "lazyetl_pipelines_total", "", es.Pipelines)
-	b = obs.AppendHeader(b, "lazyetl_pipeline_fallbacks_total", "counter", "Pipeline-eligible spines that ran materializing instead.")
-	b = obs.AppendInt(b, "lazyetl_pipeline_fallbacks_total", "", es.PipelineFallbacks)
-	b = obs.AppendHeader(b, "lazyetl_spilled_partitions_total", "counter", "Join partitions and aggregation shards spilled to disk.")
+	b = obs.AppendHeader(b, "lazyetl_spilled_partitions_total", "counter", "Join build partitions spilled to disk.")
 	b = obs.AppendInt(b, "lazyetl_spilled_partitions_total", "", es.PartitionsSpilled)
 	b = obs.AppendHeader(b, "lazyetl_spilled_bytes_total", "counter", "Bytes spilled to disk under memory pressure.")
 	b = obs.AppendInt(b, "lazyetl_spilled_bytes_total", "", es.BytesSpilled)
-	b = obs.AppendHeader(b, "lazyetl_spill_seconds_total", "counter", "Time spent writing and replaying spill files.")
+	b = obs.AppendHeader(b, "lazyetl_spill_seconds_total", "counter", "Time spent writing spill files and rebuilding spilled partitions.")
 	b = obs.AppendFloat(b, "lazyetl_spill_seconds_total", "", float64(es.SpillNanos)/1e9)
 	b = obs.AppendHeader(b, "lazyetl_join_reorders_total", "counter", "Join spines rewritten by stats-driven ordering.")
 	b = obs.AppendInt(b, "lazyetl_join_reorders_total", "", es.JoinReorders)

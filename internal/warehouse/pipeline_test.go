@@ -2,12 +2,20 @@ package warehouse
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/etl"
+	"repro/internal/exec"
+	"repro/internal/mem"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/sql"
 )
 
 // renderExact renders a batch preserving row order and full float bit
@@ -34,7 +42,9 @@ func renderExact(b *column.Batch) string {
 
 // pipelineMatrixQueries exercise every pipeline shape: grouped aggregation
 // over the lazy stream, global aggregation, a raw collect with a data
-// predicate, and post-pipeline breakers (ORDER BY / LIMIT).
+// predicate, post-pipeline breakers (ORDER BY / LIMIT), the two governed
+// spillQueries, and an explicit two-table join feeding GROUP BY / ORDER BY
+// (the Scan-leaf spine whose join build spills under the small budgets).
 var pipelineMatrixQueries = []string{
 	q2,
 	`SELECT COUNT(*), AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value)
@@ -43,60 +53,135 @@ var pipelineMatrixQueries = []string{
 	 WHERE F.station = 'ISK' AND F.channel = 'BHE' AND D.sample_value > 50`,
 	`SELECT F.channel, COUNT(*), SUM(D.sample_value) FROM mseed.dataview
 	 WHERE F.network = 'KO' GROUP BY F.channel ORDER BY F.channel LIMIT 2`,
+	spillQueries[0],
+	spillQueries[1],
+	`SELECT f.station, COUNT(*), MAX(r.seqno), AVG(r.sample_rate)
+	 FROM mseed.files f JOIN mseed.records r ON f.file_id = r.file_id
+	 WHERE r.num_samples > 0 GROUP BY f.station ORDER BY f.station`,
 }
 
-// TestPipelineOracleMatrix runs every matrix query pipelined across worker
-// counts x morsel sizes x memory budgets and requires output bit-identical
-// to the serial materializing oracle (NoPipeline, one worker, unlimited).
+// eagerMatrixQuery runs the dataview over the loaded data table: a
+// three-table join spine under a filter and a grouped aggregate.
+const eagerMatrixQuery = `SELECT F.station, COUNT(*), AVG(D.sample_value) FROM mseed.dataview
+	 WHERE F.channel = 'BHZ' AND D.sample_value > 0 GROUP BY F.station`
+
+// materializingSpan reports the first span in the tree that only the
+// operator-at-a-time reference engine emits: "aggregate", "join <keys>" or
+// "filter <preds>". Pipelines emit "join-build", "stage probe ...",
+// "stage filter ...", "stage aggregate" and "stage collect" instead.
+func materializingSpan(n *obs.SpanNode) string {
+	if n == nil {
+		return ""
+	}
+	if n.Name == "aggregate" || strings.HasPrefix(n.Name, "join ") || strings.HasPrefix(n.Name, "filter ") {
+		return n.Name
+	}
+	for _, c := range n.Children {
+		if name := materializingSpan(c); name != "" {
+			return name
+		}
+	}
+	return ""
+}
+
+// requireIdle fails unless the warehouse's ledgers are back at their idle
+// values — the root ledger holds exactly the recycler's and the result
+// cache's bytes, so no query child ledger or operator grant leaked — and
+// the query left no spill directory under root.
+func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
+	t.Helper()
+	st := w.Stats()
+	if st.Mem.Used != st.CacheBytes+st.QueryCache.ResultBytes {
+		t.Errorf("%s: ledger holds %d bytes, recycler %d + result cache %d account for it",
+			name, st.Mem.Used, st.CacheBytes, st.QueryCache.ResultBytes)
+	}
+	if st.InFlight != 0 {
+		t.Errorf("%s: %d admission slots still held", name, st.InFlight)
+	}
+	if left, _ := filepath.Glob(filepath.Join(root, "lazyetl-spill-*")); len(left) != 0 {
+		t.Errorf("%s: spill dirs left behind: %v", name, left)
+	}
+}
+
+// TestPipelineOracleMatrix runs every matrix query across worker counts x
+// morsel sizes x memory budgets and requires output bit-identical to the
+// serial reference (NoPipeline, one worker, unlimited) — from pipelines
+// alone: under no budget may a span of the reference engine appear. The
+// 4 KiB budget spills every join build, so each cell also crosses the
+// spilled-build breaker, and must leave ledgers and the spill root idle.
 func TestPipelineOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, NoPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]string)
-	for _, q := range pipelineMatrixQueries {
-		res, err := ref.Query(q)
-		if err != nil {
-			t.Fatalf("oracle: %v\nquery: %s", err, q)
-		}
-		want[q] = renderExact(res.Batch)
-	}
-	if got := ref.Stats().Exec.Pipelines; got != 0 {
-		t.Fatalf("oracle warehouse ran %d pipelines despite NoPipeline", got)
-	}
+	// Spill dirs go under the system temp dir; point it at a private root
+	// so "nothing left behind" is checkable without racing other tests.
+	spillRoot := t.TempDir()
+	t.Setenv("TMPDIR", spillRoot)
 
-	for _, workers := range []int{1, 2, 8} {
-		for _, morsel := range []int{7, 13, 61} {
-			for _, budget := range []int64{0, 2 << 20} {
-				name := fmt.Sprintf("workers=%d/morsel=%d/budget=%d", workers, morsel, budget)
-				w, err := Open(dir, Options{
-					Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
-					ETL: etl.Options{Parallelism: workers},
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				for _, q := range pipelineMatrixQueries {
-					res, err := w.Query(q)
+	modes := []struct {
+		mode    Mode
+		queries []string
+	}{
+		{Lazy, pipelineMatrixQueries},
+		// joinQ's spine is reordered, so its aggregate sits above the
+		// order-restoration breaker and is fed the restored batch.
+		{Eager, []string{eagerMatrixQuery, joinQ}},
+	}
+	for _, m := range modes {
+		ref, err := Open(dir, Options{Mode: m.mode, Workers: 1, NoPipeline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]string)
+		for _, q := range m.queries {
+			res, err := ref.Query(q)
+			if err != nil {
+				t.Fatalf("oracle: %v\nquery: %s", err, q)
+			}
+			want[q] = renderExact(res.Batch)
+		}
+		if got := ref.Stats().Exec.Pipelines; got != 0 {
+			t.Fatalf("oracle warehouse ran %d pipelines despite NoPipeline", got)
+		}
+
+		for _, workers := range []int{1, 2, 8} {
+			for _, morsel := range []int{7, 13, 61} {
+				for _, budget := range []int64{0, 2 << 20, 4 << 10} {
+					name := fmt.Sprintf("%v/workers=%d/morsel=%d/budget=%d", m.mode, workers, morsel, budget)
+					w, err := Open(dir, Options{
+						Mode: m.mode, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
+						ETL: etl.Options{Parallelism: workers},
+					})
 					if err != nil {
-						t.Fatalf("%s: %v\nquery: %s", name, err, q)
+						t.Fatalf("%s: %v", name, err)
 					}
-					if got := renderExact(res.Batch); got != want[q] {
-						t.Errorf("%s: output diverged from materializing oracle\nquery: %s\nwant:\n%s\ngot:\n%s",
-							name, q, want[q], got)
+					for _, q := range m.queries {
+						res, err := w.Query(q)
+						if err != nil {
+							t.Fatalf("%s: %v\nquery: %s", name, err, q)
+						}
+						if got := renderExact(res.Batch); got != want[q] {
+							t.Errorf("%s: output diverged from the serial reference\nquery: %s\nwant:\n%s\ngot:\n%s",
+								name, q, want[q], got)
+						}
+						if span := materializingSpan(res.Trace.Spans); span != "" {
+							t.Errorf("%s: span %q of the reference engine in a production trace\nquery: %s\n%s",
+								name, span, q, obs.Render(res.Trace.Spans))
+						}
 					}
-				}
-				st := w.Stats()
-				if st.Exec.Pipelines == 0 {
-					t.Errorf("%s: no pipelined executions recorded", name)
-				}
-				if budget > 0 && st.Exec.PipelineFallbacks == 0 {
-					t.Errorf("%s: grouped aggregates under a budget should fall back at the root", name)
-				}
-				if st.Exec.FilterRowsIn == 0 || st.Exec.FilterRowsOut > st.Exec.FilterRowsIn {
-					t.Errorf("%s: filter stage counters not threaded: in=%d out=%d",
-						name, st.Exec.FilterRowsIn, st.Exec.FilterRowsOut)
+					st := w.Stats()
+					if st.Exec.Pipelines == 0 {
+						t.Errorf("%s: no pipelined executions recorded", name)
+					}
+					if st.Exec.FilterRowsIn == 0 || st.Exec.FilterRowsOut > st.Exec.FilterRowsIn {
+						t.Errorf("%s: filter stage counters not threaded: in=%d out=%d",
+							name, st.Exec.FilterRowsIn, st.Exec.FilterRowsOut)
+					}
+					if budget == 4<<10 && st.Exec.JoinPartitionsSpilled == 0 {
+						t.Errorf("%s: a 4 KiB budget must spill join builds; exec stats = %+v", name, st.Exec)
+					}
+					if budget == 0 && st.Exec.PartitionsSpilled != 0 {
+						t.Errorf("%s: unlimited warehouse spilled: %+v", name, st.Exec)
+					}
+					requireIdle(t, name, w, spillRoot)
 				}
 			}
 		}
@@ -145,4 +230,120 @@ func TestPipelinePrefetchOverlap(t *testing.T) {
 	if got := w.Stats().Extraction.Extractions; got != cold {
 		t.Errorf("warm run extracted: %d -> %d", cold, got)
 	}
+}
+
+// trackedSource wraps the warehouse's extraction engine so a test sees
+// every stream it opens and whether the pipeline closed it.
+type trackedSource struct {
+	*etl.Engine
+	opened, closed int
+}
+
+func (s *trackedSource) ExtractStream(meta *column.Batch, prune *plan.PruneRange, o plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.Engine.ExtractStream(meta, prune, o, morselRows, led)
+	if err != nil || src == nil {
+		return src, err
+	}
+	s.opened++
+	return &trackedStream{BatchSource: src, closed: &s.closed}, nil
+}
+
+type trackedStream struct {
+	exec.BatchSource
+	closed *int
+}
+
+func (s *trackedStream) Close() {
+	*s.closed++
+	s.BatchSource.Close()
+}
+
+// TestSpilledBuildBreakerReleasesOnEveryPath drives the spilled-build
+// breaker with a live extraction stream under it — a join above the lazy
+// extraction, which Build never emits but Execute accepts — and fails it
+// at each step. Whatever the exit, the stream is closed exactly once, the
+// query ledger drains to zero, and Cleanup leaves the spill root empty.
+func TestSpilledBuildBreakerReleasesOnEveryPath(t *testing.T) {
+	dir := genRepo(t, 2000)
+	w := openWH(t, dir, Lazy)
+	badPred := mustWhere(t, "F.station > 5") // type error at evaluation time
+	lazy := func() plan.Node {
+		return &plan.LazyExtract{Meta: &plan.Join{
+			L:     &plan.Scan{Table: catalog.TableFiles, Prefix: "F.", Preds: sql.SplitConjuncts(mustWhere(t, "F.channel = 'BHZ'"))},
+			R:     &plan.Scan{Table: catalog.TableRecords, Prefix: "R."},
+			LKeys: []string{"F.file_id"}, RKeys: []string{"R.file_id"},
+		}}
+	}
+	// The build side is the ~2000-row records table again: far past 4 KiB,
+	// so every partition of the upper join's build spills.
+	upper := func(l plan.Node, rkey string) plan.Node {
+		return &plan.Join{
+			L: l, R: &plan.Scan{Table: catalog.TableRecords, Prefix: "G."},
+			LKeys: []string{"F.file_id", "R.seqno"}, RKeys: []string{"G.file_id", rkey},
+		}
+	}
+	cases := []struct {
+		name    string
+		root    plan.Node
+		wantErr string // "" = must succeed
+		spills  bool   // the upper join's build ran and spilled
+	}{
+		{"build fails", upper(lazy(), "G.no_such_column"), "join key", false},
+		{"collect fails", upper(&plan.Filter{Child: lazy(), Preds: []sql.Expr{badPred}}, "G.seqno"), "F.station", true},
+		{"success", upper(lazy(), "G.seqno"), "", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			led := mem.New(4 << 10)
+			qm := exec.NewQueryMem(led, root)
+			src := &trackedSource{Engine: w.engine}
+			var stats plan.ExecStats
+			env := &plan.Env{Store: w.store.Snapshot(), Source: src, Pool: exec.NewPoolMorsel(2, 61), Mem: qm, Stats: &stats}
+			out, err := plan.Execute(tc.root, env)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				refEnv := &plan.Env{Store: env.Store, Source: w.engine, NoPipeline: true}
+				ref, err := plan.Execute(tc.root, refEnv)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				if got, want := renderExact(out), renderExact(ref); got != want {
+					t.Errorf("breaker over a stream diverged from the serial reference\nwant:\n%s\ngot:\n%s", want, got)
+				}
+				if stats.Snapshot().JoinPartitionsSpilled == 0 {
+					t.Error("setup: the upper join's build did not spill")
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want an error naming %q, got %v", tc.wantErr, err)
+			}
+			if src.opened != 1 || src.closed != 1 {
+				t.Errorf("stream opened %d times, closed %d times; want 1 and 1", src.opened, src.closed)
+			}
+			if used := led.Used(); used != 0 {
+				t.Errorf("query ledger holds %d bytes after the run", used)
+			}
+			entries, _ := os.ReadDir(root)
+			if tc.spills && len(entries) == 0 {
+				t.Error("setup: no spill dir was created, the build did not spill")
+			}
+			if err := qm.Cleanup(); err != nil {
+				t.Fatal(err)
+			}
+			if entries, _ := os.ReadDir(root); len(entries) != 0 {
+				t.Errorf("Cleanup left %d entries under the spill root", len(entries))
+			}
+		})
+	}
+}
+
+func mustWhere(t *testing.T, cond string) sql.Expr {
+	t.Helper()
+	stmt, err := sql.Parse("SELECT x FROM t WHERE " + cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.Where
 }

@@ -88,17 +88,21 @@ type Options struct {
 	Mode Mode
 	ETL  etl.Options
 	// Workers is the query-execution worker count for the morsel-driven
-	// parallel engine (scans, sharded aggregation, join probes). 0 means
+	// engine (pipeline stages, join builds and probes, sorts). 0 means
 	// GOMAXPROCS; 1 selects the serial engine. Results are bit-identical
 	// at every setting.
 	Workers int
 	// MemoryBudget bounds, in bytes, the execution-memory ledger that join
 	// tables, aggregation group tables and recycler-cache admissions
 	// reserve from. 0 means unlimited (the ledger still tracks a
-	// high-water mark). Under a finite budget, joins and grouped
-	// aggregations degrade gracefully: over-grant partitions/shards spill
-	// to per-query temp files and results stay bit-identical to the
-	// in-memory path; cache admissions are declined under pressure.
+	// high-water mark). A finite budget does not change the engine — every
+	// query still runs as a push pipeline. Join build partitions whose
+	// grant is denied spill to per-query temp files, and that join becomes
+	// a pipeline breaker (the morsels so far are collected and probed as
+	// one batch); the aggregation sink has no spill path, so its denied
+	// reservations are taken anyway and show as Stats().Mem denials and
+	// high-water overage; cache admissions are declined under pressure.
+	// Results are bit-identical at every budget.
 	MemoryBudget int64
 	// KeepLog bounds the in-memory operation log (entries); values <= 0
 	// select the default of 10000.
@@ -113,9 +117,10 @@ type Options struct {
 	// query at a time, each with the full memory budget. It is the oracle
 	// knob concurrent serving is benchmarked and tested against.
 	SerializeQueries bool
-	// NoPipeline forces the materializing engine for every query — the
-	// bit-identity oracle the morsel-wise push pipelines are tested
-	// against. Off by default: eligible plans run pipelined.
+	// NoPipeline runs every query on the operator-at-a-time serial
+	// reference instead of push pipelines — the bit-identity oracle of the
+	// tests and the baseline of BenchmarkExtractOverlap; no frontend sets
+	// it. Off by default.
 	NoPipeline bool
 	// NoSkipping disables every zone-map shortcut: record pruning before
 	// extraction, zone-range skipping on table scans, and stats-driven join

@@ -16,23 +16,29 @@
 // worker count (0 = GOMAXPROCS, 1 = the serial engine); results are
 // bit-identical at every setting.
 //
-// Eligible plans run as morsel-wise push pipelines: scan, filter, join
-// probe and aggregation fuse over one morsel's selection vector with no
-// intermediate batch, breaking only at join build sides, sort, spill and
-// the final output. Lazy extraction feeds such pipelines as a stream —
-// background workers read and Steim-decode the next coalesced run while
-// the current run's morsels flow through the compute stages, with prefetch
-// buffers charged to the memory ledger so overlap degrades to synchronous
-// extraction under budget pressure. Pipelined output is bit-identical to
-// the materializing engine, which is retained behind Options.NoPipeline as
-// the oracle; Stats reports pipeline, fallback and prefetch counters.
+// There is one execution engine: every query runs as a morsel-wise push
+// pipeline. Scan, filter, join probe and aggregation fuse over one morsel's
+// selection vector with no intermediate batch, breaking only at join build
+// sides, sort and the final output. Lazy extraction feeds such pipelines
+// as a stream — background workers read and Steim-decode the next
+// coalesced run while the current run's morsels flow through the compute
+// stages, with prefetch buffers charged to the memory ledger so overlap
+// degrades to synchronous extraction under budget pressure. Pipelined
+// output is bit-identical to an operator-at-a-time serial reference that
+// tests reach through Options.NoPipeline; Stats reports pipeline and
+// prefetch counters.
 //
 // Execution memory is governed by Options.MemoryBudget (bytes; 0 =
 // unlimited): join tables, aggregation group tables and recycler-cache
-// admissions reserve from one budget ledger, and under pressure joins and
-// grouped aggregations spill partition/shard-granular state to per-query
-// temp files — results stay bit-identical to the in-memory path, and
-// Stats reports the ledger high-water mark and spill counters.
+// admissions reserve from one budget ledger. The budget never selects a
+// different engine. Under pressure a join spills build partitions to
+// per-query temp files and becomes one more pipeline breaker — the morsels
+// so far are collected, probed against the grace-hash table as one batch,
+// and the pipeline resumes over the joined rows, so extraction is never
+// repeated — while the aggregation sink, whose group table must be
+// resident to be emitted, accounts its growth on the ledger without
+// spilling. Results stay bit-identical to the in-memory path, and Stats
+// reports the ledger high-water mark, denials and spill counters.
 //
 // A Warehouse serves queries concurrently: Query, Explain, Stats, Log and
 // ClearLog may be called from any number of goroutines. Each query runs
