@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/column"
@@ -184,6 +185,34 @@ func TestDataviewSQLMentionsAllTables(t *testing.T) {
 		if !contains(v.SQL, tbl) {
 			t.Errorf("view SQL lacks %s: %s", tbl, v.SQL)
 		}
+	}
+}
+
+// TestDataviewSQLSelectListMatchesColumns derives the view's columns from
+// the select list of the definition the catalog displays (F.* standing for
+// every files column) and requires exactly DataviewColumns, in order: what
+// \schema shows is what SELECT * returns.
+func TestDataviewSQLSelectListMatchesColumns(t *testing.T) {
+	list, _, ok := strings.Cut(strings.TrimPrefix(DataviewSQL, "SELECT "), " FROM ")
+	if !ok {
+		t.Fatalf("view SQL has no select list: %s", DataviewSQL)
+	}
+	var shown []string
+	for _, item := range strings.Split(list, ", ") {
+		if item != "F.*" {
+			shown = append(shown, item)
+			continue
+		}
+		for _, c := range FilesColumns {
+			shown = append(shown, "F."+c.Name)
+		}
+	}
+	var want []string
+	for _, c := range DataviewColumns() {
+		want = append(want, c.Name)
+	}
+	if got, want := strings.Join(shown, ", "), strings.Join(want, ", "); got != want {
+		t.Errorf("displayed select list and DataviewColumns disagree\nshown: %s\nwant:  %s", got, want)
 	}
 }
 

@@ -55,7 +55,7 @@ var DataColumns = []ColumnDef{
 // DataviewSQL is the displayed definition of the universal-table view; the
 // planner expands it structurally.
 const DataviewSQL = `SELECT F.*, R.seqno, R.start_time, R.end_time, ` +
-	`R.sample_rate, R.num_samples, D.sample_time, D.sample_value ` +
+	`R.sample_rate, R.num_samples, R.file_offset, D.sample_time, D.sample_value ` +
 	`FROM mseed.files F ` +
 	`JOIN mseed.records R ON F.file_id = R.file_id ` +
 	`JOIN mseed.data D ON R.file_id = D.file_id AND R.seqno = D.seqno`

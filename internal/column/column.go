@@ -273,6 +273,50 @@ func (c *Column) Gather(sel []int32) *Column {
 	return out
 }
 
+// Repeat builds a new column holding, for each x in order, the value of row
+// rows[x] repeated counts[x] times. It equals Gather over the expanded
+// selection vector, but never materializes that vector and fills each run
+// by doubling copies — a memmove per run instead of an indexed load per
+// value. Lazy extraction replicates a record's metadata once per sample
+// with it.
+func (c *Column) Repeat(rows []int32, counts []int) *Column {
+	out := New(c.name, c.typ)
+	switch c.typ {
+	case Float64:
+		out.fls = repeatRuns(c.fls, rows, counts)
+	case String:
+		out.strs = repeatRuns(c.strs, rows, counts)
+	default:
+		out.ints = repeatRuns(c.ints, rows, counts)
+	}
+	if c.nulls != nil {
+		out.nulls = repeatRuns(c.nulls, rows, counts)
+	}
+	return out
+}
+
+func repeatRuns[T any](src []T, rows []int32, counts []int) []T {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	dst := make([]T, total)
+	k := 0
+	for x, r := range rows {
+		n := counts[x]
+		if n == 0 {
+			continue
+		}
+		run := dst[k : k+n]
+		run[0] = src[r]
+		for filled := 1; filled < n; filled *= 2 {
+			copy(run[filled:], run[:filled])
+		}
+		k += n
+	}
+	return dst
+}
+
 // AppendColumn appends all values of other (same type) to c.
 func (c *Column) AppendColumn(other *Column) error {
 	if c.typ != other.typ {

@@ -194,6 +194,46 @@ func TestColumnGatherPropertyQuick(t *testing.T) {
 	}
 }
 
+// TestColumnRepeatMatchesGather checks Repeat against Gather over the
+// expanded selection vector, for every vector type, with nulls, zero-length
+// runs and run lengths on both sides of the doubling steps.
+func TestColumnRepeatMatchesGather(t *testing.T) {
+	nullable := New("n", Int64)
+	nullable.AppendInt64(7)
+	nullable.AppendNull()
+	nullable.AppendInt64(9)
+	cols := []*Column{
+		NewInt64s("i", []int64{10, 20, 30}),
+		NewFloat64s("f", []float64{1.5, -2.5, 0}),
+		NewStrings("s", []string{"a", "", "ccc"}),
+		NewIntFamily("b", Bool, []int64{1, 0, 1}),
+		nullable,
+	}
+	rows := []int32{2, 0, 1, 1, 0}
+	counts := []int{5, 0, 1, 8, 3}
+	var sel []int32
+	for x, r := range rows {
+		for j := 0; j < counts[x]; j++ {
+			sel = append(sel, r)
+		}
+	}
+	for _, c := range cols {
+		got, want := c.Repeat(rows, counts), c.Gather(sel)
+		if got.Name() != want.Name() || got.Type() != want.Type() || got.Len() != want.Len() || got.HasNulls() != want.HasNulls() {
+			t.Fatalf("%s: repeat shape (%v, %d rows, nulls=%v) != gather shape (%v, %d rows, nulls=%v)",
+				c.Name(), got.Type(), got.Len(), got.HasNulls(), want.Type(), want.Len(), want.HasNulls())
+		}
+		for i := range sel {
+			if got.Value(i) != want.Value(i) {
+				t.Errorf("%s[%d]: repeat %v, gather %v", c.Name(), i, got.Value(i), want.Value(i))
+			}
+		}
+	}
+	if empty := cols[2].Repeat(nil, nil); empty.Len() != 0 || empty.Type() != String {
+		t.Errorf("empty repeat: %d rows of %v", empty.Len(), empty.Type())
+	}
+}
+
 func TestColumnAppendColumn(t *testing.T) {
 	a := NewInt64s("a", []int64{1, 2})
 	b := NewInt64s("b", []int64{3})

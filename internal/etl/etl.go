@@ -5,11 +5,15 @@
 //     transforms it, and bulk-loads the three warehouse tables.
 //   - Lazy ETL: LoadMetadata performs the metadata-only initial load
 //     (header scans, no payloads); actual data is extracted at query time
-//     by Extract, which implements plan.ExtractSource — the run-time
-//     rewriting operator asks it to produce the universal-table rows for
-//     exactly the records that survived the metadata predicates, consulting
-//     the recycler cache first (lazy loading) and applying record- and
-//     value-level transformations at the end of extraction (§3.2).
+//     by Extract and ExtractStream, which implement plan.ExtractSource and
+//     plan.StreamSource — the run-time rewriting operator asks for the
+//     universal-table rows of exactly the records that survived the
+//     metadata predicates, consulting the recycler cache first (lazy
+//     loading) and applying record- and value-level transformations at the
+//     end of extraction (§3.2). Lazy goes for columns as for records: the
+//     stream a query runs on replicates only the metadata columns the
+//     statement reads (plan.LazyExtract.Cols); Extract, the materializing
+//     reference, always lays out all of them.
 //
 // # Extraction data path
 //
@@ -26,8 +30,10 @@
 // With Options.Parallelism > 1 the worker pool operates on runs, not files,
 // so extraction parallelizes within a single large file as well as across
 // files. Every run owns a disjoint set of metadata-row indices and writes
-// only those rows' output segments, so the assembled universal-table batch
-// is bit-identical at every Parallelism setting; when several runs fail,
+// only those rows' output segments, and one helper (layout) writes the
+// universal table's rows for the batch and the stream alike, so the
+// assembled output is bit-identical at every Parallelism setting, on either
+// path and at every width; when several runs fail,
 // the error surfaced is deterministically that of the earliest run (file
 // order, then offset order) rather than the race winner.
 package etl

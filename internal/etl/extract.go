@@ -160,8 +160,11 @@ func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []i
 
 // Extract implements plan.ExtractSource. meta holds the metadata rows that
 // survived the metadata predicates (one per qualifying mSEED record, with
-// F.* and R.* columns); the result is the universal-table batch: the meta
-// columns replicated per sample plus D.sample_time and D.sample_value.
+// F.* and R.* columns); the result is the universal-table batch at full
+// width: every meta column replicated per sample plus D.sample_time and
+// D.sample_value. It is the materializing reference (Env.NoPipeline) and
+// the warm-up call of benchmarks; queries run on ExtractStream, which
+// emits only the columns they read.
 //
 // This is the run-time half of lazy extraction (§3.1): for each qualifying
 // record the injected operator is either a cache read or a file extraction,
@@ -212,12 +215,12 @@ func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		}
 	}
 
-	out, total, err := e.assemble(meta, sink)
+	out, err := e.assemble(meta, sink)
 	if err != nil {
 		return nil, err
 	}
-	e.xstats.samplesServed.Add(int64(total))
-	ext.AddRows(int64(total))
+	e.xstats.samplesServed.Add(int64(out.NumRows()))
+	ext.AddRows(int64(out.NumRows()))
 	ext.End()
 	return out, nil
 }
@@ -753,101 +756,96 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 	return nil
 }
 
-// assemble builds the universal-table batch: each metadata row replicated
-// once per sample, with the D.* sample columns attached. In direct mode the
-// miss segments were already written by the workers and only entry-backed
-// rows (cache hits, prefetch reads) are copied here; if any record's actual
-// length disagreed with the metadata, the layout is recomputed from actual
-// lengths first.
-func (e *Engine) assemble(meta *column.Batch, sink *extractSink) (*column.Batch, int, error) {
-	n := meta.NumRows()
-	lens := sink.lens
-	dTimes, dValues := sink.dTimes, sink.dValues
+// segment is one metadata row's share of the universal table: the row and
+// the samples it is replicated beside.
+type segment struct {
+	row    int32
+	times  []int64
+	values []float64
+}
 
-	if sink.direct {
-		misfit := sink.misfit.Load()
-		if !misfit {
-			for i, ent := range sink.entries {
-				if ent == nil {
-					continue
-				}
-				if len(ent.Times) != lens[i] {
-					misfit = true
-					break
-				}
-				o := sink.starts[i]
-				copy(dTimes[o:], ent.Times)
-				copy(dValues[o:], ent.Values)
-			}
-		}
-		if misfit {
-			// Rare stale-metadata path: recompute the layout from actual
-			// lengths, pulling direct-written segments from the old vectors
-			// and everything else from its entry.
-			actual := make([]int, n)
-			total := 0
-			for i := range actual {
-				if ent := sink.entries[i]; ent != nil {
-					actual[i] = len(ent.Times)
-				} else {
-					actual[i] = lens[i]
-				}
-				total += actual[i]
-			}
-			nt := make([]int64, total)
-			nv := make([]float64, total)
-			k := 0
-			for i := range actual {
-				if ent := sink.entries[i]; ent != nil {
-					copy(nt[k:], ent.Times)
-					copy(nv[k:], ent.Values)
-				} else {
-					o := sink.starts[i]
-					copy(nt[k:], dTimes[o:o+lens[i]])
-					copy(nv[k:], dValues[o:o+lens[i]])
-				}
-				k += actual[i]
-			}
-			lens, dTimes, dValues = actual, nt, nv
-		}
-	} else {
-		// No pre-sized layout: every row has an entry (hits and misses
-		// alike); size from actual lengths and bulk-copy.
-		total := 0
-		for i, ent := range sink.entries {
-			lens[i] = len(ent.Times)
-			total += lens[i]
-		}
-		dTimes = make([]int64, total)
-		dValues = make([]float64, total)
-		k := 0
-		for _, ent := range sink.entries {
-			copy(dTimes[k:], ent.Times)
-			copy(dValues[k:], ent.Values)
-			k += len(ent.Times)
-		}
-	}
-
+// layout writes the universal table's rows — the one place they are laid
+// out, for the batch path (assemble) and the stream (extractStream.Next)
+// alike: one output row per sample, segments in order, carrying exactly
+// proto's columns (plan.ExtractProto). A listed metadata column is
+// run-filled, each segment's row value repeated once per sample; the D.*
+// vectors are allocated and copied from the segments only when listed,
+// unless the caller hands them over already in output layout (dTimes and
+// dValues non-nil: the batch path's pre-sized vectors).
+func layout(meta, proto *column.Batch, segs []segment, dTimes []int64, dValues []float64) (*column.Batch, error) {
+	rows := make([]int32, len(segs))
+	counts := make([]int, len(segs))
 	total := 0
-	for _, l := range lens {
-		total += l
+	for x, sg := range segs {
+		rows[x], counts[x] = sg.row, len(sg.times)
+		total += counts[x]
 	}
-	sel := make([]int32, total)
-	k := 0
-	for i, l := range lens {
-		for j := 0; j < l; j++ {
-			sel[k] = int32(i)
-			k++
+	cols := make([]*column.Column, proto.NumCols())
+	for c := range cols {
+		switch name := proto.ColAt(c).Name(); name {
+		case "D.sample_time":
+			if dTimes == nil {
+				dTimes = make([]int64, total)
+				k := 0
+				for _, sg := range segs {
+					k += copy(dTimes[k:], sg.times)
+				}
+			}
+			cols[c] = column.NewTimestamps(name, dTimes)
+		case "D.sample_value":
+			if dValues == nil {
+				dValues = make([]float64, total)
+				k := 0
+				for _, sg := range segs {
+					k += copy(dValues[k:], sg.values)
+				}
+			}
+			cols[c] = column.NewFloat64s(name, dValues)
+		default:
+			mc, ok := meta.Col(name)
+			if !ok {
+				return nil, fmt.Errorf("etl: extraction metadata lacks listed column %s", name)
+			}
+			cols[c] = mc.Repeat(rows, counts)
 		}
 	}
-	out := meta.Gather(sel)
-	if err := out.AddColumn(column.NewTimestamps("D.sample_time", dTimes)); err != nil {
-		return nil, 0, err
+	return column.NewBatch(cols...)
+}
+
+// assemble builds the full-width universal-table batch of an Extract call.
+// In direct mode the miss segments were already written by the workers into
+// the pre-sized vectors; when every length matched the metadata those
+// vectors are the output and only entry-backed rows (cache hits, prefetch
+// reads) are copied in. If any record's actual length disagreed (stale
+// metadata), or the layout was never pre-sized, the vectors are rebuilt
+// from the segments' actual lengths.
+func (e *Engine) assemble(meta *column.Batch, sink *extractSink) (*column.Batch, error) {
+	proto, err := plan.ExtractProto(meta, nil)
+	if err != nil {
+		return nil, err
 	}
-	if err := out.AddColumn(column.NewFloat64s("D.sample_value", dValues)); err != nil {
-		return nil, 0, err
+	fits := sink.direct && !sink.misfit.Load()
+	segs := make([]segment, meta.NumRows())
+	for i := range segs {
+		segs[i].row = int32(i)
+		if ent := sink.entries[i]; ent != nil {
+			segs[i].times, segs[i].values = ent.Times, ent.Values
+			fits = fits && len(ent.Times) == sink.lens[i]
+		} else {
+			o, l := sink.starts[i], sink.lens[i]
+			segs[i].times, segs[i].values = sink.dTimes[o:o+l], sink.dValues[o:o+l]
+		}
 	}
-	return out, total, nil
+	if !fits {
+		return layout(meta, proto, segs, nil, nil)
+	}
+	for i, ent := range sink.entries {
+		if ent != nil {
+			copy(sink.dTimes[sink.starts[i]:], ent.Times)
+			copy(sink.dValues[sink.starts[i]:], ent.Values)
+		}
+	}
+	return layout(meta, proto, segs, sink.dTimes, sink.dValues)
 }
 
 // addTouched counts one file open.

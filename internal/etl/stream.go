@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/recycler"
 )
 
 // errStreamClosed reports a Next call racing a Close. It never reaches a
@@ -29,14 +28,25 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // admission the consumer extracts the run it needs inline — overlap
 // degrades to the synchronous schedule instead of overshooting the budget.
 //
-// Bit-identity with Extract holds row by row: every record is decoded by
-// the same extractRun, and morsels are assembled in metadata-row order with
-// the same replicated-gather layout, so the concatenation of the morsel
-// stream equals the materialized batch exactly. Failures settle to the
-// deterministic materializing error: in-flight runs drain, remaining runs
-// execute in plan order, and the earliest failing run in plan order is the
-// one reported — the same error at every parallelism and budget.
-func (e *Engine) ExtractStream(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
+// cols (plan.LazyExtract.Cols) lists the universal-table columns the query
+// reads; the morsels carry exactly those, nil meaning all of them. The full
+// metadata batch still drives the extraction itself — which files, offsets
+// and lengths to read — only the per-sample output narrows, so a query that
+// reads two columns is not charged for replicating twenty-two more.
+//
+// Bit-identity with Extract holds row by row and column by column: every
+// record is decoded by the same extractRun, and morsels are laid out in
+// metadata-row order by the same layout helper, so the concatenation of
+// the morsel stream equals the listed columns of the materialized batch
+// exactly. Failures settle to the deterministic materializing error:
+// in-flight runs drain, remaining runs execute in plan order, and the
+// earliest failing run in plan order is the one reported — the same error
+// at every parallelism and budget.
+func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, obs plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
+	proto, err := plan.ExtractProto(meta, cols)
+	if err != nil {
+		return nil, err
+	}
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
@@ -53,6 +63,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, prune *plan.PruneRange, obs p
 	s := &extractStream{
 		e:          e,
 		meta:       meta,
+		proto:      proto,
 		obs:        obs,
 		sink:       pr.sink,
 		morselRows: morselRows,
@@ -130,6 +141,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, prune *plan.PruneRange, obs p
 type extractStream struct {
 	e          *Engine
 	meta       *column.Batch
+	proto      *column.Batch // zero-row schema of the morsels
 	obs        plan.Observer
 	sink       *extractSink
 	morselRows int
@@ -244,8 +256,7 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		return exec.Morsel{}, false, nil
 	}
 	var (
-		rows    []int32
-		ents    []*recycler.Entry
+		segs    []segment
 		samples int
 	)
 	for s.pos < s.n && samples < s.morselRows {
@@ -257,8 +268,7 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		if ent == nil {
 			return exec.Morsel{}, false, fmt.Errorf("etl: internal: run completed without delivering row %d", i)
 		}
-		rows = append(rows, int32(i))
-		ents = append(ents, ent)
+		segs = append(segs, segment{row: int32(i), times: ent.Times, values: ent.Values})
 		samples += len(ent.Times)
 		s.sink.entries[i] = nil // drop our reference; the cache keeps its own
 		s.pos++
@@ -273,30 +283,12 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		}
 	}
 
-	// Same layout as assemble: one output row per sample, meta columns
-	// gathered through the replicated selection vector.
 	var gatherStart time.Time
 	if s.gatherSpan != nil {
 		gatherStart = time.Now()
 	}
-	sel := make([]int32, samples)
-	dTimes := make([]int64, samples)
-	dValues := make([]float64, samples)
-	k := 0
-	for x, i := range rows {
-		ent := ents[x]
-		copy(dTimes[k:], ent.Times)
-		copy(dValues[k:], ent.Values)
-		for j := 0; j < len(ent.Times); j++ {
-			sel[k] = i
-			k++
-		}
-	}
-	b := s.meta.Gather(sel)
-	if err := b.AddColumn(column.NewTimestamps("D.sample_time", dTimes)); err != nil {
-		return exec.Morsel{}, false, err
-	}
-	if err := b.AddColumn(column.NewFloat64s("D.sample_value", dValues)); err != nil {
+	b, err := layout(s.meta, s.proto, segs, nil, nil)
+	if err != nil {
 		return exec.Morsel{}, false, err
 	}
 	if s.gatherSpan != nil {

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
+	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
@@ -140,6 +142,163 @@ func TestStreamDeterministicReadFailure(t *testing.T) {
 		}
 		if err.Error() != wantErr.Error() {
 			t.Fatalf("stream %d: error %q != materializing error %q", i, err, wantErr)
+		}
+	}
+}
+
+// drainStream concatenates a stream's morsels onto proto's zero-row schema,
+// failing unless every morsel carries exactly proto's columns.
+func drainStream(t *testing.T, src exec.BatchSource, proto *column.Batch) *column.Batch {
+	t.Helper()
+	defer src.Close()
+	out := proto.Gather([]int32{})
+	want := strings.Join(proto.Names(), ",")
+	for {
+		m, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		if got := strings.Join(m.B.Names(), ","); got != want || m.Sel != nil {
+			t.Fatalf("morsel carries [%s] (sel %v), the proto says [%s]", got, m.Sel != nil, want)
+		}
+		for c := 0; c < proto.NumCols(); c++ {
+			if m.B.ColAt(c).Type() != proto.ColAt(c).Type() {
+				t.Fatalf("morsel column %s is %v, the proto says %v", proto.ColAt(c).Name(), m.B.ColAt(c).Type(), proto.ColAt(c).Type())
+			}
+		}
+		if err := out.AppendBatch(m.B); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStreamCarriesExactlyListedColumns checks the narrowed universal
+// table at the extraction boundary: for every column list the stream's
+// morsels and plan.ExtractProto carry exactly the listed columns in the
+// listed order, and each column equals the same column of the full-width
+// Extract batch value for value — over metadata that holds a zero-sample
+// record, a record whose length went stale after the load (the batch
+// path's misfit re-layout) and records the zone maps prune, cold (every
+// record decoded: pre-sized vectors on the batch path, entries on the
+// stream) and warm (every record a cache hit).
+func TestStreamCarriesExactlyListedColumns(t *testing.T) {
+	for _, opts := range []Options{{DisableCache: true}, {Parallelism: 4}} {
+		e, store, _ := newEngine(t, 3000, opts)
+		path, _ := fileFor(t, e, "HGN", "BHZ")
+		infos, err := mseed.ScanFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patchRecordSampleCount(t, path, infos[1].Offset, 0) // zero samples, and the metadata says so
+		if _, err := e.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		stale := patchRecordSampleCount(t, path, infos[2].Offset, 0) // zero samples, the metadata says otherwise
+
+		stmt, err := sql.Parse(`SELECT * FROM mseed.dataview WHERE F.station = 'HGN'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := plan.Build(stmt, store.Catalog(), plan.Lazy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A first pass collects the zone maps; the prune range is then set
+		// at half the largest sample so it drops some records, not all.
+		first, err := e.Extract(meta, nil, plan.NopObserver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nums, _ := meta.Col("R.num_samples")
+		promised := 0
+		for _, n := range nums.Int64s() {
+			promised += int(n)
+		}
+		if stale == 0 || first.NumRows() != promised-stale {
+			t.Fatalf("extraction has %d rows, metadata promises %d of which %d went stale", first.NumRows(), promised, stale)
+		}
+		vals, _ := first.Col("D.sample_value")
+		peak := 0.0
+		for _, v := range vals.Float64s() {
+			peak = max(peak, v)
+		}
+		cond, err := sql.Parse(fmt.Sprintf(`SELECT x FROM t WHERE D.sample_value > %g`, peak/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prune := plan.CompilePrune(sql.SplitConjuncts(cond.Where))
+		if prune == nil {
+			t.Fatal("no prune range compiled")
+		}
+		before := e.ExtractionStats().RecordsSkipped
+		wide, err := e.Extract(meta, prune, plan.NopObserver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skipped := e.ExtractionStats().RecordsSkipped - before; skipped == 0 || int(skipped) >= meta.NumRows() {
+			t.Fatalf("zone maps pruned %d of %d records; the test needs some, not all", skipped, meta.NumRows())
+		}
+		if wide.NumRows() == 0 || wide.NumRows() >= first.NumRows() {
+			t.Fatalf("pruned extraction has %d rows, unpruned %d", wide.NumRows(), first.NumRows())
+		}
+
+		lists := [][]string{
+			nil,
+			{"F.station", "D.sample_value"},
+			{"F.file_id"},
+			{"D.sample_time"},
+			{"F.uri", "F.sample_rate", "R.seqno", "R.start_time", "R.num_samples", "D.sample_time", "D.sample_value"},
+		}
+		for x, cols := range append(lists, lists...) {
+			// First round unpruned against the first pass (the stale record
+			// is in play), second round pruned.
+			wide, prune := wide, prune
+			if x < len(lists) {
+				wide, prune = first, nil
+			}
+			proto, err := plan.ExtractProto(meta, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cols
+			if cols == nil {
+				want = wide.Names()
+			}
+			if got := strings.Join(proto.Names(), ","); got != strings.Join(want, ",") || proto.NumRows() != 0 {
+				t.Fatalf("ExtractProto(%v) = [%s], %d rows", cols, got, proto.NumRows())
+			}
+			src, err := e.ExtractStream(meta, cols, prune, plan.NopObserver{}, 61, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drainStream(t, src, proto)
+			if got.NumRows() != wide.NumRows() {
+				t.Fatalf("cols %v: stream delivered %d rows, Extract %d", cols, got.NumRows(), wide.NumRows())
+			}
+			for c := 0; c < got.NumCols(); c++ {
+				gc := got.ColAt(c)
+				wc, _ := wide.Col(gc.Name())
+				for i := 0; i < gc.Len(); i++ {
+					if gc.Value(i) != wc.Value(i) {
+						t.Fatalf("cols %v (cache off: %v): %s[%d] = %v on the stream, %v from Extract",
+							cols, opts.DisableCache, gc.Name(), i, gc.Value(i), wc.Value(i))
+					}
+				}
+			}
+		}
+		if _, err := plan.ExtractProto(meta, []string{"F.station", "D.nosuch"}); err == nil {
+			t.Error("ExtractProto accepted a column the universal table lacks")
+		}
+		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, plan.NopObserver{}, 61, nil); err == nil {
+			t.Error("ExtractStream accepted a column the universal table lacks")
 		}
 	}
 }

@@ -168,4 +168,12 @@
 // at a spilled-build breaker, the aggregation's group table and the final
 // output columns of a query must still fit in memory; external output runs
 // are a recorded follow-on.
+//
+// Morsels in flight are not reserved from the ledger; what keeps them small
+// is their width. A morsel's columns are whatever its source emits, and the
+// lazy extraction stream emits only the universal-table columns the
+// statement reads (plan.LazyExtract.Cols) — two of 24 for a Figure-1 Q2 —
+// so the bytes a stage gathers, a spilled-build breaker collects and the
+// garbage collector walks all shrink by the same factor. Only a bare
+// SELECT * pays for the full width, because that width is its answer.
 package exec

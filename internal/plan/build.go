@@ -25,8 +25,9 @@ type Plans struct {
 // as metadata predicates (over F.* and R.* columns) or data predicates
 // (touching D.*), and the metadata predicates are pushed below the data
 // access so they execute first. In Lazy and External modes the access to
-// mseed.data becomes a LazyExtract node; in Eager mode it is a join against
-// the loaded table.
+// mseed.data becomes a LazyExtract node, narrowed to the dataview columns
+// the operators above it read (LazyExtract.Cols); in Eager mode it is a
+// join against the loaded table.
 func Build(stmt *sql.SelectStmt, cat *catalog.Catalog, mode Mode) (*Plans, error) {
 	naiveFrom, optFrom, err := buildFrom(stmt, cat, mode)
 	if err != nil {
@@ -40,6 +41,7 @@ func Build(stmt *sql.SelectStmt, cat *catalog.Catalog, mode Mode) (*Plans, error
 	if err != nil {
 		return nil, err
 	}
+	narrowExtract(root)
 	naiveRoot, err := buildUpper(stmt, naive)
 	if err != nil {
 		return nil, err

@@ -209,7 +209,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		obs.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", out.NumRows()))
+		extractEvent(obs, int64(out.NumRows()), out.NumCols())
 		return out, nil
 
 	case *Aggregate:
@@ -272,6 +272,13 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 		return meta, nil, nil
 	}
 	return meta, x.Prune, nil
+}
+
+// extractEvent logs what an extraction delivered: rows, and how many of the
+// universal table's columns each of them carries.
+func extractEvent(o Observer, rows int64, width int) {
+	o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns",
+		rows, width, len(catalog.DataviewColumns())))
 }
 
 // applyPost runs one Project, Sort or Limit over its materialized input —

@@ -75,6 +75,9 @@ func (s *Scan) Describe() string {
 	if len(s.Preds) > 0 {
 		fmt.Fprintf(&sb, " WHERE %s", exprList(s.Preds))
 	}
+	if s.Cols != nil {
+		fmt.Fprintf(&sb, " (columns: %s)", strings.Join(s.Cols, ", "))
+	}
 	return sb.String()
 }
 func (s *Scan) Children() []Node { return nil }
@@ -108,10 +111,18 @@ func (f *Filter) Children() []Node { return []Node{f.Child} }
 // executed first; then, with the qualifying (file, record) set known, the
 // rewriting operator injects per-record operators that either read the
 // cache or extract from source files. Its output is the de-normalized
-// universal-table batch (metadata columns replicated per sample, plus
-// D.sample_time and D.sample_value).
+// universal table — one row per sample, the record's metadata replicated
+// beside D.sample_time and D.sample_value — restricted to Cols.
 type LazyExtract struct {
 	Meta Node
+	// Cols, when non-nil, lists the universal-table columns the query reads,
+	// in canonical (catalog.DataviewColumns) order — the same contract as
+	// Scan.Cols, set by Build from the operators above (see narrowExtract).
+	// The metadata subplan still runs at full width: extraction itself needs
+	// F.uri, R.seqno and friends whether or not the query does. Only the
+	// pipelined stream narrows; the NoPipeline reference extracts every
+	// column, which is what the bit-identity tests compare against.
+	Cols []string
 	// DataPreds are predicates over D.* columns, applied by the enclosing
 	// Filter after extraction; recorded here for plan display.
 	DataPreds []sql.Expr
@@ -122,14 +133,17 @@ type LazyExtract struct {
 }
 
 func (l *LazyExtract) Describe() string {
+	s := "LazyExtract"
 	if len(l.DataPreds) > 0 {
-		s := "LazyExtract (data predicates: " + exprList(l.DataPreds) + ")"
+		s += " (data predicates: " + exprList(l.DataPreds) + ")"
 		if l.Prune != nil {
 			s += " (zone prune: " + l.Prune.String() + ")"
 		}
-		return s
 	}
-	return "LazyExtract"
+	if l.Cols != nil {
+		s += " (columns: " + strings.Join(l.Cols, ", ") + ")"
+	}
+	return s
 }
 func (l *LazyExtract) Children() []Node { return []Node{l.Meta} }
 

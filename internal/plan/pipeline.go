@@ -45,9 +45,10 @@ import (
 // charged to led (nil = unlimited), so overlap degrades to synchronous
 // extraction under budget pressure rather than blowing it. prune carries
 // the same zone-map admissibility test as Extract (nil = stream
-// everything).
+// everything). cols is LazyExtract.Cols: the morsels carry exactly the
+// columns of ExtractProto(meta, cols), nil meaning Extract's full width.
 type StreamSource interface {
-	ExtractStream(meta *column.Batch, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
+	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // RowsServedCounter reports how many rows a source has delivered; a
@@ -129,9 +130,12 @@ func (pp *pipePlan) fuses() bool {
 	return true
 }
 
-// extractProto is the universal table's zero-row schema for a metadata
-// batch: the meta columns plus the two data columns extraction appends.
-func extractProto(meta *column.Batch) (*column.Batch, error) {
+// ExtractProto is the universal table's zero-row schema for a metadata
+// batch: the meta columns plus the two data columns extraction appends,
+// restricted to cols (in that order) when non-nil. It is the single
+// definition of what an extraction emits — the pipeline types its stages
+// from it and the extraction source lays its rows out by it.
+func ExtractProto(meta *column.Batch, cols []string) (*column.Batch, error) {
 	p := meta.Gather([]int32{})
 	if err := p.AddColumn(column.NewTimestamps("D.sample_time", nil)); err != nil {
 		return nil, err
@@ -139,7 +143,18 @@ func extractProto(meta *column.Batch) (*column.Batch, error) {
 	if err := p.AddColumn(column.NewFloat64s("D.sample_value", nil)); err != nil {
 		return nil, err
 	}
-	return p, nil
+	if cols == nil {
+		return p, nil
+	}
+	listed := make([]*column.Column, len(cols))
+	for i, name := range cols {
+		c, ok := p.Col(name)
+		if !ok {
+			return nil, fmt.Errorf("plan: extract column %q is not in the universal table (have %v)", name, p.Names())
+		}
+		listed[i] = c
+	}
+	return column.NewBatch(listed...)
 }
 
 // pipeRun is one pipelined execution in flight: the segment being assembled
@@ -336,16 +351,15 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: extract source %T cannot stream", env.Source)
 		}
-		if r.src, err = ss.ExtractStream(meta, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+		if r.src, err = ss.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+			return nil, err
+		}
+		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {
 			return nil, err
 		}
 		if rc, ok := r.src.(RowsServedCounter); ok {
-			r.reports = append(r.reports, func() {
-				o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows", rc.RowsServed()))
-			})
-		}
-		if r.proto, err = extractProto(meta); err != nil {
-			return nil, err
+			width := r.proto.NumCols()
+			r.reports = append(r.reports, func() { extractEvent(o, rc.RowsServed(), width) })
 		}
 	}
 

@@ -267,3 +267,91 @@ func TestBuildSelectStarDataview(t *testing.T) {
 		t.Errorf("SELECT * should have no Project:\n%s", Render(p.Root))
 	}
 }
+
+// extractCols builds q in mode and returns its LazyExtract's Cols.
+func extractCols(t *testing.T, q string, mode Mode) []string {
+	t.Helper()
+	p := build(t, q, mode)
+	le, _ := findNode(p.Root, func(n Node) bool { _, ok := n.(*LazyExtract); return ok }).(*LazyExtract)
+	if le == nil {
+		t.Fatalf("no LazyExtract in %v plan:\n%s", mode, Render(p.Root))
+	}
+	return le.Cols
+}
+
+// TestBuildNarrowsLazyExtract checks the needed-column set Build records on
+// the run-time rewrite site: exactly the dataview columns referenced above
+// it, in canonical order; nil (full width) for a bare spine and for any
+// reference that is not an exact dataview column; one carrier for a query
+// that reads nothing.
+func TestBuildNarrowsLazyExtract(t *testing.T) {
+	cases := []struct {
+		name, q string
+		want    []string // nil = full width
+	}{
+		{"group key and filtered aggregate",
+			`SELECT F.station, AVG(D.sample_value) FROM mseed.dataview WHERE D.sample_value > 0 GROUP BY F.station`,
+			[]string{"F.station", "D.sample_value"}},
+		{"count star keeps a carrier", `SELECT COUNT(*) FROM mseed.dataview`, []string{"F.file_id"}},
+		{"canonical order, not reference order",
+			`SELECT D.sample_value, R.num_samples * 2, F.network FROM mseed.dataview ORDER BY R.seqno`,
+			[]string{"F.network", "R.num_samples", "D.sample_value"}},
+		{"order by reads the projection, not the spine",
+			`SELECT F.station AS s, COUNT(*) AS n FROM mseed.dataview GROUP BY F.station ORDER BY n DESC, s`,
+			[]string{"F.station"}},
+		{"select star", `SELECT * FROM mseed.dataview WHERE D.sample_value > 0`, nil},
+		{"select star sorted and limited", `SELECT * FROM mseed.dataview ORDER BY D.sample_time LIMIT 3`, nil},
+		{"unknown column under a dataview alias", `SELECT F.nosuch, D.sample_value FROM mseed.dataview`, nil},
+		{"join key the view drops", `SELECT R.file_id FROM mseed.dataview`, nil},
+		{"unqualified reference", `SELECT COUNT(*) FROM mseed.dataview WHERE sample_value > 0`, nil},
+	}
+	for _, tc := range cases {
+		for _, mode := range []Mode{Lazy, External} {
+			got := extractCols(t, tc.q, mode)
+			if (got == nil) != (tc.want == nil) || strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Errorf("%s (%v): Cols = %v, want %v", tc.name, mode, got, tc.want)
+			}
+		}
+	}
+	// Lazy mode runs metadata predicates below the extract, where they cost
+	// no column; External mode filters above it and reads them there.
+	metaQ := `SELECT MAX(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK' AND R.seqno < 5`
+	if got := strings.Join(extractCols(t, metaQ, Lazy), ","); got != "D.sample_time" {
+		t.Errorf("lazy-mode metadata predicates: Cols = %q", got)
+	}
+	if got := strings.Join(extractCols(t, metaQ, External), ","); got != "F.station,R.seqno,D.sample_time" {
+		t.Errorf("external-mode metadata predicates: Cols = %q", got)
+	}
+}
+
+// TestSpineNeedsUnderJoin covers the shape Build never emits but Execute
+// accepts: the extract as the probe side of a join. The join's left keys
+// are read from it; names under the build side's alias are not its to
+// provide and do not force full width.
+func TestSpineNeedsUnderJoin(t *testing.T) {
+	le := &LazyExtract{Meta: &Scan{Table: catalog.TableFiles, Prefix: "F."}}
+	root := &Project{
+		Child: &Join{
+			L: le, R: &Scan{Table: catalog.TableRecords, Prefix: "G."},
+			LKeys: []string{"F.file_id", "R.seqno"}, RKeys: []string{"G.file_id", "G.seqno"},
+		},
+		Exprs: []sql.Expr{&sql.ColumnRef{Name: "G.num_samples"}, &sql.ColumnRef{Name: "D.sample_value"}},
+		Names: []string{"G.num_samples", "D.sample_value"},
+	}
+	leaf, needed, narrow := spineNeeds(root)
+	if leaf != Node(le) || !narrow {
+		t.Fatalf("spineNeeds: leaf %T, narrow %v", leaf, narrow)
+	}
+	for _, name := range []string{"F.file_id", "R.seqno", "G.file_id", "G.seqno", "G.num_samples", "D.sample_value"} {
+		if !needed[name] {
+			t.Errorf("spineNeeds misses %s: %v", name, needed)
+		}
+	}
+	narrowExtract(root)
+	if got := strings.Join(le.Cols, ","); got != "F.file_id,R.seqno,D.sample_value" {
+		t.Errorf("Cols under a join = %q", got)
+	}
+	if got := Render(root); !strings.Contains(got, "(columns: F.file_id, R.seqno, D.sample_value)") {
+		t.Errorf("plan display hides the narrowed list:\n%s", got)
+	}
+}

@@ -184,57 +184,13 @@ spine:
 	}
 	info.Reordered = true
 
-	// Projection pushdown: collect every column the operators above the
-	// spine reference (plus join keys and scan predicates); the rebuilt
-	// scans then carry only those, so the reordered intermediates and the
-	// restore step never materialize columns nothing reads. Only safe when
-	// upper operators exist — a bare spine's output is the result itself
-	// and must keep the full canonical width.
+	// Projection pushdown: the rebuilt scans carry only the columns the
+	// spine's consumer reads (spineNeeds covers the operators above the
+	// spine, its filters, join keys and scan predicates), so the reordered
+	// intermediates and the restore step never materialize columns nothing
+	// reads.
 	cat := store.Catalog()
-	needed := make(map[string]bool)
-	addRefs := func(e sql.Expr) {
-		sql.WalkColumnRefs(e, func(ref *sql.ColumnRef) { needed[ref.Name] = true })
-	}
-	for _, p := range path {
-		switch x := p.(type) {
-		case *Project:
-			for _, e := range x.Exprs {
-				addRefs(e)
-			}
-		case *Sort:
-			for _, k := range x.Keys {
-				addRefs(k.Expr)
-			}
-		case *Aggregate:
-			for _, e := range x.GroupBy {
-				addRefs(e)
-			}
-			for _, a := range x.Aggs {
-				if a.Arg != nil {
-					addRefs(a.Arg)
-				}
-			}
-		}
-	}
-	for _, f := range filters {
-		for _, e := range f.Preds {
-			addRefs(e)
-		}
-	}
-	for _, j := range joins {
-		for _, k := range j.LKeys {
-			needed[k] = true
-		}
-		for _, k := range j.RKeys {
-			needed[k] = true
-		}
-	}
-	for _, s := range scans {
-		for _, e := range s.Preds {
-			addRefs(e)
-		}
-	}
-	narrow := len(path) > 0
+	_, needed, narrow := spineNeeds(root)
 
 	// Canonical output: the SQL-order plan's columns (each join drops its
 	// own right keys), in SQL order — restricted to the needed set when

@@ -60,6 +60,53 @@ var pipelineMatrixQueries = []string{
 	 WHERE r.num_samples > 0 GROUP BY f.station ORDER BY f.station`,
 }
 
+// narrowMatrixQueries are chosen by which universal-table columns they read,
+// because the pipelined extraction replicates only those while the
+// NoPipeline reference extracts all 24: nothing but a row count; one D.*
+// column or the other; an R.* expression in the select list and the sort
+// key; string group keys beside a D.* filter; and a bare SELECT *, which
+// must stay full width.
+var narrowMatrixQueries = []string{
+	`SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`,
+	`SELECT MIN(D.sample_time), MAX(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK'`,
+	`SELECT SUM(D.sample_value) FROM mseed.dataview WHERE F.station = 'HGN'`,
+	`SELECT R.seqno, R.num_samples * 2, D.sample_time FROM mseed.dataview
+	 WHERE F.station = 'ISK' AND F.channel = 'BHE' AND D.sample_value > 100
+	 ORDER BY R.num_samples * 2 DESC, D.sample_time LIMIT 50`,
+	`SELECT F.channel, F.station, COUNT(*), AVG(D.sample_value) FROM mseed.dataview
+	 WHERE D.sample_value > 0 GROUP BY F.channel, F.station`,
+	selectStarQuery,
+}
+
+const selectStarQuery = `SELECT * FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE' LIMIT 40`
+
+// joinedExtractPlan is the dataview under an explicit join — a shape Build
+// never emits but Execute accepts: the narrowed extraction (filtered on a
+// D.* column) probes a build of mseed.records, and the projection reads
+// one column from each side. Cols is what Build's needed-column walk
+// derives for this tree (plan.TestSpineNeedsUnderJoin).
+func joinedExtractPlan(t *testing.T) plan.Node {
+	return &plan.Project{
+		Child: &plan.Join{
+			L: &plan.Filter{
+				Child: &plan.LazyExtract{
+					Meta: &plan.Join{
+						L:     &plan.Scan{Table: catalog.TableFiles, Prefix: "F.", Preds: sql.SplitConjuncts(mustWhere(t, "F.channel = 'BHZ'"))},
+						R:     &plan.Scan{Table: catalog.TableRecords, Prefix: "R."},
+						LKeys: []string{"F.file_id"}, RKeys: []string{"R.file_id"},
+					},
+					Cols: []string{"F.file_id", "F.station", "R.seqno", "D.sample_value"},
+				},
+				Preds: sql.SplitConjuncts(mustWhere(t, "D.sample_value > 0")),
+			},
+			R:     &plan.Scan{Table: catalog.TableRecords, Prefix: "G."},
+			LKeys: []string{"F.file_id", "R.seqno"}, RKeys: []string{"G.file_id", "G.seqno"},
+		},
+		Exprs: []sql.Expr{&sql.ColumnRef{Name: "F.station"}, &sql.ColumnRef{Name: "G.num_samples"}, &sql.ColumnRef{Name: "D.sample_value"}},
+		Names: []string{"F.station", "G.num_samples", "D.sample_value"},
+	}
+}
+
 // eagerMatrixQuery runs the dataview over the loaded data table: a
 // three-table join spine under a filter and a grouped aggregate.
 const eagerMatrixQuery = `SELECT F.station, COUNT(*), AVG(D.sample_value) FROM mseed.dataview
@@ -107,8 +154,11 @@ func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
 // morsel sizes x memory budgets and requires output bit-identical to the
 // serial reference (NoPipeline, one worker, unlimited) — from pipelines
 // alone: under no budget may a span of the reference engine appear. The
-// 4 KiB budget spills every join build, so each cell also crosses the
-// spilled-build breaker, and must leave ledgers and the spill root idle.
+// reference extracts the universal table at full width, the pipelines only
+// the columns each statement reads, so every lazy and external cell also
+// compares narrow against wide. The 4 KiB budget spills every join build,
+// so each cell also crosses the spilled-build breaker, and must leave
+// ledgers and the spill root idle.
 func TestPipelineOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
 	// Spill dirs go under the system temp dir; point it at a private root
@@ -120,7 +170,10 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		mode    Mode
 		queries []string
 	}{
-		{Lazy, pipelineMatrixQueries},
+		{Lazy, append(append([]string(nil), pipelineMatrixQueries...), narrowMatrixQueries...)},
+		// External mode filters metadata above the extraction, so the same
+		// statements read a different column set there.
+		{External, narrowMatrixQueries},
 		// joinQ's spine is reordered, so its aggregate sits above the
 		// order-restoration breaker and is fed the restored batch.
 		{Eager, []string{eagerMatrixQuery, joinQ}},
@@ -140,6 +193,27 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		}
 		if got := ref.Stats().Exec.Pipelines; got != 0 {
 			t.Fatalf("oracle warehouse ran %d pipelines despite NoPipeline", got)
+		}
+		var joined plan.Node
+		if m.mode == Lazy {
+			joined = joinedExtractPlan(t)
+			b, err := plan.Execute(joined, &plan.Env{Store: ref.store.Snapshot(), Source: ref.engine, NoPipeline: true})
+			if err != nil {
+				t.Fatalf("oracle, dataview under a join: %v", err)
+			}
+			if b.NumRows() == 0 {
+				t.Fatal("oracle, dataview under a join: no rows; the cell is vacuous")
+			}
+			want["joined"] = renderExact(b)
+		}
+		if star, ok := want[selectStarQuery]; ok {
+			var names []string
+			for _, cd := range catalog.DataviewColumns() {
+				names = append(names, cd.Name)
+			}
+			if header, _, _ := strings.Cut(star, "\n"); header != strings.Join(names, ",") {
+				t.Fatalf("SELECT * is not the dataview's columns in order: %s", header)
+			}
 		}
 
 		for _, workers := range []int{1, 2, 8} {
@@ -239,8 +313,8 @@ type trackedSource struct {
 	opened, closed int
 }
 
-func (s *trackedSource) ExtractStream(meta *column.Batch, prune *plan.PruneRange, o plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
-	src, err := s.Engine.ExtractStream(meta, prune, o, morselRows, led)
+func (s *trackedSource) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, o plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.Engine.ExtractStream(meta, cols, prune, o, morselRows, led)
 	if err != nil || src == nil {
 		return src, err
 	}

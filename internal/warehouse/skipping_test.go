@@ -89,10 +89,28 @@ JOIN mseed.files F ON D.file_id = F.file_id
 WHERE F.station = 'ISK'
 GROUP BY F.station`
 
+// joinStarQ is joinQ's spine with no operator redefining the output: the
+// sort and the limit read the spine, but the result is still every column
+// of it, so the reordered plan must not narrow its scans. (It once did:
+// ORDER BY made the spine look consumed and SELECT * came back four
+// columns wide.)
+const joinStarQ = `SELECT *
+FROM mseed.data D
+JOIN mseed.records R ON D.file_id = R.file_id AND D.seqno = R.seqno
+JOIN mseed.files F ON D.file_id = F.file_id
+WHERE F.station = 'ISK'
+ORDER BY D.sample_value, D.sample_time LIMIT 5`
+
 // TestJoinReorderOracle checks that the stats-driven join order actually
 // reorders the spine (smallest estimated build side first) and that the
 // provenance-restored result stays bit-identical to the SQL-order oracle.
 func TestJoinReorderOracle(t *testing.T) {
+	for _, q := range []string{joinQ, joinStarQ} {
+		testJoinReorderOracle(t, q)
+	}
+}
+
+func testJoinReorderOracle(t *testing.T, joinQ string) {
 	dir := genRepo(t, 3000)
 	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, NoSkipping: true})
 	if err != nil {

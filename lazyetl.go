@@ -7,10 +7,11 @@
 // Lazy mode the initial load reads only metadata (file and record headers),
 // so the warehouse is queryable near-instantly; waveform samples are
 // extracted, transformed and cached on demand, per query, for exactly the
-// records that survive the query's metadata predicates. Eager mode performs
-// the traditional full initial load, and External mode models external-
-// table access (query-time extraction without metadata pruning) as a
-// baseline.
+// records that survive the query's metadata predicates — and only the
+// universal-table columns the statement reads are materialized per sample.
+// Eager mode performs the traditional full initial load, and External mode
+// models external-table access (query-time extraction without metadata
+// pruning) as a baseline.
 //
 // Query execution is morsel-driven parallel: Options.Workers sets the
 // worker count (0 = GOMAXPROCS, 1 = the serial engine); results are
