@@ -123,7 +123,7 @@ func main() {
 	fmt.Printf("lazyetld: %v warehouse over %s: %d files, %d records loaded in %v\n",
 		mode, *repoDir, ist.Files, ist.Records, time.Since(start).Round(time.Millisecond))
 
-	srv := &http.Server{Addr: *addr, Handler: newServer(w, *perClient)}
+	srv := newHTTPServer(*addr, newServer(w, *perClient))
 
 	if *pprofAddr != "" {
 		pmux := http.NewServeMux()
@@ -133,7 +133,7 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, pmux); err != nil {
+			if err := newHTTPServer(*pprofAddr, pmux).ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "lazyetld: pprof listener: %v\n", err)
 			}
 		}()
@@ -159,6 +159,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("lazyetld: drained, bye")
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and never finishes a
+// request cannot hold them (and their goroutines) forever. The body and the
+// response are deliberately unbounded: a cold query may run for minutes.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds every listener lazyetld runs.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func fatal(err error) {

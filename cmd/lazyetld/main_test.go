@@ -456,3 +456,16 @@ func TestJSONValue(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerBoundsHeaderRead checks the server main runs: it must not
+// wait forever on a connection that never sends its request headers.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler != http.Handler(h) {
+		t.Errorf("server built for %q with handler %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
-	"repro/internal/sql"
 )
 
 // benchEngine builds an engine over a generated repository and returns it
@@ -132,31 +131,20 @@ var assembleSink *column.Batch
 // is the bytes written per pass (8 per numeric value, 16 per string header).
 func BenchmarkAssemble(b *testing.B) {
 	e, _ := benchEngine(b, Options{})
-	stmt, err := sql.Parse(`SELECT * FROM mseed.dataview`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plans, err := plan.Build(stmt, e.store.Catalog(), plan.Lazy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: e.store})
-	if err != nil {
-		b.Fatal(err)
-	}
+	meta := dataviewMeta(b, e.store, `SELECT * FROM mseed.dataview`)
 	if _, err := e.Extract(meta, nil, plan.NopObserver{}); err != nil {
 		b.Fatal(err)
 	}
-	pr, err := e.prepare(meta, nil, plan.NopObserver{}, false)
+	sink, runs, err := e.prepare(meta, nil, plan.NopObserver{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(pr.missIdx) != 0 {
-		b.Fatalf("%d records missed the warmed recycler", len(pr.missIdx))
+	if len(runs) != 0 {
+		b.Fatalf("%d runs missed the warmed recycler", len(runs))
 	}
 	var chunks [][]segment
 	samples := exec.DefaultMorselRows
-	for i, ent := range pr.sink.entries {
+	for i, ent := range sink.entries {
 		if samples >= exec.DefaultMorselRows {
 			chunks, samples = append(chunks, nil), 0
 		}
@@ -197,7 +185,7 @@ func BenchmarkAssemble(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(w.name, func(segs []segment) *column.Batch {
-			out, err := layout(meta, proto, segs, nil, nil)
+			out, err := layout(meta, proto, segs)
 			if err != nil {
 				b.Fatal(err)
 			}

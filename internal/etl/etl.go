@@ -5,37 +5,40 @@
 //     transforms it, and bulk-loads the three warehouse tables.
 //   - Lazy ETL: LoadMetadata performs the metadata-only initial load
 //     (header scans, no payloads); actual data is extracted at query time
-//     by Extract and ExtractStream, which implement plan.ExtractSource and
-//     plan.StreamSource — the run-time rewriting operator asks for the
-//     universal-table rows of exactly the records that survived the
-//     metadata predicates, consulting the recycler cache first (lazy
-//     loading) and applying record- and value-level transformations at the
-//     end of extraction (§3.2). Lazy goes for columns as for records: the
-//     stream a query runs on replicates only the metadata columns the
-//     statement reads (plan.LazyExtract.Cols); Extract, the materializing
-//     reference, always lays out all of them.
+//     by ExtractStream, which implements plan.ExtractSource — the run-time
+//     rewriting operator asks for the universal-table rows of exactly the
+//     records that survived the metadata predicates, consulting the
+//     recycler cache first (lazy loading) and applying record- and
+//     value-level transformations at the end of extraction (§3.2). Lazy
+//     goes for columns as for records: the stream replicates only the
+//     metadata columns the statement reads (plan.LazyExtract.Cols).
 //
 // # Extraction data path
 //
-// Cache misses are not read record by record. Per file, the missed records
-// are sorted by offset and coalesced into runs — groups of records whose
-// byte ranges are adjacent (or separated by gaps small enough that reading
-// through them beats paying another syscall). Each run costs one ReadAt
-// into a pooled per-worker scratch buffer; headers and payloads then parse
-// from memory and Steim payloads decode through the unrolled, allocation-
-// free decoder into a pooled sample buffer. Whole-file prefetch
-// (PrefetchWholeFile) is a single run covering the file, scanned with
-// mseed.ScanBuffer.
+// There is one extraction driver, the morsel stream (stream.go). Pass 1
+// (prepare) closes out the records the zone maps prune and the records the
+// recycler holds; what is left are misses, and misses are not read record
+// by record. Per file, the missed records are sorted by offset and
+// coalesced into runs — groups of records whose byte ranges are adjacent
+// (or separated by gaps small enough that reading through them beats
+// paying another syscall). Each run costs one ReadAt into a pooled
+// per-worker scratch buffer; headers and payloads then parse from memory
+// and Steim payloads decode through the unrolled, allocation-free decoder
+// into a pooled sample buffer. Whole-file prefetch (PrefetchWholeFile) is a
+// single run covering the file, scanned with mseed.ScanBuffer.
 //
-// With Options.Parallelism > 1 the worker pool operates on runs, not files,
-// so extraction parallelizes within a single large file as well as across
-// files. Every run owns a disjoint set of metadata-row indices and writes
-// only those rows' output segments, and one helper (layout) writes the
-// universal table's rows for the batch and the stream alike, so the
-// assembled output is bit-identical at every Parallelism setting, on either
-// path and at every width; when several runs fail,
-// the error surfaced is deterministically that of the earliest run (file
-// order, then offset order) rather than the race winner.
+// Options.Parallelism prefetch workers claim runs — not files, so
+// extraction parallelizes within a single large file as well as across
+// files — in plan order, ahead of the consumer, which assembles the rows
+// of finished runs into morsels and extracts inline any run it reaches
+// before a worker does. Every run owns a disjoint set of metadata-row
+// indices and delivers only those rows' entries, and one helper (layout)
+// writes the universal table's rows in metadata-row order, so the output
+// is bit-identical at every Parallelism setting, morsel size and width;
+// when several runs fail, the error surfaced is deterministically that of
+// the earliest run (file order, then offset order) rather than the race
+// winner. Extract, the materializing reference, is that same stream
+// drained as one full-width morsel (plan.ExtractAll).
 package etl
 
 import (
@@ -70,9 +73,10 @@ type Options struct {
 	// DisableCache turns the recycler into a pass-through (every extraction
 	// re-reads the source), an experimental baseline.
 	DisableCache bool
-	// Parallelism is the number of files extracted concurrently during a
-	// lazy query (an extension over the paper's sequential extractor).
-	// 0 or 1 means sequential.
+	// Parallelism is the number of prefetch workers an extraction stream
+	// runs over its coalesced runs, reading and decoding ahead of the
+	// consumer (an extension over the paper's sequential extractor). 0 or 1
+	// means one. Neither frontend sets it, so served queries run with one.
 	Parallelism int
 }
 
@@ -126,8 +130,8 @@ type Engine struct {
 	cache       *recycler.Cache
 	opts        Options
 
-	// xstats counters are updated atomically; extraction may run on a
-	// worker pool.
+	// xstats counters are updated atomically: prefetch workers and the
+	// consumer extract concurrently.
 	xstats extractCounters
 
 	// scratch pools per-worker extraction buffers (run bytes and decoded
@@ -346,14 +350,6 @@ func (e *Engine) RefreshAll() (Stats, error) {
 func (e *Engine) transform(h *mseed.Header, samples []int32) (times []int64, values []float64) {
 	times = make([]int64, len(samples))
 	values = make([]float64, len(samples))
-	e.transformInto(h, samples, times, values)
-	return times, values
-}
-
-// transformInto is transform writing into caller-provided slices (the run
-// extractor transforms straight into the universal-table vectors). times and
-// values must have len(samples) elements.
-func (e *Engine) transformInto(h *mseed.Header, samples []int32, times []int64, values []float64) {
 	startNs := h.StartNanos()
 	rate := h.SampleRate()
 	for i, s := range samples {
@@ -368,6 +364,7 @@ func (e *Engine) transformInto(h *mseed.Header, samples []int32, times []int64, 
 		}
 		values[i] = v
 	}
+	return times, values
 }
 
 // filesBuilder accumulates mseed.files rows columnarly.

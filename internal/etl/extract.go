@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -58,7 +56,7 @@ const (
 )
 
 // fileState is everything extraction needs to know about one source file.
-// The stat happens once per Extract call (staleness check); the file is
+// The stat happens once per extraction (staleness check); the file is
 // opened only if it has cache misses.
 type fileState struct {
 	uri   string
@@ -79,30 +77,21 @@ type runPlan struct {
 	prefetch bool  // whole-file prefetch run (PrefetchWholeFile)
 }
 
-// extractSink owns the output of one Extract call. Workers deliver decoded
-// records through it; rows are disjoint across runs so no locking is needed
-// beyond the cache's own.
+// extractSink collects the records of one extraction. Workers deliver
+// decoded records through it; rows are disjoint across runs so no locking is
+// needed beyond the cache's own.
 type extractSink struct {
 	e    *Engine
 	seqs []int64
 	offs []int64
 
 	// lens[i] is the expected sample count of row i (actual count for cache
-	// hits, R.num_samples for misses); -1 when unknown.
+	// hits, R.num_samples for misses); -1 when unknown. It sizes a run's
+	// ledger charge, never the output.
 	lens []int
-	// direct: lens are all known, so the output vectors are pre-sized and
-	// workers transform misses straight into their segments at starts[i].
-	direct  bool
-	starts  []int
-	dTimes  []int64
-	dValues []float64
-
-	// entries holds rows that did not go through the direct path: cache
-	// hits, prefetch-served records, and records whose decoded length
-	// disagreed with the metadata (stale files). misfit flags the latter;
-	// the assembly then recomputes the layout from actual lengths.
+	// entries[i] holds row i's samples once delivered: a cache hit, a
+	// decoded record, or prunedEntry.
 	entries []*recycler.Entry
-	misfit  atomic.Bool
 
 	// quiet is set when the observer is the no-op observer, letting the
 	// hot path skip formatting per-record messages nobody will read.
@@ -116,8 +105,7 @@ type extractSink struct {
 }
 
 // prunedEntry marks rows dropped by zone-map pruning: a shared empty entry,
-// so downstream assembly (batch and stream alike) sees a delivered row that
-// contributes zero samples.
+// so the stream sees a delivered row that contributes zero samples.
 var prunedEntry = &recycler.Entry{}
 
 // zonesPut collects a record's zone entry from its transformed values and
@@ -127,144 +115,56 @@ func (e *Engine) zonesPut(fs *fileState, seqno int, values []float64) {
 	e.store.Zones().Put(fs.uri, fs.mtime, seqno, catalog.CollectZone(values))
 }
 
-// deliver hands one decoded record to the sink. Called from workers; i is
-// owned exclusively by the calling run.
+// deliver hands one decoded record to the sink: transformed, zone-mapped,
+// parked for the consumer and offered to the recycler. The entry carries
+// the record's actual length, so a file whose sample counts went stale
+// after the metadata load still lays out correctly. Called from workers; i
+// is owned exclusively by the calling run.
 func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []int32) {
 	e := s.e
-	key := recycler.Key{URI: fs.uri, SeqNo: int(s.seqs[i])}
-	if s.direct && len(samples) == s.lens[i] {
-		o := s.starts[i]
-		times := s.dTimes[o : o+len(samples)]
-		values := s.dValues[o : o+len(samples)]
-		e.transformInto(h, samples, times, values)
-		e.zonesPut(fs, int(s.seqs[i]), values)
-		if e.cache.Enabled() {
-			ent := &recycler.Entry{
-				Times:     append([]int64(nil), times...),
-				Values:    append([]float64(nil), values...),
-				FileMtime: fs.mtime,
-			}
-			e.cache.Admit(key, ent)
-		}
-		return
-	}
 	times, values := e.transform(h, samples)
 	e.zonesPut(fs, int(s.seqs[i]), values)
 	ent := &recycler.Entry{Times: times, Values: values, FileMtime: fs.mtime}
 	s.entries[i] = ent
-	if s.direct {
-		s.misfit.Store(true)
-	}
-	e.cache.Admit(key, ent)
+	e.cache.Admit(recycler.Key{URI: fs.uri, SeqNo: int(s.seqs[i])}, ent)
 }
 
-// Extract implements plan.ExtractSource. meta holds the metadata rows that
-// survived the metadata predicates (one per qualifying mSEED record, with
-// F.* and R.* columns); the result is the universal-table batch at full
-// width: every meta column replicated per sample plus D.sample_time and
-// D.sample_value. It is the materializing reference (Env.NoPipeline) and
-// the warm-up call of benchmarks; queries run on ExtractStream, which
-// emits only the columns they read.
-//
-// This is the run-time half of lazy extraction (§3.1): for each qualifying
-// record the injected operator is either a cache read or a file extraction,
-// and each injection is reported to the observer. Misses are read in
-// coalesced runs (see the package documentation) so a cold-cache query
-// costs O(1) syscalls and allocations per run, not per record.
-//
-// prune, when non-nil, is consulted against the zone maps collected by
-// earlier extractions: records whose zone entry proves no sample can pass
-// are skipped before any ReadAt or decode (they still yield a metadata row
-// with zero samples, which the enclosing data filter would have deleted
-// anyway). Records without a fresh zone entry always extract.
+// Extract returns the universal table of meta in one batch at full width:
+// every meta column replicated per sample plus D.sample_time and
+// D.sample_value. It drains one ExtractStream (plan.ExtractAll) — the
+// materializing reference (Env.NoPipeline) and the warm-up call of
+// benchmarks; queries consume the stream morsel by morsel, carrying only
+// the columns they read.
 func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
-	ext := plan.TraceSpan(obs).StartChild("extract")
-	pr, err := e.prepare(meta, prune, obs, true)
-	if err != nil {
-		return nil, err
-	}
-	sink := pr.sink
-	sink.readSpan = ext.Child("read")
-	sink.decodeSpan = ext.Child("decode")
-
-	// Pre-size the output layout when every row's length is known, so
-	// workers can transform misses straight into their segments.
-	if sink.direct {
-		n := meta.NumRows()
-		sink.starts = make([]int, n)
-		total := 0
-		for i, l := range sink.lens {
-			sink.starts[i] = total
-			total += l
-		}
-		sink.dTimes = make([]int64, total)
-		sink.dValues = make([]float64, total)
-	}
-
-	// Pass 2: extract the misses via coalesced runs on the worker pool.
-	if len(pr.missIdx) > 0 {
-		runs, opened, err := e.planRuns(pr.missIdx, pr.uris, pr.offs, pr.recLens, pr.stateOf, sink.quiet, obs)
-		if err != nil {
-			closeFiles(opened)
-			return nil, err
-		}
-		err = e.extractRuns(runs, sink, obs)
-		closeFiles(opened)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out, err := e.assemble(meta, sink)
-	if err != nil {
-		return nil, err
-	}
-	e.xstats.samplesServed.Add(int64(out.NumRows()))
-	ext.AddRows(int64(out.NumRows()))
-	ext.End()
-	return out, nil
+	return plan.ExtractAll(e, meta, prune, obs)
 }
 
-// extractPrep is the shared front half of an extraction: validated metadata
-// vectors, the per-file stat cache, and the sink with pass 1 (cache
-// lookups) already applied.
-type extractPrep struct {
-	uris    []string
-	seqs    []int64
-	offs    []int64
-	recLens []int64
-	stateOf func(string) (*fileState, error)
-	sink    *extractSink
-	missIdx []int
-}
-
-// prepare validates the metadata batch, stats the source files, and runs
-// pass 1: rows pruned by the zone maps are closed out immediately (zero
-// samples, no I/O), rows with a fresh cache entry are served (reported as
-// CacheRead injections), and the rest become missIdx. allowDirect enables
-// the pre-sized direct output layout when every miss length is known — the
-// batch path uses it, the streaming path always routes records through
-// entries.
-func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer, allowDirect bool) (*extractPrep, error) {
+// prepare is the front half of an extraction. It validates the metadata
+// batch, stats the source files, and runs pass 1: rows pruned by the zone
+// maps are closed out immediately (zero samples, no I/O), rows with a fresh
+// cache entry are served (reported as CacheRead injections), and the rest
+// are coalesced into the runs it returns beside the sink. No file is opened
+// here.
+func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*extractSink, []runPlan, error) {
 	uriCol, ok := meta.Col("F.uri")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
 	}
 	seqCol, ok := meta.Col("R.seqno")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks R.seqno")
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks R.seqno")
 	}
 	offCol, ok := meta.Col("R.file_offset")
 	if !ok {
-		return nil, fmt.Errorf("etl: extraction metadata lacks R.file_offset")
+		return nil, nil, fmt.Errorf("etl: extraction metadata lacks R.file_offset")
 	}
 	uris := uriCol.Strings()
 	seqs := seqCol.Int64s()
 	offs := offCol.Int64s()
 	n := meta.NumRows()
 
-	// Optional metadata that lets extraction pre-size runs and output:
-	// absent columns only cost performance, never correctness.
+	// Optional metadata that lets extraction pre-size runs and their ledger
+	// charge: absent columns only cost performance, never correctness.
 	var nums []int64
 	if c, ok := meta.Col("R.num_samples"); ok {
 		nums = c.Int64s()
@@ -313,11 +213,10 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 	zones := e.store.Zones()
 	var missIdx, prunedIdx []int
 	var cacheHits int64
-	sink.direct = allowDirect
 	for i := 0; i < n; i++ {
 		fs, err := stateOf(uris[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if prune != nil {
 			if z, ok := zones.Get(uris[i], fs.mtime, int(seqs[i])); ok && !prune.Admits(z) {
@@ -338,29 +237,26 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 			cacheHits++
 			continue
 		}
+		sink.lens[i] = -1
 		if nums != nil && nums[i] >= 0 {
 			sink.lens[i] = int(nums[i])
-		} else {
-			sink.lens[i] = -1
-			sink.direct = false
 		}
 		missIdx = append(missIdx, i)
 	}
 
+	runs := e.coalesce(missIdx, uris, offs, recLens, states)
 	if prune != nil {
-		// Count the reads pruning saved by replaying the run-coalescing
-		// arithmetic over the would-be miss set (pruned rows would all have
-		// been misses: a pruned record was extracted under an older query,
-		// whose cache entry may since have been evicted). No files are
-		// opened here — only the already-stat'ed sizes are consulted.
-		runsPlanned := e.countRuns(missIdx, uris, offs, recLens, stateOf)
+		// Count the reads pruning saved: coalesce the would-be miss set too
+		// (pruned rows would all have been misses: a pruned record was
+		// extracted under an older query, whose cache entry may since have
+		// been evicted).
 		runsSkipped := 0
 		if len(prunedIdx) > 0 {
 			all := make([]int, 0, len(missIdx)+len(prunedIdx))
 			all = append(all, missIdx...)
 			all = append(all, prunedIdx...)
 			sort.Ints(all)
-			runsSkipped = e.countRuns(all, uris, offs, recLens, stateOf) - runsPlanned
+			runsSkipped = len(e.coalesce(all, uris, offs, recLens, states)) - len(runs)
 			e.xstats.runsSkipped.Add(int64(runsSkipped))
 			e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
 			if !quiet {
@@ -370,7 +266,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		}
 		plan.ReportScan(obs, plan.ScanReport{
 			Target:         "extract",
-			Runs:           int64(runsPlanned),
+			Runs:           int64(len(runs)),
 			RunsSkipped:    int64(runsSkipped),
 			Records:        int64(len(missIdx)),
 			RecordsSkipped: int64(len(prunedIdx)),
@@ -398,73 +294,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		plan.ReportStamps(obs, stamps)
 	}
 
-	return &extractPrep{
-		uris:    uris,
-		seqs:    seqs,
-		offs:    offs,
-		recLens: recLens,
-		stateOf: stateOf,
-		sink:    sink,
-		missIdx: missIdx,
-	}, nil
-}
-
-// countRuns replays planRuns' coalescing arithmetic over idx (ascending meta
-// row indices) without opening any file, returning how many coalesced reads
-// the set would cost. Used to attribute saved reads to zone-map pruning.
-func (e *Engine) countRuns(idx []int, uris []string, offs, recLens []int64,
-	stateOf func(string) (*fileState, error)) int {
-	if len(idx) == 0 {
-		return 0
-	}
-	byFile := make(map[string][]int)
-	var fileOrder []string
-	for _, i := range idx {
-		if _, seen := byFile[uris[i]]; !seen {
-			fileOrder = append(fileOrder, uris[i])
-		}
-		byFile[uris[i]] = append(byFile[uris[i]], i)
-	}
-	if e.opts.PrefetchWholeFile {
-		return len(fileOrder) // one whole-file run per file
-	}
-	estLen := func(i int) int64 {
-		if recLens != nil && recLens[i] > 0 {
-			return recLens[i]
-		}
-		return fallbackRecordLen
-	}
-	runs := 0
-	for _, uri := range fileOrder {
-		fs, err := stateOf(uri) // already stat'ed in pass 1
-		if err != nil {
-			continue
-		}
-		rows := append([]int(nil), byFile[uri]...)
-		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
-		var curStart, curEnd int64
-		open := false
-		for _, i := range rows {
-			start := offs[i]
-			end := start + estLen(i)
-			if end > fs.size {
-				end = fs.size
-			}
-			if end < start {
-				end = start
-			}
-			if open && start <= curEnd+coalesceGap && end-curStart <= maxRunBytes {
-				if end > curEnd {
-					curEnd = end
-				}
-				continue
-			}
-			runs++
-			open = true
-			curStart, curEnd = start, end
-		}
-	}
-	return runs
+	return sink, runs, nil
 }
 
 func closeFiles(opened []*fileState) {
@@ -476,15 +306,16 @@ func closeFiles(opened []*fileState) {
 	}
 }
 
-// planRuns groups the missed rows by file (in first-appearance order, which
-// is the deterministic error-reporting order), opens each file once, sorts
-// each file's rows by offset and coalesces adjacent records into runs.
-func (e *Engine) planRuns(missIdx []int, uris []string, offs []int64, recLens []int64,
-	stateOf func(string) (*fileState, error), quiet bool, obs plan.Observer) ([]runPlan, []*fileState, error) {
-
+// coalesce groups the rows idx by file (in first-appearance order, which is
+// the deterministic error-reporting order), sorts each file's rows by
+// offset and coalesces adjacent records into runs. It is arithmetic over
+// the sizes pass 1 already stat'ed (states holds every file idx names): no
+// file is opened, so the zone-prune tally can ask what a set of rows would
+// have cost to read.
+func (e *Engine) coalesce(idx []int, uris []string, offs, recLens []int64, states map[string]*fileState) []runPlan {
 	byFile := make(map[string][]int)
 	var fileOrder []string
-	for _, i := range missIdx {
+	for _, i := range idx {
 		if _, seen := byFile[uris[i]]; !seen {
 			fileOrder = append(fileOrder, uris[i])
 		}
@@ -499,23 +330,8 @@ func (e *Engine) planRuns(missIdx []int, uris []string, offs []int64, recLens []
 	}
 
 	var runs []runPlan
-	var opened []*fileState
 	for _, uri := range fileOrder {
-		fs, err := stateOf(uri) // already populated in pass 1
-		if err != nil {
-			return nil, opened, err
-		}
-		f, err := os.Open(fs.path)
-		if err != nil {
-			return nil, opened, fmt.Errorf("etl: open %s: %w", uri, err)
-		}
-		fs.f = f
-		opened = append(opened, fs)
-		e.addTouched(1)
-		if !quiet {
-			obs.Event("open", uri)
-		}
-
+		fs := states[uri]
 		rows := byFile[uri]
 		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
 
@@ -544,61 +360,30 @@ func (e *Engine) planRuns(missIdx []int, uris []string, offs []int64, recLens []
 			cur = len(runs) - 1
 		}
 	}
-	return runs, opened, nil
+	return runs
 }
 
-// extractRuns drives the runs to completion, on a worker pool when
-// Parallelism > 1. Errors are collected per run; the one surfaced is that
-// of the earliest run in plan order (file order, then offset), so failures
-// report deterministically at every worker count.
-func (e *Engine) extractRuns(runs []runPlan, sink *extractSink, obs plan.Observer) error {
-	workers := e.opts.Parallelism
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	errs := make([]error, len(runs))
-	if workers <= 1 {
-		sc := e.getScratch()
-		for r := range runs {
-			if errs[r] = e.extractRun(&runs[r], sc, sink, obs); errs[r] != nil {
-				break
-			}
+// openRuns opens each run's file, once per file and in plan order, and
+// returns the files it opened — on error too, for the caller to close.
+func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fileState, error) {
+	var opened []*fileState
+	for r := range runs {
+		fs := runs[r].fs
+		if fs.f != nil {
+			continue
 		}
-		e.putScratch(sc)
-	} else {
-		// Runs are claimed in plan order off an atomic cursor, so when a
-		// claimed run fails, every run that precedes it in plan order was
-		// already claimed and will finish (and record its own error).
-		// Stopping new claims therefore cannot skip an earlier failure —
-		// the reported error stays the deterministic earliest one.
-		var failed atomic.Bool
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := e.getScratch()
-				defer e.putScratch(sc)
-				for !failed.Load() {
-					r := int(next.Add(1)) - 1
-					if r >= len(runs) {
-						return
-					}
-					if errs[r] = e.extractRun(&runs[r], sc, sink, obs); errs[r] != nil {
-						failed.Store(true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
+		f, err := os.Open(fs.path)
 		if err != nil {
-			return err
+			return opened, fmt.Errorf("etl: open %s: %w", fs.uri, err)
+		}
+		fs.f = f
+		opened = append(opened, fs)
+		e.xstats.filesTouched.Add(1)
+		if !quiet {
+			obs.Event("open", fs.uri)
 		}
 	}
-	return nil
+	return opened, nil
 }
 
 // extractRun performs one coalesced read and decodes its records. The run's
@@ -742,9 +527,6 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 		key := recycler.Key{URI: fs.uri, SeqNo: int(sink.seqs[i])}
 		if ent, hit := e.cache.Lookup(key, fs.mtime); hit {
 			sink.entries[i] = ent
-			if sink.direct && len(ent.Times) != sink.lens[i] {
-				sink.misfit.Store(true)
-			}
 			continue
 		}
 		// Cache budget too small to hold the prefetched file; decode this
@@ -765,14 +547,11 @@ type segment struct {
 }
 
 // layout writes the universal table's rows — the one place they are laid
-// out, for the batch path (assemble) and the stream (extractStream.Next)
-// alike: one output row per sample, segments in order, carrying exactly
+// out: one output row per sample, segments in order, carrying exactly
 // proto's columns (plan.ExtractProto). A listed metadata column is
 // run-filled, each segment's row value repeated once per sample; the D.*
-// vectors are allocated and copied from the segments only when listed,
-// unless the caller hands them over already in output layout (dTimes and
-// dValues non-nil: the batch path's pre-sized vectors).
-func layout(meta, proto *column.Batch, segs []segment, dTimes []int64, dValues []float64) (*column.Batch, error) {
+// vectors are allocated and copied from the segments only when listed.
+func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 	rows := make([]int32, len(segs))
 	counts := make([]int, len(segs))
 	total := 0
@@ -784,21 +563,17 @@ func layout(meta, proto *column.Batch, segs []segment, dTimes []int64, dValues [
 	for c := range cols {
 		switch name := proto.ColAt(c).Name(); name {
 		case "D.sample_time":
-			if dTimes == nil {
-				dTimes = make([]int64, total)
-				k := 0
-				for _, sg := range segs {
-					k += copy(dTimes[k:], sg.times)
-				}
+			dTimes := make([]int64, total)
+			k := 0
+			for _, sg := range segs {
+				k += copy(dTimes[k:], sg.times)
 			}
 			cols[c] = column.NewTimestamps(name, dTimes)
 		case "D.sample_value":
-			if dValues == nil {
-				dValues = make([]float64, total)
-				k := 0
-				for _, sg := range segs {
-					k += copy(dValues[k:], sg.values)
-				}
+			dValues := make([]float64, total)
+			k := 0
+			for _, sg := range segs {
+				k += copy(dValues[k:], sg.values)
 			}
 			cols[c] = column.NewFloat64s(name, dValues)
 		default:
@@ -811,45 +586,6 @@ func layout(meta, proto *column.Batch, segs []segment, dTimes []int64, dValues [
 	}
 	return column.NewBatch(cols...)
 }
-
-// assemble builds the full-width universal-table batch of an Extract call.
-// In direct mode the miss segments were already written by the workers into
-// the pre-sized vectors; when every length matched the metadata those
-// vectors are the output and only entry-backed rows (cache hits, prefetch
-// reads) are copied in. If any record's actual length disagreed (stale
-// metadata), or the layout was never pre-sized, the vectors are rebuilt
-// from the segments' actual lengths.
-func (e *Engine) assemble(meta *column.Batch, sink *extractSink) (*column.Batch, error) {
-	proto, err := plan.ExtractProto(meta, nil)
-	if err != nil {
-		return nil, err
-	}
-	fits := sink.direct && !sink.misfit.Load()
-	segs := make([]segment, meta.NumRows())
-	for i := range segs {
-		segs[i].row = int32(i)
-		if ent := sink.entries[i]; ent != nil {
-			segs[i].times, segs[i].values = ent.Times, ent.Values
-			fits = fits && len(ent.Times) == sink.lens[i]
-		} else {
-			o, l := sink.starts[i], sink.lens[i]
-			segs[i].times, segs[i].values = sink.dTimes[o:o+l], sink.dValues[o:o+l]
-		}
-	}
-	if !fits {
-		return layout(meta, proto, segs, nil, nil)
-	}
-	for i, ent := range sink.entries {
-		if ent != nil {
-			copy(sink.dTimes[sink.starts[i]:], ent.Times)
-			copy(sink.dValues[sink.starts[i]:], ent.Values)
-		}
-	}
-	return layout(meta, proto, segs, sink.dTimes, sink.dValues)
-}
-
-// addTouched counts one file open.
-func (e *Engine) addTouched(n int64) { e.xstats.filesTouched.Add(n) }
 
 // ExtractionStats returns cumulative lazy-extraction counters.
 func (e *Engine) ExtractionStats() ExtractStats {

@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/mseed"
+	"repro/internal/plan"
 	"repro/internal/repo"
+	"repro/internal/sql"
 )
 
 // newEngineAt opens an engine over an existing repository directory (unlike
@@ -90,11 +93,47 @@ func TestExtractZeroSampleRecord(t *testing.T) {
 	if got, want := b.Row(0)[0].I, int64(3000-orig); got != want {
 		t.Errorf("count = %d, want %d (zero-sample record must contribute no rows)", got, want)
 	}
+
+	// Zero rows are a result too, whichever way they come about: no
+	// qualifying record at all, or every record pruned by the zone maps the
+	// query above collected. Both yield the full-width header and no rows.
+	meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview WHERE F.station = 'HGN' AND F.channel = 'BHZ'`)
+	cond, err := sql.Parse(`SELECT x FROM t WHERE D.sample_value > 1e300`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := strings.Join(append(meta.Names(), "D.sample_time", "D.sample_value"), ",")
+	for _, c := range []struct {
+		name    string
+		meta    *column.Batch
+		prune   *plan.PruneRange
+		skipped int
+	}{
+		{"empty metadata batch", meta.Range(0, 0), nil, 0},
+		{"all records zone-pruned", meta, plan.CompilePrune(sql.SplitConjuncts(cond.Where)), meta.NumRows()},
+	} {
+		before := e.ExtractionStats()
+		out, err := e.Extract(c.meta, c.prune, plan.NopObserver{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := strings.Join(out.Names(), ","); out.NumRows() != 0 || got != header {
+			t.Errorf("%s: %d rows under [%s], want 0 under [%s]", c.name, out.NumRows(), got, header)
+		}
+		after := e.ExtractionStats()
+		if got := after.RecordsSkipped - before.RecordsSkipped; got != int64(c.skipped) {
+			t.Errorf("%s: zone maps skipped %d records, want %d", c.name, got, c.skipped)
+		}
+		if after.RunsRead != before.RunsRead || after.CacheReads != before.CacheReads {
+			t.Errorf("%s: read %d runs and %d cache entries for no rows", c.name,
+				after.RunsRead-before.RunsRead, after.CacheReads-before.CacheReads)
+		}
+	}
 }
 
 // TestExtractStaleSampleCountMisfit patches a record after the metadata
-// load, so the decoded length disagrees with R.num_samples and extraction
-// must fall back from the pre-sized layout to the misfit reassembly path.
+// load, so the decoded length disagrees with R.num_samples: extraction must
+// lay the output out from the length it decoded, not the one it was told.
 func TestExtractStaleSampleCountMisfit(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {

@@ -18,15 +18,30 @@ import (
 // stopped consuming, so a late Next is already being discarded.
 var errStreamClosed = errors.New("etl: extraction stream closed")
 
-// ExtractStream implements plan.StreamSource: the universal table delivered
-// as a morsel stream with extract/compute overlap. Pass 1 (cache lookups)
-// and run planning are identical to Extract; the difference is pass 2.
-// Background workers read and Steim-decode run N+1 while the consumer
-// assembles run N's rows into morsels, claiming runs in plan order under a
-// bounded window: at most workers+1 runs in flight, each admitted only if
-// its estimated footprint fits the memory ledger. When the budget denies
-// admission the consumer extracts the run it needs inline — overlap
-// degrades to the synchronous schedule instead of overshooting the budget.
+// ExtractStream implements plan.ExtractSource: the universal table of meta
+// delivered as a morsel stream. meta holds the metadata rows that survived
+// the metadata predicates (one per qualifying mSEED record, with F.* and
+// R.* columns).
+//
+// This is the run-time half of lazy extraction (§3.1): for each qualifying
+// record the injected operator is either a cache read or a file extraction,
+// and each injection is reported to the observer. Misses are read in
+// coalesced runs (see the package documentation) so a cold-cache query
+// costs O(1) syscalls and allocations per run, not per record.
+//
+// prune, when non-nil, is consulted against the zone maps collected by
+// earlier extractions: records whose zone entry proves no sample can pass
+// are skipped before any ReadAt or decode (they still yield a metadata row
+// with zero samples, which the enclosing data filter would have deleted
+// anyway). Records without a fresh zone entry always extract.
+//
+// Extraction overlaps compute: background workers read and Steim-decode run
+// N+1 while the consumer assembles run N's rows into morsels, claiming runs
+// in plan order under a bounded window — at most workers+1 runs in flight,
+// each admitted only if its estimated footprint fits the memory ledger.
+// When the budget denies admission the consumer extracts the run it needs
+// inline: overlap degrades to the synchronous schedule instead of
+// overshooting the budget.
 //
 // cols (plan.LazyExtract.Cols) lists the universal-table columns the query
 // reads; the morsels carry exactly those, nil meaning all of them. The full
@@ -34,14 +49,13 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // and lengths to read — only the per-sample output narrows, so a query that
 // reads two columns is not charged for replicating twenty-two more.
 //
-// Bit-identity with Extract holds row by row and column by column: every
-// record is decoded by the same extractRun, and morsels are laid out in
-// metadata-row order by the same layout helper, so the concatenation of
-// the morsel stream equals the listed columns of the materialized batch
-// exactly. Failures settle to the deterministic materializing error:
-// in-flight runs drain, remaining runs execute in plan order, and the
-// earliest failing run in plan order is the one reported — the same error
-// at every parallelism and budget.
+// The stream's content does not depend on how it is cut or scheduled:
+// morsels are laid out in metadata-row order by one helper (layout) from
+// entries each owned by one run, so the concatenation of the morsels is the
+// same rows, bit for bit, at every morselRows, Parallelism, width and
+// budget. Failures are as deterministic: in-flight runs drain, remaining
+// runs execute in plan order, and the earliest failing run in plan order is
+// the one reported (settleLocked).
 func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, obs plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
 	proto, err := plan.ExtractProto(meta, cols)
 	if err != nil {
@@ -51,12 +65,12 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
 	ext := plan.TraceSpan(obs).Child("extract-stream")
-	pr, err := e.prepare(meta, prune, obs, false)
+	sink, runs, err := e.prepare(meta, prune, obs)
 	if err != nil {
 		return nil, err
 	}
-	pr.sink.readSpan = ext.Child("read")
-	pr.sink.decodeSpan = ext.Child("decode")
+	sink.readSpan = ext.Child("read")
+	sink.decodeSpan = ext.Child("decode")
 	if morselRows <= 0 {
 		morselRows = exec.DefaultMorselRows
 	}
@@ -65,7 +79,8 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		meta:       meta,
 		proto:      proto,
 		obs:        obs,
-		sink:       pr.sink,
+		sink:       sink,
+		runs:       runs,
 		morselRows: morselRows,
 		n:          meta.NumRows(),
 		grant:      led.NewGrant(),
@@ -75,15 +90,10 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	}
 	s.cond = sync.NewCond(&s.mu)
 
-	if len(pr.missIdx) > 0 {
-		runs, opened, err := e.planRuns(pr.missIdx, pr.uris, pr.offs, pr.recLens, pr.stateOf, pr.sink.quiet, obs)
-		if err != nil {
-			closeFiles(opened)
-			s.grant.Close()
-			return nil, err
-		}
-		s.runs = runs
-		s.opened = opened
+	if s.opened, err = e.openRuns(runs, sink.quiet, obs); err != nil {
+		closeFiles(s.opened)
+		s.grant.Close()
+		return nil, err
 	}
 
 	s.rowRun = make([]int, s.n)
@@ -287,7 +297,7 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 	if s.gatherSpan != nil {
 		gatherStart = time.Now()
 	}
-	b, err := layout(s.meta, s.proto, segs, nil, nil)
+	b, err := layout(s.meta, s.proto, segs)
 	if err != nil {
 		return exec.Morsel{}, false, err
 	}
@@ -354,11 +364,12 @@ func (s *extractStream) waitRow(i int) error {
 	}
 }
 
-// settleLocked normalizes any failure to the deterministic materializing
-// error: stop new prefetch claims, drain in-flight runs, execute every
-// not-yet-run run inline in plan order, and report the error of the
-// earliest failing run — exactly what extractRuns surfaces. Caller holds
-// mu; the settled error is sticky.
+// settleLocked normalizes any failure to one deterministic error: stop new
+// prefetch claims, drain in-flight runs, execute every not-yet-run run
+// inline in plan order, and report the error of the earliest failing run —
+// whichever run failed first in wall-clock time, a serial extraction in
+// plan order would have stopped at that one. Caller holds mu; the settled
+// error is sticky.
 func (s *extractStream) settleLocked() error {
 	if s.failed != nil {
 		return s.failed

@@ -2,6 +2,7 @@ package etl
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -146,6 +147,26 @@ func TestStreamDeterministicReadFailure(t *testing.T) {
 	}
 }
 
+// dataviewMeta runs the metadata half of a lazy dataview query: the batch of
+// qualifying records (every F.* and R.* column) the run-time rewrite hands
+// to extraction.
+func dataviewMeta(t testing.TB, store *catalog.Store, q string) *column.Batch {
+	t.Helper()
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := plan.Build(stmt, store.Catalog(), plan.Lazy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
 // drainStream concatenates a stream's morsels onto proto's zero-row schema,
 // failing unless every morsel carries exactly proto's columns.
 func drainStream(t *testing.T, src exec.BatchSource, proto *column.Batch) *column.Batch {
@@ -180,10 +201,9 @@ func drainStream(t *testing.T, src exec.BatchSource, proto *column.Batch) *colum
 // morsels and plan.ExtractProto carry exactly the listed columns in the
 // listed order, and each column equals the same column of the full-width
 // Extract batch value for value — over metadata that holds a zero-sample
-// record, a record whose length went stale after the load (the batch
-// path's misfit re-layout) and records the zone maps prune, cold (every
-// record decoded: pre-sized vectors on the batch path, entries on the
-// stream) and warm (every record a cache hit).
+// record, a record whose length went stale after the load and records the
+// zone maps prune, cold (every record decoded) and warm (every record a
+// cache hit).
 func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 	for _, opts := range []Options{{DisableCache: true}, {Parallelism: 4}} {
 		e, store, _ := newEngine(t, 3000, opts)
@@ -198,18 +218,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		}
 		stale := patchRecordSampleCount(t, path, infos[2].Offset, 0) // zero samples, the metadata says otherwise
 
-		stmt, err := sql.Parse(`SELECT * FROM mseed.dataview WHERE F.station = 'HGN'`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans, err := plan.Build(stmt, store.Catalog(), plan.Lazy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
+		meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview WHERE F.station = 'HGN'`)
 
 		// A first pass collects the zone maps; the prune range is then set
 		// at half the largest sample so it drops some records, not all.
@@ -299,6 +308,80 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		}
 		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, plan.NopObserver{}, 61, nil); err == nil {
 			t.Error("ExtractStream accepted a column the universal table lacks")
+		}
+	}
+}
+
+// TestStreamMatchesEagerLoad pins the extraction stream against the one
+// oracle that shares no code with it: the eager loader, which reads every
+// file whole through mseed.ReadFile. Over one repository, the concatenated
+// morsels of a stream over every record must equal the mseed.data table
+// LoadAll builds on a second engine, row for row and bit for bit, at every
+// parallelism, morsel size and recycler state.
+func TestStreamMatchesEagerLoad(t *testing.T) {
+	_, _, dir := newEngine(t, 3000, Options{})
+	eager, eagerStore, _ := newEngineAt(t, dir, Options{})
+	if _, err := eager.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := eagerStore.Table(catalog.TableData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data.NumRows() != 15*3000 {
+		t.Fatalf("eager load holds %d samples, want %d", data.NumRows(), 15*3000)
+	}
+	cols := []string{"F.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
+
+	for _, p := range []int{1, 4} {
+		for _, morsel := range []int{61, 0} {
+			for _, disable := range []bool{false, true} {
+				e, store, _ := newEngineAt(t, dir, Options{Parallelism: p, DisableCache: disable})
+				if _, err := e.LoadMetadata(); err != nil {
+					t.Fatal(err)
+				}
+				meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview`)
+				proto, err := plan.ExtractProto(meta, cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Cold, then warm: with the recycler on, the second pass is
+				// all cache reads; with it off, a second full extraction.
+				for _, state := range []string{"cold", "warm"} {
+					before := e.ExtractionStats()
+					src, err := e.ExtractStream(meta, cols, nil, plan.NopObserver{}, morsel, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := drainStream(t, src, proto)
+					name := fmt.Sprintf("parallelism=%d morsel=%d cache-off=%v %s", p, morsel, disable, state)
+					after := e.ExtractionStats()
+					if hits := after.CacheReads - before.CacheReads; (hits == int64(meta.NumRows())) != (state == "warm" && !disable) {
+						t.Fatalf("%s: %d of %d records were cache reads", name, hits, meta.NumRows())
+					}
+					if got.NumRows() != data.NumRows() {
+						t.Fatalf("%s: stream delivered %d rows, the eager load %d", name, got.NumRows(), data.NumRows())
+					}
+					for c := 0; c < got.NumCols(); c++ {
+						gc, wc := got.ColAt(c), data.ColAt(c)
+						if gc.Type() == column.Float64 {
+							g, w := gc.Float64s(), wc.Float64s()
+							for i := range g {
+								if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+									t.Fatalf("%s: %s[%d] = %v on the stream, %s[%d] = %v eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
+								}
+							}
+							continue
+						}
+						g, w := gc.Int64s(), wc.Int64s()
+						for i := range g {
+							if g[i] != w[i] {
+								t.Fatalf("%s: %s[%d] = %d on the stream, %s[%d] = %d eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -110,7 +110,9 @@
 // The whole-batch functions Filter, Aggregate and HashJoin are the serial
 // reference: the planner's NoPipeline mode runs plans on them one operator
 // at a time, and the oracle tests hold every pipeline to their output bit
-// for bit.
+// for bit. The reference has operators of its own but no extractor of its
+// own: its input is the same extraction stream (BatchSource) a pipeline
+// consumes, drained into one full-width batch.
 //
 // # Memory governance and determinism
 //

@@ -2,29 +2,42 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sql"
 )
 
 // ExtractSource is implemented by the lazy ETL engine: given the metadata
-// rows that survived the metadata predicates (columns F.* and R.*), produce
-// the universal-table batch with the D.* columns attached. The source
-// reports each injected operator (cache read or file extraction) to the
-// observer — that is the run-time plan modification of §3.1 made visible.
-// Implementations may exploit additional metadata columns when present
-// (R.num_samples to pre-size output, F.record_length to coalesce adjacent
-// misses into run-granular reads) but must not require them.
+// rows that survived the metadata predicates (columns F.* and R.*), deliver
+// the universal table — those rows replicated once per sample, with the D.*
+// columns attached — as a morsel stream, overlapping read+decode of run N+1
+// with compute over run N. It is the only way a plan extracts: pipelines
+// consume the stream morsel by morsel, ExtractAll drains it into one batch.
+// The source reports each injected operator (cache read or file extraction)
+// to the observer — that is the run-time plan modification of §3.1 made
+// visible. Implementations may exploit additional metadata columns when
+// present (R.num_samples to size prefetch charges, F.record_length to
+// coalesce adjacent misses into run-granular reads) but must not require
+// them.
+//
+// cols is LazyExtract.Cols: the morsels are whole batches (no selection
+// vector) carrying exactly the columns of ExtractProto(meta, cols), nil
+// meaning the full width.
 //
 // prune, when non-nil, is the zone-map admissibility test for the records'
 // sample values: the source may drop records whose collected zone entry
 // fails it (never reading nor decoding them), because the enclosing Filter
 // would delete every one of their rows anyway. nil means extract everything.
+//
+// Prefetch buffers are charged to led (nil = unlimited), so overlap degrades
+// to synchronous extraction under budget pressure rather than blowing it.
 type ExtractSource interface {
-	Extract(meta *column.Batch, prune *PruneRange, obs Observer) (*column.Batch, error)
+	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // Observer receives the run-time injected operators and operational events.
@@ -205,7 +218,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := env.Source.Extract(meta, prune, obs)
+		out, err := ExtractAll(env.Source, meta, prune, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -272,6 +285,27 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 		return meta, nil, nil
 	}
 	return meta, x.Prune, nil
+}
+
+// ExtractAll materializes the whole universal table of meta in one batch:
+// one full-width stream drained as a single unbounded morsel, with nothing
+// reserved from any ledger. It is the extraction of the operator-at-a-time
+// reference — the same stream the pipelines consume, minus the morsels, the
+// narrowing and the fusion.
+func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer) (*column.Batch, error) {
+	s, err := src.ExtractStream(meta, nil, prune, obs, math.MaxInt, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	m, ok, err := s.Next()
+	if err != nil {
+		return nil, err
+	}
+	if !ok { // no qualifying record: the stream ends before its first morsel
+		return ExtractProto(meta, nil)
+	}
+	return m.B, nil
 }
 
 // extractEvent logs what an extraction delivered: rows, and how many of the

@@ -119,9 +119,9 @@ type LazyExtract struct {
 	// in canonical (catalog.DataviewColumns) order — the same contract as
 	// Scan.Cols, set by Build from the operators above (see narrowExtract).
 	// The metadata subplan still runs at full width: extraction itself needs
-	// F.uri, R.seqno and friends whether or not the query does. Only the
-	// pipelined stream narrows; the NoPipeline reference extracts every
-	// column, which is what the bit-identity tests compare against.
+	// F.uri, R.seqno and friends whether or not the query does. Only a
+	// pipeline passes Cols on; the NoPipeline reference drains the stream
+	// at full width, which is what the bit-identity tests compare against.
 	Cols []string
 	// DataPreds are predicates over D.* columns, applied by the enclosing
 	// Filter after extraction; recorded here for plan display.

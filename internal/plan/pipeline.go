@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/exec"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sql"
 )
@@ -37,23 +36,14 @@ import (
 // says why).
 //
 // executeNode (execute.go) stays behind Env.NoPipeline as the serial
-// reference the bit-identity tests compare against.
+// reference the bit-identity tests compare against. It extracts through the
+// same source as a pipeline does — there is one extraction driver — but
+// drains the stream whole and at full width (ExtractAll) before any
+// operator sees a row.
 
-// StreamSource is the ExtractSource a pipeline needs: it delivers the
-// universal table as a morsel stream instead of one batch, overlapping
-// read+decode of run N+1 with compute over run N. Prefetch buffers are
-// charged to led (nil = unlimited), so overlap degrades to synchronous
-// extraction under budget pressure rather than blowing it. prune carries
-// the same zone-map admissibility test as Extract (nil = stream
-// everything). cols is LazyExtract.Cols: the morsels carry exactly the
-// columns of ExtractProto(meta, cols), nil meaning Extract's full width.
-type StreamSource interface {
-	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
-}
-
-// RowsServedCounter reports how many rows a source has delivered; a
-// streaming source implements it so the extract event and stats stay
-// comparable with the materializing path.
+// RowsServedCounter reports how many rows a source has delivered; the
+// extraction stream implements it so a pipeline can log the same extract
+// event the reference does.
 type RowsServedCounter interface {
 	RowsServed() int64
 }
@@ -347,11 +337,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		ss, ok := env.Source.(StreamSource)
-		if !ok {
-			return nil, fmt.Errorf("plan: extract source %T cannot stream", env.Source)
-		}
-		if r.src, err = ss.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
 			return nil, err
 		}
 		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {

@@ -184,6 +184,18 @@ func TestLogSeqAndSeverity(t *testing.T) {
 	if got := w.Metrics().Errors.Load(); got != errs+1 {
 		t.Errorf("error counter = %d, want %d", got, errs+1)
 	}
+	// A prepared statement executed with the wrong number of parameters
+	// fails before it is admitted; it is a failed query all the same.
+	prep, err := w.Prepare(`SELECT COUNT(*) FROM mseed.files WHERE station = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Execute(); err == nil {
+		t.Fatal("want error for a missing parameter")
+	}
+	if got := w.Metrics().Errors.Load(); got != errs+2 {
+		t.Errorf("error counter = %d after a parameter-count mismatch, want %d", got, errs+2)
+	}
 
 	log := w.Log()
 	if len(log) == 0 {
@@ -204,6 +216,9 @@ func TestLogSeqAndSeverity(t *testing.T) {
 	}
 	if len(errEntries) == 0 {
 		t.Fatal("no error-severity entries after a failed query")
+	}
+	if got := w.Metrics().Errors.Load() - errs; int64(len(errEntries)) != got {
+		t.Fatalf("%d error-severity entries in the log, the error counter moved by %d", len(errEntries), got)
 	}
 	for _, e := range errEntries {
 		if e.Op != "error" {

@@ -813,6 +813,7 @@ func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
 	w := p.w
 	if len(params) != p.stmt.NumParams {
 		err := fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params))
+		w.metrics.Errors.Add(1)
 		w.logf("error", "query failed: %v", err)
 		return nil, err
 	}

@@ -26,8 +26,9 @@
 // stages, with prefetch buffers charged to the memory ledger so overlap
 // degrades to synchronous extraction under budget pressure. Pipelined
 // output is bit-identical to an operator-at-a-time serial reference that
-// tests reach through Options.NoPipeline; Stats reports pipeline and
-// prefetch counters.
+// tests reach through Options.NoPipeline — serial in its operators only:
+// it drains that same extraction stream into one batch first. Stats
+// reports pipeline and prefetch counters.
 //
 // Execution memory is governed by Options.MemoryBudget (bytes; 0 =
 // unlimited): join tables, aggregation group tables and recycler-cache
