@@ -359,10 +359,14 @@ func BenchmarkExtractOverlap(b *testing.B) {
 	}
 	for _, c := range cases {
 		open := func() *lazyetl.Warehouse {
-			w, err := lazyetl.Open(dir, lazyetl.Options{
-				Mode: lazyetl.Lazy, Workers: 4, NoPipeline: !c.pipelined, MemoryBudget: c.budget,
+			opts := lazyetl.Options{
+				Mode: lazyetl.Lazy, Workers: 4, MemoryBudget: c.budget,
 				ETL: lazyetl.ETLOptions{Parallelism: 4},
-			})
+			}
+			if !c.pipelined {
+				opts.Oracle = lazyetl.NoPipeline
+			}
+			w, err := lazyetl.Open(dir, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -392,9 +396,8 @@ func BenchmarkExtractOverlap(b *testing.B) {
 
 // BenchmarkConcurrentQueries measures query throughput with many clients on
 // one warm warehouse: the concurrent path (per-query snapshots + admission
-// control) against the retained Options.SerializeQueries oracle, which
-// funnels every query through one global mutex the way the pre-concurrency
-// warehouse did. Workers=1 keeps each query serial so the speedup isolates
+// control) against MaxConcurrentQueries: 1, which admits one query at a
+// time the way the pre-concurrency warehouse did. Workers=1 keeps each query serial so the speedup isolates
 // inter-query concurrency rather than intra-query parallelism.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
@@ -404,14 +407,14 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 		`SELECT network, COUNT(*) FROM mseed.files GROUP BY network ORDER BY network`,
 		`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE'`,
 	}
-	for _, serialize := range []bool{true, false} {
+	for _, slots := range []int{1, 0} { // 0 = GOMAXPROCS
 		name := "concurrent"
-		if serialize {
+		if slots == 1 {
 			name = "serialized"
 		}
 		b.Run(name, func(b *testing.B) {
 			w, err := lazyetl.Open(dir, lazyetl.Options{
-				Mode: lazyetl.Lazy, Workers: 1, SerializeQueries: serialize,
+				Mode: lazyetl.Lazy, Workers: 1, MaxConcurrentQueries: slots,
 			})
 			if err != nil {
 				b.Fatal(err)

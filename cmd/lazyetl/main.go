@@ -40,8 +40,6 @@ func main() {
 	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
 	workers := flag.Int("workers", 0, "query-execution workers (0 = GOMAXPROCS, 1 = serial engine)")
 	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes (0 = unlimited); join builds spill to disk under pressure, cache admissions are declined")
-	noQueryCache := flag.Bool("no-query-cache", false, "disable the two-tier query cache (plan/statement cache and snapshot-versioned result cache); every query pays full parse -> plan -> execute")
-	noTrace := flag.Bool("no-trace", false, "disable per-query trace spans (\\trace shows plans only; latency histograms stay on)")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of any query at or over this duration (0 = off), e.g. 250ms")
 	flag.Parse()
 
@@ -76,8 +74,7 @@ func main() {
 
 	start := time.Now()
 	w, err := warehouse.Open(*repoDir, warehouse.Options{
-		Mode: mode, Workers: *workers, MemoryBudget: *memBudget,
-		NoQueryCache: *noQueryCache, NoTrace: *noTrace, SlowQueryThreshold: *slowQuery,
+		Mode: mode, Workers: *workers, MemoryBudget: *memBudget, SlowQueryThreshold: *slowQuery,
 		ETL: etl.Options{CacheBudget: *cache},
 	})
 	if err != nil {

@@ -38,7 +38,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -71,8 +70,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries admitted to execute simultaneously (0 = GOMAXPROCS)")
 	perClient := flag.Int("per-client", 4, "in-flight queries allowed per client IP")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
-	noQueryCache := flag.Bool("no-query-cache", false, "disable the two-tier query cache (plan/statement cache and snapshot-versioned result cache); every query pays full parse -> plan -> execute")
-	noTrace := flag.Bool("no-trace", false, "disable per-query trace spans (?trace=1 returns no tree; latency histograms stay on)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at or over this wall time at warn severity with their span tree (0 = off)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	flag.Parse()
@@ -111,8 +108,6 @@ func main() {
 		Workers:              *workers,
 		MemoryBudget:         *memBudget,
 		MaxConcurrentQueries: *maxConcurrent,
-		NoQueryCache:         *noQueryCache,
-		NoTrace:              *noTrace,
 		SlowQueryThreshold:   *slowQuery,
 		ETL:                  etl.Options{CacheBudget: *cache},
 	})
@@ -186,11 +181,12 @@ type server struct {
 	clients *clientLimiter
 
 	// prepared is the server-wide statement registry: /prepare parses once
-	// and returns an id, /execute binds parameters per call. Bounded so a
-	// client cannot grow it without limit.
-	prepMu   sync.Mutex
-	prepared map[string]*warehouse.Prepared
-	prepSeq  int64
+	// and returns an id, /execute binds parameters per call. One entry per
+	// canonical template, by id; bounded at maxPreparedStatements by
+	// evicting the least recently executed.
+	prepMu    sync.Mutex
+	prepared  map[string]*registered
+	prepClock int64 // ticks per prepare/execute: recency order, and the ids
 
 	served   atomic.Int64 // queries answered successfully
 	failed   atomic.Int64 // queries that returned an error
@@ -202,16 +198,23 @@ type server struct {
 	metricsBuf []byte
 }
 
+// registered is one /prepare registry entry.
+type registered struct {
+	id   string
+	ps   *warehouse.Prepared
+	used int64 // prepClock at the last prepare or execute
+}
+
 // maxPreparedStatements bounds the /prepare registry.
 const maxPreparedStatements = 1024
 
 func newServer(w *warehouse.Warehouse, perClient int) *server {
-	s := &server{w: w, clients: newClientLimiter(perClient), prepared: make(map[string]*warehouse.Prepared)}
+	s := &server{w: w, clients: newClientLimiter(perClient), prepared: make(map[string]*registered)}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/explain", s.handleExplain)
-	s.mux.HandleFunc("/prepare", s.handlePrepare)
-	s.mux.HandleFunc("/execute", s.handleExecute)
+	s.mux.HandleFunc("/query", s.post("sql", s.handleQuery))
+	s.mux.HandleFunc("/explain", s.post("sql", s.handleExplain))
+	s.mux.HandleFunc("/prepare", s.post("sql", s.handlePrepare))
+	s.mux.HandleFunc("/execute", s.post("id", s.handleExecute))
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -221,15 +224,56 @@ func newServer(w *warehouse.Warehouse, perClient int) *server {
 
 func (s *server) ServeHTTP(rw http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(rw, r) }
 
-// queryRequest is the POST /query body.
-type queryRequest struct {
-	SQL string `json:"sql"`
+// request is the body of every POST endpoint: /query, /explain and /prepare
+// read "sql"; /execute reads "id" and "params", which take JSON scalars —
+// strings, numbers (integers stay int64, anything fractional becomes
+// float64), booleans and null.
+type request struct {
+	SQL    string `json:"sql"`
+	ID     string `json:"id"`
+	Params []any  `json:"params"`
+}
+
+// post is what every POST endpoint is registered through: the method check,
+// the per-client in-flight cap (held for the whole request), the bounded
+// body decode and the required-field check ("sql" or "id").
+func (s *server) post(field string, h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeJSON(rw, http.StatusMethodNotAllowed, errorResponse{"POST only"})
+			return
+		}
+		client := clientKey(r)
+		if !s.clients.acquire(client) {
+			s.rejected.Add(1)
+			writeJSON(rw, http.StatusTooManyRequests,
+				errorResponse{fmt.Sprintf("client %s exceeds its in-flight query limit", client)})
+			return
+		}
+		defer s.clients.release(client)
+
+		var req request
+		dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
+		dec.UseNumber() // keep integer parameters exact (no float round-trip)
+		err := dec.Decode(&req)
+		required := req.SQL
+		if field == "id" {
+			required = req.ID
+		}
+		if err == nil && required == "" {
+			err = fmt.Errorf("missing %q field", field)
+		}
+		if err != nil {
+			writeJSON(rw, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+			return
+		}
+		h(rw, r, &req)
+	}
 }
 
 // queryResponse is the POST /query answer. Trace is present only when the
-// request asked for ?trace=1 and the warehouse traces (no -no-trace): the
-// query's span tree, nodes of {"name", "nanos", "rows", "bytes",
-// "children"} with zero fields omitted.
+// request asked for ?trace=1: the query's span tree, nodes of {"name",
+// "nanos", "rows", "bytes", "children"} with zero fields omitted.
 type queryResponse struct {
 	Columns   []string      `json:"columns"`
 	Rows      [][]any       `json:"rows"`
@@ -242,37 +286,23 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *server) handleQuery(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(rw, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	client := clientKey(r)
-	if !s.clients.acquire(client) {
-		s.rejected.Add(1)
-		writeJSON(rw, http.StatusTooManyRequests,
-			errorResponse{fmt.Sprintf("client %s exceeds its in-flight query limit", client)})
-		return
-	}
-	defer s.clients.release(client)
-
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil || req.SQL == "" {
-		if err == nil {
-			err = errors.New("missing \"sql\" field")
-		}
-		writeJSON(rw, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
-		return
-	}
+func (s *server) handleQuery(rw http.ResponseWriter, r *http.Request, req *request) {
 	res, err := s.w.Query(req.SQL)
+	if s.counted(rw, err) {
+		writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
+	}
+}
+
+// counted records the outcome of a query in the served/failed counters and
+// reports whether it succeeded; a failure is answered here (422).
+func (s *server) counted(rw http.ResponseWriter, err error) bool {
 	if err != nil {
 		s.failed.Add(1)
 		writeJSON(rw, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-		return
+		return false
 	}
 	s.served.Add(1)
-	writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
+	return true
 }
 
 // wantTrace reports whether the request asked for the span tree.
@@ -316,38 +346,13 @@ type explainResponse struct {
 	ElapsedNS int64             `json:"elapsed_ns"`
 }
 
-func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(rw, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	client := clientKey(r)
-	if !s.clients.acquire(client) {
-		s.rejected.Add(1)
-		writeJSON(rw, http.StatusTooManyRequests,
-			errorResponse{fmt.Sprintf("client %s exceeds its in-flight query limit", client)})
-		return
-	}
-	defer s.clients.release(client)
-
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil || req.SQL == "" {
-		if err == nil {
-			err = errors.New("missing \"sql\" field")
-		}
-		writeJSON(rw, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
-		return
-	}
+func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request, req *request) {
 	// Uncached: a result-cache hit carries no per-scan skip tallies, and
 	// /explain exists to observe a real execution.
 	res, err := s.w.QueryUncached(req.SQL)
-	if err != nil {
-		s.failed.Add(1)
-		writeJSON(rw, http.StatusUnprocessableEntity, errorResponse{err.Error()})
+	if !s.counted(rw, err) {
 		return
 	}
-	s.served.Add(1)
 	writeJSON(rw, http.StatusOK, explainResponse{
 		SQL:       res.Trace.SQL,
 		Plan:      res.Trace.Optimized,
@@ -366,75 +371,47 @@ type prepareResponse struct {
 	NumParams int    `json:"num_params"`
 }
 
-func (s *server) handlePrepare(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(rw, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil || req.SQL == "" {
-		if err == nil {
-			err = errors.New("missing \"sql\" field")
-		}
-		writeJSON(rw, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
-		return
-	}
+func (s *server) handlePrepare(rw http.ResponseWriter, r *http.Request, req *request) {
 	ps, err := s.w.Prepare(req.SQL)
 	if err != nil {
 		writeJSON(rw, http.StatusUnprocessableEntity, errorResponse{err.Error()})
 		return
 	}
+	// One pass finds this statement, if registered already (its id is
+	// returned), and the least recently executed one: evicted when a new
+	// statement finds the registry full — its id 404s, the client re-prepares.
 	s.prepMu.Lock()
-	if len(s.prepared) >= maxPreparedStatements {
-		s.prepMu.Unlock()
-		writeJSON(rw, http.StatusInsufficientStorage,
-			errorResponse{fmt.Sprintf("prepared-statement registry full (%d)", maxPreparedStatements)})
-		return
-	}
-	s.prepSeq++
-	id := fmt.Sprintf("p%d", s.prepSeq)
-	s.prepared[id] = ps
-	s.prepMu.Unlock()
-	writeJSON(rw, http.StatusOK, prepareResponse{ID: id, SQL: ps.SQL(), NumParams: ps.NumParams()})
-}
-
-// executeRequest is the POST /execute body. Params take JSON scalars:
-// strings, numbers (integers stay int64, anything fractional becomes
-// float64), booleans and null.
-type executeRequest struct {
-	ID     string `json:"id"`
-	Params []any  `json:"params"`
-}
-
-func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(rw, http.StatusMethodNotAllowed, errorResponse{"POST only"})
-		return
-	}
-	client := clientKey(r)
-	if !s.clients.acquire(client) {
-		s.rejected.Add(1)
-		writeJSON(rw, http.StatusTooManyRequests,
-			errorResponse{fmt.Sprintf("client %s exceeds its in-flight query limit", client)})
-		return
-	}
-	defer s.clients.release(client)
-
-	var req executeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
-	dec.UseNumber() // keep integer parameters exact (no float round-trip)
-	if err := dec.Decode(&req); err != nil || req.ID == "" {
-		if err == nil {
-			err = errors.New("missing \"id\" field")
+	var e, oldest *registered
+	for _, c := range s.prepared {
+		if c.ps.SQL() == ps.SQL() {
+			e = c
 		}
-		writeJSON(rw, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
-		return
+		if oldest == nil || c.used < oldest.used {
+			oldest = c
+		}
 	}
-	s.prepMu.Lock()
-	ps, ok := s.prepared[req.ID]
+	s.prepClock++
+	if e == nil {
+		if len(s.prepared) >= maxPreparedStatements {
+			delete(s.prepared, oldest.id)
+		}
+		e = &registered{id: fmt.Sprintf("p%d", s.prepClock), ps: ps}
+		s.prepared[e.id] = e
+	}
+	e.used = s.prepClock
 	s.prepMu.Unlock()
-	if !ok {
+	writeJSON(rw, http.StatusOK, prepareResponse{ID: e.id, SQL: e.ps.SQL(), NumParams: e.ps.NumParams()})
+}
+
+func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request, req *request) {
+	s.prepMu.Lock()
+	e := s.prepared[req.ID]
+	if e != nil {
+		s.prepClock++
+		e.used = s.prepClock
+	}
+	s.prepMu.Unlock()
+	if e == nil {
 		writeJSON(rw, http.StatusNotFound, errorResponse{fmt.Sprintf("no prepared statement %q", req.ID)})
 		return
 	}
@@ -447,14 +424,10 @@ func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		}
 		params[i] = v
 	}
-	res, err := ps.Execute(params...)
-	if err != nil {
-		s.failed.Add(1)
-		writeJSON(rw, http.StatusUnprocessableEntity, errorResponse{err.Error()})
-		return
+	res, err := e.ps.Execute(params...)
+	if s.counted(rw, err) {
+		writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
 	}
-	s.served.Add(1)
-	writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
 }
 
 // paramValue converts one decoded JSON scalar to a column value.
@@ -515,12 +488,9 @@ func (s *server) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	defer s.metricsMu.Unlock()
 	b := s.metricsBuf[:0]
 	b = s.w.AppendMetrics(b)
-	b = obs.AppendHeader(b, "lazyetld_requests_served_total", "counter", "HTTP query/explain/execute requests answered successfully.")
-	b = obs.AppendInt(b, "lazyetld_requests_served_total", "", s.served.Load())
-	b = obs.AppendHeader(b, "lazyetld_requests_failed_total", "counter", "HTTP query/explain/execute requests that returned an error.")
-	b = obs.AppendInt(b, "lazyetld_requests_failed_total", "", s.failed.Load())
-	b = obs.AppendHeader(b, "lazyetld_requests_rejected_total", "counter", "Requests bounced by the per-client in-flight limit.")
-	b = obs.AppendInt(b, "lazyetld_requests_rejected_total", "", s.rejected.Load())
+	b = obs.AppendCounter(b, "lazyetld_requests_served_total", "HTTP query/explain/execute requests answered successfully.", s.served.Load())
+	b = obs.AppendCounter(b, "lazyetld_requests_failed_total", "HTTP query/explain/execute requests that returned an error.", s.failed.Load())
+	b = obs.AppendCounter(b, "lazyetld_requests_rejected_total", "Requests bounced by the per-client in-flight limit.", s.rejected.Load())
 	s.metricsBuf = b
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rw.WriteHeader(http.StatusOK)

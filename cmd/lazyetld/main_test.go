@@ -35,7 +35,7 @@ func testServer(t *testing.T) (*server, *warehouse.Warehouse) {
 
 func postQuery(t *testing.T, ts *httptest.Server, sql string) (*http.Response, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(queryRequest{SQL: sql})
+	body, _ := json.Marshal(request{SQL: sql})
 	resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if resp, body := postQuery(t, ts, q); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up query status %d: %s", resp.StatusCode, body)
 	}
-	body, _ := json.Marshal(queryRequest{SQL: q})
+	body, _ := json.Marshal(request{SQL: q})
 	resp, err := ts.Client().Post(ts.URL+"/explain", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body, _ := json.Marshal(queryRequest{SQL: "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = ? AND D.sample_value > ?"})
+	body, _ := json.Marshal(request{SQL: "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = ? AND D.sample_value > ?"})
 	resp, err := ts.Client().Post(ts.URL+"/prepare", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 
 	exec := func(params ...any) (*http.Response, queryResponse, []byte) {
 		t.Helper()
-		body, _ := json.Marshal(executeRequest{ID: prep.ID, Params: params})
+		body, _ := json.Marshal(request{ID: prep.ID, Params: params})
 		resp, err := ts.Client().Post(ts.URL+"/execute", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +324,7 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 		t.Fatalf("short param list status %d: %s", resp3.StatusCode, raw3)
 	}
 	// Unknown id is a 404.
-	body4, _ := json.Marshal(executeRequest{ID: "p999", Params: []any{"ISK", 500}})
+	body4, _ := json.Marshal(request{ID: "p999", Params: []any{"ISK", 500}})
 	resp4, err := ts.Client().Post(ts.URL+"/execute", "application/json", bytes.NewReader(body4))
 	if err != nil {
 		t.Fatal(err)
@@ -337,6 +337,70 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 	resp5, raw5 := postQuery(t, ts, "SELECT COUNT(*) FROM mseed.files WHERE station = ?")
 	if resp5.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("raw '?' over /query status %d: %s", resp5.StatusCode, raw5)
+	}
+}
+
+// TestPrepareRegistryIsBounded: the /prepare registry holds one entry per
+// canonical statement, so re-preparing never fills it, and when
+// maxPreparedStatements distinct statements are held a new one evicts the
+// least recently executed instead of being refused.
+func TestPrepareRegistryIsBounded(t *testing.T) {
+	srv, _ := testServer(t)
+	post := func(path string, req request) (int, prepareResponse) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		var out prepareResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &out)
+		return rec.Code, out
+	}
+
+	// One client preparing one statement over and over, in two spellings.
+	var id string
+	for i := 0; i < 2000; i++ {
+		q := "SELECT COUNT(*) FROM mseed.files WHERE station = ?"
+		if i%2 == 1 {
+			q = "select  COUNT(*)  from mseed.files where station=?"
+		}
+		code, prep := post("/prepare", request{SQL: q})
+		if code != http.StatusOK {
+			t.Fatalf("prepare %d: status %d", i, code)
+		}
+		if id == "" {
+			id = prep.ID
+		}
+		if prep.ID != id {
+			t.Fatalf("prepare %d: id %q, want the registered %q", i, prep.ID, id)
+		}
+	}
+	if n := len(srv.prepared); n != 1 {
+		t.Fatalf("registry holds %d entries after 2000 prepares of one statement, want 1", n)
+	}
+
+	// One more distinct statement than the registry holds: the first, never
+	// executed, is evicted (404, the client re-prepares); the rest execute.
+	ids := []string{id}
+	for i := 1; i <= maxPreparedStatements; i++ {
+		code, prep := post("/prepare", request{SQL: fmt.Sprintf("SELECT COUNT(*) FROM mseed.files WHERE station = ? AND file_id > %d", i)})
+		if code != http.StatusOK {
+			t.Fatalf("distinct prepare %d: status %d", i, code)
+		}
+		ids = append(ids, prep.ID)
+	}
+	if n := len(srv.prepared); n != maxPreparedStatements {
+		t.Fatalf("registry holds %d entries, want %d", n, maxPreparedStatements)
+	}
+	for i, id := range ids {
+		code, _ := post("/execute", request{ID: id, Params: []any{"ISK"}})
+		want := http.StatusOK
+		if i == 0 {
+			want = http.StatusNotFound
+		}
+		if code != want {
+			t.Fatalf("execute of statement %d (%s): status %d, want %d", i, id, code, want)
+		}
 	}
 }
 

@@ -207,7 +207,7 @@ func TestQueryTraceJSON(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body, _ := json.Marshal(queryRequest{SQL: testQ})
+	body, _ := json.Marshal(request{SQL: testQ})
 	resp, err := ts.Client().Post(ts.URL+"/query?trace=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/etl"
@@ -129,10 +128,6 @@ func newTable(w io.Writer, headers ...string) *table {
 
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addRowf(format string, args ...any) {
-	t.addRow(fmt.Sprintf(format, args...))
-}
-
 func (t *table) flush() {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
@@ -191,14 +186,4 @@ func queryTimed(w *warehouse.Warehouse, q string) (*warehouse.Result, time.Durat
 	start := time.Now()
 	res, err := w.Query(q)
 	return res, time.Since(start), err
-}
-
-// sortedKeys returns map keys in sorted order (deterministic printing).
-func sortedKeys[K ~string, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

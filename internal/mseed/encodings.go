@@ -53,8 +53,7 @@ func encodeRaw(payload []byte, samples []int32, e Encoding, order binary.ByteOrd
 }
 
 // decodeRaw unpacks numSamples fixed-width samples as int32 counts.
-// Float payloads are truncated toward zero; use decodeRawFloats to keep
-// fractional parts.
+// Float payloads are truncated toward zero.
 func decodeRaw(payload []byte, numSamples int, e Encoding, order binary.ByteOrder) ([]int32, error) {
 	out := make([]int32, numSamples)
 	if err := decodeRawInto(out, payload, e, order); err != nil {
@@ -93,30 +92,4 @@ func decodeRawInto(dst []int32, payload []byte, e Encoding, order binary.ByteOrd
 		}
 	}
 	return nil
-}
-
-// decodeRawFloats unpacks numSamples fixed-width samples as float64.
-func decodeRawFloats(payload []byte, numSamples int, e Encoding, order binary.ByteOrder) ([]float64, error) {
-	size := rawSampleSize(e)
-	if size == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, e)
-	}
-	if len(payload) < numSamples*size {
-		return nil, fmt.Errorf("%w: need %d bytes for %d %v samples, have %d",
-			ErrShortRecord, numSamples*size, numSamples, e, len(payload))
-	}
-	out := make([]float64, numSamples)
-	for i := range out {
-		switch e {
-		case EncodingInt16:
-			out[i] = float64(int16(order.Uint16(payload[i*2:])))
-		case EncodingInt32:
-			out[i] = float64(int32(order.Uint32(payload[i*4:])))
-		case EncodingFloat32:
-			out[i] = float64(math.Float32frombits(order.Uint32(payload[i*4:])))
-		case EncodingFloat64:
-			out[i] = math.Float64frombits(order.Uint64(payload[i*8:]))
-		}
-	}
-	return out, nil
 }

@@ -104,15 +104,10 @@ func EncodeRecord(h *Header, samples []int32, prev int32) ([]byte, int, error) {
 	return buf, consumed, nil
 }
 
-// ParseRecordHeader parses the fixed header and blockettes of one record.
-// buf needs to cover the header and blockette chain (64 bytes for records
-// written by this package); the payload is not touched.
-func ParseRecordHeader(buf []byte) (*Header, error) {
-	return parseHeader(buf)
-}
-
-// ParseRecordHeaderInto is ParseRecordHeader into a caller-owned Header,
-// overwriting every field. Reusing one Header across the records of a file
+// ParseRecordHeaderInto parses the fixed header and blockettes of one
+// record into a caller-owned Header, overwriting every field. buf needs to
+// cover the header and blockette chain (64 bytes for records written by this
+// package); the payload is not touched. Reusing one Header across the records of a file
 // avoids the per-record header and identifier-string allocations (unchanged
 // station/channel/network codes are interned against the previous parse).
 func ParseRecordHeaderInto(h *Header, buf []byte) error {
@@ -168,26 +163,6 @@ func DecodePayloadInto(h *Header, payload []byte, dst []int32) error {
 		return steimDecodeInto(dst, payload, true, order)
 	default:
 		return decodeRawInto(dst, payload, h.Encoding, order)
-	}
-}
-
-// DecodePayloadFloats is DecodePayload converting to float64 and keeping
-// fractional parts for float encodings.
-func DecodePayloadFloats(h *Header, payload []byte) ([]float64, error) {
-	order := byteOrder(h)
-	switch h.Encoding {
-	case EncodingSteim1, EncodingSteim2:
-		ints, err := steimDecode(payload, h.NumSamples, h.Encoding == EncodingSteim2, order)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(ints))
-		for i, v := range ints {
-			out[i] = float64(v)
-		}
-		return out, nil
-	default:
-		return decodeRawFloats(payload, h.NumSamples, h.Encoding, order)
 	}
 }
 

@@ -54,7 +54,7 @@ func (c QueryClass) Label() string {
 
 // Metrics is the warehouse's always-on observability state: per-class
 // latency histograms plus error and slow-query counters. Unlike trace
-// spans (disabled by Options.NoTrace), these stay on — the cost is one
+// spans (off under the NoTrace oracle), these stay on — the cost is one
 // histogram Observe per served query.
 type Metrics struct {
 	Query  [NumClasses]Histogram

@@ -199,10 +199,8 @@ func TestPromGolden(t *testing.T) {
 	for c := QueryClass(0); c < NumClasses; c++ {
 		b = AppendHistogram(b, "lazyetl_query_duration_seconds", c.Label(), m.Query[c].Snapshot())
 	}
-	b = AppendHeader(b, "lazyetl_query_errors_total", "counter", "Queries that returned an error.")
-	b = AppendInt(b, "lazyetl_query_errors_total", "", m.Errors.Load())
-	b = AppendHeader(b, "lazyetl_slow_queries_total", "counter", "Queries at or over the slow-query threshold.")
-	b = AppendInt(b, "lazyetl_slow_queries_total", "", m.Slow.Load())
+	b = AppendCounter(b, "lazyetl_query_errors_total", "Queries that returned an error.", m.Errors.Load())
+	b = AppendCounter(b, "lazyetl_slow_queries_total", "Queries at or over the slow-query threshold.", m.Slow.Load())
 	b = AppendHeader(b, "lazyetl_mem_used_bytes", "gauge", "Execution-memory ledger bytes in use.")
 	b = AppendFloat(b, "lazyetl_mem_used_bytes", "", 1.5e6)
 

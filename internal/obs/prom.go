@@ -97,3 +97,21 @@ func AppendHistogram(b []byte, name, labels string, s HistSnapshot) []byte {
 	b = append(b, '\n')
 	return b
 }
+
+// AppendCounter appends a whole unlabelled counter family — header and
+// integer sample — so the name is stated once and a header/sample mismatch
+// cannot be written.
+func AppendCounter(b []byte, name, help string, v int64) []byte {
+	return AppendInt(AppendHeader(b, name, "counter", help), name, "", v)
+}
+
+// AppendGauge is AppendCounter for a gauge.
+func AppendGauge(b []byte, name, help string, v int64) []byte {
+	return AppendInt(AppendHeader(b, name, "gauge", help), name, "", v)
+}
+
+// AppendSecondsCounter is AppendCounter for accumulated time, counted in
+// nanoseconds and exposed in seconds.
+func AppendSecondsCounter(b []byte, name, help string, nanos int64) []byte {
+	return AppendFloat(AppendHeader(b, name, "counter", help), name, "", float64(nanos)/1e9)
+}

@@ -99,12 +99,6 @@ func (c *Cache) AttachLedger(l *mem.Ledger) {
 	c.ledger = l
 }
 
-// Enabled reports whether the cache can hold anything at all. A disabled
-// cache (budget <= 0) drops every admission, which lets extraction skip
-// building cache entries entirely and write decoded samples straight into
-// the query's output vectors.
-func (c *Cache) Enabled() bool { return c.budget > 0 }
-
 // Lookup returns the cached entry for key if present and fresh.
 // currentMtime is the source file's modification time now; an entry
 // admitted before a newer mtime is stale, counts as an invalidation, and is

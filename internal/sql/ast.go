@@ -103,11 +103,6 @@ func (op BinaryOp) String() string {
 // ordering comparison.
 func (op BinaryOp) Comparison() bool { return op <= OpGe }
 
-// BooleanValued reports whether the operator yields a boolean.
-func (op BinaryOp) BooleanValued() bool {
-	return op.Comparison() || op == OpAnd || op == OpOr || op == OpLike
-}
-
 // Binary applies a binary operator.
 type Binary struct {
 	Op   BinaryOp

@@ -299,11 +299,11 @@ func TestStatsRaceRegression(t *testing.T) {
 	}
 }
 
-// TestSerializeQueriesOracle checks the retained global-mutex path answers
-// exactly like the concurrent path.
+// TestSerializeQueriesOracle checks one-query-at-a-time serving
+// (MaxConcurrentQueries: 1) answers exactly like the concurrent path.
 func TestSerializeQueriesOracle(t *testing.T) {
 	dir := genRepo(t, 1500)
-	ser, err := Open(dir, Options{Mode: Lazy, SerializeQueries: true})
+	ser, err := Open(dir, Options{Mode: Lazy, MaxConcurrentQueries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

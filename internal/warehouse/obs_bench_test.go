@@ -5,14 +5,14 @@ import "testing"
 // BenchmarkTraceOverhead measures what span collection costs on the full
 // serve path. Both variants disable the query cache so every iteration
 // pays parse -> plan -> execute -> emit; the only difference is
-// Options.NoTrace. The traced/notrace delta is the tracing tax the issue
+// the NoTrace oracle. The traced/notrace delta is the tracing tax the issue
 // bounds at 2%.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const q = `SELECT F.station, COUNT(*), MIN(D.sample_value), MAX(D.sample_value)
 	 FROM mseed.dataview WHERE F.network = 'NL' AND D.sample_value > 500 GROUP BY F.station`
-	run := func(b *testing.B, noTrace bool) {
+	run := func(b *testing.B, oracle Oracle) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, NoQueryCache: true, NoTrace: noTrace})
+		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache | oracle})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -27,8 +27,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("traced", func(b *testing.B) { run(b, false) })
-	b.Run("notrace", func(b *testing.B) { run(b, true) })
+	b.Run("traced", func(b *testing.B) { run(b, 0) })
+	b.Run("notrace", func(b *testing.B) { run(b, NoTrace) })
 }
 
 // BenchmarkMetricsScrape measures a GET /metrics render into a reused

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestTraceBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := Open(dir, Options{Mode: Lazy, Workers: workers, MemoryBudget: budget, NoTrace: true})
+			oracle, err := Open(dir, Options{Mode: Lazy, Workers: workers, MemoryBudget: budget, Oracle: NoTrace})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Under NoTrace the entry still appears, without a tree to render.
-	wnt, err := Open(dir, Options{Mode: Lazy, SlowQueryThreshold: time.Nanosecond, NoTrace: true})
+	wnt, err := Open(dir, Options{Mode: Lazy, SlowQueryThreshold: time.Nanosecond, Oracle: NoTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +197,14 @@ func TestLogSeqAndSeverity(t *testing.T) {
 	if got := w.Metrics().Errors.Load(); got != errs+2 {
 		t.Errorf("error counter = %d after a parameter-count mismatch, want %d", got, errs+2)
 	}
+	// A statement that fails to prepare is logged at error severity, so it
+	// is counted too.
+	if _, err := w.Prepare(`SELEC nonsense`); err == nil {
+		t.Fatal("want error for an unparsable prepare")
+	}
+	if got := w.Metrics().Errors.Load(); got != errs+3 {
+		t.Errorf("error counter = %d after a failed prepare, want %d", got, errs+3)
+	}
 
 	log := w.Log()
 	if len(log) == 0 {
@@ -229,6 +238,56 @@ func TestLogSeqAndSeverity(t *testing.T) {
 		if e.Op == "query" && e.Level != SeverityInfo {
 			t.Errorf("query entry severity = %v, want info", e.Level)
 		}
+	}
+}
+
+// TestFailedRefreshIsAccounted: a Refresh that cannot scan the repository
+// (its directory vanished) is one counted, error-severity log entry, leaves
+// the warehouse ready and its state untouched — once the directory is back
+// the next answer is bit-identical to the one before.
+func TestFailedRefreshIsAccounted(t *testing.T) {
+	dir := genRepo(t, 1500)
+	w := openWH(t, dir, Lazy)
+	want, err := w.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := dir + ".gone"
+	if err := os.Rename(dir, gone); err != nil {
+		t.Fatal(err)
+	}
+	w.ClearLog()
+	errs := w.Metrics().Errors.Load()
+	if _, err := w.Refresh(); err == nil {
+		t.Fatal("refresh of a vanished repository succeeded")
+	}
+	if err := os.Rename(gone, dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Metrics().Errors.Load(); got != errs+1 {
+		t.Errorf("error counter moved by %d, want 1", got-errs)
+	}
+	var entries int
+	for _, e := range w.Log() {
+		if e.Level >= SeverityError {
+			entries++
+			if e.Op != "error" || !strings.Contains(e.Detail, "refresh failed") {
+				t.Errorf("unexpected error entry %q: %s", e.Op, e.Detail)
+			}
+		}
+	}
+	if entries != 1 {
+		t.Errorf("%d error-severity entries after a failed refresh, want 1", entries)
+	}
+	if !w.Ready() {
+		t.Error("warehouse not ready after a failed refresh")
+	}
+	got, err := w.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderExact(got.Batch) != renderExact(want.Batch) {
+		t.Errorf("answer changed across a failed refresh\nwant:\n%s\ngot:\n%s", renderExact(want.Batch), renderExact(got.Batch))
 	}
 }
 

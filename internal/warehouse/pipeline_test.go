@@ -179,7 +179,7 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		{Eager, []string{eagerMatrixQuery, joinQ}},
 	}
 	for _, m := range modes {
-		ref, err := Open(dir, Options{Mode: m.mode, Workers: 1, NoPipeline: true})
+		ref, err := Open(dir, Options{Mode: m.mode, Workers: 1, Oracle: NoPipeline})
 		if err != nil {
 			t.Fatal(err)
 		}

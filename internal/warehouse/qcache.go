@@ -11,17 +11,17 @@ import (
 	"repro/internal/column"
 	"repro/internal/mem"
 	"repro/internal/plan"
-	"repro/internal/sql"
 )
 
 // Two-tier query cache.
 //
 // Tier 1 caches parse and plan work: the statement cache maps a canonical
-// template to its parsed (unbound) AST, and the plan cache maps
+// template to its *Prepared (the parsed, unbound AST every ad-hoc query of
+// that shape is served through), and the plan cache maps
 // (template, parameter values, catalog-store version) to the fully built and
 // join-reordered plan skeleton. The options fingerprint the issue of record
-// calls for is implicit — the cache lives on one warehouse whose mode,
-// NoPipeline and NoSkipping settings are immutable after Open. Versioned
+// calls for is implicit — the cache lives on one warehouse whose mode and
+// Oracle set are immutable after Open. Versioned
 // keys are also how plans stay honest against shifting zone-map statistics:
 // join-order estimates read only the per-table batch zones, which change
 // exclusively through store mutations, and every store mutation bumps the
@@ -40,7 +40,7 @@ type queryCache struct {
 	ledger *mem.Ledger
 
 	mu      sync.Mutex
-	stmts   map[string]*sql.SelectStmt
+	stmts   map[string]*Prepared
 	plans   map[string]*list.Element // of *planElem
 	planLRU *list.List
 	results map[resultKey]*list.Element // of *resultEntry
@@ -79,6 +79,12 @@ type planEntry struct {
 	join      *plan.ReorderInfo
 }
 
+// trace is the plan's Trace skeleton: SQL, plans and join decision; the
+// run-time fields fill in during execution.
+func (pe *planEntry) trace() Trace {
+	return Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}
+}
+
 type planElem struct {
 	key string
 	pe  *planEntry
@@ -101,7 +107,7 @@ type resultEntry struct {
 func newQueryCache(ledger *mem.Ledger) *queryCache {
 	return &queryCache{
 		ledger:  ledger,
-		stmts:   make(map[string]*sql.SelectStmt),
+		stmts:   make(map[string]*Prepared),
 		plans:   make(map[string]*list.Element),
 		planLRU: list.New(),
 		results: make(map[resultKey]*list.Element),
@@ -143,14 +149,14 @@ func paramsKey(params []column.Value) string {
 	return sb.String()
 }
 
-// lookupStmt returns the cached parsed template, or nil.
-func (c *queryCache) lookupStmt(template string) *sql.SelectStmt {
+// lookupStmt returns the cached statement of a template, or nil.
+func (c *queryCache) lookupStmt(template string) *Prepared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stmts[template]
 }
 
-func (c *queryCache) storeStmt(template string, stmt *sql.SelectStmt) {
+func (c *queryCache) storeStmt(p *Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.stmts) >= maxStmts {
@@ -161,7 +167,7 @@ func (c *queryCache) storeStmt(template string, stmt *sql.SelectStmt) {
 			break
 		}
 	}
-	c.stmts[template] = stmt
+	c.stmts[p.text] = p
 }
 
 // lookupPlan returns the plan cached for this key at this store version.
@@ -307,7 +313,7 @@ func (c *queryCache) removeResultLocked(el *list.Element) {
 	c.ledger.Release(ent.bytes)
 }
 
-// purge drops every cached plan and result (statement ASTs survive: parsing
+// purge drops every cached plan and result (statements survive: parsing
 // is catalog-independent). Refresh calls it so a snapshot swap reclaims the
 // superseded entries at once — the versioned keys already guarantee they
 // could never be served again.

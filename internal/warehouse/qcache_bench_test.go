@@ -16,7 +16,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	 FROM mseed.dataview WHERE F.network = 'NL' AND D.sample_value > 500 GROUP BY F.station`
 	b.Run("cold", func(b *testing.B) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, NoQueryCache: true})
+		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, NoQueryCache: true})
+		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/etl"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
+	"repro/internal/sql"
 )
 
 // qcacheQueries mixes metadata scans, lazy extraction, grouping and
@@ -34,18 +35,18 @@ func TestQueryCacheOracleMatrix(t *testing.T) {
 			name := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
 			t.Run(name, func(t *testing.T) {
 				dir := genRepo(t, 2500)
-				open := func(noCache bool) *Warehouse {
+				open := func(oracle Oracle) *Warehouse {
 					w, err := Open(dir, Options{
 						Mode: Lazy, Workers: workers, MemoryBudget: budget,
-						ETL:          etl.Options{Parallelism: 2},
-						NoQueryCache: noCache,
+						ETL:    etl.Options{Parallelism: 2},
+						Oracle: oracle,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return w
 				}
-				cached, oracle := open(false), open(true)
+				cached, oracle := open(0), open(NoQueryCache)
 				compare := func(stage string) {
 					t.Helper()
 					for _, q := range qcacheQueries {
@@ -227,7 +228,7 @@ func TestQueryCacheJoinReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Open(dir, Options{Mode: Eager, NoQueryCache: true})
+	oracle, err := Open(dir, Options{Mode: Eager, Oracle: NoQueryCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,5 +419,89 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 	}
 	if st.Mem.Used != st.CacheBytes {
 		t.Errorf("ledger holds %d after purge, recycler accounts for %d", st.Mem.Used, st.CacheBytes)
+	}
+}
+
+// TestQueryIsPrepareExecute pins the one serve path: for every statement of
+// the pipeline oracle matrix, Query(q) and Prepare(template).Execute(params)
+// — template and params being q's normalization — are the same statement.
+// Whichever runs second is a result-cache hit of the entry the first one
+// admitted (one shared key), both carry the same plans, and both equal the
+// NoQueryCache oracle, whose parse of the raw text is independent of
+// Normalize + ParseTemplate + BindParams.
+func TestQueryIsPrepareExecute(t *testing.T) {
+	dir := genRepo(t, 3000)
+	modes := []struct {
+		mode    Mode
+		queries []string
+	}{
+		{Lazy, append(append([]string(nil), pipelineMatrixQueries...), narrowMatrixQueries...)},
+		{External, narrowMatrixQueries},
+		{Eager, []string{eagerMatrixQuery, joinQ}},
+	}
+	for _, m := range modes {
+		w := openWH(t, dir, m.mode)
+		oracle, err := Open(dir, Options{Mode: m.mode, Oracle: NoQueryCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range m.queries {
+			n, err := sql.Normalize(q)
+			if err != nil {
+				t.Fatalf("normalize: %v\nquery: %s", err, q)
+			}
+			adhoc := func() (*Result, error) { return w.Query(q) }
+			prepared := func() (*Result, error) {
+				ps, err := w.Prepare(n.Template)
+				if err != nil {
+					return nil, err
+				}
+				return ps.Execute(n.Params...)
+			}
+			first, second := adhoc, prepared
+			if i%2 == 1 { // alternate which spelling computes and which hits
+				first, second = prepared, adhoc
+			}
+			before := w.Stats().QueryCache
+			r1, err := first()
+			if err != nil {
+				t.Fatalf("%v first: %v\nquery: %s", m.mode, err, q)
+			}
+			mid := w.Stats().QueryCache
+			r2, err := second()
+			if err != nil {
+				t.Fatalf("%v second: %v\nquery: %s", m.mode, err, q)
+			}
+			after := w.Stats().QueryCache
+			if mid.ResultEntries != before.ResultEntries+1 || mid.ResultHits != before.ResultHits {
+				t.Errorf("%v: first run did not compute and admit one entry: %+v -> %+v\nquery: %s", m.mode, before, mid, q)
+			}
+			if after.ResultHits != mid.ResultHits+1 || after.ResultEntries != mid.ResultEntries {
+				t.Errorf("%v: second spelling missed the first's result-cache entry: %+v -> %+v\nquery: %s", m.mode, mid, after, q)
+			}
+			want, err := oracle.Query(q)
+			if err != nil {
+				t.Fatalf("%v oracle: %v\nquery: %s", m.mode, err, q)
+			}
+			for _, r := range []*Result{r1, r2} {
+				if got, exp := renderExact(r.Batch), renderExact(want.Batch); got != exp {
+					t.Errorf("%v: diverged from the NoQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s", m.mode, q, exp, got)
+				}
+				if r.Trace.SQL != want.Trace.SQL || r.Trace.Optimized != want.Trace.Optimized {
+					t.Errorf("%v: trace differs from the oracle's\nquery: %s\nwant: %s\n%s\ngot: %s\n%s",
+						m.mode, q, want.Trace.SQL, want.Trace.Optimized, r.Trace.SQL, r.Trace.Optimized)
+				}
+			}
+		}
+	}
+
+	// Text that cannot normalize (an explicit '?') is parsed as written, so
+	// a syntax error behind the marker is reported at its offset in the raw
+	// text, not in some canonical rendering of it.
+	w := openWH(t, dir, Lazy)
+	const bad = "SELECT   COUNT(*)\n\tFROM mseed.files   WHERE station = ?   AND AND"
+	_, err := w.Query(bad)
+	if want := fmt.Sprintf("offset %d", strings.LastIndex(bad, "AND")); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v does not point at %s of the raw text", err, want)
 	}
 }

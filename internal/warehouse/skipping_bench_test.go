@@ -13,9 +13,9 @@ import (
 func BenchmarkColdScanSkip(b *testing.B) {
 	const q = `SELECT COUNT(*) FROM mseed.dataview
 	 WHERE F.station = 'ISK' AND D.sample_value > 1000000000`
-	run := func(b *testing.B, noSkip bool) {
+	run := func(b *testing.B, oracle Oracle) {
 		dir := genFullDayRepo(b)
-		w, err := Open(dir, Options{Mode: Lazy, NoSkipping: noSkip, NoQueryCache: true})
+		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache | oracle})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkColdScanSkip(b *testing.B) {
 		st := w.Stats().Extraction
 		read := st.RunsRead - runs0
 		b.ReportMetric(float64(read)/float64(b.N), "runs-read/op")
-		if noSkip {
+		if oracle != 0 {
 			if read == 0 {
 				b.Fatal("oracle read no runs despite cleared cache")
 			}
@@ -52,8 +52,8 @@ func BenchmarkColdScanSkip(b *testing.B) {
 			}
 		}
 	}
-	b.Run("skip", func(b *testing.B) { run(b, false) })
-	b.Run("oracle", func(b *testing.B) { run(b, true) })
+	b.Run("skip", func(b *testing.B) { run(b, 0) })
+	b.Run("oracle", func(b *testing.B) { run(b, NoSkipping) })
 }
 
 // BenchmarkJoinOrder measures the stats-driven join reordering on the
@@ -61,9 +61,9 @@ func BenchmarkColdScanSkip(b *testing.B) {
 // before the 15-row files table. The reordered variant pays the RowID +
 // RestoreOrder provenance tax but builds the tiny table first.
 func BenchmarkJoinOrder(b *testing.B) {
-	run := func(b *testing.B, noSkip bool) {
+	run := func(b *testing.B, oracle Oracle) {
 		dir := genRepo(b, 20000)
-		w, err := Open(dir, Options{Mode: Eager, NoSkipping: noSkip, NoQueryCache: true})
+		w, err := Open(dir, Options{Mode: Eager, Oracle: NoQueryCache | oracle})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func BenchmarkJoinOrder(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if !noSkip && w.Stats().Exec.JoinReorders == 0 {
+		if oracle == 0 && w.Stats().Exec.JoinReorders == 0 {
 			b.Fatal("no join reorder recorded")
 		}
 	}
-	b.Run("reordered", func(b *testing.B) { run(b, false) })
-	b.Run("sqlorder", func(b *testing.B) { run(b, true) })
+	b.Run("reordered", func(b *testing.B) { run(b, 0) })
+	b.Run("sqlorder", func(b *testing.B) { run(b, NoSkipping) })
 }

@@ -29,7 +29,7 @@ var skipMatrixQueries = []string{
 // budgets and requires both runs bit-identical to a NoSkipping oracle.
 func TestSkippingOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, NoSkipping: true})
+	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoSkipping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSkippingOracleMatrix(t *testing.T) {
 					ETL: etl.Options{Parallelism: workers},
 					// The second run must re-execute (not hit the result
 					// cache) for the zone maps to prune anything.
-					NoQueryCache: true,
+					Oracle: NoQueryCache,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -112,7 +112,7 @@ func TestJoinReorderOracle(t *testing.T) {
 
 func testJoinReorderOracle(t *testing.T, joinQ string) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, NoSkipping: true})
+	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, Oracle: NoSkipping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestZoneMapStalenessAfterUpdate(t *testing.T) {
 	const q = `SELECT COUNT(*) FROM mseed.dataview
 	 WHERE F.network = 'NL' AND D.sample_value > 1000000000`
 
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, NoSkipping: true})
+	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoSkipping})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestZoneMapStalenessAfterUpdate(t *testing.T) {
 
 	// NoQueryCache: the test re-runs one identical query and asserts on
 	// extraction counters, so every run must actually execute.
-	w, err := Open(dir, Options{Mode: Lazy, NoQueryCache: true})
+	w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
 	if err != nil {
 		t.Fatal(err)
 	}

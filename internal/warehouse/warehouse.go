@@ -10,13 +10,18 @@
 // A *Warehouse is safe for concurrent use. Query, Explain, Stats, Log,
 // ClearLog and the read-only accessors may all be called from any number
 // of goroutines at once; answers are bit-identical to the ones a single
-// serial client would get (Options.SerializeQueries retains the old
-// one-query-at-a-time path as the oracle).
+// serial client would get (MaxConcurrentQueries: 1 is that client: one
+// query at a time, holding the whole memory budget).
 //
-// Queries execute against per-query snapshots: each Query captures a
+// There is one serve path. Every query is a *Prepared statement — Query
+// resolves ad-hoc text to one through the template-keyed statement cache,
+// Prepare hands one out — and Prepared.serve is the only code that admits,
+// snapshot-locks, counts, cache-probes, executes and accounts it.
+//
+// Queries execute against per-query snapshots: each one captures a
 // copy-on-write view of the catalog store and the engine's repository
 // snapshot, so it observes one consistent warehouse state for its whole
-// parse -> plan -> execute span. Refresh is the only writer. It takes the
+// plan -> execute span. Refresh is the only writer. It takes the
 // write side of the snapshot lock: it waits for in-flight queries to
 // drain, rebuilds the metadata (one atomic multi-table commit), and only
 // then admits new queries — a query never sees a half-applied refresh.
@@ -49,8 +54,8 @@
 //
 // Both shortcuts are semantically invisible: pruning only drops rows an
 // enclosing filter would delete, and skipping only removes ranges a proof
-// shows empty. Options.NoSkipping disables all of it and is the retained
-// oracle the skipping paths are tested against, across the full
+// shows empty. The NoSkipping oracle disables all of it and is the retained
+// reference the skipping paths are tested against, across the full
 // workers x morsel x budget matrix. Per-query effects surface in
 // Result.Trace (Scans, Join) and cumulatively in Stats.
 package warehouse
@@ -108,47 +113,51 @@ type Options struct {
 	// select the default of 10000.
 	KeepLog int
 	// MaxConcurrentQueries bounds how many queries execute simultaneously;
-	// additional Query calls wait for a slot. It also sets the per-query
+	// additional queries wait for a slot. It also sets the per-query
 	// memory sub-budget under MemoryBudget (budget / slots, floored at
 	// 1 MiB — the shared ledger still enforces the global bound). 0 means
 	// GOMAXPROCS.
 	MaxConcurrentQueries int
-	// SerializeQueries retains the historical global-mutex behavior: one
-	// query at a time, each with the full memory budget. It is the oracle
-	// knob concurrent serving is benchmarked and tested against.
-	SerializeQueries bool
-	// NoPipeline runs every query on the operator-at-a-time serial
-	// reference instead of push pipelines — the bit-identity oracle of the
-	// tests and the baseline of BenchmarkExtractOverlap; no frontend sets
-	// it. Off by default.
-	NoPipeline bool
-	// NoSkipping disables every zone-map shortcut: record pruning before
-	// extraction, zone-range skipping on table scans, and stats-driven join
-	// reordering. It is the bit-identity oracle the skipping paths are
-	// tested against. Off by default: statistics are exploited when present.
-	NoSkipping bool
 	// MorselRows overrides the rows-per-morsel granularity of the parallel
 	// engine and the push pipelines. <= 0 keeps the default; tests shrink
 	// it to force multi-morsel schedules on small inputs.
 	MorselRows int
-	// NoQueryCache disables the two-tier query cache (the plan/statement
-	// cache and the snapshot-versioned result cache): every query pays
-	// full parse -> plan -> reorder -> execute. It is the bit-identity
-	// oracle the cached serving path is tested against. Off by default.
-	NoQueryCache bool
-	// NoTrace disables per-query trace-span collection (Result.Trace.Spans
-	// stays nil). It is the uninstrumented oracle the tracing path is
-	// benchmarked and tested against: answers are bit-identical either way,
-	// and BenchmarkTraceOverhead bounds the tracing cost. Latency
-	// histograms and counters stay on regardless — they are a handful of
-	// atomic adds per query.
-	NoTrace bool
 	// SlowQueryThreshold, when > 0, logs every query whose wall time
 	// reaches it at warn severity, with its rendered span tree (when
 	// tracing is on) so the expensive phase is attributable after the
 	// fact. 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
+	// Oracle switches optimizations off for the tests and benchmarks that
+	// compare against them; zero — everything on — in every frontend.
+	Oracle Oracle
 }
+
+// Oracle is a set of test-facing switches. Each turns one optimization off,
+// leaving the reference its bit-identity tests and benchmarks compare with;
+// answers are bit-identical under every combination.
+type Oracle uint8
+
+const (
+	// NoPipeline runs every query on the operator-at-a-time serial
+	// reference instead of push pipelines — the baseline of
+	// BenchmarkExtractOverlap.
+	NoPipeline Oracle = 1 << iota
+	// NoSkipping disables every zone-map shortcut: record pruning before
+	// extraction, zone-range skipping on table scans, and stats-driven join
+	// reordering. Without it statistics are exploited when present.
+	NoSkipping
+	// NoQueryCache disables the two-tier query cache (the plan/statement
+	// cache and the snapshot-versioned result cache): every query is parsed
+	// from its raw text by sql.Parse and pays full plan -> reorder ->
+	// execute, so the cached path's Normalize + ParseTemplate + BindParams
+	// is checked against an independent parse.
+	NoQueryCache
+	// NoTrace disables per-query trace-span collection (Result.Trace.Spans
+	// stays nil); BenchmarkTraceOverhead bounds the tracing cost against
+	// it. Latency histograms and counters stay on regardless — they are a
+	// handful of atomic adds per query.
+	NoTrace
+)
 
 // Severity classifies operation-log entries so \log can filter.
 type Severity int8
@@ -206,7 +215,7 @@ type Trace struct {
 	// spine, when it had one eligible (estimates, SQL order, chosen order).
 	Join *plan.ReorderInfo
 	// Spans is the query's trace-span tree (wall time, rows and bytes per
-	// serve-path phase and operator). nil under Options.NoTrace, and for a
+	// serve-path phase and operator). nil under the NoTrace oracle, and for a
 	// result-cache hit it covers only the probe that served the hit.
 	Spans *obs.SpanNode
 }
@@ -246,27 +255,24 @@ type InitStats struct {
 // Warehouse is an open scientific data warehouse over an mSEED repository.
 // See the package documentation for the concurrency contract.
 type Warehouse struct {
-	mode         Mode
-	store        *catalog.Store
-	engine       *etl.Engine
-	pool         *exec.Pool
-	ledger       *mem.Ledger
-	noPipeline   bool
-	noSkipping   bool
-	noQueryCache bool
-	noTrace      bool
-	slowQuery    time.Duration
-	qc           *queryCache
-	exec         plan.ExecStats
-	metrics      obs.Metrics
-	init         InitStats
+	mode      Mode
+	store     *catalog.Store
+	engine    *etl.Engine
+	pool      *exec.Pool
+	ledger    *mem.Ledger
+	oracle    Oracle
+	slowQuery time.Duration
+	qc        *queryCache
+	exec      plan.ExecStats
+	metrics   obs.Metrics
+	init      InitStats
 
 	// refreshing is set for the whole Refresh call, including the drain
 	// wait for in-flight queries — the /readyz not-ready window.
 	refreshing atomic.Bool
 
 	// refreshMu is the snapshot lock: queries hold the read side for their
-	// parse -> plan -> execute span, Refresh holds the write side while it
+	// plan -> execute span, Refresh holds the write side while it
 	// rebuilds and swaps the catalog/engine state.
 	refreshMu sync.RWMutex
 	// rp is the repository snapshot of the last (re)load; refreshMu-guarded.
@@ -276,10 +282,6 @@ type Warehouse struct {
 	// carved from ledger (0 = unlimited).
 	admit       chan struct{}
 	queryBudget int64
-	// serialize retains the historical one-query-at-a-time behavior
-	// (Options.SerializeQueries); serialMu implements it.
-	serialize bool
-	serialMu  sync.Mutex
 
 	queries atomic.Int64
 
@@ -320,21 +322,17 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	}
 	store := catalog.NewStore(catalog.MSEED())
 	w := &Warehouse{
-		mode:         opts.Mode,
-		rp:           rp,
-		store:        store,
-		engine:       etl.New(rp, store, opts.ETL),
-		pool:         exec.NewPoolMorsel(opts.Workers, opts.MorselRows),
-		ledger:       mem.New(opts.MemoryBudget),
-		admit:        make(chan struct{}, slots),
-		queryBudget:  queryBudget,
-		serialize:    opts.SerializeQueries,
-		keepLog:      keep,
-		noPipeline:   opts.NoPipeline,
-		noSkipping:   opts.NoSkipping,
-		noQueryCache: opts.NoQueryCache,
-		noTrace:      opts.NoTrace,
-		slowQuery:    opts.SlowQueryThreshold,
+		mode:        opts.Mode,
+		rp:          rp,
+		store:       store,
+		engine:      etl.New(rp, store, opts.ETL),
+		pool:        exec.NewPoolMorsel(opts.Workers, opts.MorselRows),
+		ledger:      mem.New(opts.MemoryBudget),
+		admit:       make(chan struct{}, slots),
+		queryBudget: queryBudget,
+		keepLog:     keep,
+		oracle:      opts.Oracle,
+		slowQuery:   opts.SlowQueryThreshold,
 	}
 	w.qc = newQueryCache(w.ledger)
 	// Recycler admissions draw on the same ledger as operator working
@@ -455,57 +453,185 @@ func (o *observer) Event(op, detail string) {
 	o.w.logf(op, "%s", detail)
 }
 
-// Query parses, plans, and executes one SELECT statement. It is safe to
-// call from many goroutines at once: queries execute concurrently against
-// per-query snapshots of the warehouse state (see the package doc), and
-// every failure path leaves an "error" entry in the operation log so
-// failed queries stay attributable when many clients share the log.
+// Query serves one ad-hoc SELECT statement. It is safe to call from many
+// goroutines at once: queries execute concurrently against per-query
+// snapshots of the warehouse state (see the package doc), and every failure
+// leaves an "error" entry in the operation log so failed queries stay
+// attributable when many clients share the log.
 //
-// Unless Options.NoQueryCache is set, repeated query shapes are served
-// through the two-tier query cache: identical normalized statements reuse
-// their built plan, and bit-identical answers may come straight from the
-// result cache (validated against the snapshot versions and the source
-// files' stamps, so a cached answer never differs from fresh execution).
-func (w *Warehouse) Query(q string) (*Result, error) {
-	res, err := w.query(q, true)
-	if err != nil {
-		w.metrics.Errors.Add(1)
-		w.logf("error", "query failed: %v", err)
-	}
-	return res, err
-}
+// Query is Prepare + Execute with the literals as parameters: the text is
+// normalized to its template, the template's statement comes from (or goes
+// into) the statement cache, and that statement is served. Repeated shapes
+// therefore reuse their built plan, and bit-identical answers may come
+// straight from the result cache (validated against the snapshot versions
+// and the source files' stamps, so a cached answer never differs from fresh
+// execution).
+func (w *Warehouse) Query(q string) (*Result, error) { return w.query(q, true) }
 
 // QueryUncached executes like Query but never serves the answer from the
 // result cache, so the run-time trace (injected operators, per-scan skip
 // tallies) reflects a real execution — the \explain surface uses it. The
-// plan cache still applies, and the computed answer is still admitted for
-// later Query calls.
-func (w *Warehouse) QueryUncached(q string) (*Result, error) {
-	res, err := w.query(q, false)
+// plan cache still applies.
+func (w *Warehouse) QueryUncached(q string) (*Result, error) { return w.query(q, false) }
+
+func (w *Warehouse) query(q string, useResultCache bool) (*Result, error) {
+	start, root := time.Now(), w.newRootSpan()
+	w.logf("query", "%s", q)
+	p, params, err := w.resolve(q, root)
 	if err != nil {
-		w.metrics.Errors.Add(1)
-		w.logf("error", "query failed: %v", err)
+		return nil, w.fail("query", err)
 	}
-	return res, err
+	return p.serve(start, root, params, obs.ClassCold, useResultCache)
 }
 
 // newRootSpan starts the query's root trace span, or returns nil (every
-// span operation no-ops) under Options.NoTrace.
+// span operation no-ops) under the NoTrace oracle.
 func (w *Warehouse) newRootSpan() *obs.Span {
-	if w.noTrace {
+	if w.oracle&NoTrace != 0 {
 		return nil
 	}
 	return obs.NewRoot("query")
 }
 
-func (w *Warehouse) query(q string, useResultCache bool) (*Result, error) {
-	start := time.Now()
-	root := w.newRootSpan()
-	adm := root.StartChild("admit")
-	if w.serialize {
-		w.serialMu.Lock()
-		defer w.serialMu.Unlock()
+// fail is the one error-accounting site: every failed Query, Execute,
+// Prepare and Refresh bumps the error counter and leaves exactly one
+// error-severity log entry (TestLogSeqAndSeverity pins the pairing).
+func (w *Warehouse) fail(op string, err error) error {
+	w.metrics.Errors.Add(1)
+	w.logf("error", "%s failed: %v", op, err)
+	return err
+}
+
+// Prepared is a statement of the warehouse: parsed once, with '?' markers
+// bound to values per execution. It is the one statement object — Prepare
+// returns one for explicit reuse, and every ad-hoc Query resolves to one —
+// so both share the query caches: a prepared "x = ?" and ad-hoc "x = 5"
+// queries of the same shape hit the same plan and result entries.
+type Prepared struct {
+	w    *Warehouse
+	text string // canonical template, or the raw text of a one-off statement
+	stmt *sql.SelectStmt
+	// cached is false for a one-off statement, which bypasses both cache
+	// tiers: text that cannot normalize, and everything under NoQueryCache.
+	cached bool
+}
+
+// Prepare parses a SELECT statement that may contain '?' parameter
+// markers, for repeated execution with per-call parameter values.
+func (w *Warehouse) Prepare(q string) (*Prepared, error) {
+	stmt, err := sql.ParseTemplate(q)
+	if err != nil {
+		return nil, w.fail("prepare", err)
 	}
+	tmpl, err := sql.CanonicalTemplate(q)
+	if err != nil {
+		return nil, w.fail("prepare", err)
+	}
+	w.logf("prepare", "%s (%d parameter(s))", tmpl, stmt.NumParams)
+	return &Prepared{w: w, text: tmpl, stmt: stmt, cached: w.oracle&NoQueryCache == 0}, nil
+}
+
+// resolve turns ad-hoc text into the statement that serves it plus the
+// parameters to serve it with: sql.Normalize pulls the literals out, and the
+// template's statement comes from the statement cache or is parsed into it.
+// Text that cannot normalize (explicit '?' markers, malformed literals) or
+// whose template does not parse, and everything under the NoQueryCache
+// oracle, resolves to a one-off statement parsed from the raw text, so error
+// messages point at real offsets and the oracle's parse is independent of
+// Normalize + ParseTemplate + BindParams.
+func (w *Warehouse) resolve(q string, root *obs.Span) (*Prepared, []column.Value, error) {
+	if w.oracle&NoQueryCache == 0 {
+		nsp := root.StartChild("normalize")
+		n, err := sql.Normalize(q)
+		var p *Prepared
+		if err == nil {
+			p = w.qc.lookupStmt(n.Template)
+		}
+		nsp.End()
+		if err == nil && p == nil {
+			psp := root.StartChild("parse")
+			if stmt, perr := sql.ParseTemplate(n.Template); perr == nil {
+				p = &Prepared{w: w, text: n.Template, stmt: stmt, cached: true}
+				w.qc.storeStmt(p)
+			}
+			psp.End()
+		}
+		if p != nil {
+			return p, n.Params, nil
+		}
+	}
+	psp := root.StartChild("parse")
+	stmt, err := sql.Parse(q)
+	psp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Prepared{w: w, text: q, stmt: stmt}, nil, nil
+}
+
+// SQL returns the canonical statement text ('?' markers included).
+func (p *Prepared) SQL() string { return p.text }
+
+// NumParams returns how many '?' markers the statement carries.
+func (p *Prepared) NumParams() int { return p.stmt.NumParams }
+
+// key is the statement's entry in both query-cache tiers for these
+// parameter values, or "" for a one-off statement, which has none.
+func (p *Prepared) key(params []column.Value) string {
+	if !p.cached {
+		return ""
+	}
+	return p.text + "\x1f" + paramsKey(params)
+}
+
+// Execute binds the parameters and serves the statement under the same
+// concurrency, admission and caching contract as Query. A parameter-count
+// mismatch fails before admission; it is a failed query all the same.
+func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
+	if len(params) != p.stmt.NumParams {
+		return nil, p.w.fail("query", fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params)))
+	}
+	p.w.logf("query", "EXECUTE %s %v", p.text, params)
+	return p.serve(time.Now(), p.w.newRootSpan(), params, obs.ClassPrepared, true)
+}
+
+// Explain resolves the plan the statement would execute with for these
+// parameters, without executing it, including the stats-driven
+// join-ordering decision. On a warm plan cache this is the pure
+// statement-resolution path: no lexing, no parse, no Build, no reorder —
+// just the versioned cache lookup. Per-scan skip tallies require execution;
+// use QueryUncached and read Result.Trace.Scans.
+func (p *Prepared) Explain(params ...column.Value) (*Trace, error) {
+	pe, err := p.plan(p.w.store.Snapshot(), params, p.key(params), nil)
+	if err != nil {
+		return nil, err
+	}
+	tr := pe.trace()
+	return &tr, nil
+}
+
+// Explain is Prepared.Explain for ad-hoc text, resolved as Query does.
+func (w *Warehouse) Explain(q string) (*Trace, error) {
+	p, params, err := w.resolve(q, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Explain(params...)
+}
+
+// serve runs the statement once. It is the whole serve path, and the only
+// one: admission, the snapshot lock, the query count, the result-cache
+// probe, plan resolution, execution, cache admission, and the close-out of
+// spans, histograms, slow-query log, "answer" entry and error accounting.
+// (The "query" log entry is its callers': each has the text as it arrived,
+// which a statement shared by every query of its shape does not.)
+// class is the latency-histogram class of a computed answer (a result-cache
+// hit is always ClassCached); useResultCache false keeps the statement away
+// from the result cache, probe and admission both — the plan cache still
+// applies.
+func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass, useResultCache bool) (*Result, error) {
+	w := p.w
+	adm := root.StartChild("admit")
 	// Admission control: at most cap(w.admit) queries execute at once;
 	// the rest wait here, keeping the per-query memory sub-budgets honest.
 	w.admit <- struct{}{}
@@ -517,146 +643,91 @@ func (w *Warehouse) query(q string, useResultCache bool) (*Result, error) {
 	adm.End()
 
 	w.queries.Add(1)
-	w.logf("query", "%s", q)
 
-	nsp := root.StartChild("normalize")
-	rs, err := w.specFor(q)
-	nsp.End()
-	if err != nil {
-		return nil, err
-	}
-	rs.resultCache = useResultCache
-	rs.class = obs.ClassCold
-	return w.run(start, rs, root)
-}
-
-// runSpec describes one statement execution request: either an ad-hoc
-// query (src, plus template/params when it normalized) or a prepared
-// statement (stmt pre-parsed, params bound per call).
-type runSpec struct {
-	src         string          // original text (uncached fallback, error fidelity)
-	stmt        *sql.SelectStmt // pre-parsed unbound statement (prepared path)
-	template    string          // canonical template; "" disables both cache tiers
-	params      []column.Value
-	resultCache bool           // consult/admit the result cache (plan cache always applies)
-	class       obs.QueryClass // histogram class on success (hits re-class to cached)
-}
-
-// specFor normalizes an ad-hoc query into a cacheable runSpec. Queries
-// that cannot normalize (explicit '?' markers, malformed literals) fall
-// back to the uncached path parsing the original text, so their error
-// messages point at real offsets.
-func (w *Warehouse) specFor(q string) (runSpec, error) {
-	if w.noQueryCache {
-		return runSpec{src: q}, nil
-	}
-	n, err := sql.Normalize(q)
-	if err != nil {
-		if _, perr := sql.Parse(q); perr != nil {
-			return runSpec{}, perr
-		}
-		return runSpec{src: q}, nil
-	}
-	return runSpec{src: q, template: n.Template, params: n.Params}, nil
-}
-
-// run executes one statement against a fresh store snapshot, consulting
-// the result cache first and the plan cache under it. The caller must hold
-// the admission slot and the snapshot read lock.
-func (w *Warehouse) run(start time.Time, rs runSpec, root *obs.Span) (*Result, error) {
 	ssp := root.StartChild("snapshot")
 	store := w.store.Snapshot()
 	ssp.End()
-	cached := rs.template != "" && !w.noQueryCache
-	var sqlKey string
-	var repoVer int64
-	if cached {
-		psp := root.StartChild("cache-probe")
-		sqlKey = rs.template + "\x1f" + paramsKey(rs.params)
-		repoVer = w.engine.SnapshotVersion()
-		if rs.resultCache {
-			if ent, ok := w.qc.lookupResult(sqlKey, store.Version(), repoVer); ok {
-				psp.AddRows(int64(ent.batch.NumRows()))
-				psp.End()
-				res := &Result{
-					Columns: ent.columns,
-					Batch:   ent.batch,
-					Elapsed: time.Since(start),
-					Trace:   ent.trace,
-				}
-				res.Trace.Spans = w.finish(root, rs.src, obs.ClassCached, res.Elapsed)
-				w.logf("answer", "%d rows in %v (result cache)", ent.batch.NumRows(), res.Elapsed)
-				return res, nil
-			}
+	psp := root.StartChild("cache-probe")
+	sqlKey := p.key(params)
+	useResultCache = useResultCache && sqlKey != ""
+	repoVer := w.engine.SnapshotVersion()
+	if useResultCache {
+		if ent, ok := w.qc.lookupResult(sqlKey, store.Version(), repoVer); ok {
+			psp.AddRows(int64(ent.batch.NumRows()))
+			psp.End()
+			res := &Result{Columns: ent.columns, Batch: ent.batch, Trace: ent.trace}
+			return p.finish(res, start, root, params, obs.ClassCached), nil
 		}
-		psp.End()
 	}
+	psp.End()
 
-	pe, err := w.prepare(rs, store, sqlKey, cached, root)
+	pe, err := p.plan(store, params, sqlKey, root)
 	if err != nil {
-		return nil, err
+		return nil, w.fail("query", err)
 	}
-	tr := Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}
+	res := &Result{Trace: pe.trace()}
 	esp := root.StartChild("execute")
-	o := &observer{w: w, trace: &tr, touched: make(map[string]bool), span: esp}
+	o := &observer{w: w, trace: &res.Trace, touched: make(map[string]bool), span: esp}
 	// The query's memory context: operator reservations come from a
 	// per-query sub-budget of the warehouse ledger (so one spilling query
 	// cannot starve the fleet); spill files live in a per-query temp dir
 	// that the deferred Cleanup removes on every exit path, error included.
 	qm := exec.NewQueryMem(w.ledger.Child(w.queryBudget), "")
 	defer qm.Cleanup()
-	env := &plan.Env{Store: store, Source: w.engine, Obs: o, Pool: w.pool, Mem: qm, Stats: &w.exec, NoPipeline: w.noPipeline, NoSkipping: w.noSkipping, Trace: esp}
-	batch, err := plan.Execute(pe.root, env)
+	env := &plan.Env{Store: store, Source: w.engine, Obs: o, Pool: w.pool, Mem: qm, Stats: &w.exec,
+		NoPipeline: w.oracle&NoPipeline != 0, NoSkipping: w.oracle&NoSkipping != 0, Trace: esp}
+	res.Batch, err = plan.Execute(pe.root, env)
 	if err != nil {
-		return nil, err
+		return nil, w.fail("query", err)
 	}
-	esp.AddRows(int64(batch.NumRows()))
+	esp.AddRows(int64(res.Batch.NumRows()))
 	esp.End()
 	msp := root.StartChild("emit")
-	res := &Result{
-		Columns: batch.Names(),
-		Batch:   batch,
-		Elapsed: time.Since(start),
-		Trace:   tr,
-	}
-	if cached && rs.resultCache {
+	res.Columns = res.Batch.Names()
+	if useResultCache {
 		w.qc.admitResult(sqlKey, store.Version(), repoVer, res, o.stamps)
 	}
 	msp.End()
+	return p.finish(res, start, root, params, class), nil
+}
+
+// finish closes out one served query: elapsed time, the latency histogram
+// observation, the root span's end+snapshot (nil under NoTrace), the
+// slow-query log and the "answer" log entry.
+func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass) *Result {
+	w := p.w
 	res.Elapsed = time.Since(start)
-	res.Trace.Spans = w.finish(root, rs.src, rs.class, res.Elapsed)
-	w.logf("answer", "%d rows in %v", batch.NumRows(), res.Elapsed)
-	return res, nil
-}
-
-// finish closes out one served query: the latency histogram observation,
-// the root span's end+snapshot, and the slow-query log. Returns the span
-// tree (nil under NoTrace).
-func (w *Warehouse) finish(root *obs.Span, q string, class obs.QueryClass, elapsed time.Duration) *obs.SpanNode {
-	w.metrics.ObserveQuery(class, elapsed)
+	w.metrics.ObserveQuery(class, res.Elapsed)
 	root.End()
-	spans := root.Snapshot()
-	if w.slowQuery > 0 && elapsed >= w.slowQuery {
+	res.Trace.Spans = root.Snapshot()
+	if w.slowQuery > 0 && res.Elapsed >= w.slowQuery {
 		w.metrics.Slow.Add(1)
-		if spans != nil {
-			w.logAt(SeverityWarn, "slow", "%v >= %v (%s): %s\n%s", elapsed, w.slowQuery, class, q, obs.Render(spans))
-		} else {
-			w.logAt(SeverityWarn, "slow", "%v >= %v (%s): %s", elapsed, w.slowQuery, class, q)
+		tree := ""
+		if res.Trace.Spans != nil {
+			tree = "\n" + obs.Render(res.Trace.Spans)
 		}
+		w.logAt(SeverityWarn, "slow", "%v >= %v (%s): %s %v%s", res.Elapsed, w.slowQuery, class, p.text, params, tree)
 	}
-	return spans
+	if class == obs.ClassCached {
+		w.logf("answer", "%d rows in %v (result cache)", res.Batch.NumRows(), res.Elapsed)
+	} else {
+		w.logf("answer", "%d rows in %v", res.Batch.NumRows(), res.Elapsed)
+	}
+	return res
 }
 
-// prepare resolves a runSpec to an executable plan: the shared seam both
-// Query and Explain go through. With caching on it is the plan-cache fast
-// path — a hit skips parse, Build and ReorderJoins entirely; a miss builds
-// the plan and caches it under (template, params, store version). The
-// versioned key doubles as the re-validation the stats-driven join order
-// needs: cardinality estimates read only the store's batch zones, which
-// change exclusively through version-bumping store mutations, so a plan
-// whose join order a stats shift would alter can never be looked up again.
-func (w *Warehouse) prepare(rs runSpec, store *catalog.Store, sqlKey string, cached bool, root *obs.Span) (*planEntry, error) {
-	if cached {
+// plan resolves the statement to an executable plan for these parameters:
+// the seam serve and Explain share. For a cached statement it is the
+// plan-cache fast path — a hit skips bind, Build and ReorderJoins entirely;
+// a miss builds the plan and caches it under (template, params, store
+// version). The versioned key doubles as the re-validation the stats-driven
+// join order needs: cardinality estimates read only the store's batch zones,
+// which change exclusively through version-bumping store mutations, so a
+// plan whose join order a stats shift would alter can never be looked up
+// again.
+func (p *Prepared) plan(store *catalog.Store, params []column.Value, sqlKey string, root *obs.Span) (*planEntry, error) {
+	w := p.w
+	if sqlKey != "" {
 		csp := root.StartChild("plan-cache")
 		pe, ok := w.qc.lookupPlan(sqlKey, store.Version())
 		csp.End()
@@ -665,32 +736,7 @@ func (w *Warehouse) prepare(rs runSpec, store *catalog.Store, sqlKey string, cac
 		}
 	}
 	psp := root.StartChild("parse")
-	stmt := rs.stmt
-	if stmt == nil {
-		if cached {
-			stmt = w.qc.lookupStmt(rs.template)
-			if stmt == nil {
-				var err error
-				stmt, err = sql.ParseTemplate(rs.template)
-				if err != nil {
-					// The canonical template failed to parse; re-parse the
-					// original text so the error reports real offsets.
-					if _, perr := sql.Parse(rs.src); perr != nil {
-						return nil, perr
-					}
-					return nil, err
-				}
-				w.qc.storeStmt(rs.template, stmt)
-			}
-		} else {
-			var err error
-			stmt, err = sql.Parse(rs.src)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	bound, err := sql.BindParams(stmt, rs.params)
+	bound, err := sql.BindParams(p.stmt, params)
 	psp.End()
 	if err != nil {
 		return nil, err
@@ -706,7 +752,7 @@ func (w *Warehouse) prepare(rs runSpec, store *catalog.Store, sqlKey string, cac
 		naive:     plan.Render(plans.Naive),
 		optimized: plan.Render(plans.Root),
 	}
-	if !w.noSkipping {
+	if w.oracle&NoSkipping == 0 {
 		// Statistics-driven join ordering: decided per build against the
 		// snapshot's zone statistics, before execution.
 		if root, info := plan.ReorderJoins(plans.Root, store); info != nil {
@@ -720,129 +766,11 @@ func (w *Warehouse) prepare(rs runSpec, store *catalog.Store, sqlKey string, cac
 			}
 		}
 	}
-	if cached {
+	if sqlKey != "" {
 		w.qc.storePlan(sqlKey, store.Version(), pe)
 	}
 	bsp.End()
 	return pe, nil
-}
-
-// Explain builds the plans for a query without executing it, including the
-// stats-driven join-ordering decision the query would run with. Per-scan
-// skip tallies require execution; use QueryUncached and read
-// Result.Trace.Scans.
-func (w *Warehouse) Explain(q string) (*Trace, error) {
-	rs, err := w.specFor(q)
-	if err != nil {
-		return nil, err
-	}
-	store := w.store.Snapshot()
-	cached := rs.template != "" && !w.noQueryCache
-	var sqlKey string
-	if cached {
-		sqlKey = rs.template + "\x1f" + paramsKey(rs.params)
-	}
-	pe, err := w.prepare(rs, store, sqlKey, cached, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}, nil
-}
-
-// Prepared is a statement prepared against a warehouse: parsed once, with
-// '?' markers bound to values per Execute. Execution shares the warehouse
-// query caches — repeated Execute calls with equal parameters hit the plan
-// cache (and, via Query's normalization, share entries with ad-hoc queries
-// of the same shape when the prepared text has no inline literals).
-type Prepared struct {
-	w        *Warehouse
-	template string
-	stmt     *sql.SelectStmt
-}
-
-// Prepare parses a SELECT statement that may contain '?' parameter
-// markers, for repeated execution with per-call parameter values.
-func (w *Warehouse) Prepare(q string) (*Prepared, error) {
-	stmt, err := sql.ParseTemplate(q)
-	if err != nil {
-		w.logf("error", "prepare failed: %v", err)
-		return nil, err
-	}
-	tmpl, err := sql.CanonicalTemplate(q)
-	if err != nil {
-		w.logf("error", "prepare failed: %v", err)
-		return nil, err
-	}
-	w.logf("prepare", "%s (%d parameter(s))", tmpl, stmt.NumParams)
-	return &Prepared{w: w, template: tmpl, stmt: stmt}, nil
-}
-
-// SQL returns the canonical statement text ('?' markers included).
-func (p *Prepared) SQL() string { return p.template }
-
-// NumParams returns how many '?' markers the statement carries.
-func (p *Prepared) NumParams() int { return p.stmt.NumParams }
-
-// Explain resolves the plan the statement would execute with for these
-// parameters, without executing it. On a warm plan cache this is the pure
-// statement-resolution path: no lexing, no parse, no Build, no reorder —
-// just the versioned cache lookup.
-func (p *Prepared) Explain(params ...column.Value) (*Trace, error) {
-	w := p.w
-	if len(params) != p.stmt.NumParams {
-		return nil, fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params))
-	}
-	store := w.store.Snapshot()
-	rs := runSpec{src: p.template, stmt: p.stmt, params: params}
-	cached := !w.noQueryCache
-	var sqlKey string
-	if cached {
-		rs.template = p.template
-		sqlKey = rs.template + "\x1f" + paramsKey(params)
-	}
-	pe, err := w.prepare(rs, store, sqlKey, cached, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}, nil
-}
-
-// Execute binds the parameters and runs the statement under the same
-// concurrency, admission and caching contract as Query.
-func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
-	w := p.w
-	if len(params) != p.stmt.NumParams {
-		err := fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params))
-		w.metrics.Errors.Add(1)
-		w.logf("error", "query failed: %v", err)
-		return nil, err
-	}
-	start := time.Now()
-	root := w.newRootSpan()
-	adm := root.StartChild("admit")
-	if w.serialize {
-		w.serialMu.Lock()
-		defer w.serialMu.Unlock()
-	}
-	w.admit <- struct{}{}
-	defer func() { <-w.admit }()
-	w.refreshMu.RLock()
-	defer w.refreshMu.RUnlock()
-	adm.End()
-
-	w.queries.Add(1)
-	w.logf("query", "EXECUTE %s %v", p.template, params)
-
-	rs := runSpec{src: p.template, stmt: p.stmt, params: params, resultCache: true, class: obs.ClassPrepared}
-	if !w.noQueryCache {
-		rs.template = p.template
-	}
-	res, err := w.run(start, rs, root)
-	if err != nil {
-		w.metrics.Errors.Add(1)
-		w.logf("error", "query failed: %v", err)
-	}
-	return res, err
 }
 
 // Refresh re-synchronizes the warehouse with the repository: lazy modes
@@ -870,7 +798,7 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 		st, err = w.engine.RefreshMetadata()
 	}
 	if err != nil {
-		return st, err
+		return st, w.fail("refresh", err)
 	}
 	w.rp = w.engine.Repository()
 	// The snapshot versions the cache keys carry just changed, so no stale

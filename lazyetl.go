@@ -26,7 +26,7 @@
 // stages, with prefetch buffers charged to the memory ledger so overlap
 // degrades to synchronous extraction under budget pressure. Pipelined
 // output is bit-identical to an operator-at-a-time serial reference that
-// tests reach through Options.NoPipeline — serial in its operators only:
+// tests reach through the NoPipeline oracle — serial in its operators only:
 // it drains that same extraction stream into one batch first. Stats
 // reports pipeline and prefetch counters.
 //
@@ -49,9 +49,10 @@
 // before swapping state. Admitted queries (Options.MaxConcurrentQueries
 // at a time) each get a sub-budget carved from the shared memory ledger
 // so one spilling query cannot starve the rest. Concurrent answers are
-// bit-identical to serial execution; Options.SerializeQueries retains the
-// old one-query-at-a-time path as a verification oracle. cmd/lazyetld
-// serves a warehouse to many clients over HTTP/JSON.
+// bit-identical to serial execution (MaxConcurrentQueries: 1). There is
+// one serve path: every query, ad-hoc or prepared, is a Prepared statement
+// served by one function. cmd/lazyetld serves a warehouse to many clients
+// over HTTP/JSON.
 //
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
@@ -66,15 +67,14 @@
 // byte-charged to the shared memory ledger so cached results compete with
 // the recycler cache under one budget. Refresh invalidates both tiers.
 // Cached answers are bit-identical to fresh execution; the uncached path
-// is retained as the verification oracle behind Options.NoQueryCache (the
-// --no-query-cache flag of cmd/lazyetl and cmd/lazyetld).
+// is retained as the verification oracle NoQueryCache.
 //
 // The query path is observable end to end. Every query carries a trace of
 // spans (normalize, cache probe, parse, plan, extraction read/decode/
 // prefetch-stall, pipeline stages, emit) returned in Trace.Spans and
 // rendered by the \trace REPL command or POST /query?trace=1 on
-// cmd/lazyetld; Options.NoTrace disables span collection (the oracle for
-// proving tracing never changes answers and costs under 2% —
+// cmd/lazyetld; the NoTrace oracle disables span collection (for proving
+// tracing never changes answers and costs under 2% —
 // BenchmarkTraceOverhead). Per-class latency histograms and counters are
 // always on and exported in Prometheus text format at GET /metrics, and
 // Options.SlowQueryThreshold logs the span tree of any query at or over
@@ -125,6 +125,8 @@ type (
 	// Prepared is a statement prepared with Warehouse.Prepare: parsed
 	// once, executed repeatedly with per-call parameter values.
 	Prepared = warehouse.Prepared
+	// Oracle is the set of test-facing switches of Options.Oracle.
+	Oracle = warehouse.Oracle
 	// QueryCacheStats is the observable state of the two-tier query cache
 	// (Stats.QueryCache).
 	QueryCacheStats = warehouse.QueryCacheStats
@@ -154,6 +156,16 @@ const (
 	Lazy = warehouse.Lazy
 	// External extracts per query without metadata pruning (baseline).
 	External = warehouse.External
+)
+
+// Oracle switches (Options.Oracle): each turns one optimization off so
+// tests and benchmarks can compare against the reference; no frontend
+// sets them.
+const (
+	NoPipeline   = warehouse.NoPipeline
+	NoSkipping   = warehouse.NoSkipping
+	NoQueryCache = warehouse.NoQueryCache
+	NoTrace      = warehouse.NoTrace
 )
 
 // Operation-log severities (LogEntry.Level).
