@@ -2,12 +2,19 @@ package column
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 )
 
 // Column is an append-only typed vector with a name. Integer-family types
 // (Int64, Timestamp, Bool) share the ints slice; Float64 uses floats;
 // String uses strs. Nulls are tracked in a lazily allocated bitmap-like
 // slice (nil when the column has no nulls, the common case).
+//
+// A column built by Repeat is in constant-run form instead: run holds one
+// value per run and the vectors above stay empty. It is read-only, like the
+// views Slice and Range return.
 type Column struct {
 	name  string
 	typ   Type
@@ -15,6 +22,48 @@ type Column struct {
 	fls   []float64
 	strs  []string
 	nulls []bool // nil == no nulls anywhere
+	run   *runs  // non-nil == constant-run form
+}
+
+// runs is the constant-run form: run x repeats row x of vals over rows
+// [ends[x-1], ends[x]). It sits behind a pointer so WithName copies share
+// it, and with it the one expansion every raw-vector reader gets.
+type runs struct {
+	vals *Column // flat, one row per run
+	ends []int32 // cumulative row ends, strictly ascending: no run is empty
+	once sync.Once
+	flat *Column // vals expanded to one value per row, built by once
+}
+
+// at returns the run holding row i.
+func (r *runs) at(i int) int {
+	return sort.Search(len(r.ends), func(x int) bool { return int(r.ends[x]) > i })
+}
+
+// flat returns the column whose vectors hold c's rows one value each: c
+// itself, or the run form's expansion, built on first use and safe to ask
+// for from several goroutines.
+func (c *Column) flat() *Column {
+	r := c.run
+	if r == nil {
+		return c
+	}
+	r.once.Do(func() {
+		f := &Column{typ: c.typ}
+		switch c.typ {
+		case Float64:
+			f.fls = repeatRuns(r.vals.fls, r.ends)
+		case String:
+			f.strs = repeatRuns(r.vals.strs, r.ends)
+		default:
+			f.ints = repeatRuns(r.vals.ints, r.ends)
+		}
+		if r.vals.nulls != nil {
+			f.nulls = repeatRuns(r.vals.nulls, r.ends)
+		}
+		r.flat = f
+	})
+	return r.flat
 }
 
 // New creates an empty column.
@@ -68,6 +117,12 @@ func (c *Column) WithName(name string) *Column {
 
 // Len returns the number of values.
 func (c *Column) Len() int {
+	if r := c.run; r != nil {
+		if len(r.ends) == 0 {
+			return 0
+		}
+		return int(r.ends[len(r.ends)-1])
+	}
 	switch c.typ {
 	case Float64:
 		return len(c.fls)
@@ -149,11 +204,23 @@ func (c *Column) AppendValue(v Value) error {
 
 // IsNull reports whether the i-th value is null.
 func (c *Column) IsNull(i int) bool {
+	if c.run != nil {
+		return c.run.isNull(i)
+	}
 	return c.nulls != nil && c.nulls[i]
+}
+
+// isNull is IsNull for the run form, kept out of line so that IsNull itself
+// still inlines into the per-row loops that call it on flat columns.
+func (r *runs) isNull(i int) bool {
+	return r.vals.nulls != nil && r.vals.nulls[r.at(i)]
 }
 
 // Value returns the i-th value boxed.
 func (c *Column) Value(i int) Value {
+	if r := c.run; r != nil {
+		return r.vals.Value(r.at(i))
+	}
 	if c.IsNull(i) {
 		return NewNull(c.typ)
 	}
@@ -172,18 +239,53 @@ func (c *Column) Value(i int) Value {
 }
 
 // Int64s exposes the raw integer vector (Int64, Timestamp, Bool columns).
-func (c *Column) Int64s() []int64 { return c.ints }
+// On a column in run form the raw-vector accessors expand it, once.
+func (c *Column) Int64s() []int64 {
+	if c.run != nil {
+		return c.flat().ints
+	}
+	return c.ints
+}
 
 // Float64s exposes the raw float vector.
-func (c *Column) Float64s() []float64 { return c.fls }
+func (c *Column) Float64s() []float64 {
+	if c.run != nil {
+		return c.flat().fls
+	}
+	return c.fls
+}
 
 // Strings exposes the raw string vector.
-func (c *Column) Strings() []string { return c.strs }
+func (c *Column) Strings() []string {
+	if c.run != nil {
+		return c.flat().strs
+	}
+	return c.strs
+}
 
 // Nulls exposes the raw null vector: nil when the column has no nulls (the
 // common case kernels exploit as a branch-free fast path), else a []bool of
 // the column's length with true marking null positions.
-func (c *Column) Nulls() []bool { return c.nulls }
+func (c *Column) Nulls() []bool {
+	if c.run != nil {
+		if c.run.vals.nulls == nil {
+			return nil
+		}
+		return c.flat().nulls
+	}
+	return c.nulls
+}
+
+// Runs returns the constant-run form of a column Repeat built: run x holds
+// row x of vals over rows [ends[x-1], ends[x]), no run empty. ok is false
+// for a flat column. Operators that understand the form work once per run
+// from it; every other reader uses the accessors above and never sees it.
+func (c *Column) Runs() (vals *Column, ends []int32, ok bool) {
+	if c.run == nil {
+		return nil, nil, false
+	}
+	return c.run.vals, c.run.ends, true
+}
 
 // SetNulls attaches a null vector to the column (nil clears it). The length
 // must match the column length; all-false vectors may be passed and are
@@ -197,39 +299,39 @@ func (c *Column) SetNulls(nulls []bool) {
 
 // HasNulls reports whether the column may contain nulls (a nil null vector
 // guarantees it does not).
-func (c *Column) HasNulls() bool { return c.nulls != nil }
-
-// Slice returns a prefix view of the first n values. The underlying vectors
-// are shared with c, not copied, so this is O(1); callers must not append to
-// either column afterwards.
-func (c *Column) Slice(n int) *Column {
-	if n >= c.Len() {
-		return c
+func (c *Column) HasNulls() bool {
+	if c.run != nil {
+		return c.run.vals.nulls != nil
 	}
-	cp := &Column{name: c.name, typ: c.typ}
-	switch c.typ {
-	case Float64:
-		cp.fls = c.fls[:n]
-	case String:
-		cp.strs = c.strs[:n]
-	default:
-		cp.ints = c.ints[:n]
-	}
-	if c.nulls != nil {
-		cp.nulls = c.nulls[:n]
-	}
-	return cp
+	return c.nulls != nil
 }
+
+// Slice returns a prefix view of the first n values: Range(0, n).
+func (c *Column) Slice(n int) *Column { return c.Range(0, n) }
 
 // Range returns a view of rows [lo, hi). The underlying vectors are shared
 // with c, not copied, so this is O(1); callers must not append to either
 // column afterwards. This is how the morsel-driven executor hands each
-// worker its row window.
+// worker its row window. A column in run form yields one in run form: the
+// runs that overlap the window, clipped to it.
 func (c *Column) Range(lo, hi int) *Column {
 	if lo == 0 && hi >= c.Len() {
 		return c
 	}
 	cp := &Column{name: c.name, typ: c.typ}
+	if r := c.run; r != nil {
+		first := r.at(lo)
+		last := first
+		if hi > lo {
+			last = r.at(hi-1) + 1
+		}
+		ends := make([]int32, last-first)
+		for x := range ends {
+			ends[x] = min(r.ends[first+x], int32(hi)) - int32(lo)
+		}
+		cp.run = &runs{vals: r.vals.Range(first, last), ends: ends}
+		return cp
+	}
 	switch c.typ {
 	case Float64:
 		cp.fls = c.fls[lo:hi]
@@ -247,6 +349,7 @@ func (c *Column) Range(lo, hi int) *Column {
 // Gather builds a new column containing the rows selected by sel, in order.
 func (c *Column) Gather(sel []int32) *Column {
 	out := New(c.name, c.typ)
+	c = c.flat()
 	switch c.typ {
 	case Float64:
 		out.fls = make([]float64, len(sel))
@@ -275,44 +378,45 @@ func (c *Column) Gather(sel []int32) *Column {
 
 // Repeat builds a new column holding, for each x in order, the value of row
 // rows[x] repeated counts[x] times. It equals Gather over the expanded
-// selection vector, but never materializes that vector and fills each run
-// by doubling copies — a memmove per run instead of an indexed load per
-// value. Lazy extraction replicates a record's metadata once per sample
+// selection vector but returns the constant-run form: O(len(rows)) to build,
+// whatever the counts add up to, and expanded only if a reader asks for a
+// raw vector. Lazy extraction replicates a record's metadata once per sample
 // with it.
 func (c *Column) Repeat(rows []int32, counts []int) *Column {
-	out := New(c.name, c.typ)
-	switch c.typ {
-	case Float64:
-		out.fls = repeatRuns(c.fls, rows, counts)
-	case String:
-		out.strs = repeatRuns(c.strs, rows, counts)
-	default:
-		out.ints = repeatRuns(c.ints, rows, counts)
-	}
-	if c.nulls != nil {
-		out.nulls = repeatRuns(c.nulls, rows, counts)
-	}
-	return out
-}
-
-func repeatRuns[T any](src []T, rows []int32, counts []int) []T {
+	live := make([]int32, 0, len(rows))
+	ends := make([]int32, 0, len(rows))
 	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	dst := make([]T, total)
-	k := 0
 	for x, r := range rows {
-		n := counts[x]
-		if n == 0 {
+		if counts[x] == 0 {
 			continue
 		}
-		run := dst[k : k+n]
-		run[0] = src[r]
-		for filled := 1; filled < n; filled *= 2 {
+		total += counts[x]
+		live = append(live, r)
+		ends = append(ends, int32(total))
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("column %s: Repeat to %d rows overflows int32 row indices", c.name, total))
+	}
+	return &Column{name: c.name, typ: c.typ, run: &runs{vals: c.Gather(live), ends: ends}}
+}
+
+// repeatRuns expands src, one value per run, to one value per row, filling
+// each run by doubling copies — a memmove per run instead of an indexed
+// load per value.
+func repeatRuns[T any](src []T, ends []int32) []T {
+	total := int32(0)
+	if len(ends) > 0 {
+		total = ends[len(ends)-1]
+	}
+	dst := make([]T, total)
+	lo := int32(0)
+	for x, hi := range ends {
+		run := dst[lo:hi]
+		run[0] = src[x]
+		for filled := 1; filled < len(run); filled *= 2 {
 			copy(run[filled:], run[:filled])
 		}
-		k += n
+		lo = hi
 	}
 	return dst
 }
@@ -323,6 +427,8 @@ func (c *Column) AppendColumn(other *Column) error {
 		return fmt.Errorf("column %s: cannot append %v column to %v column", c.name, other.typ, c.typ)
 	}
 	before := c.Len()
+	n := other.Len()
+	other = other.flat()
 	switch c.typ {
 	case Float64:
 		c.fls = append(c.fls, other.fls...)
@@ -336,7 +442,7 @@ func (c *Column) AppendColumn(other *Column) error {
 			c.nulls = make([]bool, before)
 		}
 		if other.nulls == nil {
-			c.nulls = append(c.nulls, make([]bool, other.Len())...)
+			c.nulls = append(c.nulls, make([]bool, n)...)
 		} else {
 			c.nulls = append(c.nulls, other.nulls...)
 		}
@@ -345,8 +451,26 @@ func (c *Column) AppendColumn(other *Column) error {
 }
 
 // Bytes estimates the in-memory footprint of the column's data vectors,
-// used by the warehouse to report storage sizes (experiment E3).
+// used by the warehouse to report storage sizes (experiment E3). A column in
+// run form reports what its rows take expanded, which is what it holds once
+// any reader has asked for a raw vector.
 func (c *Column) Bytes() int64 {
+	if r := c.run; r != nil {
+		perRow := int64(8)
+		if c.typ == String {
+			perRow = 16 // string header
+		}
+		if r.vals.nulls != nil {
+			perRow++
+		}
+		n := int64(c.Len()) * perRow
+		lo := int32(0)
+		for x, s := range r.vals.strs {
+			n += int64(len(s)) * int64(r.ends[x]-lo)
+			lo = r.ends[x]
+		}
+		return n
+	}
 	var n int64
 	n += int64(len(c.ints)) * 8
 	n += int64(len(c.fls)) * 8

@@ -2,6 +2,18 @@
 // typed value vectors, columns, and batches (collections of equal-length
 // columns), in the spirit of MonetDB's BATs. Operators in internal/exec
 // work column-at-a-time over these structures.
+//
+// A column has two forms. The flat form holds one value per row. The
+// constant-run form, which Column.Repeat returns, holds one value per run
+// plus the cumulative row ends of the runs — the universal table's metadata
+// columns, constant across each record's samples, are built that way in
+// O(records) instead of O(samples). Len, Value, IsNull, Range, Slice,
+// WithName and Bytes answer from the runs; Runs hands the form to an
+// operator that can work once per run (the grouped aggregate); and every
+// raw-vector reader — Int64s, Float64s, Strings, Nulls, Gather,
+// AppendColumn — sees the expansion, built at most once per column behind a
+// sync.Once, so no reader has to know which form it was handed. A column in
+// run form is read-only.
 package column
 
 import (

@@ -128,7 +128,9 @@ var assembleSink *column.Batch
 // the two a Figure-1 Q2 reads (F.station, D.sample_value); gather is the
 // layout narrow replaced — a per-sample selection vector index-gathered
 // through every metadata column — kept here as wide's yardstick. SetBytes
-// is the bytes written per pass (8 per numeric value, 16 per string header).
+// is the bytes the laid-out rows stand for per pass (8 per numeric value,
+// 16 per string header): gather writes them all, wide and narrow write the
+// D.* vectors and hand the metadata columns over as constant runs.
 func BenchmarkAssemble(b *testing.B) {
 	e, _ := benchEngine(b, Options{})
 	meta := dataviewMeta(b, e.store, `SELECT * FROM mseed.dataview`)

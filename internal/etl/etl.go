@@ -33,12 +33,21 @@
 // of finished runs into morsels and extracts inline any run it reaches
 // before a worker does. Every run owns a disjoint set of metadata-row
 // indices and delivers only those rows' entries, and one helper (layout)
-// writes the universal table's rows in metadata-row order, so the output
+// lays out the universal table's rows in metadata-row order, so the output
 // is bit-identical at every Parallelism setting, morsel size and width;
 // when several runs fail, the error surfaced is deterministically that of
 // the earliest run (file order, then offset order) rather than the race
-// winner. Extract, the materializing reference, is that same stream
-// drained as one full-width morsel (plan.ExtractAll).
+// winner.
+//
+// layout copies only the D.* vectors. What it holds for the metadata side
+// is a list of (metadata row, sample count) segments, and that is already
+// the column: a listed F.* or R.* column leaves as column.Column.Repeat of
+// those segments, the constant-run form — one value per record and the
+// records' cumulative row ends, O(records) to build instead of O(samples).
+// The grouped aggregate folds once per run straight from it; any reader
+// that wants one value per row gets the column's one lazy expansion.
+// Extract, the materializing reference, is that same stream drained as one
+// full-width morsel and expanded (plan.ExtractAll).
 package etl
 
 import (

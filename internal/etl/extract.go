@@ -131,7 +131,7 @@ func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []i
 
 // Extract returns the universal table of meta in one batch at full width:
 // every meta column replicated per sample plus D.sample_time and
-// D.sample_value. It drains one ExtractStream (plan.ExtractAll) — the
+// D.sample_value, all flat. It drains one ExtractStream (plan.ExtractAll) — the
 // materializing reference (Env.NoPipeline) and the warm-up call of
 // benchmarks; queries consume the stream morsel by morsel, carrying only
 // the columns they read.
@@ -546,11 +546,12 @@ type segment struct {
 	values []float64
 }
 
-// layout writes the universal table's rows — the one place they are laid
-// out: one output row per sample, segments in order, carrying exactly
-// proto's columns (plan.ExtractProto). A listed metadata column is
-// run-filled, each segment's row value repeated once per sample; the D.*
-// vectors are allocated and copied from the segments only when listed.
+// layout lays out the universal table's rows — the one place that does: one
+// output row per sample, segments in order, carrying exactly proto's columns
+// (plan.ExtractProto). A listed metadata column is handed over as constant
+// runs, each segment's row value standing for its samples (Column.Repeat);
+// the D.* vectors are allocated and copied from the segments only when
+// listed.
 func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 	rows := make([]int32, len(segs))
 	counts := make([]int, len(segs))

@@ -180,9 +180,10 @@ type extractStream struct {
 
 	workerWG sync.WaitGroup
 
-	pos    int   // next meta row to emit
-	failed error // sticky settled error
-	served int64
+	pos     int   // next meta row to emit
+	failed  error // sticky settled error
+	served  int64
+	runCols int // columns of the last morsel laid out in constant-run form
 
 	// Trace spans (nil when the query doesn't trace; all no-ops then).
 	extSpan    *obs.Span
@@ -305,8 +306,15 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		s.gatherSpan.Add(time.Since(gatherStart))
 	}
 	s.extSpan.AddRows(int64(samples))
+	runCols := 0
+	for c := 0; c < b.NumCols(); c++ {
+		if _, _, ok := b.ColAt(c).Runs(); ok {
+			runCols++
+		}
+	}
 	s.mu.Lock()
 	s.served += int64(samples)
+	s.runCols = runCols
 	s.mu.Unlock()
 	s.e.xstats.samplesServed.Add(int64(samples))
 	return exec.Morsel{B: b}, true, nil
@@ -413,10 +421,10 @@ func (s *extractStream) settleLocked() error {
 }
 
 // RowsServed implements plan.RowsServedCounter.
-func (s *extractStream) RowsServed() int64 {
+func (s *extractStream) RowsServed() (int64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.served
+	return s.served, s.runCols
 }
 
 // Close stops prefetching and releases the stream's files and budget.

@@ -32,7 +32,8 @@ type aggState struct {
 }
 
 // aggArg is the unpacked per-aggregate input: raw vectors of the evaluated
-// argument column, hoisted out of the per-row loop.
+// argument column, hoisted out of the per-row loop. (An argument in run form
+// is expanded by these reads; only group keys are walked per run.)
 type aggArg struct {
 	star     bool
 	distinct bool
@@ -276,6 +277,56 @@ func updateOneAgg(st *aggState, a *aggArg, row int) {
 				st.maxI = v
 			}
 		}
+	}
+}
+
+// foldRange folds rows [lo, hi) into one aggregate's state, in row order and
+// to the same bits as updateOneAgg row by row: the common shapes — COUNT(*)
+// and a null-free, non-DISTINCT numeric argument — run as one typed loop
+// over the slice with the state held in locals.
+func foldRange(st *aggState, a *aggArg, lo, hi int) {
+	switch {
+	case a.star:
+		st.count += int64(hi - lo)
+	case a.distinct || a.nulls != nil || a.typ == column.String:
+		for row := lo; row < hi; row++ {
+			updateOneAgg(st, a, row)
+		}
+	case a.typ == column.Float64:
+		vals := a.fls[lo:hi]
+		if !st.any {
+			st.minF, st.maxF, st.any = vals[0], vals[0], true
+		}
+		sum, mn, mx := st.sum, st.minF, st.maxF
+		for _, v := range vals {
+			sum += v
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		st.count += int64(len(vals))
+		st.sum, st.minF, st.maxF = sum, mn, mx
+	default: // integer family
+		vals := a.ints[lo:hi]
+		if !st.any {
+			st.minI, st.maxI, st.any = vals[0], vals[0], true
+		}
+		isum, sum, mn, mx := st.intSum, st.sum, st.minI, st.maxI
+		for _, v := range vals {
+			isum += v
+			sum += float64(v)
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		st.count += int64(len(vals))
+		st.intSum, st.sum, st.minI, st.maxI = isum, sum, mn, mx
 	}
 }
 

@@ -19,8 +19,9 @@
 //   - a comparison runs a typed kernel (see kernels.go) that scans raw
 //     int64/float64/string vectors and appends qualifying indices, with a
 //     constant-vs-column specialization when one operand is a literal (no
-//     broadcast column is ever allocated) and a null-free fast path when
-//     the column has no null bitmap.
+//     broadcast column is ever built; where a literal must stand as a
+//     column, as in SELECT 1, it is one constant run, not n values) and a
+//     null-free fast path when the column has no null bitmap.
 //
 // A filter gathers at most once, after the full predicate list has been
 // reduced to one selection vector — and in a pipeline not at all: the
@@ -28,9 +29,23 @@
 // columns (arithmetic, aggregation) write into preallocated typed slices
 // sized from their inputs instead of growing columns value by value.
 //
-// Aggregation hashes group keys without boxing: a single integer-family key
-// indexes a map[int64] directly, and composite or string keys are encoded
-// into a reused fixed-width byte buffer whose map lookups do not allocate.
+// Aggregation hashes group keys without boxing, on one of two key paths: a
+// single integer-family key indexes a map[int64] directly, and composite or
+// string keys are encoded into a reused fixed-width byte buffer whose map
+// lookups do not allocate. Either path is walked per row or per run. The
+// universal table's F.* and R.* columns reach the sink in constant-run form
+// (column.Column.Runs: one value per record plus the records' cumulative
+// row ends), and when every group-key column of a morsel has that form the
+// sink walks the merged run boundaries instead of the rows — intersected
+// with the selection vector when a filter refined the morsel — doing one
+// key encode and one lookup per run and folding each aggregate over the
+// run's rows in one typed loop. Which walk runs is a property of the input
+// the sink observes, not a setting; both create groups in first-appearance
+// order and fold each group's rows in row order, so they agree bit for bit
+// (the NoPipeline reference always takes the row walk: plan.ExtractAll
+// hands it expanded columns). Everything else that meets a run column — an
+// aggregate argument, a filter predicate, a join key, a gather — reads its
+// raw vector and gets the one lazy expansion.
 //
 // # Cache-conscious join and sort structures
 //

@@ -96,52 +96,16 @@ func evalOperand(e sql.Expr, b *column.Batch) (operand, error) {
 	return operand{col: c}, err
 }
 
-// allNullColumn builds an n-row column of nulls.
-func allNullColumn(typ column.Type, n int) *column.Column {
-	nulls := make([]bool, n)
-	for i := range nulls {
-		nulls[i] = true
-	}
-	var c *column.Column
-	switch typ {
-	case column.Float64:
-		c = column.NewFloat64s("", make([]float64, n))
-	case column.String:
-		c = column.NewStrings("", make([]string, n))
-	default:
-		c = column.NewIntFamily("", typ, make([]int64, n))
-	}
-	c.SetNulls(nulls)
-	return c
-}
-
-// broadcast builds a constant column of n rows (only needed when a literal
-// must materialize as a full column, e.g. SELECT 1; binary kernels keep
-// constants scalar).
+// broadcast builds a constant column of n rows: one run of v, so nothing is
+// allocated per row unless a reader asks for the raw vector (binary kernels
+// keep constants scalar and never get here; SELECT 1 and NULL arithmetic
+// do).
 func broadcast(v column.Value, n int) *column.Column {
-	if v.Null {
-		return allNullColumn(v.Type, n)
+	one := column.New("", v.Type)
+	if err := one.AppendValue(v); err != nil {
+		panic(err) // a value always fits a column of its own type
 	}
-	switch v.Type {
-	case column.Float64:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v.F
-		}
-		return column.NewFloat64s("", out)
-	case column.String:
-		out := make([]string, n)
-		for i := range out {
-			out[i] = v.S
-		}
-		return column.NewStrings("", out)
-	default:
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = v.I
-		}
-		return column.NewIntFamily("", v.Type, out)
-	}
+	return one.Repeat([]int32{0}, []int{n})
 }
 
 // copyNulls clones a null vector so kernel outputs never alias their
@@ -529,9 +493,9 @@ func evalArith(op sql.BinaryOp, l, r operand, n int) (*column.Column, error) {
 	intResult := lt != column.Float64 && rt != column.Float64 && op != sql.OpDiv
 	if (l.scalar && l.val.Null) || (r.scalar && r.val.Null) {
 		if intResult {
-			return allNullColumn(column.Int64, n), nil
+			return broadcast(column.NewNull(column.Int64), n), nil
 		}
-		return allNullColumn(column.Float64, n), nil
+		return broadcast(column.NewNull(column.Float64), n), nil
 	}
 
 	if intResult {

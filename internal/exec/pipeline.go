@@ -453,6 +453,12 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 // indexes a map[int64] directly (nulls get a dedicated group), and
 // composite or string keys are encoded into a reused byte buffer with
 // fixed-width numeric encoding, whose map[string] lookups do not allocate.
+// Either is walked once per row — or, when every key column of the morsel
+// arrives in constant-run form (the F.* and R.* columns of the universal
+// table), once per run: one lookup for the run, then each aggregate folded
+// over the run's rows in one typed loop (consumeRuns). Both walks create
+// groups in first-appearance order and fold each group's rows in row order,
+// so they produce the same bits.
 //
 // The sink accounts its working set on the query's ledger — one
 // reservation per Consume for the groups and COUNT(DISTINCT) set entries
@@ -474,12 +480,14 @@ type AggSink struct {
 	nullGrp  int
 	idxGen   map[string]int
 	keybuf   []byte
+	keys     []keyRun // consumeRuns' cursors, reused across morsels
 	captured []*column.Column
 
 	// Global state: the fixed-shape chunk tree, fed in arrival order.
 	global *globalAgg
 
-	rowsIn int64
+	rowsIn, runsIn int64
+	grown          int64 // bytes of group table and seen sets the current morsel has added
 }
 
 // NewAggSink builds an aggregation sink. proto is a zero-row prototype of
@@ -522,6 +530,10 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 // RowsIn returns the number of rows folded so far.
 func (s *AggSink) RowsIn() int64 { return s.rowsIn }
 
+// RunsIn returns the number of key runs folded so far: 0 unless morsels
+// arrived with every key column in run form.
+func (s *AggSink) RunsIn() int64 { return s.runsIn }
+
 // Close releases the sink's ledger reservations. Idempotent.
 func (s *AggSink) Close() { s.grant.Close() }
 
@@ -552,86 +564,217 @@ func (s *AggSink) Consume(m Morsel) error {
 	if err != nil {
 		return err
 	}
-	sel := m.Sel
-	if sel == nil {
-		sel = selAll(m.B.NumRows())
-	}
-	s.rowsIn += int64(len(sel))
-	var grown int64 // bytes of group table and seen sets this morsel added
-	if s.global != nil {
+	live := m.Rows()
+	s.rowsIn += int64(live)
+	s.grown = 0
+	switch {
+	case s.global != nil:
 		before := seenEntries(s.global.distinct)
-		for _, row := range sel {
-			s.global.add(args, int(row))
+		for i := 0; i < live; i++ {
+			s.global.add(args, liveRow(m.Sel, i))
 		}
-		grown = (seenEntries(s.global.distinct) - before) * distinctSeenBytes
-	} else if grown, err = s.consumeGrouped(keyCols, args, sel); err != nil {
+		s.grown = (seenEntries(s.global.distinct) - before) * distinctSeenBytes
+	case s.keyRuns(keyCols):
+		err = s.consumeRuns(args, m.Sel, m.B.NumRows())
+	default:
+		err = s.consumeGrouped(keyCols, args, m.Sel, live)
+	}
+	if err != nil {
 		return err
 	}
-	if !s.grant.Try(grown) {
-		s.grant.Must(grown)
+	if !s.grant.Try(s.grown) {
+		s.grant.Must(s.grown)
 	}
 	return nil
 }
 
-// consumeGrouped folds one morsel into the group table and returns the
-// estimated bytes it grew by.
-func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []int32) (int64, error) {
+// liveRow returns the i-th live row under the selection vector sel; nil
+// selects every row, so no identity vector is ever built.
+func liveRow(sel []int32, i int) int {
+	if sel == nil {
+		return i
+	}
+	return int(sel[i])
+}
+
+// addGroup appends a group and charges its table entry to the morsel.
+func (s *AggSink) addGroup(keyLen int) int {
+	s.groups = append(s.groups, aggGroup{
+		firstRow: int32(len(s.groups)),
+		states:   make([]aggState, len(s.aggs)),
+	})
+	s.grown += aggGroupBytes(len(s.aggs), keyLen)
+	return len(s.groups) - 1
+}
+
+// consumeGrouped folds one morsel into the group table row by row.
+func (s *AggSink) consumeGrouped(keyCols []*column.Column, args []aggArg, sel []int32, live int) error {
 	// newRows collects the morsel-local first rows of groups created by this
 	// morsel, in creation order (= ascending global first appearance), so
 	// their key values can be captured before the morsel is dropped.
 	var newRows []int32
-	var grown, seen int64
-	addGroup := func(row int32, keyLen int) int {
-		s.groups = append(s.groups, aggGroup{
-			firstRow: int32(len(s.groups)),
-			states:   make([]aggState, len(s.aggs)),
-		})
-		newRows = append(newRows, row)
-		grown += aggGroupBytes(len(s.aggs), keyLen)
-		return len(s.groups) - 1
-	}
+	var seen int64
 	if s.intKey {
 		ints := keyCols[0].Int64s()
 		nulls := keyCols[0].Nulls()
-		for _, row := range sel {
+		for i := 0; i < live; i++ {
+			row := liveRow(sel, i)
 			var gi int
 			if nulls != nil && nulls[row] {
 				if s.nullGrp < 0 {
-					s.nullGrp = addGroup(row, 1)
+					s.nullGrp = s.addGroup(1)
+					newRows = append(newRows, int32(row))
 				}
 				gi = s.nullGrp
 			} else {
 				k := ints[row]
 				g, ok := s.idxInt[k]
 				if !ok {
-					g = addGroup(row, 9)
+					g = s.addGroup(9)
+					newRows = append(newRows, int32(row))
 					s.idxInt[k] = g
 				}
 				gi = g
 			}
-			seen += foldRow(s.groups[gi].states, args, int(row), s.hasDistinct)
+			seen += foldRow(s.groups[gi].states, args, row, s.hasDistinct)
 		}
 	} else {
-		for _, row := range sel {
+		for i := 0; i < live; i++ {
+			row := liveRow(sel, i)
 			buf := s.keybuf[:0]
 			for _, kc := range keyCols {
-				buf = appendRowKey(buf, kc, int(row))
+				buf = appendRowKey(buf, kc, row)
 			}
 			s.keybuf = buf
 			gi, ok := s.idxGen[string(buf)]
 			if !ok {
-				gi = addGroup(row, len(buf))
+				gi = s.addGroup(len(buf))
+				newRows = append(newRows, int32(row))
 				s.idxGen[string(buf)] = gi
 			}
-			seen += foldRow(s.groups[gi].states, args, int(row), s.hasDistinct)
+			seen += foldRow(s.groups[gi].states, args, row, s.hasDistinct)
 		}
 	}
+	s.grown += seen * distinctSeenBytes
 	for i, kc := range keyCols {
 		if err := s.captured[i].AppendColumn(kc.Gather(newRows)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keyRun is one group-key column in run form, with the run the walk of
+// consumeRuns stands in.
+type keyRun struct {
+	vals *column.Column
+	ends []int32
+	x    int
+}
+
+// keyRuns unpacks the key columns' run form into s.keys, reporting whether
+// every one of them has it.
+func (s *AggSink) keyRuns(keyCols []*column.Column) bool {
+	s.keys = s.keys[:0]
+	for _, kc := range keyCols {
+		vals, ends, ok := kc.Runs()
+		if !ok {
+			return false
+		}
+		s.keys = append(s.keys, keyRun{vals: vals, ends: ends})
+	}
+	return true
+}
+
+// consumeRuns folds one morsel of n rows whose key columns are all in run
+// form (s.keys). It walks the merged run
+// boundaries: between two of them every key is constant, so the rows there
+// — those sel keeps, when a filter refined the morsel — share one group,
+// found with one key encode and one lookup, and each aggregate folds over
+// them in one loop. A stretch no live row falls in creates no group, as in
+// the row walk.
+func (s *AggSink) consumeRuns(args []aggArg, sel []int32, n int) error {
+	keys := s.keys
+	p := 0 // sel[p:] are the live rows at or past lo
+	for lo := 0; lo < n && (sel == nil || p < len(sel)); {
+		hi := n
+		for k := range keys {
+			hi = min(hi, int(keys[k].ends[keys[k].x]))
+		}
+		q := p
+		for sel != nil && q < len(sel) && int(sel[q]) < hi {
+			q++
+		}
+		if sel == nil || q > p {
+			gi, err := s.runGroup()
+			if err != nil {
+				return err
+			}
+			s.runsIn++
+			states := s.groups[gi].states
+			before := int64(0)
+			if s.hasDistinct {
+				before = seenEntries(states)
+			}
+			for i := range args {
+				if sel == nil {
+					foldRange(&states[i], &args[i], lo, hi)
+					continue
+				}
+				for _, row := range sel[p:q] {
+					updateOneAgg(&states[i], &args[i], int(row))
+				}
+			}
+			if s.hasDistinct {
+				s.grown += (seenEntries(states) - before) * distinctSeenBytes
+			}
+		}
+		for k := range keys {
+			if int(keys[k].ends[keys[k].x]) == hi {
+				keys[k].x++
+			}
+		}
+		lo, p = hi, q
+	}
+	return nil
+}
+
+// runGroup finds the group of the keys' current runs, creating it — and
+// capturing its key values, one boxed value per key column — on first
+// appearance.
+func (s *AggSink) runGroup() (int, error) {
+	keys := s.keys
+	if s.intKey {
+		k := &keys[0]
+		if k.vals.IsNull(k.x) {
+			if s.nullGrp >= 0 {
+				return s.nullGrp, nil
+			}
+			s.nullGrp = s.addGroup(1)
+		} else {
+			v := k.vals.Int64s()[k.x]
+			if gi, ok := s.idxInt[v]; ok {
+				return gi, nil
+			}
+			s.idxInt[v] = s.addGroup(9)
+		}
+	} else {
+		buf := s.keybuf[:0]
+		for k := range keys {
+			buf = appendRowKey(buf, keys[k].vals, keys[k].x)
+		}
+		s.keybuf = buf
+		if gi, ok := s.idxGen[string(buf)]; ok {
+			return gi, nil
+		}
+		s.idxGen[string(buf)] = s.addGroup(len(buf))
+	}
+	for k := range keys {
+		if err := s.captured[k].AppendValue(keys[k].vals.Value(keys[k].x)); err != nil {
 			return 0, err
 		}
 	}
-	return grown + seen*distinctSeenBytes, nil
+	return len(s.groups) - 1, nil
 }
 
 // Finish implements PipeSink. The ledger reservations are held until the

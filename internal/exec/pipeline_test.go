@@ -146,6 +146,107 @@ func TestRunPipelineMatchesMaterializing(t *testing.T) {
 // TestGlobalAggBitIdenticalAcrossWorkers requires the streaming chunk tree
 // of the sink to produce the float bits of the batch fold at every worker
 // count, above and below the chunking threshold.
+// runBatches builds the same rows twice: record-shaped metadata columns
+// (a string, a nullable integer and a nullable float, constant over each of
+// the records' sample counts) in constant-run form beside a flat value
+// column with nulls, and the same batch with every column flat.
+func runBatches(counts []int) (runs, flat *column.Batch) {
+	n := len(counts)
+	rows := make([]int32, n)
+	var sel []int32
+	st := column.New("station", column.String)
+	seq := column.New("seqno", column.Int64)
+	rate := column.New("rate", column.Float64)
+	for x := range rows {
+		rows[x] = int32(x)
+		st.AppendString([]string{"ISK", "HGN", "DBN"}[x%3])
+		if x%5 == 4 {
+			seq.AppendNull()
+			rate.AppendNull()
+		} else {
+			seq.AppendInt64(int64(x % 4))
+			rate.AppendFloat64(20 + float64(x%2)/3)
+		}
+		for j := 0; j < counts[x]; j++ {
+			sel = append(sel, int32(x))
+		}
+	}
+	v := pipeBatch(len(sel)).ColAt(1)
+	var rc, fc []*column.Column
+	for _, c := range []*column.Column{st, seq, rate} {
+		rc, fc = append(rc, c.Repeat(rows, counts)), append(fc, c.Gather(sel))
+	}
+	return column.MustNewBatch(append(rc, v)...), column.MustNewBatch(append(fc, v)...)
+}
+
+// TestAggSinkRunWalkMatchesRowWalk feeds an AggSink the same morsels with
+// the key columns in run form and flat, and requires the same bits from the
+// per-run walk as from the per-row walk: string, composite and single
+// integer keys (nulls get their own group on both key paths), flat and
+// run-form aggregate arguments with nulls and DISTINCT, whole morsels and
+// selections that cut runs, skip runs and end early.
+func TestAggSinkRunWalkMatchesRowWalk(t *testing.T) {
+	counts := []int{5, 1, 0, 700, 3, 64, 0, 0, 129, 2, 1, 1, 300, 17}
+	runs, flat := runBatches(counts)
+	n := flat.NumRows()
+	col := func(name string) sql.Expr { return &sql.ColumnRef{Name: name} }
+	aggs := []AggSpec{
+		{Func: "COUNT", Star: true, OutName: "n"},
+		{Func: "SUM", Arg: col("v"), OutName: "sum_v"},
+		{Func: "MIN", Arg: col("v"), OutName: "min_v"},
+		{Func: "COUNT", Arg: col("v"), Distinct: true, OutName: "dist_v"},
+		{Func: "AVG", Arg: col("rate"), OutName: "avg_rate"},
+		{Func: "SUM", Arg: col("seqno"), OutName: "sum_seq"},
+		{Func: "MAX", Arg: col("station"), OutName: "max_st"},
+		{Func: "COUNT", Arg: col("seqno"), Distinct: true, OutName: "dist_seq"},
+		{Func: "SUM", Arg: &sql.Literal{Val: column.NewFloat64(0.1)}, OutName: "sum_lit"},
+	}
+	sels := map[string][]int32{"all": nil, "none past the first run": {0, 4}}
+	var every3, tail []int32
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			every3 = append(every3, int32(i))
+		}
+		if i > n-20 {
+			tail = append(tail, int32(i))
+		}
+	}
+	sels["every third row"], sels["the last rows"] = every3, tail
+	for _, keys := range [][]string{{"station"}, {"seqno"}, {"station", "seqno"}, {"rate", "station"}} {
+		groupBy := make([]sql.Expr, len(keys))
+		for i, k := range keys {
+			groupBy[i] = col(k)
+		}
+		for name, sel := range sels {
+			fold := func(b *column.Batch) (string, int64) {
+				s, err := NewAggSink(b.Range(0, 0), groupBy, aggs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Twice: groups carry over from morsel to morsel.
+				for i := 0; i < 2; i++ {
+					if err := s.Consume(Morsel{B: b, Sel: sel}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out, err := s.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return renderBits(out), s.RunsIn()
+			}
+			got, walked := fold(runs)
+			want, rowWalked := fold(flat)
+			if got != want {
+				t.Errorf("keys %v, sel %s: the run walk diverged from the row walk\nwant:\n%s\ngot:\n%s", keys, name, want, got)
+			}
+			if walked == 0 || rowWalked != 0 {
+				t.Errorf("keys %v, sel %s: walked %d runs over run-form keys and %d over flat ones", keys, name, walked, rowWalked)
+			}
+		}
+	}
+}
+
 func TestGlobalAggBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, n := range []int{0, 1, globalAggChunkRows, globalAggChunkRows + 1, 100_000} {
 		b := pipeBatch(n)

@@ -222,7 +222,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		extractEvent(obs, int64(out.NumRows()), out.NumCols())
+		extractEvent(obs, int64(out.NumRows()), out.NumCols(), 0)
 		return out, nil
 
 	case *Aggregate:
@@ -238,7 +238,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		sp.AddRows(int64(out.NumRows()))
 		sp.End()
 		env.Stats.recordAgg(out.NumRows())
-		obs.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", in.NumRows(), out.NumRows()))
+		aggregateEvent(obs, int64(in.NumRows()), 0, out.NumRows())
 		return out, nil
 
 	case *Project, *Sort, *Limit:
@@ -289,9 +289,11 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 
 // ExtractAll materializes the whole universal table of meta in one batch:
 // one full-width stream drained as a single unbounded morsel, with nothing
-// reserved from any ledger. It is the extraction of the operator-at-a-time
-// reference — the same stream the pipelines consume, minus the morsels, the
-// narrowing and the fusion.
+// reserved from any ledger, and every column flat — the metadata columns the
+// stream hands over as constant runs are expanded here. It is the extraction
+// of the operator-at-a-time reference — the same stream the pipelines
+// consume, minus the morsels, the narrowing, the run form and the fusion —
+// so the reference's operators walk rows where the pipelines' may walk runs.
 func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer) (*column.Batch, error) {
 	s, err := src.ExtractStream(meta, nil, prune, obs, math.MaxInt, nil)
 	if err != nil {
@@ -305,14 +307,48 @@ func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Ob
 	if !ok { // no qualifying record: the stream ends before its first morsel
 		return ExtractProto(meta, nil)
 	}
-	return m.B, nil
+	cols := make([]*column.Column, m.B.NumCols())
+	for i := range cols {
+		cols[i] = flatten(m.B.ColAt(i))
+	}
+	return column.NewBatch(cols...)
 }
 
-// extractEvent logs what an extraction delivered: rows, and how many of the
-// universal table's columns each of them carries.
-func extractEvent(o Observer, rows int64, width int) {
-	o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns",
-		rows, width, len(catalog.DataviewColumns())))
+// flatten returns c with one value per row: c itself, or the expansion of a
+// column in run form wrapped as a flat column.
+func flatten(c *column.Column) *column.Column {
+	if _, _, ok := c.Runs(); !ok {
+		return c
+	}
+	var f *column.Column
+	switch c.Type() {
+	case column.Float64:
+		f = column.NewFloat64s(c.Name(), c.Float64s())
+	case column.String:
+		f = column.NewStrings(c.Name(), c.Strings())
+	default:
+		f = column.NewIntFamily(c.Name(), c.Type(), c.Int64s())
+	}
+	f.SetNulls(c.Nulls())
+	return f
+}
+
+// extractEvent logs what an extraction delivered: rows, how many of the
+// universal table's columns each of them carries, and how many of those
+// arrived as constant runs rather than one value per row.
+func extractEvent(o Observer, rows int64, width, asRuns int) {
+	o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns (%d as runs)",
+		rows, width, len(catalog.DataviewColumns()), asRuns))
+}
+
+// aggregateEvent logs what an aggregate folded; runs is non-zero when it
+// walked its group keys once per constant run instead of once per row.
+func aggregateEvent(o Observer, rows, runs int64, groups int) {
+	if runs > 0 {
+		o.Event("aggregate", fmt.Sprintf("%d rows in %d runs -> %d groups", rows, runs, groups))
+		return
+	}
+	o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", rows, groups))
 }
 
 // applyPost runs one Project, Sort or Limit over its materialized input —

@@ -41,11 +41,12 @@ import (
 // drains the stream whole and at full width (ExtractAll) before any
 // operator sees a row.
 
-// RowsServedCounter reports how many rows a source has delivered; the
-// extraction stream implements it so a pipeline can log the same extract
-// event the reference does.
+// RowsServedCounter reports how many rows a source has delivered, and how
+// many columns of each morsel were in constant-run form; the extraction
+// stream implements it so a pipeline can log the extract event the
+// reference does.
 type RowsServedCounter interface {
-	RowsServed() int64
+	RowsServed() (rows int64, runCols int)
 }
 
 // pipePlan is a decomposed pipeline spine.
@@ -345,7 +346,10 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 		if rc, ok := r.src.(RowsServedCounter); ok {
 			width := r.proto.NumCols()
-			r.reports = append(r.reports, func() { extractEvent(o, rc.RowsServed(), width) })
+			r.reports = append(r.reports, func() {
+				rows, runCols := rc.RowsServed()
+				extractEvent(o, rows, width, runCols)
+			})
 		}
 	}
 
@@ -390,7 +394,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 		r.reports = append(r.reports, func() {
 			env.Stats.recordAgg(out.NumRows())
-			o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", sink.RowsIn(), out.NumRows()))
+			aggregateEvent(o, sink.RowsIn(), sink.RunsIn(), out.NumRows())
 		})
 	case pp.restore == nil:
 		if out, err = r.collect(); err != nil {

@@ -179,7 +179,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseKey("GROUP BY")
 			if err != nil {
 				return nil, err
 			}
@@ -199,7 +199,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseKey("ORDER BY")
 			if err != nil {
 				return nil, err
 			}
@@ -467,6 +467,23 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 		}
 		left = &Binary{Op: op, L: left, R: right}
 	}
+}
+
+// parseKey parses one GROUP BY or ORDER BY key and rejects a bare constant
+// (a literal or a '?' marker). A constant neither groups nor orders
+// anything, and this grammar has no select-list ordinals, so "ORDER BY 3"
+// would sort on the number three and hand the rows back in table order.
+func (p *parser) parseKey(clause string) (Expr, error) {
+	at := p.peek().Pos
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	switch e.(type) {
+	case *Literal, *Param:
+		return nil, fmt.Errorf("sql: at offset %d: %s key %s is a constant; select-list ordinals are not supported, name the column or expression", at, clause, e)
+	}
+	return e, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {

@@ -78,6 +78,35 @@ var narrowMatrixQueries = []string{
 	selectStarQuery,
 }
 
+// runMatrixQueries group on the universal table's metadata columns, which
+// the extraction stream hands over as constant runs and the NoPipeline
+// reference gets expanded — so each cell compares the grouped aggregate's
+// per-run walk against its per-row walk: a composite and a single integer
+// run key; a run key beside a computed one, which takes the row walk over a
+// run column; run-form aggregate arguments, grouped and global; and a D.*
+// filter whose selection cuts runs mid-way and empties some (q2, the
+// all-runs headline, is in pipelineMatrixQueries). The value is whether the
+// "aggregate" event must report runs.
+var runMatrixQueries = map[string]bool{
+	`SELECT F.station, R.seqno, COUNT(*), MIN(D.sample_value), AVG(D.sample_value) FROM mseed.dataview
+	 WHERE F.channel = 'BHZ' GROUP BY F.station, R.seqno`: true,
+	`SELECT R.seqno, COUNT(*), MIN(D.sample_time), SUM(D.sample_value) FROM mseed.dataview
+	 WHERE F.station = 'ISK' GROUP BY R.seqno`: true,
+	`SELECT F.station, COUNT(*), SUM(D.sample_value) FROM mseed.dataview
+	 WHERE F.network = 'NL' GROUP BY F.station, D.sample_value > 0`: false,
+	`SELECT F.station, SUM(R.num_samples), AVG(R.sample_rate), COUNT(DISTINCT F.station), MIN(F.station),
+	        COUNT(1), SUM(1.5), COUNT(DISTINCT D.sample_value)
+	 FROM mseed.dataview WHERE F.channel = 'BHE' GROUP BY F.station`: true,
+	`SELECT SUM(R.num_samples), AVG(R.sample_rate), COUNT(DISTINCT F.station), MIN(F.station), SUM(1)
+	 FROM mseed.dataview WHERE F.network = 'NL'`: false,
+	runsCutBySelection: true,
+}
+
+// runsCutBySelection keeps only the samples above a threshold that whole
+// records of the quiet hours never reach.
+const runsCutBySelection = `SELECT F.station, R.seqno, COUNT(*), MAX(D.sample_value), SUM(R.num_samples)
+	 FROM mseed.dataview WHERE F.channel = 'BHN' AND D.sample_value > 150 GROUP BY F.station, R.seqno`
+
 const selectStarQuery = `SELECT * FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE' LIMIT 40`
 
 // joinedExtractPlan is the dataview under an explicit join — a shape Build
@@ -131,6 +160,17 @@ func materializingSpan(n *obs.SpanNode) string {
 	return ""
 }
 
+// lastLog returns the detail of the newest operation-log entry of one op.
+func lastLog(w *Warehouse, op string) string {
+	log := w.Log()
+	for i := len(log) - 1; i >= 0; i-- {
+		if log[i].Op == op {
+			return log[i].Detail
+		}
+	}
+	return ""
+}
+
 // requireIdle fails unless the warehouse's ledgers are back at their idle
 // values — the root ledger holds exactly the recycler's and the result
 // cache's bytes, so no query child ledger or operator grant leaked — and
@@ -156,9 +196,10 @@ func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
 // alone: under no budget may a span of the reference engine appear. The
 // reference extracts the universal table at full width, the pipelines only
 // the columns each statement reads, so every lazy and external cell also
-// compares narrow against wide. The 4 KiB budget spills every join build,
-// so each cell also crosses the spilled-build breaker, and must leave
-// ledgers and the spill root idle.
+// compares narrow against wide — and, for the metadata columns, constant
+// runs against one value per row (runMatrixQueries). The 4 KiB budget spills
+// every join build, so each cell also crosses the spilled-build breaker, and
+// must leave ledgers and the spill root idle.
 func TestPipelineOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
 	// Spill dirs go under the system temp dir; point it at a private root
@@ -166,14 +207,19 @@ func TestPipelineOracleMatrix(t *testing.T) {
 	spillRoot := t.TempDir()
 	t.Setenv("TMPDIR", spillRoot)
 
+	var runQueries []string
+	for q := range runMatrixQueries {
+		runQueries = append(runQueries, q)
+	}
 	modes := []struct {
 		mode    Mode
 		queries []string
 	}{
-		{Lazy, append(append([]string(nil), pipelineMatrixQueries...), narrowMatrixQueries...)},
+		{Lazy, append(append(append([]string(nil), pipelineMatrixQueries...), narrowMatrixQueries...), runQueries...)},
 		// External mode filters metadata above the extraction, so the same
-		// statements read a different column set there.
-		{External, narrowMatrixQueries},
+		// statements read a different column set there — and the F.* filter
+		// hands the aggregate a selection over the run columns.
+		{External, append(append([]string(nil), narrowMatrixQueries...), runQueries...)},
 		// joinQ's spine is reordered, so its aggregate sits above the
 		// order-restoration breaker and is fed the restored batch.
 		{Eager, []string{eagerMatrixQuery, joinQ}},
@@ -206,6 +252,15 @@ func TestPipelineOracleMatrix(t *testing.T) {
 			}
 			want["joined"] = renderExact(b)
 		}
+		if cut, ok := want[runsCutBySelection]; ok {
+			all, err := ref.Query(strings.Replace(runsCutBySelection, "AND D.sample_value > 150", "", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept := strings.Count(cut, "\n") - 1; kept == 0 || kept >= all.Batch.NumRows() {
+				t.Fatalf("the D.* filter leaves %d of %d records a live sample; the cell needs some emptied, not all", kept, all.Batch.NumRows())
+			}
+		}
 		if star, ok := want[selectStarQuery]; ok {
 			var names []string
 			for _, cd := range catalog.DataviewColumns() {
@@ -235,6 +290,11 @@ func TestPipelineOracleMatrix(t *testing.T) {
 						if got := renderExact(res.Batch); got != want[q] {
 							t.Errorf("%s: output diverged from the serial reference\nquery: %s\nwant:\n%s\ngot:\n%s",
 								name, q, want[q], got)
+						}
+						if wantRuns, ok := runMatrixQueries[q]; ok || q == q2 {
+							if event := lastLog(w, "aggregate"); strings.Contains(event, " runs -> ") != (wantRuns || q == q2) {
+								t.Errorf("%s: aggregate event %q, want it to report runs: %v\nquery: %s", name, event, wantRuns || q == q2, q)
+							}
 						}
 						if span := materializingSpan(res.Trace.Spans); span != "" {
 							t.Errorf("%s: span %q of the reference engine in a production trace\nquery: %s\n%s",

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -377,6 +378,37 @@ func TestMetadataBrowsing(t *testing.T) {
 	}
 }
 
+// TestConstantSortAndGroupKeysAreRejected: "ORDER BY 3" used to plan as a
+// sort on the constant 3 and silently answer in table order. A bare constant
+// key is now a parse error at the key's offset in the text as the client
+// wrote it — the template the text normalizes to fails to parse, so resolve
+// falls back to the raw text — and an expression that merely contains a
+// literal still sorts.
+func TestConstantSortAndGroupKeysAreRejected(t *testing.T) {
+	w := openWH(t, genRepo(t, 1000), Lazy)
+	for _, bad := range []struct{ q, key string }{
+		{"SELECT station, channel, num_records\n  FROM mseed.files ORDER BY 3 DESC LIMIT 3", "3 DESC"},
+		{"SELECT station FROM mseed.files   ORDER BY station, -1", "-1"},
+		{"SELECT COUNT(*) FROM mseed.files GROUP BY 'x'", "'x'"},
+		{"SELECT station FROM mseed.files ORDER BY (NULL)", "(NULL)"},
+	} {
+		_, err := w.Query(bad.q)
+		if want := fmt.Sprintf("offset %d", strings.LastIndex(bad.q, bad.key)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one at %s", bad.q, err, want)
+		}
+	}
+	if _, err := w.Prepare("SELECT station FROM mseed.files ORDER BY ?"); err == nil {
+		t.Error("a '?' marker was accepted as a sort key")
+	}
+	res, err := w.Query("SELECT station, num_records FROM mseed.files ORDER BY num_records * -1, station DESC LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Batch.Row(0)[0].S; got != "WIT" {
+		t.Errorf("sort on an expression holding a literal: first station %q, want WIT", got)
+	}
+}
+
 func TestQueryDataTableVirtualInLazyMode(t *testing.T) {
 	dir := genRepo(t, 1000)
 	w := openWH(t, dir, Lazy)
@@ -423,6 +455,15 @@ func TestExplainAndLog(t *testing.T) {
 	}
 	if !sawQuery || !sawExtract || !sawAnswer {
 		t.Errorf("log lacks expected entries: query=%v extract=%v answer=%v", sawQuery, sawExtract, sawAnswer)
+	}
+	// Q2 reads F.station and D.sample_value: the station travels as constant
+	// runs and the GROUP BY over it folds once per run, and the log says so.
+	if got := lastLog(w, "extract"); !strings.HasSuffix(got, "universal-table rows × 2 of 24 columns (1 as runs)") {
+		t.Errorf("extract event %q does not report 2 columns, 1 as runs", got)
+	}
+	var rows, runs, groups int
+	if _, err := fmt.Sscanf(lastLog(w, "aggregate"), "%d rows in %d runs -> %d groups", &rows, &runs, &groups); err != nil || runs == 0 || runs >= rows {
+		t.Errorf("aggregate event %q does not report a per-run fold", lastLog(w, "aggregate"))
 	}
 	w.ClearLog()
 	if len(w.Log()) != 0 {

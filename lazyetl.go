@@ -8,7 +8,8 @@
 // so the warehouse is queryable near-instantly; waveform samples are
 // extracted, transformed and cached on demand, per query, for exactly the
 // records that survive the query's metadata predicates — and only the
-// universal-table columns the statement reads are materialized per sample.
+// universal-table columns the statement reads are delivered, the metadata
+// ones as one constant run per record rather than once per sample.
 // Eager mode performs the traditional full initial load, and External mode
 // models external-table access (query-time extraction without metadata
 // pruning) as a baseline.
