@@ -33,7 +33,9 @@ type aggState struct {
 
 // aggArg is the unpacked per-aggregate input: raw vectors of the evaluated
 // argument column, hoisted out of the per-row loop. (An argument in run form
-// is expanded by these reads; only group keys are walked per run.)
+// is expanded by these reads; only group keys are walked per run.) Every
+// fold over it — per row, per run, grouped or global — visits a group's rows
+// left to right, so there is one summation order in the engine.
 type aggArg struct {
 	star     bool
 	distinct bool
@@ -83,11 +85,11 @@ func aggOutType(fn string, in column.Type) (column.Type, error) {
 // expressions, a single global group is produced (even over zero rows, per
 // SQL semantics: COUNT is 0, other aggregates NULL).
 //
-// This is the batch form of the engine's one aggregator: grouped input is
-// one morsel through an AggSink (see pipeline.go for the two key paths),
-// and a global aggregate folds through the batch form of the fixed-shape
-// chunk tree (globalagg.go) that the sink streams — the same bits either
-// way, which is what lets this function serve as the serial reference.
+// Grouped input is one morsel through an AggSink. Ungrouped input folds here,
+// row by row through updateAggStates — the same left-to-right order as the
+// sink's zero-key walk, hence the same bits, but sharing neither foldRange
+// nor the sink with it: that independence is what lets the NoPipeline
+// reference built on this function check the pipeline's global fold.
 func Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
 	if len(groupBy) > 0 {
 		s, err := NewAggSink(b.Range(0, 0), groupBy, aggs, nil)
@@ -103,8 +105,11 @@ func Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Bat
 	if err != nil {
 		return nil, err
 	}
-	groups := []aggGroup{{states: globalStates(args, b.NumRows())}}
-	return buildAggOutput(nil, nil, args, aggs, groups)
+	states := make([]aggState, len(args))
+	for row, n := 0, b.NumRows(); row < n; row++ {
+		updateAggStates(states, args, row)
+	}
+	return buildAggOutput(nil, nil, args, aggs, []aggGroup{{states: states}})
 }
 
 // intKeyed reports whether the grouping takes the integer-keyed fast path:

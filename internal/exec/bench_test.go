@@ -47,7 +47,7 @@ func BenchmarkFilterNumeric(b *testing.B) {
 	b.SetBytes(int64(batch.NumRows()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalPredicate(pred, batch); err != nil {
+		if _, err := evalPredSel(pred, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkFilterStringEq(b *testing.B) {
 	pred := benchPred(b, "station = 'ISK'")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalPredicate(pred, batch); err != nil {
+		if _, err := evalPredSel(pred, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkFilterConjunction(b *testing.B) {
 	pred := benchPred(b, "station = 'ISK' AND v > 0 AND t < '1970-01-02'")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalPredicate(pred, batch); err != nil {
+		if _, err := evalPredSel(pred, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func BenchmarkHashJoinIntKey(b *testing.B) {
 		)
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := HashJoin(left, right, []string{"file_id"}, []string{"rid"}); err != nil {
+				if _, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"file_id"}, []string{"rid"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func BenchmarkSortByTimestamp(b *testing.B) {
 	keys := []SortKey{{Expr: &sql.ColumnRef{Name: "v"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sort(batch, keys); err != nil {
+		if _, _, err := sortSerial(batch, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func BenchmarkHashJoinParallel(b *testing.B) {
 			p := NewPool(w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.HashJoin(left, right, []string{"file_id"}, []string{"rid"}); err != nil {
+				if _, _, err := p.HashJoinMem(nil, left, right, []string{"file_id"}, []string{"rid"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -313,7 +313,7 @@ func BenchmarkOrderByTimestamp(b *testing.B) {
 			p := NewPool(w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Sort(batch, keys); err != nil {
+				if _, _, err := p.SortWithStats(batch, keys); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -335,7 +335,7 @@ func BenchmarkOrderByMultiKeyParallel(b *testing.B) {
 			p := NewPool(w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Sort(batch, keys); err != nil {
+				if _, _, err := p.SortWithStats(batch, keys); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -361,7 +361,7 @@ func BenchmarkLikePattern(b *testing.B) {
 	pred := benchPred(b, "station LIKE '%S%'")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EvalPredicate(pred, batch); err != nil {
+		if _, err := evalPredSel(pred, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -86,11 +86,14 @@
 // sequence order — so order-sensitive sink state (float accumulation,
 // group first-appearance, the first error) folds exactly as the serial
 // loop would, and output is bit-identical at every worker count and morsel
-// size. Global (ungrouped) aggregates fold over a fixed-shape chunk tree
-// (globalagg.go): the row stream splits at fixed 16384-row boundaries into
-// per-chunk states merged pairwise-adjacent — a reduction shape that
-// depends only on the input length, never on morsel size — and DISTINCT
-// arguments fold in one continuous state.
+// size. That ordered sink is the engine's one determinism mechanism for
+// aggregates, and it gives them one fold order: every group's rows fold
+// left to right, and a global (ungrouped) aggregate is the group of zero
+// key columns — created before any row arrives (SQL's one row over zero
+// rows), each morsel one stretch of the run walk above. Float SUM and AVG
+// therefore add in row order whether or not there is a GROUP BY, and
+// MIN/MAX see every value in row order, so no answer depends on where a
+// morsel boundary fell.
 //
 // The breakers run on the same pool, over contiguous row-range morsels
 // claimed from an atomic cursor, and earn the same guarantee structurally
@@ -122,12 +125,15 @@
 // concurrent use by many queries; nothing in the engine mutates shared
 // data during a parallel phase except each worker's own output slot.
 //
-// The whole-batch functions Filter, Aggregate and HashJoin are the serial
-// reference: the planner's NoPipeline mode runs plans on them one operator
-// at a time, and the oracle tests hold every pipeline to their output bit
-// for bit. The reference has operators of its own but no extractor of its
-// own: its input is the same extraction stream (BatchSource) a pipeline
-// consumes, drained into one full-width batch.
+// The whole-batch functions Filter, Aggregate and Pool.HashJoinMem are the
+// serial reference: the planner's NoPipeline mode runs plans on them one
+// operator at a time, and the oracle tests hold every pipeline to their
+// output bit for bit. Aggregate's ungrouped fold is a plain row loop that
+// shares neither the sink nor its typed range fold with the pipeline, so
+// the oracle for global aggregates is independent of what it checks. The
+// reference has operators of its own but no extractor of its own: its input
+// is the same extraction stream (BatchSource) a pipeline consumes, drained
+// into one full-width batch.
 //
 // # Memory governance and determinism
 //

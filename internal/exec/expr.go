@@ -537,12 +537,6 @@ func evalArith(op sql.BinaryOp, l, r operand, n int) (*column.Column, error) {
 	return c, nil
 }
 
-// EvalPredicate evaluates a boolean expression and returns the selection
-// vector of rows where it is true.
-func EvalPredicate(e sql.Expr, b *column.Batch) ([]int32, error) {
-	return evalPredSel(e, b, nil)
-}
-
 // evalPredSel evaluates e as a predicate over the candidate rows sel (nil =
 // all rows), returning the ascending subset where e is true. Conjunctions
 // chain the selection vector through both sides; disjunctions merge the two

@@ -92,7 +92,7 @@ func TestEvalTimestampStringCoercion(t *testing.T) {
 		mustTS(t, "2010-01-12T22:15:01"),
 		mustTS(t, "2010-01-12T22:15:03"),
 	}))
-	sel, err := EvalPredicate(mustExpr(t, "ts > '2010-01-12T22:15:00.000' AND ts < '2010-01-12T22:15:02.000'"), base)
+	sel, err := evalPredSel(mustExpr(t, "ts > '2010-01-12T22:15:00.000' AND ts < '2010-01-12T22:15:02.000'"), base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestEvalTimestampStringCoercion(t *testing.T) {
 		t.Errorf("sel = %v, want [1]", sel)
 	}
 	// Reversed operand order also coerces.
-	sel, err = EvalPredicate(mustExpr(t, "'2010-01-12T22:15:00.000' < ts"), base)
+	sel, err = evalPredSel(mustExpr(t, "'2010-01-12T22:15:00.000' < ts"), base, nil)
 	if err != nil || len(sel) != 2 {
 		t.Errorf("reversed: %v %v", sel, err)
 	}
 	// Garbage timestamp literal errors out.
-	if _, err := EvalPredicate(mustExpr(t, "ts > 'not a time'"), base); err == nil {
+	if _, err := evalPredSel(mustExpr(t, "ts > 'not a time'"), base, nil); err == nil {
 		t.Error("bad timestamp literal should error")
 	}
 }
@@ -191,7 +191,7 @@ func TestEvalNullSemantics(t *testing.T) {
 
 	// Comparisons with null are false (not null-propagating booleans, but
 	// filter-compatible).
-	sel, err := EvalPredicate(mustExpr(t, "n > 0"), b)
+	sel, err := evalPredSel(mustExpr(t, "n > 0"), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +205,9 @@ func TestEvalNullSemantics(t *testing.T) {
 	}
 }
 
-func TestEvalPredicateTypeCheck(t *testing.T) {
+func TestPredicateTypeCheck(t *testing.T) {
 	b := testBatch()
-	if _, err := EvalPredicate(&sql.ColumnRef{Name: "n"}, b); err == nil {
+	if _, err := evalPredSel(&sql.ColumnRef{Name: "n"}, b, nil); err == nil {
 		t.Error("non-boolean predicate should error")
 	}
 	if _, err := Eval(mustExpr(t, "station > 1"), b); err == nil {

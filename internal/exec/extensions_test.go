@@ -54,22 +54,22 @@ func TestEvalLike(t *testing.T) {
 	b := column.MustNewBatch(
 		column.NewStrings("ch", []string{"BHZ", "BHE", "LHZ", "BHN"}),
 	)
-	sel, err := EvalPredicate(mustExpr(t, "ch LIKE 'BH_'"), b)
+	sel, err := evalPredSel(mustExpr(t, "ch LIKE 'BH_'"), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != 3 {
 		t.Errorf("sel = %v", sel)
 	}
-	sel, err = EvalPredicate(mustExpr(t, "ch LIKE '%Z'"), b)
+	sel, err = evalPredSel(mustExpr(t, "ch LIKE '%Z'"), b, nil)
 	if err != nil || len(sel) != 2 {
 		t.Errorf("%%Z: %v %v", sel, err)
 	}
-	sel, err = EvalPredicate(mustExpr(t, "ch NOT LIKE '%Z'"), b)
+	sel, err = evalPredSel(mustExpr(t, "ch NOT LIKE '%Z'"), b, nil)
 	if err != nil || len(sel) != 2 {
 		t.Errorf("NOT LIKE: %v %v", sel, err)
 	}
-	if _, err := EvalPredicate(mustExpr(t, "ch LIKE 5"), b); err == nil {
+	if _, err := evalPredSel(mustExpr(t, "ch LIKE 5"), b, nil); err == nil {
 		t.Error("LIKE against a number should error")
 	}
 }
@@ -81,11 +81,11 @@ func TestEvalIsNull(t *testing.T) {
 	c.AppendFloat64(3)
 	b := column.MustNewBatch(c)
 
-	sel, err := EvalPredicate(mustExpr(t, "v IS NULL"), b)
+	sel, err := evalPredSel(mustExpr(t, "v IS NULL"), b, nil)
 	if err != nil || len(sel) != 1 || sel[0] != 1 {
 		t.Errorf("IS NULL: %v %v", sel, err)
 	}
-	sel, err = EvalPredicate(mustExpr(t, "v IS NOT NULL"), b)
+	sel, err = evalPredSel(mustExpr(t, "v IS NOT NULL"), b, nil)
 	if err != nil || len(sel) != 2 {
 		t.Errorf("IS NOT NULL: %v %v", sel, err)
 	}
@@ -95,14 +95,14 @@ func TestEvalInDesugared(t *testing.T) {
 	b := column.MustNewBatch(
 		column.NewStrings("st", []string{"ISK", "HGN", "DBN", "WIT"}),
 	)
-	sel, err := EvalPredicate(mustExpr(t, "st IN ('ISK', 'WIT')"), b)
+	sel, err := evalPredSel(mustExpr(t, "st IN ('ISK', 'WIT')"), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != 2 || sel[0] != 0 || sel[1] != 3 {
 		t.Errorf("IN: %v", sel)
 	}
-	sel, err = EvalPredicate(mustExpr(t, "st NOT IN ('ISK', 'WIT')"), b)
+	sel, err = evalPredSel(mustExpr(t, "st NOT IN ('ISK', 'WIT')"), b, nil)
 	if err != nil || len(sel) != 2 {
 		t.Errorf("NOT IN: %v %v", sel, err)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/column"
+	"repro/internal/sql"
 )
 
 // FuzzRadixSortOracle feeds arbitrary key vectors (with nulls and both
@@ -129,6 +131,132 @@ func FuzzSpillRowCodec(f *testing.F) {
 		}
 		if _, _, _, err := sr.next(); err != io.EOF {
 			t.Fatalf("want io.EOF after %d records, got %v", len(recs), err)
+		}
+	})
+}
+
+// FuzzAggSinkCuts feeds an AggSink arbitrary float/int/null vectors cut into
+// arbitrary morsels under arbitrary ascending selection vectors, grouped by
+// nothing, by a flat key or by the same key in run form, and requires its
+// output to equal, bit for bit, the row walk of Aggregate over the selected
+// rows gathered into one flat batch. Each row consumes 2 input bytes. The
+// value byte's top three bits pick a class — 1: NULL, 2: NaN, 3: a
+// fraction, 4: a huge magnitude that overflows the sums, otherwise a small
+// integer — and its low five the magnitude. The flags byte: bit 0 the row
+// is selected, bit 1 a morsel ends after it, bit 2 a new key run starts at
+// it, bits 3-4 that run's key (3 is the NULL key). mode%3 picks the
+// grouping and mode/3%2 whether morsels carry a selection at all.
+func FuzzAggSinkCuts(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	// A NaN at the head of the second and third morsels, bounds behind it.
+	f.Add([]byte{21, 1, 21, 3, 0x40, 1, 17, 1, 25, 7, 0x40, 13, 0x20, 1, 0x7f, 0, 0x85, 9}, uint8(0))
+	f.Add([]byte{21, 1, 21, 3, 0x40, 1, 17, 1, 25, 7, 0x40, 13, 0x20, 1, 0x7f, 0, 0x85, 9}, uint8(5))
+	// 32,768 fives with NaN at row 16,384 and a 1 behind it: the input the
+	// 16,384-row reduction tree answered MIN = 5 for.
+	boundary := bytes.Repeat([]byte{21, 1}, 32_768)
+	boundary[2*16_384], boundary[2*16_385] = 0x40, 17
+	f.Add(boundary, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		n := min(len(data)/2, 40_000)
+		fls, ints, nulls := make([]float64, n), make([]int64, n), make([]bool, n)
+		keys := column.New("k", column.Int64) // one value per key run
+		var runRows []int32
+		var runCounts []int
+		var sel []int32
+		for i := 0; i < n; i++ {
+			v, flags := data[2*i], data[2*i+1]
+			small := int64(v&31) - 16
+			switch v >> 5 {
+			case 1:
+				nulls[i] = true
+			case 2:
+				fls[i], ints[i] = math.NaN(), small
+			case 3:
+				fls[i], ints[i] = float64(small)/7, small
+			case 4:
+				fls[i], ints[i] = float64(small)*1e300, small<<58
+			default:
+				fls[i], ints[i] = float64(small), small
+			}
+			if i == 0 || flags&4 != 0 {
+				if k := int64(flags >> 3 & 3); k == 3 {
+					keys.AppendNull()
+				} else {
+					keys.AppendInt64(k)
+				}
+				runRows, runCounts = append(runRows, int32(len(runRows))), append(runCounts, 0)
+			}
+			runCounts[len(runCounts)-1]++
+			if flags&1 != 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		fc, ic := column.NewFloat64s("f", fls), column.NewInt64s("i", ints)
+		fc.SetNulls(nulls)
+		ic.SetNulls(nulls)
+		runKey := keys.Repeat(runRows, runCounts)
+		flat := column.MustNewBatch(fc, ic, column.NewInt64s("k", runKey.Int64s()))
+		flat.ColAt(2).SetNulls(runKey.Nulls())
+
+		in, groupBy := flat, []sql.Expr{&sql.ColumnRef{Name: "k"}}
+		switch mode % 3 {
+		case 0:
+			groupBy = nil
+		case 2:
+			in = column.MustNewBatch(fc, ic, keys.Repeat(runRows, runCounts))
+		}
+		withSel := mode/3%2 == 1
+		arg := func(name string) sql.Expr { return &sql.ColumnRef{Name: name} }
+		aggs := []AggSpec{
+			{Func: "COUNT", Star: true, OutName: "n"},
+			{Func: "SUM", Arg: arg("f"), OutName: "sum_f"},
+			{Func: "AVG", Arg: arg("f"), OutName: "avg_f"},
+			{Func: "MIN", Arg: arg("f"), OutName: "min_f"},
+			{Func: "MAX", Arg: arg("f"), OutName: "max_f"},
+			{Func: "COUNT", Arg: arg("f"), Distinct: true, OutName: "dist_f"},
+			{Func: "SUM", Arg: arg("i"), OutName: "sum_i"},
+			{Func: "AVG", Arg: arg("i"), OutName: "avg_i"},
+			{Func: "MIN", Arg: arg("i"), OutName: "min_i"},
+			{Func: "MAX", Arg: arg("i"), OutName: "max_i"},
+		}
+
+		live := flat
+		if withSel {
+			live = flat.Gather(sel)
+		}
+		ref, err := Aggregate(live, groupBy, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		sink, err := NewAggSink(in.Range(0, 0), groupBy, aggs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := 0 // sel[p:] are the selected rows at or past lo
+		for lo := 0; lo < n; {
+			hi := lo + 1
+			for hi < n && data[2*hi-1]&2 == 0 {
+				hi++
+			}
+			m := Morsel{B: in.Range(lo, hi)}
+			if withSel {
+				m.Sel = []int32{}
+				for ; p < len(sel) && int(sel[p]) < hi; p++ {
+					m.Sel = append(m.Sel, sel[p]-int32(lo))
+				}
+			}
+			if err := sink.Consume(m); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		out, err := sink.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderBits(out), renderBits(ref); got != want {
+			t.Fatalf("mode %d, %d rows: the sink diverged from the row walk\nwant:\n%s\ngot:\n%s", mode, n, want, got)
 		}
 	})
 }

@@ -33,19 +33,6 @@ type JoinStats struct {
 	SpillNanos        int64
 }
 
-// HashJoin performs an inner equi-join of left and right on the named key
-// columns (leftKeys[i] pairs with rightKeys[i]). The output contains all
-// left columns followed by all right columns except the right key columns
-// (they duplicate the left keys by definition of the join).
-//
-// The hash table is built on the right input; probe order (and therefore
-// output order) follows the left input, which keeps metadata-first plans
-// producing deterministically ordered intermediates.
-func HashJoin(left, right *column.Batch, leftKeys, rightKeys []string) (*column.Batch, error) {
-	b, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, leftKeys, rightKeys)
-	return b, err
-}
-
 // joinTable is the build side of a hash join. The table is the flat
 // open-addressing structure of hashtable.go — slot arrays per partition
 // plus one chained next row index — not a Go map. The probe side is bound

@@ -18,7 +18,7 @@ func TestHashJoinSingleIntKey(t *testing.T) {
 		column.NewInt64s("r.id", []int64{2, 3, 4}),
 		column.NewFloat64s("r.val", []float64{20, 30, 40}),
 	)
-	out, err := HashJoin(left, right, []string{"l.id"}, []string{"r.id"})
+	out, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"l.id"}, []string{"r.id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestHashJoinCompositeKey(t *testing.T) {
 		column.NewInt64s("rs", []int64{1, 2, 1, 2}),
 		column.NewStrings("tag", []string{"11", "12", "21", "22"}),
 	)
-	out, err := HashJoin(left, right, []string{"f", "s"}, []string{"rf", "rs"})
+	out, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"f", "s"}, []string{"rf", "rs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHashJoinStringKey(t *testing.T) {
 		column.NewStrings("st2", []string{"HGN", "ISK"}),
 		column.NewInt64s("x", []int64{10, 20}),
 	)
-	out, err := HashJoin(left, right, []string{"st"}, []string{"st2"})
+	out, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"st"}, []string{"st2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	rk.AppendNull()
 	rk.AppendInt64(1)
 	right := column.MustNewBatch(rk)
-	out, err := HashJoin(left, right, []string{"k"}, []string{"rk"})
+	out, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"k"}, []string{"rk"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestHashJoinErrors(t *testing.T) {
 	b := column.MustNewBatch(column.NewInt64s("a", []int64{1}))
-	if _, err := HashJoin(b, b, nil, nil); err == nil {
+	if _, _, err := (*Pool)(nil).HashJoinMem(nil, b, b, nil, nil); err == nil {
 		t.Error("empty key lists should error")
 	}
-	if _, err := HashJoin(b, b, []string{"a"}, []string{"a", "b"}); err == nil {
+	if _, _, err := (*Pool)(nil).HashJoinMem(nil, b, b, []string{"a"}, []string{"a", "b"}); err == nil {
 		t.Error("mismatched key lists should error")
 	}
-	if _, err := HashJoin(b, b, []string{"nope"}, []string{"a"}); err == nil {
+	if _, _, err := (*Pool)(nil).HashJoinMem(nil, b, b, []string{"nope"}, []string{"a"}); err == nil {
 		t.Error("unknown key should error")
 	}
 }
@@ -136,7 +136,7 @@ func TestHashJoinMatchesNestedLoopQuick(t *testing.T) {
 		}
 		left := column.MustNewBatch(column.NewInt64s("l", lk))
 		right := column.MustNewBatch(column.NewInt64s("r", rk))
-		out, err := HashJoin(left, right, []string{"l"}, []string{"r"})
+		out, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"l"}, []string{"r"})
 		if err != nil {
 			return false
 		}
@@ -331,7 +331,7 @@ func TestSortSingleAndMultiKey(t *testing.T) {
 		column.NewStrings("s", []string{"b", "a", "b", "a"}),
 		column.NewInt64s("n", []int64{1, 2, 3, 4}),
 	)
-	out, err := Sort(b, []SortKey{{Expr: &sql.ColumnRef{Name: "s"}}})
+	out, _, err := sortSerial(b, []SortKey{{Expr: &sql.ColumnRef{Name: "s"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestSortSingleAndMultiKey(t *testing.T) {
 		t.Errorf("stable order: %v", nc.Int64s())
 	}
 	// Multi-key with DESC.
-	out, err = Sort(b, []SortKey{
+	out, _, err = sortSerial(b, []SortKey{
 		{Expr: &sql.ColumnRef{Name: "s"}},
 		{Expr: &sql.ColumnRef{Name: "n"}, Desc: true},
 	})
@@ -365,12 +365,12 @@ func TestSortTypeMismatchError(t *testing.T) {
 	b := column.MustNewBatch(s)
 	// Build an expression mixing string and int per row is impossible via a
 	// single column, so check the no-key and tiny-batch fast paths instead.
-	out, err := Sort(b, nil)
+	out, _, err := sortSerial(b, nil)
 	if err != nil || out != b {
 		t.Error("no-key sort should be identity")
 	}
 	one := column.MustNewBatch(column.NewInt64s("n", []int64{1}))
-	out, err = Sort(one, []SortKey{{Expr: &sql.ColumnRef{Name: "n"}}})
+	out, _, err = sortSerial(one, []SortKey{{Expr: &sql.ColumnRef{Name: "n"}}})
 	if err != nil || out != one {
 		t.Error("single-row sort should be identity")
 	}

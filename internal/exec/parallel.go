@@ -252,20 +252,20 @@ func (p *Pool) gather(b *column.Batch, sel []int32) *column.Batch {
 // HashJoin
 // ---------------------------------------------------------------------------
 
-// HashJoin is the morsel-driven HashJoin; see HashJoinMem.
-func (p *Pool) HashJoin(left, right *column.Batch, leftKeys, rightKeys []string) (*column.Batch, error) {
-	out, _, err := p.HashJoinMem(nil, left, right, leftKeys, rightKeys)
-	return out, err
-}
-
-// HashJoinMem is the morsel-driven HashJoin under the memory governor: the
-// flat open-addressing build table is radix-partitioned across workers when
-// the build side exceeds one morsel (each partition built privately in
-// serial row order, so chains — and therefore probe output — match the
-// serial single-table build exactly), then workers probe disjoint left row
-// ranges against the read-only table and the per-range match lists
-// concatenate in range order — the serial probe order. Both output gathers
-// run on the pool.
+// HashJoinMem performs an inner equi-join of left and right on the named key
+// columns (leftKeys[i] pairs with rightKeys[i]). The output holds all left
+// columns followed by all right columns except the right keys, which
+// duplicate the left ones; the table is built on the right input and output
+// order follows the left, so metadata-first plans produce deterministically
+// ordered intermediates. A nil pool runs it serially; a nil qm, unbounded.
+//
+// It is morsel-driven under the memory governor: the flat open-addressing
+// build table is radix-partitioned across workers when the build side
+// exceeds one morsel (each partition built privately in serial row order, so
+// chains — and therefore probe output — match the serial single-table build
+// exactly), then workers probe disjoint left row ranges against the
+// read-only table and the per-range match lists concatenate in range order —
+// the serial probe order. Both output gathers run on the pool.
 //
 // Under a finite qm budget, build partitions whose memory grant is denied
 // spill their rows to disk (grace hash); the probe rebuilds them strictly
@@ -291,12 +291,6 @@ func (p *Pool) HashJoinMem(qm *QueryMem, left, right *column.Batch, leftKeys, ri
 // ---------------------------------------------------------------------------
 // Sort
 // ---------------------------------------------------------------------------
-
-// Sort is the morsel-driven Sort; see SortWithStats.
-func (p *Pool) Sort(b *column.Batch, keys []SortKey) (*column.Batch, error) {
-	out, _, err := p.SortWithStats(b, keys)
-	return out, err
-}
 
 // SortWithStats is the morsel-driven Sort. Comparator-sorted keys (float,
 // string, multi-key) are sorted per contiguous morsel row range

@@ -444,10 +444,11 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 
 // AggSink folds morsels straight into aggregation state — the fused
 // scan → filter → aggregate path with no intermediate batch. Morsels arrive
-// in source order (the driver guarantees it), so float accumulation and
-// group first-appearance order match the serial engine exactly; global
-// aggregates go through the fixed-shape chunk tree of globalagg.go, so the
-// result is bit-identical at every morsel size and worker count.
+// in source order (the driver guarantees it) and every group folds its rows
+// left to right, so float accumulation and group first-appearance order
+// match the serial engine exactly at every morsel size and worker count. A
+// global (ungrouped) aggregate is the group of zero key columns, created up
+// front (SQL's one row over zero rows) and folded like any other.
 //
 // Grouping is hash-based with two key paths: a single integer-family key
 // indexes a map[int64] directly (nulls get a dedicated group), and
@@ -456,9 +457,10 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 // Either is walked once per row — or, when every key column of the morsel
 // arrives in constant-run form (the F.* and R.* columns of the universal
 // table), once per run: one lookup for the run, then each aggregate folded
-// over the run's rows in one typed loop (consumeRuns). Both walks create
-// groups in first-appearance order and fold each group's rows in row order,
-// so they produce the same bits.
+// over the run's rows in one typed loop (consumeRuns). Zero key columns are
+// trivially all in run form: the whole morsel is one stretch of the one
+// group. Both walks create groups in first-appearance order and fold each
+// group's rows in row order, so they produce the same bits.
 //
 // The sink accounts its working set on the query's ledger — one
 // reservation per Consume for the groups and COUNT(DISTINCT) set entries
@@ -473,8 +475,8 @@ type AggSink struct {
 	hasDistinct bool
 	protoArgs   []aggArg
 
-	// Grouped state: a persistent index across morsels plus captured key
-	// values (the key columns live only as long as their morsel).
+	// A persistent group index across morsels plus captured key values (the
+	// key columns live only as long as their morsel).
 	groups   []aggGroup
 	idxInt   map[int64]int
 	nullGrp  int
@@ -482,9 +484,6 @@ type AggSink struct {
 	keybuf   []byte
 	keys     []keyRun // consumeRuns' cursors, reused across morsels
 	captured []*column.Column
-
-	// Global state: the fixed-shape chunk tree, fed in arrival order.
-	global *globalAgg
 
 	rowsIn, runsIn int64
 	grown          int64 // bytes of group table and seen sets the current morsel has added
@@ -509,10 +508,6 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 	for _, a := range aggs {
 		s.hasDistinct = s.hasDistinct || a.Distinct
 	}
-	if len(groupBy) == 0 {
-		s.global = newGlobalAgg(args)
-		return s, nil
-	}
 	s.intKey = intKeyed(groupBy, keyCols)
 	if s.intKey {
 		s.idxInt = make(map[int64]int, 64)
@@ -524,6 +519,12 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 	for i, kc := range keyCols {
 		s.captured[i] = column.New(kc.Name(), kc.Type())
 	}
+	if len(groupBy) == 0 {
+		// The global group exists before any row does, under the empty key
+		// runGroup encodes for zero key columns.
+		s.groups = []aggGroup{{states: make([]aggState, len(aggs))}}
+		s.idxGen[""] = 0
+	}
 	return s, nil
 }
 
@@ -531,7 +532,8 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 func (s *AggSink) RowsIn() int64 { return s.rowsIn }
 
 // RunsIn returns the number of key runs folded so far: 0 unless morsels
-// arrived with every key column in run form.
+// arrived with every key column in run form, and 0 for a global aggregate,
+// which has no key to run.
 func (s *AggSink) RunsIn() int64 { return s.runsIn }
 
 // Close releases the sink's ledger reservations. Idempotent.
@@ -567,16 +569,9 @@ func (s *AggSink) Consume(m Morsel) error {
 	live := m.Rows()
 	s.rowsIn += int64(live)
 	s.grown = 0
-	switch {
-	case s.global != nil:
-		before := seenEntries(s.global.distinct)
-		for i := 0; i < live; i++ {
-			s.global.add(args, liveRow(m.Sel, i))
-		}
-		s.grown = (seenEntries(s.global.distinct) - before) * distinctSeenBytes
-	case s.keyRuns(keyCols):
+	if s.keyRuns(keyCols) {
 		err = s.consumeRuns(args, m.Sel, m.B.NumRows())
-	default:
+	} else {
 		err = s.consumeGrouped(keyCols, args, m.Sel, live)
 	}
 	if err != nil {
@@ -710,7 +705,9 @@ func (s *AggSink) consumeRuns(args []aggArg, sel []int32, n int) error {
 			if err != nil {
 				return err
 			}
-			s.runsIn++
+			if len(keys) > 0 {
+				s.runsIn++
+			}
 			states := s.groups[gi].states
 			before := int64(0)
 			if s.hasDistinct {
@@ -782,10 +779,6 @@ func (s *AggSink) runGroup() (int, error) {
 func (s *AggSink) Finish() (*column.Batch, error) {
 	defer s.Close()
 	// groups are in creation order = first-appearance order, with firstRow
-	// indexing the captured key columns; the global group has no key.
-	groups := s.groups
-	if s.global != nil {
-		groups = []aggGroup{{states: s.global.finish()}}
-	}
-	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, groups)
+	// indexing the captured key columns.
+	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, s.groups)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -143,9 +144,6 @@ func TestRunPipelineMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestGlobalAggBitIdenticalAcrossWorkers requires the streaming chunk tree
-// of the sink to produce the float bits of the batch fold at every worker
-// count, above and below the chunking threshold.
 // runBatches builds the same rows twice: record-shaped metadata columns
 // (a string, a nullable integer and a nullable float, constant over each of
 // the records' sample counts) in constant-run form beside a flat value
@@ -247,22 +245,192 @@ func TestAggSinkRunWalkMatchesRowWalk(t *testing.T) {
 	}
 }
 
-func TestGlobalAggBitIdenticalAcrossWorkers(t *testing.T) {
-	for _, n := range []int{0, 1, globalAggChunkRows, globalAggChunkRows + 1, 100_000} {
-		b := pipeBatch(n)
-		ref, err := Aggregate(b, nil, pipeAggs)
-		if err != nil {
-			t.Fatal(err)
+// selStage refines every morsel to the rows whose global index (read back
+// from pipeBatch's t column) keep accepts, the way a filter would.
+type selStage struct{ keep func(row int) bool }
+
+func (selStage) Label() string        { return "sel" }
+func (selStage) Rows() (int64, int64) { return 0, 0 }
+func (s selStage) Process(m Morsel) (Morsel, error) {
+	ts, _ := m.B.Col("t")
+	sel := []int32{}
+	for i, v := range ts.Int64s() {
+		if s.keep(int(v / 25_000_000)) {
+			sel = append(sel, int32(i))
 		}
-		want := renderBits(ref)
-		for _, workers := range []int{1, 2, 3, 8} {
-			out, err := pipeAggregate(NewPoolMorsel(workers, 4099), nil, b, nil, pipeAggs)
+	}
+	return Morsel{B: m.B, Sel: sel}, nil
+}
+
+// TestGlobalAggBitIdenticalAcrossWorkers requires the sink's zero-key fold
+// to produce the bits of the independent row walk in Aggregate at every
+// worker count and morsel size: non-integer floats with NULLs, DISTINCT,
+// whole morsels and refined ones, input sizes around the default morsel
+// (16,384 rows — also the leaf of the reduction tree this fold replaced).
+// Over zero live rows it still returns SQL's one row, and a global fold
+// counts no key runs.
+func TestGlobalAggBitIdenticalAcrossWorkers(t *testing.T) {
+	aggs := append([]AggSpec{
+		{Func: "COUNT", Arg: &sql.ColumnRef{Name: "v"}, Distinct: true, OutName: "dist_v"},
+		{Func: "SUM", Arg: &sql.ColumnRef{Name: "file_id"}, OutName: "sum_id"},
+	}, pipeAggs...)
+	sels := []struct {
+		name string
+		keep func(row int) bool
+	}{
+		{"all", nil},
+		{"every third row", func(row int) bool { return row%3 == 0 }},
+		{"empty", func(int) bool { return false }},
+	}
+	for _, n := range []int{0, 1, 16_383, 16_384, 16_385, 100_000} {
+		b := pipeBatch(n)
+		for _, sc := range sels {
+			live, stages := b, []PipeStage(nil)
+			if sc.keep != nil {
+				var sel []int32
+				for row := 0; row < n; row++ {
+					if sc.keep(row) {
+						sel = append(sel, int32(row))
+					}
+				}
+				live, stages = b.Gather(sel), []PipeStage{selStage{sc.keep}}
+			}
+			ref, err := Aggregate(live, nil, aggs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := renderBits(out); got != want {
-				t.Errorf("n=%d workers=%d: global aggregate bits diverged:\nwant %s\ngot  %s", n, workers, want, got)
+			want := renderBits(ref)
+			if live.NumRows() == 0 && want != "dist_v,sum_id,n,sum_v,avg_v,min_v,max_v,stations\n0|∅|0|∅|∅|∅|∅|0|\n" {
+				t.Fatalf("n=%d sel=%s: reference over zero rows is not one row of COUNT 0 and NULLs:\n%s", n, sc.name, want)
 			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, morsel := range []int{61, 4099, 0} {
+					p := NewPoolMorsel(workers, morsel)
+					sink, err := NewAggSink(b.Range(0, 0), nil, aggs, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), stages, sink); err != nil {
+						t.Fatal(err)
+					}
+					if sc.name == "empty" && n > 0 { // the driver drops empty morsels; the sink takes them too
+						if err := sink.Consume(Morsel{B: b, Sel: []int32{}}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					out, err := sink.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderBits(out); got != want {
+						t.Errorf("n=%d sel=%s workers=%d morsel=%d: global aggregate bits diverged:\nwant %s\ngot  %s", n, sc.name, workers, morsel, want, got)
+					}
+					if sink.RowsIn() != int64(live.NumRows()) || sink.RunsIn() != 0 {
+						t.Errorf("n=%d sel=%s workers=%d morsel=%d: folded %d rows in %d runs, want %d rows in 0", n, sc.name, workers, morsel, sink.RowsIn(), sink.RunsIn(), live.NumRows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// nanColumn is n fives with NaN at row at, then a 1 and a 9: the smallest
+// and largest values sit right behind the NaN.
+func nanColumn(n, at int) *column.Batch {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 5
+	}
+	vals[at], vals[at+1], vals[at+2] = math.NaN(), 1, 9
+	return column.MustNewBatch(column.NewFloat64s("v", vals), column.NewInt64s("k", make([]int64, n)))
+}
+
+// TestGlobalMinMaxNaNOnBoundary: a NaN in the middle of the input never
+// displaces an established bound, wherever a morsel (or, before this fold
+// had one order, a 16,384-row chunk) begins. The reduction tree sealed a
+// chunk starting with NaN as min = max = NaN and lost every value in it.
+func TestGlobalMinMaxNaNOnBoundary(t *testing.T) {
+	aggs := []AggSpec{
+		{Func: "MIN", Arg: &sql.ColumnRef{Name: "v"}, OutName: "min_v"},
+		{Func: "MAX", Arg: &sql.ColumnRef{Name: "v"}, OutName: "max_v"},
+	}
+	for _, at := range []int{16_384, 16_385, 20_000} {
+		b := nanColumn(32_768, at)
+		grouped, err := Aggregate(b, []sql.Expr{&sql.ColumnRef{Name: "k"}}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "min_v,max_v\n0x1p+00|0x1.2p+03|\n"
+		if got := renderBits(column.MustNewBatch(grouped.ColAt(1), grouped.ColAt(2))); got != want {
+			t.Fatalf("NaN at %d: grouped by a constant key: %s", at, got)
+		}
+		ref, err := Aggregate(b, nil, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderBits(ref); got != want {
+			t.Errorf("NaN at %d: Aggregate: got %s want %s", at, got, want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, morsel := range []int{61, 4099, 0} {
+				out, err := pipeAggregate(NewPoolMorsel(workers, morsel), nil, b, nil, aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderBits(out); got != want {
+					t.Errorf("NaN at %d, workers=%d morsel=%d: AggSink: got %s want %s", at, workers, morsel, got, want)
+				}
+			}
+		}
+	}
+}
+
+// goldenBatch is n rows of integer-valued floats and integers with nulls —
+// the shape of every sample the fixtures produce (int32 x gain 1.0) — whose
+// partial sums are exact in any order.
+func goldenBatch(n int) *column.Batch {
+	rng := rand.New(rand.NewSource(18))
+	vals, ints, nulls := make([]float64, n), make([]int64, n), make([]bool, n)
+	for i := range vals {
+		ints[i] = int64(rng.Int31n(1<<21)) - 1<<20
+		vals[i] = float64(ints[i])
+		nulls[i] = rng.Intn(53) == 0
+	}
+	v, k := column.NewFloat64s("v", vals), column.NewInt64s("file_id", ints)
+	v.SetNulls(nulls)
+	k.SetNulls(nulls)
+	return column.MustNewBatch(column.NewStrings("station", make([]string, n)), v, k)
+}
+
+// TestGlobalFoldMatchesGoldenBits pins the global fold to bits captured at
+// the last commit that folded through the 16,384-row reduction tree: any
+// input of at most one leaf, and integer-valued input of any size, answers
+// exactly as it did there.
+func TestGlobalFoldMatchesGoldenBits(t *testing.T) {
+	aggs := append([]AggSpec{
+		{Func: "SUM", Arg: &sql.ColumnRef{Name: "file_id"}, OutName: "sum_id"},
+		{Func: "AVG", Arg: &sql.ColumnRef{Name: "file_id"}, OutName: "avg_id"},
+	}, pipeAggs...)
+	for name, tc := range map[string]struct {
+		b    *column.Batch
+		want string
+	}{
+		"one leaf of non-integer floats": {pipeBatch(16_384), "sum_id,avg_id,n,sum_v,avg_v,min_v,max_v,stations\n516096|0x1.f8p+04|16384|-0x1.2978430e81b56p+16|-0x1.2c70c075ab8fap+02|-0x1.d966cb4a8333ap+11|0x1.c9e5621fc9f12p+11|5|\n"},
+		"100,000 integer-valued rows":    {goldenBatch(100_000), "sum_id,avg_id,n,sum_v,avg_v,min_v,max_v,stations\n-125024386|-0x1.3e86131e1875ep+10|100000|-0x1.dcee208p+26|-0x1.3e86131e1875ep+10|-0x1.fff24p+19|0x1.ffff4p+19|1|\n"},
+	} {
+		ref, err := Aggregate(tc.b, nil, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderBits(ref); got != tc.want {
+			t.Errorf("%s: Aggregate:\nwant %q\ngot  %q", name, tc.want, got)
+		}
+		out, err := pipeAggregate(NewPoolMorsel(2, 4099), nil, tc.b, nil, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderBits(out); got != tc.want {
+			t.Errorf("%s: AggSink:\nwant %q\ngot  %q", name, tc.want, got)
 		}
 	}
 }

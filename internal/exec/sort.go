@@ -99,16 +99,10 @@ func evalSortKeys(b *column.Batch, keys []SortKey) ([]sortKeyData, error) {
 	return keyData, nil
 }
 
-// Sort returns the batch reordered by the keys (stable). This is the
-// serial engine: one sortSel over the whole batch (radix for a single
-// integer-family key, comparator otherwise) — the oracle the parallel
-// morsel-merge path is tested against.
-func Sort(b *column.Batch, keys []SortKey) (*column.Batch, error) {
-	out, _, err := sortSerial(b, keys)
-	return out, err
-}
-
-// sortSerial is Sort plus the execution stats.
+// sortSerial returns the batch reordered by the keys (stable), with the
+// execution stats. This is the serial engine: one sortSel over the whole
+// batch (radix for a single integer-family key, comparator otherwise) — the
+// oracle the parallel morsel-merge path is tested against.
 func sortSerial(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
 	n := b.NumRows()
 	if len(keys) == 0 || n <= 1 {

@@ -103,7 +103,7 @@ func TestJoinSpillBitIdenticalToInMemory(t *testing.T) {
 		{"tiny", tinyBudget},
 	}
 	for _, cfg := range configs {
-		oracle, err := HashJoin(left, right, cfg.lk, cfg.rk)
+		oracle, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, cfg.lk, cfg.rk)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", cfg.name, err)
 		}

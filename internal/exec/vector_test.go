@@ -198,13 +198,13 @@ func TestComparisonNullHandlingEveryOp(t *testing.T) {
 		for _, op := range allCmpOps {
 			e := &sql.Binary{Op: op, L: tc.l, R: tc.r}
 			t.Run(fmt.Sprintf("%s/%s", tc.name, op), func(t *testing.T) {
-				got, err := EvalPredicate(e, b)
+				got, err := evalPredSel(e, b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := oracleFilter(t, b, []sql.Expr{e})
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("EvalPredicate(%s) = %v, oracle says %v", e, got, want)
+					t.Fatalf("evalPredSel(%s) = %v, oracle says %v", e, got, want)
 				}
 				// A null operand must never be selected, whatever the op.
 				for _, s := range got {
@@ -272,7 +272,7 @@ func TestSelectionComposition(t *testing.T) {
 	p2 := mustExpr(t, "file_id < 32")
 	p3 := mustExpr(t, "station = 'ISK' OR station = 'HGN'")
 
-	s1, err := EvalPredicate(p1, b)
+	s1, err := evalPredSel(p1, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSelectionComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Independent evaluation then intersection.
-	s2, err := EvalPredicate(p2, b)
+	s2, err := evalPredSel(p2, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -866,7 +866,7 @@ func TestHashJoinMatchesOracleOnRandomBatches(t *testing.T) {
 				left := randNullBatch(rng, rng.Intn(120))
 				right := randJoinRight(rng, rng.Intn(80))
 				kc := keyConfigs[rng.Intn(len(keyConfigs))]
-				got, err := eng.pool.HashJoin(left, right, kc.lk, kc.rk)
+				got, _, err := eng.pool.HashJoinMem(nil, left, right, kc.lk, kc.rk)
 				if err != nil {
 					t.Fatalf("iter %d (%s): %v", iter, kc.name, err)
 				}
@@ -875,7 +875,7 @@ func TestHashJoinMatchesOracleOnRandomBatches(t *testing.T) {
 				if diff, ok := batchesEqual(got, want); !ok {
 					t.Fatalf("iter %d (%s): HashJoin diverges from oracle: %s", iter, kc.name, diff)
 				}
-				serial, err := HashJoin(left, right, kc.lk, kc.rk)
+				serial, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, kc.lk, kc.rk)
 				if err != nil {
 					t.Fatalf("iter %d (%s): serial HashJoin: %v", iter, kc.name, err)
 				}
@@ -947,7 +947,7 @@ func TestSortMatchesOracleOnRandomBatches(t *testing.T) {
 			for iter := 0; iter < 80; iter++ {
 				b := randNullBatch(rng, rng.Intn(120))
 				keys := keyConfigs[rng.Intn(len(keyConfigs))]
-				got, err := eng.pool.Sort(b, keys)
+				got, _, err := eng.pool.SortWithStats(b, keys)
 				if err != nil {
 					t.Fatalf("iter %d: %v", iter, err)
 				}
@@ -955,7 +955,7 @@ func TestSortMatchesOracleOnRandomBatches(t *testing.T) {
 				if diff, ok := batchesEqual(got, want); !ok {
 					t.Fatalf("iter %d: Sort diverges from oracle: %s", iter, diff)
 				}
-				serial, err := Sort(b, keys)
+				serial, _, err := sortSerial(b, keys)
 				if err != nil {
 					t.Fatalf("iter %d: serial Sort: %v", iter, err)
 				}
@@ -1051,7 +1051,7 @@ func checkJoinAgainstMapOracle(t *testing.T, left, right *column.Batch, lk, rk [
 	t.Helper()
 	lsel, rsel := oracleMapJoinSel(t, left, right, lk, rk)
 	want := oracleJoinBatch(t, left, right, rk, lsel, rsel)
-	serial, err := HashJoin(left, right, lk, rk)
+	serial, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, lk, rk)
 	if err != nil {
 		t.Fatalf("serial HashJoin: %v", err)
 	}
@@ -1059,7 +1059,7 @@ func checkJoinAgainstMapOracle(t *testing.T, left, right *column.Batch, lk, rk [
 		t.Fatalf("serial flat table diverges from map oracle: %s", diff)
 	}
 	for _, eng := range testEngines() {
-		got, err := eng.pool.HashJoin(left, right, lk, rk)
+		got, _, err := eng.pool.HashJoinMem(nil, left, right, lk, rk)
 		if err != nil {
 			t.Fatalf("%s: %v", eng.name, err)
 		}
@@ -1163,7 +1163,7 @@ func TestHashJoinAllNullKeys(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, eng := range testEngines() {
-				got, err := eng.pool.HashJoin(tc.left, tc.right, tc.lk, tc.rk)
+				got, _, err := eng.pool.HashJoinMem(nil, tc.left, tc.right, tc.lk, tc.rk)
 				if err != nil {
 					t.Fatalf("%s: %v", eng.name, err)
 				}
@@ -1213,7 +1213,7 @@ func TestHashJoinFloatKeys(t *testing.T) {
 			column.NewFloat64s("rf", []float64{nanAlt, negZero, 8}),
 			column.NewStrings("tag", []string{"nan", "zero", "other"}),
 		)
-		got, err := HashJoin(left, right, []string{"f"}, []string{"rf"})
+		got, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, []string{"f"}, []string{"rf"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1230,7 +1230,7 @@ func TestHashJoinFloatKeys(t *testing.T) {
 		ln.AppendFloat64(0)
 		ln.AppendNull()
 		left2 := column.MustNewBatch(ln)
-		got2, err := HashJoin(left2, right, []string{"f"}, []string{"rf"})
+		got2, _, err := (*Pool)(nil).HashJoinMem(nil, left2, right, []string{"f"}, []string{"rf"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1333,7 +1333,7 @@ func TestSortLargeParallel(t *testing.T) {
 // serial engine's and that the serial result matches the boxed oracle.
 func checkSortEngines(t *testing.T, b *column.Batch, keys []SortKey, label string) {
 	t.Helper()
-	serial, err := Sort(b, keys)
+	serial, _, err := sortSerial(b, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1342,7 +1342,7 @@ func checkSortEngines(t *testing.T, b *column.Batch, keys []SortKey, label strin
 		t.Fatalf("%s: serial sort diverges from oracle: %s", label, diff)
 	}
 	for _, eng := range testEngines() {
-		got, err := eng.pool.Sort(b, keys)
+		got, _, err := eng.pool.SortWithStats(b, keys)
 		if err != nil {
 			t.Fatalf("%s %s: %v", label, eng.name, err)
 		}

@@ -107,6 +107,14 @@ var runMatrixQueries = map[string]bool{
 const runsCutBySelection = `SELECT F.station, R.seqno, COUNT(*), MAX(D.sample_value), SUM(R.num_samples)
 	 FROM mseed.dataview WHERE F.channel = 'BHN' AND D.sample_value > 150 GROUP BY F.station, R.seqno`
 
+// nanMidStream divides by zero wherever a sample equals 3, which `/` answers
+// with NaN: a global MIN/MAX that meets NaNs mid-stream, at the head of some
+// morsel at every morsel size. A NaN never displaces an established bound,
+// wherever the stream was cut. Lazy folds it over whole morsels, External
+// over the F.* filter's selection.
+const nanMidStream = `SELECT MIN(D.sample_value / (D.sample_value - 3)), MAX(D.sample_value / (D.sample_value - 3))
+	 FROM mseed.dataview WHERE F.channel = 'BHZ'`
+
 const selectStarQuery = `SELECT * FROM mseed.dataview WHERE F.station = 'ISK' AND F.channel = 'BHE' LIMIT 40`
 
 // joinedExtractPlan is the dataview under an explicit join — a shape Build
@@ -215,11 +223,11 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		mode    Mode
 		queries []string
 	}{
-		{Lazy, append(append(append([]string(nil), pipelineMatrixQueries...), narrowMatrixQueries...), runQueries...)},
+		{Lazy, append(append(append([]string{nanMidStream}, pipelineMatrixQueries...), narrowMatrixQueries...), runQueries...)},
 		// External mode filters metadata above the extraction, so the same
 		// statements read a different column set there — and the F.* filter
 		// hands the aggregate a selection over the run columns.
-		{External, append(append([]string(nil), narrowMatrixQueries...), runQueries...)},
+		{External, append(append([]string{nanMidStream}, narrowMatrixQueries...), runQueries...)},
 		// joinQ's spine is reordered, so its aggregate sits above the
 		// order-restoration breaker and is fed the restored batch.
 		{Eager, []string{eagerMatrixQuery, joinQ}},
@@ -259,6 +267,15 @@ func TestPipelineOracleMatrix(t *testing.T) {
 			}
 			if kept := strings.Count(cut, "\n") - 1; kept == 0 || kept >= all.Batch.NumRows() {
 				t.Fatalf("the D.* filter leaves %d of %d records a live sample; the cell needs some emptied, not all", kept, all.Batch.NumRows())
+			}
+		}
+		if minmax, ok := want[nanMidStream]; ok {
+			zeros, err := ref.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ' AND D.sample_value = 3`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zeros.Batch.Row(0)[0].I == 0 || strings.Contains(minmax, "NaN") {
+				t.Fatalf("%d zero divisors, answer %q: the cell needs NaNs in the stream and bounds they did not displace", zeros.Batch.Row(0)[0].I, minmax)
 			}
 		}
 		if star, ok := want[selectStarQuery]; ok {

@@ -16,7 +16,11 @@
 //
 // Query execution is morsel-driven parallel: Options.Workers sets the
 // worker count (0 = GOMAXPROCS, 1 = the serial engine); results are
-// bit-identical at every setting.
+// bit-identical at every setting, for one reason: a pipeline's sink takes
+// its morsels strictly in source order, so every aggregate — grouped or
+// global, the latter being the group of zero keys — folds its rows left to
+// right. There is one summation order, and no answer depends on where a
+// morsel or partition boundary fell.
 //
 // There is one execution engine: every query runs as a morsel-wise push
 // pipeline. Scan, filter, join probe and aggregation fuse over one morsel's
