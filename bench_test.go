@@ -292,14 +292,18 @@ func BenchmarkE9_ExternalBaseline(b *testing.B) {
 }
 
 // BenchmarkParallelExtraction measures the worker-pool extension: the same
-// cold full-scan query with 1, 2, 4 and 8 extraction workers.
+// cold full-scan query on a pool of 1, 2, 4 and 8 workers, which is also
+// what sizes the extraction stream's read-ahead (workers-1, at least one).
 func BenchmarkParallelExtraction(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
 	q := `SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w := openBench(b, dir, lazyetl.Lazy, etl.Options{Parallelism: workers})
+				w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
 				mustQuery(b, w, q)
 			}
 		})
@@ -361,7 +365,6 @@ func BenchmarkExtractOverlap(b *testing.B) {
 		open := func() *lazyetl.Warehouse {
 			opts := lazyetl.Options{
 				Mode: lazyetl.Lazy, Workers: 4, MemoryBudget: c.budget,
-				ETL: lazyetl.ETLOptions{Parallelism: 4},
 			}
 			if !c.pipelined {
 				opts.Oracle = lazyetl.NoPipeline

@@ -48,7 +48,7 @@ type fileZones struct {
 
 // ZoneMaps is the catalog-resident collection of record zone maps, keyed by
 // file URI and record sequence number. Entries are valid only for the file
-// mtime they were collected at: a Put or Get with a different mtime discards
+// mtime they were collected at: a PutRun or Get with a different mtime discards
 // the file's stale entries, mirroring the recycler's invalidation rule, so a
 // rewritten file is re-extracted (and its zones re-collected) rather than
 // wrongly skipped. Safe for concurrent use; shared across store snapshots
@@ -63,17 +63,20 @@ func NewZoneMaps() *ZoneMaps {
 	return &ZoneMaps{files: make(map[string]*fileZones)}
 }
 
-// Put records the zone entry for (uri, seqno) as observed at mtime. Entries
+// PutRun records the zone entries of one extraction run — zones[x] for
+// (uri, seqnos[x]), all observed at mtime — under one lock. Entries
 // collected at a different mtime are dropped first.
-func (zm *ZoneMaps) Put(uri string, mtime time.Time, seqno int, z ZoneEntry) {
+func (zm *ZoneMaps) PutRun(uri string, mtime time.Time, seqnos []int, zones []ZoneEntry) {
 	zm.mu.Lock()
 	defer zm.mu.Unlock()
 	fz := zm.files[uri]
 	if fz == nil || !fz.mtime.Equal(mtime) {
-		fz = &fileZones{mtime: mtime, recs: make(map[int]ZoneEntry)}
+		fz = &fileZones{mtime: mtime, recs: make(map[int]ZoneEntry, len(seqnos))}
 		zm.files[uri] = fz
 	}
-	fz.recs[seqno] = z
+	for x, seqno := range seqnos {
+		fz.recs[seqno] = zones[x]
+	}
 }
 
 // Get returns the zone entry for (uri, seqno) if one was collected at exactly

@@ -34,8 +34,10 @@ func TestZoneMapsMtimeInvalidation(t *testing.T) {
 	t1 := time.Unix(1000, 0)
 	t2 := time.Unix(2000, 0)
 
-	zm.Put("a", t1, 1, ZoneEntry{Min: 1, Max: 2, Finite: 10, Samples: 10})
-	zm.Put("a", t1, 2, ZoneEntry{Min: 3, Max: 4, Finite: 10, Samples: 10})
+	zm.PutRun("a", t1, []int{1, 2}, []ZoneEntry{
+		{Min: 1, Max: 2, Finite: 10, Samples: 10},
+		{Min: 3, Max: 4, Finite: 10, Samples: 10},
+	})
 	if zm.Records() != 2 {
 		t.Fatalf("records = %d, want 2", zm.Records())
 	}
@@ -47,13 +49,13 @@ func TestZoneMapsMtimeInvalidation(t *testing.T) {
 	if _, ok := zm.Get("a", t2, 1); ok {
 		t.Fatal("stale mtime must not serve zone entries")
 	}
-	// A Put at the new mtime drops every entry collected at the old one.
-	zm.Put("a", t2, 1, ZoneEntry{Min: 9, Max: 9, Finite: 1, Samples: 1})
+	// A PutRun at the new mtime drops every entry collected at the old one.
+	zm.PutRun("a", t2, []int{1}, []ZoneEntry{{Min: 9, Max: 9, Finite: 1, Samples: 1}})
 	if zm.Records() != 1 {
 		t.Fatalf("records after mtime change = %d, want 1", zm.Records())
 	}
 	if _, ok := zm.Get("a", t1, 2); ok {
-		t.Fatal("old-mtime entry survived a new-mtime Put")
+		t.Fatal("old-mtime entry survived a new-mtime PutRun")
 	}
 
 	zm.InvalidateFile("a")
@@ -71,7 +73,7 @@ func TestSnapshotSharesZones(t *testing.T) {
 	snap := s.Snapshot()
 
 	mt := time.Unix(42, 0)
-	snap.Zones().Put("x", mt, 7, ZoneEntry{Min: -1, Max: 1, Finite: 2, Samples: 2})
+	snap.Zones().PutRun("x", mt, []int{7}, []ZoneEntry{{Min: -1, Max: 1, Finite: 2, Samples: 2}})
 	if z, ok := s.Zones().Get("x", mt, 7); !ok || z.Max != 1 {
 		t.Fatalf("zone written through a snapshot not visible on the store: %+v, %v", z, ok)
 	}

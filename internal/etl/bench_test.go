@@ -118,6 +118,40 @@ func BenchmarkExtractWarmCache(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractStream times the extraction stream itself — what a served
+// query consumes — not the Extract reference wrapper, which also expands
+// every column: all records of the fixture, morsel by morsel at the default
+// size and a two-worker pool's width, carrying F.station beside
+// D.sample_value (a Figure-1 Q2's columns) or beside both D.* columns. cold
+// runs with the recycler off, so every pass reads and decodes; warm serves
+// every record from it. B/op is the point: cold values allocates the value
+// buffers (8 B a sample) and views them, values+times adds the generated
+// times (8 more), and warm values allocates no sample vector at all.
+func BenchmarkExtractStream(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cols []string
+	}{
+		{"values", []string{"F.station", "D.sample_value"}},
+		{"values+times", []string{"F.station", "D.sample_time", "D.sample_value"}},
+	} {
+		for _, state := range []string{"cold", "warm"} {
+			b.Run(c.name+"/"+state, func(b *testing.B) {
+				e, _ := benchEngine(b, Options{DisableCache: state == "cold"})
+				meta := dataviewMeta(b, e.store, `SELECT * FROM mseed.dataview`)
+				// The first pass fills the recycler (warm) and the pooled scratch.
+				samples := countStream(b, e, meta, c.cols)
+				b.ReportAllocs()
+				b.SetBytes(int64(samples) * 8 * int64(len(c.cols)-1))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					countStream(b, e, meta, c.cols)
+				}
+			})
+		}
+	}
+}
+
 var assembleSink *column.Batch
 
 // BenchmarkAssemble times the universal-table layout alone — the `assemble`
@@ -150,8 +184,8 @@ func BenchmarkAssemble(b *testing.B) {
 		if samples >= exec.DefaultMorselRows {
 			chunks, samples = append(chunks, nil), 0
 		}
-		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], segment{row: int32(i), times: ent.Times, values: ent.Values})
-		samples += len(ent.Times)
+		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], segment{row: int32(i), ent: ent})
+		samples += len(ent.Values)
 	}
 
 	written := func(out *column.Batch) (n int64) {
@@ -197,16 +231,17 @@ func BenchmarkAssemble(b *testing.B) {
 	run("gather", func(segs []segment) *column.Batch {
 		total := 0
 		for _, sg := range segs {
-			total += len(sg.times)
+			total += len(sg.ent.Values)
 		}
 		sel := make([]int32, total)
 		dTimes := make([]int64, total)
 		dValues := make([]float64, total)
 		k := 0
 		for _, sg := range segs {
-			copy(dTimes[k:], sg.times)
-			copy(dValues[k:], sg.values)
-			for range sg.times {
+			n := len(sg.ent.Values)
+			sampleTimes(dTimes[k:k+n], sg.ent.Start, sg.ent.Rate)
+			copy(dValues[k:], sg.ent.Values)
+			for range sg.ent.Values {
 				sel[k] = sg.row
 				k++
 			}

@@ -24,34 +24,58 @@
 // paying another syscall). Each run costs one ReadAt into a pooled
 // per-worker scratch buffer; headers and payloads then parse from memory
 // and Steim payloads decode through the unrolled, allocation-free decoder
-// into a pooled sample buffer. Whole-file prefetch (PrefetchWholeFile) is a
-// single run covering the file, scanned with mseed.ScanBuffer.
+// into a pooled int32 sample buffer. Whole-file prefetch (PrefetchWholeFile)
+// is a single run covering the file, scanned with mseed.ScanBuffer.
 //
-// Options.Parallelism prefetch workers claim runs — not files, so
-// extraction parallelizes within a single large file as well as across
-// files — in plan order, ahead of the consumer, which assembles the rows
-// of finished runs into morsels and extracts inline any run it reaches
-// before a worker does. Every run owns a disjoint set of metadata-row
-// indices and delivers only those rows' entries, and one helper (layout)
-// lays out the universal table's rows in metadata-row order, so the output
-// is bit-identical at every Parallelism setting, morsel size and width;
-// when several runs fail, the error surfaced is deterministically that of
-// the earliest run (file order, then offset order) rather than the race
-// winner.
+// From there every sample is written once. A run allocates one value buffer
+// (recycler.Buffer) sized from the R.num_samples the metadata carries, and
+// one fused pass per record (convert) calibrates the decoded samples
+// straight into the record's place in it, collecting the record's zone
+// entry in the same loop. The run owns the buffer only while it decodes:
+// when it finishes it publishes each record as a recycler.Entry that views
+// its stretch of the buffer (capacity-limited, so nothing can grow into a
+// neighbour), and from then on the buffer is read-only and belongs to
+// whoever still references it — the recycler, which charges it once while
+// any of its entries is cached, and the morsels laid out over it. A record
+// whose header disagrees with the planned count decodes into a buffer of
+// its own. The run's side effects — zone entries, recycler admission,
+// ExtractRecord operators — are handed over once per run, not per record.
 //
-// layout copies only the D.* vectors. What it holds for the metadata side
-// is a list of (metadata row, sample count) segments, and that is already
-// the column: a listed F.* or R.* column leaves as column.Column.Repeat of
-// those segments, the constant-run form — one value per record and the
-// records' cumulative row ends, O(records) to build instead of O(samples).
-// The grouped aggregate folds once per run straight from it; any reader
-// that wants one value per row gets the column's one lazy expansion.
-// Extract, the materializing reference, is that same stream drained as one
-// full-width morsel and expanded (plan.ExtractAll).
+// The prefetch workers — one fewer than the consuming pool's workers, at
+// least one: the consumer occupies a worker itself — claim runs, not files,
+// so extraction parallelizes within a single large file as well as across
+// files, in plan order, ahead of the consumer, which assembles the rows of
+// finished runs into morsels and extracts inline any run it reaches before
+// a worker does. Every run owns a disjoint set of metadata-row indices and
+// delivers only those rows' entries, and one helper (layout) lays out the
+// universal table's rows in metadata-row order, so the output is
+// bit-identical at every pool width, morsel size and column list; when
+// several runs fail, the error surfaced is deterministically that of the
+// earliest run (file order, then offset order) rather than the race winner.
+//
+// layout copies as little as the morsel allows. What it holds for the
+// metadata side is a list of (metadata row, sample count) segments, and that
+// is already the column: a listed F.* or R.* column leaves as
+// column.Column.Repeat of those segments, the constant-run form — one value
+// per record and the records' cumulative row ends, O(records) to build
+// instead of O(samples). The grouped aggregate folds once per run straight
+// from it; any reader that wants one value per row gets the column's one
+// lazy expansion. D.sample_value is a view of the run's buffer whenever the
+// morsel's records are consecutive stretches of one — the normal case for
+// misses, and for hits that were admitted together — and a copy only when
+// they are not: hits beside misses, two runs meeting in one morsel, a record
+// in a buffer of its own. D.sample_time is not stored anywhere: mSEED keeps
+// no per-sample times, an entry carries the record's start and rate, and
+// layout generates the times (sampleTimes) into the morsel only for a
+// statement that lists the column. Extract, the materializing reference, is
+// that same stream drained as one full-width morsel and expanded
+// (plan.ExtractAll); the eager LoadAll runs the same two helpers.
 package etl
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,11 +106,6 @@ type Options struct {
 	// DisableCache turns the recycler into a pass-through (every extraction
 	// re-reads the source), an experimental baseline.
 	DisableCache bool
-	// Parallelism is the number of prefetch workers an extraction stream
-	// runs over its coalesced runs, reading and decoding ahead of the
-	// consumer (an extension over the paper's sequential extractor). 0 or 1
-	// means one. Neither frontend sets it, so served queries run with one.
-	Parallelism int
 }
 
 func (o *Options) fill() {
@@ -244,8 +263,9 @@ func (e *Engine) LoadMetadata() (Stats, error) {
 	sn := e.snap.Load()
 	fb := newFilesBuilder()
 	rb := newRecordsBuilder()
-	for _, f := range sn.repo.Files {
-		infos, err := mseed.ScanFile(f.AbsPath)
+	scans, errs := scanFiles(sn.repo.Files)
+	for x, f := range sn.repo.Files {
+		infos, err := scans[x], errs[x]
 		if err != nil {
 			return st, fmt.Errorf("etl: metadata scan %s: %w", f.URI, err)
 		}
@@ -273,6 +293,32 @@ func (e *Engine) LoadMetadata() (Stats, error) {
 	return st, nil
 }
 
+// scanFiles header-scans the files on up to GOMAXPROCS goroutines. Results
+// come back by position, so the caller feeds its builders in repository
+// order and reports the first failing file in that order, as a serial scan
+// would.
+func scanFiles(files []repo.File) ([][]mseed.RecordInfo, []error) {
+	scans := make([][]mseed.RecordInfo, len(files))
+	errs := make([]error, len(files))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(files)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				x := int(next.Add(1)) - 1
+				if x >= len(files) {
+					return
+				}
+				scans[x], errs[x] = mseed.ScanFile(files[x].AbsPath)
+			}
+		}()
+	}
+	wg.Wait()
+	return scans, errs
+}
+
 // LoadAll is the eager initial load: every payload is extracted,
 // transformed and loaded into mseed.data alongside the metadata tables.
 func (e *Engine) LoadAll() (Stats, error) {
@@ -282,6 +328,8 @@ func (e *Engine) LoadAll() (Stats, error) {
 	fb := newFilesBuilder()
 	rb := newRecordsBuilder()
 	db := newDataBuilder()
+	var times []int64
+	var values []float64
 	for _, f := range sn.repo.Files {
 		recs, err := mseed.ReadFile(f.AbsPath)
 		if err != nil {
@@ -297,7 +345,13 @@ func (e *Engine) LoadAll() (Stats, error) {
 		fb.add(id, f, infos)
 		for i, r := range recs {
 			rb.add(id, infos[i])
-			times, values := e.transform(r.Header, r.Samples)
+			n := len(r.Samples)
+			if cap(times) < n {
+				times, values = make([]int64, n), make([]float64, n)
+			}
+			times, values = times[:n], values[:n]
+			sampleTimes(times, r.Header.StartNanos(), r.Header.SampleRate())
+			e.convert(values, r.Samples)
 			db.add(id, r.Header.SeqNo, times, values)
 			st.Samples += int64(len(values))
 		}
@@ -351,29 +405,55 @@ func (e *Engine) RefreshAll() (Stats, error) {
 	return e.LoadAll()
 }
 
-// transform applies the record-level transformation (deriving per-sample
-// timestamps from the record start time and rate — the mSEED format stores
-// no per-sample times) and the value-level transformations (calibration
-// gain, then optional de-spiking) — §3.2's "transformations performed on a
-// fine granularity added to the end of the extraction phase".
-func (e *Engine) transform(h *mseed.Header, samples []int32) (times []int64, values []float64) {
-	times = make([]int64, len(samples))
-	values = make([]float64, len(samples))
-	startNs := h.StartNanos()
-	rate := h.SampleRate()
+// convert applies the value-level transformations — calibration gain, then
+// optional de-spiking — of §3.2's "transformations performed on a fine
+// granularity added to the end of the extraction phase": dst[i] is the
+// transformed samples[i]. It returns the zone entry of what it wrote,
+// collected in the same pass and equal to catalog.CollectZone(dst).
+func (e *Engine) convert(dst []float64, samples []int32) catalog.ZoneEntry {
+	z := catalog.ZoneEntry{Min: math.Inf(1), Max: math.Inf(-1), Samples: int64(len(samples))}
+	gain, clip := e.opts.Gain, e.opts.ClipAbs
 	for i, s := range samples {
-		times[i] = startNs + int64(float64(i)/rate*1e9)
-		v := float64(s) * e.opts.Gain
-		if e.opts.ClipAbs > 0 {
-			if v > e.opts.ClipAbs {
-				v = e.opts.ClipAbs
-			} else if v < -e.opts.ClipAbs {
-				v = -e.opts.ClipAbs
+		v := float64(s) * gain
+		if clip > 0 {
+			if v > clip {
+				v = clip
+			} else if v < -clip {
+				v = -clip
 			}
 		}
-		values[i] = v
+		dst[i] = v
+		if v != v { // NaN: an infinite or NaN gain can make one
+			z.NaNs++
+			continue
+		}
+		z.Finite++
+		if v < z.Min {
+			z.Min = v
+		}
+		if v > z.Max {
+			z.Max = v
+		}
 	}
-	return times, values
+	return z
+}
+
+// sampleTimes is the record-level transformation: the mSEED format stores no
+// per-sample times, so dst[i] is derived from the record's start time (ns)
+// and sample rate (Hz). A record with no positive rate (log and
+// state-of-health records carry a zero rate factor) has no spacing to
+// derive: every sample sits at the start time, which is also what
+// mseed.Header.EndNanos reports for it.
+func sampleTimes(dst []int64, start int64, rate float64) {
+	if rate <= 0 {
+		for i := range dst {
+			dst[i] = start
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] = start + int64(float64(i)/rate*1e9)
+	}
 }
 
 // filesBuilder accumulates mseed.files rows columnarly.

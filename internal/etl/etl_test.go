@@ -100,6 +100,17 @@ func runLazyQuery(t *testing.T, e *Engine, store *catalog.Store, q string) *colu
 	return b
 }
 
+// runLazyQueryAt is runLazyQuery on a pool of the given worker count, which
+// is also what sizes the extraction stream's read-ahead.
+func runLazyQueryAt(t *testing.T, e *Engine, store *catalog.Store, q string, workers int) *column.Batch {
+	t.Helper()
+	b, err := runQueryEnv(e, store, q, workers, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func runLazyQueryErr(e *Engine, store *catalog.Store, q string) (*column.Batch, error) {
 	stmt, err := sql.Parse(q)
 	if err != nil {

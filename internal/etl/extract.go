@@ -75,6 +75,10 @@ type runPlan struct {
 	start    int64 // first byte of the run
 	end      int64 // estimated end (exclusive); extended on demand
 	prefetch bool  // whole-file prefetch run (PrefetchWholeFile)
+	// samples is the length of the run's value buffer: the planned sample
+	// counts of its rows (sink.lens) summed. A prefetch run decodes the
+	// whole file, so it sizes its buffer from the scan instead.
+	samples int
 }
 
 // extractSink collects the records of one extraction. Workers deliver
@@ -87,8 +91,16 @@ type extractSink struct {
 
 	// lens[i] is the expected sample count of row i (actual count for cache
 	// hits, R.num_samples for misses); -1 when unknown. It sizes a run's
-	// ledger charge, never the output.
+	// value buffer and ledger charge, never the output.
 	lens []int
+	// rowRun[i] is the run that extracts row i, -1 for a row pass 1 closed
+	// out (cache hit or pruned). at[i] is where row i's values go in that
+	// run's buffer, -1 when the row has no planned place (unknown count,
+	// prefetch run) and decodes into a buffer of its own. Places are handed
+	// out in metadata-row order, the order morsels are laid out in, so the
+	// rows of a morsel are consecutive stretches of the buffer.
+	rowRun []int
+	at     []int
 	// entries[i] holds row i's samples once delivered: a cache hit, a
 	// decoded record, or prunedEntry.
 	entries []*recycler.Entry
@@ -108,25 +120,65 @@ type extractSink struct {
 // so the stream sees a delivered row that contributes zero samples.
 var prunedEntry = &recycler.Entry{}
 
-// zonesPut collects a record's zone entry from its transformed values and
-// installs it in the store's zone maps under (uri, mtime, seqno) — the same
-// staleness key the recycler uses, so a touched file invalidates its zones.
-func (e *Engine) zonesPut(fs *fileState, seqno int, values []float64) {
-	e.store.Zones().Put(fs.uri, fs.mtime, seqno, catalog.CollectZone(values))
+// runOut gathers what the records of one run hand over, so that the zone
+// maps, the recycler and the observer are each visited once per run (flush)
+// and not once per record. Every slice is sized for the run up front: ents
+// is a slab the sink's entry pointers point into and never reallocates.
+type runOut struct {
+	e      *Engine
+	fs     *fileState
+	buf    *recycler.Buffer // the run's value buffer
+	seqnos []int
+	zones  []catalog.ZoneEntry
+	ents   []recycler.Entry
+	ops    []string // ExtractRecord details; stays empty under a quiet observer
 }
 
-// deliver hands one decoded record to the sink: transformed, zone-mapped,
-// parked for the consumer and offered to the recycler. The entry carries
-// the record's actual length, so a file whose sample counts went stale
-// after the metadata load still lays out correctly. Called from workers; i
-// is owned exclusively by the calling run.
-func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []int32) {
-	e := s.e
-	times, values := e.transform(h, samples)
-	e.zonesPut(fs, int(s.seqs[i]), values)
-	ent := &recycler.Entry{Times: times, Values: values, FileMtime: fs.mtime}
-	s.entries[i] = ent
-	e.cache.Admit(recycler.Key{URI: fs.uri, SeqNo: int(s.seqs[i])}, ent)
+func newRunOut(e *Engine, fs *fileState, records int) *runOut {
+	return &runOut{
+		e:      e,
+		fs:     fs,
+		seqnos: make([]int, 0, records),
+		zones:  make([]catalog.ZoneEntry, 0, records),
+		ents:   make([]recycler.Entry, 0, records),
+	}
+}
+
+// add turns one decoded record into its entry, to be cached and zone-mapped
+// under seqno — the one write each sample gets: the fused pass (convert)
+// calibrates straight into the run's buffer at the record's planned place,
+// collecting the zone entry on the way. A record without a planned place
+// (at < 0), or whose header disagrees with the planned count (a file whose
+// sample counts went stale after the metadata load), gets a buffer of its
+// own, so the entry always carries the record's actual length.
+func (o *runOut) add(seqno, at, planned int, h *mseed.Header, samples []int32) *recycler.Entry {
+	o.ents = append(o.ents, recycler.Entry{Start: h.StartNanos(), Rate: h.SampleRate(), FileMtime: o.fs.mtime})
+	ent := &o.ents[len(o.ents)-1]
+	if n := len(samples); at >= 0 && planned == n {
+		ent.Buf, ent.Off = o.buf, at
+		ent.Values = o.buf.Values[at : at+n : at+n]
+	} else {
+		ent.Values = make([]float64, n)
+	}
+	o.zones = append(o.zones, o.e.convert(ent.Values, samples))
+	o.seqnos = append(o.seqnos, seqno)
+	return ent
+}
+
+// flush installs the run's zone entries under (uri, mtime, seqno) — the
+// staleness key the recycler uses too, so a touched file invalidates its
+// zones — offers its entries to the recycler, and reports its ExtractRecord
+// operators: one lock round-trip each.
+func (o *runOut) flush(obs plan.Observer) {
+	if len(o.ents) == 0 {
+		return
+	}
+	e, fs := o.e, o.fs
+	e.store.Zones().PutRun(fs.uri, fs.mtime, o.seqnos, o.zones)
+	e.cache.AdmitRun(fs.uri, o.seqnos, o.ents)
+	e.xstats.extractions.Add(int64(len(o.ents)))
+	e.xstats.runRecords.Add(int64(len(o.ents)))
+	plan.ReportOps(obs, "ExtractRecord", o.ops)
 }
 
 // Extract returns the universal table of meta in one batch at full width:
@@ -136,7 +188,7 @@ func (s *extractSink) deliver(fs *fileState, i int, h *mseed.Header, samples []i
 // benchmarks; queries consume the stream morsel by morsel, carrying only
 // the columns they read.
 func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
-	return plan.ExtractAll(e, meta, prune, obs)
+	return plan.ExtractAll(e, meta, prune, obs, 1)
 }
 
 // prepare is the front half of an extraction. It validates the metadata
@@ -204,6 +256,8 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		seqs:    seqs,
 		offs:    offs,
 		lens:    make([]int, n),
+		rowRun:  make([]int, n),
+		at:      make([]int, n),
 		entries: make([]*recycler.Entry, n),
 		quiet:   quiet,
 	}
@@ -212,6 +266,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 	// cache has (fresh entries only).
 	zones := e.store.Zones()
 	var missIdx, prunedIdx []int
+	var hitOps []string
 	var cacheHits int64
 	for i := 0; i < n; i++ {
 		fs, err := stateOf(uris[i])
@@ -229,11 +284,10 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		key := recycler.Key{URI: uris[i], SeqNo: int(seqs[i])}
 		if ent, hit := e.cache.Lookup(key, fs.mtime); hit {
 			sink.entries[i] = ent
-			sink.lens[i] = len(ent.Times)
+			sink.lens[i] = len(ent.Values)
 			if !quiet {
-				obs.InjectedOp("CacheRead", fmt.Sprintf("%s seq=%d (%d samples)", uris[i], seqs[i], len(ent.Times)))
+				hitOps = append(hitOps, fmt.Sprintf("%s seq=%d (%d samples)", uris[i], seqs[i], len(ent.Values)))
 			}
-			e.xstats.cacheReads.Add(1)
 			cacheHits++
 			continue
 		}
@@ -243,8 +297,29 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		}
 		missIdx = append(missIdx, i)
 	}
+	e.xstats.cacheReads.Add(cacheHits)
+	plan.ReportOps(obs, "CacheRead", hitOps)
 
 	runs := e.coalesce(missIdx, uris, offs, recLens, states)
+	for i := range sink.rowRun {
+		sink.rowRun[i], sink.at[i] = -1, -1
+	}
+	for r := range runs {
+		for _, i := range runs[r].rows {
+			sink.rowRun[i] = r
+		}
+	}
+	for _, i := range missIdx { // ascending: metadata-row order
+		// The buffer is allocated before the run is read, so a count no
+		// record of that length could hold (the densest encoding, Steim-2,
+		// packs under two samples a byte) is not believed: the record
+		// decodes into a buffer of its own, if it decodes at all.
+		run := &runs[sink.rowRun[i]]
+		if l := sink.lens[i]; !run.prefetch && l >= 0 && int64(l) <= 2*recordLen(recLens, i) {
+			sink.at[i] = run.samples
+			run.samples += l
+		}
+	}
 	if prune != nil {
 		// Count the reads pruning saved: coalesce the would-be miss set too
 		// (pruned rows would all have been misses: a pruned record was
@@ -313,54 +388,76 @@ func closeFiles(opened []*fileState) {
 // file is opened, so the zone-prune tally can ask what a set of rows would
 // have cost to read.
 func (e *Engine) coalesce(idx []int, uris []string, offs, recLens []int64, states map[string]*fileState) []runPlan {
-	byFile := make(map[string][]int)
+	// Group by file over one backing array: count, carve, fill.
+	slot := make(map[string]int)
 	var fileOrder []string
+	var counts []int
 	for _, i := range idx {
-		if _, seen := byFile[uris[i]]; !seen {
+		f, seen := slot[uris[i]]
+		if !seen {
+			f = len(fileOrder)
+			slot[uris[i]] = f
 			fileOrder = append(fileOrder, uris[i])
+			counts = append(counts, 0)
 		}
-		byFile[uris[i]] = append(byFile[uris[i]], i)
+		counts[f]++
 	}
-
-	estLen := func(i int) int64 {
-		if recLens != nil && recLens[i] > 0 {
-			return recLens[i]
-		}
-		return fallbackRecordLen
+	backing := make([]int, len(idx))
+	byFile := make([][]int, len(fileOrder))
+	for f, n := range counts {
+		byFile[f], backing = backing[:0:n], backing[n:]
+	}
+	for _, i := range idx {
+		f := slot[uris[i]]
+		byFile[f] = append(byFile[f], i)
 	}
 
 	var runs []runPlan
-	for _, uri := range fileOrder {
+	for f, uri := range fileOrder {
 		fs := states[uri]
-		rows := byFile[uri]
-		sort.Slice(rows, func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] })
+		rows := byFile[f]
+		byOffset := func(a, b int) bool { return offs[rows[a]] < offs[rows[b]] }
+		if !sort.SliceIsSorted(rows, byOffset) {
+			sort.Slice(rows, byOffset)
+		}
 
 		if e.opts.PrefetchWholeFile {
 			runs = append(runs, runPlan{fs: fs, rows: rows, start: 0, end: fs.size, prefetch: true})
 			continue
 		}
-		cur := -1
-		for _, i := range rows {
+		// A run's rows are a stretch of the file's: lo is where the open
+		// run (the last in runs) begins.
+		lo := 0
+		for x, i := range rows {
 			start := offs[i]
-			end := start + estLen(i)
+			end := start + recordLen(recLens, i)
 			if end > fs.size {
 				end = fs.size
 			}
 			if end < start {
 				end = start // offset beyond EOF: the read will surface staleness
 			}
-			if cur >= 0 && start <= runs[cur].end+coalesceGap && end-runs[cur].start <= maxRunBytes {
-				runs[cur].rows = append(runs[cur].rows, i)
+			if cur := len(runs) - 1; x > 0 && start <= runs[cur].end+coalesceGap && end-runs[cur].start <= maxRunBytes {
+				runs[cur].rows = rows[lo : x+1]
 				if end > runs[cur].end {
 					runs[cur].end = end
 				}
 				continue
 			}
-			runs = append(runs, runPlan{fs: fs, rows: []int{i}, start: start, end: end})
-			cur = len(runs) - 1
+			lo = x
+			runs = append(runs, runPlan{fs: fs, rows: rows[lo : x+1], start: start, end: end})
 		}
 	}
 	return runs
+}
+
+// recordLen is row i's record length as the metadata has it: F.record_length,
+// or fallbackRecordLen when the batch carries no such column.
+func recordLen(recLens []int64, i int) int64 {
+	if recLens != nil && recLens[i] > 0 {
+		return recLens[i]
+	}
+	return fallbackRecordLen
 }
 
 // openRuns opens each run's file, once per file and in plan order, and
@@ -436,6 +533,13 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 		return nil
 	}
 
+	out := newRunOut(e, fs, len(run.rows))
+	if !run.prefetch {
+		out.buf = recycler.NewBuffer(run.samples)
+	}
+	// Records decoded before a failure are handed over all the same.
+	defer out.flush(obs)
+
 	// decodeAt parses and decodes the record of meta row i from the buffer.
 	decodeAt := func(i int) error {
 		off := sink.offs[i]
@@ -465,12 +569,10 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 		if err := mseed.DecodePayloadInto(h, payload, samples); err != nil {
 			return fmt.Errorf("etl: %s offset %d: %w", fs.uri, off, err)
 		}
-		e.xstats.extractions.Add(1)
-		e.xstats.runRecords.Add(1)
 		if !sink.quiet {
-			obs.InjectedOp("ExtractRecord", fmt.Sprintf("%s seq=%d (%d samples, %s)", fs.uri, h.SeqNo, len(samples), h.Encoding))
+			out.ops = append(out.ops, fmt.Sprintf("%s seq=%d (%d samples, %s)", fs.uri, h.SeqNo, len(samples), h.Encoding))
 		}
-		sink.deliver(fs, i, h, samples)
+		sink.entries[i] = out.add(int(sink.seqs[i]), sink.at[i], sink.lens[i], h, samples)
 		return nil
 	}
 
@@ -493,10 +595,10 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 }
 
 // prefetchRun is the PrefetchWholeFile ablation: the run covers the whole
-// file, every record is decoded from the buffer and admitted to the cache,
-// and the qualifying rows are then served from the cache. Rows the cache
-// could not hold (budget too small for the file) fall back to direct
-// decodes from the same buffer.
+// file, every record is decoded from the buffer into one value buffer and
+// admitted to the cache, and the qualifying rows are then served from the
+// cache. Rows the cache could not hold (budget too small for the file) fall
+// back to direct decodes from the same bytes.
 func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink *extractSink,
 	decodeAt func(int) error, obs plan.Observer) error {
 	fs := run.fs
@@ -507,21 +609,27 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 	if !sink.quiet {
 		obs.InjectedOp("ExtractFile", fmt.Sprintf("%s (%d records)", fs.uri, len(infos)))
 	}
+	total := 0
+	for _, ri := range infos {
+		total += ri.Header.NumSamples
+	}
+	file := newRunOut(e, fs, len(infos))
+	file.buf = recycler.NewBuffer(total)
+	at := 0
 	for _, ri := range infos {
 		h := ri.Header
 		payload := buf[ri.Offset+int64(h.DataOffset) : ri.Offset+int64(h.RecordLength)]
 		samples := sc.ints(h.NumSamples)
-		if err := mseed.DecodePayloadInto(h, payload, samples); err != nil {
-			return fmt.Errorf("etl: prefetch %s seq %d: %w", fs.uri, h.SeqNo, err)
+		if err = mseed.DecodePayloadInto(h, payload, samples); err != nil {
+			err = fmt.Errorf("etl: prefetch %s seq %d: %w", fs.uri, h.SeqNo, err)
+			break
 		}
-		e.xstats.extractions.Add(1)
-		e.xstats.runRecords.Add(1)
-		times, values := e.transform(h, samples)
-		e.zonesPut(fs, h.SeqNo, values)
-		e.cache.Admit(
-			recycler.Key{URI: fs.uri, SeqNo: h.SeqNo},
-			&recycler.Entry{Times: times, Values: values, FileMtime: fs.mtime},
-		)
+		file.add(h.SeqNo, at, len(samples), h, samples)
+		at += len(samples)
+	}
+	file.flush(obs)
+	if err != nil {
+		return err
 	}
 	for _, i := range run.rows {
 		key := recycler.Key{URI: fs.uri, SeqNo: int(sink.seqs[i])}
@@ -539,25 +647,26 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 }
 
 // segment is one metadata row's share of the universal table: the row and
-// the samples it is replicated beside.
+// the entry holding the samples it is replicated beside.
 type segment struct {
-	row    int32
-	times  []int64
-	values []float64
+	row int32
+	ent *recycler.Entry
 }
 
 // layout lays out the universal table's rows — the one place that does: one
 // output row per sample, segments in order, carrying exactly proto's columns
 // (plan.ExtractProto). A listed metadata column is handed over as constant
-// runs, each segment's row value standing for its samples (Column.Repeat);
-// the D.* vectors are allocated and copied from the segments only when
-// listed.
+// runs, each segment's row value standing for its samples (Column.Repeat).
+// D.sample_value, when listed, is a view of the segments' shared buffer
+// where there is one (segValues); D.sample_time, when listed, is generated
+// here from each record's start and rate (sampleTimes) — no query that does
+// not list it pays for it.
 func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 	rows := make([]int32, len(segs))
 	counts := make([]int, len(segs))
 	total := 0
 	for x, sg := range segs {
-		rows[x], counts[x] = sg.row, len(sg.times)
+		rows[x], counts[x] = sg.row, len(sg.ent.Values)
 		total += counts[x]
 	}
 	cols := make([]*column.Column, proto.NumCols())
@@ -566,17 +675,13 @@ func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 		case "D.sample_time":
 			dTimes := make([]int64, total)
 			k := 0
-			for _, sg := range segs {
-				k += copy(dTimes[k:], sg.times)
+			for x, sg := range segs {
+				sampleTimes(dTimes[k:k+counts[x]], sg.ent.Start, sg.ent.Rate)
+				k += counts[x]
 			}
 			cols[c] = column.NewTimestamps(name, dTimes)
 		case "D.sample_value":
-			dValues := make([]float64, total)
-			k := 0
-			for _, sg := range segs {
-				k += copy(dValues[k:], sg.values)
-			}
-			cols[c] = column.NewFloat64s(name, dValues)
+			cols[c] = column.NewFloat64s(name, segValues(segs, total))
 		default:
 			mc, ok := meta.Col(name)
 			if !ok {
@@ -586,6 +691,48 @@ func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 		}
 	}
 	return column.NewBatch(cols...)
+}
+
+// segValues returns the segments' total values end to end. When the
+// segments that have samples are consecutive stretches of one shared buffer
+// — the records of one run, in the order the run placed them, whether just
+// decoded or cache hits admitted together — the result is a capacity-limited
+// view of that buffer: nothing is copied, and the column built on it must be
+// treated as read-only, like every column a source hands out. Otherwise
+// (hits beside misses, two runs in one morsel, a record that decoded into a
+// buffer of its own) the values are copied into a fresh vector.
+func segValues(segs []segment, total int) []float64 {
+	var first, prev *recycler.Entry
+	for _, sg := range segs {
+		ent := sg.ent
+		if len(ent.Values) == 0 {
+			continue
+		}
+		if first == nil {
+			first = ent
+		} else if !follows(prev, ent) {
+			out := make([]float64, total)
+			k := 0
+			for _, sg := range segs {
+				k += copy(out[k:], sg.ent.Values)
+			}
+			return out
+		}
+		prev = ent
+	}
+	switch {
+	case first == nil:
+		return []float64{}
+	case first.Buf == nil:
+		return first.Values // the one segment with samples, in its own buffer
+	}
+	return first.Buf.Values[first.Off : first.Off+total : first.Off+total]
+}
+
+// follows reports whether ent's values directly follow prev's in one shared
+// buffer, so that the two read as one slice of it.
+func follows(prev, ent *recycler.Entry) bool {
+	return ent.Buf != nil && ent.Buf == prev.Buf && ent.Off == prev.Off+len(prev.Values)
 }
 
 // ExtractionStats returns cumulative lazy-extraction counters.

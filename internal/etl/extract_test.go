@@ -135,9 +135,9 @@ func TestExtractZeroSampleRecord(t *testing.T) {
 // load, so the decoded length disagrees with R.num_samples: extraction must
 // lay the output out from the length it decoded, not the one it was told.
 func TestExtractStaleSampleCountMisfit(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			e, store, _ := newEngine(t, 3000, Options{Parallelism: parallelism})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e, store, _ := newEngine(t, 3000, Options{})
 			if _, err := e.LoadMetadata(); err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestExtractStaleSampleCountMisfit(t *testing.T) {
 			}
 			victim := infos[1]
 			orig := patchRecordSampleCount(t, path, victim.Offset, 0)
-			b := runLazyQuery(t, e, store, countQuery("HGN", "BHZ"))
+			b := runLazyQueryAt(t, e, store, countQuery("HGN", "BHZ"), workers)
 			if got, want := b.Row(0)[0].I, int64(3000-orig); got != want {
 				t.Errorf("count = %d, want %d (misfit record must shrink the output)", got, want)
 			}
@@ -222,31 +222,31 @@ func TestPrefetchCacheOverflowFallback(t *testing.T) {
 }
 
 // TestExtractBitIdenticalAcrossParallelism requires the raw universal-table
-// output (not just aggregates) to be byte-identical at every Parallelism
-// setting, cold and warm.
+// output (not just aggregates) to be byte-identical at every pool width —
+// and so at every number of prefetch workers — cold and warm.
 func TestExtractBitIdenticalAcrossParallelism(t *testing.T) {
 	q := `SELECT D.sample_time, D.sample_value FROM mseed.dataview
 	      WHERE F.channel = 'BHZ' AND F.station = 'ISK'`
 	var cold, warm []string
 	var runs []int64
-	for _, p := range []int{1, 2, 8} {
-		e, store, _ := newEngine(t, 3000, Options{Parallelism: p})
+	for _, workers := range []int{1, 2, 4, 8} {
+		e, store, _ := newEngine(t, 3000, Options{})
 		if _, err := e.LoadMetadata(); err != nil {
 			t.Fatal(err)
 		}
-		cold = append(cold, runLazyQuery(t, e, store, q).String())
-		warm = append(warm, runLazyQuery(t, e, store, q).String())
+		cold = append(cold, runLazyQueryAt(t, e, store, q, workers).String())
+		warm = append(warm, runLazyQueryAt(t, e, store, q, workers).String())
 		runs = append(runs, e.ExtractionStats().RunsRead)
 	}
 	for i := 1; i < len(cold); i++ {
 		if cold[i] != cold[0] {
-			t.Errorf("cold output differs between Parallelism settings")
+			t.Errorf("cold output differs between pool widths")
 		}
 		if warm[i] != warm[0] {
-			t.Errorf("warm output differs between Parallelism settings")
+			t.Errorf("warm output differs between pool widths")
 		}
 		if runs[i] != runs[0] {
-			t.Errorf("run plans differ across Parallelism: %v", runs)
+			t.Errorf("run plans differ across pool widths: %v", runs)
 		}
 	}
 	if warm[0] == "" || cold[0] != warm[0] {
@@ -285,7 +285,7 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 
 	// All engines load metadata before the corruption, so the scan sees
 	// valid headers and only run-time extraction hits the damage.
-	serial, serialStore, _ := newEngineAt(t, dir, Options{Parallelism: 1})
+	serial, serialStore, _ := newEngineAt(t, dir, Options{})
 	if _, err := serial.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 	pars := make([]*Engine, tries)
 	parStores := make([]*catalog.Store, tries)
 	for i := range pars {
-		par, parStore, _ := newEngineAt(t, dir, Options{Parallelism: 8})
+		par, parStore, _ := newEngineAt(t, dir, Options{})
 		if _, err := par.LoadMetadata(); err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 		t.Fatal("serial extraction over corrupt files did not fail")
 	}
 	for try := 0; try < tries; try++ {
-		_, parErr := runLazyQueryErr(pars[try], parStores[try], q)
+		_, parErr := runQueryEnv(pars[try], parStores[try], q, 8, 0, false)
 		if parErr == nil {
 			t.Fatal("parallel extraction over corrupt files did not fail")
 		}

@@ -6,24 +6,25 @@ import (
 	"testing"
 )
 
-// TestParallelExtractionMatchesSequential runs the same lazy query with a
-// sequential and a parallel extractor and requires identical aggregates
-// and identical work accounting.
+// TestParallelExtractionMatchesSequential runs the same lazy query on a
+// one-worker pool (one prefetch worker, runs decoded in order) and an
+// eight-worker pool (seven) and requires identical aggregates and identical
+// work accounting.
 func TestParallelExtractionMatchesSequential(t *testing.T) {
 	q := `SELECT F.station, COUNT(*), MIN(D.sample_value), MAX(D.sample_value), AVG(D.sample_value)
 	      FROM mseed.dataview WHERE F.channel = 'BHZ' GROUP BY F.station ORDER BY F.station`
 
-	seq, seqStore, _ := newEngine(t, 3000, Options{Parallelism: 1})
+	seq, seqStore, _ := newEngine(t, 3000, Options{})
 	if _, err := seq.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	par, parStore, _ := newEngine(t, 3000, Options{Parallelism: 8})
+	par, parStore, _ := newEngine(t, 3000, Options{})
 	if _, err := par.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
 
-	sRes := runLazyQuery(t, seq, seqStore, q)
-	pRes := runLazyQuery(t, par, parStore, q)
+	sRes := runLazyQueryAt(t, seq, seqStore, q, 1)
+	pRes := runLazyQueryAt(t, par, parStore, q, 8)
 	if sRes.String() != pRes.String() {
 		t.Errorf("results differ:\nsequential:\n%v\nparallel:\n%v", sRes, pRes)
 	}
@@ -32,7 +33,7 @@ func TestParallelExtractionMatchesSequential(t *testing.T) {
 		t.Errorf("work accounting differs: sequential %+v, parallel %+v", ss, ps)
 	}
 	// Warm runs are all cache reads for both.
-	runLazyQuery(t, par, parStore, q)
+	runLazyQueryAt(t, par, parStore, q, 8)
 	if got := par.ExtractionStats().Extractions; got != ps.Extractions {
 		t.Errorf("warm parallel run extracted again: %d -> %d", ps.Extractions, got)
 	}
@@ -41,7 +42,7 @@ func TestParallelExtractionMatchesSequential(t *testing.T) {
 // TestParallelExtractionPropagatesErrors removes one qualifying file after
 // metadata load: every worker path must surface the failure.
 func TestParallelExtractionPropagatesErrors(t *testing.T) {
-	e, store, _ := newEngine(t, 800, Options{Parallelism: 4})
+	e, store, _ := newEngine(t, 800, Options{})
 	if _, err := e.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestParallelExtractionPropagatesErrors(t *testing.T) {
 	if err := os.Remove(victim); err != nil {
 		t.Fatal(err)
 	}
-	_, err := runLazyQueryErr(e, store, `SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`)
+	_, err := runQueryEnv(e, store, `SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`, 4, 0, false)
 	if err == nil {
 		t.Fatal("expected error after removing a qualifying file")
 	}

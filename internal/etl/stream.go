@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/recycler"
 )
 
 // errStreamClosed reports a Next call racing a Close. It never reaches a
@@ -41,7 +42,15 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // each admitted only if its estimated footprint fits the memory ledger.
 // When the budget denies admission the consumer extracts the run it needs
 // inline: overlap degrades to the synchronous schedule instead of
-// overshooting the budget.
+// overshooting the budget. width is the consuming pool's worker count; the
+// consumer occupies one of those workers, so the stream runs width-1
+// prefetch workers, and at least one.
+//
+// Each sample is written once: a run decodes into one value buffer, its
+// records become recycler entries viewing that buffer, and a morsel whose
+// records are consecutive stretches of it carries D.sample_value as a view,
+// not a copy (segValues). Morsel columns are read-only, as from any source.
+// D.sample_time is generated into the morsel, and only when cols lists it.
 //
 // cols (plan.LazyExtract.Cols) lists the universal-table columns the query
 // reads; the morsels carry exactly those, nil meaning all of them. The full
@@ -52,11 +61,11 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // The stream's content does not depend on how it is cut or scheduled:
 // morsels are laid out in metadata-row order by one helper (layout) from
 // entries each owned by one run, so the concatenation of the morsels is the
-// same rows, bit for bit, at every morselRows, Parallelism, width and
+// same rows, bit for bit, at every morselRows, width, column list and
 // budget. Failures are as deterministic: in-flight runs drain, remaining
 // runs execute in plan order, and the earliest failing run in plan order is
 // the one reported (settleLocked).
-func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, obs plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
+func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
 	proto, err := plan.ExtractProto(meta, cols)
 	if err != nil {
 		return nil, err
@@ -96,10 +105,6 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		return nil, err
 	}
 
-	s.rowRun = make([]int, s.n)
-	for i := range s.rowRun {
-		s.rowRun[i] = -1
-	}
 	s.runLeft = make([]int, len(s.runs))
 	s.est = make([]int64, len(s.runs))
 	s.claimed = make([]bool, len(s.runs))
@@ -108,17 +113,15 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	for r := range s.runs {
 		run := &s.runs[r]
 		s.runLeft[r] = len(run.rows)
-		for _, i := range run.rows {
-			s.rowRun[i] = r
-		}
-		// Estimated footprint: the read buffer plus the decoded entries the
-		// run parks until the consumer drains them. Unknown-length records
-		// fall back to a compression-ratio guess on the byte range.
+		// Estimated footprint: the read buffer plus the decoded values (8
+		// bytes a sample) the run parks until the consumer drains them.
+		// Unknown-length records fall back to a compression-ratio guess on
+		// the byte range.
 		est := run.end - run.start
 		unknown := false
 		for _, i := range run.rows {
 			if l := s.sink.lens[i]; l >= 0 {
-				est += int64(l) * 16
+				est += int64(l) * 8
 			} else {
 				unknown = true
 			}
@@ -129,13 +132,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		s.est[r] = est
 	}
 
-	workers := e.opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(s.runs) {
-		workers = len(s.runs)
-	}
+	workers := min(max(1, width-1), len(s.runs))
 	s.depth = workers + 1
 	for w := 0; w < workers; w++ {
 		s.workerWG.Add(1)
@@ -159,7 +156,6 @@ type extractStream struct {
 
 	runs   []runPlan
 	opened []*fileState
-	rowRun []int   // meta row -> run index, -1 = served by cache
 	est    []int64 // per-run ledger charge while in flight
 
 	grant *mem.Grant
@@ -242,7 +238,8 @@ func (s *extractStream) nextUnclaimed() int {
 }
 
 // Next assembles the next morsel: metadata rows in plan order until at
-// least morselRows samples are gathered. Implements exec.BatchSource.
+// least morselRows samples are gathered, or — past an eighth of that — until
+// the buffer the morsel views ends. Implements exec.BatchSource.
 func (s *extractStream) Next() (exec.Morsel, bool, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -269,6 +266,8 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 	var (
 		segs    []segment
 		samples int
+		last    *recycler.Entry // the last entry with samples
+		view    = true          // the entries so far are one stretch of one buffer
 	)
 	for s.pos < s.n && samples < s.morselRows {
 		i := s.pos
@@ -279,11 +278,24 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		if ent == nil {
 			return exec.Morsel{}, false, fmt.Errorf("etl: internal: run completed without delivering row %d", i)
 		}
-		segs = append(segs, segment{row: int32(i), times: ent.Times, values: ent.Values})
-		samples += len(ent.Times)
+		if len(ent.Values) > 0 {
+			if last != nil && !follows(last, ent) {
+				// A morsel that views one buffer ends where the buffer does
+				// — the next run's records start the next morsel, another
+				// view, instead of both being copied into one — once it has
+				// the rows to be worth a morsel of its own.
+				if view && samples >= s.morselRows/8 {
+					break
+				}
+				view = false
+			}
+			last = ent
+		}
+		segs = append(segs, segment{row: int32(i), ent: ent})
+		samples += len(ent.Values)
 		s.sink.entries[i] = nil // drop our reference; the cache keeps its own
 		s.pos++
-		if r := s.rowRun[i]; r >= 0 {
+		if r := s.sink.rowRun[i]; r >= 0 {
 			s.mu.Lock()
 			s.runLeft[r]--
 			if s.runLeft[r] == 0 {
@@ -325,7 +337,7 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 // (the progress guarantee under a denying budget — inline claims use Must,
 // not Try), and a stall wait when a worker has the run in flight.
 func (s *extractStream) waitRow(i int) error {
-	r := s.rowRun[i]
+	r := s.sink.rowRun[i]
 	if r < 0 {
 		return nil
 	}

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/mseed"
 	"repro/internal/plan"
+	"repro/internal/recycler"
 	"repro/internal/sql"
 )
 
@@ -37,13 +40,13 @@ func runQueryEnv(e *Engine, store *catalog.Store, q string, workers, morselRows 
 
 // TestStreamMatchesExtract requires the streamed universal table (consumed
 // through a pipelined raw select) to be byte-identical to the materializing
-// Extract path, cold and warm, at several parallelism and morsel settings.
+// Extract path, cold and warm, at several pool widths and morsel settings.
 func TestStreamMatchesExtract(t *testing.T) {
 	_, _, dir := newEngine(t, 3000, Options{})
 	q := `SELECT D.sample_time, D.sample_value FROM mseed.dataview
 	      WHERE F.channel = 'BHZ' AND D.sample_value > 10`
 
-	oracle, oracleStore, _ := newEngineAt(t, dir, Options{Parallelism: 1})
+	oracle, oracleStore, _ := newEngineAt(t, dir, Options{})
 	if _, err := oracle.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,26 +60,26 @@ func TestStreamMatchesExtract(t *testing.T) {
 
 	for _, p := range []int{1, 4} {
 		for _, morsel := range []int{61, 5000} {
-			e, store, _ := newEngineAt(t, dir, Options{Parallelism: p})
+			e, store, _ := newEngineAt(t, dir, Options{})
 			if _, err := e.LoadMetadata(); err != nil {
 				t.Fatal(err)
 			}
 			cold, err := runQueryEnv(e, store, q, p, morsel, false)
 			if err != nil {
-				t.Fatalf("parallelism=%d morsel=%d: %v", p, morsel, err)
+				t.Fatalf("workers=%d morsel=%d: %v", p, morsel, err)
 			}
 			warm, err := runQueryEnv(e, store, q, p, morsel, false)
 			if err != nil {
-				t.Fatalf("parallelism=%d morsel=%d warm: %v", p, morsel, err)
+				t.Fatalf("workers=%d morsel=%d warm: %v", p, morsel, err)
 			}
 			if cold.String() != want.String() {
-				t.Errorf("parallelism=%d morsel=%d: cold stream output differs from Extract", p, morsel)
+				t.Errorf("workers=%d morsel=%d: cold stream output differs from Extract", p, morsel)
 			}
 			if warm.String() != want.String() {
-				t.Errorf("parallelism=%d morsel=%d: warm stream output differs from Extract", p, morsel)
+				t.Errorf("workers=%d morsel=%d: warm stream output differs from Extract", p, morsel)
 			}
 			if st := e.ExtractionStats(); st.SamplesServed == 0 {
-				t.Errorf("parallelism=%d morsel=%d: no samples counted", p, morsel)
+				t.Errorf("workers=%d morsel=%d: no samples counted", p, morsel)
 			}
 		}
 	}
@@ -86,7 +89,7 @@ func TestStreamMatchesExtract(t *testing.T) {
 // the metadata load, so prefetch ReadAt calls fail mid-query. Whatever run
 // fails first in wall-clock time, the surfaced error must be that of the
 // earliest failing run in plan order — identical to the materializing
-// extractor's, at every parallelism.
+// extractor's, at every pool width.
 func TestStreamDeterministicReadFailure(t *testing.T) {
 	_, _, dir := newEngine(t, 2000, Options{})
 	q := `SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`
@@ -111,23 +114,24 @@ func TestStreamDeterministicReadFailure(t *testing.T) {
 		}
 	}
 
-	oracle, oracleStore, _ := newEngineAt(t, dir, Options{Parallelism: 1})
+	oracle, oracleStore, _ := newEngineAt(t, dir, Options{})
 	if _, err := oracle.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
 	const tries = 3
 	type eng struct {
-		e *Engine
-		s *catalog.Store
+		e       *Engine
+		s       *catalog.Store
+		workers int
 	}
 	var streams []eng
 	for _, p := range []int{1, 8} {
 		for i := 0; i < tries; i++ {
-			e, store, _ := newEngineAt(t, dir, Options{Parallelism: p})
+			e, store, _ := newEngineAt(t, dir, Options{})
 			if _, err := e.LoadMetadata(); err != nil {
 				t.Fatal(err)
 			}
-			streams = append(streams, eng{e, store})
+			streams = append(streams, eng{e, store, p})
 		}
 	}
 	truncate(oracle)
@@ -137,7 +141,7 @@ func TestStreamDeterministicReadFailure(t *testing.T) {
 		t.Fatal("materializing extraction over truncated files did not fail")
 	}
 	for i, se := range streams {
-		_, err := runQueryEnv(se.e, se.s, q, 4, 61, false)
+		_, err := runQueryEnv(se.e, se.s, q, se.workers, 61, false)
 		if err == nil {
 			t.Fatalf("stream %d: no error over truncated files", i)
 		}
@@ -205,7 +209,11 @@ func drainStream(t *testing.T, src exec.BatchSource, proto *column.Batch) *colum
 // zone maps prune, cold (every record decoded) and warm (every record a
 // cache hit).
 func TestStreamCarriesExactlyListedColumns(t *testing.T) {
-	for _, opts := range []Options{{DisableCache: true}, {Parallelism: 4}} {
+	for _, c := range []struct {
+		opts  Options
+		width int
+	}{{Options{DisableCache: true}, 1}, {Options{}, 4}} {
+		opts, width := c.opts, c.width
 		e, store, _ := newEngine(t, 3000, opts)
 		path, _ := fileFor(t, e, "HGN", "BHZ")
 		infos, err := mseed.ScanFile(path)
@@ -284,7 +292,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 			if got := strings.Join(proto.Names(), ","); got != strings.Join(want, ",") || proto.NumRows() != 0 {
 				t.Fatalf("ExtractProto(%v) = [%s], %d rows", cols, got, proto.NumRows())
 			}
-			src, err := e.ExtractStream(meta, cols, prune, plan.NopObserver{}, 61, nil)
+			src, err := e.ExtractStream(meta, cols, prune, plan.NopObserver{}, 61, width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +314,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		if _, err := plan.ExtractProto(meta, []string{"F.station", "D.nosuch"}); err == nil {
 			t.Error("ExtractProto accepted a column the universal table lacks")
 		}
-		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, plan.NopObserver{}, 61, nil); err == nil {
+		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, plan.NopObserver{}, 61, width, nil); err == nil {
 			t.Error("ExtractStream accepted a column the universal table lacks")
 		}
 	}
@@ -317,9 +325,43 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 // file whole through mseed.ReadFile. Over one repository, the concatenated
 // morsels of a stream over every record must equal the mseed.data table
 // LoadAll builds on a second engine, row for row and bit for bit, at every
-// parallelism, morsel size and recycler state.
+// pool width, morsel size and recycler state — and whatever a morsel's
+// D.sample_value turns out to be: a view of one run's buffer (all misses,
+// or hits admitted together), or a copy (hits beside misses, rows the zone
+// maps pruned in between, a record whose count went stale after the
+// metadata load and decoded into a buffer of its own) — with D.sample_time
+// listed and generated, and not listed.
 func TestStreamMatchesEagerLoad(t *testing.T) {
 	_, _, dir := newEngine(t, 3000, Options{})
+
+	// Every lazy engine loads its metadata before one record loses its
+	// samples on disk, so each meets a misfit; the eager engine loads after,
+	// so it is the oracle of what the files hold when the streams run.
+	type lazyEngine struct {
+		e             *Engine
+		store         *catalog.Store
+		width, morsel int
+		disable       bool
+	}
+	var engines []lazyEngine
+	for _, width := range []int{1, 2, 4, 8} {
+		for _, morsel := range []int{61, 4099, 0} {
+			for _, disable := range []bool{false, true} {
+				e, store, _ := newEngineAt(t, dir, Options{DisableCache: disable})
+				if _, err := e.LoadMetadata(); err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, lazyEngine{e, store, width, morsel, disable})
+			}
+		}
+	}
+	path, _ := fileFor(t, engines[0].e, "HGN", "BHZ")
+	infos, err := mseed.ScanFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := patchRecordSampleCount(t, path, infos[2].Offset, 0)
+
 	eager, eagerStore, _ := newEngineAt(t, dir, Options{})
 	if _, err := eager.LoadAll(); err != nil {
 		t.Fatal(err)
@@ -328,60 +370,209 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.NumRows() != 15*3000 {
-		t.Fatalf("eager load holds %d samples, want %d", data.NumRows(), 15*3000)
+	if stale == 0 || data.NumRows() != 15*3000-stale {
+		t.Fatalf("eager load holds %d samples, want %d less the %d that went stale", data.NumRows(), 15*3000, stale)
 	}
-	cols := []string{"F.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
+	// eagerCol is the mseed.data column a universal-table column must equal.
+	eagerCol := map[string]string{"F.file_id": "file_id", "R.seqno": "seqno", "D.sample_time": "sample_time", "D.sample_value": "sample_value"}
 
-	for _, p := range []int{1, 4} {
-		for _, morsel := range []int{61, 0} {
-			for _, disable := range []bool{false, true} {
-				e, store, _ := newEngineAt(t, dir, Options{Parallelism: p, DisableCache: disable})
-				if _, err := e.LoadMetadata(); err != nil {
-					t.Fatal(err)
+	// The pruned passes drop the records no sample of which exceeds half
+	// the peak; the oracle drops the same records by its own reckoning, from
+	// the eager values of each (file, record).
+	dv, _ := data.Col("sample_value")
+	peak := 0.0
+	for _, v := range dv.Float64s() {
+		peak = max(peak, v)
+	}
+	cond, err := sql.Parse(fmt.Sprintf(`SELECT x FROM t WHERE D.sample_value > %g`, peak/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prune := plan.CompilePrune(sql.SplitConjuncts(cond.Where))
+	if prune == nil {
+		t.Fatal("no prune range compiled")
+	}
+	var kept []int32
+	{
+		fid, _ := data.Col("file_id")
+		seq, _ := data.Col("seqno")
+		f, s, v := fid.Int64s(), seq.Int64s(), dv.Float64s()
+		for lo := 0; lo < len(v); {
+			hi := lo
+			for hi < len(v) && f[hi] == f[lo] && s[hi] == s[lo] {
+				hi++
+			}
+			if prune.Admits(catalog.CollectZone(v[lo:hi])) {
+				for i := lo; i < hi; i++ {
+					kept = append(kept, int32(i))
 				}
-				meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview`)
-				proto, err := plan.ExtractProto(meta, cols)
-				if err != nil {
-					t.Fatal(err)
+			}
+			lo = hi
+		}
+	}
+	if len(kept) == 0 || len(kept) == data.NumRows() {
+		t.Fatalf("the prune range keeps %d of %d rows; the test needs some, not all", len(kept), data.NumRows())
+	}
+	pruned := data.Gather(kept)
+
+	withTimes := []string{"F.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
+	valuesOnly := []string{"F.file_id", "R.seqno", "D.sample_value"}
+	for _, le := range engines {
+		e := le.e
+		meta := dataviewMeta(t, le.store, `SELECT * FROM mseed.dataview`)
+		uris, _ := meta.Col("F.uri")
+		seqs, _ := meta.Col("R.seqno")
+		// forget drops every step-th record from the recycler, so the next
+		// pass finds hits and misses side by side in every morsel.
+		forget := func(step int) (dropped int) {
+			for i := 0; i < meta.NumRows(); i += step {
+				key := recycler.Key{URI: uris.Strings()[i], SeqNo: int(seqs.Int64s()[i])}
+				if _, hit := e.Cache().Lookup(key, time.Now().Add(time.Hour)); hit {
+					t.Fatal("a lookup from the future must invalidate, not hit")
 				}
-				// Cold, then warm: with the recycler on, the second pass is
-				// all cache reads; with it off, a second full extraction.
-				for _, state := range []string{"cold", "warm"} {
-					before := e.ExtractionStats()
-					src, err := e.ExtractStream(meta, cols, nil, plan.NopObserver{}, morsel, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := drainStream(t, src, proto)
-					name := fmt.Sprintf("parallelism=%d morsel=%d cache-off=%v %s", p, morsel, disable, state)
-					after := e.ExtractionStats()
-					if hits := after.CacheReads - before.CacheReads; (hits == int64(meta.NumRows())) != (state == "warm" && !disable) {
-						t.Fatalf("%s: %d of %d records were cache reads", name, hits, meta.NumRows())
-					}
-					if got.NumRows() != data.NumRows() {
-						t.Fatalf("%s: stream delivered %d rows, the eager load %d", name, got.NumRows(), data.NumRows())
-					}
-					for c := 0; c < got.NumCols(); c++ {
-						gc, wc := got.ColAt(c), data.ColAt(c)
-						if gc.Type() == column.Float64 {
-							g, w := gc.Float64s(), wc.Float64s()
-							for i := range g {
-								if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-									t.Fatalf("%s: %s[%d] = %v on the stream, %s[%d] = %v eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
-								}
-							}
-							continue
+				dropped++
+			}
+			return dropped
+		}
+		for _, pass := range []struct {
+			state  string
+			cols   []string
+			prune  *plan.PruneRange
+			want   *column.Batch
+			forget int // drop every forget-th record first; 0 = none
+		}{
+			{"cold", withTimes, nil, data, 0},
+			{"warm", valuesOnly, nil, data, 0},
+			{"mixed", withTimes, nil, data, 3},
+			{"mixed, values only", valuesOnly, nil, data, 2},
+			{"mixed and pruned", withTimes, prune, pruned, 4},
+			{"pruned, values only", valuesOnly, prune, pruned, 0},
+		} {
+			name := fmt.Sprintf("workers=%d morsel=%d cache-off=%v %s", le.width, le.morsel, le.disable, pass.state)
+			wantHits := int64(meta.NumRows())
+			if pass.prune != nil {
+				wantHits = 0 // counted below: pruned rows are neither hits nor misses
+			}
+			if pass.forget > 0 {
+				wantHits -= int64(forget(pass.forget))
+			}
+			if pass.state == "cold" || le.disable {
+				wantHits = 0
+			}
+			proto, err := plan.ExtractProto(meta, pass.cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.ExtractionStats()
+			src, err := e.ExtractStream(meta, pass.cols, pass.prune, plan.NopObserver{}, le.morsel, le.width, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := drainStream(t, src, proto)
+			after := e.ExtractionStats()
+			if hits := after.CacheReads - before.CacheReads; pass.prune == nil && hits != wantHits {
+				t.Fatalf("%s: %d of %d records were cache reads, want %d", name, hits, meta.NumRows(), wantHits)
+			}
+			if pass.prune != nil && after.RecordsSkipped == before.RecordsSkipped {
+				t.Fatalf("%s: the zone maps pruned nothing", name)
+			}
+			if got.NumRows() != pass.want.NumRows() {
+				t.Fatalf("%s: stream delivered %d rows, the eager load %d", name, got.NumRows(), pass.want.NumRows())
+			}
+			for c := 0; c < got.NumCols(); c++ {
+				gc := got.ColAt(c)
+				wc, _ := pass.want.Col(eagerCol[gc.Name()])
+				if gc.Type() == column.Float64 {
+					g, w := gc.Float64s(), wc.Float64s()
+					for i := range g {
+						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+							t.Fatalf("%s: %s[%d] = %v on the stream, %s[%d] = %v eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
 						}
-						g, w := gc.Int64s(), wc.Int64s()
-						for i := range g {
-							if g[i] != w[i] {
-								t.Fatalf("%s: %s[%d] = %d on the stream, %s[%d] = %d eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
-							}
-						}
+					}
+					continue
+				}
+				g, w := gc.Int64s(), wc.Int64s()
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("%s: %s[%d] = %d on the stream, %s[%d] = %d eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
 					}
 				}
 			}
 		}
 	}
+}
+
+// countStream drains one stream over meta as a two-worker pool would — the
+// default morsel size, one prefetch worker — keeping nothing, and returns
+// the rows it served.
+func countStream(tb testing.TB, e *Engine, meta *column.Batch, cols []string) (rows int) {
+	tb.Helper()
+	src, err := e.ExtractStream(meta, cols, nil, plan.NopObserver{}, 0, 2, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer src.Close()
+	for {
+		m, ok, err := src.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		rows += m.B.NumRows()
+	}
+}
+
+// TestColdExtractWritesEachSampleOnce gates the bytes a cold extraction
+// allocates: a values-only stream over every record may allocate the value
+// buffers — 8 bytes a sample, which the morsels view — plus bookkeeping in
+// proportion to the records, and nothing else in proportion to the samples:
+// no sample times nobody listed, no second copy into the morsel. (The
+// two-vector entry plus the morsel copy this replaced cost 24 bytes a sample
+// and more.) A warm pass, all hits admitted together, allocates no sample
+// vector at all. Machine-independent: it counts bytes, not time.
+func TestColdExtractWritesEachSampleOnce(t *testing.T) {
+	cols := []string{"F.station", "D.sample_value"}
+	measure := func(e *Engine, meta *column.Batch) (bytes uint64, samples int) {
+		drain := func() { samples = countStream(t, e, meta, cols) }
+		drain() // fills the pooled read and decode scratch
+		bytes = math.MaxUint64
+		var before, after runtime.MemStats
+		for try := 0; try < 3; try++ {
+			runtime.ReadMemStats(&before)
+			drain()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return bytes, samples
+	}
+
+	cold, coldStore, _ := newEngine(t, 20000, Options{DisableCache: true})
+	if _, err := cold.LoadMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	meta := dataviewMeta(t, coldStore, `SELECT * FROM mseed.dataview`)
+	records := meta.NumRows()
+	bytes, samples := measure(cold, meta)
+	if samples != 15*20000 {
+		t.Fatalf("stream served %d samples, want %d", samples, 15*20000)
+	}
+	if limit := uint64(9*samples + 1024*records); bytes > limit {
+		t.Errorf("cold values-only stream allocated %d bytes for %d samples in %d records (%.1f B/sample), want at most 9 B/sample + 1 KB/record = %d",
+			bytes, samples, records, float64(bytes)/float64(samples), limit)
+	}
+	t.Logf("cold: %d bytes, %.2f B/sample, %d records", bytes, float64(bytes)/float64(samples), records)
+
+	warm, warmStore, _ := newEngine(t, 20000, Options{})
+	if _, err := warm.LoadMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	meta = dataviewMeta(t, warmStore, `SELECT * FROM mseed.dataview`)
+	bytes, samples = measure(warm, meta)
+	if limit := uint64(samples + 1024*records); bytes > limit {
+		t.Errorf("warm values-only stream allocated %d bytes for %d samples in %d records, want at most 1 B/sample + 1 KB/record = %d: a morsel of hits admitted together is a view",
+			bytes, samples, records, limit)
+	}
+	t.Logf("warm: %d bytes, %.2f B/sample", bytes, float64(bytes)/float64(samples))
 }

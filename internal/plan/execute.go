@@ -34,10 +34,14 @@ import (
 // fails it (never reading nor decoding them), because the enclosing Filter
 // would delete every one of their rows anyway. nil means extract everything.
 //
-// Prefetch buffers are charged to led (nil = unlimited), so overlap degrades
-// to synchronous extraction under budget pressure rather than blowing it.
+// morselRows and width are the consuming pool's morsel size and worker
+// count: the source sizes its read-ahead from width (the consumer occupies
+// one of those workers), so extraction has no parallelism setting of its
+// own. Prefetch buffers are charged to led (nil = unlimited), so overlap
+// degrades to synchronous extraction under budget pressure rather than
+// blowing it.
 type ExtractSource interface {
-	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error)
+	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // Observer receives the run-time injected operators and operational events.
@@ -47,6 +51,31 @@ type Observer interface {
 	InjectedOp(kind, detail string)
 	// Event records a general operational log entry.
 	Event(op, detail string)
+}
+
+// OpBatchObserver is an optional extension of Observer: observers that
+// implement it receive the injected operators of one extraction run in one
+// call, in order, instead of one InjectedOp call (and one lock round-trip)
+// per record.
+type OpBatchObserver interface {
+	InjectedOps(kind string, details []string)
+}
+
+// ReportOps reports one injected operator of the given kind per detail, in
+// order: in one call when obs implements OpBatchObserver, one by one
+// otherwise. Exported because the etl engine (the ExtractSource) reports
+// through it.
+func ReportOps(obs Observer, kind string, details []string) {
+	if len(details) == 0 {
+		return
+	}
+	if bo, ok := obs.(OpBatchObserver); ok {
+		bo.InjectedOps(kind, details)
+		return
+	}
+	for _, d := range details {
+		obs.InjectedOp(kind, d)
+	}
 }
 
 // NopObserver discards all observations.
@@ -218,7 +247,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := ExtractAll(env.Source, meta, prune, obs)
+		out, err := ExtractAll(env.Source, meta, prune, obs, env.Pool.Workers())
 		if err != nil {
 			return nil, err
 		}
@@ -294,8 +323,9 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 // of the operator-at-a-time reference — the same stream the pipelines
 // consume, minus the morsels, the narrowing, the run form and the fusion —
 // so the reference's operators walk rows where the pipelines' may walk runs.
-func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer) (*column.Batch, error) {
-	s, err := src.ExtractStream(meta, nil, prune, obs, math.MaxInt, nil)
+// width is the caller's pool width, passed through to the stream.
+func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
+	s, err := src.ExtractStream(meta, nil, prune, obs, math.MaxInt, width, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -338,7 +338,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Mem.Ledger()); err != nil {
+		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
 			return nil, err
 		}
 		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {

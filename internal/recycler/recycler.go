@@ -9,6 +9,21 @@
 //   - each entry remembers the source file's modification time at admission;
 //     a lookup whose current file mtime is newer is treated as stale and
 //     invalidated, which is how repository updates propagate lazily.
+//
+// An entry holds a record's calibrated values only — 8 bytes a sample. The
+// sample times are a pure function of the record's start, its rate and the
+// sample index, so the entry carries Start and Rate and whoever lists
+// D.sample_time generates them. Extraction decodes a whole run into one
+// Buffer and admits the run's records as entries that view consecutive
+// stretches of it, which is what lets a morsel view the same memory instead
+// of copying it. Sharing changes what an eviction frees: a buffer stays
+// reachable, whole, until the last entry viewing it leaves. The cache
+// therefore charges a buffer once — against its budget and the ledger —
+// from the first of its entries admitted to the last one removed, so Used
+// is the memory the cache keeps reachable, not the sum of what its entries
+// view. Evicting one record of a hot run frees only its bookkeeping; an
+// access pattern that keeps one record per run hot costs hit ratio, never
+// memory.
 package recycler
 
 import (
@@ -25,11 +40,35 @@ type Key struct {
 	SeqNo int // record sequence number; -1 for whole-file entries
 }
 
-// Entry is one cached, transformed record: parallel vectors of sample
-// timestamps (ns since epoch) and calibrated values.
-type Entry struct {
-	Times  []int64
+// Buffer is one allocation of calibrated sample values that the entries of
+// one extraction run view. Values is written only while the run decodes,
+// before any of its entries is published; after that it is read-only.
+type Buffer struct {
 	Values []float64
+	// live counts the cache entries viewing the buffer; guarded by the
+	// mutex of the cache that holds them.
+	live int
+}
+
+// NewBuffer allocates a buffer of n samples.
+func NewBuffer(n int) *Buffer { return &Buffer{Values: make([]float64, n)} }
+
+// bytes is the footprint the cache charges while any entry views b.
+func (b *Buffer) bytes() int64 { return int64(len(b.Values)) * 8 }
+
+// Entry is one cached, transformed record: its calibrated values, and the
+// start time (ns since epoch) and sample rate (Hz) its sample times derive
+// from. Values is read-only once the entry is published.
+type Entry struct {
+	Values []float64
+	Start  int64
+	Rate   float64
+	// Buf, when non-nil, is the shared buffer Values views:
+	// Buf.Values[Off : Off+len(Values)], capacity-limited. Entries whose
+	// views are adjacent in one buffer can be handed on as one slice of it.
+	// nil means Values is the entry's own allocation.
+	Buf *Buffer
+	Off int
 	// FileMtime is the source file's modification time when the entry was
 	// admitted.
 	FileMtime time.Time
@@ -37,9 +76,17 @@ type Entry struct {
 	AdmittedAt time.Time
 }
 
-// bytes is the approximate footprint of the entry.
+// entryOverhead approximates an entry's bookkeeping: the struct, its list
+// node and its map slot.
+const entryOverhead = 64
+
+// bytes is the entry's own footprint: its bookkeeping plus the values it
+// alone keeps reachable (a shared buffer is charged apart, once).
 func (e *Entry) bytes() int64 {
-	return int64(len(e.Times))*8 + int64(len(e.Values))*8 + 64
+	if e.Buf != nil {
+		return entryOverhead
+	}
+	return int64(len(e.Values))*8 + entryOverhead
 }
 
 // Stats counts cache activity since creation (or the last Reset).
@@ -125,22 +172,49 @@ func (c *Cache) Lookup(key Key, currentMtime time.Time) (*Entry, bool) {
 }
 
 // Admit inserts (or replaces) the entry for key, evicting least recently
-// used entries as needed to fit the budget. Entries larger than the whole
-// budget are not admitted.
+// used entries as needed to fit the budget. An entry that cannot fit the
+// whole budget — with its buffer, when it would be the first to view it —
+// is not admitted.
 func (c *Cache) Admit(key Key, e *Entry) {
-	if e.AdmittedAt.IsZero() {
-		e.AdmittedAt = time.Now()
-	}
-	sz := e.bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sz > c.budget {
-		return
+	c.admitLocked(key, e, time.Now())
+}
+
+// AdmitRun admits the records of one extraction run — &ents[x] under
+// (uri, seqnos[x]) — in order, under one lock. Each entry is admitted as by
+// Admit.
+func (c *Cache) AdmitRun(uri string, seqnos []int, ents []Entry) {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for x := range ents {
+		c.admitLocked(Key{URI: uri, SeqNo: seqnos[x]}, &ents[x], now)
+	}
+}
+
+func (c *Cache) admitLocked(key Key, e *Entry, now time.Time) {
+	if e.AdmittedAt.IsZero() {
+		e.AdmittedAt = now
 	}
 	if el, ok := c.items[key]; ok {
 		c.removeLocked(el)
 	}
-	for c.used+sz > c.budget && c.lru.Len() > 0 {
+	// The first entry to view a buffer brings the whole buffer with it;
+	// recomputed each round, because making room can evict the buffer's last
+	// other viewer.
+	var sz int64
+	for {
+		sz = e.bytes()
+		if e.Buf != nil && e.Buf.live == 0 {
+			sz += e.Buf.bytes()
+		}
+		if sz > c.budget {
+			return
+		}
+		if c.used+sz <= c.budget || c.lru.Len() == 0 {
+			break
+		}
 		c.removeLocked(c.lru.Back())
 		c.stats.Evictions++
 	}
@@ -155,14 +229,23 @@ func (c *Cache) Admit(key Key, e *Entry) {
 	el := c.lru.PushFront(&node{key: key, entry: e})
 	c.items[key] = el
 	c.used += sz
+	if e.Buf != nil {
+		e.Buf.live++
+	}
 }
 
-// removeLocked unlinks an element; the caller holds the mutex.
+// removeLocked unlinks an element, and with the last entry viewing a shared
+// buffer, the buffer's charge; the caller holds the mutex.
 func (c *Cache) removeLocked(el *list.Element) {
 	nd := el.Value.(*node)
 	c.lru.Remove(el)
 	delete(c.items, nd.key)
 	sz := nd.entry.bytes()
+	if b := nd.entry.Buf; b != nil {
+		if b.live--; b.live == 0 {
+			sz += b.bytes()
+		}
+	}
 	c.used -= sz
 	c.ledger.Release(sz)
 }
@@ -190,13 +273,14 @@ func (c *Cache) InvalidateFile(uri string) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lru.Init()
-	c.items = make(map[Key]*list.Element)
-	c.ledger.Release(c.used)
-	c.used = 0
+	for c.lru.Len() > 0 {
+		c.removeLocked(c.lru.Back())
+	}
 }
 
-// Used returns the current byte footprint.
+// Used returns the bytes the cache keeps reachable and charges against its
+// budget and ledger: every entry's bookkeeping and own values, and every
+// shared buffer with at least one entry in the cache, whole and once.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -226,8 +310,10 @@ func (c *Cache) ResetStats() {
 
 // ContentsEntry describes one cached entry for inspection (demo point 7).
 type ContentsEntry struct {
-	Key        Key
-	Samples    int
+	Key     Key
+	Samples int
+	// Bytes is what the entry views plus its bookkeeping; entries of one
+	// run view one buffer, which Used counts once and whole.
 	Bytes      int64
 	AdmittedAt time.Time
 	FileMtime  time.Time
@@ -242,8 +328,8 @@ func (c *Cache) Contents() []ContentsEntry {
 		nd := el.Value.(*node)
 		out = append(out, ContentsEntry{
 			Key:        nd.key,
-			Samples:    len(nd.entry.Times),
-			Bytes:      nd.entry.bytes(),
+			Samples:    len(nd.entry.Values),
+			Bytes:      int64(len(nd.entry.Values))*8 + entryOverhead,
 			AdmittedAt: nd.entry.AdmittedAt,
 			FileMtime:  nd.entry.FileMtime,
 		})

@@ -10,8 +10,7 @@ import (
 )
 
 func entryOf(n int, mtime time.Time) *Entry {
-	e := &Entry{Times: make([]int64, n), Values: make([]float64, n), FileMtime: mtime}
-	return e
+	return &Entry{Values: make([]float64, n), FileMtime: mtime}
 }
 
 func TestLookupMissAndHit(t *testing.T) {
@@ -23,7 +22,7 @@ func TestLookupMissAndHit(t *testing.T) {
 	}
 	c.Admit(key, entryOf(10, now))
 	ent, ok := c.Lookup(key, now)
-	if !ok || len(ent.Times) != 10 {
+	if !ok || len(ent.Values) != 10 {
 		t.Fatalf("expected hit, got %v %v", ent, ok)
 	}
 	st := c.Stats()
@@ -60,8 +59,8 @@ func TestStalenessInvalidation(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Each 10-sample entry costs 10*16+64 = 224 bytes; budget fits 2.
-	c := New(500)
+	// Each 10-sample entry costs 10*8+64 = 144 bytes; budget fits 2.
+	c := New(300)
 	now := time.Now()
 	k1, k2, k3 := Key{URI: "a", SeqNo: 1}, Key{URI: "a", SeqNo: 2}, Key{URI: "a", SeqNo: 3}
 	c.Admit(k1, entryOf(10, now))
@@ -112,7 +111,7 @@ func TestAdmitReplacesExisting(t *testing.T) {
 		t.Fatalf("len = %d, want 1", c.Len())
 	}
 	ent, ok := c.Lookup(key, now)
-	if !ok || len(ent.Times) != 20 {
+	if !ok || len(ent.Values) != 20 {
 		t.Errorf("replacement not visible: %v %v", ent, ok)
 	}
 }
@@ -214,7 +213,7 @@ func TestAdmissionChecksLedger(t *testing.T) {
 	l := mem.New(300)
 	c.AttachLedger(l)
 
-	big := &Entry{Times: make([]int64, 64), Values: make([]float64, 64)} // 64*16+64 = 1088 bytes
+	big := &Entry{Values: make([]float64, 64)} // 64*8+64 = 576 bytes
 	c.Admit(Key{URI: "a", SeqNo: 1}, big)
 	if c.Len() != 0 {
 		t.Fatal("admission over the ledger budget must be declined")
@@ -224,7 +223,7 @@ func TestAdmissionChecksLedger(t *testing.T) {
 		t.Fatalf("declined counters = %d/%d, want 1/%d", st.Declined, st.DeclinedBytes, big.bytes())
 	}
 
-	small := &Entry{Times: make([]int64, 8), Values: make([]float64, 8)} // 8*16+64 = 192 bytes
+	small := &Entry{Values: make([]float64, 8)} // 8*8+64 = 128 bytes
 	c.Admit(Key{URI: "a", SeqNo: 2}, small)
 	if c.Len() != 1 {
 		t.Fatal("admission within the ledger budget must succeed")
@@ -240,7 +239,7 @@ func TestAdmissionChecksLedger(t *testing.T) {
 	}
 
 	// Clear releases whatever is held.
-	c.Admit(Key{URI: "b", SeqNo: 1}, &Entry{Times: make([]int64, 4), Values: make([]float64, 4)})
+	c.Admit(Key{URI: "b", SeqNo: 1}, &Entry{Values: make([]float64, 4)})
 	if l.Used() == 0 {
 		t.Fatal("setup: entry should hold a reservation")
 	}
@@ -255,8 +254,8 @@ func TestLRUEvictionReleasesLedger(t *testing.T) {
 	c := New(200)
 	l := mem.New(1 << 20)
 	c.AttachLedger(l)
-	e1 := &Entry{Times: make([]int64, 8), Values: make([]float64, 8)}
-	e2 := &Entry{Times: make([]int64, 8), Values: make([]float64, 8)}
+	e1 := &Entry{Values: make([]float64, 8)}
+	e2 := &Entry{Values: make([]float64, 8)}
 	c.Admit(Key{URI: "a", SeqNo: 1}, e1)
 	c.Admit(Key{URI: "a", SeqNo: 2}, e2) // evicts e1 under the cache budget
 	if c.Len() != 1 {
@@ -264,5 +263,110 @@ func TestLRUEvictionReleasesLedger(t *testing.T) {
 	}
 	if got := l.Used(); got != e2.bytes() {
 		t.Fatalf("ledger used = %d, want %d (evicted entry must be released)", got, e2.bytes())
+	}
+}
+
+// runOf builds the entries of one extraction run: records of per samples
+// each, viewing consecutive stretches of one shared buffer.
+func runOf(records, per int, mtime time.Time) (seqnos []int, ents []Entry) {
+	buf := NewBuffer(records * per)
+	for x := 0; x < records; x++ {
+		off := x * per
+		seqnos = append(seqnos, x)
+		ents = append(ents, Entry{Values: buf.Values[off : off+per : off+per], Buf: buf, Off: off, FileMtime: mtime})
+	}
+	return seqnos, ents
+}
+
+// reachable sums the heap the cache keeps alive, by its own walk of the
+// entries: bookkeeping and own values per entry, each distinct shared buffer
+// whole and once.
+func reachable(c *Cache) (bytes int64, buffers int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := make(map[*Buffer]bool)
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*node).entry
+		bytes += entryOverhead
+		switch {
+		case e.Buf == nil:
+			bytes += int64(cap(e.Values)) * 8
+		case !seen[e.Buf]:
+			seen[e.Buf] = true
+			bytes += int64(cap(e.Buf.Values)) * 8
+		}
+	}
+	return bytes, len(seen)
+}
+
+// TestRecyclerChargesSharedBuffers pins what sharing costs: a buffer is
+// charged whole, once, from the first of its entries admitted to the last
+// removed, so Used, the ledger and the heap reachable from the cache agree —
+// also under the adversarial pattern that keeps one record of every run hot
+// and so every buffer alive: that pattern loses hits, never memory.
+func TestRecyclerChargesSharedBuffers(t *testing.T) {
+	const records, per = 10, 100
+	const runBytes = records*per*8 + records*entryOverhead // 8,640
+	const budget = 4*runBytes + runBytes/2                 // four runs and a half
+	c := New(budget)
+	l := mem.New(1 << 30)
+	c.AttachLedger(l)
+	now := time.Now()
+	check := func(when string) {
+		t.Helper()
+		heap, _ := reachable(c)
+		if used := c.Used(); used > budget || l.Used() != used || heap != used {
+			t.Fatalf("%s: Used %d, ledger %d, reachable heap %d, budget %d", when, used, l.Used(), heap, budget)
+		}
+	}
+
+	seqnos, ents := runOf(records, per, now)
+	c.AdmitRun("run0", seqnos, ents)
+	if got := c.Used(); got != runBytes {
+		t.Fatalf("one run of %d records charges %d bytes, want %d: the buffer once, the bookkeeping per record", records, got, runBytes)
+	}
+	check("one run")
+
+	// Twenty more runs through a cache that holds four, one record of each
+	// kept hot by a lookup after every admission.
+	for r := 1; r <= 20; r++ {
+		seqnos, ents := runOf(records, per, now)
+		c.AdmitRun(fmt.Sprintf("run%d", r), seqnos, ents)
+		for h := 0; h <= r; h++ {
+			c.Lookup(Key{URI: fmt.Sprintf("run%d", h), SeqNo: 0}, now)
+		}
+		check(fmt.Sprintf("after run %d", r))
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatal("the budget was never under pressure; the test is vacuous")
+	}
+	heap, buffers := reachable(c)
+	if buffers < 2 || heap > budget {
+		t.Fatalf("cache views %d buffers holding %d bytes under a budget of %d", buffers, heap, budget)
+	}
+
+	// Removing a buffer's entries one by one releases the buffer exactly
+	// once, with the last of them.
+	c.Clear()
+	if c.Used() != 0 || l.Used() != 0 {
+		t.Fatalf("Clear left %d bytes charged, %d on the ledger", c.Used(), l.Used())
+	}
+	seqnos, ents = runOf(3, per, now)
+	c.AdmitRun("last", seqnos, ents)
+	full := c.Used()
+	for x, want := range []int64{full - entryOverhead, full - 2*entryOverhead, 0} {
+		// A lookup from after the file changed invalidates the one entry.
+		c.Lookup(Key{URI: "last", SeqNo: x}, now.Add(time.Second))
+		if c.Used() != want || l.Used() != want {
+			t.Fatalf("after removing %d of 3 entries: Used %d, ledger %d, want %d", x+1, c.Used(), l.Used(), want)
+		}
+	}
+
+	// A run whose buffer alone exceeds the budget is not admitted at all:
+	// no entry could be cached without keeping the whole buffer reachable.
+	seqnos, ents = runOf(2, budget/8, now)
+	c.AdmitRun("huge", seqnos, ents)
+	if c.Len() != 0 || c.Used() != 0 || l.Used() != 0 {
+		t.Fatalf("oversized run admitted: %d entries, %d bytes", c.Len(), c.Used())
 	}
 }

@@ -6,17 +6,15 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/etl"
 )
 
 // TestConcurrentQueries fires parallel clients at one lazy warehouse (with
-// a parallel extractor) and checks every answer for consistency: absence
+// a four-worker pool, so three prefetch workers per extraction) and checks every answer for consistency: absence
 // of races and corruption across the cache, the log and the stats under
 // churn, with queries genuinely executing concurrently.
 func TestConcurrentQueries(t *testing.T) {
 	dir := genRepo(t, 2500)
-	w, err := Open(dir, Options{Mode: Lazy, ETL: etl.Options{Parallelism: 4}})
+	w, err := Open(dir, Options{Mode: Lazy, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +70,18 @@ func (e errMismatch) Error() string {
 	return "concurrent query mismatch for " + e.q + ":\nwant:\n" + e.want + "\ngot:\n" + e.got
 }
 
-// TestParallelismSpeedsUpOrAtLeastMatches sanity-checks the parallel
+// TestParallelExtractionThroughWarehouse sanity-checks the parallel
 // extractor end to end through the warehouse (correctness, not timing —
-// CI machines make timing assertions flaky).
+// CI machines make timing assertions flaky): a one-worker pool, whose one
+// prefetch worker decodes the runs in order, against an eight-worker pool
+// with seven.
 func TestParallelExtractionThroughWarehouse(t *testing.T) {
 	dir := genRepo(t, 4000)
-	seq := openWH(t, dir, Lazy)
-	par, err := Open(dir, Options{Mode: Lazy, ETL: etl.Options{Parallelism: 8}})
+	seq, err := Open(dir, Options{Mode: Lazy, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Open(dir, Options{Mode: Lazy, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,6 @@ func TestInterleavedQueryRefreshStatsClearLog(t *testing.T) {
 					Mode:         Lazy,
 					Workers:      workers,
 					MemoryBudget: budget,
-					ETL:          etl.Options{Parallelism: 2},
 				})
 				if err != nil {
 					t.Fatal(err)

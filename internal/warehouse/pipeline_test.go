@@ -1,11 +1,15 @@
 package warehouse
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -15,6 +19,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/recycler"
 	"repro/internal/sql"
 )
 
@@ -294,7 +299,6 @@ func TestPipelineOracleMatrix(t *testing.T) {
 					name := fmt.Sprintf("%v/workers=%d/morsel=%d/budget=%d", m.mode, workers, morsel, budget)
 					w, err := Open(dir, Options{
 						Mode: m.mode, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
-						ETL: etl.Options{Parallelism: workers},
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -346,7 +350,6 @@ func TestPipelinePrefetchOverlap(t *testing.T) {
 	dir := genRepo(t, 3000)
 	w, err := Open(dir, Options{
 		Mode: Lazy, Workers: 4,
-		ETL: etl.Options{Parallelism: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +393,8 @@ type trackedSource struct {
 	opened, closed int
 }
 
-func (s *trackedSource) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, o plan.Observer, morselRows int, led *mem.Ledger) (exec.BatchSource, error) {
-	src, err := s.Engine.ExtractStream(meta, cols, prune, o, morselRows, led)
+func (s *trackedSource) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, o plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.Engine.ExtractStream(meta, cols, prune, o, morselRows, width, led)
 	if err != nil || src == nil {
 		return src, err
 	}
@@ -497,4 +500,97 @@ func mustWhere(t *testing.T, cond string) sql.Expr {
 		t.Fatal(err)
 	}
 	return stmt.Where
+}
+
+// TestMorselViewsNeverMutateRecycler pins the contract that lets a morsel's
+// D.sample_value be a view of the buffer the recycler's entries view: no
+// operator writes to a column a source handed it. Every cached entry is
+// checksummed, the whole oracle matrix — filters, joins, sorts, LIMIT,
+// SELECT *, grouped and global folds — then runs warm from several clients
+// at once, answers checked against the serial reference, and the checksums
+// must not have moved. Under -race a write to a shared buffer is a reported
+// race as well.
+func TestMorselViewsNeverMutateRecycler(t *testing.T) {
+	dir := genRepo(t, 3000)
+	queries := append(append([]string{nanMidStream}, pipelineMatrixQueries...), narrowMatrixQueries...)
+	for q := range runMatrixQueries {
+		queries = append(queries, q)
+	}
+	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, q := range queries {
+		res, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = renderExact(res.Batch)
+	}
+
+	for _, morsel := range []int{61, 0} {
+		w, err := Open(dir, Options{Mode: Lazy, Workers: 4, MorselRows: morsel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview`); err != nil {
+			t.Fatal(err)
+		}
+		cache := w.Engine().Cache()
+		checksums := func() map[recycler.Key]uint64 {
+			sums := make(map[recycler.Key]uint64)
+			for _, ce := range cache.Contents() {
+				ent, ok := cache.Lookup(ce.Key, ce.FileMtime)
+				if !ok {
+					t.Fatalf("entry %v vanished from the recycler", ce.Key)
+				}
+				h := fnv.New64a()
+				var b [8]byte
+				for _, v := range append([]float64{float64(ent.Start), ent.Rate}, ent.Values...) {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+				sums[ce.Key] = h.Sum64()
+			}
+			return sums
+		}
+		before := checksums()
+		if len(before) == 0 {
+			t.Fatal("the warming scan cached nothing; the test is vacuous")
+		}
+		extractions := w.Engine().ExtractionStats().Extractions
+
+		var wg sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for x := range queries {
+					q := queries[(x+c*7)%len(queries)]
+					res, err := w.QueryUncached(q)
+					if err != nil {
+						t.Errorf("morsel=%d: %v\nquery: %s", morsel, err, q)
+						return
+					}
+					if got := renderExact(res.Batch); got != want[q] {
+						t.Errorf("morsel=%d: warm output diverged from the serial reference\nquery: %s", morsel, q)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if got := w.Engine().ExtractionStats().Extractions; got != extractions {
+			t.Errorf("morsel=%d: the matrix decoded %d records; it was to run from the recycler", morsel, got-extractions)
+		}
+		after := checksums()
+		if len(after) != len(before) {
+			t.Fatalf("morsel=%d: recycler holds %d entries, %d before the matrix", morsel, len(after), len(before))
+		}
+		for k, sum := range before {
+			if after[k] != sum {
+				t.Errorf("morsel=%d: cached entry %v changed under the queries that viewed it", morsel, k)
+			}
+		}
+	}
 }

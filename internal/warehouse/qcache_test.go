@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/column"
-	"repro/internal/etl"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
 	"repro/internal/sql"
@@ -38,7 +37,6 @@ func TestQueryCacheOracleMatrix(t *testing.T) {
 				open := func(oracle Oracle) *Warehouse {
 					w, err := Open(dir, Options{
 						Mode: Lazy, Workers: workers, MemoryBudget: budget,
-						ETL:    etl.Options{Parallelism: 2},
 						Oracle: oracle,
 					})
 					if err != nil {

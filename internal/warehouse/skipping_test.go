@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/etl"
 	"repro/internal/repo"
 )
 
@@ -51,7 +50,6 @@ func TestSkippingOracleMatrix(t *testing.T) {
 				name := fmt.Sprintf("workers=%d/morsel=%d/budget=%d", workers, morsel, budget)
 				w, err := Open(dir, Options{
 					Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
-					ETL: etl.Options{Parallelism: workers},
 					// The second run must re-execute (not hit the result
 					// cache) for the zone maps to prune anything.
 					Oracle: NoQueryCache,

@@ -389,8 +389,8 @@ func (w *Warehouse) Store() *catalog.Store { return w.store }
 func (w *Warehouse) Engine() *etl.Engine { return w.engine }
 
 // observer wires plan execution events into the query trace and the log.
-// It is safe for concurrent use: lazy extraction may report from a worker
-// pool when etl.Options.Parallelism > 1.
+// It is safe for concurrent use: lazy extraction reports from its prefetch
+// workers as well as from the consumer.
 type observer struct {
 	mu      sync.Mutex
 	w       *Warehouse
@@ -409,10 +409,23 @@ type observer struct {
 func (o *observer) TraceSpan() *obs.Span { return o.span }
 
 func (o *observer) InjectedOp(kind, detail string) {
+	o.InjectedOps(kind, []string{detail})
+}
+
+// InjectedOps implements plan.OpBatchObserver: the operators of one
+// extraction run land in the trace and the log under one lock each, in
+// order.
+func (o *observer) InjectedOps(kind string, details []string) {
 	o.mu.Lock()
-	o.trace.RuntimeOps = append(o.trace.RuntimeOps, kind+" "+detail)
+	for _, d := range details {
+		o.trace.RuntimeOps = append(o.trace.RuntimeOps, kind+" "+d)
+	}
 	o.mu.Unlock()
-	o.w.logf(kind, "%s", detail)
+	o.w.logMu.Lock()
+	for _, d := range details {
+		o.w.appendLogLocked(SeverityInfo, kind, d)
+	}
+	o.w.logMu.Unlock()
 }
 
 // ScanReport implements plan.ScanReporter: per-scan skipping tallies land
@@ -913,8 +926,15 @@ func (w *Warehouse) logf(op, format string, args ...any) {
 }
 
 func (w *Warehouse) logAt(level Severity, op, format string, args ...any) {
+	detail := fmt.Sprintf(format, args...)
 	w.logMu.Lock()
 	defer w.logMu.Unlock()
+	w.appendLogLocked(level, op, detail)
+}
+
+// appendLogLocked appends one entry to the bounded operation log; the
+// caller holds logMu.
+func (w *Warehouse) appendLogLocked(level Severity, op, detail string) {
 	if len(w.log) >= w.keepLog {
 		// Make room so the appended entry keeps len <= keepLog, dropping
 		// the oldest half when possible to amortize the copy (dropping
@@ -927,5 +947,5 @@ func (w *Warehouse) logAt(level Severity, op, format string, args ...any) {
 		w.log = w.log[:n]
 	}
 	w.logSeq++
-	w.log = append(w.log, LogEntry{Seq: w.logSeq, At: time.Now(), Level: level, Op: op, Detail: fmt.Sprintf(format, args...)})
+	w.log = append(w.log, LogEntry{Seq: w.logSeq, At: time.Now(), Level: level, Op: op, Detail: detail})
 }

@@ -3,6 +3,8 @@ package warehouse
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/column"
 	"repro/internal/etl"
+	"repro/internal/mseed"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
 )
@@ -513,7 +516,10 @@ func TestOpenErrors(t *testing.T) {
 
 func TestCacheBudgetEviction(t *testing.T) {
 	dir := genRepo(t, 4000)
-	w, err := Open(dir, Options{Mode: Lazy, ETL: etl.Options{CacheBudget: 16 << 10}})
+	// A run's records view one 32 KB value buffer (4000 samples), charged
+	// whole: the budget holds two of the query's runs, not all of them.
+	const budget = 80 << 10
+	w, err := Open(dir, Options{Mode: Lazy, ETL: etl.Options{CacheBudget: budget}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +530,7 @@ func TestCacheBudgetEviction(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Errorf("tiny cache should evict: %+v", st)
 	}
-	if used := w.Engine().Cache().Used(); used > 16<<10 {
+	if used := w.Engine().Cache().Used(); used == 0 || used > budget {
 		t.Errorf("cache over budget: %d", used)
 	}
 	// Results stay correct under eviction pressure.
@@ -532,4 +538,54 @@ func TestCacheBudgetEviction(t *testing.T) {
 	rl, _ := w.Query(q2)
 	re, _ := e.Query(q2)
 	assertSameResult(t, q2, re.Batch, rl.Batch)
+}
+
+// TestSampleTimeOfRatelessRecord serves a record whose rate factor is zero,
+// as the log and state-of-health records of real archives carry: there is no
+// spacing to derive sample times from, so every sample sits at the record's
+// start — what R.end_time (mseed.Header.EndNanos) already says — in every
+// mode and engine. Dividing by the zero rate instead made each time an
+// int64 conversion of NaN or +Inf, which is platform-defined garbage.
+func TestSampleTimeOfRatelessRecord(t *testing.T) {
+	dir := genRepo(t, 500)
+	start := time.Date(2010, 1, 12, 6, 0, 0, 0, time.UTC)
+	samples := []int32{5, 6, 8, 7, 3, -2, 0, 4, 9}
+	h := &mseed.Header{
+		SeqNo: 1, Quality: 'D', Network: "NL", Station: "SOH", Channel: "LOG",
+		Start: mseed.BTimeFromTime(start), RateFactor: 0, RateMultiplier: 1,
+		Encoding: mseed.EncodingSteim2, RecordLength: 512,
+	}
+	rec, consumed, err := mseed.EncodeRecord(h, samples, samples[0])
+	if err != nil || consumed != len(samples) {
+		t.Fatalf("encode: %d of %d samples, %v", consumed, len(samples), err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "NL.SOH..LOG.mseed"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	q := `SELECT COUNT(*), MIN(D.sample_time), MAX(D.sample_time), MIN(R.start_time), MAX(R.end_time)
+	      FROM mseed.dataview WHERE F.station = 'SOH'`
+	for _, opts := range []Options{
+		{Mode: Lazy},
+		{Mode: Lazy, Oracle: NoPipeline},
+		{Mode: Eager},
+	} {
+		w, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"cold", "warm"} {
+			res, err := w.QueryUncached(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := res.Batch.Row(0)
+			for c := 1; c < len(row); c++ {
+				if row[0].I != int64(len(samples)) || row[c].I != start.UnixNano() {
+					t.Fatalf("%v oracle=%v %s: %v, want %d samples all at the record start %d",
+						opts.Mode, opts.Oracle, state, row, len(samples), start.UnixNano())
+				}
+			}
+		}
+	}
 }

@@ -26,10 +26,15 @@
 // pipeline. Scan, filter, join probe and aggregation fuse over one morsel's
 // selection vector with no intermediate batch, breaking only at join build
 // sides, sort and the final output. Lazy extraction feeds such pipelines
-// as a stream — background workers read and Steim-decode the next
-// coalesced run while the current run's morsels flow through the compute
-// stages, with prefetch buffers charged to the memory ledger so overlap
-// degrades to synchronous extraction under budget pressure. Pipelined
+// as a stream — background workers (one fewer than Options.Workers, at
+// least one) read and Steim-decode the next coalesced run while the current
+// run's morsels flow through the compute stages, with prefetch buffers
+// charged to the memory ledger so overlap degrades to synchronous
+// extraction under budget pressure. Extraction writes each sample once: a
+// run decodes into one value buffer that the recycler's entries and the
+// morsels both view (8 bytes a cached sample), and D.sample_time, a pure
+// function of a record's start, rate and sample index, is generated only
+// for the statement that lists it. Pipelined
 // output is bit-identical to an operator-at-a-time serial reference that
 // tests reach through the NoPipeline oracle — serial in its operators only:
 // it drains that same extraction stream into one batch first. Stats
@@ -182,8 +187,10 @@ const (
 
 // Open scans the mSEED repository under dir and initializes a warehouse in
 // the requested mode. Options.Workers controls the morsel-driven parallel
-// query engine (0 = GOMAXPROCS, 1 = serial); Options.ETL.Parallelism
-// separately controls extraction parallelism.
+// query engine (0 = GOMAXPROCS, 1 = serial) and, through it, how far lazy
+// extraction reads ahead: a query's extraction stream runs one prefetch
+// worker fewer than the pool has workers (at least one), since the consumer
+// occupies a worker itself.
 func Open(dir string, opts Options) (*Warehouse, error) {
 	return warehouse.Open(dir, opts)
 }

@@ -107,7 +107,6 @@ func TestPublicAPIConcurrentQueryStress(t *testing.T) {
 	w, err := lazyetl.Open(dir, lazyetl.Options{
 		Mode:    lazyetl.Lazy,
 		Workers: 4,
-		ETL:     lazyetl.ETLOptions{Parallelism: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
