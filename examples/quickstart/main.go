@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Lazy mode: the initial load reads only file and record headers.
+	// Lazy mode: the initial load parses only file and record headers.
 	start := time.Now()
 	w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy})
 	if err != nil {

@@ -256,3 +256,69 @@ func BenchmarkAssemble(b *testing.B) {
 		return out
 	})
 }
+
+// fleetEngine builds an engine over the serving benchmark's fleet shape: 9
+// stations × 3 channels × 2 days = 54 files of 80,000 samples, about 155
+// Steim2 records of 512 bytes each.
+func fleetEngine(b *testing.B) *Engine {
+	b.Helper()
+	dir := b.TempDir()
+	stations := append([]seisgen.Station{
+		{Network: "NL", Code: "OPLO"}, {Network: "NL", Code: "WTSB"},
+		{Network: "NL", Code: "VKB"}, {Network: "NL", Code: "HRKB"},
+	}, seisgen.DefaultStations...)
+	if _, err := seisgen.Generate(seisgen.RepoConfig{
+		Dir: dir, Stations: stations, Days: 2, SamplesPerDay: 80000, EventsPerDay: 2, Seed: 1,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	rp, err := repo.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return New(rp, catalog.NewStore(catalog.MSEED()), Options{})
+}
+
+// BenchmarkLoadMetadata times the lazy initial load — the header scan of
+// every file plus the two metadata tables — which a cold start pays before
+// its first answer and every Refresh pays again. allocs/op is per load; the
+// records/op metric turns it into allocations per record.
+func BenchmarkLoadMetadata(b *testing.B) {
+	e := fleetEngine(b)
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if st, err = e.LoadMetadata(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Records), "records/op")
+}
+
+var convertSink catalog.ZoneEntry
+
+// BenchmarkConvert times the value pass over one record's worth of decoded
+// samples, L1-resident as the extraction's scratch is: fast is the default
+// transform (gain 1, no clip), general any other — here a clip no sample
+// reaches, so both write the same values.
+func BenchmarkConvert(b *testing.B) {
+	samples := make([]int32, 516)
+	for i := range samples {
+		samples[i] = int32(i*7919%20011 - 10000)
+	}
+	dst := make([]float64, len(samples))
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"fast", Options{Gain: 1}}, {"general", Options{Gain: 1, ClipAbs: 1e12}}} {
+		b.Run(c.name, func(b *testing.B) {
+			e := &Engine{opts: c.opts}
+			b.SetBytes(int64(len(samples)) * 8)
+			for i := 0; i < b.N; i++ {
+				convertSink = e.convert(dst, samples)
+			}
+		})
+	}
+}

@@ -29,9 +29,19 @@
 //
 // From there every sample is written once. A run allocates one value buffer
 // (recycler.Buffer) sized from the R.num_samples the metadata carries, and
-// one fused pass per record (convert) calibrates the decoded samples
-// straight into the record's place in it, collecting the record's zone
-// entry in the same loop. The run owns the buffer only while it decodes:
+// one pass per record (convert) calibrates the decoded samples straight into
+// the record's place in it and returns the record's zone entry. convert has
+// two loops. Under a finite positive gain and no clip — the default, and
+// every deployment so far — x ↦ fl(x·gain) is monotone and never NaN, so the
+// loop is a bare multiply with the integer minimum and maximum kept in two
+// registers, and the zone entry is those two extremes transformed; any other
+// gain or clip takes the general loop, which collects the zone from the
+// values it writes. Both equal catalog.CollectZone of the result bit for bit.
+// The int32 scratch between the Steim kernel and this pass is one record
+// long and L1-resident; removing it (a fused Steim-to-float64 decoder) was
+// measured at under a millisecond per cold Figure-1 Q2 and is not done.
+//
+// The run owns the buffer only while it decodes:
 // when it finishes it publishes each record as a recycler.Entry that views
 // its stretch of the buffer (capacity-limited, so nothing can grow into a
 // neighbour), and from then on the buffer is read-only and belongs to
@@ -41,8 +51,9 @@
 // its own. The run's side effects — zone entries, recycler admission,
 // ExtractRecord operators — are handed over once per run, not per record.
 //
-// The prefetch workers — one fewer than the consuming pool's workers, at
-// least one: the consumer occupies a worker itself — claim runs, not files,
+// The prefetch workers — one per worker of the consuming pool, never more
+// than there are runs: the consumer is blocked whenever it is behind them, so
+// it occupies no core of its own — claim runs, not files,
 // so extraction parallelizes within a single large file as well as across
 // files, in plan order, ahead of the consumer, which assembles the rows of
 // finished runs into morsels and extracts inline any run it reaches before
@@ -119,10 +130,17 @@ func (o *Options) fill() {
 
 // Stats reports the work done by a load or refresh.
 type Stats struct {
-	Files     int
-	Records   int
-	Samples   int64
-	BytesRead int64 // bytes read from source files
+	Files   int
+	Records int
+	Samples int64
+	// BytesRead is the source bytes the load consumed: every byte of every
+	// file for the eager load, the 64 header bytes of each record for the
+	// lazy one — what it parses, which is what the eager-versus-lazy ratio
+	// of E2/E3 compares. It is not what the lazy load requests from the OS:
+	// the header scan reads files in chunks (mseed.ScanHeaders), because a
+	// 64-byte read per record of 4 KiB or less touches every page of the
+	// file anyway, and skips unread only records longer than a chunk.
+	BytesRead int64
 	Duration  time.Duration
 }
 
@@ -256,7 +274,8 @@ func (e *Engine) Repository() *repo.Repository { return e.snap.Load().repo }
 func (e *Engine) SnapshotVersion() int64 { return e.snap.Load().version }
 
 // LoadMetadata is the lazy initial load: header-only scans fill the two
-// metadata tables; mseed.data stays empty.
+// metadata tables; mseed.data stays empty. Stats.BytesRead counts the header
+// bytes parsed, 64 a record.
 func (e *Engine) LoadMetadata() (Stats, error) {
 	start := time.Now()
 	var st Stats
@@ -277,7 +296,7 @@ func (e *Engine) LoadMetadata() (Stats, error) {
 		}
 		st.Files++
 		st.Records += len(infos)
-		st.BytesRead += int64(len(infos)) * 64 // header-scan bytes per record
+		st.BytesRead += int64(len(infos)) * 64 // header bytes parsed per record
 	}
 	// One atomic commit: a concurrent query snapshot sees either the old
 	// or the new metadata, never files rows from one scan next to records
@@ -408,11 +427,45 @@ func (e *Engine) RefreshAll() (Stats, error) {
 // convert applies the value-level transformations — calibration gain, then
 // optional de-spiking — of §3.2's "transformations performed on a fine
 // granularity added to the end of the extraction phase": dst[i] is the
-// transformed samples[i]. It returns the zone entry of what it wrote,
-// collected in the same pass and equal to catalog.CollectZone(dst).
+// transformed samples[i]. It returns the zone entry of what it wrote, equal to
+// catalog.CollectZone(dst), from whichever of its two loops the settings
+// allow.
 func (e *Engine) convert(dst []float64, samples []int32) catalog.ZoneEntry {
-	z := catalog.ZoneEntry{Min: math.Inf(1), Max: math.Inf(-1), Samples: int64(len(samples))}
 	gain, clip := e.opts.Gain, e.opts.ClipAbs
+	if gainOnly(gain, clip) {
+		return convertGain(dst, samples, gain)
+	}
+	return convertGeneral(dst, samples, gain, clip)
+}
+
+// gainOnly reports whether the transform is a multiplication by a finite
+// positive gain and nothing else.
+func gainOnly(gain, clip float64) bool {
+	return gain > 0 && !math.IsInf(gain, 1) && !(clip > 0)
+}
+
+// convertGain is convert for a finite positive gain and no clip: a bare
+// multiply loop with the integer minimum and maximum kept beside it. The
+// transform is monotone, so the extremes of the values are the transformed
+// extremes of the samples — an overflow to ±Inf included, which the zone
+// counts as finite, as CollectZone does.
+func convertGain(dst []float64, samples []int32, gain float64) catalog.ZoneEntry {
+	n := int64(len(samples))
+	if n == 0 {
+		return catalog.ZoneEntry{Min: math.Inf(1), Max: math.Inf(-1)}
+	}
+	dst = dst[:len(samples)]
+	lo, hi := samples[0], samples[0]
+	for i, s := range samples {
+		dst[i] = float64(s) * gain
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	return catalog.ZoneEntry{Min: float64(lo) * gain, Max: float64(hi) * gain, Finite: n, Samples: n}
+}
+
+// convertGeneral is convert for any gain and clip.
+func convertGeneral(dst []float64, samples []int32, gain, clip float64) catalog.ZoneEntry {
+	z := catalog.ZoneEntry{Min: math.Inf(1), Max: math.Inf(-1), Samples: int64(len(samples))}
 	for i, s := range samples {
 		v := float64(s) * gain
 		if clip > 0 {

@@ -1,12 +1,17 @@
 package etl
 
 import (
+	"errors"
+	"math"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
+	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
@@ -276,5 +281,117 @@ func TestDisableCache(t *testing.T) {
 	}
 	if e.Cache().Len() != 0 {
 		t.Error("disabled cache holds entries")
+	}
+}
+
+// TestLoadMetadataAllocs gates what the lazy initial load allocates: per file
+// a header slab, the infos that point into it and the handful of objects an
+// open costs, plus the columns' amortised growth — well under one allocation
+// per record. (A header and three identification strings per record, as a
+// per-record parse allocates, is four.) Machine-independent: it counts
+// allocations, not time.
+func TestLoadMetadataAllocs(t *testing.T) {
+	e, _, _ := newEngine(t, 60000, Options{})
+	st, err := e.LoadMetadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := allocs / float64(st.Records); perRecord >= 0.5 {
+		t.Errorf("LoadMetadata allocated %.0f times for %d records in %d files (%.2f per record), want < 0.5",
+			allocs, st.Records, st.Files, perRecord)
+	} else {
+		t.Logf("%.0f allocations for %d records in %d files (%.3f per record)", allocs, st.Records, st.Files, perRecord)
+	}
+}
+
+// TestLoadMetadataRejectsYearPast2261 plants a record whose start year has no
+// nanosecond timestamp (time.Time.UnixNano wraps past 2262-04-11) behind a
+// valid one: the load fails naming the file and the record's offset instead
+// of installing a wrapped R.start_time that window predicates would silently
+// compare against.
+func TestLoadMetadataRejectsYearPast2261(t *testing.T) {
+	dir := t.TempDir()
+	var data []byte
+	for i, year := range []uint16{2010, 2300} {
+		h := &mseed.Header{
+			SeqNo: i + 1, Quality: mseed.QualityUnknown, Network: "NL", Station: "HGN", Channel: "BHZ",
+			Start: mseed.BTime{Year: year, Doy: 12}, RateFactor: 40, RateMultiplier: 1,
+			Encoding: mseed.EncodingSteim2, RecordLength: 512,
+		}
+		rec, _, err := mseed.EncodeRecord(h, []int32{1, 2, 3, 5, 8}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, rec...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "future.mseed"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, store, _ := newEngineAt(t, dir, Options{})
+	_, err := e.LoadMetadata()
+	if !errors.Is(err, mseed.ErrBadHeader) || !strings.Contains(err.Error(), "future.mseed") || !strings.Contains(err.Error(), "offset 512") {
+		t.Fatalf("LoadMetadata error %v, want ErrBadHeader naming future.mseed and offset 512", err)
+	}
+	if n := store.Rows(catalog.TableRecords); n != 0 {
+		t.Errorf("a failed load installed %d records", n)
+	}
+}
+
+// TestConvertFastPathMatchesGeneralLoop holds convert's two loops to each
+// other and to catalog.CollectZone, bit for bit: wherever the gain-only loop
+// applies (a finite positive gain, no clip) it writes the values and returns
+// the zone entry the general loop does, for gains that underflow every sample
+// to zero or overflow them to ±Inf and for samples at the ends of int32; and
+// convert takes it exactly there.
+func TestConvertFastPathMatchesGeneralLoop(t *testing.T) {
+	gains := []float64{1, 0.5, 3.7, 5e-324, 1e300, 0, -2, math.Inf(1), math.NaN()}
+	const fastGains = 5 // the leading gains the gain-only loop serves
+	sampleSets := map[string][]int32{
+		"empty":     {},
+		"one":       {-7},
+		"all-equal": {42, 42, 42, 42},
+		"extremes":  {3, math.MinInt32, 0, -1, math.MaxInt32, 17},
+	}
+	bits := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	sameZone := func(a, b catalog.ZoneEntry) bool {
+		return math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
+			a.Finite == b.Finite && a.NaNs == b.NaNs && a.Nulls == b.Nulls && a.Samples == b.Samples
+	}
+	for g, gain := range gains {
+		for _, clip := range []float64{0, 100} {
+			if want := g < fastGains && clip == 0; gainOnly(gain, clip) != want {
+				t.Errorf("gain %g clip %g: gainOnly = %v, want %v", gain, clip, !want, want)
+			}
+			for name, samples := range sampleSets {
+				general := make([]float64, len(samples))
+				gz := convertGeneral(general, samples, gain, clip)
+				if cz := catalog.CollectZone(general); !sameZone(gz, cz) {
+					t.Errorf("gain %g clip %g %s: general loop's zone %+v, CollectZone says %+v", gain, clip, name, gz, cz)
+				}
+				e := &Engine{opts: Options{Gain: gain, ClipAbs: clip}}
+				got := make([]float64, len(samples))
+				if z := e.convert(got, samples); !sameZone(z, gz) || !reflect.DeepEqual(bits(got), bits(general)) {
+					t.Errorf("gain %g clip %g %s: convert wrote %v with zone %+v, the general loop %v with %+v", gain, clip, name, got, z, general, gz)
+				}
+				if !gainOnly(gain, clip) {
+					continue
+				}
+				fast := make([]float64, len(samples))
+				if z := convertGain(fast, samples, gain); !sameZone(z, gz) || !reflect.DeepEqual(bits(fast), bits(general)) {
+					t.Errorf("gain %g %s: gain-only loop wrote %v with zone %+v, the general loop %v with %+v", gain, name, fast, z, general, gz)
+				}
+			}
+		}
 	}
 }

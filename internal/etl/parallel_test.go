@@ -8,7 +8,7 @@ import (
 
 // TestParallelExtractionMatchesSequential runs the same lazy query on a
 // one-worker pool (one prefetch worker, runs decoded in order) and an
-// eight-worker pool (seven) and requires identical aggregates and identical
+// eight-worker pool (eight) and requires identical aggregates and identical
 // work accounting.
 func TestParallelExtractionMatchesSequential(t *testing.T) {
 	q := `SELECT F.station, COUNT(*), MIN(D.sample_value), MAX(D.sample_value), AVG(D.sample_value)

@@ -42,9 +42,10 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // each admitted only if its estimated footprint fits the memory ledger.
 // When the budget denies admission the consumer extracts the run it needs
 // inline: overlap degrades to the synchronous schedule instead of
-// overshooting the budget. width is the consuming pool's worker count; the
-// consumer occupies one of those workers, so the stream runs width-1
-// prefetch workers, and at least one.
+// overshooting the budget. width is the consuming pool's worker count, and
+// the stream runs that many prefetch workers (prefetchWorkers): the consumer
+// is blocked in waitRow whenever it is behind them, so it occupies no core
+// of its own.
 //
 // Each sample is written once: a run decodes into one value buffer, its
 // records become recycler entries viewing that buffer, and a morsel whose
@@ -132,13 +133,21 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		s.est[r] = est
 	}
 
-	workers := min(max(1, width-1), len(s.runs))
+	workers := prefetchWorkers(width, len(s.runs))
 	s.depth = workers + 1
 	for w := 0; w < workers; w++ {
 		s.workerWG.Add(1)
 		go s.prefetchWorker()
 	}
 	return s, nil
+}
+
+// prefetchWorkers is how many workers extract the runs of one stream ahead of
+// its consumer: one per worker of the consuming pool — reading, first-touch
+// page faults and decode of independent runs all parallelise — at least one,
+// and no more than there are runs.
+func prefetchWorkers(width, runs int) int {
+	return min(max(1, width), runs)
 }
 
 // extractStream is one in-flight streaming extraction. The consumer

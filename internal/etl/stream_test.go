@@ -12,6 +12,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/recycler"
@@ -503,7 +504,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 }
 
 // countStream drains one stream over meta as a two-worker pool would — the
-// default morsel size, one prefetch worker — keeping nothing, and returns
+// default morsel size, two prefetch workers — keeping nothing, and returns
 // the rows it served.
 func countStream(tb testing.TB, e *Engine, meta *column.Batch, cols []string) (rows int) {
 	tb.Helper()
@@ -575,4 +576,55 @@ func TestColdExtractWritesEachSampleOnce(t *testing.T) {
 			bytes, samples, records, limit)
 	}
 	t.Logf("warm: %d bytes, %.2f B/sample", bytes, float64(bytes)/float64(samples))
+}
+
+// TestPrefetchWorkers pins the stream's worker count — one per worker of the
+// consuming pool, at least one, never more than there are runs — and then
+// runs the widest case under the worst budget: eight workers over three runs
+// with a ledger that denies every Try, so every run is extracted inline by the
+// consumer while the workers wait to be woken. The rows must still be those
+// of one worker under no budget, bit for bit, no worker may have claimed a
+// run, and the grant must come back.
+func TestPrefetchWorkers(t *testing.T) {
+	for _, c := range []struct{ width, runs, want int }{
+		{1, 16, 1}, {2, 16, 2}, {8, 3, 3}, {2, 0, 0}, {0, 5, 1},
+	} {
+		if got := prefetchWorkers(c.width, c.runs); got != c.want {
+			t.Errorf("prefetchWorkers(%d, %d) = %d, want %d", c.width, c.runs, got, c.want)
+		}
+	}
+
+	_, _, dir := newEngine(t, 3000, Options{})
+	extract := func(width int, led *mem.Ledger) (string, int64) {
+		e, store, _ := newEngineAt(t, dir, Options{DisableCache: true})
+		if _, err := e.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview WHERE F.station = 'ISK'`)
+		proto, err := plan.ExtractProto(meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := e.ExtractStream(meta, nil, nil, plan.NopObserver{}, 500, width, led)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := drainStream(t, src, proto).String()
+		st := e.ExtractionStats()
+		if st.RunsRead != 3 {
+			t.Fatalf("width %d: %d runs read, want 3 (one per ISK file)", width, st.RunsRead)
+		}
+		return out, st.PrefetchedRuns
+	}
+	want, _ := extract(1, nil)
+	for try := 0; try < 10; try++ {
+		led := mem.New(1) // every run's estimate exceeds one byte
+		got, prefetched := extract(8, led)
+		if got != want {
+			t.Fatalf("try %d: width 8 under a denying ledger differs from width 1", try)
+		}
+		if prefetched != 0 || led.Used() != 0 {
+			t.Fatalf("try %d: %d runs prefetched past the budget, ledger holds %d bytes after Close; want 0 and 0", try, prefetched, led.Used())
+		}
+	}
 }

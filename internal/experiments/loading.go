@@ -77,8 +77,9 @@ func E1(w io.Writer, cfg Config) error {
 }
 
 // E2 isolates initial loading: duration, bytes read from the repository and
-// rows materialized, per mode, versus repository size. Lazy reads only the
-// 64-byte record headers; eager reads and decodes every payload.
+// rows materialized, per mode, versus repository size. Lazy parses only the
+// 64-byte record headers, and reports those bytes; eager reads and decodes
+// every payload.
 func E2(w io.Writer, cfg Config) error {
 	if err := cfg.fill(); err != nil {
 		return err

@@ -32,19 +32,37 @@ func BTimeFromTime(t time.Time) BTime {
 	}
 }
 
-// Time converts the BTime to a time.Time in UTC.
+// Time converts the BTime to a time.Time in UTC, for display. Hot paths use
+// UnixNanos, which does no calendar arithmetic.
 func (b BTime) Time() time.Time {
 	return time.Date(int(b.Year), 1, 1, int(b.Hour), int(b.Minute), int(b.Second),
 		int(b.Fract)*100_000, time.UTC).
 		AddDate(0, 0, int(b.Doy)-1)
 }
 
-// UnixNanos returns the BTime as nanoseconds since the Unix epoch.
-func (b BTime) UnixNanos() int64 { return b.Time().UnixNano() }
+// Start years a header may carry. time.Time.UnixNano is undefined past
+// 2262-04-11, so a later year has no nanosecond timestamp to load; day 366 of
+// maxYear still rolls into a representable 2262-01-01.
+const (
+	minYear = 1900
+	maxYear = 2261
+)
 
-// Valid reports whether all fields are within their SEED-defined ranges.
+// UnixNanos returns the BTime as nanoseconds since the Unix epoch, equal to
+// Time().UnixNano() for every Valid time: the days from 0001-01-01 to January
+// 1st of Year in closed form (a day of year past the year's end keeps rolling
+// into the next year, as Time does), less the 719162 days to 1970-01-01.
+func (b BTime) UnixNanos() int64 {
+	y := int64(b.Year) - 1
+	days := y*365 + y/4 - y/100 + y/400 - 719162 + int64(b.Doy) - 1
+	secs := ((days*24+int64(b.Hour))*60+int64(b.Minute))*60 + int64(b.Second)
+	return secs*1_000_000_000 + int64(b.Fract)*100_000
+}
+
+// Valid reports whether all fields are within their SEED-defined ranges and
+// the year is one UnixNanos can represent.
 func (b BTime) Valid() bool {
-	return b.Year >= 1900 && b.Year <= 2500 &&
+	return b.Year >= minYear && b.Year <= maxYear &&
 		b.Doy >= 1 && b.Doy <= 366 &&
 		b.Hour <= 23 && b.Minute <= 59 && b.Second <= 59 &&
 		b.Fract <= 9999

@@ -78,6 +78,7 @@ func TestBTimeValid(t *testing.T) {
 	}
 	invalid := []BTime{
 		{Year: 1800, Doy: 1},
+		{Year: 2262, Doy: 1}, // past what UnixNanos can represent
 		{Year: 2010, Doy: 0},
 		{Year: 2010, Doy: 367},
 		{Year: 2010, Doy: 1, Hour: 24},
@@ -96,5 +97,32 @@ func TestBTimeString(t *testing.T) {
 	b := BTime{Year: 2010, Doy: 12, Hour: 22, Minute: 15, Second: 2, Fract: 42}
 	if got, want := b.String(), "2010,012,22:15:02.0042"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestBTimeUnixNanosMatchesTime holds the integer conversion to the calendar
+// one over every start time a header may carry: each year Valid admits, each
+// day of year — day 366 of a non-leap year included, which keeps rolling
+// into the next year — and the corners of the clock fields.
+func TestBTimeUnixNanosMatchesTime(t *testing.T) {
+	clocks := []BTime{
+		{},
+		{Hour: 23, Minute: 59, Second: 59, Fract: 9999},
+		{Hour: 12, Minute: 30, Second: 45, Fract: 5000},
+		{Hour: 0, Minute: 0, Second: 1, Fract: 1},
+		{Hour: 22, Minute: 15, Second: 2, Fract: 1234},
+	}
+	for year := minYear; year <= maxYear; year++ {
+		for doy := 1; doy <= 366; doy++ {
+			for _, b := range clocks {
+				b.Year, b.Doy = uint16(year), uint16(doy)
+				if !b.Valid() {
+					t.Fatalf("%v is not Valid", b)
+				}
+				if got, want := b.UnixNanos(), b.Time().UnixNano(); got != want {
+					t.Fatalf("%v: UnixNanos() = %d, Time().UnixNano() = %d", b, got, want)
+				}
+			}
+		}
 	}
 }

@@ -16,9 +16,13 @@
 // Two access paths are provided, mirroring the cost asymmetry that lazy
 // ETL exploits:
 //
-//   - ScanHeaders reads only the fixed headers and blockettes of each
+//   - ScanHeaders parses only the fixed headers and blockettes of each
 //     record (a few dozen bytes per record), enough to build a metadata
-//     catalog without touching sample payloads.
+//     catalog without decoding sample payloads. It reads the stream in
+//     64 KiB chunks rather than header by header: for the 512-byte and
+//     4 KiB records archives use, a header-sized read per record crosses
+//     into the kernel once per record and touches every page of the file
+//     anyway. Only a record longer than a chunk is skipped unread.
 //   - ReadRecordSamples decodes the payload of a single record identified
 //     by a prior header scan.
 //

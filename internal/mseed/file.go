@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 )
 
 // RecordInfo locates one record within a file and carries its parsed
@@ -15,61 +16,111 @@ type RecordInfo struct {
 	Offset int64 // byte offset of the record within the file
 }
 
-// ScanHeaders walks the records of an mSEED stream reading only the fixed
-// header and blockettes of each (headerScanSize bytes per record). Payloads
-// are never touched, which is what makes metadata-only loading cheap.
-func ScanHeaders(ra io.ReaderAt, size int64) ([]RecordInfo, error) {
-	var infos []RecordInfo
-	buf := make([]byte, headerScanSize)
-	var off int64
-	for off < size {
-		n, err := ra.ReadAt(buf, off)
+// scanChunk is how many bytes ScanHeaders asks the source for at a time.
+// A header-sized read per record costs a kernel crossing per record and, for
+// the 512-byte and 4 KiB records archives use, pulls every page of the file
+// through the page cache anyway; a chunk per crossing reads the same pages
+// in O(file size / scanChunk) calls.
+const scanChunk = 64 << 10
+
+// chunkPool recycles ScanHeaders' chunk buffers: a metadata load scans
+// thousands of files on a few goroutines.
+var chunkPool = sync.Pool{New: func() any {
+	b := make([]byte, scanChunk)
+	return &b
+}}
+
+// window is the part of an mSEED stream a scan currently holds: buf is the
+// stream's bytes from offset base on. With a source (ra) it is a chunk that
+// header refills on demand; without one, buf is the whole stream.
+type window struct {
+	ra   io.ReaderAt
+	size int64 // length of the stream
+	buf  []byte
+	base int64
+}
+
+// header returns the leading bytes of the record at off: headerScanSize of
+// them, fewer at the end of the stream. When they are not all buffered, the
+// chunk is refilled from off — the offset of the next record, so the payload
+// of a record that runs past the buffered bytes is never read.
+func (w *window) header(off int64) ([]byte, error) {
+	end := min(off+headerScanSize, w.size)
+	if w.ra != nil && end > w.base+int64(len(w.buf)) { // offsets only grow: off >= w.base
+		w.buf = w.buf[:min(int64(cap(w.buf)), w.size-off)]
+		n, err := w.ra.ReadAt(w.buf, off)
 		if err != nil && !errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("mseed: scan at offset %d: %w", off, err)
 		}
-		if n < fixedHeaderSize {
-			return nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrShortRecord, n, off)
-		}
-		h, err := parseHeader(buf[:n])
+		w.buf, w.base = w.buf[:n], off // a source shorter than size ends the stream early
+	}
+	end = min(end, w.base+int64(len(w.buf)))
+	return w.buf[off-w.base : end-w.base], nil
+}
+
+// scan is the one header-scan loop. Headers are kept in slabs, one allocation
+// for as many records as the rest of the stream holds at the current record
+// length, and each is parsed over its predecessor so that the identification
+// codes, which rarely change within a file, are shared strings
+// (reuseTrimmed); the returned infos point into the slabs.
+func (w *window) scan() ([]RecordInfo, error) {
+	var (
+		infos []RecordInfo
+		slab  []Header
+		h     Header // the record being parsed, over its predecessor
+	)
+	for off := int64(0); off < w.size; {
+		hb, err := w.header(off)
 		if err != nil {
+			return nil, err
+		}
+		if len(hb) < fixedHeaderSize {
+			return nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrShortRecord, len(hb), off)
+		}
+		if err := parseHeaderInto(&h, hb); err != nil {
 			return nil, fmt.Errorf("mseed: record at offset %d: %w", off, err)
 		}
-		if off+int64(h.RecordLength) > size {
+		if off+int64(h.RecordLength) > w.size {
 			return nil, fmt.Errorf("%w: record at offset %d extends past end of file", ErrShortRecord, off)
 		}
-		infos = append(infos, RecordInfo{Header: h, Offset: off})
+		if len(slab) == cap(slab) {
+			// Filled slabs stay where they are: infos points into them.
+			slab = make([]Header, 0, (w.size-off)/int64(h.RecordLength))
+			if infos == nil {
+				infos = make([]RecordInfo, 0, cap(slab))
+			}
+		}
+		slab = append(slab, h)
+		infos = append(infos, RecordInfo{Header: &slab[len(slab)-1], Offset: off})
 		off += int64(h.RecordLength)
 	}
 	return infos, nil
 }
 
-// ScanBuffer walks the records of an in-memory mSEED stream: the buffered
-// counterpart of ScanHeaders for callers that already hold the bytes (e.g.
-// a whole-file prefetch read). Headers parse straight out of data with no
-// reads and no per-record copies.
+// ScanHeaders walks the records of an mSEED stream and parses the fixed
+// header and blockettes of each; payloads are never parsed, which is what
+// makes metadata-only loading cheap. The stream is read in chunks of
+// scanChunk bytes, not header by header, and a record that extends past the
+// buffered chunk is skipped without reading the rest of it.
+func ScanHeaders(ra io.ReaderAt, size int64) ([]RecordInfo, error) {
+	bp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bp)
+	return scanHeaders(ra, size, *bp)
+}
+
+// scanHeaders is ScanHeaders over a caller-supplied chunk buffer, whose
+// capacity (at least headerScanSize) is the chunk size.
+func scanHeaders(ra io.ReaderAt, size int64, chunk []byte) ([]RecordInfo, error) {
+	w := window{ra: ra, size: size, buf: chunk[:0]}
+	return w.scan()
+}
+
+// ScanBuffer walks the records of an in-memory mSEED stream: ScanHeaders for
+// callers that already hold the bytes (e.g. a whole-file prefetch read).
+// Headers parse straight out of data with no reads.
 func ScanBuffer(data []byte) ([]RecordInfo, error) {
-	var infos []RecordInfo
-	size := int64(len(data))
-	var off int64
-	for off < size {
-		end := off + headerScanSize
-		if end > size {
-			end = size
-		}
-		if end-off < fixedHeaderSize {
-			return nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrShortRecord, end-off, off)
-		}
-		h, err := parseHeader(data[off:end])
-		if err != nil {
-			return nil, fmt.Errorf("mseed: record at offset %d: %w", off, err)
-		}
-		if off+int64(h.RecordLength) > size {
-			return nil, fmt.Errorf("%w: record at offset %d extends past end of file", ErrShortRecord, off)
-		}
-		infos = append(infos, RecordInfo{Header: h, Offset: off})
-		off += int64(h.RecordLength)
-	}
-	return infos, nil
+	w := window{size: int64(len(data)), buf: data}
+	return w.scan()
 }
 
 // ScanFile runs ScanHeaders over a file on disk.
@@ -103,28 +154,25 @@ type Record struct {
 	Samples []int32
 }
 
-// ReadFile fully decodes every record in the file — the eager path.
+// ReadFile fully decodes every record in the file — the eager path. The file
+// is read once; headers and payloads parse from that buffer.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	infos, err := ScanHeaders(f, st.Size())
+	infos, err := ScanBuffer(data)
 	if err != nil {
 		return nil, err
 	}
 	recs := make([]Record, 0, len(infos))
 	for _, ri := range infos {
-		samples, err := ReadRecordSamples(f, ri)
+		h := ri.Header
+		samples, err := DecodePayload(h, data[ri.Offset+int64(h.DataOffset):ri.Offset+int64(h.RecordLength)])
 		if err != nil {
-			return nil, fmt.Errorf("mseed: %s seq %d: %w", path, ri.Header.SeqNo, err)
+			return nil, fmt.Errorf("mseed: %s seq %d: %w", path, h.SeqNo, err)
 		}
-		recs = append(recs, Record{Header: ri.Header, Samples: samples})
+		recs = append(recs, Record{Header: h, Samples: samples})
 	}
 	return recs, nil
 }

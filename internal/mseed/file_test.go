@@ -2,9 +2,12 @@ package mseed
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -225,5 +228,173 @@ func TestFileSizeCompression(t *testing.T) {
 	s2, _ := os.Stat(p2)
 	if s1.Size()*2 >= s2.Size() {
 		t.Errorf("steim2 file (%d B) not at least 2x smaller than int32 file (%d B)", s1.Size(), s2.Size())
+	}
+}
+
+// mixedStream concatenates one Steim2 record per entry of lengths, with the
+// station code changing every third record and a blockette 100 on every
+// fourth record that has room for one, so a scan sees headers at irregular
+// offsets, shared and fresh identification strings, and both data offsets.
+func mixedStream(t testing.TB, lengths []int) []byte {
+	t.Helper()
+	var out []byte
+	for i, n := range lengths {
+		h := &Header{
+			SeqNo:          i + 1,
+			Quality:        QualityUnknown,
+			Network:        "NL",
+			Station:        []string{"HGN", "DBN", "ISK"}[i/3%3],
+			Channel:        "BHZ",
+			Start:          BTime{Year: 2010, Doy: 12, Hour: uint8(i % 24)},
+			RateFactor:     40,
+			RateMultiplier: 1,
+			Encoding:       EncodingSteim2,
+			RecordLength:   n,
+		}
+		if i%4 == 3 && n >= 512 {
+			h.ActualRate = 39.5
+		}
+		rec, _, err := EncodeRecord(h, sineSamples(40, 500, 11), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// countingReaderAt counts the ReadAt calls that reach the source.
+type countingReaderAt struct {
+	r     *bytes.Reader
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestScanHeadersChunked holds the chunked scan to the in-memory one: over
+// streams that mix every record length class, end in a truncated record or
+// in too few bytes for a header, or are empty, and at chunk sizes that put
+// headers across chunk ends, ScanHeaders returns what ScanBuffer returns —
+// the same infos, the same error text — and reads the source once per chunk,
+// plus once per record longer than a chunk (skipped unread), not once per
+// record.
+func TestScanHeadersChunked(t *testing.T) {
+	mixed := mixedStream(t, []int{128, 512, 4096, 65536, 128, 128, 512, 65536, 4096, 4096, 512, 128, 65536, 512})
+	small := mixedStream(t, []int{512, 512, 128, 512, 128, 128, 512, 512, 512})
+	streams := []struct {
+		name string
+		data []byte
+	}{
+		{"mixed", mixed},
+		{"small", small},
+		{"truncated-record", mixed[:len(mixed)-100]},
+		{"trailing-bytes", append(append([]byte(nil), small...), small[:47]...)},
+		{"trailing-header", append(append([]byte(nil), small...), small[:60]...)},
+		{"empty", nil},
+	}
+	for _, s := range streams {
+		want, wantErr := ScanBuffer(s.data)
+		for _, chunk := range []int{headerScanSize, 100, 191, 1000, 4096 + 13, 65536, scanChunk, 1 << 20} {
+			src := &countingReaderAt{r: bytes.NewReader(s.data)}
+			got, err := scanHeaders(src, int64(len(s.data)), make([]byte, chunk))
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Errorf("%s, chunk %d: error %v, ScanBuffer says %v", s.name, chunk, err, wantErr)
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, chunk %d: %d infos differ from ScanBuffer's %d", s.name, chunk, len(got), len(want))
+			}
+			// A refill starts at a record, and the next one comes when a
+			// header ends past the chunk: a whole chunk further on when
+			// headers cannot straddle a chunk end (every offset is a
+			// multiple of 128, the shortest record), at least a chunk less
+			// a header otherwise — unless the record itself is longer than
+			// the chunk.
+			stride := chunk
+			if chunk%128 != 0 {
+				stride = chunk - headerScanSize + 1
+			}
+			long := 0
+			for _, ri := range want {
+				if ri.Header.RecordLength > chunk {
+					long++
+				}
+			}
+			if limit := len(s.data)/stride + long + 1; src.reads > limit {
+				t.Errorf("%s, chunk %d: %d reads for %d bytes in %d records (%d longer than a chunk), want at most %d",
+					s.name, chunk, src.reads, len(s.data), len(want), long, limit)
+			}
+		}
+	}
+	// The exported entry point, at its own chunk size.
+	src := &countingReaderAt{r: bytes.NewReader(mixed)}
+	got, err := ScanHeaders(src, int64(len(mixed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := ScanBuffer(mixed); !reflect.DeepEqual(got, want) {
+		t.Error("ScanHeaders differs from ScanBuffer")
+	}
+	if limit := len(mixed)/scanChunk + 1; src.reads > limit {
+		t.Errorf("ScanHeaders read %d times over %d bytes, want at most %d", src.reads, len(mixed), limit)
+	}
+}
+
+// TestScanAllocatesPerFile gates what a header scan allocates: one slab of
+// headers, one slice of infos and one string per identification code for a
+// file of uniform records, however many there are — not a header and three
+// strings per record.
+func TestScanAllocatesPerFile(t *testing.T) {
+	lengths := make([]int, 300)
+	for i := range lengths {
+		lengths[i] = 512
+	}
+	data := mixedStream(t, lengths)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ScanBuffer(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Three station codes alternate in mixedStream, each change a new string.
+	if limit := float64(2 + 3 + len(lengths)/3); allocs > limit {
+		t.Errorf("ScanBuffer of %d records allocated %.0f times, want at most %.0f", len(lengths), allocs, limit)
+	}
+}
+
+// TestScanRejectsYearPast2261 covers a start year that has no nanosecond
+// timestamp (time.Time.UnixNano is undefined past 2262-04-11): the header is
+// malformed, and the scan says where, instead of loading a wrapped time.
+func TestScanRejectsYearPast2261(t *testing.T) {
+	record := func(year uint16, doy uint16) []byte {
+		h := &Header{
+			SeqNo: 1, Quality: QualityUnknown, Network: "NL", Station: "HGN", Channel: "BHZ",
+			Start: BTime{Year: year, Doy: doy}, RateFactor: 40, RateMultiplier: 1,
+			Encoding: EncodingSteim2, RecordLength: 512,
+		}
+		rec, _, err := EncodeRecord(h, []int32{1, 2, 3}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	infos, err := ScanBuffer(append(record(2010, 12), record(maxYear, 366)...))
+	if err != nil {
+		t.Fatalf("a start in %d must load: %v", maxYear, err)
+	}
+	if got, want := infos[1].Header.StartNanos(), time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano(); got != want {
+		t.Errorf("day 366 of %d starts at %d, want %d", maxYear, got, want)
+	}
+	for _, year := range []uint16{2262, 2300, 2500} {
+		data := append(record(2010, 12), record(year, 1)...)
+		_, err := ScanBuffer(data)
+		if !errors.Is(err, ErrBadHeader) || !strings.Contains(err.Error(), "offset 512") {
+			t.Errorf("year %d: ScanBuffer error %v, want ErrBadHeader naming offset 512", year, err)
+		}
+		if _, err := ScanHeaders(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("year %d: ScanHeaders error %v, want ErrBadHeader", year, err)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package mseed
 
 import (
+	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -91,6 +93,33 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if len(samples) != h.NumSamples {
 			t.Fatalf("decoded %d samples, header declares %d", len(samples), h.NumSamples)
+		}
+	})
+}
+
+// FuzzScanHeadersChunked holds the chunked header scan to the in-memory one
+// over arbitrary bytes and chunk sizes from one header (64 bytes) up: however
+// the chunk ends fall — mid-header, mid-record, past the end — scanHeaders
+// returns the infos and the error text ScanBuffer returns for the same
+// bytes, and never panics.
+func FuzzScanHeadersChunked(f *testing.F) {
+	small := mixedStream(f, []int{512, 128, 512, 4096, 128, 128, 512})
+	f.Add(small, uint16(0))
+	f.Add(small, uint16(127))
+	f.Add(small[:len(small)-100], uint16(1000)) // truncated last record
+	f.Add(append(append([]byte(nil), small...), small[:40]...), uint16(449))
+	f.Add(mixedStream(f, []int{4096, 128, 4096}), uint16(200)) // records longer than the chunk
+	f.Add([]byte{}, uint16(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, extra uint16) {
+		chunk := headerScanSize + int(extra)
+		want, wantErr := ScanBuffer(data)
+		got, err := scanHeaders(bytes.NewReader(data), int64(len(data)), make([]byte, chunk))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("chunk %d: error %v, ScanBuffer says %v", chunk, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk %d: %d infos differ from ScanBuffer's %d", chunk, len(got), len(want))
 		}
 	})
 }

@@ -273,9 +273,9 @@ func parseHeaderInto(h *Header, buf []byte) error {
 	// blockette 1000. Use the standard year-sanity heuristic: try big-endian
 	// first and fall back to little-endian if the year is implausible.
 	order := binary.ByteOrder(binary.BigEndian)
-	if y := order.Uint16(buf[20:22]); y < 1900 || y > 2500 {
+	if y := order.Uint16(buf[20:22]); y < minYear || y > maxYear {
 		order = binary.LittleEndian
-		if y := order.Uint16(buf[20:22]); y < 1900 || y > 2500 {
+		if y := order.Uint16(buf[20:22]); y < minYear || y > maxYear {
 			return fmt.Errorf("%w: implausible start year", ErrBadHeader)
 		}
 	}

@@ -35,9 +35,9 @@ import (
 // would delete every one of their rows anyway. nil means extract everything.
 //
 // morselRows and width are the consuming pool's morsel size and worker
-// count: the source sizes its read-ahead from width (the consumer occupies
-// one of those workers), so extraction has no parallelism setting of its
-// own. Prefetch buffers are charged to led (nil = unlimited), so overlap
+// count: the source sizes its read-ahead from width (one prefetch worker per
+// pool worker), so extraction has no parallelism setting of its own.
+// Prefetch buffers are charged to led (nil = unlimited), so overlap
 // degrades to synchronous extraction under budget pressure rather than
 // blowing it.
 type ExtractSource interface {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentQueries fires parallel clients at one lazy warehouse (with
-// a four-worker pool, so three prefetch workers per extraction) and checks every answer for consistency: absence
+// a four-worker pool, so four prefetch workers per extraction) and checks every answer for consistency: absence
 // of races and corruption across the cache, the log and the stats under
 // churn, with queries genuinely executing concurrently.
 func TestConcurrentQueries(t *testing.T) {
@@ -74,7 +74,7 @@ func (e errMismatch) Error() string {
 // extractor end to end through the warehouse (correctness, not timing —
 // CI machines make timing assertions flaky): a one-worker pool, whose one
 // prefetch worker decodes the runs in order, against an eight-worker pool
-// with seven.
+// with eight.
 func TestParallelExtractionThroughWarehouse(t *testing.T) {
 	dir := genRepo(t, 4000)
 	seq, err := Open(dir, Options{Mode: Lazy, Workers: 1})

@@ -4,8 +4,10 @@
 // companion system.
 //
 // A warehouse opens over a repository of mSEED seismic waveform files. In
-// Lazy mode the initial load reads only metadata (file and record headers),
-// so the warehouse is queryable near-instantly; waveform samples are
+// Lazy mode the initial load parses only metadata (file and record headers;
+// no payload is decoded — the files are still read, in 64 KiB chunks, since a
+// header-sized read per record would touch every page anyway), so the
+// warehouse is queryable near-instantly; waveform samples are
 // extracted, transformed and cached on demand, per query, for exactly the
 // records that survive the query's metadata predicates — and only the
 // universal-table columns the statement reads are delivered, the metadata
@@ -26,11 +28,12 @@
 // pipeline. Scan, filter, join probe and aggregation fuse over one morsel's
 // selection vector with no intermediate batch, breaking only at join build
 // sides, sort and the final output. Lazy extraction feeds such pipelines
-// as a stream — background workers (one fewer than Options.Workers, at
-// least one) read and Steim-decode the next coalesced run while the current
-// run's morsels flow through the compute stages, with prefetch buffers
-// charged to the memory ledger so overlap degrades to synchronous
-// extraction under budget pressure. Extraction writes each sample once: a
+// as a stream — background workers (as many as Options.Workers: the consumer
+// sleeps whenever it is behind them) read and Steim-decode the next
+// coalesced runs while the current run's morsels flow through the compute
+// stages, with prefetch buffers charged to the memory ledger so overlap
+// degrades to synchronous extraction under budget pressure. Extraction
+// writes each sample once: a
 // run decodes into one value buffer that the recycler's entries and the
 // morsels both view (8 bytes a cached sample), and D.sample_time, a pure
 // function of a record's start, rate and sample index, is generated only
@@ -188,9 +191,10 @@ const (
 // Open scans the mSEED repository under dir and initializes a warehouse in
 // the requested mode. Options.Workers controls the morsel-driven parallel
 // query engine (0 = GOMAXPROCS, 1 = serial) and, through it, how far lazy
-// extraction reads ahead: a query's extraction stream runs one prefetch
-// worker fewer than the pool has workers (at least one), since the consumer
-// occupies a worker itself.
+// extraction reads ahead: a query's extraction stream runs as many prefetch
+// workers as the pool has workers (never more than it has runs to read) —
+// its consumer is blocked whenever it is behind them, so it needs no core of
+// its own.
 func Open(dir string, opts Options) (*Warehouse, error) {
 	return warehouse.Open(dir, opts)
 }
