@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/column"
 	"repro/internal/sql"
@@ -17,13 +18,14 @@ type AggSpec struct {
 	OutName  string // output column name
 }
 
-// aggState accumulates one aggregate for one group. Values are kept in raw
-// typed fields (no Value boxing on the per-row path); which min/max fields
-// are meaningful follows the argument column's type.
+// aggState accumulates one argument (a slot) for one group. Values are kept
+// in raw typed fields (no Value boxing on the per-row path); which min/max
+// fields are meaningful follows the argument column's type.
 type aggState struct {
 	count      int64
 	sum        float64
 	intSum     int64
+	wraps      int64 // signed wraps of intSum: the exact sum is intSum + wraps·2⁶⁴
 	minI, maxI int64
 	minF, maxF float64
 	minS, maxS string
@@ -31,10 +33,10 @@ type aggState struct {
 	any        bool
 }
 
-// aggArg is the unpacked per-aggregate input: raw vectors of the evaluated
+// aggArg is the unpacked per-slot input: raw vectors of the evaluated
 // argument column, hoisted out of the per-row loop. (An argument in run form
 // is expanded by these reads; only group keys are walked per run.) Every
-// fold over it — per row, per run, grouped or global — visits a group's rows
+// fold over it — per row, per range, per selection — visits a group's rows
 // left to right, so there is one summation order in the engine.
 type aggArg struct {
 	star     bool
@@ -47,8 +49,8 @@ type aggArg struct {
 }
 
 // aggGroup is one output group: the first row that produced it (group-by
-// key values are gathered from there) and one state per aggregate,
-// allocated contiguously.
+// key values are gathered from there) and one state per slot, allocated
+// contiguously.
 type aggGroup struct {
 	firstRow int32
 	states   []aggState
@@ -65,7 +67,7 @@ func aggOutType(fn string, in column.Type) (column.Type, error) {
 		}
 		return column.Float64, nil
 	case "SUM":
-		if !in.Numeric() {
+		if !in.Numeric() || in == column.Timestamp {
 			return 0, fmt.Errorf("exec: SUM over %v", in)
 		}
 		if in == column.Float64 {
@@ -85,31 +87,59 @@ func aggOutType(fn string, in column.Type) (column.Type, error) {
 // expressions, a single global group is produced (even over zero rows, per
 // SQL semantics: COUNT is 0, other aggregates NULL).
 //
-// Grouped input is one morsel through an AggSink. Ungrouped input folds here,
-// row by row through updateAggStates — the same left-to-right order as the
-// sink's zero-key walk, hence the same bits, but sharing neither foldRange
-// nor the sink with it: that independence is what lets the NoPipeline
-// reference built on this function check the pipeline's global fold.
+// It folds row by row, one state per spec and one key lookup per row — the
+// sink's order, hence its bits, but none of its slots, folds or group
+// walks: that independence is what lets the NoPipeline reference built on
+// this function check the pipeline.
 func Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
-	if len(groupBy) > 0 {
-		s, err := NewAggSink(b.Range(0, 0), groupBy, aggs, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Consume(Morsel{B: b}); err != nil {
-			return nil, err
-		}
-		return s.Finish()
-	}
-	_, args, err := evalAggInputs(b, nil, aggs)
+	keyCols, args, err := evalAggInputs(b, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
-	states := make([]aggState, len(args))
-	for row, n := 0, b.NumRows(); row < n; row++ {
-		updateAggStates(states, args, row)
+	n := b.NumRows()
+	if len(groupBy) == 0 {
+		states := make([]aggState, len(aggs))
+		for row := 0; row < n; row++ {
+			updateAggStates(states, args, row)
+		}
+		return buildAggOutput(nil, nil, args, aggs, nil, []aggGroup{{states: states}})
 	}
-	return buildAggOutput(nil, nil, args, aggs, []aggGroup{{states: states}})
+	var groups []aggGroup
+	index := make(map[string]int)
+	var key []byte
+	for row := 0; row < n; row++ {
+		key = key[:0]
+		for _, kc := range keyCols {
+			key = appendRowKey(key, kc, row)
+		}
+		gi, ok := index[string(key)]
+		if !ok {
+			gi = len(groups)
+			index[string(key)] = gi
+			groups = append(groups, aggGroup{firstRow: int32(row), states: make([]aggState, len(aggs))})
+		}
+		updateAggStates(groups[gi].states, args, row)
+	}
+	return buildAggOutput(keyCols, groupBy, args, aggs, nil, groups)
+}
+
+// aggSlots maps each spec to a slot: every COUNT(*) shares one, and so do
+// specs over the same plain column with equal Distinct. Any other argument
+// gets its own: equal text is not an equal value (SUM(1) and SUM(1.0)).
+func aggSlots(aggs []AggSpec) (slots []AggSpec, slot []int) {
+	slot = make([]int, len(aggs))
+	for i, a := range aggs {
+		j := slices.IndexFunc(slots, func(s AggSpec) bool {
+			sc, ok1 := s.Arg.(*sql.ColumnRef)
+			ac, ok2 := a.Arg.(*sql.ColumnRef)
+			return s.Star && a.Star || ok1 && ok2 && sc.Name == ac.Name && s.Distinct == a.Distinct
+		})
+		if j < 0 {
+			j, slots = len(slots), append(slots, a)
+		}
+		slot[i] = j
+	}
+	return slots, slot
 }
 
 // intKeyed reports whether the grouping takes the integer-keyed fast path:
@@ -152,10 +182,10 @@ func evalAggInputs(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) ([]*colu
 }
 
 // buildAggOutput assembles the result batch: group keys gather from each
-// group's first row; aggregate results fill preallocated vectors from the
-// states. groups must be in output order (first appearance, i.e. ascending
-// firstRow).
-func buildAggOutput(keyCols []*column.Column, groupBy []sql.Expr, args []aggArg, aggs []AggSpec, groups []aggGroup) (*column.Batch, error) {
+// group's first row; spec i's results fill a preallocated vector from the
+// states at slot[i] (nil: at i). groups must be in output order (first
+// appearance, i.e. ascending firstRow).
+func buildAggOutput(keyCols []*column.Column, groupBy []sql.Expr, args []aggArg, aggs []AggSpec, slot []int, groups []aggGroup) (*column.Batch, error) {
 	var outCols []*column.Column
 	if len(groupBy) > 0 {
 		firstRows := make([]int32, len(groups))
@@ -167,15 +197,23 @@ func buildAggOutput(keyCols []*column.Column, groupBy []sql.Expr, args []aggArg,
 		}
 	}
 	for i, spec := range aggs {
+		si := i
+		if slot != nil {
+			si = slot[i]
+		}
 		inType := column.Int64
-		if !args[i].star {
-			inType = args[i].typ
+		if !args[si].star {
+			inType = args[si].typ
 		}
 		ot, err := aggOutType(spec.Func, inType)
 		if err != nil {
 			return nil, err
 		}
-		outCols = append(outCols, buildAggColumn(spec.OutName, spec.Func, ot, groups, i))
+		c, err := buildAggColumn(spec, ot, groups, si)
+		if err != nil {
+			return nil, err
+		}
+		outCols = append(outCols, c)
 	}
 	return column.NewBatch(outCols...)
 }
@@ -229,17 +267,7 @@ func updateOneAgg(st *aggState, a *aggArg, row int) {
 		}
 		st.count++
 		st.sum += v
-		if !st.any {
-			st.minF, st.maxF = v, v
-			st.any = true
-		} else {
-			if v < st.minF {
-				st.minF = v
-			}
-			if v > st.maxF {
-				st.maxF = v
-			}
-		}
+		st.minF, st.maxF = bounds(st.any, st.minF, st.maxF, v)
 	case column.String:
 		v := a.strs[row]
 		if a.distinct {
@@ -252,87 +280,119 @@ func updateOneAgg(st *aggState, a *aggArg, row int) {
 			st.seen[v] = struct{}{}
 		}
 		st.count++
-		if !st.any {
-			st.minS, st.maxS = v, v
-			st.any = true
-		} else {
-			if v < st.minS {
-				st.minS = v
-			}
-			if v > st.maxS {
-				st.maxS = v
-			}
-		}
+		st.minS, st.maxS = bounds(st.any, st.minS, st.maxS, v)
 	default: // integer family
 		v := a.ints[row]
 		if a.distinct && !distinctBits(st, uint64(v)) {
 			return
 		}
 		st.count++
-		st.intSum += v
+		st.intSum, st.wraps = addInt(st.intSum, v, st.wraps)
 		st.sum += float64(v)
-		if !st.any {
-			st.minI, st.maxI = v, v
-			st.any = true
-		} else {
-			if v < st.minI {
-				st.minI = v
-			}
-			if v > st.maxI {
-				st.maxI = v
-			}
-		}
+		st.minI, st.maxI = bounds(st.any, st.minI, st.maxI, v)
 	}
+	st.any = true
 }
 
-// foldRange folds rows [lo, hi) into one aggregate's state, in row order and
-// to the same bits as updateOneAgg row by row: the common shapes — COUNT(*)
-// and a null-free, non-DISTINCT numeric argument — run as one typed loop
-// over the slice with the state held in locals.
-func foldRange(st *aggState, a *aggArg, lo, hi int) {
+// bounds folds v into a running min and max: the first value (seeded
+// false) sets both, a later one replaces a bound only by comparing below or
+// above it — the NaN and signed-zero rule doc.go spells out.
+func bounds[T int64 | float64 | string](seeded bool, mn, mx, v T) (T, T) {
+	if !seeded {
+		return v, v
+	}
+	if v < mn {
+		mn = v
+	}
+	if v > mx {
+		mx = v
+	}
+	return mn, mx
+}
+
+// addInt adds v to the two's-complement sum s and counts a signed wrap
+// into k, so that s + k·2⁶⁴ is the exact sum; k does not depend on the
+// order of the additions.
+func addInt(s, v, k int64) (int64, int64) {
+	r := s + v
+	if (s^r)&(v^r) < 0 {
+		k += v>>63 | 1
+	}
+	return r, k
+}
+
+// fold, the sink's one fold entry point, folds rows [lo, hi) — or, given
+// one, the rows of a non-empty sel — into one slot's state, in row order
+// and to the bits of updateOneAgg row by row. A null-free, non-DISTINCT
+// numeric argument runs one typed loop with the state in locals.
+func fold(st *aggState, a *aggArg, sel []int32, lo, hi int) {
 	switch {
+	case a.star && sel != nil:
+		st.count += int64(len(sel))
 	case a.star:
 		st.count += int64(hi - lo)
 	case a.distinct || a.nulls != nil || a.typ == column.String:
-		for row := lo; row < hi; row++ {
+		for row := lo; sel == nil && row < hi; row++ {
 			updateOneAgg(st, a, row)
 		}
+		for _, row := range sel {
+			updateOneAgg(st, a, int(row))
+		}
 	case a.typ == column.Float64:
-		vals := a.fls[lo:hi]
-		if !st.any {
-			st.minF, st.maxF, st.any = vals[0], vals[0], true
-		}
-		sum, mn, mx := st.sum, st.minF, st.maxF
-		for _, v := range vals {
-			sum += v
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		st.count += int64(len(vals))
-		st.sum, st.minF, st.maxF = sum, mn, mx
+		foldFloats(st, a.fls, sel, lo, hi)
 	default: // integer family
-		vals := a.ints[lo:hi]
-		if !st.any {
-			st.minI, st.maxI, st.any = vals[0], vals[0], true
-		}
-		isum, sum, mn, mx := st.intSum, st.sum, st.minI, st.maxI
-		for _, v := range vals {
-			isum += v
-			sum += float64(v)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		st.count += int64(len(vals))
-		st.intSum, st.sum, st.minI, st.maxI = isum, sum, mn, mx
+		foldInts(st, a.ints, sel, lo, hi)
 	}
+}
+
+// foldFloats is fold's typed loop over a float argument.
+func foldFloats(st *aggState, vals []float64, sel []int32, lo, hi int) {
+	n := hi - lo
+	if sel != nil {
+		lo, n = int(sel[0]), len(sel)
+	}
+	// Seed an empty state; the loop folds vals[lo] again, which moves no bound.
+	mn, mx := bounds(st.any, st.minF, st.maxF, vals[lo])
+	sum := st.sum
+	if sel == nil {
+		for _, v := range vals[lo:hi] {
+			sum += v
+			mn, mx = bounds(true, mn, mx, v)
+		}
+	}
+	for _, row := range sel {
+		v := vals[row]
+		sum += v
+		mn, mx = bounds(true, mn, mx, v)
+	}
+	st.count += int64(n)
+	st.sum, st.minF, st.maxF, st.any = sum, mn, mx, true
+}
+
+// foldInts is foldFloats over an integer-family argument, which also keeps
+// the exact int64 sum and its wrap count.
+func foldInts(st *aggState, vals []int64, sel []int32, lo, hi int) {
+	n := hi - lo
+	if sel != nil {
+		lo, n = int(sel[0]), len(sel)
+	}
+	mn, mx := bounds(st.any, st.minI, st.maxI, vals[lo])
+	isum, k, sum := st.intSum, st.wraps, st.sum
+	if sel == nil {
+		for _, v := range vals[lo:hi] {
+			isum, k = addInt(isum, v, k)
+			sum += float64(v)
+			mn, mx = bounds(true, mn, mx, v)
+		}
+	}
+	for _, row := range sel {
+		v := vals[row]
+		isum, k = addInt(isum, v, k)
+		sum += float64(v)
+		mn, mx = bounds(true, mn, mx, v)
+	}
+	st.count += int64(n)
+	st.intSum, st.wraps, st.sum, st.minI, st.maxI, st.any = isum, k, sum, mn, mx, true
 }
 
 // distinctBits records a numeric value's bit pattern in the state's seen
@@ -352,8 +412,10 @@ func distinctBits(st *aggState, bits uint64) bool {
 }
 
 // buildAggColumn materializes one aggregate's result column across all
-// groups into a preallocated vector.
-func buildAggColumn(name, fn string, ot column.Type, groups []aggGroup, ai int) *column.Column {
+// groups' states at slot ai into a preallocated vector; an integer SUM
+// outside int64 is an error, not a wrapped answer.
+func buildAggColumn(spec AggSpec, ot column.Type, groups []aggGroup, ai int) (*column.Column, error) {
+	name, fn := spec.OutName, spec.Func
 	ng := len(groups)
 	var nulls []bool
 	setNull := func(g int) {
@@ -369,7 +431,7 @@ func buildAggColumn(name, fn string, ot column.Type, groups []aggGroup, ai int) 
 		for g := range groups {
 			out[g] = groups[g].states[ai].count
 		}
-		return column.NewIntFamily(name, column.Int64, out)
+		return column.NewIntFamily(name, column.Int64, out), nil
 	case fn == "AVG":
 		out := make([]float64, ng)
 		for g := range groups {
@@ -385,6 +447,9 @@ func buildAggColumn(name, fn string, ot column.Type, groups []aggGroup, ai int) 
 		out := make([]int64, ng)
 		for g := range groups {
 			st := &groups[g].states[ai]
+			if st.wraps != 0 {
+				return nil, fmt.Errorf("exec: SUM(%s) overflows int64", spec.Arg)
+			}
 			if st.count == 0 {
 				setNull(g)
 				continue
@@ -454,5 +519,5 @@ func buildAggColumn(name, fn string, ot column.Type, groups []aggGroup, ai int) 
 		}
 	}
 	c.SetNulls(nulls)
-	return c
+	return c, nil
 }

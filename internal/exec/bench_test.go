@@ -99,11 +99,11 @@ func BenchmarkHashJoinIntKey(b *testing.B) {
 }
 
 // BenchmarkAggregateGrouped folds the grouped aggregate of a cold Figure-1
-// Q2 as the sink sees it: 2,500 records of 512 samples (1.28 M rows) from 9
-// stations, keyed on the station. "flat" carries the station once per row
-// and takes the per-row walk; "runs" carries it as Column.Repeat hands it
-// over — the same rows as one constant run per record — and takes the
-// per-run walk.
+// Q2 as the sink sees it, as one morsel: 2,500 records of 512 samples
+// (1.28 M rows) from 9 stations, keyed on the station. "flat" carries the
+// station once per row and takes the per-row walk; "runs" carries it as
+// Column.Repeat hands it over — the same rows as one constant run per
+// record — and takes the per-run walk.
 func BenchmarkAggregateGrouped(b *testing.B) {
 	const records, perRecord = 2500, 512
 	rng := rand.New(rand.NewSource(11))
@@ -137,12 +137,91 @@ func BenchmarkAggregateGrouped(b *testing.B) {
 		b.Run(form.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Aggregate(batch, groupBy, aggs); err != nil {
+				if _, err := sinkAggregate(batch, groupBy, aggs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkAggregateSel folds 64k rows in 4k-row morsels into a global
+// AggSink under the selections a filter leaves: none ("all"), the middle
+// half of each morsel as one contiguous range (a time window's shape), and
+// every other row ("sparse"); over Figure 1's Q1 aggregates (AVG, MIN, MAX
+// of v and COUNT(*): two slots) and over AVG(v), AVG(w) (two arguments).
+func BenchmarkAggregateSel(b *testing.B) {
+	const n, morsel = 65_536, 4_096
+	batch := benchBatch(n)
+	v := batch.ColAt(1).Float64s()
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = v[i*7%n]
+	}
+	batch = column.MustNewBatch(batch.ColAt(1), column.NewFloat64s("w", w))
+	col := func(name string) sql.Expr { return &sql.ColumnRef{Name: name} }
+	for _, sel := range []string{"all", "range", "sparse"} {
+		var ms []Morsel
+		for lo := 0; lo < n; lo += morsel {
+			m := Morsel{B: batch.Range(lo, lo+morsel)}
+			switch sel {
+			case "range":
+				for r := morsel / 4; r < 3*morsel/4; r++ {
+					m.Sel = append(m.Sel, int32(r))
+				}
+			case "sparse":
+				for r := 0; r < morsel; r += 2 {
+					m.Sel = append(m.Sel, int32(r))
+				}
+			}
+			ms = append(ms, m)
+		}
+		for _, q := range []struct {
+			name string
+			aggs []AggSpec
+		}{
+			{"q1", []AggSpec{
+				{Func: "AVG", Arg: col("v"), OutName: "avg"},
+				{Func: "MIN", Arg: col("v"), OutName: "min"},
+				{Func: "MAX", Arg: col("v"), OutName: "max"},
+				{Func: "COUNT", Star: true, OutName: "n"},
+			}},
+			{"two-args", []AggSpec{
+				{Func: "AVG", Arg: col("v"), OutName: "avg_v"},
+				{Func: "AVG", Arg: col("w"), OutName: "avg_w"},
+			}},
+		} {
+			b.Run(sel+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := NewAggSink(batch.Range(0, 0), nil, q.aggs, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, m := range ms {
+						if err := s.Consume(m); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := s.Finish(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sinkAggregate folds batch into an AggSink as one morsel.
+func sinkAggregate(batch *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
+	s, err := NewAggSink(batch.Range(0, 0), groupBy, aggs, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Consume(Morsel{B: batch}); err != nil {
+		return nil, err
+	}
+	return s.Finish()
 }
 
 func BenchmarkSortByTimestamp(b *testing.B) {

@@ -38,14 +38,28 @@
 // row ends), and when every group-key column of a morsel has that form the
 // sink walks the merged run boundaries instead of the rows — intersected
 // with the selection vector when a filter refined the morsel — doing one
-// key encode and one lookup per run and folding each aggregate over the
-// run's rows in one typed loop. Which walk runs is a property of the input
-// the sink observes, not a setting; both create groups in first-appearance
-// order and fold each group's rows in row order, so they agree bit for bit
-// (the NoPipeline reference always takes the row walk: plan.ExtractAll
-// hands it expanded columns). Everything else that meets a run column — an
+// key encode and one lookup per run. Which walk runs is a property of the
+// input the sink observes, not a setting; both create groups in
+// first-appearance order and fold each group's rows in row order, so they
+// agree bit for bit. Everything else that meets a run column — an
 // aggregate argument, a filter predicate, a join key, a gather — reads its
 // raw vector and gets the one lazy expansion.
+//
+// A group holds one state per slot: every COUNT(*) shares one, and so do
+// the aggregates over one plain column — Figure 1's AVG, MIN and MAX of
+// D.sample_value fold it once, as the state keeps count, sums, min and max
+// together. The run walk (a zero-key morsel is one run) hands each stretch
+// of a group's live rows to fold, the sink's one fold entry point: one
+// typed loop over the range or the selection vector for a null-free,
+// non-DISTINCT numeric argument, a row walk for any other. The answers
+// follow row order, not the path:
+//
+//   - MIN and MAX: a group's first live value seeds both bounds; a later
+//     one replaces a bound only by comparing below or above it. So [NaN, 1]
+//     answers NaN, [1, NaN] answers 1, and of -0 and +0 the first stays.
+//   - An integer SUM is exact or the error "exec: SUM(x) overflows int64":
+//     the folds count the int64 total's signed wraps, whose net does not
+//     depend on order. SUM over TIMESTAMP is a type error.
 //
 // # Cache-conscious join and sort structures
 //
@@ -128,12 +142,11 @@
 // The whole-batch functions Filter, Aggregate and Pool.HashJoinMem are the
 // serial reference: the planner's NoPipeline mode runs plans on them one
 // operator at a time, and the oracle tests hold every pipeline to their
-// output bit for bit. Aggregate's ungrouped fold is a plain row loop that
-// shares neither the sink nor its typed range fold with the pipeline, so
-// the oracle for global aggregates is independent of what it checks. The
-// reference has operators of its own but no extractor of its own: its input
-// is the same extraction stream (BatchSource) a pipeline consumes, drained
-// into one full-width batch.
+// output bit for bit. Aggregate is a plain row walk, one state per spec,
+// sharing none of the sink's slots, folds or group walks: the aggregate
+// oracle is independent of what it checks. The reference has no extractor
+// of its own: its input is the same extraction stream (BatchSource) a
+// pipeline consumes, drained into one full-width batch.
 //
 // # Memory governance and determinism
 //

@@ -3,8 +3,11 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/column"
@@ -139,13 +142,18 @@ func FuzzSpillRowCodec(f *testing.F) {
 // arbitrary morsels under arbitrary ascending selection vectors, grouped by
 // nothing, by a flat key or by the same key in run form, and requires its
 // output to equal, bit for bit, the row walk of Aggregate over the selected
-// rows gathered into one flat batch. Each row consumes 2 input bytes. The
-// value byte's top three bits pick a class — 1: NULL, 2: NaN, 3: a
-// fraction, 4: a huge magnitude that overflows the sums, otherwise a small
+// rows gathered into one flat batch — or both to fail with the same error.
+// Each row consumes 2 input bytes. The value byte's top three bits pick a
+// class — 1: NULL, 2: NaN, 3: a fraction, 4: a huge magnitude that
+// overflows the sums (an integer SUM then fails), otherwise a small
 // integer — and its low five the magnitude. The flags byte: bit 0 the row
 // is selected, bit 1 a morsel ends after it, bit 2 a new key run starts at
 // it, bits 3-4 that run's key (3 is the NULL key). mode%3 picks the
-// grouping and mode/3%2 whether morsels carry a selection at all.
+// grouping, mode/3%2 whether morsels carry a selection at all, and mode/6%2
+// whether each morsel's selection is filled to one contiguous range (what a
+// time-window filter leaves). The specs repeat arguments in and out of
+// order, so slots are shared; when the integer SUM overflows, the specs
+// without it are checked again, and any other error fails the test.
 func FuzzAggSinkCuts(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	// A NaN at the head of the second and third morsels, bounds behind it.
@@ -156,6 +164,17 @@ func FuzzAggSinkCuts(f *testing.F) {
 	boundary := bytes.Repeat([]byte{21, 1}, 32_768)
 	boundary[2*16_384], boundary[2*16_385] = 0x40, 17
 	f.Add(boundary, uint8(0))
+	// Null-free, so fold's typed loops run: sparse selections, then one
+	// filled to ranges.
+	f.Add([]byte{21, 1, 22, 0, 23, 1, 24, 3, 25, 1, 26, 0, 27, 1}, uint8(3))
+	f.Add([]byte{21, 1, 22, 0, 23, 1, 24, 3, 25, 1, 26, 0, 27, 1}, uint8(11))
+	// Contiguous selections; a NaN first in a morsel.
+	f.Add([]byte{21, 0, 21, 1, 0x40, 1, 17, 3, 25, 1, 0x40, 1, 0x20, 0, 0x7f, 1, 0x85, 9}, uint8(9))
+	f.Add([]byte{21, 0, 21, 1, 0x40, 1, 17, 3, 25, 5, 0x40, 13, 0x20, 0, 0x7f, 1, 0x85, 9}, uint8(11))
+	// 3 × 15<<58 overflows the integer SUM; 3 × -16<<58 + 2 × 15<<58 wraps
+	// and comes back, exact.
+	f.Add([]byte{0x9f, 1, 0x9f, 1, 0x9f, 1}, uint8(0))
+	f.Add([]byte{0x80, 1, 0x80, 3, 0x80, 1, 0x9f, 1, 0x9f, 1}, uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		n := min(len(data)/2, 40_000)
 		fls, ints, nulls := make([]float64, n), make([]int64, n), make([]bool, n)
@@ -191,9 +210,29 @@ func FuzzAggSinkCuts(f *testing.F) {
 				sel = append(sel, int32(i))
 			}
 		}
+		if mode/6%2 == 1 { // fill each morsel's selection from its first to its last row
+			var filled []int32
+			for a := 0; a < len(sel); {
+				end := int(sel[a]) // the last row of sel[a]'s morsel
+				for end < n-1 && data[2*end+1]&2 == 0 {
+					end++
+				}
+				b := a
+				for b < len(sel) && int(sel[b]) <= end {
+					b++
+				}
+				for r := sel[a]; r <= sel[b-1]; r++ {
+					filled = append(filled, r)
+				}
+				a = b
+			}
+			sel = filled
+		}
 		fc, ic := column.NewFloat64s("f", fls), column.NewInt64s("i", ints)
-		fc.SetNulls(nulls)
-		ic.SetNulls(nulls)
+		if slices.Contains(nulls, true) { // else no null vector: fold's typed loops
+			fc.SetNulls(nulls)
+			ic.SetNulls(nulls)
+		}
 		runKey := keys.Repeat(runRows, runCounts)
 		flat := column.MustNewBatch(fc, ic, column.NewInt64s("k", runKey.Int64s()))
 		flat.ColAt(2).SetNulls(runKey.Nulls())
@@ -210,53 +249,68 @@ func FuzzAggSinkCuts(f *testing.F) {
 		aggs := []AggSpec{
 			{Func: "COUNT", Star: true, OutName: "n"},
 			{Func: "SUM", Arg: arg("f"), OutName: "sum_f"},
+			{Func: "COUNT", Arg: arg("f"), OutName: "cnt_f"},
 			{Func: "AVG", Arg: arg("f"), OutName: "avg_f"},
 			{Func: "MIN", Arg: arg("f"), OutName: "min_f"},
 			{Func: "MAX", Arg: arg("f"), OutName: "max_f"},
 			{Func: "COUNT", Arg: arg("f"), Distinct: true, OutName: "dist_f"},
+			{Func: "SUM", Arg: arg("f"), Distinct: true, OutName: "dsum_f"},
+			{Func: "MIN", Arg: arg("i"), OutName: "min_i"},
 			{Func: "SUM", Arg: arg("i"), OutName: "sum_i"},
 			{Func: "AVG", Arg: arg("i"), OutName: "avg_i"},
-			{Func: "MIN", Arg: arg("i"), OutName: "min_i"},
+			{Func: "SUM", Arg: arg("f"), OutName: "sum_f2"},
 			{Func: "MAX", Arg: arg("i"), OutName: "max_i"},
 		}
-
 		live := flat
 		if withSel {
 			live = flat.Gather(sel)
 		}
-		ref, err := Aggregate(live, groupBy, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		sink, err := NewAggSink(in.Range(0, 0), groupBy, aggs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := 0 // sel[p:] are the selected rows at or past lo
-		for lo := 0; lo < n; {
-			hi := lo + 1
-			for hi < n && data[2*hi-1]&2 == 0 {
-				hi++
+		for pass, aggs := range [][]AggSpec{aggs, slices.Delete(slices.Clone(aggs), 9, 10)} {
+			ref, refErr := Aggregate(live, groupBy, aggs)
+			out, err := sinkCuts(in, data, groupBy, aggs, withSel, sel)
+			if fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Fatalf("mode %d, %d rows: the sink fails with %v, the row walk with %v", mode, n, err, refErr)
 			}
-			m := Morsel{B: in.Range(lo, hi)}
-			if withSel {
-				m.Sel = []int32{}
-				for ; p < len(sel) && int(sel[p]) < hi; p++ {
-					m.Sel = append(m.Sel, sel[p]-int32(lo))
-				}
+			if err != nil && pass == 0 && strings.Contains(err.Error(), "overflows int64") {
+				continue // the SUM(i) overflow: check the rest without it
 			}
-			if err := sink.Consume(m); err != nil {
-				t.Fatal(err)
+			if err != nil {
+				t.Fatalf("mode %d, %d rows, pass %d: %v", mode, n, pass, err)
 			}
-			lo = hi
-		}
-		out, err := sink.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := renderBits(out), renderBits(ref); got != want {
-			t.Fatalf("mode %d, %d rows: the sink diverged from the row walk\nwant:\n%s\ngot:\n%s", mode, n, want, got)
+			if got, want := renderBits(out), renderBits(ref); got != want {
+				t.Fatalf("mode %d, %d rows: the sink diverged from the row walk\nwant:\n%s\ngot:\n%s", mode, n, want, got)
+			}
+			break
 		}
 	})
+}
+
+// sinkCuts folds in through an AggSink, cutting a morsel after each row
+// whose flags byte in data has bit 1 set and, withSel, handing each morsel
+// its part of sel.
+func sinkCuts(in *column.Batch, data []byte, groupBy []sql.Expr, aggs []AggSpec, withSel bool, sel []int32) (*column.Batch, error) {
+	n := in.NumRows()
+	sink, err := NewAggSink(in.Range(0, 0), groupBy, aggs, nil)
+	if err != nil {
+		return nil, err
+	}
+	p := 0 // sel[p:] are the selected rows at or past lo
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && data[2*hi-1]&2 == 0 {
+			hi++
+		}
+		m := Morsel{B: in.Range(lo, hi)}
+		if withSel {
+			m.Sel = []int32{}
+			for ; p < len(sel) && int(sel[p]) < hi; p++ {
+				m.Sel = append(m.Sel, sel[p]-int32(lo))
+			}
+		}
+		if err := sink.Consume(m); err != nil {
+			return nil, err
+		}
+		lo = hi
+	}
+	return sink.Finish()
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -448,7 +449,9 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 // left to right, so float accumulation and group first-appearance order
 // match the serial engine exactly at every morsel size and worker count. A
 // global (ungrouped) aggregate is the group of zero key columns, created up
-// front (SQL's one row over zero rows) and folded like any other.
+// front (SQL's one row over zero rows) and folded like any other. Each
+// group holds one state per slot (aggSlots), and each slot's argument is
+// evaluated once per morsel.
 //
 // Grouping is hash-based with two key paths: a single integer-family key
 // indexes a map[int64] directly (nulls get a dedicated group), and
@@ -456,8 +459,8 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 // fixed-width numeric encoding, whose map[string] lookups do not allocate.
 // Either is walked once per row — or, when every key column of the morsel
 // arrives in constant-run form (the F.* and R.* columns of the universal
-// table), once per run: one lookup for the run, then each aggregate folded
-// over the run's rows in one typed loop (consumeRuns). Zero key columns are
+// table), once per run: one lookup for the run, then each slot folded over
+// the run's live rows by one fold call (consumeRuns). Zero key columns are
 // trivially all in run form: the whole morsel is one stretch of the one
 // group. Both walks create groups in first-appearance order and fold each
 // group's rows in row order, so they produce the same bits.
@@ -469,6 +472,8 @@ func (s *CollectSink) Finish() (*column.Batch, error) {
 type AggSink struct {
 	groupBy []sql.Expr
 	aggs    []AggSpec
+	slots   []AggSpec // one spec per distinct argument
+	slot    []int     // aggs[i] reads its state at slot[i]
 	grant   *mem.Grant
 
 	intKey      bool
@@ -494,18 +499,21 @@ type AggSink struct {
 // argument types before any data flows. The caller must Close the sink on
 // every path (Finish does so itself).
 func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *QueryMem) (*AggSink, error) {
-	keyCols, args, err := evalAggInputs(proto, groupBy, aggs)
+	slots, slot := aggSlots(aggs)
+	keyCols, args, err := evalAggInputs(proto, groupBy, slots)
 	if err != nil {
 		return nil, err
 	}
 	s := &AggSink{
 		groupBy:   groupBy,
 		aggs:      aggs,
+		slots:     slots,
+		slot:      slot,
 		grant:     qm.Ledger().NewGrant(),
 		protoArgs: args,
 		nullGrp:   -1,
 	}
-	for _, a := range aggs {
+	for _, a := range slots {
 		s.hasDistinct = s.hasDistinct || a.Distinct
 	}
 	s.intKey = intKeyed(groupBy, keyCols)
@@ -522,7 +530,7 @@ func NewAggSink(proto *column.Batch, groupBy []sql.Expr, aggs []AggSpec, qm *Que
 	if len(groupBy) == 0 {
 		// The global group exists before any row does, under the empty key
 		// runGroup encodes for zero key columns.
-		s.groups = []aggGroup{{states: make([]aggState, len(aggs))}}
+		s.groups = []aggGroup{{states: make([]aggState, len(slots))}}
 		s.idxGen[""] = 0
 	}
 	return s, nil
@@ -562,7 +570,7 @@ func foldRow(states []aggState, args []aggArg, row int, distinct bool) int64 {
 
 // Consume implements PipeSink.
 func (s *AggSink) Consume(m Morsel) error {
-	keyCols, args, err := evalAggInputs(m.B, s.groupBy, s.aggs)
+	keyCols, args, err := evalAggInputs(m.B, s.groupBy, s.slots)
 	if err != nil {
 		return err
 	}
@@ -596,9 +604,9 @@ func liveRow(sel []int32, i int) int {
 func (s *AggSink) addGroup(keyLen int) int {
 	s.groups = append(s.groups, aggGroup{
 		firstRow: int32(len(s.groups)),
-		states:   make([]aggState, len(s.aggs)),
+		states:   make([]aggState, len(s.slots)),
 	})
-	s.grown += aggGroupBytes(len(s.aggs), keyLen)
+	s.grown += aggGroupBytes(len(s.slots), keyLen)
 	return len(s.groups) - 1
 }
 
@@ -682,12 +690,11 @@ func (s *AggSink) keyRuns(keyCols []*column.Column) bool {
 }
 
 // consumeRuns folds one morsel of n rows whose key columns are all in run
-// form (s.keys). It walks the merged run
-// boundaries: between two of them every key is constant, so the rows there
-// — those sel keeps, when a filter refined the morsel — share one group,
-// found with one key encode and one lookup, and each aggregate folds over
-// them in one loop. A stretch no live row falls in creates no group, as in
-// the row walk.
+// form (s.keys). It walks the merged run boundaries: between two of them
+// every key is constant, so the rows there — those sel keeps, when a filter
+// refined the morsel — share one group, found with one key encode and one
+// lookup, and each slot folds over them in one fold call. A stretch no live
+// row falls in creates no group, as in the row walk.
 func (s *AggSink) consumeRuns(args []aggArg, sel []int32, n int) error {
 	keys := s.keys
 	p := 0 // sel[p:] are the live rows at or past lo
@@ -696,9 +703,10 @@ func (s *AggSink) consumeRuns(args []aggArg, sel []int32, n int) error {
 		for k := range keys {
 			hi = min(hi, int(keys[k].ends[keys[k].x]))
 		}
-		q := p
-		for sel != nil && q < len(sel) && int(sel[q]) < hi {
-			q++
+		q := p // sel[p:q] are the live rows below hi
+		if sel != nil {
+			j, _ := slices.BinarySearch(sel[p:], int32(hi))
+			q += j
 		}
 		if sel == nil || q > p {
 			gi, err := s.runGroup()
@@ -714,13 +722,7 @@ func (s *AggSink) consumeRuns(args []aggArg, sel []int32, n int) error {
 				before = seenEntries(states)
 			}
 			for i := range args {
-				if sel == nil {
-					foldRange(&states[i], &args[i], lo, hi)
-					continue
-				}
-				for _, row := range sel[p:q] {
-					updateOneAgg(&states[i], &args[i], int(row))
-				}
+				fold(&states[i], &args[i], sel[p:q], lo, hi) // nil sel: p = q = 0
 			}
 			if s.hasDistinct {
 				s.grown += (seenEntries(states) - before) * distinctSeenBytes
@@ -780,5 +782,5 @@ func (s *AggSink) Finish() (*column.Batch, error) {
 	defer s.Close()
 	// groups are in creation order = first-appearance order, with firstRow
 	// indexing the captured key columns.
-	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, s.groups)
+	return buildAggOutput(s.captured, s.groupBy, s.protoArgs, s.aggs, s.slot, s.groups)
 }

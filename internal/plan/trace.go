@@ -45,7 +45,9 @@ func (t *timedStage) Process(m exec.Morsel) (exec.Morsel, error) {
 
 func (t *timedStage) Rows() (int64, int64) { return t.inner.Rows() }
 
-// timedSink wraps a pipeline sink the same way.
+// timedSink wraps a pipeline sink the same way, and counts the rows it was
+// handed: the span covers every Consume and the Finish that builds the
+// output, so the sink's whole cost lands on it.
 type timedSink struct {
 	inner exec.PipeSink
 	sp    *obs.Span
@@ -55,7 +57,12 @@ func (t *timedSink) Consume(m exec.Morsel) error {
 	t0 := time.Now()
 	err := t.inner.Consume(m)
 	t.sp.Add(time.Since(t0))
+	t.sp.AddRows(int64(m.Rows()))
 	return err
 }
 
-func (t *timedSink) Finish() (*column.Batch, error) { return t.inner.Finish() }
+func (t *timedSink) Finish() (*column.Batch, error) {
+	t0 := time.Now()
+	defer func() { t.sp.Add(time.Since(t0)) }()
+	return t.inner.Finish()
+}

@@ -118,6 +118,43 @@ func TestSpanCoverage(t *testing.T) {
 	}
 }
 
+// TestSinkSpanRows: a pipeline sink's span counts the rows handed to it —
+// the outer pipeline's "stage aggregate" the rows COUNT(*) counted, its
+// "stage collect" the rows of the answer.
+func TestSinkSpanRows(t *testing.T) {
+	w := openWH(t, genRepo(t, 4000), Lazy)
+	find := func(ns []*obs.SpanNode, name string) *obs.SpanNode {
+		for _, n := range ns {
+			if n.Name == name {
+				return n
+			}
+		}
+		return nil
+	}
+	const where = " FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 0"
+	agg, err := w.Query("SELECT COUNT(*)" + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := w.Query("SELECT D.sample_value" + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := agg.Batch.Row(0)[0].I
+	if n == 0 || int64(rows.Batch.NumRows()) != n {
+		t.Fatalf("COUNT(*) = %d, %d rows", n, rows.Batch.NumRows())
+	}
+	for _, c := range []struct {
+		res  *Result
+		span string
+	}{{agg, "stage aggregate"}, {rows, "stage collect"}} {
+		execute := find(c.res.Trace.Spans.Children, "execute")
+		if sp := find(execute.Children, c.span); sp == nil || sp.Rows != n || sp.Nanos <= 0 {
+			t.Errorf("%s span %+v, want %d rows and a duration\n%s", c.span, sp, n, obs.Render(c.res.Trace.Spans))
+		}
+	}
+}
+
 // TestSlowQueryLog checks SlowQueryThreshold: with a 1ns threshold every
 // query is slow, so the operation log gains a warn-severity "slow" entry
 // carrying the rendered span tree, and the slow-query counter moves.

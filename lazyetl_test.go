@@ -1,6 +1,8 @@
 package lazyetl_test
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,9 @@ import (
 	"time"
 
 	lazyetl "repro"
+	"repro/internal/column"
+	"repro/internal/exec"
+	"repro/internal/sql"
 )
 
 // genRepo builds a small deterministic repository for public-API tests.
@@ -233,5 +238,91 @@ func TestPublicAPIRefreshAfterUpdate(t *testing.T) {
 	}
 	if len(res.Trace.TouchedFiles) != 1 || !strings.Contains(res.Trace.TouchedFiles[0], "WIT") {
 		t.Errorf("touched %v, want only the WIT file", res.Trace.TouchedFiles)
+	}
+}
+
+// TestSumOverflow: an integer SUM answers its exact value or fails — it
+// never wraps. On genRepo's default repository SUM(D.sample_time) over ISK's
+// 12,000 rows used to answer -4,170,228,739,251,428,553; SUM over TIMESTAMP
+// is now a type error, through the pipeline and the NoPipeline reference
+// alike. Over an Int64 column the sink (whole, cut into one-row morsels,
+// under a selection, grouped) and the reference agree: a running total that
+// wraps and comes back is exact, MaxInt64 + 1 is an error naming the SUM.
+func TestSumOverflow(t *testing.T) {
+	dir := genRepo(t, lazyetl.RepoConfig{})
+	for _, oracle := range []lazyetl.Oracle{0, lazyetl.NoPipeline} {
+		w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy, Oracle: oracle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := w.Query("SELECT SUM(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK'"); err == nil {
+			t.Errorf("oracle %d: SUM(D.sample_time) answered %v, want a type error", oracle, res.Batch.Row(0))
+		} else if !strings.Contains(err.Error(), "SUM over TIMESTAMP") {
+			t.Errorf("oracle %d: SUM(D.sample_time): %v, want a type error", oracle, err)
+		}
+	}
+
+	const top = math.MaxInt64
+	aggs := []exec.AggSpec{
+		{Func: "MIN", Arg: &sql.ColumnRef{Name: "x"}, OutName: "min_x"},
+		{Func: "SUM", Arg: &sql.ColumnRef{Name: "x"}, OutName: "sum_x"},
+	}
+	for _, tc := range []struct {
+		vals []int64
+		want string // the SUM, or the error
+	}{
+		{[]int64{top, 1}, "exec: SUM(x) overflows int64"},
+		{[]int64{-top, -1, -1}, "exec: SUM(x) overflows int64"},
+		{[]int64{top, 1, -2}, fmt.Sprint(int64(top - 1))},
+		{[]int64{top, top, top, -top, -top, -top, 7}, "7"},
+		{[]int64{-top, -1, 1}, fmt.Sprint(int64(-top))},
+	} {
+		n := len(tc.vals)
+		b := column.MustNewBatch(column.NewInt64s("x", tc.vals), column.NewInt64s("k", make([]int64, n)))
+		// The same values at the even rows of twice as many, for a sparse selection.
+		spread := make([]int64, 2*n)
+		for i, v := range tc.vals {
+			spread[2*i], spread[2*i+1] = v, top/3
+		}
+		sb := column.MustNewBatch(column.NewInt64s("x", spread), column.NewInt64s("k", make([]int64, 2*n)))
+		var runs []string
+		for _, groupBy := range [][]sql.Expr{nil, {&sql.ColumnRef{Name: "k"}}} {
+			sum := func(out *column.Batch, err error) string {
+				if err != nil {
+					return err.Error()
+				}
+				return out.ColAt(out.NumCols() - 1).Value(0).String()
+			}
+			runs = append(runs, sum(exec.Aggregate(b, groupBy, aggs)))
+			for _, cut := range []int{n, 1} {
+				// Every row, every row under a selection, every other row of sb.
+				for step := 0; step <= 2; step++ {
+					in, rows, width := b, n, cut
+					if step == 2 {
+						in, rows, width = sb, 2*n, 2*cut
+					}
+					s, err := exec.NewAggSink(in.Range(0, 0), groupBy, aggs, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for lo := 0; lo < rows; lo += width {
+						hi := min(lo+width, rows)
+						m := exec.Morsel{B: in.Range(lo, hi)}
+						for r := 0; step > 0 && r < hi-lo; r += step {
+							m.Sel = append(m.Sel, int32(r))
+						}
+						if err := s.Consume(m); err != nil {
+							t.Fatal(err)
+						}
+					}
+					runs = append(runs, sum(s.Finish()))
+				}
+			}
+		}
+		for i, got := range runs {
+			if got != tc.want {
+				t.Errorf("SUM%v, fold %d of %d: %s, want %s", tc.vals, i, len(runs), got, tc.want)
+			}
+		}
 	}
 }
