@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -193,7 +194,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
   \cache            recycler contents and statistics               (demo point 7)
   \log [level] [n]  last n log entries (default 20), optionally at or above
                     a severity: \log error, \log warn 50           (demo point 8)
-  \stats            warehouse statistics                           (demo points 1, 3)
+  \stats            warehouse statistics as JSON (GET /stats)      (demo points 1, 3)
   \compare <sql>    run against a fresh eager warehouse and compare (demo point 3)
   \refresh          re-synchronize with the repository
   \quit             exit
@@ -380,62 +381,13 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 				e.Seq, e.At.Format("15:04:05.000"), e.Level, e.Op, e.Detail)
 		}
 	case `\stats`:
-		st := w.Stats()
-		ist := w.InitStats()
-		fmt.Printf("mode: %v\ninitial load: %d files, %d records, %d samples, %v, %d bytes read\n",
-			st.Mode, ist.Files, ist.Records, ist.Samples, ist.Duration, ist.BytesRead)
-		fmt.Printf("store: files=%d records=%d data=%d rows, %d bytes\n",
-			st.FilesRows, st.RecordsRows, st.DataRows, st.StoreBytes)
-		fmt.Printf("cache: %d entries, %d bytes (%s)\n", st.CacheEntries, st.CacheBytes, st.CacheStats)
-		qc := st.QueryCache
-		fmt.Printf("query cache: plans hits=%d misses=%d entries=%d; results hits=%d misses=%d entries=%d bytes=%d evictions=%d invalidations=%d declined=%d/%dB\n",
-			qc.PlanHits, qc.PlanMisses, qc.PlanEntries,
-			qc.ResultHits, qc.ResultMisses, qc.ResultEntries, qc.ResultBytes,
-			qc.ResultEvictions, qc.ResultInvalidations, qc.ResultDeclined, qc.ResultDeclinedBytes)
-		fmt.Printf("extraction: %d records extracted, %d cache reads, %d files opened, %d bytes read\n",
-			st.Extraction.Extractions, st.Extraction.CacheReads,
-			st.Extraction.FilesTouched, st.Extraction.BytesRead)
-		if st.Extraction.RunsRead > 0 {
-			fmt.Printf("extraction runs: %d coalesced reads, %.1f records/run, %v decoding\n",
-				st.Extraction.RunsRead,
-				float64(st.Extraction.RunRecords)/float64(st.Extraction.RunsRead),
-				time.Duration(st.Extraction.DecodeNanos).Round(time.Microsecond))
+		// The document GET /stats serves under "warehouse".
+		b, err := json.MarshalIndent(w.Stats(), "", "  ")
+		if err != nil {
+			fmt.Println("error:", err)
+			break
 		}
-		if st.Extraction.RecordsSkipped > 0 || st.Extraction.RunsSkipped > 0 ||
-			st.Exec.ScanRowsSkipped > 0 || st.Exec.JoinReorders > 0 {
-			fmt.Printf("skipping: %d records pruned before decode (%d runs never read), %d scan rows skipped (%d zone ranges), %d join reorders\n",
-				st.Extraction.RecordsSkipped, st.Extraction.RunsSkipped,
-				st.Exec.ScanRowsSkipped, st.Exec.ScanRangesSkipped, st.Exec.JoinReorders)
-		}
-		if st.Extraction.PrefetchedRuns > 0 || st.Extraction.PrefetchStallNanos > 0 {
-			fmt.Printf("prefetch: %d runs decoded ahead of the pipeline, %v consumer stall\n",
-				st.Extraction.PrefetchedRuns,
-				time.Duration(st.Extraction.PrefetchStallNanos).Round(time.Microsecond))
-		}
-		fmt.Printf("exec: %d joins (%d partitions, %d parallel builds, %d build + %d probe rows -> %d matches), %d radix + %d comparator sorts (%d rows, %d runs merged)\n",
-			st.Exec.JoinBuilds, st.Exec.JoinBuildPartitions, st.Exec.JoinParallelBuilds,
-			st.Exec.JoinBuildRows, st.Exec.JoinProbeRows, st.Exec.JoinMatches,
-			st.Exec.RadixSorts, st.Exec.ComparatorSorts, st.Exec.SortRows, st.Exec.SortRunsMerged)
-		if st.Exec.Pipelines > 0 {
-			sel := ""
-			if st.Exec.FilterRowsIn > 0 {
-				sel = fmt.Sprintf("; filter stages kept %d of %d rows (%.1f%%)",
-					st.Exec.FilterRowsOut, st.Exec.FilterRowsIn,
-					100*float64(st.Exec.FilterRowsOut)/float64(st.Exec.FilterRowsIn))
-			}
-			fmt.Printf("pipelines: %d pushed (%d morsels)%s\n",
-				st.Exec.Pipelines, st.Exec.PipelineMorsels, sel)
-		}
-		budget := "unlimited"
-		if st.Mem.Budget > 0 {
-			budget = fmt.Sprintf("%d bytes", st.Mem.Budget)
-		}
-		fmt.Printf("mem: budget=%s used=%d high-water=%d denials=%d; spill: %d join partitions (%d rows, %d bytes, %v)\n",
-			budget, st.Mem.Used, st.Mem.HighWater, st.Mem.Denials,
-			st.Exec.JoinPartitionsSpilled,
-			st.Exec.RowsSpilled, st.Exec.BytesSpilled,
-			time.Duration(st.Exec.SpillNanos).Round(time.Microsecond))
-		fmt.Printf("queries: %d\n", st.Queries)
+		fmt.Println(string(b))
 	case `\compare`:
 		if rest == "" {
 			fmt.Println("usage: \\compare <sql>")

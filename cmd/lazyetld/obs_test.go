@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -106,6 +108,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lazyetl_query_duration_seconds_count{class="cold"}`,
 		`lazyetl_query_duration_seconds_bucket{class="cold",le="+Inf"}`,
 		"lazyetl_queries_total",
+		"lazyetl_admit_wait_seconds_count",
+		`lazyetl_admit_wait_seconds_bucket{le="+Inf"}`,
 		"lazyetl_query_errors_total",
 		"lazyetl_result_cache_hits_total",
 		"lazyetl_extract_records_total",
@@ -119,6 +123,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples["lazyetl_queries_total"] < 1 {
 		t.Errorf("lazyetl_queries_total = %v after a query", samples["lazyetl_queries_total"])
+	}
+	if got, want := samples["lazyetl_admit_wait_seconds_count"], samples["lazyetl_queries_total"]; got != want {
+		t.Errorf("lazyetl_admit_wait_seconds_count = %v, want one per admitted query (%v)", got, want)
 	}
 	if samples["lazyetl_ready"] != 1 {
 		t.Errorf("lazyetl_ready = %v, want 1", samples["lazyetl_ready"])
@@ -318,4 +325,124 @@ func TestConcurrentScrapes(t *testing.T) {
 			t.Errorf("class %s: +Inf bucket %v != count %v", class, inf, count)
 		}
 	}
+}
+
+// TestStatsWireContract pins the GET /stats paths benchmark/client.go
+// decodes by field name (its counters type): a renamed or deleted field
+// would read as zero there, silently. CacheStats stays a string only
+// because that client scans it.
+func TestStatsWireContract(t *testing.T) {
+	srv, _ := testServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if resp, _ := postQuery(t, ts, testQ); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d", resp.StatusCode)
+	}
+	_, body := getBody(t, ts, "/stats")
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(path string) (any, bool) {
+		var v any = doc
+		for _, key := range strings.Split(path, ".") {
+			m, ok := v.(map[string]any)
+			if !ok {
+				return nil, false
+			}
+			if v, ok = m[key]; !ok {
+				return nil, false
+			}
+		}
+		return v, true
+	}
+	paths := []string{"server.rejected", "warehouse.StoreBytes", "warehouse.CacheBytes", "warehouse.CacheStats"}
+	for block, fields := range map[string][]string{
+		"QueryCache": {"PlanHits", "PlanMisses", "ResultHits", "ResultMisses", "ResultEvictions", "ResultInvalidations"},
+		"Extraction": {"Extractions", "CacheReads", "BytesRead", "SamplesServed", "RunsRead", "RunRecords", "RecordsSkipped"},
+		"Exec":       {"Pipelines", "FilterRowsIn", "FilterRowsOut", "ScanRowsSkipped", "JoinReorders", "BytesSpilled", "SpillNanos"},
+		"Mem":        {"HighWater", "Denials"},
+	} {
+		for _, f := range fields {
+			paths = append(paths, "warehouse."+block+"."+f)
+		}
+	}
+	for _, p := range paths {
+		if _, ok := lookup(p); !ok {
+			t.Errorf("GET /stats has no %s", p)
+		}
+	}
+	cs, _ := lookup("warehouse.CacheStats")
+	line, _ := cs.(string)
+	var hits, misses, evictions, inval, declined, declinedBytes int64
+	if n, err := fmt.Sscanf(line, "hits=%d misses=%d evictions=%d invalidations=%d declined=%d/%dB",
+		&hits, &misses, &evictions, &inval, &declined, &declinedBytes); n != 6 || err != nil {
+		t.Errorf("CacheStats %q scans %d of 6 fields: %v", line, n, err)
+	}
+	if files, _ := lookup("warehouse.Init.Files"); files == nil || files.(float64) <= 0 {
+		t.Errorf("warehouse.Init.Files = %v, want the initial load's file count", files)
+	}
+}
+
+// TestMetricsREADMETable checks README.md's /metrics table against a live
+// scrape, family by family, in both directions.
+func TestMetricsREADMETable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "## `GET /metrics`")
+	table, _, _ = strings.Cut(table, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			for _, fam := range expandBraces(m[1]) {
+				documented[fam] = true
+			}
+		}
+	}
+
+	srv, _ := testServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	_, body := getBody(t, ts, "/metrics")
+	scraped := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			scraped[f[2]] = true
+		}
+	}
+	for fam := range scraped {
+		if !documented[fam] {
+			t.Errorf("README.md has no /metrics row for %s", fam)
+		}
+	}
+	for fam := range documented {
+		if !scraped[fam] {
+			t.Errorf("README.md documents %s, which /metrics does not export", fam)
+		}
+	}
+}
+
+// expandBraces expands the `{a,b}` groups of a README metric name into one
+// family name per alternative; a group holding '=' (`{class=}`) names the
+// labels of one family and is dropped.
+func expandBraces(name string) []string {
+	open := strings.IndexByte(name, '{')
+	if open < 0 {
+		return []string{name}
+	}
+	end := open + strings.IndexByte(name[open:], '}')
+	group, rest := name[open+1:end], name[end+1:]
+	if strings.Contains(group, "=") {
+		return expandBraces(name[:open] + rest)
+	}
+	var out []string
+	for _, alt := range strings.Split(group, ",") {
+		out = append(out, expandBraces(name[:open]+alt+rest)...)
+	}
+	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/column"
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
@@ -150,111 +149,6 @@ func BenchmarkExtractStream(b *testing.B) {
 			})
 		}
 	}
-}
-
-var assembleSink *column.Batch
-
-// BenchmarkAssemble times the universal-table layout alone — the `assemble`
-// span of a lazy query — over the full 22-column metadata of every record,
-// in the morsel-sized chunks the stream emits. The recycler is warmed first
-// and the segments are taken from it before the timer starts, so no read,
-// decode or cache lookup is measured. wide lays out all 24 columns, narrow
-// the two a Figure-1 Q2 reads (F.station, D.sample_value); gather is the
-// layout narrow replaced — a per-sample selection vector index-gathered
-// through every metadata column — kept here as wide's yardstick. SetBytes
-// is the bytes the laid-out rows stand for per pass (8 per numeric value,
-// 16 per string header): gather writes them all, wide and narrow write the
-// D.* vectors and hand the metadata columns over as constant runs.
-func BenchmarkAssemble(b *testing.B) {
-	e, _ := benchEngine(b, Options{})
-	meta := dataviewMeta(b, e.store, `SELECT * FROM mseed.dataview`)
-	if _, err := e.Extract(meta, nil, plan.NopObserver{}); err != nil {
-		b.Fatal(err)
-	}
-	sink, runs, err := e.prepare(meta, nil, plan.NopObserver{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(runs) != 0 {
-		b.Fatalf("%d runs missed the warmed recycler", len(runs))
-	}
-	var chunks [][]segment
-	samples := exec.DefaultMorselRows
-	for i, ent := range sink.entries {
-		if samples >= exec.DefaultMorselRows {
-			chunks, samples = append(chunks, nil), 0
-		}
-		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], segment{row: int32(i), ent: ent})
-		samples += len(ent.Values)
-	}
-
-	written := func(out *column.Batch) (n int64) {
-		for c := 0; c < out.NumCols(); c++ {
-			width := int64(8)
-			if out.ColAt(c).Type() == column.String {
-				width = 16
-			}
-			n += width * int64(out.NumRows())
-		}
-		return n
-	}
-	run := func(name string, lay func(segs []segment) *column.Batch) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes = 0
-				for _, segs := range chunks {
-					assembleSink = lay(segs)
-					bytes += written(assembleSink)
-				}
-			}
-			b.SetBytes(bytes)
-		})
-	}
-	for _, w := range []struct {
-		name string
-		cols []string
-	}{{"wide", nil}, {"narrow", []string{"F.station", "D.sample_value"}}} {
-		proto, err := plan.ExtractProto(meta, w.cols)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(w.name, func(segs []segment) *column.Batch {
-			out, err := layout(meta, proto, segs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return out
-		})
-	}
-	run("gather", func(segs []segment) *column.Batch {
-		total := 0
-		for _, sg := range segs {
-			total += len(sg.ent.Values)
-		}
-		sel := make([]int32, total)
-		dTimes := make([]int64, total)
-		dValues := make([]float64, total)
-		k := 0
-		for _, sg := range segs {
-			n := len(sg.ent.Values)
-			sampleTimes(dTimes[k:k+n], sg.ent.Start, sg.ent.Rate)
-			copy(dValues[k:], sg.ent.Values)
-			for range sg.ent.Values {
-				sel[k] = sg.row
-				k++
-			}
-		}
-		out := meta.Gather(sel)
-		if err := out.AddColumn(column.NewTimestamps("D.sample_time", dTimes)); err != nil {
-			b.Fatal(err)
-		}
-		if err := out.AddColumn(column.NewFloat64s("D.sample_value", dValues)); err != nil {
-			b.Fatal(err)
-		}
-		return out
-	})
 }
 
 // fleetEngine builds an engine over the serving benchmark's fleet shape: 9

@@ -178,7 +178,7 @@ func (o *runOut) flush(obs plan.Observer) {
 	e.cache.AdmitRun(fs.uri, o.seqnos, o.ents)
 	e.xstats.extractions.Add(int64(len(o.ents)))
 	e.xstats.runRecords.Add(int64(len(o.ents)))
-	plan.ReportOps(obs, "ExtractRecord", o.ops)
+	obs.InjectedOps("ExtractRecord", o.ops)
 }
 
 // Extract returns the universal table of meta in one batch at full width:
@@ -298,7 +298,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 		missIdx = append(missIdx, i)
 	}
 	e.xstats.cacheReads.Add(cacheHits)
-	plan.ReportOps(obs, "CacheRead", hitOps)
+	obs.InjectedOps("CacheRead", hitOps)
 
 	runs := e.coalesce(missIdx, uris, offs, recLens, states)
 	for i := range sink.rowRun {
@@ -339,7 +339,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 					len(prunedIdx), n, runsSkipped))
 			}
 		}
-		plan.ReportScan(obs, plan.ScanReport{
+		obs.ScanReport(plan.ScanReport{
 			Target:         "extract",
 			Runs:           int64(len(runs)),
 			RunsSkipped:    int64(runsSkipped),
@@ -366,7 +366,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 			})
 		}
 		sort.Slice(stamps, func(i, j int) bool { return stamps[i].URI < stamps[j].URI })
-		plan.ReportStamps(obs, stamps)
+		obs.FileStamps(stamps)
 	}
 
 	return sink, runs, nil
@@ -607,7 +607,7 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 		return fmt.Errorf("etl: prefetch %s: %w; metadata is stale, refresh the warehouse", fs.uri, err)
 	}
 	if !sink.quiet {
-		obs.InjectedOp("ExtractFile", fmt.Sprintf("%s (%d records)", fs.uri, len(infos)))
+		obs.InjectedOps("ExtractFile", []string{fmt.Sprintf("%s (%d records)", fs.uri, len(infos))})
 	}
 	total := 0
 	for _, ri := range infos {

@@ -74,7 +74,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
-	ext := plan.TraceSpan(obs).Child("extract-stream")
+	ext := obs.TraceSpan().Child("extract-stream")
 	sink, runs, err := e.prepare(meta, prune, obs)
 	if err != nil {
 		return nil, err

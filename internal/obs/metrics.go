@@ -53,11 +53,14 @@ func (c QueryClass) Label() string {
 }
 
 // Metrics is the warehouse's always-on observability state: per-class
-// latency histograms plus error and slow-query counters. Unlike trace
-// spans (off under the NoTrace oracle), these stay on — the cost is one
-// histogram Observe per served query.
+// latency histograms, the admission-wait histogram, and error and
+// slow-query counters. Unlike trace spans (off under the NoTrace oracle),
+// these stay on — the cost is two histogram Observes per served query.
 type Metrics struct {
-	Query  [NumClasses]Histogram
+	Query [NumClasses]Histogram
+	// Admit is the time a query waited to be admitted: for an admission
+	// slot, then for the snapshot lock a Refresh holds while it drains.
+	Admit  Histogram
 	Errors atomic.Int64 // queries that returned an error
 	Slow   atomic.Int64 // queries at or over the slow-query threshold
 }

@@ -44,48 +44,40 @@ type ExtractSource interface {
 	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
-// Observer receives the run-time injected operators and operational events.
+// Observer is everything one query's execution reports, plan operators and
+// the ExtractSource alike. It has two implementations: NopObserver, and the
+// warehouse's per-query observer, which files operators and events in the
+// query's trace and the operation log, scan tallies in Trace.Scans, and
+// stamps in the result cache's re-validation key. Implementations must be
+// safe for concurrent use: lazy extraction reports from its prefetch
+// workers as well as from its consumer.
 type Observer interface {
-	// InjectedOp records one operator injected by the run-time rewrite
-	// (e.g. "CacheRead" or "ExtractFile") with a human-readable detail.
-	InjectedOp(kind, detail string)
+	// InjectedOps records the operators one step of the run-time rewrite
+	// injected (e.g. "CacheRead" or "ExtractFile"), one per human-readable
+	// detail, in order; an empty details slice records nothing.
+	InjectedOps(kind string, details []string)
 	// Event records a general operational log entry.
 	Event(op, detail string)
-}
-
-// OpBatchObserver is an optional extension of Observer: observers that
-// implement it receive the injected operators of one extraction run in one
-// call, in order, instead of one InjectedOp call (and one lock round-trip)
-// per record.
-type OpBatchObserver interface {
-	InjectedOps(kind string, details []string)
-}
-
-// ReportOps reports one injected operator of the given kind per detail, in
-// order: in one call when obs implements OpBatchObserver, one by one
-// otherwise. Exported because the etl engine (the ExtractSource) reports
-// through it.
-func ReportOps(obs Observer, kind string, details []string) {
-	if len(details) == 0 {
-		return
-	}
-	if bo, ok := obs.(OpBatchObserver); ok {
-		bo.InjectedOps(kind, details)
-		return
-	}
-	for _, d := range details {
-		obs.InjectedOp(kind, d)
-	}
+	// ScanReport records one data access's skip accounting (the \explain
+	// surface).
+	ScanReport(r ScanReport)
+	// FileStamps records the source files a data access's output depends
+	// on.
+	FileStamps(stamps []FileStamp)
+	// TraceSpan is the span instrumented code (extraction read/decode)
+	// attaches its spans under; nil when the query is not traced, which
+	// every Span method treats as a no-op.
+	TraceSpan() *obs.Span
 }
 
 // NopObserver discards all observations.
 type NopObserver struct{}
 
-// InjectedOp implements Observer.
-func (NopObserver) InjectedOp(kind, detail string) {}
-
-// Event implements Observer.
-func (NopObserver) Event(op, detail string) {}
+func (NopObserver) InjectedOps(kind string, details []string) {}
+func (NopObserver) Event(op, detail string)                   {}
+func (NopObserver) ScanReport(r ScanReport)                   {}
+func (NopObserver) FileStamps(stamps []FileStamp)             {}
+func (NopObserver) TraceSpan() *obs.Span                      { return nil }
 
 // Env carries everything plan execution needs.
 type Env struct {
@@ -266,7 +258,6 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		}
 		sp.AddRows(int64(out.NumRows()))
 		sp.End()
-		env.Stats.recordAgg(out.NumRows())
 		aggregateEvent(obs, int64(in.NumRows()), 0, out.NumRows())
 		return out, nil
 

@@ -322,7 +322,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 				if skRanges > 0 {
 					r.src = newSegmentMorsels(b, segs, env.Pool.MorselRows())
 					env.Stats.recordScanSkip(skRanges, skRows)
-					ReportScan(o, ScanReport{
+					o.ScanReport(ScanReport{
 						Target:      leaf.Table,
 						Rows:        int64(scanRows) - skRows,
 						RowsSkipped: skRows,
@@ -393,7 +393,6 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		r.reports = append(r.reports, func() {
-			env.Stats.recordAgg(out.NumRows())
 			aggregateEvent(o, sink.RowsIn(), sink.RunsIn(), out.NumRows())
 		})
 	case pp.restore == nil:

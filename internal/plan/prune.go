@@ -181,17 +181,3 @@ type ScanReport struct {
 	Rows           int64 // table-scan rows fed to the pipeline
 	RowsSkipped    int64 // table-scan rows skipped via batch zone ranges
 }
-
-// ScanReporter is an optional extension of Observer: observers that
-// implement it receive per-scan skip accounting (the \explain surface).
-type ScanReporter interface {
-	ScanReport(r ScanReport)
-}
-
-// ReportScan delivers a ScanReport to obs when it implements ScanReporter.
-// Exported because the etl engine (the ExtractSource) reports through it.
-func ReportScan(obs Observer, r ScanReport) {
-	if sr, ok := obs.(ScanReporter); ok {
-		sr.ScanReport(r)
-	}
-}

@@ -13,18 +13,3 @@ type FileStamp struct {
 	MtimeNanos int64
 	Size       int64
 }
-
-// StampReporter is an optional extension of Observer: observers that
-// implement it receive the file dependency stamps of a data access.
-type StampReporter interface {
-	FileStamps(stamps []FileStamp)
-}
-
-// ReportStamps delivers file stamps to obs when it implements
-// StampReporter. Exported because the etl engine (the ExtractSource)
-// reports through it.
-func ReportStamps(obs Observer, stamps []FileStamp) {
-	if sr, ok := obs.(StampReporter); ok {
-		sr.FileStamps(stamps)
-	}
-}

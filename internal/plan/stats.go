@@ -31,19 +31,14 @@ type ExecSnapshot struct {
 	SortRunsMerged  int64 // morsel runs merged by parallel sorts
 	SortRows        int64
 
-	Aggregations int64 // aggregations executed
-	AggGroups    int64 // total output groups across them
-
 	// Memory-governed spill counters. The grace-hash join is the one
-	// operator that degrades to disk under budget pressure, so
-	// PartitionsSpilled and JoinPartitionsSpilled count the same build
-	// partitions (both names are part of the stats surface).
-	PartitionsSpilled     int64
-	JoinSpills            int64 // joins that spilled at least one partition
-	JoinPartitionsSpilled int64
-	RowsSpilled           int64
-	BytesSpilled          int64
-	SpillNanos            int64
+	// operator that degrades to disk under budget pressure, so every
+	// spilled partition is a join build partition.
+	PartitionsSpilled int64
+	JoinSpills        int64 // joins that spilled at least one partition
+	RowsSpilled       int64
+	BytesSpilled      int64
+	SpillNanos        int64
 
 	// Push-pipeline counters: pipelined plan executions and the morsels
 	// they drove. The filter counters sum rows into and out of every
@@ -127,19 +122,10 @@ func (s *ExecStats) recordJoin(js exec.JoinStats) {
 		if js.SpilledPartitions > 0 {
 			c.JoinSpills++
 			c.PartitionsSpilled += int64(js.SpilledPartitions)
-			c.JoinPartitionsSpilled += int64(js.SpilledPartitions)
 			c.RowsSpilled += int64(js.SpilledRows)
 			c.BytesSpilled += js.SpilledBytes
 			c.SpillNanos += js.SpillNanos
 		}
-	})
-}
-
-// recordAgg folds one aggregation's output group count into the counters.
-func (s *ExecStats) recordAgg(groups int) {
-	s.record(func(c *ExecSnapshot) {
-		c.Aggregations++
-		c.AggGroups += int64(groups)
 	})
 }
 

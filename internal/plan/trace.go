@@ -8,24 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// SpanObserver is the optional Observer extension for query tracing: an
-// observer that carries the query's trace span tree. Mirrors ScanReporter
-// and StampReporter — instrumented code probes for it and degrades to
-// no-ops (nil spans) when the observer doesn't trace.
-type SpanObserver interface {
-	Observer
-	TraceSpan() *obs.Span
-}
-
-// TraceSpan returns o's trace span, or nil when o doesn't trace (all Span
-// methods are no-ops on nil, so callers never branch).
-func TraceSpan(o Observer) *obs.Span {
-	if so, ok := o.(SpanObserver); ok {
-		return so.TraceSpan()
-	}
-	return nil
-}
-
 // timedStage wraps a pipeline stage so each Process call's duration is
 // accumulated into a trace span. Stage work runs on pool workers, so the
 // span's time is cumulative across workers (Add-style), not wall time.

@@ -42,7 +42,7 @@ func TestMemoryBudgetForcesSpillWithIdenticalResults(t *testing.T) {
 			assertSameResult(t, q, want.Batch, got.Batch)
 		}
 		st := w.Stats()
-		if st.Exec.JoinPartitionsSpilled == 0 || st.Exec.BytesSpilled == 0 {
+		if st.Exec.PartitionsSpilled == 0 || st.Exec.BytesSpilled == 0 {
 			t.Fatalf("workers=%d: tiny budget must spill the join builds; exec stats = %+v", workers, st.Exec)
 		}
 		if st.Mem.Budget != 4<<10 || st.Mem.HighWater == 0 || st.Mem.Denials == 0 {

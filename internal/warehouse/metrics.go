@@ -18,6 +18,8 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	for c := obs.QueryClass(0); c < obs.NumClasses; c++ {
 		b = obs.AppendHistogram(b, "lazyetl_query_duration_seconds", c.Label(), m.Query[c].Snapshot())
 	}
+	b = obs.AppendHeader(b, "lazyetl_admit_wait_seconds", "histogram", "Time a query waited for an admission slot and the snapshot lock (a refresh drain).")
+	b = obs.AppendHistogram(b, "lazyetl_admit_wait_seconds", "", m.Admit.Snapshot())
 
 	b = obs.AppendCounter(b, "lazyetl_queries_total", "Queries admitted for execution.", w.queries.Load())
 	b = obs.AppendCounter(b, "lazyetl_query_errors_total", "Queries that returned an error.", m.Errors.Load())

@@ -405,3 +405,20 @@ func TestMetricsHistogramAccounting(t *testing.T) {
 		t.Error("error counter did not move")
 	}
 }
+
+// TestMetricsScrapeAllocs pins the zero-allocation scrape: once the buffer
+// has grown to its steady-state size, rendering the whole metric surface
+// into it allocates nothing.
+func TestMetricsScrapeAllocs(t *testing.T) {
+	w := openWH(t, genRepo(t, 1500), Lazy)
+	if _, err := w.Query(q2); err != nil { // populate counters
+		t.Fatal(err)
+	}
+	buf := w.AppendMetrics(nil)
+	if allocs := testing.AllocsPerRun(100, func() { buf = w.AppendMetrics(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendMetrics allocates %v times per scrape, want 0", allocs)
+	}
+	if got, want := w.Metrics().Admit.Snapshot().Count, w.Stats().Queries; got != want {
+		t.Errorf("admission-wait histogram observed %d queries, %d were admitted", got, want)
+	}
+}

@@ -330,7 +330,7 @@ func TestPipelineOracleMatrix(t *testing.T) {
 						t.Errorf("%s: filter stage counters not threaded: in=%d out=%d",
 							name, st.Exec.FilterRowsIn, st.Exec.FilterRowsOut)
 					}
-					if budget == 4<<10 && st.Exec.JoinPartitionsSpilled == 0 {
+					if budget == 4<<10 && st.Exec.PartitionsSpilled == 0 {
 						t.Errorf("%s: a 4 KiB budget must spill join builds; exec stats = %+v", name, st.Exec)
 					}
 					if budget == 0 && st.Exec.PartitionsSpilled != 0 {
@@ -467,7 +467,7 @@ func TestSpilledBuildBreakerReleasesOnEveryPath(t *testing.T) {
 				if got, want := renderExact(out), renderExact(ref); got != want {
 					t.Errorf("breaker over a stream diverged from the serial reference\nwant:\n%s\ngot:\n%s", want, got)
 				}
-				if stats.Snapshot().JoinPartitionsSpilled == 0 {
+				if stats.Snapshot().PartitionsSpilled == 0 {
 					t.Error("setup: the upper join's build did not spill")
 				}
 			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

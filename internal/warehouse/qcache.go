@@ -45,12 +45,10 @@ type queryCache struct {
 	planLRU *list.List
 	results map[resultKey]*list.Element // of *resultEntry
 	resLRU  *list.List
-	resUsed int64
-
-	planHits, planMisses           int64
-	resHits, resMisses             int64
-	resEvictions, resInvalidations int64
-	resDeclined, resDeclinedBytes  int64
+	// st holds the counters in the form statsSnapshot returns;
+	// st.ResultBytes is the result tier's own budget accounting, and the
+	// entry counts are read off the LRUs at snapshot time.
+	st QueryCacheStats
 }
 
 const (
@@ -177,10 +175,10 @@ func (c *queryCache) lookupPlan(sqlKey string, storeVer int64) (*planEntry, bool
 	defer c.mu.Unlock()
 	if el, ok := c.plans[key]; ok {
 		c.planLRU.MoveToFront(el)
-		c.planHits++
+		c.st.PlanHits++
 		return el.Value.(*planElem).pe, true
 	}
-	c.planMisses++
+	c.st.PlanMisses++
 	return nil, false
 }
 
@@ -211,7 +209,7 @@ func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resu
 	c.mu.Lock()
 	el, ok := c.results[key]
 	if !ok {
-		c.resMisses++
+		c.st.ResultMisses++
 		c.mu.Unlock()
 		return nil, false
 	}
@@ -226,9 +224,9 @@ func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resu
 			c.mu.Lock()
 			if cur, ok := c.results[key]; ok && cur == el {
 				c.removeResultLocked(el)
-				c.resInvalidations++
+				c.st.ResultInvalidations++
 			}
-			c.resMisses++
+			c.st.ResultMisses++
 			c.mu.Unlock()
 			return nil, false
 		}
@@ -237,12 +235,12 @@ func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resu
 	c.mu.Lock()
 	if cur, ok := c.results[key]; ok && cur == el {
 		c.resLRU.MoveToFront(el)
-		c.resHits++
+		c.st.ResultHits++
 		c.mu.Unlock()
 		return ent, true
 	}
 	// Evicted or invalidated while we were statting; treat as a miss.
-	c.resMisses++
+	c.st.ResultMisses++
 	c.mu.Unlock()
 	return nil, false
 }
@@ -257,8 +255,8 @@ func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Re
 	}
 	if len(stamps) > maxResultStamps || sz > resultBudget {
 		c.mu.Lock()
-		c.resDeclined++
-		c.resDeclinedBytes += sz
+		c.st.ResultDeclined++
+		c.st.ResultDeclinedBytes += sz
 		c.mu.Unlock()
 		return
 	}
@@ -287,21 +285,21 @@ func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Re
 	// Make room under the cache's own budget first, then ask the shared
 	// ledger; under global pressure the admission is declined, keeping the
 	// recycler-cache discipline.
-	for c.resUsed+sz > resultBudget {
+	for c.st.ResultBytes+sz > resultBudget {
 		back := c.resLRU.Back()
 		if back == nil {
 			break
 		}
 		c.removeResultLocked(back)
-		c.resEvictions++
+		c.st.ResultEvictions++
 	}
 	if !c.ledger.TryReserve(sz) {
-		c.resDeclined++
-		c.resDeclinedBytes += sz
+		c.st.ResultDeclined++
+		c.st.ResultDeclinedBytes += sz
 		return
 	}
 	c.results[key] = c.resLRU.PushFront(ent)
-	c.resUsed += sz
+	c.st.ResultBytes += sz
 }
 
 // removeResultLocked unlinks an entry and releases its ledger reservation.
@@ -309,7 +307,7 @@ func (c *queryCache) removeResultLocked(el *list.Element) {
 	ent := el.Value.(*resultEntry)
 	delete(c.results, ent.key)
 	c.resLRU.Remove(el)
-	c.resUsed -= ent.bytes
+	c.st.ResultBytes -= ent.bytes
 	c.ledger.Release(ent.bytes)
 }
 
@@ -329,7 +327,7 @@ func (c *queryCache) purge() {
 		n++
 		el = next
 	}
-	c.resInvalidations += int64(n)
+	c.st.ResultInvalidations += int64(n)
 }
 
 // QueryCacheStats is the observable state of the two-tier query cache.
@@ -351,17 +349,7 @@ type QueryCacheStats struct {
 func (c *queryCache) statsSnapshot() QueryCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return QueryCacheStats{
-		PlanHits:            c.planHits,
-		PlanMisses:          c.planMisses,
-		PlanEntries:         c.planLRU.Len(),
-		ResultHits:          c.resHits,
-		ResultMisses:        c.resMisses,
-		ResultEvictions:     c.resEvictions,
-		ResultInvalidations: c.resInvalidations,
-		ResultDeclined:      c.resDeclined,
-		ResultDeclinedBytes: c.resDeclinedBytes,
-		ResultEntries:       c.resLRU.Len(),
-		ResultBytes:         c.resUsed,
-	}
+	st := c.st
+	st.PlanEntries, st.ResultEntries = c.planLRU.Len(), c.resLRU.Len()
+	return st
 }

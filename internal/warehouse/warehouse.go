@@ -237,14 +237,11 @@ func (r *Result) Rows() [][]column.Value {
 	return out
 }
 
-// InitStats describes the initial load.
+// InitStats describes the initial load: the load's own etl.Stats plus the
+// sizes it went from and to.
 type InitStats struct {
-	Mode      Mode
-	Files     int
-	Records   int
-	Samples   int64
-	BytesRead int64
-	Duration  time.Duration
+	Mode Mode
+	etl.Stats
 	// RepoBytes is the on-disk size of the repository snapshot.
 	RepoBytes int64
 	// StoreBytes is the in-memory footprint of the loaded tables after the
@@ -358,16 +355,7 @@ func (w *Warehouse) initialLoad() error {
 	if err != nil {
 		return err
 	}
-	w.init = InitStats{
-		Mode:       w.mode,
-		Files:      st.Files,
-		Records:    st.Records,
-		Samples:    st.Samples,
-		BytesRead:  st.BytesRead,
-		Duration:   st.Duration,
-		RepoBytes:  w.rp.TotalSize(),
-		StoreBytes: w.store.Bytes(),
-	}
+	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.rp.TotalSize(), StoreBytes: w.store.Bytes()}
 	w.logf("init", "loaded %d files, %d records in %v (%d bytes read)",
 		st.Files, st.Records, st.Duration, st.BytesRead)
 	return nil
@@ -388,9 +376,10 @@ func (w *Warehouse) Store() *catalog.Store { return w.store }
 // Engine exposes the ETL engine (cache inspection, extraction stats).
 func (w *Warehouse) Engine() *etl.Engine { return w.engine }
 
-// observer wires plan execution events into the query trace and the log.
-// It is safe for concurrent use: lazy extraction reports from its prefetch
-// workers as well as from the consumer.
+// observer is the plan.Observer of one served query: it wires execution
+// events into the query trace and the log. It is safe for concurrent use:
+// lazy extraction reports from its prefetch workers as well as from the
+// consumer.
 type observer struct {
 	mu      sync.Mutex
 	w       *Warehouse
@@ -404,18 +393,16 @@ type observer struct {
 	span *obs.Span
 }
 
-// TraceSpan implements plan.SpanObserver: instrumented execution code
-// attaches its spans (extraction read/decode, pipeline stages) here.
+// TraceSpan hands instrumented execution code (extraction read/decode) the
+// query's execute span.
 func (o *observer) TraceSpan() *obs.Span { return o.span }
 
-func (o *observer) InjectedOp(kind, detail string) {
-	o.InjectedOps(kind, []string{detail})
-}
-
-// InjectedOps implements plan.OpBatchObserver: the operators of one
-// extraction run land in the trace and the log under one lock each, in
-// order.
+// InjectedOps files the operators of one extraction run in the trace and
+// the log under one lock each, in order.
 func (o *observer) InjectedOps(kind string, details []string) {
+	if len(details) == 0 {
+		return
+	}
 	o.mu.Lock()
 	for _, d := range details {
 		o.trace.RuntimeOps = append(o.trace.RuntimeOps, kind+" "+d)
@@ -428,16 +415,16 @@ func (o *observer) InjectedOps(kind string, details []string) {
 	o.w.logMu.Unlock()
 }
 
-// ScanReport implements plan.ScanReporter: per-scan skipping tallies land
-// in the trace for the \explain surface.
+// ScanReport files per-scan skipping tallies in the trace for the \explain
+// surface.
 func (o *observer) ScanReport(r plan.ScanReport) {
 	o.mu.Lock()
 	o.trace.Scans = append(o.trace.Scans, r)
 	o.mu.Unlock()
 }
 
-// FileStamps implements plan.StampReporter: extraction reports the files
-// the answer depends on, so the result cache can re-validate a hit by stat.
+// FileStamps collects the files the answer depends on, so the result cache
+// can re-validate a hit by stat.
 func (o *observer) FileStamps(stamps []plan.FileStamp) {
 	o.mu.Lock()
 	for _, s := range stamps {
@@ -644,7 +631,7 @@ func (w *Warehouse) Explain(q string) (*Trace, error) {
 // applies.
 func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass, useResultCache bool) (*Result, error) {
 	w := p.w
-	adm := root.StartChild("admit")
+	adm, admStart := root.StartChild("admit"), time.Now()
 	// Admission control: at most cap(w.admit) queries execute at once;
 	// the rest wait here, keeping the per-query memory sub-budgets honest.
 	w.admit <- struct{}{}
@@ -653,6 +640,7 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 	// repository snapshot out from under this query.
 	w.refreshMu.RLock()
 	defer w.refreshMu.RUnlock()
+	w.metrics.Admit.Observe(time.Since(admStart))
 	adm.End()
 
 	w.queries.Add(1)
@@ -831,10 +819,14 @@ func (w *Warehouse) Ready() bool { return !w.refreshing.Load() }
 // Metrics exposes the always-on latency histograms and counters.
 func (w *Warehouse) Metrics() *obs.Metrics { return &w.metrics }
 
-// Stats summarizes the warehouse state.
+// Stats summarizes the warehouse state. It is the one typed snapshot behind
+// both stats surfaces: GET /stats serves it as JSON under "warehouse", and
+// the REPL's \stats prints the same document.
 type Stats struct {
 	Mode    Mode
 	Workers int
+	// Init is the initial load (demo point 1).
+	Init InitStats
 	// MaxConcurrentQueries is the admission-control slot count; InFlight
 	// is how many queries currently hold a slot.
 	MaxConcurrentQueries int
@@ -870,15 +862,18 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of warehouse counters. Safe to call while
-// queries and refreshes are in flight: counters are atomic and the store
-// row/byte figures come from one copy-on-write snapshot, so they are
-// mutually consistent even mid-refresh.
+// queries and refreshes are in flight. Each block is consistent in itself —
+// the execution counters are copied under their mutex, the query-cache
+// counters under the cache's, and the store row/byte figures come from one
+// copy-on-write snapshot, so they agree even mid-refresh — but the blocks
+// are read one after another, not at one instant.
 func (w *Warehouse) Stats() Stats {
 	store := w.store.Snapshot()
 	cs := w.engine.Cache().Stats()
 	return Stats{
 		Mode:                 w.mode,
 		Workers:              w.pool.Workers(),
+		Init:                 w.init,
 		MaxConcurrentQueries: cap(w.admit),
 		InFlight:             len(w.admit),
 		QueryMemBudget:       w.queryBudget,

@@ -88,10 +88,14 @@
 // rendered by the \trace REPL command or POST /query?trace=1 on
 // cmd/lazyetld; the NoTrace oracle disables span collection (for proving
 // tracing never changes answers and costs under 2% —
-// BenchmarkTraceOverhead). Per-class latency histograms and counters are
-// always on and exported in Prometheus text format at GET /metrics, and
-// Options.SlowQueryThreshold logs the span tree of any query at or over
-// the threshold into the operation log at warn severity.
+// BenchmarkTraceOverhead). Per-class latency histograms, an admission-wait
+// histogram and counters are always on and exported in Prometheus text
+// format at GET /metrics, and Options.SlowQueryThreshold logs the span tree
+// of any query at or over the threshold into the operation log at warn
+// severity. Warehouse.Stats is the one typed snapshot of the counters, the
+// initial load's included: GET /stats serves it as JSON, and the REPL's
+// \stats prints that same document. Execution reports through one
+// interface, plan.Observer.
 //
 // Quickstart:
 //
