@@ -61,6 +61,12 @@ func (t Type) Numeric() bool {
 	return t == Int64 || t == Float64 || t == Timestamp
 }
 
+// IntFamily reports whether values of the type are stored as int64 (Int64,
+// Timestamp and Bool columns share the Int64s vector).
+func (t Type) IntFamily() bool {
+	return t == Int64 || t == Timestamp || t == Bool
+}
+
 // Value is one typed scalar, used at the boundaries of the engine (literals
 // in query plans, result rows). Hot paths operate on column vectors, not
 // Values.

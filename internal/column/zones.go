@@ -1,6 +1,9 @@
 package column
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // DefaultZoneRows is the row-range granularity of batch zone statistics:
 // one ColZone per 8192-row range per column. Small enough that a selective
@@ -31,6 +34,11 @@ type BatchZones struct {
 	Every int
 	Rows  int
 	Cols  map[string][]ColZone
+	// Sorted marks the integer-family columns that are null-free and
+	// non-decreasing over the whole batch. A join whose build side is the
+	// table, on such a column, finds each key's rows by binary search
+	// instead of building a hash table.
+	Sorted map[string]bool
 }
 
 // Ranges returns the number of row ranges covered.
@@ -52,13 +60,14 @@ func (bz *BatchZones) Bounds(ri int) (lo, hi int) {
 }
 
 // BuildZones computes the zone statistics of b at the given range size
-// (<= 0 selects DefaultZoneRows). One linear pass per column.
+// (<= 0 selects DefaultZoneRows). One linear pass per column, plus, for an
+// integer-family column, the sortedness check over the same vector.
 func BuildZones(b *Batch, every int) *BatchZones {
 	if every <= 0 {
 		every = DefaultZoneRows
 	}
 	n := b.NumRows()
-	bz := &BatchZones{Every: every, Rows: n, Cols: make(map[string][]ColZone, b.NumCols())}
+	bz := &BatchZones{Every: every, Rows: n, Cols: make(map[string][]ColZone, b.NumCols()), Sorted: make(map[string]bool)}
 	nRanges := (n + every - 1) / every
 	for ci := 0; ci < b.NumCols(); ci++ {
 		c := b.ColAt(ci)
@@ -69,6 +78,9 @@ func BuildZones(b *Batch, every int) *BatchZones {
 			zones[ri] = colZoneOf(c, nulls, lo, hi)
 		}
 		bz.Cols[c.Name()] = zones
+		if c.Type().IntFamily() && !slices.Contains(nulls, true) && slices.IsSorted(c.Int64s()) {
+			bz.Sorted[c.Name()] = true
+		}
 	}
 	return bz
 }

@@ -61,6 +61,29 @@
 //     the folds count the int64 total's signed wraps, whose net does not
 //     depend on order. SUM over TIMESTAMP is a type error.
 //
+// # Joins: an index probe or a hash table
+//
+// An equi-join reaches its build side one of two ways, and the data decides
+// which. When the build side is a stored table sorted on its one
+// integer-family join key — column.BatchZones.Sorted, recorded when the
+// table is installed; the loaders store mseed.records in file_id order and
+// mseed.files by file_id — IndexProbeStage builds nothing: for each probe
+// key it binary-searches the key vector for that key's rows, filters the
+// range with the build side's pushed-down predicates, and assembles. Every
+// other join — an unsorted build side, two keys (the eager (file_id, seqno)
+// data join), a non-integer key, a build side that is not a plain table
+// scan — builds the hash table below and probes it with ProbeStage. Their
+// output is the same, row for row and bit for bit: a key's rows are one
+// ascending range of the sorted table, the predicates keep an ascending
+// subset of it, and a hash chain links the filtered build rows ascending,
+// so either way each probe row meets its matches in table order. The index
+// probe reserves no memory and never spills, and the build rows it never
+// looks at count as skipped scan rows. A build-side predicate that cannot
+// evaluate over the table's types fails when the stage is made, as the hash
+// path's whole-table filter fails it, even if no probe row ever arrives.
+// FuzzIndexProbe holds the index probe to the hash probe; the NoPipeline
+// reference always hashes.
+//
 // # Cache-conscious join and sort structures
 //
 // HashJoin builds a flat open-addressing table (hashtable.go) instead of a
@@ -87,12 +110,13 @@
 // transform them in place — FilterStage refines the selection vector with
 // no gather, ProbeStage probes a prebuilt join table (radix-partitioned
 // when the build was, restitching per-partition match lists into left-row
-// order) — and a PipeSink terminates the pipeline: CollectSink appends
-// surviving rows to the output, AggSink folds them into group states. One
-// morsel flows through the whole stage chain before the next starts, so
-// scan -> filter -> probe -> aggregate runs fused with no intermediate
-// batch. The pipeline breakers are join build sides, a join whose build
-// spilled (below), sort, and the final output.
+// order), IndexProbeStage searches a sorted stored table — and a PipeSink
+// terminates the pipeline: CollectSink appends surviving rows to the
+// output, AggSink folds them into group states. One morsel flows through
+// the whole stage chain before the next starts, so scan -> filter -> probe
+// -> aggregate runs fused with no intermediate batch. The pipeline breakers
+// are hash-join build sides, a join whose build spilled (below), sort, and
+// the final output.
 //
 // Pool.RunPipeline keeps the serial semantics structurally: a feeder
 // sequences morsels, workers claim them and run the stage chain

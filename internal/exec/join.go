@@ -90,7 +90,7 @@ func buildJoinTable(left, right *column.Batch, leftKeys, rightKeys []string, p *
 	intKeys := len(lkc) <= 2
 	for i := range lkc {
 		lt, rt := lkc[i].Type(), rkc[i].Type()
-		ok := (intFamily(lt) && intFamily(rt)) ||
+		ok := (lt.IntFamily() && rt.IntFamily()) ||
 			(lt == column.Float64 && rt == column.Float64 && !lkc[i].HasNulls() && !rkc[i].HasNulls())
 		if !ok {
 			intKeys = false
@@ -583,10 +583,6 @@ func keyColumns(b *column.Batch, names []string) ([]*column.Column, error) {
 		out[i] = c
 	}
 	return out, nil
-}
-
-func intFamily(t column.Type) bool {
-	return t == column.Int64 || t == column.Timestamp || t == column.Bool
 }
 
 // nullKey reports whether any key column is null at row i (null keys never

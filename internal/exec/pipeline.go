@@ -281,20 +281,29 @@ func (s *FilterStage) Rows() (int64, int64) { return s.in.Load(), s.out.Load() }
 // keeps meaning "all rows".
 func (s *FilterStage) Process(m Morsel) (Morsel, error) {
 	s.in.Add(int64(m.Rows()))
-	sel := m.Sel
-	for _, pred := range s.preds {
-		sv, err := evalPredSel(pred, m.B, sel)
+	sel, err := selectWhere(s.preds, m.B, m.Sel)
+	if err != nil {
+		return Morsel{}, err
+	}
+	out := Morsel{B: m.B, Sel: sel}
+	s.out.Add(int64(out.Rows()))
+	return out, nil
+}
+
+// selectWhere threads the selection vector sel (nil = every row of b)
+// through the predicates in order, stopping once no row is left.
+func selectWhere(preds []sql.Expr, b *column.Batch, sel []int32) ([]int32, error) {
+	for _, pred := range preds {
+		sv, err := evalPredSel(pred, b, sel)
 		if err != nil {
-			return Morsel{}, err
+			return nil, err
 		}
 		sel = sv
 		if sel != nil && len(sel) == 0 {
 			break
 		}
 	}
-	out := Morsel{B: m.B, Sel: sel}
-	s.out.Add(int64(out.Rows()))
-	return out, nil
+	return sel, nil
 }
 
 func exprText(preds []sql.Expr) string {

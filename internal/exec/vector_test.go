@@ -988,7 +988,7 @@ func oracleMapJoinSel(t *testing.T, left, right *column.Batch, lk, rk []string) 
 	intKeys := len(lkc) <= 2
 	for i := range lkc {
 		lt, rt := lkc[i].Type(), rkc[i].Type()
-		ok := (intFamily(lt) && intFamily(rt)) ||
+		ok := (lt.IntFamily() && rt.IntFamily()) ||
 			(lt == column.Float64 && rt == column.Float64 && !lkc[i].HasNulls() && !rkc[i].HasNulls())
 		if !ok {
 			intKeys = false

@@ -105,10 +105,10 @@ type Env struct {
 	// set by tests and benchmarks only.
 	NoPipeline bool
 	// NoSkipping disables every statistics-driven shortcut — record
-	// zone-map pruning before extraction and batch zone-range skipping on
-	// table scans — making this Env the oracle the skipping paths are
-	// tested against. (Join reordering is decided before Execute; the
-	// warehouse skips it under the same option.)
+	// zone-map pruning before extraction, batch zone-range skipping on
+	// table scans and index-probed joins — making this Env the oracle the
+	// skipping paths are tested against. (Join reordering is decided before
+	// Execute; the warehouse skips it under the same option.)
 	NoSkipping bool
 	// Trace, when non-nil, collects per-operator timing spans under it.
 	// nil (tracing disabled) costs nothing: every span method no-ops on

@@ -89,12 +89,15 @@ type Join struct {
 	RKeys []string
 }
 
-func (j *Join) Describe() string {
+func (j *Join) Describe() string { return "HashJoin ON " + j.on() }
+
+// on renders the join condition.
+func (j *Join) on() string {
 	pairs := make([]string, len(j.LKeys))
 	for i := range j.LKeys {
 		pairs[i] = j.LKeys[i] + " = " + j.RKeys[i]
 	}
-	return "HashJoin ON " + strings.Join(pairs, " AND ")
+	return strings.Join(pairs, " AND ")
 }
 func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/column"
@@ -19,9 +21,10 @@ import (
 // (table row ranges, or the lazy extraction stream), Filter and Join probe
 // stages run fused over each morsel's selection vector, and the pipeline
 // ends at one of its breakers: the aggregation sink or the final-output
-// collector. Join build sides, sort, the order restoration of a reordered
-// join spine, and the metadata plan under a LazyExtract materialize — they
-// need their whole input by nature.
+// collector. Hash-join build sides (a join answered by index probe has
+// none), sort, the order restoration of a reordered join spine, and the
+// metadata plan under a LazyExtract materialize — they need their whole
+// input by nature.
 //
 // The memory budget (Env.Mem) never changes the engine, only where the
 // breakers fall. A join build that spilled partitions to disk cannot be
@@ -233,12 +236,17 @@ func (r *pipeRun) resume(b *column.Batch) {
 	r.proto = b.Range(0, 0)
 }
 
-// addJoin builds x's probe table and appends its probe stage — or, when the
-// build spilled, breaks the pipeline: collect the stages so far, probe the
-// collected batch against the grace-hash table, and resume over the joined
-// batch. That table is dead once probed, so its grant is released there
-// rather than at the end of the query.
+// addJoin appends x's probe stage: an index probe when the build side is
+// reached through its stored order (addIndexJoin), else a hash probe of a
+// table built over the executed build side — or, when that build spilled,
+// a pipeline break: collect the stages so far, probe the collected batch
+// against the grace-hash table, and resume over the joined batch. That
+// table is dead once probed, so its grant is released there rather than at
+// the end of the query.
 func (r *pipeRun) addJoin(x *Join) error {
+	if ok, err := r.addIndexJoin(x); ok || err != nil {
+		return err
+	}
 	env := r.env
 	bsp := env.Trace.StartChild("join-build " + x.Describe())
 	benv := *env
@@ -281,6 +289,53 @@ func (r *pipeRun) addJoin(x *Join) error {
 	}
 	r.resume(joined)
 	return nil
+}
+
+// addIndexJoin appends x's probe stage as an index probe, and reports
+// whether it did. That takes a build side that is a Scan on one key whose
+// table statistics mark the key column sorted — the loaders store
+// mseed.records in file_id order and mseed.files by file_id — and an
+// integer-family key on both sides. Then the build side is never executed
+// and nothing is built: the stage searches out each probe key's rows of
+// the scanned table and applies the scan's predicates to just those, and
+// the rows it never looks at count as skipped scan rows. NoSkipping, which
+// turns off every statistics-driven shortcut, leaves every join hashed.
+func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
+	env := r.env
+	s, ok := x.R.(*Scan)
+	if !ok || len(x.RKeys) != 1 || env.NoSkipping {
+		return false, nil
+	}
+	col, ok := strings.CutPrefix(x.RKeys[0], s.Prefix)
+	stored, err := env.Store.Table(s.Table)
+	bz := env.Store.TableZones(s.Table)
+	if !ok || err != nil || bz == nil || bz.Rows != stored.NumRows() || !bz.Sorted[col] ||
+		(s.Cols != nil && !slices.Contains(s.Cols, x.RKeys[0])) {
+		return false, nil
+	}
+	if lk, ok := r.proto.Col(x.LKeys[0]); !ok || !lk.Type().IntFamily() {
+		return false, nil
+	}
+	right, err := scanBase(s, env)
+	if err != nil {
+		return true, err
+	}
+	st, err := exec.NewIndexProbeStage(r.proto, right, x.LKeys[0], x.RKeys[0], s.Preds)
+	if err != nil {
+		// A predicate that fails over the table: the reference's scan error.
+		return true, fmt.Errorf("plan: scan %s: %w", s.Table, err)
+	}
+	r.addStage(st)
+	rows := int64(stored.NumRows())
+	r.reports = append(r.reports, func() {
+		probed, matched := st.Rows()
+		examined := st.Examined()
+		env.Stats.recordScanSkip(0, max(rows-examined, 0))
+		env.obs().Event("join", fmt.Sprintf("%s: index on %s: %d probe rows, %d rows examined -> %d rows",
+			x.on(), x.RKeys[0], probed, examined, matched))
+	})
+	r.proto, err = st.Proto(r.proto)
+	return true, err
 }
 
 // executePipelined runs a decomposed spine as one push pipeline.

@@ -19,6 +19,8 @@ type ExecStats struct {
 
 // ExecSnapshot is an ExecStats' counters; Snapshot returns a copy.
 type ExecSnapshot struct {
+	// Hash-join counters. A join answered by an index probe builds nothing
+	// and counts in none of them (its kept-out rows are ScanRowsSkipped).
 	JoinBuilds          int64 // hash joins executed
 	JoinBuildPartitions int64 // total build partitions across joins
 	JoinParallelBuilds  int64 // joins whose build was radix-partitioned
@@ -49,9 +51,11 @@ type ExecSnapshot struct {
 	FilterRowsIn    int64
 	FilterRowsOut   int64
 
-	// Zone-map skipping counters: scan zone ranges (and the rows inside
-	// them) proven empty against pushed-down predicates and never fed to a
-	// pipeline, plus join spines rewritten into a cheaper build order.
+	// Statistics-driven skipping counters: scan zone ranges proven empty
+	// against pushed-down predicates and never fed to a pipeline; the scan
+	// rows never looked at — those inside the skipped ranges, plus the rows
+	// of an index-probed join's build table outside every probed key's
+	// range; and join spines rewritten into a cheaper build order.
 	ScanRangesSkipped int64
 	ScanRowsSkipped   int64
 	JoinReorders      int64

@@ -12,14 +12,17 @@ import (
 	"testing"
 )
 
-// spillQueries exercise both governed operators over the dataview: a
-// metadata join feeding a high-cardinality GROUP BY, and a two-table join
-// aggregation.
+// spillQueries exercise both governed operators: a dataview aggregation
+// whose extraction and high-cardinality GROUP BY press on the budget (its
+// metadata join is an index probe and builds nothing), and a two-key join of
+// the records table with itself — no index answers two keys, so it hashes —
+// feeding a grouped aggregate; that build spills.
 var spillQueries = []string{
 	`SELECT R.seqno, COUNT(*), MIN(D.sample_value), MAX(D.sample_value), AVG(D.sample_value)
 	 FROM mseed.dataview GROUP BY R.seqno`,
-	`SELECT F.station, COUNT(*), SUM(D.sample_value)
-	 FROM mseed.dataview WHERE F.channel = 'BHZ' GROUP BY F.station`,
+	`SELECT r.seqno, COUNT(*), SUM(g.num_samples), MAX(g.start_time)
+	 FROM mseed.records r JOIN mseed.records g ON r.file_id = g.file_id AND r.seqno = g.seqno
+	 GROUP BY r.seqno`,
 }
 
 func TestMemoryBudgetForcesSpillWithIdenticalResults(t *testing.T) {
@@ -77,13 +80,15 @@ func TestSpillDirsRemovedAfterQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Query(spillQueries[0]); err != nil {
-		t.Fatal(err)
+	for _, q := range spillQueries {
+		if _, err := w.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := w.Stats(); st.Exec.PartitionsSpilled == 0 {
-		t.Fatal("setup: the query must have spilled")
+		t.Fatal("setup: the queries must have spilled")
 	}
-	requireIdle(t, "after a spilling query", w, root)
+	requireIdle(t, "after spilling queries", w, root)
 
 	// A failing query must also leave nothing behind.
 	if _, err := w.Query(`SELECT nonsense FROM mseed.dataview GROUP BY nonsense`); err == nil {

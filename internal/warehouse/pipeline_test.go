@@ -48,8 +48,10 @@ func renderExact(b *column.Batch) string {
 // pipelineMatrixQueries exercise every pipeline shape: grouped aggregation
 // over the lazy stream, global aggregation, a raw collect with a data
 // predicate, post-pipeline breakers (ORDER BY / LIMIT), the two governed
-// spillQueries, and an explicit two-table join feeding GROUP BY / ORDER BY
-// (the Scan-leaf spine whose join build spills under the small budgets).
+// spillQueries (the second a Scan-leaf hash join whose build spills under
+// the small budgets), and an explicit two-table join on file_id feeding
+// GROUP BY / ORDER BY, which the records table's file_id order answers by
+// index probe.
 var pipelineMatrixQueries = []string{
 	q2,
 	`SELECT COUNT(*), AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value)
@@ -156,8 +158,9 @@ const eagerMatrixQuery = `SELECT F.station, COUNT(*), AVG(D.sample_value) FROM m
 
 // materializingSpan reports the first span in the tree that only the
 // operator-at-a-time reference engine emits: "aggregate", "join <keys>" or
-// "filter <preds>". Pipelines emit "join-build", "stage probe ...",
-// "stage filter ...", "stage aggregate" and "stage collect" instead.
+// "filter <preds>". Pipelines emit "join-build" (hash joins only),
+// "stage probe ...", "stage filter ...", "stage aggregate" and
+// "stage collect" instead.
 func materializingSpan(n *obs.SpanNode) string {
 	if n == nil {
 		return ""
@@ -211,8 +214,8 @@ func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
 // the columns each statement reads, so every lazy and external cell also
 // compares narrow against wide — and, for the metadata columns, constant
 // runs against one value per row (runMatrixQueries). The 4 KiB budget spills
-// every join build, so each cell also crosses the spilled-build breaker, and
-// must leave ledgers and the spill root idle.
+// the hash join builds, so each cell also crosses the spilled-build breaker,
+// and must leave ledgers and the spill root idle.
 func TestPipelineOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
 	// Spill dirs go under the system temp dir; point it at a private root
@@ -231,8 +234,9 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		{Lazy, append(append(append([]string{nanMidStream}, pipelineMatrixQueries...), narrowMatrixQueries...), runQueries...)},
 		// External mode filters metadata above the extraction, so the same
 		// statements read a different column set there — and the F.* filter
-		// hands the aggregate a selection over the run columns.
-		{External, append(append([]string{nanMidStream}, narrowMatrixQueries...), runQueries...)},
+		// hands the aggregate a selection over the run columns. Its metadata
+		// join is an index probe; the hash join that spills is spillQueries[1].
+		{External, append(append([]string{nanMidStream, spillQueries[1]}, narrowMatrixQueries...), runQueries...)},
 		// joinQ's spine is reordered, so its aggregate sits above the
 		// order-restoration breaker and is fed the restored batch.
 		{Eager, []string{eagerMatrixQuery, joinQ}},
