@@ -38,9 +38,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -236,7 +237,8 @@ type request struct {
 
 // post is what every POST endpoint is registered through: the method check,
 // the per-client in-flight cap (held for the whole request), the bounded
-// body decode and the required-field check ("sql" or "id").
+// body decode (one JSON object, followed by nothing but whitespace) and the
+// required-field check ("sql" or "id").
 func (s *server) post(field string, h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -256,6 +258,11 @@ func (s *server) post(field string, h func(http.ResponseWriter, *http.Request, *
 		dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
 		dec.UseNumber() // keep integer parameters exact (no float round-trip)
 		err := dec.Decode(&req)
+		if err == nil {
+			if _, tail := dec.Token(); tail != io.EOF { // whitespace may follow, nothing else
+				err = errors.New("trailing data after the JSON object")
+			}
+		}
 		required := req.SQL
 		if field == "id" {
 			required = req.ID
@@ -271,17 +278,6 @@ func (s *server) post(field string, h func(http.ResponseWriter, *http.Request, *
 	}
 }
 
-// queryResponse is the POST /query answer. Trace is present only when the
-// request asked for ?trace=1: the query's span tree, nodes of {"name",
-// "nanos", "rows", "bytes", "children"} with zero fields omitted.
-type queryResponse struct {
-	Columns   []string      `json:"columns"`
-	Rows      [][]any       `json:"rows"`
-	RowCount  int           `json:"row_count"`
-	ElapsedNS int64         `json:"elapsed_ns"`
-	Trace     *obs.SpanNode `json:"trace,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -289,7 +285,7 @@ type errorResponse struct {
 func (s *server) handleQuery(rw http.ResponseWriter, r *http.Request, req *request) {
 	res, err := s.w.Query(req.SQL)
 	if s.counted(rw, err) {
-		writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
+		writeResult(rw, res, wantTrace(r))
 	}
 }
 
@@ -309,29 +305,6 @@ func (s *server) counted(rw http.ResponseWriter, err error) bool {
 func wantTrace(r *http.Request) bool {
 	v := r.URL.Query().Get("trace")
 	return v == "1" || v == "true"
-}
-
-// marshalResult converts a warehouse result to the /query (and /execute)
-// response shape.
-func marshalResult(res *warehouse.Result, trace bool) queryResponse {
-	out := queryResponse{
-		Columns:   res.Columns,
-		Rows:      make([][]any, res.Batch.NumRows()),
-		RowCount:  res.Batch.NumRows(),
-		ElapsedNS: res.Elapsed.Nanoseconds(),
-	}
-	if trace {
-		out.Trace = res.Trace.Spans
-	}
-	for i := range out.Rows {
-		vals := res.Batch.Row(i)
-		row := make([]any, len(vals))
-		for j, v := range vals {
-			row[j] = jsonValue(v)
-		}
-		out.Rows[i] = row
-	}
-	return out
 }
 
 // explainResponse is the POST /explain answer: the query is executed (the
@@ -426,7 +399,7 @@ func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request, req *req
 	}
 	res, err := e.ps.Execute(params...)
 	if s.counted(rw, err) {
-		writeJSON(rw, http.StatusOK, marshalResult(res, wantTrace(r)))
+		writeResult(rw, res, wantTrace(r))
 	}
 }
 
@@ -522,28 +495,6 @@ func writeJSON(rw http.ResponseWriter, code int, v any) {
 	rw.WriteHeader(code)
 	enc := json.NewEncoder(rw)
 	_ = enc.Encode(v)
-}
-
-// jsonValue converts one column.Value to a JSON-encodable scalar. Nulls map
-// to null, timestamps to their display format, and non-finite floats (which
-// encoding/json rejects) to their string rendering.
-func jsonValue(v column.Value) any {
-	if v.Null {
-		return nil
-	}
-	switch v.Type {
-	case column.Int64:
-		return v.I
-	case column.Float64:
-		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
-			return v.String()
-		}
-		return v.F
-	case column.Bool:
-		return v.I != 0
-	default: // String, Timestamp
-		return v.String()
-	}
 }
 
 // clientKey identifies the requesting client: the IP half of RemoteAddr.

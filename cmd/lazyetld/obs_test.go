@@ -180,7 +180,17 @@ func TestHealthEndpoints(t *testing.T) {
 		defer close(queryDone)
 		_, _ = w.Query(`SELECT COUNT(*), AVG(D.sample_value) FROM mseed.dataview`)
 	}()
-	time.Sleep(25 * time.Millisecond)
+	// Start the refresh while the query holds its admission slot, so it has
+	// to drain the query: the not-ready window then lasts the rest of the
+	// query, not only the metadata reload, which is short enough for the
+	// polls below to miss.
+	for w.Stats().InFlight == 0 {
+		select {
+		case <-queryDone:
+			t.Fatal("the query finished before it was seen in flight")
+		default:
+		}
+	}
 	refreshDone := make(chan error, 1)
 	go func() {
 		_, err := w.Refresh()
