@@ -39,7 +39,7 @@ func main() {
 	modeStr := flag.String("mode", "lazy", "warehouse mode: lazy, eager or external")
 	gen := flag.Bool("gen", false, "generate a demo repository into -repo if it is empty or missing")
 	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
-	workers := flag.Int("workers", 0, "query-execution workers (0 = GOMAXPROCS, 1 = serial engine)")
+	workers := flag.Int("workers", 0, "workers per query for pipeline stages, hash-join builds and extraction read-ahead (0 = GOMAXPROCS, 1 = serial engine)")
 	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes (0 = unlimited); join builds spill to disk under pressure, cache admissions are declined")
 	slowQuery := flag.Duration("slow-query", 0, "log the span tree of any query at or over this duration (0 = off), e.g. 250ms")
 	flag.Parse()

@@ -65,7 +65,7 @@ func main() {
 	addr := flag.String("addr", ":8632", "listen address")
 	modeStr := flag.String("mode", "lazy", "warehouse mode: lazy, eager or external")
 	gen := flag.Bool("gen", false, "generate a demo repository into -repo if it is missing")
-	workers := flag.Int("workers", 0, "query-execution workers per query (0 = GOMAXPROCS, 1 = serial engine)")
+	workers := flag.Int("workers", 0, "workers per query for pipeline stages, hash-join builds and extraction read-ahead (0 = GOMAXPROCS, 1 = serial engine)")
 	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes, shared by all queries (0 = unlimited)")
 	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries admitted to execute simultaneously (0 = GOMAXPROCS)")

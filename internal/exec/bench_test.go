@@ -229,7 +229,7 @@ func BenchmarkSortByTimestamp(b *testing.B) {
 	keys := []SortKey{{Expr: &sql.ColumnRef{Name: "v"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sortSerial(batch, keys); err != nil {
+		if _, _, err := Sort(batch, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,8 +287,10 @@ func BenchmarkAggregateGroupedParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinParallel probes 1M left rows against a 64-row build
-// side across the pool; the gather of both outputs is also parallel.
+// BenchmarkHashJoinParallel joins 1M left rows against a 64-row build side
+// through HashJoinMem. The 64-row build fits one morsel, so it is the
+// serial single table at every worker count, and the probe and both output
+// gathers are serial too.
 func BenchmarkHashJoinParallel(b *testing.B) {
 	left := benchBatch(1_000_000)
 	rid := make([]int64, 64)
@@ -329,8 +331,9 @@ func joinBuildBatch(n int) *column.Batch {
 }
 
 // BenchmarkJoinBuildParallel measures only the build phase of the flat
-// open-addressing join table over 1M rows: serial single-table at
-// workers=1, radix-partitioned across the pool otherwise.
+// open-addressing join table over 1M rows: the serial single table at
+// workers=1, radix-partitioned across the pool otherwise — the one pipeline
+// breaker that runs on the pool.
 func BenchmarkJoinBuildParallel(b *testing.B) {
 	right := joinBuildBatch(1_000_000)
 	left := column.MustNewBatch(column.NewInt64s("id", []int64{1}))
@@ -382,43 +385,31 @@ func orderByBatch(n int) *column.Batch {
 }
 
 // BenchmarkOrderByTimestamp sorts 1M rows by a timestamp key: the radix
-// path serially at workers=1, independently sorted morsels plus parallel
-// merge otherwise.
+// path.
 func BenchmarkOrderByTimestamp(b *testing.B) {
 	batch := orderByBatch(1_000_000)
 	keys := []SortKey{{Expr: &sql.ColumnRef{Name: "ts"}}}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := NewPool(w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.SortWithStats(batch, keys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Sort(batch, keys); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkOrderByMultiKeyParallel sorts 1M rows by a (float, timestamp)
-// key pair — the comparator path, where the pool sorts morsel runs
-// independently and merges them pairwise.
-func BenchmarkOrderByMultiKeyParallel(b *testing.B) {
+// BenchmarkOrderByMultiKey sorts 1M rows by a (float, timestamp) key pair:
+// the comparator path.
+func BenchmarkOrderByMultiKey(b *testing.B) {
 	batch := orderByBatch(1_000_000)
 	keys := []SortKey{
 		{Expr: &sql.ColumnRef{Name: "v"}, Desc: true},
 		{Expr: &sql.ColumnRef{Name: "ts"}},
 	}
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := NewPool(w)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.SortWithStats(batch, keys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Sort(batch, keys); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -108,9 +108,9 @@
 // Every query runs as a push pipeline (pipeline.go). A BatchSource yields
 // morsels (a batch view plus an optional selection vector), PipeStages
 // transform them in place — FilterStage refines the selection vector with
-// no gather, ProbeStage probes a prebuilt join table (radix-partitioned
-// when the build was, restitching per-partition match lists into left-row
-// order), IndexProbeStage searches a sorted stored table — and a PipeSink
+// no gather, ProbeStage probes a prebuilt join table row by row, each row
+// straight into the partition its hash prefix names, IndexProbeStage
+// searches a sorted stored table — and a PipeSink
 // terminates the pipeline: CollectSink appends surviving rows to the
 // output, AggSink folds them into group states. One morsel flows through
 // the whole stage chain before the next starts, so scan -> filter -> probe
@@ -133,31 +133,19 @@
 // MIN/MAX see every value in row order, so no answer depends on where a
 // morsel boundary fell.
 //
-// The breakers run on the same pool, over contiguous row-range morsels
-// claimed from an atomic cursor, and earn the same guarantee structurally
-// rather than by locking:
-//
-//   - HashJoin radix-partitions its build side on the high bits of the
-//     key hash: hash-and-count per morsel, a prefix sum that lays each
-//     partition's rows out in morsel (hence ascending row) order, a
-//     scatter into those disjoint windows, and one private flat-table
-//     build per partition in that order. Every key lives in exactly one
-//     partition and every chain links build rows ascending — the same
-//     chains the serial single-table build produces — so probe output is
-//     independent of the partition count and of which worker built what.
-//     A whole-batch probe covers disjoint left ranges concurrently (the
-//     table is read-only during the probe) and per-range match lists
-//     concatenate in range order — the serial probe order.
-//   - Sort splits comparator-ordered inputs into independently sorted
-//     morsel runs and merges them pairwise in fixed tree shape; the runs
-//     hold ascending disjoint row ranges and ties take the left run, so
-//     merging stable runs stably reproduces the whole-input stable sort.
-//     Radix-eligible keys sort as one whole-batch run instead (linear
-//     radix passes beat log-rounds of comparator merges) with only the
-//     gather parallel — trivially the serial permutation. Float keys that
-//     contain a NaN also sort as one run: NaN ties with everything under
-//     the engine's comparison convention, which is not transitive, so
-//     merge-of-runs is not guaranteed to equal the single stable sort.
+// One breaker runs on the pool too, over contiguous row-range morsels
+// claimed from an atomic cursor, and earns the same guarantee structurally
+// rather than by locking: a hash-join build side larger than one morsel is
+// radix-partitioned on the high bits of the key hash — hash-and-count per
+// morsel, a prefix sum that lays each partition's rows out in morsel (hence
+// ascending row) order, a scatter into those disjoint windows, and one
+// private flat-table build per partition in that order. Every key lives in
+// exactly one partition and every chain links build rows ascending — the
+// same chains the serial single-table build produces — so probe output is
+// independent of the partition count and of which worker built what. A
+// build that fits one morsel is one serial table. Every other breaker is
+// serial: a whole-batch probe, a gather and a sort each run once over their
+// input.
 //
 // Workers hold no state between invocations and pools are safe for
 // concurrent use by many queries; nothing in the engine mutates shared

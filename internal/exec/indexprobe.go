@@ -82,7 +82,7 @@ func (s *IndexProbeStage) Examined() int64 { return s.examined.Load() }
 
 // Proto returns the stage's output schema for a given input schema.
 func (s *IndexProbeStage) Proto(leftProto *column.Batch) (*column.Batch, error) {
-	return assembleJoin(leftProto, s.right, []string{s.rkey}, nil, nil, nil)
+	return assembleJoin(leftProto, s.right, []string{s.rkey}, nil, nil)
 }
 
 // Process implements PipeStage.
@@ -96,7 +96,7 @@ func (s *IndexProbeStage) Process(m Morsel) (Morsel, error) {
 	if len(lsel) == 0 {
 		return Morsel{}, nil
 	}
-	out, err := assembleJoin(m.B, s.right, []string{s.rkey}, lsel, rsel, nil)
+	out, err := assembleJoin(m.B, s.right, []string{s.rkey}, lsel, rsel)
 	if err != nil {
 		return Morsel{}, err
 	}

@@ -171,30 +171,18 @@ func (jt *joinTable) bind(b *column.Batch) (probeKeys, error) {
 	return k, nil
 }
 
-// probe probes the rows sel selects (ascending; nil = every row of
-// [lo, hi)) in order, returning the matched (left, right) row-index pairs.
+// probe probes the rows sel selects (ascending; nil = each of the n rows)
+// in order, returning the matched (left, right) row-index pairs: each row
+// walks straight into the table of the partition its hash prefix names.
 // Each key lives in exactly one partition and each chain walks build rows
-// in ascending order, so concatenating the results of adjacent ranges
-// reproduces the full serial probe exactly, whatever partition count the
-// build chose. Rows whose key hashes into a spilled partition are not
+// in ascending order, so the output is the same whatever partition count
+// the build chose. Rows whose key hashes into a spilled partition are not
 // probed here; their (row, hash) pairs are returned for probeSpilled to
 // handle partition-by-partition, reusing the hash this pass already
 // computed.
-//
-// A partitioned build takes the radix-partitioned probe path; a
-// single-table build keeps the original row-at-a-time loop, which doubles
-// as the oracle the partitioned path is tested against.
-func (jt *joinTable) probe(k probeKeys, sel []int32, lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
-	if len(jt.parts) > 1 {
-		return jt.probePartitioned(k.kc, k.pk, sel, lo, hi)
-	}
-	return jt.probeDirect(k.kc, k.pk, sel, lo, hi)
-}
-
-// probeDirect is the row-at-a-time probe: each row walks straight into its
-// partition's table.
-func (jt *joinTable) probeDirect(kc []*column.Column, pk []packedKeyCol, sel []int32, lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
-	nr := hi - lo
+func (jt *joinTable) probe(keys probeKeys, sel []int32, n int) (lsel, rsel, spl []int32, sph []uint64) {
+	kc, pk := keys.kc, keys.pk
+	nr := n
 	if sel != nil {
 		nr = len(sel)
 	}
@@ -202,7 +190,7 @@ func (jt *joinTable) probeDirect(kc []*column.Column, pk []packedKeyCol, sel []i
 		if sel != nil {
 			return int(sel[k])
 		}
-		return lo + k
+		return k
 	}
 	lsel = make([]int32, 0, nr)
 	rsel = make([]int32, 0, nr)
@@ -251,98 +239,6 @@ func (jt *joinTable) probeDirect(kc []*column.Column, pk []packedKeyCol, sel []i
 	return lsel, rsel, spl, sph
 }
 
-// probePartitioned is the radix-partitioned probe: one hash pass buckets
-// the probe rows by the build's partition prefix, then each resident
-// partition is probed as a unit — all of a partition's probes touch one
-// table before moving on, instead of every row striding across all
-// partitions' tables. Rows stay ascending within each bucket and every key
-// lives in exactly one partition, so merging the per-partition match lists
-// by left row reproduces probeDirect's output exactly.
-func (jt *joinTable) probePartitioned(kc []*column.Column, pk []packedKeyCol, sel []int32, lo, hi int) (lsel, rsel, spl []int32, sph []uint64) {
-	nr := hi - lo
-	if sel != nil {
-		nr = len(sel)
-	}
-	np := len(jt.parts)
-	pRows := make([][]int32, np)
-	pHash := make([][]uint64, np)
-	bucket := func(i int, h uint64) {
-		pi := h >> jt.shift
-		if jt.spilled != nil && jt.spilled[pi] {
-			spl = append(spl, int32(i))
-			sph = append(sph, h)
-			return
-		}
-		pRows[pi] = append(pRows[pi], int32(i))
-		pHash[pi] = append(pHash[pi], h)
-	}
-	if jt.intKeys {
-		for k := 0; k < nr; k++ {
-			i := lo + k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			if nullKey(kc, i) {
-				continue
-			}
-			a, b := packKey(pk, i)
-			bucket(i, hashIntKey(a, b))
-		}
-	} else {
-		buf := make([]byte, 0, 16*len(kc))
-		for k := 0; k < nr; k++ {
-			i := lo + k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			if nullKey(kc, i) {
-				continue
-			}
-			buf = jt.encodeKey(buf[:0], kc, i)
-			bucket(i, fnv1a(buf))
-		}
-	}
-
-	var lls, rls [][]int32
-	var buf []byte
-	if !jt.intKeys {
-		buf = make([]byte, 0, 16*len(kc))
-	}
-	for pi := 0; pi < np; pi++ {
-		rows := pRows[pi]
-		if len(rows) == 0 {
-			continue
-		}
-		pt := &jt.parts[pi]
-		pl := make([]int32, 0, len(rows))
-		pr := make([]int32, 0, len(rows))
-		if jt.intKeys {
-			for k, i := range rows {
-				a, b := packKey(pk, int(i))
-				for ri := pt.lookupInt(pHash[pi][k], a, b); ri >= 0; ri = jt.next[ri] {
-					pl = append(pl, i)
-					pr = append(pr, ri)
-				}
-			}
-		} else {
-			for k, i := range rows {
-				buf = jt.encodeKey(buf[:0], kc, int(i))
-				for ri := pt.lookupGen(pHash[pi][k], buf); ri >= 0; ri = jt.next[ri] {
-					pl = append(pl, i)
-					pr = append(pr, ri)
-				}
-			}
-		}
-		lls = append(lls, pl)
-		rls = append(rls, pr)
-	}
-	if len(lls) == 0 {
-		return []int32{}, []int32{}, spl, sph
-	}
-	lsel, rsel = mergeMatchLists(lls, rls)
-	return lsel, rsel, spl, sph
-}
-
 // probeMorsel probes the selected rows of one pipeline morsel (sel nil =
 // all rows) against a fully resident table. A build that spilled is probed
 // whole-batch through probeAll instead — the planner decides that right
@@ -352,42 +248,18 @@ func (jt *joinTable) probeMorsel(b *column.Batch, sel []int32) ([]int32, []int32
 	if err != nil {
 		return nil, nil, err
 	}
-	lsel, rsel, _, _ := jt.probe(k, sel, 0, b.NumRows())
+	lsel, rsel, _, _ := jt.probe(k, sel, b.NumRows())
 	return lsel, rsel, nil
 }
 
-// probeAll probes every row of left: resident partitions through probe
-// (parallel over morsels when the pool allows), spilled partitions via
-// probeSpilled, merged back into the serial probe order.
-func (jt *joinTable) probeAll(p *Pool, left *column.Batch) ([]int32, []int32, error) {
+// probeAll probes every row of left: resident partitions through probe,
+// spilled partitions via probeSpilled, merged back into the probe order.
+func (jt *joinTable) probeAll(left *column.Batch) ([]int32, []int32, error) {
 	k, err := jt.bind(left)
 	if err != nil {
 		return nil, nil, err
 	}
-	ln := left.NumRows()
-	var lsel, rsel, spl []int32
-	var sph []uint64
-	if p.serialFor(ln) {
-		lsel, rsel, spl, sph = jt.probe(k, nil, 0, ln)
-	} else {
-		mcount := p.morselCount(ln)
-		lparts := make([][]int32, mcount)
-		rparts := make([][]int32, mcount)
-		splParts := make([][]int32, mcount)
-		sphParts := make([][]uint64, mcount)
-		p.run(mcount, func(mi int) {
-			lo, hi := p.morselBounds(mi, ln)
-			lparts[mi], rparts[mi], splParts[mi], sphParts[mi] = jt.probe(k, nil, lo, hi)
-		})
-		lsel, rsel = concatSel(lparts), concatSel(rparts)
-		if jt.spilled != nil {
-			// Morsel order = ascending row order, like the match lists.
-			spl = concatSel(splParts)
-			for _, part := range sphParts {
-				sph = append(sph, part...)
-			}
-		}
-	}
+	lsel, rsel, spl, sph := jt.probe(k, nil, left.NumRows())
 	if jt.spilled == nil {
 		return lsel, rsel, nil
 	}
@@ -551,12 +423,11 @@ func mergeMatchPair(l1, r1, l2, r2 []int32) ([]int32, []int32) {
 	return ml, mr
 }
 
-// assembleJoin gathers both sides by the matched row pairs (in parallel
-// when a pool is supplied) and appends the right columns minus the right
-// keys to the left columns.
-func assembleJoin(left, right *column.Batch, rightKeys []string, lsel, rsel []int32, p *Pool) (*column.Batch, error) {
-	out := p.gather(left, lsel)
-	rightOut := p.gather(right, rsel)
+// assembleJoin gathers both sides by the matched row pairs and appends the
+// right columns minus the right keys to the left columns.
+func assembleJoin(left, right *column.Batch, rightKeys []string, lsel, rsel []int32) (*column.Batch, error) {
+	out := left.Gather(lsel)
+	rightOut := right.Gather(rsel)
 	skip := make(map[string]bool, len(rightKeys))
 	for _, k := range rightKeys {
 		skip[k] = true

@@ -14,14 +14,13 @@ import (
 // still load-balances across workers by stealing.
 const DefaultMorselRows = 16384
 
-// Pool is the morsel-driven parallel execution layer: RunPipeline drives
-// push pipelines over it (pipeline.go), and the pipeline breakers — join
-// build and grace-hash probe, sort, gather — partition their input into
-// contiguous row-range morsels that workers pull from a shared atomic
-// cursor (dynamic stealing, no static assignment). Per-morsel results are
-// placed by morsel index and concatenated in order, so every operator's
-// output is bit-identical to the serial engine's — see doc.go for the
-// determinism argument.
+// Pool is the morsel-driven parallel execution layer, used in two places:
+// RunPipeline drives push pipelines over it (pipeline.go), and the
+// radix-partitioned hash-join build splits its input into contiguous
+// row-range morsels that workers pull from a shared atomic cursor (dynamic
+// stealing, no static assignment). Per-morsel results are placed by morsel
+// index, so the output is bit-identical to the serial engine's — see
+// doc.go for the determinism argument.
 //
 // A nil *Pool and a 1-worker pool both mean the serial engine. Pools hold
 // no goroutines between calls and are safe for concurrent use by multiple
@@ -154,100 +153,6 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// concatSel concatenates per-morsel selection vectors in morsel order,
-// which reproduces the serial engine's single ascending vector (each part
-// holds batch-absolute indices of a disjoint, increasing row range).
-func concatSel(parts [][]int32) []int32 {
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	out := make([]int32, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
-	}
-	return out
-}
-
-// gather is Batch.Gather parallelized over chunks of the selection vector:
-// output vectors are preallocated and every worker writes a disjoint row
-// window of each column, so the result is identical to the serial gather.
-func (p *Pool) gather(b *column.Batch, sel []int32) *column.Batch {
-	if p.serialFor(len(sel)) {
-		return b.Gather(sel)
-	}
-	nc := b.NumCols()
-	type colOut struct {
-		src   *column.Column
-		ints  []int64
-		fls   []float64
-		strs  []string
-		nulls []bool
-	}
-	outs := make([]colOut, nc)
-	for ci := 0; ci < nc; ci++ {
-		c := b.ColAt(ci)
-		o := colOut{src: c}
-		switch c.Type() {
-		case column.Float64:
-			o.fls = make([]float64, len(sel))
-		case column.String:
-			o.strs = make([]string, len(sel))
-		default:
-			o.ints = make([]int64, len(sel))
-		}
-		if c.Nulls() != nil {
-			o.nulls = make([]bool, len(sel))
-		}
-		outs[ci] = o
-	}
-	mcount := p.morselCount(len(sel))
-	p.run(mcount, func(mi int) {
-		lo, hi := p.morselBounds(mi, len(sel))
-		for ci := range outs {
-			o := &outs[ci]
-			switch o.src.Type() {
-			case column.Float64:
-				src := o.src.Float64s()
-				for i := lo; i < hi; i++ {
-					o.fls[i] = src[sel[i]]
-				}
-			case column.String:
-				src := o.src.Strings()
-				for i := lo; i < hi; i++ {
-					o.strs[i] = src[sel[i]]
-				}
-			default:
-				src := o.src.Int64s()
-				for i := lo; i < hi; i++ {
-					o.ints[i] = src[sel[i]]
-				}
-			}
-			if o.nulls != nil {
-				src := o.src.Nulls()
-				for i := lo; i < hi; i++ {
-					o.nulls[i] = src[sel[i]]
-				}
-			}
-		}
-	})
-	cols := make([]*column.Column, nc)
-	for ci, o := range outs {
-		var c *column.Column
-		switch o.src.Type() {
-		case column.Float64:
-			c = column.NewFloat64s(o.src.Name(), o.fls)
-		case column.String:
-			c = column.NewStrings(o.src.Name(), o.strs)
-		default:
-			c = column.NewIntFamily(o.src.Name(), o.src.Type(), o.ints)
-		}
-		c.SetNulls(o.nulls)
-		cols[ci] = c
-	}
-	return column.MustNewBatch(cols...)
-}
-
 // ---------------------------------------------------------------------------
 // HashJoin
 // ---------------------------------------------------------------------------
@@ -257,15 +162,14 @@ func (p *Pool) gather(b *column.Batch, sel []int32) *column.Batch {
 // columns followed by all right columns except the right keys, which
 // duplicate the left ones; the table is built on the right input and output
 // order follows the left, so metadata-first plans produce deterministically
-// ordered intermediates. A nil pool runs it serially; a nil qm, unbounded.
+// ordered intermediates. A nil pool builds serially; a nil qm, unbounded.
 //
-// It is morsel-driven under the memory governor: the flat open-addressing
-// build table is radix-partitioned across workers when the build side
+// It is the NoPipeline reference join. The flat open-addressing build table
+// is radix-partitioned across the pool's workers when the build side
 // exceeds one morsel (each partition built privately in serial row order, so
 // chains — and therefore probe output — match the serial single-table build
-// exactly), then workers probe disjoint left row ranges against the
-// read-only table and the per-range match lists concatenate in range order —
-// the serial probe order. Both output gathers run on the pool.
+// exactly); the probe and both output gathers then run serially, in left
+// row order.
 //
 // Under a finite qm budget, build partitions whose memory grant is denied
 // spill their rows to disk (grace hash); the probe rebuilds them strictly
@@ -278,67 +182,12 @@ func (p *Pool) HashJoinMem(qm *QueryMem, left, right *column.Batch, leftKeys, ri
 		return nil, JoinStats{}, err
 	}
 	defer jt.grant.Close()
-	lsel, rsel, err := jt.probeAll(p, left)
+	lsel, rsel, err := jt.probeAll(left)
 	if err != nil {
 		return nil, jt.stats, err
 	}
 	jt.stats.ProbeRows = left.NumRows()
 	jt.stats.Matches = len(lsel)
-	out, err := assembleJoin(left, right, rightKeys, lsel, rsel, p)
+	out, err := assembleJoin(left, right, rightKeys, lsel, rsel)
 	return out, jt.stats, err
-}
-
-// ---------------------------------------------------------------------------
-// Sort
-// ---------------------------------------------------------------------------
-
-// SortWithStats is the morsel-driven Sort. Comparator-sorted keys (float,
-// string, multi-key) are sorted per contiguous morsel row range
-// independently — the same sortSel the serial engine runs — then the
-// sorted runs merge pairwise across the pool; stable runs merged with
-// left-run-wins ties reproduce the stable sort of the whole input, so the
-// output is bit-identical to the serial engine's at every worker count and
-// morsel size. A single integer-family key instead runs one whole-batch
-// LSD radix sort (merging cannot beat its linear passes) with the output
-// gather on the pool — the identical permutation by construction.
-func (p *Pool) SortWithStats(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
-	n := b.NumRows()
-	if p.serialFor(n) {
-		return sortSerial(b, keys)
-	}
-	if len(keys) == 0 {
-		return b, SortStats{Strategy: SortStrategyNone, Rows: n}, nil
-	}
-	keyData, err := evalSortKeys(b, keys)
-	if err != nil {
-		return nil, SortStats{}, err
-	}
-	if radixEligible(keyData) || !mergeSafe(keyData) {
-		// Two reasons to sort as one run. (1) A radix-eligible key: LSD
-		// radix is a linear, branch-light pass over the whole input, and
-		// log-rounds of comparator merges over n rows cost more than the
-		// radix passes they would save — whole-batch radix wins outright
-		// (the output gather still runs on the pool). (2) A NaN in a float
-		// key ties with everything under the engine's comparison
-		// convention, so the key ordering is not transitive and merging
-		// independently sorted runs may legitimately produce a different
-		// permutation than one whole-input stable sort. Either way a
-		// single sortSel run is exactly the serial engine's permutation.
-		sel := selAll(n)
-		strategy := sortSel(keyData, sel)
-		return p.gather(b, sel), SortStats{Strategy: strategy, Runs: 1, Rows: n}, nil
-	}
-	mcount := p.morselCount(n)
-	sel := selAll(n)
-	bounds := make([]int, mcount+1)
-	p.run(mcount, func(mi int) {
-		lo, hi := p.morselBounds(mi, n)
-		bounds[mi+1] = hi
-		// Necessarily the comparator path: radix-eligible keys took the
-		// single-run branch above.
-		sortSel(keyData, sel[lo:hi])
-	})
-	sel = p.mergeRuns(keyData, sel, bounds)
-	st := SortStats{Strategy: SortStrategyComparator, Runs: mcount, Rows: n}
-	return p.gather(b, sel), st, nil
 }

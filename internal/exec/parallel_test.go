@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,26 +65,6 @@ func TestMorselBoundsCoverInput(t *testing.T) {
 		}
 		if covered != n {
 			t.Fatalf("n=%d: morsels cover %d rows", n, covered)
-		}
-	}
-}
-
-// TestPoolGatherMatchesSerialGather drives the chunked parallel gather
-// against Batch.Gather on random selections, including null-bearing and
-// duplicate indices (a join probe can select the same row many times).
-func TestPoolGatherMatchesSerialGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := &Pool{workers: 8, morsel: 7}
-	for iter := 0; iter < 50; iter++ {
-		b := randNullBatch(rng, 200)
-		sel := make([]int32, rng.Intn(400))
-		for i := range sel {
-			sel[i] = int32(rng.Intn(200))
-		}
-		got := p.gather(b, sel)
-		want := b.Gather(sel)
-		if diff, ok := bitIdenticalBatches(got, want); !ok {
-			t.Fatalf("iter %d: parallel gather diverges: %s", iter, diff)
 		}
 	}
 }

@@ -358,7 +358,7 @@ func (jp *JoinProbe) NewStage() *ProbeStage { return &ProbeStage{jp: jp} }
 // Proto returns the stage's output schema for a given input schema: the
 // probe output of an empty morsel.
 func (jp *JoinProbe) Proto(leftProto *column.Batch) (*column.Batch, error) {
-	return assembleJoin(leftProto, jp.right, jp.rightKeys, nil, nil, nil)
+	return assembleJoin(leftProto, jp.right, jp.rightKeys, nil, nil)
 }
 
 // ProbeStage probes each morsel's live rows against a prebuilt join table
@@ -391,7 +391,7 @@ func (s *ProbeStage) Process(m Morsel) (Morsel, error) {
 		return Morsel{}, err
 	}
 	s.out.Add(int64(len(lsel)))
-	out, err := assembleJoin(m.B, s.jp.right, s.jp.rightKeys, lsel, rsel, nil)
+	out, err := assembleJoin(m.B, s.jp.right, s.jp.rightKeys, lsel, rsel)
 	if err != nil {
 		return Morsel{}, err
 	}
@@ -399,18 +399,18 @@ func (s *ProbeStage) Process(m Morsel) (Morsel, error) {
 }
 
 // ProbeBatch is the breaker form of Process for a build that spilled: it
-// probes every row of a materialized batch — resident partitions in
-// parallel over the pool, spilled partitions rebuilt from disk one at a
-// time — and assembles the joined batch in the serial probe order, which
-// is the order the morsel-wise probe of the same rows would have produced.
-func (s *ProbeStage) ProbeBatch(b *column.Batch, p *Pool) (*column.Batch, error) {
-	lsel, rsel, err := s.jp.jt.probeAll(p, b)
+// probes every row of a materialized batch — resident partitions first,
+// then each spilled partition rebuilt from disk one at a time — and
+// assembles the joined batch in the order the morsel-wise probe of the
+// same rows would have produced.
+func (s *ProbeStage) ProbeBatch(b *column.Batch) (*column.Batch, error) {
+	lsel, rsel, err := s.jp.jt.probeAll(b)
 	if err != nil {
 		return nil, err
 	}
 	s.in.Add(int64(b.NumRows()))
 	s.out.Add(int64(len(lsel)))
-	return assembleJoin(b, s.jp.right, s.jp.rightKeys, lsel, rsel, p)
+	return assembleJoin(b, s.jp.right, s.jp.rightKeys, lsel, rsel)
 }
 
 // ---------------------------------------------------------------------------

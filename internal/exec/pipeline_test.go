@@ -508,6 +508,46 @@ func TestProbeStagePartitionedMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestProbeMorselAllocs gates what ProbeStage.Process allocates to probe one
+// default-size morsel against a radix-partitioned ~100k-row build: the match
+// lists, the gathered output columns and a handful of per-call objects — a
+// count that must not grow with the build's partition count. Machine-
+// independent: it counts allocations, not time.
+func TestProbeMorselAllocs(t *testing.T) {
+	right := joinBuildBatch(100_000)
+	rng := rand.New(rand.NewSource(17))
+	lid := make([]int64, DefaultMorselRows)
+	v := make([]float64, DefaultMorselRows)
+	for i := range lid {
+		lid[i] = rng.Int63n(100_000 / 8)
+		v[i] = rng.NormFloat64()
+	}
+	m := Morsel{B: column.MustNewBatch(column.NewInt64s("lid", lid), column.NewFloat64s("v", v))}
+	var allocs []float64
+	for _, parts := range []int{8, 64} {
+		jp, err := BuildProbeTable(m.B.Range(0, 0), right, []string{"lid"}, []string{"rid"}, NewPool(parts/4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jp.Stats().Partitions; got != parts {
+			t.Fatalf("build has %d partitions, want %d", got, parts)
+		}
+		st := jp.NewStage()
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if _, err := st.Process(m); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		jp.Close()
+	}
+	if allocs[0] != allocs[1] || allocs[0] >= 64 {
+		t.Errorf("probing one %d-row morsel allocated %.0f times at 8 partitions and %.0f at 64, want the same count below 64",
+			DefaultMorselRows, allocs[0], allocs[1])
+	} else {
+		t.Logf("%.0f allocations per %d-row morsel at 8 and 64 partitions", allocs[0], DefaultMorselRows)
+	}
+}
+
 // BenchmarkPipelineFilterAgg compares the serial reference's filter then
 // aggregate over whole batches against the fused pipeline on a
 // low-selectivity 1M-row query (the predicate keeps ~93% of rows, so the

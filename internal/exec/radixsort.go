@@ -5,8 +5,7 @@ package exec
 // mapped uint64 keys; float, string and multi-key sorts fall back to the
 // comparator sort. Both are stable sorts under the same total preorder
 // (nulls first ascending, last descending, matching sortKeyData.compareRows
-// with the Desc flip), so they produce the identical permutation — which
-// is also what makes the parallel morsel merge bit-identical to either.
+// with the Desc flip), so they produce the identical permutation.
 
 import "sort"
 
@@ -56,23 +55,6 @@ func lessRows(keyData []sortKeyData, ia, iz int) bool {
 		return c < 0
 	}
 	return false
-}
-
-// mergeSafe reports whether the key ordering is a genuine total preorder,
-// which is what makes merge-of-sorted-runs equal the whole-input stable
-// sort. Integer and string keys always are; a float key is only unsafe
-// when it actually contains a NaN (NaN ties with everything under the
-// engine's convention, which is not transitive). Null positions store 0 in
-// the raw vector, so they never scan as NaN.
-func mergeSafe(keyData []sortKeyData) bool {
-	for ki := range keyData {
-		for _, v := range keyData[ki].fls {
-			if v != v {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // radixBias maps an int64 sort key to a uint64 whose unsigned order is the
@@ -164,62 +146,5 @@ func radixSortInts(k *sortKeyData, sel []int32) {
 	} else {
 		copy(sel, nullRows)
 		copy(sel[len(nullRows):], rows)
-	}
-}
-
-// mergeRuns merges adjacent sorted runs of sel pairwise until one run
-// remains, handing each pair merge of a round to a pool worker. bounds
-// holds the run boundaries (len(runs)+1 entries, first 0, last len(sel)).
-// The merge tree's shape depends only on the run count, every element of a
-// left run wins ties against the right run (runs hold ascending disjoint
-// row ranges), and merging stable runs stably yields the stable sort of
-// the whole — so the result is the serial sort's permutation exactly.
-func (p *Pool) mergeRuns(keyData []sortKeyData, sel []int32, bounds []int) []int32 {
-	buf := make([]int32, len(sel))
-	for len(bounds) > 2 {
-		pairs := (len(bounds) - 1) / 2
-		odd := (len(bounds)-1)%2 == 1
-		nb := make([]int, 0, pairs+2)
-		nb = append(nb, 0)
-		for pi := 0; pi < pairs; pi++ {
-			nb = append(nb, bounds[2*pi+2])
-		}
-		if odd {
-			nb = append(nb, bounds[len(bounds)-1])
-		}
-		p.run(pairs, func(pi int) {
-			lo, mid, hi := bounds[2*pi], bounds[2*pi+1], bounds[2*pi+2]
-			mergeTwo(keyData, sel, buf, lo, mid, hi)
-		})
-		if odd {
-			lo, hi := bounds[len(bounds)-2], bounds[len(bounds)-1]
-			copy(buf[lo:hi], sel[lo:hi])
-		}
-		sel, buf = buf, sel
-		bounds = nb
-	}
-	return sel
-}
-
-// mergeTwo stably merges the sorted runs src[lo:mid] and src[mid:hi] into
-// dst[lo:hi]: the right element is taken only when strictly less, so equal
-// keys keep left-run-first (row-ascending) order.
-func mergeTwo(keyData []sortKeyData, src, dst []int32, lo, mid, hi int) {
-	i, j := lo, mid
-	for w := lo; w < hi; w++ {
-		switch {
-		case i >= mid:
-			dst[w] = src[j]
-			j++
-		case j >= hi:
-			dst[w] = src[i]
-			i++
-		case lessRows(keyData, int(src[j]), int(src[i])):
-			dst[w] = src[j]
-			j++
-		default:
-			dst[w] = src[i]
-			i++
-		}
 	}
 }

@@ -14,11 +14,9 @@ type SortKey struct {
 }
 
 // SortStats describes how one sort executed: the key strategy chosen
-// (radix vs comparator) and how many independently sorted morsel runs the
-// parallel path merged (1 means a single serial sort).
+// (radix vs comparator) and the rows it ordered.
 type SortStats struct {
 	Strategy string
-	Runs     int
 	Rows     int
 }
 
@@ -99,11 +97,10 @@ func evalSortKeys(b *column.Batch, keys []SortKey) ([]sortKeyData, error) {
 	return keyData, nil
 }
 
-// sortSerial returns the batch reordered by the keys (stable), with the
-// execution stats. This is the serial engine: one sortSel over the whole
-// batch (radix for a single integer-family key, comparator otherwise) — the
-// oracle the parallel morsel-merge path is tested against.
-func sortSerial(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
+// Sort returns the batch reordered by the keys (stable), with the execution
+// stats: one sortSel over the whole batch (radix for a single
+// integer-family key, comparator otherwise) and one gather.
+func Sort(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
 	n := b.NumRows()
 	if len(keys) == 0 || n <= 1 {
 		return b, SortStats{Strategy: SortStrategyNone, Rows: n}, nil
@@ -114,7 +111,7 @@ func sortSerial(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, erro
 	}
 	sel := selAll(n)
 	strategy := sortSel(keyData, sel)
-	return b.Gather(sel), SortStats{Strategy: strategy, Runs: 1, Rows: n}, nil
+	return b.Gather(sel), SortStats{Strategy: strategy, Rows: n}, nil
 }
 
 // Limit returns at most n leading rows of the batch as a prefix view (no

@@ -137,7 +137,7 @@ func TestJoinSpillBitIdenticalToInMemory(t *testing.T) {
 					defer jp.Close()
 					var piped *column.Batch
 					if jp.Spilled() {
-						piped, err = jp.NewStage().ProbeBatch(left, eng.pool)
+						piped, err = jp.NewStage().ProbeBatch(left)
 					} else {
 						sink := NewCollectSink(oracle.Range(0, 0))
 						if _, err = eng.pool.RunPipeline(NewBatchMorsels(left, eng.pool.MorselRows()), []PipeStage{jp.NewStage()}, sink); err == nil {
@@ -367,12 +367,11 @@ func TestJoinProbeFailsDeterministicallyOnCorruptSpillFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := &Pool{workers: 2, morsel: 61}
-	_, err1 := jp.NewStage().ProbeBatch(left, p)
+	_, err1 := jp.NewStage().ProbeBatch(left)
 	if err1 == nil || !strings.Contains(err1.Error(), "spill") {
 		t.Fatalf("probe over truncated spill files must fail with a spill error, got %v", err1)
 	}
-	_, err2 := jp.NewStage().ProbeBatch(left, p)
+	_, err2 := jp.NewStage().ProbeBatch(left)
 	if fmt.Sprint(err1) != fmt.Sprint(err2) {
 		t.Fatalf("corruption error must be deterministic: %v vs %v", err1, err2)
 	}

@@ -941,29 +941,18 @@ func TestSortMatchesOracleOnRandomBatches(t *testing.T) {
 		{{Expr: &sql.ColumnRef{Name: "id"}, Desc: true}, {Expr: &sql.ColumnRef{Name: "v"}, Desc: true}, {Expr: &sql.ColumnRef{Name: "ts"}}},
 		{{Expr: &sql.ColumnRef{Name: "id"}}, {Expr: &sql.ColumnRef{Name: "v"}}, {Expr: &sql.ColumnRef{Name: "s"}, Desc: true}},
 	}
-	for _, eng := range testEngines() {
-		t.Run(eng.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(59))
-			for iter := 0; iter < 80; iter++ {
-				b := randNullBatch(rng, rng.Intn(120))
-				keys := keyConfigs[rng.Intn(len(keyConfigs))]
-				got, _, err := eng.pool.SortWithStats(b, keys)
-				if err != nil {
-					t.Fatalf("iter %d: %v", iter, err)
-				}
-				want := oracleSortBatch(t, b, keys)
-				if diff, ok := batchesEqual(got, want); !ok {
-					t.Fatalf("iter %d: Sort diverges from oracle: %s", iter, diff)
-				}
-				serial, _, err := sortSerial(b, keys)
-				if err != nil {
-					t.Fatalf("iter %d: serial Sort: %v", iter, err)
-				}
-				if diff, ok := bitIdenticalBatches(got, serial); !ok {
-					t.Fatalf("iter %d: Sort not bit-identical to serial: %s", iter, diff)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(59))
+	for iter := 0; iter < 80; iter++ {
+		b := randNullBatch(rng, rng.Intn(120))
+		keys := keyConfigs[rng.Intn(len(keyConfigs))]
+		got, _, err := Sort(b, keys)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		want := oracleSortBatch(t, b, keys)
+		if diff, ok := bitIdenticalBatches(got, want); !ok {
+			t.Fatalf("iter %d: Sort diverges from oracle: %s", iter, diff)
+		}
 	}
 }
 
@@ -1285,16 +1274,17 @@ func TestRadixSortMatchesComparatorOnFullRangeKeys(t *testing.T) {
 	}
 }
 
-// TestSortLargeParallel exercises the parallel sort at a size where the
-// comparator path actually splits into many morsel runs and merges them:
-// radix-eligible timestamp keys (whole-batch radix, parallel gather) and
-// comparator keys (string, NaN-free float multi-key) across every engine.
+// TestSortLargeParallel holds Sort to the boxed oracle on inputs larger
+// than two default morsels — radix-eligible timestamp keys and comparator
+// keys (string, and float multi-keys with and without a NaN, which ties
+// with every value) — in both directions.
 func TestSortLargeParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
-	n := 5000
+	n := 40_000
 	ts := column.New("ts", column.Timestamp)
 	s := column.New("s", column.String)
 	v := column.New("v", column.Float64)
+	nan := column.New("nan", column.Float64)
 	words := []string{"alpha", "beta", "gamma", "delta", ""}
 	tag := make([]int64, n)
 	for i := 0; i < n; i++ {
@@ -1313,41 +1303,34 @@ func TestSortLargeParallel(t *testing.T) {
 		} else {
 			v.AppendFloat64(float64(rng.Intn(40)) / 4)
 		}
+		switch r := rng.Float64(); {
+		case r < 0.05:
+			nan.AppendNull()
+		case r < 0.1:
+			nan.AppendFloat64(math.NaN())
+		default:
+			nan.AppendFloat64(float64(rng.Intn(40)) / 4)
+		}
 		tag[i] = int64(i)
 	}
-	b := column.MustNewBatch(ts, s, v, column.NewInt64s("tag", tag))
+	b := column.MustNewBatch(ts, s, v, nan, column.NewInt64s("tag", tag))
 	for _, desc := range []bool{false, true} {
-		checkSortEngines(t, b,
-			[]SortKey{{Expr: &sql.ColumnRef{Name: "ts"}, Desc: desc}},
-			fmt.Sprintf("radix desc=%v", desc))
-		checkSortEngines(t, b,
-			[]SortKey{{Expr: &sql.ColumnRef{Name: "s"}, Desc: desc}},
-			fmt.Sprintf("comparator-string desc=%v", desc))
-		checkSortEngines(t, b,
-			[]SortKey{{Expr: &sql.ColumnRef{Name: "v"}, Desc: desc}, {Expr: &sql.ColumnRef{Name: "ts"}}},
-			fmt.Sprintf("comparator-multikey desc=%v", desc))
-	}
-}
-
-// checkSortEngines asserts every engine's Sort is bit-identical to the
-// serial engine's and that the serial result matches the boxed oracle.
-func checkSortEngines(t *testing.T, b *column.Batch, keys []SortKey, label string) {
-	t.Helper()
-	serial, _, err := sortSerial(b, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleSortBatch(t, b, keys)
-	if diff, ok := batchesEqual(serial, want); !ok {
-		t.Fatalf("%s: serial sort diverges from oracle: %s", label, diff)
-	}
-	for _, eng := range testEngines() {
-		got, _, err := eng.pool.SortWithStats(b, keys)
-		if err != nil {
-			t.Fatalf("%s %s: %v", label, eng.name, err)
-		}
-		if diff, ok := bitIdenticalBatches(got, serial); !ok {
-			t.Fatalf("%s %s: not bit-identical to serial: %s", label, eng.name, diff)
+		for _, c := range []struct {
+			label string
+			keys  []SortKey
+		}{
+			{"radix", []SortKey{{Expr: &sql.ColumnRef{Name: "ts"}, Desc: desc}}},
+			{"comparator-string", []SortKey{{Expr: &sql.ColumnRef{Name: "s"}, Desc: desc}}},
+			{"comparator-multikey", []SortKey{{Expr: &sql.ColumnRef{Name: "v"}, Desc: desc}, {Expr: &sql.ColumnRef{Name: "ts"}}}},
+			{"comparator-nan-multikey", []SortKey{{Expr: &sql.ColumnRef{Name: "nan"}, Desc: desc}, {Expr: &sql.ColumnRef{Name: "s"}}}},
+		} {
+			got, _, err := Sort(b, c.keys)
+			if err != nil {
+				t.Fatalf("%s desc=%v: %v", c.label, desc, err)
+			}
+			if diff, ok := bitIdenticalBatches(got, oracleSortBatch(t, b, c.keys)); !ok {
+				t.Fatalf("%s desc=%v: Sort diverges from oracle: %s", c.label, desc, diff)
+			}
 		}
 	}
 }

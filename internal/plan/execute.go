@@ -384,7 +384,7 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 		return out, err
 	case *Sort:
 		sp := env.Trace.StartChild("sort")
-		out, ss, err := env.Pool.SortWithStats(in, x.Keys)
+		out, ss, err := exec.Sort(in, x.Keys)
 		if err != nil {
 			return nil, err
 		}
@@ -392,7 +392,7 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 		sp.End()
 		env.Stats.recordSort(ss)
 		if ss.Strategy != exec.SortStrategyNone {
-			env.obs().Event("sort", fmt.Sprintf("%s sort of %d rows (%d runs)", ss.Strategy, ss.Rows, ss.Runs))
+			env.obs().Event("sort", fmt.Sprintf("%s sort of %d rows", ss.Strategy, ss.Rows))
 		}
 		return out, nil
 	case *Limit:

@@ -281,7 +281,7 @@ func (r *pipeRun) addJoin(x *Join) error {
 	}
 	sp := r.span(st)
 	t0 := time.Now()
-	joined, err := st.ProbeBatch(collected, env.Pool)
+	joined, err := st.ProbeBatch(collected)
 	sp.Add(time.Since(t0))
 	jp.Close()
 	if err != nil {

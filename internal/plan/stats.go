@@ -30,7 +30,6 @@ type ExecSnapshot struct {
 
 	RadixSorts      int64 // sorts that took the key-specialized radix path
 	ComparatorSorts int64 // sorts that took the generic comparator path
-	SortRunsMerged  int64 // morsel runs merged by parallel sorts
 	SortRows        int64
 
 	// Memory-governed spill counters. The grace-hash join is the one
@@ -143,9 +142,6 @@ func (s *ExecStats) recordSort(ss exec.SortStats) {
 			c.ComparatorSorts++
 		default:
 			return // no-op sorts don't count
-		}
-		if ss.Runs > 1 {
-			c.SortRunsMerged += int64(ss.Runs)
 		}
 		c.SortRows += int64(ss.Rows)
 	})

@@ -93,7 +93,7 @@ type Options struct {
 	Mode Mode
 	ETL  etl.Options
 	// Workers is the query-execution worker count for the morsel-driven
-	// engine (pipeline stages, join builds and probes, sorts). 0 means
+	// engine (pipeline stages and hash-join builds). 0 means
 	// GOMAXPROCS; 1 selects the serial engine. Results are bit-identical
 	// at every setting.
 	Workers int

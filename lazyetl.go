@@ -193,12 +193,12 @@ const (
 )
 
 // Open scans the mSEED repository under dir and initializes a warehouse in
-// the requested mode. Options.Workers controls the morsel-driven parallel
-// query engine (0 = GOMAXPROCS, 1 = serial) and, through it, how far lazy
-// extraction reads ahead: a query's extraction stream runs as many prefetch
-// workers as the pool has workers (never more than it has runs to read) —
-// its consumer is blocked whenever it is behind them, so it needs no core of
-// its own.
+// the requested mode. Options.Workers sizes the morsel-driven parallel
+// engine — pipeline stages and hash-join builds (0 = GOMAXPROCS, 1 =
+// serial) — and how far lazy extraction reads ahead: a query's extraction
+// stream runs as many prefetch workers as the pool has workers (never more
+// than it has runs to read) — its consumer is blocked whenever it is behind
+// them, so it needs no core of its own.
 func Open(dir string, opts Options) (*Warehouse, error) {
 	return warehouse.Open(dir, opts)
 }
