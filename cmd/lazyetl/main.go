@@ -149,8 +149,9 @@ func runQuery(w *warehouse.Warehouse, q string, lastTrace **warehouse.Trace) {
 }
 
 // printExplain renders the zone-map skipping and join-ordering record of a
-// trace: per-scan runs/records/rows read vs skipped, and the chosen join
-// order with its cardinality estimates.
+// trace: per-scan runs/records/rows read vs skipped, the samples a sample
+// window cut from the records extracted, and the chosen join order with its
+// cardinality estimates.
 func printExplain(tr *warehouse.Trace) {
 	if tr.Join != nil {
 		j := tr.Join
@@ -170,6 +171,9 @@ func printExplain(tr *warehouse.Trace) {
 		if s.Target == "extract" {
 			fmt.Printf("-- extract: %d runs read, %d skipped; %d records extracted, %d skipped; %d cache reads\n",
 				s.Runs, s.RunsSkipped, s.Records, s.RecordsSkipped, s.CacheReads)
+			if s.Window != "" {
+				fmt.Printf("   sample window %s: %d samples trimmed at record edges\n", s.Window, s.SamplesTrimmed)
+			}
 		} else {
 			fmt.Printf("-- scan %s: %d rows fed, %d skipped by zone ranges\n", s.Target, s.Rows, s.RowsSkipped)
 		}

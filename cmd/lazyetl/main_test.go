@@ -66,6 +66,8 @@ func TestCommands(t *testing.T) {
 		{`\schema mseed.nosuch`, "unknown table or view"},
 		{`\plan ` + q, "LazyExtract"},
 		{`\explain ` + q, "-- plan executed:"},
+		{`\explain SELECT COUNT(*) FROM mseed.dataview WHERE D.sample_time BETWEEN '2010-01-12T00:00:01.0125' AND '2010-01-12T00:00:30'`,
+			"sample window [2010-01-12T00:00:01.0125, 2010-01-12T00:00:30]: "},
 		{`\prepare p SELECT COUNT(*) FROM mseed.files WHERE station = ?`, "prepared p (1 parameter(s))"},
 		{`\execute p 'ISK'`, "rows in"},
 		{`\trace`, "-- operators injected at run time"},

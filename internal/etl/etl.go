@@ -81,6 +81,19 @@
 // statement that lists the column. Extract, the materializing reference, is
 // that same stream drained as one full-width morsel and expanded
 // (plan.ExtractAll); the eager LoadAll runs the same two helpers.
+//
+// A statement's D.sample_time range predicates reach the stream as one
+// sample window (plan.SampleWindow) and are answered per record, not per
+// sample: a sample's time is monotone in its index, so a binary search over
+// the expression sampleTimes evaluates finds where the window starts and
+// ends inside a record (windowRange), and layout lays out that stretch
+// only. Records are decoded and cached whole all the same. The metadata
+// predicates derived from the window already keep only records that
+// overlap it, so in practice only the first and last record of a series are
+// cut and a run's morsel stays one view of its buffer; the rows are those
+// the predicates would keep, without a timestamp vector or a selection
+// vector per sample. plan.ExtractAll extracts without a window: the
+// reference filters sample times one by one.
 package etl
 
 import (
@@ -369,7 +382,7 @@ func (e *Engine) LoadAll() (Stats, error) {
 				times, values = make([]int64, n), make([]float64, n)
 			}
 			times, values = times[:n], values[:n]
-			sampleTimes(times, r.Header.StartNanos(), r.Header.SampleRate())
+			sampleTimes(times, r.Header.StartNanos(), r.Header.SampleRate(), 0)
 			e.convert(values, r.Samples)
 			db.add(id, r.Header.SeqNo, times, values)
 			st.Samples += int64(len(values))
@@ -492,21 +505,28 @@ func convertGeneral(dst []float64, samples []int32, gain, clip float64) catalog.
 }
 
 // sampleTimes is the record-level transformation: the mSEED format stores no
-// per-sample times, so dst[i] is derived from the record's start time (ns)
-// and sample rate (Hz). A record with no positive rate (log and
-// state-of-health records carry a zero rate factor) has no spacing to
-// derive: every sample sits at the start time, which is also what
-// mseed.Header.EndNanos reports for it.
-func sampleTimes(dst []int64, start int64, rate float64) {
+// per-sample times, so dst[k], the time of the record's sample first+k, is
+// derived from the record's start time (ns) and sample rate (Hz) by
+// sampleTime — bit for bit the same value whichever sample the slice
+// starts at. A record with no positive rate (log and state-of-health records
+// carry a zero rate factor) has no spacing to derive: every sample sits at
+// the start time, which is also what mseed.Header.EndNanos reports for it.
+func sampleTimes(dst []int64, start int64, rate float64, first int) {
 	if rate <= 0 {
 		for i := range dst {
 			dst[i] = start
 		}
 		return
 	}
-	for i := range dst {
-		dst[i] = start + int64(float64(i)/rate*1e9)
+	for k := range dst {
+		dst[k] = sampleTime(start, rate, first+k)
 	}
+}
+
+// sampleTime is the time of sample i of a record with a positive rate: the
+// one expression sampleTimes generates and windowRange searches.
+func sampleTime(start int64, rate float64, i int) int64 {
+	return start + int64(float64(i)/rate*1e9)
 }
 
 // filesBuilder accumulates mseed.files rows columnarly.

@@ -2,6 +2,7 @@ package etl
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -114,6 +115,11 @@ type extractSink struct {
 	// nothing.
 	readSpan   *obs.Span
 	decodeSpan *obs.Span
+
+	// report is the extraction's \explain tally, filed when the stream
+	// closes (the samples its window trims are counted as it goes); nil
+	// when the extraction has neither a prune range nor a sample window.
+	report *plan.ScanReport
 }
 
 // prunedEntry marks rows dropped by zone-map pruning: a shared empty entry,
@@ -197,7 +203,7 @@ func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 // cache entry are served (reported as CacheRead injections), and the rest
 // are coalesced into the runs it returns beside the sink. No file is opened
 // here.
-func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*extractSink, []runPlan, error) {
+func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.SampleWindow, obs plan.Observer) (*extractSink, []runPlan, error) {
 	uriCol, ok := meta.Col("F.uri")
 	if !ok {
 		return nil, nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
@@ -320,33 +326,36 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 			run.samples += l
 		}
 	}
-	if prune != nil {
+	runsSkipped := 0
+	if len(prunedIdx) > 0 {
 		// Count the reads pruning saved: coalesce the would-be miss set too
 		// (pruned rows would all have been misses: a pruned record was
 		// extracted under an older query, whose cache entry may since have
 		// been evicted).
-		runsSkipped := 0
-		if len(prunedIdx) > 0 {
-			all := make([]int, 0, len(missIdx)+len(prunedIdx))
-			all = append(all, missIdx...)
-			all = append(all, prunedIdx...)
-			sort.Ints(all)
-			runsSkipped = len(e.coalesce(all, uris, offs, recLens, states)) - len(runs)
-			e.xstats.runsSkipped.Add(int64(runsSkipped))
-			e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
-			if !quiet {
-				obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
-					len(prunedIdx), n, runsSkipped))
-			}
+		all := make([]int, 0, len(missIdx)+len(prunedIdx))
+		all = append(all, missIdx...)
+		all = append(all, prunedIdx...)
+		sort.Ints(all)
+		runsSkipped = len(e.coalesce(all, uris, offs, recLens, states)) - len(runs)
+		e.xstats.runsSkipped.Add(int64(runsSkipped))
+		e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
+		if !quiet {
+			obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
+				len(prunedIdx), n, runsSkipped))
 		}
-		obs.ScanReport(plan.ScanReport{
+	}
+	if prune != nil || win != nil {
+		sink.report = &plan.ScanReport{
 			Target:         "extract",
 			Runs:           int64(len(runs)),
 			RunsSkipped:    int64(runsSkipped),
 			Records:        int64(len(missIdx)),
 			RecordsSkipped: int64(len(prunedIdx)),
 			CacheReads:     cacheHits,
-		})
+		}
+		if win != nil {
+			sink.report.Window = win.String()
+		}
 	}
 
 	// Report the answer's file dependencies: pass 1 stat'ed every distinct
@@ -646,11 +655,90 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 	return nil
 }
 
-// segment is one metadata row's share of the universal table: the row and
-// the entry holding the samples it is replicated beside.
+// segment is one stretch of a metadata row's share of the universal table:
+// the row, the entry holding the samples it is replicated beside, and which
+// of them, [a, b) — all, or those inside the stream's sample window.
 type segment struct {
-	row int32
-	ent *recycler.Entry
+	row  int32
+	ent  *recycler.Entry
+	a, b int
+}
+
+// followedBy reports whether next's values directly follow sg's in one
+// shared buffer, so that the two read as one slice of it.
+func (sg *segment) followedBy(next *segment) bool {
+	return next.ent.Buf != nil && next.ent.Buf == sg.ent.Buf && next.ent.Off+next.a == sg.ent.Off+sg.b
+}
+
+// appendSegments appends row's segments to segs: its whole entry without a
+// window, else the samples whose times (as sampleTimes generates them) lie
+// inside [win.Lo, win.Hi]. That is one range, found by windowRange, except
+// for a record whose time arithmetic could overflow int64: its samples are
+// evaluated one by one and each maximal stretch inside the window becomes a
+// segment. A row with no sample to deliver adds none.
+func appendSegments(segs []segment, row int32, ent *recycler.Entry, win *plan.SampleWindow) []segment {
+	n := len(ent.Values)
+	if win == nil {
+		if n > 0 {
+			segs = append(segs, segment{row: row, ent: ent, b: n})
+		}
+		return segs
+	}
+	if a, b, ok := windowRange(ent.Start, ent.Rate, n, win.Lo, win.Hi); ok {
+		if a < b {
+			segs = append(segs, segment{row: row, ent: ent, a: a, b: b})
+		}
+		return segs
+	}
+	a := -1 // start of the open stretch, -1 when none is open
+	for i := 0; i <= n; i++ {
+		in := false
+		if i < n {
+			t := sampleTime(ent.Start, ent.Rate, i)
+			in = win.Lo <= t && t <= win.Hi
+		}
+		switch {
+		case in && a < 0:
+			a = i
+		case !in && a >= 0:
+			segs = append(segs, segment{row: row, ent: ent, a: a, b: i})
+			a = -1
+		}
+	}
+	return segs
+}
+
+// windowRange returns the samples [a, b) of a record — start ns, rate Hz, n
+// samples — whose times as sampleTimes generates them lie in [lo, hi]. A
+// record without a positive rate has every sample at start: all of them or
+// none. Otherwise the times are non-decreasing in i (a division and a
+// multiplication by positive constants and a truncation are each monotone),
+// so a binary search over the same expression finds each edge, and a record
+// wholly inside the window costs two comparisons. ok is false where that
+// argument fails — a NaN rate, an offset past float64's int64 range, a last
+// time past MaxInt64 — and the caller must evaluate sample by sample.
+func windowRange(start int64, rate float64, n int, lo, hi int64) (a, b int, ok bool) {
+	if n == 0 {
+		return 0, 0, true
+	}
+	if rate <= 0 {
+		if lo <= start && start <= hi {
+			return 0, n, true
+		}
+		return 0, 0, true
+	}
+	last := float64(n-1) / rate * 1e9 // sampleTime(start, rate, n-1) - start, before truncation
+	if !(last < 0x1p63) || start > math.MaxInt64-int64(last) {
+		return 0, 0, false
+	}
+	a, b = 0, n
+	if start < lo {
+		a = sort.Search(n, func(i int) bool { return sampleTime(start, rate, i) >= lo })
+	}
+	if start+int64(last) > hi {
+		b = sort.Search(n, func(i int) bool { return sampleTime(start, rate, i) > hi })
+	}
+	return a, max(a, b), true
 }
 
 // layout lays out the universal table's rows — the one place that does: one
@@ -659,14 +747,14 @@ type segment struct {
 // runs, each segment's row value standing for its samples (Column.Repeat).
 // D.sample_value, when listed, is a view of the segments' shared buffer
 // where there is one (segValues); D.sample_time, when listed, is generated
-// here from each record's start and rate (sampleTimes) — no query that does
-// not list it pays for it.
+// here from each record's start and rate (sampleTimes), for the segment's
+// samples only — no query that does not list it pays for it.
 func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 	rows := make([]int32, len(segs))
 	counts := make([]int, len(segs))
 	total := 0
 	for x, sg := range segs {
-		rows[x], counts[x] = sg.row, len(sg.ent.Values)
+		rows[x], counts[x] = sg.row, sg.b-sg.a
 		total += counts[x]
 	}
 	cols := make([]*column.Column, proto.NumCols())
@@ -676,7 +764,7 @@ func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 			dTimes := make([]int64, total)
 			k := 0
 			for x, sg := range segs {
-				sampleTimes(dTimes[k:k+counts[x]], sg.ent.Start, sg.ent.Rate)
+				sampleTimes(dTimes[k:k+counts[x]], sg.ent.Start, sg.ent.Rate, sg.a)
 				k += counts[x]
 			}
 			cols[c] = column.NewTimestamps(name, dTimes)
@@ -694,45 +782,34 @@ func layout(meta, proto *column.Batch, segs []segment) (*column.Batch, error) {
 }
 
 // segValues returns the segments' total values end to end. When the
-// segments that have samples are consecutive stretches of one shared buffer
-// — the records of one run, in the order the run placed them, whether just
-// decoded or cache hits admitted together — the result is a capacity-limited
-// view of that buffer: nothing is copied, and the column built on it must be
-// treated as read-only, like every column a source hands out. Otherwise
-// (hits beside misses, two runs in one morsel, a record that decoded into a
-// buffer of its own) the values are copied into a fresh vector.
+// segments are consecutive stretches of one shared buffer — the records of
+// one run, in the order the run placed them, whether just decoded or cache
+// hits admitted together, the first cut at its start and the last at its
+// end by a sample window — the result is a capacity-limited view of that
+// buffer: nothing is copied, and the column built on it must be treated as
+// read-only, like every column a source hands out. Otherwise (hits beside
+// misses, two runs in one morsel, a record that decoded into a buffer of its
+// own) the values are copied into a fresh vector.
 func segValues(segs []segment, total int) []float64 {
-	var first, prev *recycler.Entry
-	for _, sg := range segs {
-		ent := sg.ent
-		if len(ent.Values) == 0 {
-			continue
-		}
-		if first == nil {
-			first = ent
-		} else if !follows(prev, ent) {
+	for x := 1; x < len(segs); x++ {
+		if !segs[x-1].followedBy(&segs[x]) {
 			out := make([]float64, total)
 			k := 0
 			for _, sg := range segs {
-				k += copy(out[k:], sg.ent.Values)
+				k += copy(out[k:], sg.ent.Values[sg.a:sg.b])
 			}
 			return out
 		}
-		prev = ent
 	}
-	switch {
-	case first == nil:
+	if len(segs) == 0 {
 		return []float64{}
-	case first.Buf == nil:
-		return first.Values // the one segment with samples, in its own buffer
 	}
-	return first.Buf.Values[first.Off : first.Off+total : first.Off+total]
-}
-
-// follows reports whether ent's values directly follow prev's in one shared
-// buffer, so that the two read as one slice of it.
-func follows(prev, ent *recycler.Entry) bool {
-	return ent.Buf != nil && ent.Buf == prev.Buf && ent.Off == prev.Off+len(prev.Values)
+	first := segs[0]
+	if first.ent.Buf == nil {
+		return first.ent.Values[first.a:first.b:first.b] // the one segment, in its own buffer
+	}
+	at := first.ent.Off + first.a
+	return first.ent.Buf.Values[at : at+total : at+total]
 }
 
 // ExtractionStats returns cumulative lazy-extraction counters.

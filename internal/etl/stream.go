@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/recycler"
 )
 
 // errStreamClosed reports a Next call racing a Close. It never reaches a
@@ -47,11 +46,20 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // is blocked in waitRow whenever it is behind them, so it occupies no core
 // of its own.
 //
+// window, when non-nil, is the statement's D.sample_time range: the morsels
+// carry only the samples inside it. Records are still read, decoded and
+// admitted to the recycler whole — the record stays the unit of lazy
+// loading — and only the layout is cut: a record inside the window is laid
+// out whole, one outside it not at all, and the records at its edges from
+// the first or up to the last sample inside it (appendSegments). The rows
+// are exactly those the window's predicates would keep, in the same order.
+//
 // Each sample is written once: a run decodes into one value buffer, its
 // records become recycler entries viewing that buffer, and a morsel whose
 // records are consecutive stretches of it carries D.sample_value as a view,
-// not a copy (segValues). Morsel columns are read-only, as from any source.
-// D.sample_time is generated into the morsel, and only when cols lists it.
+// not a copy (segValues) — cut by the window or not. Morsel columns are
+// read-only, as from any source. D.sample_time is generated into the morsel
+// for the delivered samples only, and only when cols lists it.
 //
 // cols (plan.LazyExtract.Cols) lists the universal-table columns the query
 // reads; the morsels carry exactly those, nil meaning all of them. The full
@@ -66,7 +74,7 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // budget. Failures are as deterministic: in-flight runs drain, remaining
 // runs execute in plan order, and the earliest failing run in plan order is
 // the one reported (settleLocked).
-func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
 	proto, err := plan.ExtractProto(meta, cols)
 	if err != nil {
 		return nil, err
@@ -75,7 +83,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
 	ext := obs.TraceSpan().Child("extract-stream")
-	sink, runs, err := e.prepare(meta, prune, obs)
+	sink, runs, err := e.prepare(meta, prune, window, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,6 +96,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		e:          e,
 		meta:       meta,
 		proto:      proto,
+		win:        window,
 		obs:        obs,
 		sink:       sink,
 		runs:       runs,
@@ -157,7 +166,8 @@ func prefetchWorkers(width, runs int) int {
 type extractStream struct {
 	e          *Engine
 	meta       *column.Batch
-	proto      *column.Batch // zero-row schema of the morsels
+	proto      *column.Batch      // zero-row schema of the morsels
+	win        *plan.SampleWindow // nil: every sample
 	obs        plan.Observer
 	sink       *extractSink
 	morselRows int
@@ -185,10 +195,12 @@ type extractStream struct {
 
 	workerWG sync.WaitGroup
 
-	pos     int   // next meta row to emit
-	failed  error // sticky settled error
+	segs    []segment // Next's scratch, reused morsel to morsel
+	pos     int       // next meta row to emit
+	failed  error     // sticky settled error
 	served  int64
-	runCols int // columns of the last morsel laid out in constant-run form
+	trimmed int64 // samples of delivered records outside the window
+	runCols int   // columns of the last morsel laid out in constant-run form
 
 	// Trace spans (nil when the query doesn't trace; all no-ops then).
 	extSpan    *obs.Span
@@ -273,11 +285,12 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		return exec.Morsel{}, false, nil
 	}
 	var (
-		segs    []segment
+		segs    = s.segs[:0]
 		samples int
-		last    *recycler.Entry // the last entry with samples
-		view    = true          // the entries so far are one stretch of one buffer
+		trimmed int64
+		view    = true // the segments so far are one stretch of one buffer
 	)
+rows:
 	for s.pos < s.n && samples < s.morselRows {
 		i := s.pos
 		if err := s.waitRow(i); err != nil {
@@ -287,21 +300,24 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		if ent == nil {
 			return exec.Morsel{}, false, fmt.Errorf("etl: internal: run completed without delivering row %d", i)
 		}
-		if len(ent.Values) > 0 {
-			if last != nil && !follows(last, ent) {
-				// A morsel that views one buffer ends where the buffer does
-				// — the next run's records start the next morsel, another
-				// view, instead of both being copied into one — once it has
-				// the rows to be worth a morsel of its own.
-				if view && samples >= s.morselRows/8 {
-					break
+		grown := appendSegments(segs, int32(i), ent, s.win)
+		kept := 0
+		for x := len(segs); x < len(grown); x++ {
+			if x > 0 && !grown[x-1].followedBy(&grown[x]) {
+				// A morsel that views one buffer ends where the buffer
+				// does — the next run's records start the next morsel,
+				// another view, instead of both being copied into one —
+				// once it has the rows to be worth a morsel of its own.
+				if x == len(segs) && view && samples >= s.morselRows/8 {
+					break rows
 				}
 				view = false
 			}
-			last = ent
+			kept += grown[x].b - grown[x].a
 		}
-		segs = append(segs, segment{row: int32(i), ent: ent})
-		samples += len(ent.Values)
+		segs = grown
+		samples += kept
+		trimmed += int64(len(ent.Values) - kept)
 		s.sink.entries[i] = nil // drop our reference; the cache keeps its own
 		s.pos++
 		if r := s.sink.rowRun[i]; r >= 0 {
@@ -320,6 +336,8 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 		gatherStart = time.Now()
 	}
 	b, err := layout(s.meta, s.proto, segs)
+	clear(segs) // the morsel keeps nothing of them; do not pin its entries
+	s.segs = segs[:0]
 	if err != nil {
 		return exec.Morsel{}, false, err
 	}
@@ -335,6 +353,7 @@ func (s *extractStream) Next() (exec.Morsel, bool, error) {
 	}
 	s.mu.Lock()
 	s.served += int64(samples)
+	s.trimmed += trimmed
 	s.runCols = runCols
 	s.mu.Unlock()
 	s.e.xstats.samplesServed.Add(int64(samples))
@@ -442,15 +461,17 @@ func (s *extractStream) settleLocked() error {
 }
 
 // RowsServed implements plan.RowsServedCounter.
-func (s *extractStream) RowsServed() (int64, int) {
+func (s *extractStream) RowsServed() (int64, int64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.served, s.runCols
+	return s.served, s.trimmed, s.runCols
 }
 
-// Close stops prefetching and releases the stream's files and budget.
-// Idempotent, and safe to call while the feeder is blocked in Next: it
-// wakes the feeder, waits for it to leave, then tears down.
+// Close stops prefetching, releases the stream's files and budget, and
+// files the extraction's scan report, now that the samples the window
+// trimmed are all counted. Idempotent, and safe to call while the feeder is
+// blocked in Next: it wakes the feeder, waits for it to leave, then tears
+// down.
 func (s *extractStream) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -463,8 +484,13 @@ func (s *extractStream) Close() {
 	for s.consuming {
 		s.cond.Wait()
 	}
+	trimmed := s.trimmed
 	s.mu.Unlock()
 	s.workerWG.Wait()
 	s.grant.Close()
 	closeFiles(s.opened)
+	if r := s.sink.report; r != nil {
+		r.SamplesTrimmed = trimmed
+		s.obs.ScanReport(*r)
+	}
 }

@@ -293,7 +293,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 			if got := strings.Join(proto.Names(), ","); got != strings.Join(want, ",") || proto.NumRows() != 0 {
 				t.Fatalf("ExtractProto(%v) = [%s], %d rows", cols, got, proto.NumRows())
 			}
-			src, err := e.ExtractStream(meta, cols, prune, plan.NopObserver{}, 61, width, nil)
+			src, err := e.ExtractStream(meta, cols, prune, nil, plan.NopObserver{}, 61, width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +315,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		if _, err := plan.ExtractProto(meta, []string{"F.station", "D.nosuch"}); err == nil {
 			t.Error("ExtractProto accepted a column the universal table lacks")
 		}
-		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, plan.NopObserver{}, 61, width, nil); err == nil {
+		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, nil, plan.NopObserver{}, 61, width, nil); err == nil {
 			t.Error("ExtractStream accepted a column the universal table lacks")
 		}
 	}
@@ -331,7 +331,9 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 // or hits admitted together), or a copy (hits beside misses, rows the zone
 // maps pruned in between, a record whose count went stale after the
 // metadata load and decoded into a buffer of its own) — with D.sample_time
-// listed and generated, and not listed.
+// listed and generated, and not listed. Cut by a sample window, the stream
+// must deliver exactly the loaded rows whose time lies inside it, and count
+// every other sample of the records it delivered as trimmed.
 func TestStreamMatchesEagerLoad(t *testing.T) {
 	_, _, dir := newEngine(t, 3000, Options{})
 
@@ -416,6 +418,46 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 	}
 	pruned := data.Gather(kept)
 
+	// The windowed passes cut a stretch out of the first file's day; the
+	// oracle keeps the eager rows whose own loaded time lies inside it.
+	dt, _ := data.Col("sample_time")
+	times := dt.Int64s()
+	win := &plan.SampleWindow{Lo: min(times[1000], times[2000]) + 1, Hi: max(times[1000], times[2000]) - 1}
+	within := func(rows *column.Batch) *column.Batch {
+		c, _ := rows.Col("sample_time")
+		var sel []int32
+		for i, t := range c.Int64s() {
+			if win.Lo <= t && t <= win.Hi {
+				sel = append(sel, int32(i))
+			}
+		}
+		return rows.Gather(sel)
+	}
+	windowed, prunedWindowed := within(data), within(pruned)
+	{
+		// Some record must straddle an edge, or no record is cut.
+		fid, _ := data.Col("file_id")
+		seq, _ := data.Col("seqno")
+		f, s := fid.Int64s(), seq.Int64s()
+		straddles := 0
+		for lo := 0; lo < len(times); {
+			hi, in := lo, 0
+			for hi < len(times) && f[hi] == f[lo] && s[hi] == s[lo] {
+				if win.Lo <= times[hi] && times[hi] <= win.Hi {
+					in++
+				}
+				hi++
+			}
+			if in > 0 && in < hi-lo {
+				straddles++
+			}
+			lo = hi
+		}
+		if straddles == 0 || windowed.NumRows() == 0 || prunedWindowed.NumRows() == 0 {
+			t.Fatalf("the window keeps %d rows (%d pruned) and cuts %d records; the test needs some of each", windowed.NumRows(), prunedWindowed.NumRows(), straddles)
+		}
+	}
+
 	withTimes := []string{"F.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
 	valuesOnly := []string{"F.file_id", "R.seqno", "D.sample_value"}
 	for _, le := range engines {
@@ -439,15 +481,19 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 			state  string
 			cols   []string
 			prune  *plan.PruneRange
+			win    *plan.SampleWindow
 			want   *column.Batch
 			forget int // drop every forget-th record first; 0 = none
 		}{
-			{"cold", withTimes, nil, data, 0},
-			{"warm", valuesOnly, nil, data, 0},
-			{"mixed", withTimes, nil, data, 3},
-			{"mixed, values only", valuesOnly, nil, data, 2},
-			{"mixed and pruned", withTimes, prune, pruned, 4},
-			{"pruned, values only", valuesOnly, prune, pruned, 0},
+			{"cold", withTimes, nil, nil, data, 0},
+			{"warm", valuesOnly, nil, nil, data, 0},
+			{"mixed", withTimes, nil, nil, data, 3},
+			{"mixed, values only", valuesOnly, nil, nil, data, 2},
+			{"windowed", withTimes, nil, win, windowed, 0},
+			{"mixed and windowed, values only", valuesOnly, nil, win, windowed, 3},
+			{"mixed and pruned", withTimes, prune, nil, pruned, 4},
+			{"pruned, values only", valuesOnly, prune, nil, pruned, 0},
+			{"pruned and windowed", withTimes, prune, win, prunedWindowed, 0},
 		} {
 			name := fmt.Sprintf("workers=%d morsel=%d cache-off=%v %s", le.width, le.morsel, le.disable, pass.state)
 			wantHits := int64(meta.NumRows())
@@ -465,12 +511,19 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := e.ExtractionStats()
-			src, err := e.ExtractStream(meta, pass.cols, pass.prune, plan.NopObserver{}, le.morsel, le.width, nil)
+			src, err := e.ExtractStream(meta, pass.cols, pass.prune, pass.win, plan.NopObserver{}, le.morsel, le.width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := drainStream(t, src, proto)
 			after := e.ExtractionStats()
+			whole := data
+			if pass.prune != nil {
+				whole = pruned
+			}
+			if served, trimmed, _ := src.(plan.RowsServedCounter).RowsServed(); served+trimmed != int64(whole.NumRows()) || (pass.win == nil) != (trimmed == 0) {
+				t.Fatalf("%s: %d samples served and %d trimmed; the records delivered hold %d", name, served, trimmed, whole.NumRows())
+			}
 			if hits := after.CacheReads - before.CacheReads; pass.prune == nil && hits != wantHits {
 				t.Fatalf("%s: %d of %d records were cache reads, want %d", name, hits, meta.NumRows(), wantHits)
 			}
@@ -508,7 +561,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 // the rows it served.
 func countStream(tb testing.TB, e *Engine, meta *column.Batch, cols []string) (rows int) {
 	tb.Helper()
-	src, err := e.ExtractStream(meta, cols, nil, plan.NopObserver{}, 0, 2, nil)
+	src, err := e.ExtractStream(meta, cols, nil, nil, plan.NopObserver{}, 0, 2, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -605,7 +658,7 @@ func TestPrefetchWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := e.ExtractStream(meta, nil, nil, plan.NopObserver{}, 500, width, led)
+		src, err := e.ExtractStream(meta, nil, nil, nil, plan.NopObserver{}, 500, width, led)
 		if err != nil {
 			t.Fatal(err)
 		}

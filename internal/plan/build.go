@@ -230,9 +230,12 @@ func buildDataview(conjuncts []sql.Expr, mode Mode) (naive, opt Node, err error)
 		// Compile the zone-map admissibility test from the data predicates:
 		// records whose collected sample-value zone cannot satisfy them are
 		// skipped before any read or decode. Env.NoSkipping disables it.
-		opt = &LazyExtract{Meta: meta, DataPreds: dPreds, Prune: CompilePrune(dPreds)}
-		if len(dPreds) > 0 {
-			opt = &Filter{Child: opt, Preds: dPreds}
+		// The D.sample_time range predicates leave the Filter: extraction
+		// cuts their window out of each record instead (CompileWindow).
+		win, rest := CompileWindow(dPreds)
+		opt = &LazyExtract{Meta: meta, DataPreds: dPreds, Prune: CompilePrune(dPreds), Window: win}
+		if len(rest) > 0 {
+			opt = &Filter{Child: opt, Preds: rest}
 		}
 	case External:
 		// No metadata pruning: every file and record qualifies for

@@ -34,6 +34,11 @@ import (
 // fails it (never reading nor decoding them), because the enclosing Filter
 // would delete every one of their rows anyway. nil means extract everything.
 //
+// window, when non-nil, is LazyExtract.Window: the morsels carry only the
+// samples whose time lies inside it, exactly the rows its Preds would keep,
+// in the same order. Records are still decoded and cached whole. nil means
+// every sample.
+//
 // morselRows and width are the consuming pool's morsel size and worker
 // count: the source sizes its read-ahead from width (one prefetch worker per
 // pool worker), so extraction has no parallelism setting of its own.
@@ -41,7 +46,7 @@ import (
 // degrades to synchronous extraction under budget pressure rather than
 // blowing it.
 type ExtractSource interface {
-	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
+	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, window *SampleWindow, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // Observer is everything one query's execution reports, plan operators and
@@ -224,15 +229,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp := env.Trace.StartChild("filter " + exprList(x.Preds))
-		out, err := exec.Filter(in, x.Preds)
-		if err != nil {
-			return nil, err
-		}
-		sp.AddRows(int64(out.NumRows()))
-		sp.End()
-		obs.Event("filter", fmt.Sprintf("%s: %d -> %d rows", exprList(x.Preds), in.NumRows(), out.NumRows()))
-		return out, nil
+		return filterBatch(in, x.Preds, env)
 
 	case *LazyExtract:
 		meta, prune, err := lazyMeta(x, env)
@@ -243,8 +240,13 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		extractEvent(obs, int64(out.NumRows()), out.NumCols(), 0)
-		return out, nil
+		extractEvent(obs, int64(out.NumRows()), out.NumCols(), 0, nil, 0)
+		if x.Window == nil {
+			return out, nil
+		}
+		// The reference cuts no record: it keeps the conjuncts the window
+		// lifted sample by sample, as the Filter they came from did.
+		return filterBatch(out, x.Window.Preds, env)
 
 	case *Aggregate:
 		in, err := Execute(x.Child, env)
@@ -280,6 +282,20 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 	}
 }
 
+// filterBatch is the reference's filter: the rows of in that satisfy every
+// predicate, traced and logged.
+func filterBatch(in *column.Batch, preds []sql.Expr, env *Env) (*column.Batch, error) {
+	sp := env.Trace.StartChild("filter " + exprList(preds))
+	out, err := exec.Filter(in, preds)
+	if err != nil {
+		return nil, err
+	}
+	sp.AddRows(int64(out.NumRows()))
+	sp.End()
+	env.obs().Event("filter", fmt.Sprintf("%s: %d -> %d rows", exprList(preds), in.NumRows(), out.NumRows()))
+	return out, nil
+}
+
 // lazyMeta is step 1 of a lazy extraction (§3.1): execute the metadata part
 // of the plan and hand back the qualifying records plus the zone-map prune
 // test the source may apply. The metadata operators' spans group under a
@@ -312,11 +328,13 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 // reserved from any ledger, and every column flat — the metadata columns the
 // stream hands over as constant runs are expanded here. It is the extraction
 // of the operator-at-a-time reference — the same stream the pipelines
-// consume, minus the morsels, the narrowing, the run form and the fusion —
-// so the reference's operators walk rows where the pipelines' may walk runs.
-// width is the caller's pool width, passed through to the stream.
+// consume, minus the morsels, the narrowing, the run form, the sample window
+// and the fusion — so the reference's operators walk rows where the
+// pipelines' may walk runs, and it filters sample times where the pipelines'
+// extraction cuts records. width is the caller's pool width, passed through
+// to the stream.
 func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
-	s, err := src.ExtractStream(meta, nil, prune, obs, math.MaxInt, width, nil)
+	s, err := src.ExtractStream(meta, nil, prune, nil, obs, math.MaxInt, width, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -355,11 +373,16 @@ func flatten(c *column.Column) *column.Column {
 }
 
 // extractEvent logs what an extraction delivered: rows, how many of the
-// universal table's columns each of them carries, and how many of those
-// arrived as constant runs rather than one value per row.
-func extractEvent(o Observer, rows int64, width, asRuns int) {
-	o.Event("extract", fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns (%d as runs)",
-		rows, width, len(catalog.DataviewColumns()), asRuns))
+// universal table's columns each of them carries, how many of those arrived
+// as constant runs rather than one value per row, and — when it cut a sample
+// window — how many samples of the records it read fell outside it.
+func extractEvent(o Observer, rows int64, width, asRuns int, win *SampleWindow, trimmed int64) {
+	detail := fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns (%d as runs)",
+		rows, width, len(catalog.DataviewColumns()), asRuns)
+	if win != nil {
+		detail += fmt.Sprintf("; sample window %s trimmed %d samples at record edges", win, trimmed)
+	}
+	o.Event("extract", detail)
 }
 
 // aggregateEvent logs what an aggregate folded; runs is non-zero when it

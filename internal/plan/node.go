@@ -126,13 +126,19 @@ type LazyExtract struct {
 	// pipeline passes Cols on; the NoPipeline reference drains the stream
 	// at full width, which is what the bit-identity tests compare against.
 	Cols []string
-	// DataPreds are predicates over D.* columns, applied by the enclosing
-	// Filter after extraction; recorded here for plan display.
+	// DataPreds are predicates over D.* columns, applied after extraction —
+	// by the enclosing Filter, or, for the ones Window lifted, by the
+	// extraction itself; recorded here for plan display.
 	DataPreds []sql.Expr
 	// Prune is the zone-map admissibility test compiled from DataPreds:
 	// records whose zone entry fails it are skipped before any ReadAt or
 	// decode. Disabled at run time by Env.NoSkipping.
 	Prune *PruneRange
+	// Window, when non-nil, holds the D.sample_time conjuncts lifted out of
+	// the enclosing Filter: a pipeline's extraction delivers only the
+	// samples inside it, cut at the record edges, and the NoPipeline
+	// reference extracts every sample and applies Window.Preds row by row.
+	Window *SampleWindow
 }
 
 func (l *LazyExtract) Describe() string {
@@ -142,6 +148,9 @@ func (l *LazyExtract) Describe() string {
 		if l.Prune != nil {
 			s += " (zone prune: " + l.Prune.String() + ")"
 		}
+	}
+	if l.Window != nil {
+		s += " (sample window: " + l.Window.String() + ")"
 	}
 	if l.Cols != nil {
 		s += " (columns: " + strings.Join(l.Cols, ", ") + ")"

@@ -41,15 +41,16 @@ import (
 // executeNode (execute.go) stays behind Env.NoPipeline as the serial
 // reference the bit-identity tests compare against. It extracts through the
 // same source as a pipeline does — there is one extraction driver — but
-// drains the stream whole and at full width (ExtractAll) before any
-// operator sees a row.
+// drains the stream whole, at full width and without a sample window
+// (ExtractAll) before any operator sees a row.
 
-// RowsServedCounter reports how many rows a source has delivered, and how
+// RowsServedCounter reports how many rows a source has delivered, how many
+// samples of the records it read fell outside its sample window, and how
 // many columns of each morsel were in constant-run form; the extraction
 // stream implements it so a pipeline can log the extract event the
 // reference does.
 type RowsServedCounter interface {
-	RowsServed() (rows int64, runCols int)
+	RowsServed() (rows, trimmed int64, runCols int)
 }
 
 // pipePlan is a decomposed pipeline spine.
@@ -393,7 +394,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
+		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, leaf.Window, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
 			return nil, err
 		}
 		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {
@@ -402,8 +403,8 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if rc, ok := r.src.(RowsServedCounter); ok {
 			width := r.proto.NumCols()
 			r.reports = append(r.reports, func() {
-				rows, runCols := rc.RowsServed()
-				extractEvent(o, rows, width, runCols)
+				rows, trimmed, runCols := rc.RowsServed()
+				extractEvent(o, rows, width, runCols, leaf.Window, trimmed)
 			})
 		}
 	}

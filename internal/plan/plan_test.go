@@ -50,9 +50,9 @@ func TestBuildLazyShape(t *testing.T) {
 		t.Fatalf("no LazyExtract in lazy plan:\n%s", Render(p.Root))
 	}
 	// Data predicates (2 on D.sample_time) recorded on the extract node and
-	// applied by a Filter above it.
-	if len(le.DataPreds) != 2 {
-		t.Errorf("data preds = %d, want 2", len(le.DataPreds))
+	// lifted into its sample window.
+	if len(le.DataPreds) != 2 || le.Window == nil || len(le.Window.Preds) != 2 {
+		t.Errorf("data preds = %d, window %+v; want 2, both lifted", len(le.DataPreds), le.Window)
 	}
 	// Metadata predicates pushed into the right scans: the 2 user conjuncts
 	// per scan plus the 2 interval predicates derived from D.sample_time.

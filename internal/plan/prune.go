@@ -169,8 +169,9 @@ func (p *PruneRange) String() string {
 
 // ScanReport carries one scan's skip accounting to the observer: how many
 // runs/records (lazy extraction) or row ranges/rows (table scans) were read
-// versus proven irrelevant by zone statistics. Target names the scanned
-// relation.
+// versus proven irrelevant by zone statistics, and the samples a lazy
+// extraction's sample window cut from the records it delivered. Target
+// names the scanned relation.
 type ScanReport struct {
 	Target         string
 	Runs           int64 // coalesced read runs actually planned
@@ -180,4 +181,9 @@ type ScanReport struct {
 	CacheReads     int64 // records served from the recycler cache
 	Rows           int64 // table-scan rows fed to the pipeline
 	RowsSkipped    int64 // table-scan rows skipped via batch zone ranges
+	// Window is the extraction's sample window (SampleWindow.String), ""
+	// without one; SamplesTrimmed counts the samples of delivered records
+	// that fell outside it.
+	Window         string `json:",omitempty"`
+	SamplesTrimmed int64  `json:",omitempty"`
 }

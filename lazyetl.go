@@ -37,7 +37,9 @@
 // run decodes into one value buffer that the recycler's entries and the
 // morsels both view (8 bytes a cached sample), and D.sample_time, a pure
 // function of a record's start, rate and sample index, is generated only
-// for the statement that lists it. Pipelined
+// for the statement that lists it. A D.sample_time range is answered at the
+// record edge: extraction delivers only the samples inside it, so no query
+// compares one timestamp per sample to keep a window. Pipelined
 // output is bit-identical to an operator-at-a-time serial reference that
 // tests reach through the NoPipeline oracle — serial in its operators only:
 // it drains that same extraction stream into one batch first. Stats
