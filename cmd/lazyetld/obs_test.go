@@ -368,7 +368,7 @@ func TestStatsWireContract(t *testing.T) {
 	}
 	paths := []string{"server.rejected", "warehouse.StoreBytes", "warehouse.CacheBytes", "warehouse.CacheStats"}
 	for block, fields := range map[string][]string{
-		"QueryCache": {"PlanHits", "PlanMisses", "ResultHits", "ResultMisses", "ResultEvictions", "ResultInvalidations"},
+		"QueryCache": {"PlanHits", "PlanMisses", "ResultHits", "ResultMisses", "ResultEvictions", "ResultUnreused", "ResultInvalidations"},
 		"Extraction": {"Extractions", "CacheReads", "BytesRead", "SamplesServed", "RunsRead", "RunRecords", "RecordsSkipped"},
 		"Exec":       {"Pipelines", "FilterRowsIn", "FilterRowsOut", "ScanRowsSkipped", "JoinReorders", "BytesSpilled", "SpillNanos"},
 		"Mem":        {"HighWater", "Denials"},

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -113,7 +115,10 @@ type PipelineStats struct {
 // concurrently, and the caller then releases their results to the sink
 // strictly in sequence order. The sink observes exactly the serial order
 // at every worker count, and the first error in sequence order is the one
-// returned — the same error the serial loop would hit.
+// returned — the same error the serial loop would hit. A panic in the
+// source's Next, a stage or the sink's Consume, on whichever goroutine, is
+// recovered into a *PanicError and is that morsel's error. RunPipeline
+// returns only after every goroutine it started has exited.
 func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (PipelineStats, error) {
 	defer src.Close()
 	var st PipelineStats
@@ -122,14 +127,14 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 		if err != nil || m.Rows() == 0 {
 			return err
 		}
-		return sink.Consume(m)
+		return consume(sink, m)
 	}
 	type result struct {
 		seq int
 		m   Morsel
 		err error
 	}
-	first, ok, err := src.Next()
+	first, ok, err := pull(src)
 	if err != nil || !ok {
 		return st, err
 	}
@@ -137,7 +142,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	serial := p.Workers() <= 1
 	var head result // what follows first: seq 0 of the parallel driver
 	if !serial {
-		head.m, ok, head.err = src.Next()
+		head.m, ok, head.err = pull(src)
 		serial = !ok && head.err == nil
 	}
 	if serial {
@@ -145,7 +150,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 			if err := fold(m); err != nil || !ok { // !ok: the look-ahead met the end
 				return st, err
 			}
-			if m, ok, err = src.Next(); err != nil || !ok {
+			if m, ok, err = pull(src); err != nil || !ok {
 				return st, err
 			}
 		}
@@ -158,8 +163,11 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 
+	var wg sync.WaitGroup // the feeder and the workers; out closes after them
+	wg.Add(w + 1)
 	var fed atomic.Int64 // morsels the feeder handed out
 	go func() {          // feeder: owns src, assigns sequence numbers
+		defer wg.Done()
 		defer close(in)
 		for r := head; ; {
 			if r.err == nil {
@@ -173,7 +181,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 			if r.err != nil {
 				return
 			}
-			m, ok, err := src.Next()
+			m, ok, err := pull(src)
 			if err == nil && !ok {
 				return
 			}
@@ -181,8 +189,6 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 		}
 	}()
 
-	var wg sync.WaitGroup
-	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
@@ -228,7 +234,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 			if q.m.Rows() == 0 {
 				continue
 			}
-			if err := sink.Consume(q.m); err != nil {
+			if err := consume(sink, q.m); err != nil {
 				firstErr = err
 				halt()
 				break
@@ -240,18 +246,54 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	return st, firstErr
 }
 
-func applyStages(stages []PipeStage, m Morsel) (Morsel, error) {
+func applyStages(stages []PipeStage, m Morsel) (_ Morsel, err error) {
+	defer recoverTo(&err)
 	for _, stage := range stages {
 		if m.Rows() == 0 {
 			return Morsel{}, nil
 		}
-		var err error
 		m, err = stage.Process(m)
 		if err != nil {
 			return Morsel{}, err
 		}
 	}
 	return m, nil
+}
+
+// pull and consume are src.Next and sink.Consume with a panic recovered
+// into the returned error.
+func pull(src BatchSource) (m Morsel, ok bool, err error) {
+	defer recoverTo(&err)
+	return src.Next()
+}
+
+func consume(sink PipeSink, m Morsel) (err error) {
+	defer recoverTo(&err)
+	return sink.Consume(m)
+}
+
+// PanicError is a panic RunPipeline recovered in a source, stage or sink,
+// returned as the error of the morsel that raised it.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("exec: pipeline panic: %v\n%s", e.Value, e.Stack)
+}
+
+// Unwrap returns the panic value when it is an error (a runtime error, say).
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// recoverTo, deferred, turns a panic of the deferring function into *err.
+func recoverTo(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/column"
 	"repro/internal/sql"
@@ -452,6 +456,206 @@ func TestRunPipelineErrorMatchesSerial(t *testing.T) {
 			want = err
 		} else if err.Error() != want.Error() {
 			t.Errorf("workers=%d: error %q, serial had %q", workers, err, want)
+		}
+	}
+}
+
+// faultStage fails on the morsel holding global row at (read back from
+// pipeBatch's t column): it panics with boom, or returns an error when boom
+// is nil.
+type faultStage struct {
+	at   int
+	boom any
+}
+
+func (faultStage) Label() string        { return "fault" }
+func (faultStage) Rows() (int64, int64) { return 0, 0 }
+func (s faultStage) Process(m Morsel) (Morsel, error) {
+	if holdsRow(m, s.at) {
+		if s.boom == nil {
+			return Morsel{}, fmt.Errorf("stage error at row %d", s.at)
+		}
+		panic(s.boom)
+	}
+	return m, nil
+}
+
+func holdsRow(m Morsel, row int) bool {
+	ts, _ := m.B.Col("t")
+	v := ts.Int64s()
+	return len(v) > 0 && int(v[0]/25_000_000) <= row && row <= int(v[len(v)-1]/25_000_000)
+}
+
+// faultSource panics on its n-th call to Next.
+type faultSource struct {
+	BatchSource
+	n, calls int
+}
+
+func (s *faultSource) Next() (Morsel, bool, error) {
+	if s.calls++; s.calls == s.n {
+		panic("source boom")
+	}
+	return s.BatchSource.Next()
+}
+
+// slowSource sleeps in every Next from its n-th call on and records a Close
+// that arrives while a Next is still running.
+type slowSource struct {
+	BatchSource
+	n, calls            int
+	inNext, closedEarly atomic.Bool
+}
+
+func (s *slowSource) Next() (Morsel, bool, error) {
+	s.inNext.Store(true)
+	defer s.inNext.Store(false)
+	if s.calls++; s.calls >= s.n {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return s.BatchSource.Next()
+}
+
+func (s *slowSource) Close() {
+	if s.inNext.Load() {
+		s.closedEarly.Store(true)
+	}
+	s.BatchSource.Close()
+}
+
+// faultSink panics when it is handed the morsel holding global row at.
+type faultSink struct {
+	PipeSink
+	at int
+}
+
+func (s faultSink) Consume(m Morsel) error {
+	if holdsRow(m, s.at) {
+		var nilMap map[int]int
+		nilMap[s.at] = 1 // a runtime error, not a plain value
+	}
+	return s.PipeSink.Consume(m)
+}
+
+// TestRunPipelinePanicContainment: a panic in the source, a stage or the
+// sink — on the caller's goroutine, the feeder or a worker — comes back as
+// that morsel's *PanicError carrying the value and the stack; the first
+// failure in sequence order wins over a later one of either kind; no
+// goroutine outlives the run; and the same pool's next run answers bit for
+// bit as before.
+func TestRunPipelinePanicContainment(t *testing.T) {
+	const morsel = 61
+	b := pipeBatch(5_000)
+	proto := b.Range(0, 0)
+	run := func(p *Pool, src BatchSource, stages []PipeStage, sink PipeSink) (string, error) {
+		if _, err := p.RunPipeline(src, stages, sink); err != nil {
+			return "", err
+		}
+		out, err := sink.Finish()
+		if err != nil {
+			return "", err
+		}
+		return renderBits(out), nil
+	}
+	want, err := run(NewPoolMorsel(1, morsel), NewBatchMorsels(b, morsel), nil, NewCollectSink(proto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fault struct {
+		name   string
+		src    func() BatchSource
+		stages []PipeStage
+		sink   func() PipeSink
+		check  func(error) string // "" when err is the expected one
+	}
+	clean := func() BatchSource { return NewBatchMorsels(b, morsel) }
+	collect := func() PipeSink { return NewCollectSink(proto) }
+	panicked := func(value string) func(error) string {
+		return func(err error) string {
+			var pe *PanicError
+			if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != value || !strings.Contains(string(pe.Stack), "goroutine") {
+				return fmt.Sprintf("want a PanicError of %q with a stack, got %v", value, err)
+			}
+			return ""
+		}
+	}
+	var faults []fault
+	for _, n := range []int{1, 2, 40} { // caller, look-ahead, feeder
+		faults = append(faults, fault{
+			name: fmt.Sprintf("source panics on Next #%d", n),
+			src:  func() BatchSource { return &faultSource{BatchSource: clean(), n: n} },
+			sink: collect, check: panicked("source boom"),
+		})
+	}
+	for _, row := range []int{0, 1_000} { // first morsel on the caller, later ones on workers
+		faults = append(faults, fault{
+			name: fmt.Sprintf("stage panics at row %d", row), src: clean,
+			stages: []PipeStage{faultStage{at: row, boom: "stage boom"}},
+			sink:   collect, check: panicked("stage boom"),
+		}, fault{
+			name: fmt.Sprintf("sink panics at row %d", row), src: clean,
+			sink: func() PipeSink { return faultSink{PipeSink: collect(), at: row} },
+			check: func(err error) string {
+				var re runtime.Error
+				if !errors.As(err, &re) || !strings.Contains(err.Error(), "nil map") {
+					return fmt.Sprintf("want the sink's runtime error unwrapped, got %v", err)
+				}
+				return ""
+			},
+		})
+	}
+	// A source still inside Next on the feeder when a stage panics must not
+	// be closed under it. Whether the workers leave before the feeder does
+	// depends on scheduling, so this catches an unawaited feeder only
+	// sometimes.
+	var slow *slowSource
+	faults = append(faults, fault{
+		name:   "source still in Next when a stage panics",
+		src:    func() BatchSource { slow = &slowSource{BatchSource: clean(), n: 2}; return slow },
+		stages: []PipeStage{faultStage{at: 1_000, boom: "stage boom"}},
+		sink:   collect,
+		check: func(err error) string {
+			if msg := panicked("stage boom")(err); msg != "" {
+				return msg
+			}
+			if slow.closedEarly.Load() {
+				return "the source was closed while the feeder was still in Next"
+			}
+			return ""
+		},
+	})
+	faults = append(faults, fault{
+		name: "panic before an error", src: clean, sink: collect,
+		stages: []PipeStage{faultStage{at: 1_000, boom: "first"}, faultStage{at: 3_000}},
+		check:  panicked("first"),
+	}, fault{
+		name: "error before a panic", src: clean, sink: collect,
+		stages: []PipeStage{faultStage{at: 3_000, boom: "later"}, faultStage{at: 1_000}},
+		check: func(err error) string {
+			if err == nil || err.Error() != "stage error at row 1000" {
+				return fmt.Sprintf("want the earlier stage error, got %v", err)
+			}
+			return ""
+		},
+	})
+
+	for _, workers := range []int{1, 2, 8} {
+		p := NewPoolMorsel(workers, morsel)
+		for _, f := range faults {
+			base := runtime.NumGoroutine()
+			_, err := run(p, f.src(), f.stages, f.sink())
+			if msg := f.check(err); msg != "" {
+				t.Errorf("workers=%d, %s: %s", workers, f.name, msg)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("workers=%d, %s: %d goroutines outlive the run (%d before)", workers, f.name, runtime.NumGoroutine(), base)
+				}
+			}
+			got, err := run(p, clean(), nil, collect())
+			if err != nil || got != want {
+				t.Errorf("workers=%d, after %s: next run diverged (err %v)", workers, f.name, err)
+			}
 		}
 	}
 }

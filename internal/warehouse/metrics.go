@@ -40,7 +40,8 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendGauge(b, "lazyetl_plan_cache_entries", "Plans currently cached.", int64(qs.PlanEntries))
 	b = obs.AppendCounter(b, "lazyetl_result_cache_hits_total", "Result-cache hits.", qs.ResultHits)
 	b = obs.AppendCounter(b, "lazyetl_result_cache_misses_total", "Result-cache misses.", qs.ResultMisses)
-	b = obs.AppendCounter(b, "lazyetl_result_cache_evictions_total", "Result-cache entries evicted under pressure.", qs.ResultEvictions)
+	b = obs.AppendCounter(b, "lazyetl_result_cache_evictions_total", "Reused (protected) result-cache entries evicted under byte pressure.", qs.ResultEvictions)
+	b = obs.AppendCounter(b, "lazyetl_result_cache_unreused_total", "Result-cache entries dropped from probation without a hit.", qs.ResultUnreused)
 	b = obs.AppendCounter(b, "lazyetl_result_cache_invalidations_total", "Result-cache entries invalidated by source-file changes.", qs.ResultInvalidations)
 	b = obs.AppendGauge(b, "lazyetl_result_cache_entries", "Results currently cached.", int64(qs.ResultEntries))
 	b = obs.AppendGauge(b, "lazyetl_result_cache_bytes", "Ledger bytes held by cached results.", qs.ResultBytes)

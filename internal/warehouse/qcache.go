@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"container/list"
 	"math"
 	"os"
 	"strconv"
@@ -36,18 +35,18 @@ import (
 // byte-charged to the warehouse mem.Ledger, so cached results compete with
 // the recycler and operator working sets under the one global budget, and
 // admission is declined — never blocked — under pressure.
+//
+// Both tiers admit only what repeats: each is a segCache (2Q), where a new
+// plan or answer waits in probation and reaches the protected LRU, governed
+// by maxPlans or resultBudget, only on its second use. A stream of one-off
+// literals holds at most probationCap entries of either tier instead of
+// filling the result budget with answers nobody asks for again.
 type queryCache struct {
-	ledger *mem.Ledger
-
 	mu      sync.Mutex
 	stmts   map[string]*Prepared
-	plans   map[string]*list.Element // of *planElem
-	planLRU *list.List
-	results map[resultKey]*list.Element // of *resultEntry
-	resLRU  *list.List
-	// st holds the counters in the form statsSnapshot returns;
-	// st.ResultBytes is the result tier's own budget accounting, and the
-	// entry counts are read off the LRUs at snapshot time.
+	plans   *segCache[planKey, *planEntry]     // cost 1 each against maxPlans
+	results *segCache[resultKey, *resultEntry] // cost in bytes against resultBudget
+	// st counts hits, misses, invalidations and declines; see statsSnapshot.
 	st QueryCacheStats
 }
 
@@ -83,9 +82,9 @@ func (pe *planEntry) trace() Trace {
 	return Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}
 }
 
-type planElem struct {
-	key string
-	pe  *planEntry
+type planKey struct {
+	sqlKey   string
+	storeVer int64
 }
 
 type resultKey struct {
@@ -94,22 +93,28 @@ type resultKey struct {
 }
 
 type resultEntry struct {
-	key     resultKey
 	columns []string
 	batch   *column.Batch
 	trace   Trace // skeleton: SQL, plans and join decision; no runtime ops
 	stamps  []plan.FileStamp
-	bytes   int64
+}
+
+// fresh re-stats every source file the answer depends on.
+func (e *resultEntry) fresh() bool {
+	for _, st := range e.stamps {
+		info, err := os.Stat(st.Path)
+		if err != nil || info.ModTime().UnixNano() != st.MtimeNanos || info.Size() != st.Size {
+			return false
+		}
+	}
+	return true
 }
 
 func newQueryCache(ledger *mem.Ledger) *queryCache {
 	return &queryCache{
-		ledger:  ledger,
 		stmts:   make(map[string]*Prepared),
-		plans:   make(map[string]*list.Element),
-		planLRU: list.New(),
-		results: make(map[resultKey]*list.Element),
-		resLRU:  list.New(),
+		plans:   newSegCache[planKey, *planEntry](maxPlans, nil),
+		results: newSegCache[resultKey, *resultEntry](resultBudget, ledger),
 	}
 }
 
@@ -170,33 +175,20 @@ func (c *queryCache) storeStmt(p *Prepared) {
 
 // lookupPlan returns the plan cached for this key at this store version.
 func (c *queryCache) lookupPlan(sqlKey string, storeVer int64) (*planEntry, bool) {
-	key := sqlKey + "\x02" + strconv.FormatInt(storeVer, 10)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.plans[key]; ok {
-		c.planLRU.MoveToFront(el)
+	if pe, ok := c.plans.get(planKey{sqlKey, storeVer}, true); ok {
 		c.st.PlanHits++
-		return el.Value.(*planElem).pe, true
+		return pe, true
 	}
 	c.st.PlanMisses++
 	return nil, false
 }
 
 func (c *queryCache) storePlan(sqlKey string, storeVer int64, pe *planEntry) {
-	key := sqlKey + "\x02" + strconv.FormatInt(storeVer, 10)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.plans[key]; ok { // raced with a concurrent build; keep ours fresh
-		el.Value.(*planElem).pe = pe
-		c.planLRU.MoveToFront(el)
-		return
-	}
-	for c.planLRU.Len() >= maxPlans {
-		back := c.planLRU.Back()
-		delete(c.plans, back.Value.(*planElem).key)
-		c.planLRU.Remove(back)
-	}
-	c.plans[key] = c.planLRU.PushFront(&planElem{key: key, pe: pe})
+	c.plans.add(planKey{sqlKey, storeVer}, pe, 1)
 }
 
 // lookupResult returns a cached answer for the key after re-validating its
@@ -207,127 +199,62 @@ func (c *queryCache) storePlan(sqlKey string, storeVer int64, pe *planEntry) {
 func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resultEntry, bool) {
 	key := resultKey{sqlKey: sqlKey, storeVer: storeVer, repoVer: repoVer}
 	c.mu.Lock()
-	el, ok := c.results[key]
-	if !ok {
-		c.st.ResultMisses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	ent := el.Value.(*resultEntry)
+	ent, ok := c.results.get(key, false)
 	c.mu.Unlock()
-
 	// Stat outside the lock: one slow filesystem must not stall every
 	// other query's cache path.
-	for _, st := range ent.stamps {
-		info, err := os.Stat(st.Path)
-		if err != nil || info.ModTime().UnixNano() != st.MtimeNanos || info.Size() != st.Size {
-			c.mu.Lock()
-			if cur, ok := c.results[key]; ok && cur == el {
-				c.removeResultLocked(el)
-				c.st.ResultInvalidations++
-			}
-			c.st.ResultMisses++
-			c.mu.Unlock()
-			return nil, false
-		}
-	}
-
+	fresh := ok && ent.fresh()
 	c.mu.Lock()
-	if cur, ok := c.results[key]; ok && cur == el {
-		c.resLRU.MoveToFront(el)
+	defer c.mu.Unlock()
+	switch cur, _ := c.results.get(key, false); {
+	case !ok || cur != ent: // absent, or evicted or invalidated while we were statting
+	case !fresh:
+		c.results.unlink(c.results.items[key])
+		c.st.ResultInvalidations++
+	default:
+		c.results.get(key, true)
 		c.st.ResultHits++
-		c.mu.Unlock()
 		return ent, true
 	}
-	// Evicted or invalidated while we were statting; treat as a miss.
 	c.st.ResultMisses++
-	c.mu.Unlock()
 	return nil, false
 }
 
 // admitResult offers a completed answer to the cache. Entries that exceed
 // the stamp cap or the cache's own budget, and entries the shared ledger
 // has no room for, are declined — queries never block on cache admission.
+// A concurrent identical query that admitted first keeps its entry (the
+// answers are bit-identical by construction).
 func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Result, stamps []plan.FileStamp) {
 	sz := res.Batch.Bytes() + int64(len(res.Trace.SQL)+len(res.Trace.Naive)+len(res.Trace.Optimized)) + resultOverhead
 	for _, st := range stamps {
 		sz += int64(len(st.URI)+len(st.Path)) + 32
 	}
-	if len(stamps) > maxResultStamps || sz > resultBudget {
-		c.mu.Lock()
-		c.st.ResultDeclined++
-		c.st.ResultDeclinedBytes += sz
-		c.mu.Unlock()
-		return
-	}
-	key := resultKey{sqlKey: sqlKey, storeVer: storeVer, repoVer: repoVer}
 	ent := &resultEntry{
-		key:     key,
 		columns: res.Columns,
 		batch:   res.Batch,
-		trace: Trace{
-			SQL:       res.Trace.SQL,
-			Naive:     res.Trace.Naive,
-			Optimized: res.Trace.Optimized,
-			Join:      res.Trace.Join,
-		},
+		trace: Trace{SQL: res.Trace.SQL, Naive: res.Trace.Naive,
+			Optimized: res.Trace.Optimized, Join: res.Trace.Join},
 		stamps: stamps,
-		bytes:  sz,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.results[key]; ok {
-		// A concurrent identical query admitted first; keep the resident
-		// entry (the answers are bit-identical by construction).
-		c.resLRU.MoveToFront(el)
-		return
-	}
-	// Make room under the cache's own budget first, then ask the shared
-	// ledger; under global pressure the admission is declined, keeping the
-	// recycler-cache discipline.
-	for c.st.ResultBytes+sz > resultBudget {
-		back := c.resLRU.Back()
-		if back == nil {
-			break
-		}
-		c.removeResultLocked(back)
-		c.st.ResultEvictions++
-	}
-	if !c.ledger.TryReserve(sz) {
+	if len(stamps) > maxResultStamps || !c.results.add(resultKey{sqlKey: sqlKey, storeVer: storeVer, repoVer: repoVer}, ent, sz) {
 		c.st.ResultDeclined++
 		c.st.ResultDeclinedBytes += sz
-		return
 	}
-	c.results[key] = c.resLRU.PushFront(ent)
-	c.st.ResultBytes += sz
-}
-
-// removeResultLocked unlinks an entry and releases its ledger reservation.
-func (c *queryCache) removeResultLocked(el *list.Element) {
-	ent := el.Value.(*resultEntry)
-	delete(c.results, ent.key)
-	c.resLRU.Remove(el)
-	c.st.ResultBytes -= ent.bytes
-	c.ledger.Release(ent.bytes)
 }
 
 // purge drops every cached plan and result (statements survive: parsing
-// is catalog-independent). Refresh calls it so a snapshot swap reclaims the
-// superseded entries at once — the versioned keys already guarantee they
-// could never be served again.
+// is catalog-independent) and clears both tiers' probation and ghost
+// segments. Refresh calls it so a snapshot swap reclaims the superseded
+// entries at once — the versioned keys already guarantee they could never
+// be served again.
 func (c *queryCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans = make(map[string]*list.Element)
-	c.planLRU.Init()
-	n := 0
-	for el := c.resLRU.Front(); el != nil; {
-		next := el.Next()
-		c.removeResultLocked(el)
-		n++
-		el = next
-	}
-	c.st.ResultInvalidations += int64(n)
+	c.plans.clear()
+	c.st.ResultInvalidations += int64(c.results.clear())
 }
 
 // QueryCacheStats is the observable state of the two-tier query cache.
@@ -336,9 +263,12 @@ type QueryCacheStats struct {
 	PlanMisses  int64
 	PlanEntries int
 
-	ResultHits          int64
-	ResultMisses        int64
+	ResultHits   int64
+	ResultMisses int64
+	// ResultEvictions counts protected answers evicted under byte pressure;
+	// ResultUnreused, answers dropped from probation without a hit.
 	ResultEvictions     int64
+	ResultUnreused      int64
 	ResultInvalidations int64
 	ResultDeclined      int64
 	ResultDeclinedBytes int64
@@ -350,6 +280,7 @@ func (c *queryCache) statsSnapshot() QueryCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.PlanEntries, st.ResultEntries = c.planLRU.Len(), c.resLRU.Len()
+	st.PlanEntries, st.ResultEntries = len(c.plans.items), len(c.results.items)
+	st.ResultEvictions, st.ResultUnreused, st.ResultBytes = c.results.evictions, c.results.unreused, c.results.cost
 	return st
 }

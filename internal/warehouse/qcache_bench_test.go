@@ -1,9 +1,14 @@
 package warehouse
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"repro/internal/column"
+	"repro/internal/seisgen"
 )
 
 // BenchmarkPreparedQuery isolates the parse -> plan -> reorder cost the
@@ -125,5 +130,59 @@ func BenchmarkPreparedExecute(b *testing.B) {
 		if _, err := ps.Execute(column.NewString(stations[i%len(stations)])); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOneOffQueries serves the warm windowed-aggregate shape (the
+// cold_scan statement over a recycler that holds the whole fleet) with both
+// query-cache tiers on and a window no earlier iteration asked for, so every
+// plan and answer is a one-off. Besides time and allocations it reports GC
+// cycles per query (gc/op), the runtime's estimate of GC CPU time per query
+// (gc-cpu-ns/op: fewer cycles over a bigger heap can cost more), and the
+// heap still live after a final GC (live-B): the plans and answers the
+// caches retain, which admission on probation bounds at probationCap
+// entries per tier.
+func BenchmarkOneOffQueries(b *testing.B) {
+	const width = 500 * time.Second
+	dir := genRepo(b, 80000)
+	stations := seisgen.DefaultStations
+	channels := []string{"BHZ", "BHN", "BHE"}
+	day := time.Date(2010, 1, 12, 0, 0, 0, 0, time.UTC)
+	starts := int64((80000*time.Second/40 - width) / time.Millisecond)
+	w, err := Open(dir, Options{Mode: Lazy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.QueryUncached(`SELECT COUNT(*) FROM mseed.dataview`); err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gcCPU := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	metrics.Read(gcCPU)
+	gc0, gcSec0 := ms.NumGC, gcCPU[0].Value.Float64()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// i*7919 mod starts visits every start once (7919 is prime and
+		// does not divide starts) before any window repeats.
+		t0 := day.Add(time.Duration(int64(i)*7919%starts) * time.Millisecond)
+		q := fmt.Sprintf(`SELECT AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value), COUNT(*) FROM mseed.dataview
+			WHERE F.station = '%s' AND F.channel = '%s' AND D.sample_time >= '%s' AND D.sample_time < '%s'`,
+			stations[i%len(stations)].Code, channels[i/len(stations)%len(channels)],
+			t0.Format("2006-01-02T15:04:05.000"), t0.Add(width).Format("2006-01-02T15:04:05.000"))
+		if _, err := w.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	metrics.Read(gcCPU)
+	b.ReportMetric((gcCPU[0].Value.Float64()-gcSec0)*1e9/float64(b.N), "gc-cpu-ns/op")
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.NumGC-gc0-1)/float64(b.N), "gc/op")
+	b.ReportMetric(float64(ms.HeapAlloc), "live-B")
+	if st := w.Stats().QueryCache; st.ResultHits != 0 {
+		b.Fatalf("a one-off hit the result cache: %+v", st)
 	}
 }

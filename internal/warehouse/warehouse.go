@@ -465,7 +465,9 @@ func (o *observer) Event(op, detail string) {
 // therefore reuse their built plan, and bit-identical answers may come
 // straight from the result cache (validated against the snapshot versions
 // and the source files' stamps, so a cached answer never differs from fresh
-// execution).
+// execution). Both caches admit on probation: the second identical query
+// is a hit, but a plan or answer no query asks for again is dropped after
+// 256 newer ones instead of crowding out those that repeat.
 func (w *Warehouse) Query(q string) (*Result, error) { return w.query(q, true) }
 
 // QueryUncached executes like Query but never serves the answer from the
@@ -804,7 +806,7 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	w.rp = w.engine.Repository()
 	// The snapshot versions the cache keys carry just changed, so no stale
 	// entry could ever be served again; purging reclaims their memory (and
-	// the results' ledger bytes) immediately instead of via LRU pressure.
+	// the results' ledger bytes) immediately instead of via eviction.
 	w.qc.purge()
 	w.metrics.ObserveQuery(obs.ClassRefresh, time.Since(start))
 	w.logf("refresh", "done: %d files, %d records in %v", st.Files, st.Records, st.Duration)
@@ -844,7 +846,7 @@ type Stats struct {
 	CacheStats     string
 	// QueryCache summarizes the two-tier query cache: plan-cache hit
 	// ratios and the result cache's entries, bytes (ledger-charged),
-	// evictions and invalidations.
+	// evictions, unreused probation drops and invalidations.
 	QueryCache QueryCacheStats
 	// Extraction counts lazy-extraction work, including the coalesced-run
 	// read path: RunsRead / RunRecords give the records-per-syscall ratio
