@@ -19,7 +19,7 @@ cd "$(dirname "$0")"
 count=5
 benchtime=1s
 json_out=''
-pattern='E[1-9]|Filter|Aggregate|HashJoin|JoinBuild|Sort|OrderBy|Like|Steim|Extract|Spill|Pipeline|Overlap|Concurrent|Skip|JoinOrder|Prepared|ResultCache|TraceOverhead|MetricsScrape|HeaderScan|BTime|LoadMetadata|Convert|MetadataPhase|EncodeResult|WindowedAgg|OneOffQueries'
+pattern='E[1-9]|Filter|Aggregate|HashJoin|JoinBuild|Sort|OrderBy|Like|Steim|Extract|Spill|Pipeline|Overlap|Concurrent|Skip|Prepared|ResultCache|TraceOverhead|MetricsScrape|HeaderScan|BTime|LoadMetadata|Convert|MetadataPhase|EncodeResult|WindowedAgg|OneOffQueries'
 
 for arg in "$@"; do
   case "$arg" in

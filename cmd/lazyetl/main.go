@@ -148,21 +148,10 @@ func runQuery(w *warehouse.Warehouse, q string, lastTrace **warehouse.Trace) {
 	*lastTrace = &tr
 }
 
-// printExplain renders the zone-map skipping and join-ordering record of a
-// trace: per-scan runs/records/rows read vs skipped, the samples a sample
-// window cut from the records extracted, and the chosen join order with its
-// cardinality estimates.
+// printExplain renders the zone-map skipping record of a trace: per-scan
+// runs/records/rows read vs skipped, and the samples a sample window cut
+// from the records extracted.
 func printExplain(tr *warehouse.Trace) {
-	if tr.Join != nil {
-		j := tr.Join
-		if j.Reordered {
-			fmt.Printf("-- join order (stats-driven): %s\n", strings.Join(j.Order, " -> "))
-			fmt.Printf("   SQL order was: %s\n", strings.Join(j.SQLOrder, " -> "))
-		} else {
-			fmt.Printf("-- join order: SQL order kept: %s\n", strings.Join(j.Order, " -> "))
-		}
-		fmt.Printf("   estimated rows: %v\n", j.Estimates)
-	}
 	if len(tr.Scans) == 0 {
 		fmt.Println("-- no zone-map pruning applied (no statistics yet, or no eligible predicate)")
 		return
@@ -190,7 +179,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
   \tables           list tables and views with row counts          (demo point 2)
   \schema [name]    show columns of a table or view                (demo point 2)
   \plan <sql>       show naive and reorganized plans               (demo points 4, 6)
-  \explain <sql>    run a query and show zone-map skipping + join order
+  \explain <sql>    run a query and show zone-map skipping
   \prepare <name> <sql>      prepare a statement ('?' parameter markers)
   \execute <name> [params]   run a prepared statement ('ISK', 42, -3.5, TRUE, NULL)
   \trace            plans, injected operators and span tree of last query (demo points 4-6)

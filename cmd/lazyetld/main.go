@@ -11,9 +11,8 @@
 // Endpoints:
 //
 //	POST /query    {"sql": "SELECT ..."}  ->  {"columns": [...], "rows": [[...]], ...}
-//	POST /explain  {"sql": "SELECT ..."}  ->  executed plan, per-scan zone-map
-//	               skipping (runs/records/rows read vs skipped) and the
-//	               stats-driven join order
+//	POST /explain  {"sql": "SELECT ..."}  ->  executed plan and per-scan
+//	               zone-map skipping (runs/records/rows read vs skipped)
 //	POST /prepare  {"sql": "SELECT ... WHERE x = ?"}  ->  {"id": "p1", ...}
 //	POST /execute  {"id": "p1", "params": ["ISK", 500]}  ->  same shape as /query
 //	GET  /stats    warehouse + server counters (including the query cache)
@@ -314,7 +313,6 @@ type explainResponse struct {
 	SQL       string            `json:"sql"`
 	Plan      string            `json:"plan"`
 	Scans     []plan.ScanReport `json:"scans"`
-	Join      *plan.ReorderInfo `json:"join,omitempty"`
 	RowCount  int               `json:"row_count"`
 	ElapsedNS int64             `json:"elapsed_ns"`
 }
@@ -330,7 +328,6 @@ func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request, req *req
 		SQL:       res.Trace.SQL,
 		Plan:      res.Trace.Optimized,
 		Scans:     res.Trace.Scans,
-		Join:      res.Trace.Join,
 		RowCount:  res.Batch.NumRows(),
 		ElapsedNS: res.Elapsed.Nanoseconds(),
 	})

@@ -320,13 +320,18 @@ func (jt *joinTable) buildSerial(rn int) {
 	}
 }
 
+// buildTaskHook runs first in every task of buildPartitioned's passes 1-3.
+// It does nothing; tests replace it to inject a panic into a pass.
+var buildTaskHook = func(pass, task int) {}
+
 // buildPartitioned is the parallel build: hash + count per morsel, prefix
 // sum, scatter into per-partition row lists (ascending row order within
 // each partition), then one private table build per partition. Under a
 // finite memory budget each partition's table is granted before pass 3;
 // partitions whose grant is denied serialize their build rows to a spill
 // file instead (in the same ascending row order) and are rebuilt
-// one-partition-at-a-time during the probe.
+// one-partition-at-a-time during the probe. A panic in a pass is the
+// build's error, and the caller releases every partition grant taken.
 func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 	nparts := nextPow2(4 * p.Workers())
 	if nparts > joinPartitionCap {
@@ -349,7 +354,8 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 	// Pass 1: hash every non-null-key row (encoding generic keys once into
 	// the morsel's arena, reused by the partition build) and count rows per
 	// (morsel, partition).
-	p.run(mcount, func(mi int) {
+	err := p.run(mcount, func(mi int) error {
+		buildTaskHook(1, mi)
 		lo, hi := p.morselBounds(mi, rn)
 		cnt := counts[mi*nparts : (mi+1)*nparts]
 		if jt.intKeys {
@@ -362,7 +368,7 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 				hashes[i] = h
 				cnt[h>>shift]++
 			}
-			return
+			return nil
 		}
 		buf := make([]byte, 0, 16*len(jt.rkc)*(hi-lo))
 		for i := lo; i < hi; i++ {
@@ -376,7 +382,11 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 			cnt[h>>shift]++
 		}
 		enc.arenas[mi] = buf
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// Prefix sum: partition-major, morsel-minor, so partition pt occupies
 	// partRows[partStart[pt]:partStart[pt+1]] with morsel windows in morsel
@@ -396,7 +406,8 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 
 	// Pass 2: scatter row indices into the reserved windows. Each (morsel,
 	// partition) cursor is owned by exactly one worker.
-	p.run(mcount, func(mi int) {
+	err = p.run(mcount, func(mi int) error {
+		buildTaskHook(2, mi)
 		lo, hi := p.morselBounds(mi, rn)
 		cur := starts[mi*nparts : (mi+1)*nparts]
 		for i := lo; i < hi; i++ {
@@ -407,7 +418,11 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 			partRows[cur[pt]] = int32(i)
 			cur[pt]++
 		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// Grant pass: decide, in partition-index order, which partitions build
 	// in memory and which spill. The decision only affects where a
@@ -441,23 +456,22 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 	// partitions write their rows (in the same order) to per-partition
 	// files instead.
 	jt.parts = make([]joinPart, nparts)
-	var errs []error
 	var spillNanos, spillBytes []int64
 	if spillNeeded {
 		jt.spillPrefix = qm.opPrefix("join")
 		jt.spillFiles = make([]string, nparts)
 		jt.spillRows = make([]int, nparts)
-		errs = make([]error, nparts)
 		spillNanos = make([]int64, nparts)
 		spillBytes = make([]int64, nparts)
 	}
-	p.run(nparts, func(pi int) {
+	err = p.run(nparts, func(pi int) (err error) {
+		buildTaskHook(3, pi)
 		rows := partRows[partStart[pi]:partStart[pi+1]]
 		if spillNeeded && jt.spilled[pi] {
 			t0 := time.Now()
-			spillBytes[pi], errs[pi] = jt.spillPartition(pi, rows, hashes, enc, qm)
+			spillBytes[pi], err = jt.spillPartition(pi, rows, hashes, enc, qm)
 			spillNanos[pi] = time.Since(t0).Nanoseconds()
-			return
+			return err
 		}
 		tab := newJoinPart(len(rows), jt.intKeys)
 		if jt.intKeys {
@@ -471,8 +485,9 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 			}
 		}
 		jt.parts[pi] = tab
+		return nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return err
 	}
 	if spillNeeded {

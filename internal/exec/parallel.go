@@ -109,19 +109,26 @@ func (p *Pool) morselBounds(mi, n int) (lo, hi int) {
 }
 
 // run executes fn(0) .. fn(tasks-1), each exactly once, across the pool's
-// workers. Workers claim task indices from an atomic cursor; fn must write
-// only to its own task's output slot, which is what makes the result
+// workers, and returns the lowest-indexed task's error — a panic in fn is
+// recovered into a *PanicError and is that task's error — once every worker
+// has exited. Workers claim task indices from an atomic cursor; fn must
+// write only to its own task's output slot, which is what makes the result
 // deterministic regardless of scheduling.
-func (p *Pool) run(tasks int, fn func(int)) {
+func (p *Pool) run(tasks int, fn func(int) error) error {
+	errs := make([]error, tasks)
+	task := func(i int) {
+		defer recoverTo(&errs[i])
+		errs[i] = fn(i)
+	}
 	w := p.workers
 	if w > tasks {
 		w = tasks
 	}
 	if w <= 1 {
 		for i := 0; i < tasks; i++ {
-			fn(i)
+			task(i)
 		}
-		return
+		return firstError(errs)
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -134,11 +141,12 @@ func (p *Pool) run(tasks int, fn func(int)) {
 				if i >= tasks {
 					return
 				}
-				fn(i)
+				task(i)
 			}
 		}()
 	}
 	wg.Wait()
+	return firstError(errs)
 }
 
 // firstError returns the lowest-indexed non-nil error, so a failing

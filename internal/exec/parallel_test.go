@@ -1,12 +1,18 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/column"
+	"repro/internal/mem"
 	"repro/internal/sql"
 )
 
@@ -39,12 +45,133 @@ func TestPoolRunEachTaskOnce(t *testing.T) {
 		for _, tasks := range []int{0, 1, 7, 64, 1000} {
 			p := &Pool{workers: workers}
 			counts := make([]int32, tasks)
-			p.run(tasks, func(i int) {
+			err := p.run(tasks, func(i int) error {
 				atomic.AddInt32(&counts[i], 1)
+				return nil
 			})
+			if err != nil {
+				t.Fatalf("workers=%d tasks=%d: %v", workers, tasks, err)
+			}
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("workers=%d tasks=%d: task %d ran %d times", workers, tasks, i, c)
+				}
+			}
+		}
+	}
+}
+
+// waitGoroutines fails t when more goroutines than base are still running
+// two seconds on: something the call under test started outlived it.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines outlive the call (%d before)", what, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestPoolRunPanicContainment: a panic in any task comes back from run as a
+// *PanicError with the value and the stack, the lowest failing task index
+// wins whether it panicked or returned an error, every task still runs
+// once, and no worker outlives the call.
+func TestPoolRunPanicContainment(t *testing.T) {
+	const tasks = 40
+	cases := []struct {
+		name   string
+		fail   map[int]string // task -> "panic:<v>" or "error:<v>"
+		panics bool
+		want   string
+	}{
+		{"panic in task 0", map[int]string{0: "panic:first"}, true, "first"},
+		{"panic in a later task", map[int]string{29: "panic:later"}, true, "later"},
+		{"two panics", map[int]string{31: "panic:b", 7: "panic:a"}, true, "a"},
+		{"panic before an error", map[int]string{3: "panic:p", 20: "error:e"}, true, "p"},
+		{"error before a panic", map[int]string{20: "panic:p", 3: "error:e"}, false, "e"},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		p := &Pool{workers: workers}
+		for _, c := range cases {
+			name := fmt.Sprintf("workers=%d, %s", workers, c.name)
+			base := runtime.NumGoroutine()
+			var ran atomic.Int32
+			err := p.run(tasks, func(i int) error {
+				ran.Add(1)
+				kind, v, _ := strings.Cut(c.fail[i], ":")
+				switch kind {
+				case "panic":
+					panic(v)
+				case "error":
+					return errors.New(v)
+				}
+				return nil
+			})
+			var pe *PanicError
+			switch {
+			case c.panics && (!errors.As(err, &pe) || pe.Value != c.want || !strings.Contains(string(pe.Stack), "goroutine")):
+				t.Errorf("%s: want a PanicError of %q with a stack, got %v", name, c.want, err)
+			case !c.panics && (err == nil || err.Error() != c.want || errors.As(err, &pe)):
+				t.Errorf("%s: want the error %q, got %v", name, c.want, err)
+			}
+			if ran.Load() != tasks {
+				t.Errorf("%s: %d of %d tasks ran", name, ran.Load(), tasks)
+			}
+			waitGoroutines(t, base, name)
+		}
+	}
+}
+
+// TestJoinBuildPanicContainment: a panic in any of the partitioned join
+// build's three passes, in its first task or a later one, is the build's
+// *PanicError. No goroutine outlives the build, every partition grant is
+// back on the ledger, and the next join on the same pool is bit-identical
+// to the serial reference. The budget denies the single-table grant, so
+// even one worker takes the partitioned build, and some partitions spill.
+func TestJoinBuildPanicContainment(t *testing.T) {
+	defer func() { buildTaskHook = func(int, int) {} }()
+	left, right := spillJoinInputs(rand.New(rand.NewSource(5)), 1000, 1800)
+	lk, rk := []string{"lid"}, []string{"rid"}
+	want, _, err := (*Pool)(nil).HashJoinMem(nil, left, right, lk, rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		p := &Pool{workers: workers, morsel: 61}
+		for pass := 1; pass <= 3; pass++ {
+			for _, at := range []int{0, 3} {
+				name := fmt.Sprintf("workers=%d, pass %d task %d", workers, pass, at)
+				led := mem.New(midBudget)
+				qm := NewQueryMem(led, t.TempDir())
+				base := runtime.NumGoroutine()
+				buildTaskHook = func(ps, task int) {
+					if ps == pass && task == at {
+						panic("build boom")
+					}
+				}
+				_, err := BuildProbeTable(left.Range(0, 0), right, lk, rk, p, qm)
+				buildTaskHook = func(int, int) {}
+				var pe *PanicError
+				if !errors.As(err, &pe) || pe.Value != "build boom" {
+					t.Errorf("%s: want the build's PanicError, got %v", name, err)
+				}
+				waitGoroutines(t, base, name)
+				if used := led.Used(); used != 0 {
+					t.Errorf("%s: ledger holds %d bytes after the failed build", name, used)
+				}
+				qm.Cleanup()
+
+				qm = NewQueryMem(mem.New(midBudget), t.TempDir())
+				got, js, err := p.HashJoinMem(qm, left, right, lk, rk)
+				qm.Cleanup()
+				if err != nil {
+					t.Fatalf("%s: next join: %v", name, err)
+				}
+				if js.SpilledPartitions == 0 || js.SpilledPartitions == js.Partitions {
+					t.Errorf("%s: next join spilled %d of %d partitions; want some resident, some spilled", name, js.SpilledPartitions, js.Partitions)
+				}
+				if diff, ok := bitIdenticalBatches(got, want); !ok {
+					t.Errorf("%s: next join diverged: %s", name, diff)
 				}
 			}
 		}

@@ -272,15 +272,16 @@ func consume(sink PipeSink, m Morsel) (err error) {
 	return sink.Consume(m)
 }
 
-// PanicError is a panic RunPipeline recovered in a source, stage or sink,
-// returned as the error of the morsel that raised it.
+// PanicError is a panic recovered on an engine goroutine: by RunPipeline in
+// a source, stage or sink, returned as the error of the morsel that raised
+// it, or by Pool.run in a task, returned as that task's error.
 type PanicError struct {
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("exec: pipeline panic: %v\n%s", e.Value, e.Stack)
+	return fmt.Sprintf("exec: panic: %v\n%s", e.Value, e.Stack)
 }
 
 // Unwrap returns the panic value when it is an error (a runtime error, say).

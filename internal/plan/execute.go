@@ -112,8 +112,7 @@ type Env struct {
 	// NoSkipping disables every statistics-driven shortcut — record
 	// zone-map pruning before extraction, batch zone-range skipping on
 	// table scans and index-probed joins — making this Env the oracle the
-	// skipping paths are tested against. (Join reordering is decided before
-	// Execute; the warehouse skips it under the same option.)
+	// skipping paths are tested against.
 	NoSkipping bool
 	// Trace, when non-nil, collects per-operator timing spans under it.
 	// nil (tracing disabled) costs nothing: every span method no-ops on
@@ -149,35 +148,15 @@ func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if x.Prefix != "" || x.RowID != "" || x.Cols != nil {
-		keep := func(string) bool { return true }
-		if x.Cols != nil {
-			set := make(map[string]bool, len(x.Cols))
-			for _, name := range x.Cols {
-				set[name] = true
-			}
-			keep = func(name string) bool { return set[name] }
-		}
-		cols := make([]*column.Column, 0, b.NumCols()+1)
-		for i := 0; i < b.NumCols(); i++ {
-			c := b.ColAt(i)
-			if name := x.Prefix + c.Name(); keep(name) {
-				cols = append(cols, c.WithName(name))
-			}
-		}
-		if x.RowID != "" {
-			ids := make([]int64, b.NumRows())
-			for i := range ids {
-				ids[i] = int64(i)
-			}
-			cols = append(cols, column.NewInt64s(x.RowID, ids))
-		}
-		b, err = column.NewBatch(cols...)
-		if err != nil {
-			return nil, err
-		}
+	if x.Prefix == "" {
+		return b, nil
 	}
-	return b, nil
+	cols := make([]*column.Column, b.NumCols())
+	for i := range cols {
+		c := b.ColAt(i)
+		cols[i] = c.WithName(x.Prefix + c.Name())
+	}
+	return column.NewBatch(cols...)
 }
 
 // executeNode is the operator-at-a-time reference engine: every operator
@@ -269,13 +248,6 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		return applyPost(n, in, env)
-
-	case *RestoreOrder:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		return applyRestore(x, in, env)
 
 	default:
 		return nil, fmt.Errorf("plan: unknown node %T", n)
@@ -423,20 +395,6 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 	default:
 		return nil, fmt.Errorf("plan: %T is not a post-breaker operator", n)
 	}
-}
-
-// applyRestore re-sequences a reordered join spine's output to the SQL
-// join order.
-func applyRestore(x *RestoreOrder, in *column.Batch, env *Env) (*column.Batch, error) {
-	sp := env.Trace.StartChild("restore-order")
-	out, err := restoreOrder(in, x.RowIDs, x.Cols)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRows(int64(out.NumRows()))
-	sp.End()
-	env.obs().Event("restore-order", fmt.Sprintf("%d rows re-sequenced to the SQL join order", out.NumRows()))
-	return out, nil
 }
 
 // reportJoin folds one executed join into the stats and the observer log.

@@ -7,10 +7,9 @@ import (
 	"repro/internal/sql"
 )
 
-// spineNeeds decides which columns a spine's consumer reads — the one
-// question projection pushdown asks, for ReorderJoins (which narrows the
-// Scans it rebuilds) and for Build (which narrows the LazyExtract). It walks
-// root down the probe side of its spine and returns the leaf with every
+// spineNeeds decides which columns a spine's consumer reads — the question
+// narrowExtract asks before it narrows the LazyExtract. It walks root down
+// the probe side of its spine and returns the leaf with every
 // column name read on the way: Filter predicates, join keys, the predicates
 // of the Scans passed, and the expressions of the lowest operator that
 // redefines the output schema (Aggregate keys and arguments, else the

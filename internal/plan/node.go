@@ -55,15 +55,6 @@ type Scan struct {
 	Table  string
 	Prefix string     // "" or "F." / "R." / "D." / "<alias>."
 	Preds  []sql.Expr // conjuncts over the (prefixed) scan output
-	// RowID, when non-empty, appends an Int64 provenance column of that name
-	// holding each row's pre-filter ordinal. Join reordering uses it to
-	// restore the original output order (see RestoreOrder).
-	RowID string
-	// Cols, when non-nil, restricts the scan output to these (prefixed)
-	// columns — projection pushdown so a reordered spine never materializes
-	// columns nothing above references. Column slices are shared, so this
-	// narrows join gathers rather than copying data.
-	Cols []string
 }
 
 func (s *Scan) Describe() string {
@@ -74,9 +65,6 @@ func (s *Scan) Describe() string {
 	}
 	if len(s.Preds) > 0 {
 		fmt.Fprintf(&sb, " WHERE %s", exprList(s.Preds))
-	}
-	if s.Cols != nil {
-		fmt.Fprintf(&sb, " (columns: %s)", strings.Join(s.Cols, ", "))
 	}
 	return sb.String()
 }
@@ -119,8 +107,8 @@ func (f *Filter) Children() []Node { return []Node{f.Child} }
 type LazyExtract struct {
 	Meta Node
 	// Cols, when non-nil, lists the universal-table columns the query reads,
-	// in canonical (catalog.DataviewColumns) order — the same contract as
-	// Scan.Cols, set by Build from the operators above (see narrowExtract).
+	// in canonical (catalog.DataviewColumns) order, set by Build from the
+	// operators above (see narrowExtract).
 	// The metadata subplan still runs at full width: extraction itself needs
 	// F.uri, R.seqno and friends whether or not the query does. Only a
 	// pipeline passes Cols on; the NoPipeline reference drains the stream
@@ -218,24 +206,6 @@ func (s *Sort) Describe() string {
 	return "Sort [" + strings.Join(parts, ", ") + "]"
 }
 func (s *Sort) Children() []Node { return []Node{s.Child} }
-
-// RestoreOrder undoes a join reordering's row and column permutation: it
-// sorts its input lexicographically by the scans' RowID provenance columns
-// (listed in the original join order's priority) and projects the canonical
-// column set, dropping the provenance columns. A left-deep equi-join spine
-// emits rows lexicographic in (base row, 1st build row, 2nd build row, ...),
-// so this restores bit-identical output — float accumulation downstream
-// included — no matter how the joins were reordered.
-type RestoreOrder struct {
-	Child  Node
-	RowIDs []string // provenance columns, highest priority first
-	Cols   []string // canonical output columns, in original order
-}
-
-func (r *RestoreOrder) Describe() string {
-	return "RestoreOrder BY " + strings.Join(r.RowIDs, ", ")
-}
-func (r *RestoreOrder) Children() []Node { return []Node{r.Child} }
 
 // Limit caps the row count.
 type Limit struct {

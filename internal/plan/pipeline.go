@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -14,17 +13,17 @@ import (
 
 // Pipeline decomposition: a plan spine of the shape
 //
-//	[Limit] [Sort] [Project] [Aggregate] [RestoreOrder] (Filter | Join)* (Scan | LazyExtract)
+//	[Limit] [Sort] [Project] [Aggregate] (Filter | Join)* (Scan | LazyExtract)
 //
 // runs as one morsel-wise push pipeline, and every plan Build produces has
 // that shape — there is one execution engine. The leaf produces morsels
 // (table row ranges, or the lazy extraction stream), Filter and Join probe
 // stages run fused over each morsel's selection vector, and the pipeline
 // ends at one of its breakers: the aggregation sink or the final-output
-// collector. Hash-join build sides (a join answered by index probe has
-// none), sort, the order restoration of a reordered join spine, and the
-// metadata plan under a LazyExtract materialize — they need their whole
-// input by nature.
+// collector. Joins run in the order the SQL states them. Hash-join build
+// sides (a join answered by index probe has none), sort, and the metadata
+// plan under a LazyExtract materialize — they need their whole input by
+// nature.
 //
 // The memory budget (Env.Mem) never changes the engine, only where the
 // breakers fall. A join build that spilled partitions to disk cannot be
@@ -55,11 +54,10 @@ type RowsServedCounter interface {
 
 // pipePlan is a decomposed pipeline spine.
 type pipePlan struct {
-	leaf    Node          // *Scan or *LazyExtract
-	ops     []Node        // *Filter / *Join stages, leaf-to-root order
-	restore *RestoreOrder // optional provenance re-sequencing breaker
-	agg     *Aggregate    // optional aggregation breaker
-	post    []Node        // *Project / *Sort / *Limit, outermost-first
+	leaf Node       // *Scan or *LazyExtract
+	ops  []Node     // *Filter / *Join stages, leaf-to-root order
+	agg  *Aggregate // optional aggregation breaker
+	post []Node     // *Project / *Sort / *Limit, outermost-first
 }
 
 // decompose peels a plan into a pipePlan, reporting whether the spine fits
@@ -85,14 +83,6 @@ peel:
 	if a, ok := n.(*Aggregate); ok {
 		pp.agg = a
 		n = a.Child
-	}
-	// A reordered join spine re-sequences its output below the aggregate.
-	// The spine underneath still pipelines; the restore itself is a breaker
-	// (it needs every row), and the aggregate sink is then fed the restored
-	// batch morsel by morsel.
-	if r, ok := n.(*RestoreOrder); ok {
-		pp.restore = r
-		n = r.Child
 	}
 	var rev []Node
 	for {
@@ -310,8 +300,7 @@ func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
 	col, ok := strings.CutPrefix(x.RKeys[0], s.Prefix)
 	stored, err := env.Store.Table(s.Table)
 	bz := env.Store.TableZones(s.Table)
-	if !ok || err != nil || bz == nil || bz.Rows != stored.NumRows() || !bz.Sorted[col] ||
-		(s.Cols != nil && !slices.Contains(s.Cols, x.RKeys[0])) {
+	if !ok || err != nil || bz == nil || bz.Rows != stored.NumRows() || !bz.Sorted[col] {
 		return false, nil
 	}
 	if lk, ok := r.proto.Col(x.LKeys[0]); !ok || !lk.Type().IntFamily() {
@@ -422,24 +411,11 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 	}
 
-	// The spine's own breakers: the order restoration collects, the
-	// aggregate folds whatever segment is pending — the fused stages, or
-	// the restored batch — into its sink.
+	// The spine's own breaker: the aggregate sink folds the pending segment,
+	// else the collector takes it.
 	var out *column.Batch
 	var err error
-	if pp.restore != nil {
-		if out, err = r.collect(); err != nil {
-			return nil, err
-		}
-		if out, err = applyRestore(pp.restore, out, env); err != nil {
-			return nil, err
-		}
-		if pp.agg != nil {
-			r.resume(out)
-		}
-	}
-	switch {
-	case pp.agg != nil:
+	if pp.agg != nil {
 		sink, err := exec.NewAggSink(r.proto, pp.agg.GroupBy, pp.agg.Aggs, env.Mem)
 		if err != nil {
 			return nil, err
@@ -451,10 +427,8 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		r.reports = append(r.reports, func() {
 			aggregateEvent(o, sink.RowsIn(), sink.RunsIn(), out.NumRows())
 		})
-	case pp.restore == nil:
-		if out, err = r.collect(); err != nil {
-			return nil, err
-		}
+	} else if out, err = r.collect(); err != nil {
+		return nil, err
 	}
 
 	env.Stats.recordPipeline(r.morsels)

@@ -54,10 +54,13 @@ type ExecSnapshot struct {
 	// against pushed-down predicates and never fed to a pipeline; the scan
 	// rows never looked at — those inside the skipped ranges, plus the rows
 	// of an index-probed join's build table outside every probed key's
-	// range; and join spines rewritten into a cheaper build order.
+	// range.
 	ScanRangesSkipped int64
 	ScanRowsSkipped   int64
-	JoinReorders      int64
+	// JoinReorders is always 0: joins run in the order the SQL states them.
+	// It stays on GET /stats only because the benchmark client decodes it;
+	// ROADMAP F(i), the next change to the benchmark, drops it.
+	JoinReorders int64
 }
 
 // Snapshot copies the counters.
@@ -87,12 +90,6 @@ func (s *ExecStats) recordScanSkip(ranges int, rows int64) {
 		c.ScanRangesSkipped += int64(ranges)
 		c.ScanRowsSkipped += rows
 	})
-}
-
-// RecordJoinReorder counts one join spine rewritten into a cheaper order.
-// The warehouse calls it when ReorderJoins changes a plan.
-func (s *ExecStats) RecordJoinReorder() {
-	s.record(func(c *ExecSnapshot) { c.JoinReorders++ })
 }
 
 // recordPipeline folds one pipelined plan execution into the counters.

@@ -68,7 +68,6 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendCounter(b, "lazyetl_spilled_partitions_total", "Join build partitions spilled to disk.", es.PartitionsSpilled)
 	b = obs.AppendCounter(b, "lazyetl_spilled_bytes_total", "Bytes spilled to disk under memory pressure.", es.BytesSpilled)
 	b = obs.AppendSecondsCounter(b, "lazyetl_spill_seconds_total", "Time spent writing spill files and rebuilding spilled partitions.", es.SpillNanos)
-	b = obs.AppendCounter(b, "lazyetl_join_reorders_total", "Join spines rewritten by stats-driven ordering.", es.JoinReorders)
 	b = obs.AppendCounter(b, "lazyetl_scan_rows_skipped_total", "Scan rows never looked at: inside zone ranges proved irrelevant, or outside every key range an index-probed join searched.", es.ScanRowsSkipped)
 
 	// Read Bytes/Rows straight off the live store (RLock, no allocation)

@@ -237,8 +237,8 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		// hands the aggregate a selection over the run columns. Its metadata
 		// join is an index probe; the hash join that spills is spillQueries[1].
 		{External, append(append([]string{nanMidStream, spillQueries[1]}, narrowMatrixQueries...), runQueries...)},
-		// joinQ's spine is reordered, so its aggregate sits above the
-		// order-restoration breaker and is fed the restored batch.
+		// joinQ's spine runs in its SQL order: a two-key hash probe of
+		// mseed.records, then an index probe of mseed.files.
 		{Eager, []string{eagerMatrixQuery, joinQ}},
 	}
 	for _, m := range modes {

@@ -16,16 +16,11 @@ import (
 //
 // Tier 1 caches parse and plan work: the statement cache maps a canonical
 // template to its *Prepared (the parsed, unbound AST every ad-hoc query of
-// that shape is served through), and the plan cache maps
-// (template, parameter values, catalog-store version) to the fully built and
-// join-reordered plan skeleton. The options fingerprint the issue of record
-// calls for is implicit — the cache lives on one warehouse whose mode and
-// Oracle set are immutable after Open. Versioned
-// keys are also how plans stay honest against shifting zone-map statistics:
-// join-order estimates read only the per-table batch zones, which change
-// exclusively through store mutations, and every store mutation bumps the
-// version — so a plan whose chosen join order a stats shift would change can
-// never be looked up again.
+// that shape is served through), and the plan cache maps (template,
+// parameter values) to the built plan skeleton. Nothing else goes into a
+// plan: the cache lives on one warehouse whose mode, catalog and Oracle set
+// are immutable after Open, and Build reads no store contents — so plans
+// carry no snapshot version and survive a Refresh.
 //
 // Tier 2 caches completed results, keyed by (normalized SQL + parameters,
 // store snapshot version, repo-metadata snapshot version) and guarded by the
@@ -44,7 +39,7 @@ import (
 type queryCache struct {
 	mu      sync.Mutex
 	stmts   map[string]*Prepared
-	plans   *segCache[planKey, *planEntry]     // cost 1 each against maxPlans
+	plans   *segCache[string, *planEntry]      // cost 1 each against maxPlans
 	results *segCache[resultKey, *resultEntry] // cost in bytes against resultBudget
 	// st counts hits, misses, invalidations and declines; see statsSnapshot.
 	st QueryCacheStats
@@ -73,18 +68,12 @@ type planEntry struct {
 	root      plan.Node
 	naive     string
 	optimized string
-	join      *plan.ReorderInfo
 }
 
-// trace is the plan's Trace skeleton: SQL, plans and join decision; the
-// run-time fields fill in during execution.
+// trace is the plan's Trace skeleton: SQL and plans; the run-time fields
+// fill in during execution.
 func (pe *planEntry) trace() Trace {
-	return Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized, Join: pe.join}
-}
-
-type planKey struct {
-	sqlKey   string
-	storeVer int64
+	return Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized}
 }
 
 type resultKey struct {
@@ -95,7 +84,7 @@ type resultKey struct {
 type resultEntry struct {
 	columns []string
 	batch   *column.Batch
-	trace   Trace // skeleton: SQL, plans and join decision; no runtime ops
+	trace   Trace // skeleton: SQL and plans; no runtime ops
 	stamps  []plan.FileStamp
 }
 
@@ -113,7 +102,7 @@ func (e *resultEntry) fresh() bool {
 func newQueryCache(ledger *mem.Ledger) *queryCache {
 	return &queryCache{
 		stmts:   make(map[string]*Prepared),
-		plans:   newSegCache[planKey, *planEntry](maxPlans, nil),
+		plans:   newSegCache[string, *planEntry](maxPlans, nil),
 		results: newSegCache[resultKey, *resultEntry](resultBudget, ledger),
 	}
 }
@@ -173,11 +162,11 @@ func (c *queryCache) storeStmt(p *Prepared) {
 	c.stmts[p.text] = p
 }
 
-// lookupPlan returns the plan cached for this key at this store version.
-func (c *queryCache) lookupPlan(sqlKey string, storeVer int64) (*planEntry, bool) {
+// lookupPlan returns the plan cached for this key.
+func (c *queryCache) lookupPlan(sqlKey string) (*planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if pe, ok := c.plans.get(planKey{sqlKey, storeVer}, true); ok {
+	if pe, ok := c.plans.get(sqlKey, true); ok {
 		c.st.PlanHits++
 		return pe, true
 	}
@@ -185,10 +174,10 @@ func (c *queryCache) lookupPlan(sqlKey string, storeVer int64) (*planEntry, bool
 	return nil, false
 }
 
-func (c *queryCache) storePlan(sqlKey string, storeVer int64, pe *planEntry) {
+func (c *queryCache) storePlan(sqlKey string, pe *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.add(planKey{sqlKey, storeVer}, pe, 1)
+	c.plans.add(sqlKey, pe, 1)
 }
 
 // lookupResult returns a cached answer for the key after re-validating its
@@ -233,9 +222,8 @@ func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Re
 	ent := &resultEntry{
 		columns: res.Columns,
 		batch:   res.Batch,
-		trace: Trace{SQL: res.Trace.SQL, Naive: res.Trace.Naive,
-			Optimized: res.Trace.Optimized, Join: res.Trace.Join},
-		stamps: stamps,
+		trace:   Trace{SQL: res.Trace.SQL, Naive: res.Trace.Naive, Optimized: res.Trace.Optimized},
+		stamps:  stamps,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,15 +233,14 @@ func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Re
 	}
 }
 
-// purge drops every cached plan and result (statements survive: parsing
-// is catalog-independent) and clears both tiers' probation and ghost
-// segments. Refresh calls it so a snapshot swap reclaims the superseded
-// entries at once — the versioned keys already guarantee they could never
-// be served again.
+// purge drops every cached result and clears the result tier's probation
+// and ghost segments. Refresh calls it so a snapshot swap reclaims the
+// superseded answers at once — their versioned keys already guarantee they
+// could never be served again. Statements and plans survive: neither
+// depends on the repository's contents.
 func (c *queryCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.clear()
 	c.st.ResultInvalidations += int64(c.results.clear())
 }
 

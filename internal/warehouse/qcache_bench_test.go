@@ -11,7 +11,7 @@ import (
 	"repro/internal/seisgen"
 )
 
-// BenchmarkPreparedQuery isolates the parse -> plan -> reorder cost the
+// BenchmarkPreparedQuery isolates the parse -> plan cost the
 // plan cache removes. The cold variant pays it on every iteration
 // (NoQueryCache); the prepared variant resolves the same statement through
 // the plan cache. Neither executes — Explain stops at the built plan — so

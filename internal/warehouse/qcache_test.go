@@ -17,7 +17,7 @@ import (
 
 // qcacheQueries mixes metadata scans, lazy extraction, grouping and
 // ordering — the shapes the serving layer caches (the explicit join spine
-// is Eager-only and covered by TestQueryCacheJoinReorder).
+// is Eager-only and covered by TestQueryCacheExplicitJoin).
 var qcacheQueries = []string{
 	q1,
 	q2,
@@ -136,7 +136,8 @@ func TestResultCacheHitSkipsExecution(t *testing.T) {
 }
 
 // TestPlanCacheHit pins tier 1: two queries sharing a normalized template
-// (different literals) reuse the built plan at the same store version.
+// (different literals) share the parsed statement, and a respelling of one
+// reuses its built plan.
 func TestPlanCacheHit(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
@@ -218,11 +219,10 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
-// TestQueryCacheJoinReorder: the plan cache stores the stats-reordered
-// spine, so a warm run reuses the reordered plan and a result-cache hit
-// still carries the join decision in its trace — bit-identical to the
-// NoQueryCache oracle either way.
-func TestQueryCacheJoinReorder(t *testing.T) {
+// TestQueryCacheExplicitJoin: the explicit three-table spine answers bit
+// for bit like the NoQueryCache oracle when cold, from the plan cache, and
+// from the result cache.
+func TestQueryCacheExplicitJoin(t *testing.T) {
 	dir := genRepo(t, 3000)
 	w, err := Open(dir, Options{Mode: Eager})
 	if err != nil {
@@ -244,11 +244,8 @@ func TestQueryCacheJoinReorder(t *testing.T) {
 	if renderExact(cold.Batch) != want {
 		t.Error("cold cached answer diverged from oracle")
 	}
-	if cold.Trace.Join == nil || !cold.Trace.Join.Reordered {
-		t.Fatalf("spine not reordered: %+v", cold.Trace.Join)
-	}
-	// Warm plan-cache path (bypassing the result cache): same answer,
-	// same reordered plan, one more plan hit.
+	// Warm plan-cache path (bypassing the result cache): same answer, one
+	// more plan hit.
 	before := w.Stats().QueryCache
 	warm, err := w.QueryUncached(joinQ)
 	if err != nil {
@@ -260,10 +257,6 @@ func TestQueryCacheJoinReorder(t *testing.T) {
 	if renderExact(warm.Batch) != want {
 		t.Error("plan-cache answer diverged from oracle")
 	}
-	if warm.Trace.Join == nil || !warm.Trace.Join.Reordered {
-		t.Errorf("cached plan lost its join decision: %+v", warm.Trace.Join)
-	}
-	// Result-cache hit: trace skeleton keeps the join decision.
 	hit, err := w.Query(joinQ)
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +264,60 @@ func TestQueryCacheJoinReorder(t *testing.T) {
 	if renderExact(hit.Batch) != want {
 		t.Error("result-cache answer diverged from oracle")
 	}
-	if hit.Trace.Join == nil || !hit.Trace.Join.Reordered {
-		t.Errorf("cached result lost its join decision: %+v", hit.Trace.Join)
+}
+
+// TestPlansSurviveRefresh: a plan depends on its statement and parameters
+// alone, so a Refresh that changed a file the query read keeps the plan.
+// The next uncached run is a plan hit, and its answer is bit-identical to a
+// fresh NoQueryCache warehouse's over the touched repository.
+func TestPlansSurviveRefresh(t *testing.T) {
+	dir := genRepo(t, 2000)
+	w := openWH(t, dir, Lazy)
+	const q = `SELECT F.station, COUNT(*), MIN(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK' GROUP BY F.station`
+	res, err := w.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace.TouchedFiles) == 0 {
+		t.Fatal("the query read no file")
+	}
+	rp, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var touched bool
+	for _, f := range rp.Files {
+		if f.URI == res.Trace.TouchedFiles[0] {
+			if err := repo.Touch(f.AbsPath, time.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			touched = true
+		}
+	}
+	if !touched {
+		t.Fatalf("touched file %q not in the repository", res.Trace.TouchedFiles[0])
+	}
+	if _, err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Stats().QueryCache
+	got, err := w.QueryUncached(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := w.Stats().QueryCache; after.PlanHits != before.PlanHits+1 {
+		t.Errorf("plan hits %d -> %d after the refresh, want +1", before.PlanHits, after.PlanHits)
+	}
+	fresh, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderExact(got.Batch), renderExact(want.Batch); g != w {
+		t.Errorf("post-refresh answer diverged from a fresh warehouse\nwant:\n%s\ngot:\n%s", w, g)
 	}
 }
 
@@ -394,7 +439,8 @@ func TestQueryCacheInvalidationUnderChurn(t *testing.T) {
 
 // TestQueryCacheLedgerAccounting: the result cache charges the shared
 // ledger and releases on purge, so a Refresh returns the bytes and leaves
-// every segment of both tiers (probation, protected, ghost ring) empty.
+// every segment of the result tier (probation, protected, ghost ring)
+// empty, while the plan tier keeps every segment as it was.
 func TestQueryCacheLedgerAccounting(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
@@ -419,21 +465,24 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 		t.Errorf("ledger (%d) holds less than the result cache (%d): entries not charged",
 			st.Mem.Used, st.QueryCache.ResultBytes)
 	}
-	for _, seg := range segments(w.qc) {
+	segs := segments(w.qc)
+	for _, seg := range segs {
 		if seg.n == 0 {
 			t.Errorf("before refresh: %s is empty; the test should fill every segment", seg.name)
 		}
 	}
+	plans := st.QueryCache.PlanEntries
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	st = w.Stats()
-	if st.QueryCache.ResultEntries != 0 || st.QueryCache.ResultBytes != 0 || st.QueryCache.PlanEntries != 0 {
-		t.Errorf("refresh left cached entries: %+v", st.QueryCache)
+	if st.QueryCache.ResultEntries != 0 || st.QueryCache.ResultBytes != 0 || st.QueryCache.PlanEntries != plans {
+		t.Errorf("refresh left results or dropped plans (%d before): %+v", plans, st.QueryCache)
 	}
-	for _, seg := range segments(w.qc) {
-		if seg.n != 0 {
-			t.Errorf("after refresh: %s holds %d", seg.name, seg.n)
+	for i, seg := range segments(w.qc) {
+		if want := segs[i].n; strings.HasPrefix(seg.name, "result") && seg.n != 0 ||
+			strings.HasPrefix(seg.name, "plan") && seg.n != want {
+			t.Errorf("after refresh: %s holds %d (%d before)", seg.name, seg.n, want)
 		}
 	}
 	if st.Mem.Used != st.CacheBytes {

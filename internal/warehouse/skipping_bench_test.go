@@ -55,34 +55,3 @@ func BenchmarkColdScanSkip(b *testing.B) {
 	b.Run("skip", func(b *testing.B) { run(b, 0) })
 	b.Run("oracle", func(b *testing.B) { run(b, NoSkipping) })
 }
-
-// BenchmarkJoinOrder measures the stats-driven join reordering on the
-// explicit three-table spine whose SQL order builds the records table
-// before the 15-row files table. The reordered variant pays the RowID +
-// RestoreOrder provenance tax but builds the tiny table first.
-func BenchmarkJoinOrder(b *testing.B) {
-	run := func(b *testing.B, oracle Oracle) {
-		dir := genRepo(b, 20000)
-		w, err := Open(dir, Options{Mode: Eager, Oracle: NoQueryCache | oracle})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := w.Query(joinQ)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Batch.NumRows() != 1 {
-				b.Fatalf("rows = %d, want 1", res.Batch.NumRows())
-			}
-		}
-		b.StopTimer()
-		if oracle == 0 && w.Stats().Exec.JoinReorders == 0 {
-			b.Fatal("no join reorder recorded")
-		}
-	}
-	b.Run("reordered", func(b *testing.B) { run(b, 0) })
-	b.Run("sqlorder", func(b *testing.B) { run(b, NoSkipping) })
-}

@@ -77,9 +77,9 @@ func TestSkippingOracleMatrix(t *testing.T) {
 	}
 }
 
-// joinQ is a three-table spine whose SQL order builds the ~record-count
-// mseed.records table before the 15-row mseed.files table; the
-// statistics-driven order must flip them.
+// joinQ is a hand-written three-table spine over the eager tables: the
+// data table probes a hash table built over mseed.records on two keys, then
+// the 15-row mseed.files table by index. Joins run in the order written.
 const joinQ = `SELECT F.station, COUNT(*), AVG(D.sample_value)
 FROM mseed.data D
 JOIN mseed.records R ON D.file_id = R.file_id AND D.seqno = R.seqno
@@ -89,9 +89,7 @@ GROUP BY F.station`
 
 // joinStarQ is joinQ's spine with no operator redefining the output: the
 // sort and the limit read the spine, but the result is still every column
-// of it, so the reordered plan must not narrow its scans. (It once did:
-// ORDER BY made the spine look consumed and SELECT * came back four
-// columns wide.)
+// of it, in the order the joins produce them.
 const joinStarQ = `SELECT *
 FROM mseed.data D
 JOIN mseed.records R ON D.file_id = R.file_id AND D.seqno = R.seqno
@@ -99,28 +97,24 @@ JOIN mseed.files F ON D.file_id = F.file_id
 WHERE F.station = 'ISK'
 ORDER BY D.sample_value, D.sample_time LIMIT 5`
 
-// TestJoinReorderOracle checks that the stats-driven join order actually
-// reorders the spine (smallest estimated build side first) and that the
-// provenance-restored result stays bit-identical to the SQL-order oracle.
-func TestJoinReorderOracle(t *testing.T) {
-	for _, q := range []string{joinQ, joinStarQ} {
-		testJoinReorderOracle(t, q)
-	}
-}
-
-func testJoinReorderOracle(t *testing.T, joinQ string) {
+// TestExplicitJoinOracle runs the explicit three-table spine, aggregated
+// and whole, across workers x memory budgets and requires every answer
+// bit-identical to the serial reference with every statistics shortcut off
+// (NoPipeline|NoSkipping: hash joins only, no zone skipping).
+func TestExplicitJoinOracle(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, Oracle: NoSkipping})
+	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, Oracle: NoPipeline | NoSkipping})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.Query(joinQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderExact(res.Batch)
-	if ref.Stats().Exec.JoinReorders != 0 {
-		t.Fatal("NoSkipping oracle reordered a join")
+	queries := []string{joinQ, joinStarQ}
+	want := make(map[string]string)
+	for _, q := range queries {
+		res, err := ref.Query(q)
+		if err != nil {
+			t.Fatalf("reference: %v\nquery: %s", err, q)
+		}
+		want[q] = renderExact(res.Batch)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
@@ -130,24 +124,87 @@ func testJoinReorderOracle(t *testing.T, joinQ string) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			res, err := w.Query(joinQ)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			for _, q := range queries {
+				res, err := w.Query(q)
+				if err != nil {
+					t.Fatalf("%s: %v\nquery: %s", name, err, q)
+				}
+				if got := renderExact(res.Batch); got != want[q] {
+					t.Errorf("%s: diverged from the reference\nquery: %s\nwant:\n%s\ngot:\n%s", name, q, want[q], got)
+				}
 			}
-			if got := renderExact(res.Batch); got != want {
-				t.Errorf("%s: reordered join diverged from SQL-order oracle\nwant:\n%s\ngot:\n%s", name, want, got)
+			if w.Stats().Exec.Pipelines == 0 {
+				t.Errorf("%s: no query ran as a pipeline", name)
 			}
-			j := res.Trace.Join
-			if j == nil || !j.Reordered {
-				t.Fatalf("%s: join spine not reordered: %+v", name, j)
-			}
-			// Order[0] is the base scan; the first build side follows it.
-			if len(j.Order) < 2 || !strings.Contains(j.Order[1], "mseed.files") {
-				t.Errorf("%s: smallest build side should come first, got order %v (estimates %v)",
-					name, j.Order, j.Estimates)
-			}
-			if w.Stats().Exec.JoinReorders == 0 {
-				t.Errorf("%s: JoinReorders counter not bumped", name)
+		}
+	}
+}
+
+// commutedJoins is one D/R/F spine written in four FROM/JOIN orders. A join
+// drops its right side's key columns, so which file_id and seqno survive
+// depends on the order: each ON names survivors, and the shapes read none.
+var commutedJoins = []string{
+	`FROM mseed.data D
+	 JOIN mseed.records R ON D.file_id = R.file_id AND D.seqno = R.seqno
+	 JOIN mseed.files F ON D.file_id = F.file_id`,
+	`FROM mseed.files F
+	 JOIN mseed.records R ON F.file_id = R.file_id
+	 JOIN mseed.data D ON F.file_id = D.file_id AND R.seqno = D.seqno`,
+	`FROM mseed.records R
+	 JOIN mseed.files F ON R.file_id = F.file_id
+	 JOIN mseed.data D ON D.file_id = R.file_id AND D.seqno = R.seqno`,
+	`FROM mseed.records R
+	 JOIN mseed.data D ON D.seqno = R.seqno AND D.file_id = R.file_id
+	 JOIN mseed.files F ON F.file_id = R.file_id`,
+}
+
+// commutedShapes wrap each spine: a row-wise selection and an integer
+// aggregate, both ordered by a total key (a file's samples have distinct
+// times). Every order must return the same rows bit for bit; a float SUM
+// would not, because its bits depend on the order rows are added in.
+var commutedShapes = []string{
+	`SELECT F.uri, F.channel, R.start_time, D.sample_time, D.sample_value %s
+	 WHERE F.channel = 'BHZ' AND R.seqno < 6
+	 ORDER BY F.uri, D.sample_time`,
+	`SELECT F.station, F.channel, COUNT(*), MIN(D.sample_time), MAX(D.sample_time), SUM(R.num_samples) %s
+	 WHERE D.sample_value > 0
+	 GROUP BY F.station, F.channel ORDER BY F.station, F.channel`,
+}
+
+// TestJoinCommutation is the metamorphic join-commutation check: the order
+// the SQL states is the order the joins run in, and every order must give
+// the same answer, across workers x memory budgets.
+func TestJoinCommutation(t *testing.T) {
+	dir := genRepo(t, 3000)
+	for si, shape := range commutedShapes {
+		want := ""
+		for _, workers := range []int{1, 8} {
+			for _, budget := range []int64{0, 2 << 20} {
+				w, err := Open(dir, Options{Mode: Eager, Workers: workers, MemoryBudget: budget, Oracle: NoQueryCache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ji, from := range commutedJoins {
+					name := fmt.Sprintf("shape %d, order %d, workers=%d/budget=%d", si, ji, workers, budget)
+					res, err := w.Query(fmt.Sprintf(shape, from))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got := renderExact(res.Batch)
+					if want == "" {
+						if res.Batch.NumRows() == 0 {
+							t.Fatalf("%s: no rows; the check is vacuous", name)
+						}
+						want = got
+					} else if got != want {
+						t.Errorf("%s: diverged from order 0\nwant:\n%s\ngot:\n%s", name, want, got)
+					}
+				}
+				// The orders that build over mseed.data spill under the budget,
+				// so the agreement also spans the spilled-build breaker.
+				if spills := w.Stats().Exec.JoinSpills; (budget > 0) != (spills > 0) {
+					t.Errorf("shape %d, workers=%d/budget=%d: %d joins spilled", si, workers, budget, spills)
+				}
 			}
 		}
 	}

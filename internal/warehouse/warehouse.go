@@ -39,7 +39,7 @@
 // decodes leaves a min/max/NaN/null summary of its transformed sample
 // values in the catalog, keyed by (uri, mtime, seqno) — the same staleness
 // key the recycler cache uses, so modifying a file invalidates its zones
-// exactly like its cached payloads. Later queries consult them twice:
+// exactly like its cached payloads. Later queries consult them at run time:
 //
 //   - Skip-before-decode pruning: comparison predicates on D.sample_value
 //     compile into a PruneRange carried below extraction, and qualifying
@@ -47,17 +47,15 @@
 //     nor Steim-decoded. Batches installed in the store carry per-range
 //     statistics too, so pipelined table scans skip whole morsel ranges the
 //     pushed-down predicates prove empty.
-//   - Join ordering: multi-join spines are reordered smallest-estimated
-//     build side first, using the same zone statistics for cardinality
-//     estimates; provenance columns and a RestoreOrder step keep the output
-//     bit-identical to the SQL-order plan.
 //
-// Both shortcuts are semantically invisible: pruning only drops rows an
+// The shortcuts are semantically invisible: pruning only drops rows an
 // enclosing filter would delete, and skipping only removes ranges a proof
-// shows empty. The NoSkipping oracle disables all of it and is the retained
-// reference the skipping paths are tested against, across the full
-// workers x morsel x budget matrix. Per-query effects surface in
-// Result.Trace (Scans, Join) and cumulatively in Stats.
+// shows empty. No statistic reaches the planner — joins run in the order
+// the SQL states them — so a built plan depends on its statement and
+// parameters alone. The NoSkipping oracle disables all of it and is the
+// retained reference the skipping paths are tested against, across the
+// full workers x morsel x budget matrix. Per-query effects surface in
+// Result.Trace (Scans) and cumulatively in Stats.
 package warehouse
 
 import (
@@ -143,14 +141,14 @@ const (
 	// BenchmarkExtractOverlap.
 	NoPipeline Oracle = 1 << iota
 	// NoSkipping disables every zone-map shortcut: record pruning before
-	// extraction, zone-range skipping on table scans, and stats-driven join
-	// reordering. Without it statistics are exploited when present.
+	// extraction, zone-range skipping on table scans, and index-probed
+	// joins. Without it statistics are exploited when present.
 	NoSkipping
 	// NoQueryCache disables the two-tier query cache (the plan/statement
 	// cache and the snapshot-versioned result cache): every query is parsed
-	// from its raw text by sql.Parse and pays full plan -> reorder ->
-	// execute, so the cached path's Normalize + ParseTemplate + BindParams
-	// is checked against an independent parse.
+	// from its raw text by sql.Parse and pays full plan -> execute, so the
+	// cached path's Normalize + ParseTemplate + BindParams is checked
+	// against an independent parse.
 	NoQueryCache
 	// NoTrace disables per-query trace-span collection (Result.Trace.Spans
 	// stays nil); BenchmarkTraceOverhead bounds the tracing cost against
@@ -211,9 +209,6 @@ type Trace struct {
 	// runs and records never read/decoded (lazy extraction) or batch rows
 	// never fed to the pipeline (table scans).
 	Scans []plan.ScanReport
-	// Join is the stats-driven join-ordering decision for this query's
-	// spine, when it had one eligible (estimates, SQL order, chosen order).
-	Join *plan.ReorderInfo
 	// Spans is the query's trace-span tree (wall time, rows and bytes per
 	// serve-path phase and operator). nil under the NoTrace oracle, and for a
 	// result-cache hit it covers only the probe that served the hit.
@@ -598,13 +593,13 @@ func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
 }
 
 // Explain resolves the plan the statement would execute with for these
-// parameters, without executing it, including the stats-driven
-// join-ordering decision. On a warm plan cache this is the pure
-// statement-resolution path: no lexing, no parse, no Build, no reorder —
-// just the versioned cache lookup. Per-scan skip tallies require execution;
-// use QueryUncached and read Result.Trace.Scans.
+// parameters, without executing it. It reads no store snapshot: a plan
+// depends on the statement and parameters alone. On a warm plan cache this
+// is the pure statement-resolution path: no lexing, no parse, no Build —
+// just the cache lookup. Per-scan skip tallies require execution; use
+// QueryUncached and read Result.Trace.Scans.
 func (p *Prepared) Explain(params ...column.Value) (*Trace, error) {
-	pe, err := p.plan(p.w.store.Snapshot(), params, p.key(params), nil)
+	pe, err := p.plan(params, p.key(params), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +659,7 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 	}
 	psp.End()
 
-	pe, err := p.plan(store, params, sqlKey, root)
+	pe, err := p.plan(params, sqlKey, root)
 	if err != nil {
 		return nil, w.fail("query", err)
 	}
@@ -720,19 +715,17 @@ func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params [
 }
 
 // plan resolves the statement to an executable plan for these parameters:
-// the seam serve and Explain share. For a cached statement it is the
-// plan-cache fast path — a hit skips bind, Build and ReorderJoins entirely;
-// a miss builds the plan and caches it under (template, params, store
-// version). The versioned key doubles as the re-validation the stats-driven
-// join order needs: cardinality estimates read only the store's batch zones,
-// which change exclusively through version-bumping store mutations, so a
-// plan whose join order a stats shift would alter can never be looked up
-// again.
-func (p *Prepared) plan(store *catalog.Store, params []column.Value, sqlKey string, root *obs.Span) (*planEntry, error) {
+// the seam serve and Explain share. A plan is a function of the statement
+// and its parameters alone — Build reads the catalog's fixed schema and the
+// warehouse's fixed mode, never the store's contents — so it needs no
+// snapshot. For a cached statement it is the plan-cache fast path: a hit
+// skips bind and Build entirely; a miss builds the plan and caches it under
+// (template, params), where it survives every Refresh.
+func (p *Prepared) plan(params []column.Value, sqlKey string, root *obs.Span) (*planEntry, error) {
 	w := p.w
 	if sqlKey != "" {
 		csp := root.StartChild("plan-cache")
-		pe, ok := w.qc.lookupPlan(sqlKey, store.Version())
+		pe, ok := w.qc.lookupPlan(sqlKey)
 		csp.End()
 		if ok {
 			return pe, nil
@@ -745,7 +738,7 @@ func (p *Prepared) plan(store *catalog.Store, params []column.Value, sqlKey stri
 		return nil, err
 	}
 	bsp := root.StartChild("plan")
-	plans, err := plan.Build(bound, store.Catalog(), w.mode)
+	plans, err := plan.Build(bound, w.store.Catalog(), w.mode)
 	if err != nil {
 		return nil, err
 	}
@@ -755,22 +748,8 @@ func (p *Prepared) plan(store *catalog.Store, params []column.Value, sqlKey stri
 		naive:     plan.Render(plans.Naive),
 		optimized: plan.Render(plans.Root),
 	}
-	if w.oracle&NoSkipping == 0 {
-		// Statistics-driven join ordering: decided per build against the
-		// snapshot's zone statistics, before execution.
-		if root, info := plan.ReorderJoins(plans.Root, store); info != nil {
-			pe.join = info
-			if info.Reordered {
-				pe.root = root
-				pe.optimized = plan.Render(root)
-				w.exec.RecordJoinReorder()
-				w.logf("reorder", "join spine reordered %v -> %v (estimated build rows %v)",
-					info.SQLOrder, info.Order, info.Estimates)
-			}
-		}
-	}
 	if sqlKey != "" {
-		w.qc.storePlan(sqlKey, store.Version(), pe)
+		w.qc.storePlan(sqlKey, pe)
 	}
 	bsp.End()
 	return pe, nil
@@ -804,9 +783,10 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 		return st, w.fail("refresh", err)
 	}
 	w.rp = w.engine.Repository()
-	// The snapshot versions the cache keys carry just changed, so no stale
-	// entry could ever be served again; purging reclaims their memory (and
-	// the results' ledger bytes) immediately instead of via eviction.
+	// The snapshot versions the result keys carry just changed, so no stale
+	// answer could ever be served again; purging reclaims their memory (and
+	// ledger bytes) immediately instead of via eviction. Plans stay: no
+	// plan depends on what the refresh changed.
 	w.qc.purge()
 	w.metrics.ObserveQuery(obs.ClassRefresh, time.Since(start))
 	w.logf("refresh", "done: %d files, %d records in %v", st.Files, st.Records, st.Duration)

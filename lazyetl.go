@@ -72,15 +72,16 @@
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
 // whitespace and keyword case canonicalize away) and caches the parsed
-// statement and the built, join-reordered plan skeleton keyed by
-// (template, parameters, catalog snapshot version) — a repeated shape
-// skips parse, plan and reorder entirely, and Warehouse.Prepare exposes
-// the same machinery as explicit prepared statements with '?' markers.
-// Tier 2 caches completed answers keyed by (normalized SQL + parameters,
-// store snapshot version, repository-metadata snapshot version), guarded
-// by per-file mtime/size stamps re-validated on every hit, and
-// byte-charged to the shared memory ledger so cached results compete with
-// the recycler cache under one budget. Refresh invalidates both tiers.
+// statement and the built plan skeleton keyed by (template, parameters) —
+// a repeated shape skips parse and plan entirely, and Warehouse.Prepare
+// exposes the same machinery as explicit prepared statements with '?'
+// markers. A plan reads no data (joins run in the order the SQL states
+// them), so plans survive Refresh. Tier 2 caches completed answers keyed by
+// (normalized SQL + parameters, store snapshot version, repository-metadata
+// snapshot version), guarded by per-file mtime/size stamps re-validated on
+// every hit, and byte-charged to the shared memory ledger so cached results
+// compete with the recycler cache under one budget. Refresh invalidates
+// this tier.
 // Cached answers are bit-identical to fresh execution; the uncached path
 // is retained as the verification oracle NoQueryCache.
 //
