@@ -1,8 +1,8 @@
 // Package etl implements the Extract-Transform-Load engine in both of the
 // paper's flavours:
 //
-//   - Eager (traditional) ETL: LoadAll extracts every record of every file,
-//     transforms it, and bulk-loads the three warehouse tables.
+//   - Eager (traditional) ETL: LoadAll is the lazy load followed by the
+//     extraction stream drained over every record, which fills mseed.data.
 //   - Lazy ETL: LoadMetadata performs the metadata-only initial load
 //     (header scans, no payloads); actual data is extracted at query time
 //     by ExtractStream, which implements plan.ExtractSource — the run-time
@@ -80,7 +80,8 @@
 // layout generates the times (sampleTimes) into the morsel only for a
 // statement that lists the column. Extract, the materializing reference, is
 // that same stream drained as one full-width morsel and expanded
-// (plan.ExtractAll); the eager LoadAll runs the same two helpers.
+// (plan.ExtractAll); the eager LoadAll drains it the same way, narrowed to
+// mseed.data's columns.
 //
 // A statement's D.sample_time range predicates reach the stream as one
 // sample window (plan.SampleWindow) and are answered per record, not per
@@ -106,7 +107,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/column"
+	"repro/internal/exec"
 	"repro/internal/mseed"
+	"repro/internal/plan"
 	"repro/internal/recycler"
 	"repro/internal/repo"
 )
@@ -147,14 +150,17 @@ type Stats struct {
 	Records int
 	Samples int64
 	// BytesRead is the source bytes the load consumed: every byte of every
-	// file for the eager load, the 64 header bytes of each record for the
-	// lazy one — what it parses, which is what the eager-versus-lazy ratio
-	// of E2/E3 compares. It is not what the lazy load requests from the OS:
-	// the header scan reads files in chunks (mseed.ScanHeaders), because a
-	// 64-byte read per record of 4 KiB or less touches every page of the
-	// file anyway, and skips unread only records longer than a chunk.
+	// file for the eager load, which extracts every record, the 64 header
+	// bytes of each record for the lazy one — what it parses, which is what
+	// the eager-versus-lazy ratio of E2/E3 compares. It is not what the lazy
+	// load requests from the OS: the header scan reads files in chunks
+	// (mseed.ScanHeaders), because a 64-byte read per record of 4 KiB or less
+	// touches every page of the file anyway, and skips unread only records
+	// longer than a chunk.
 	BytesRead int64
-	Duration  time.Duration
+	// Duration is the whole load: the header scan and, for the eager load,
+	// the extraction after it.
+	Duration time.Duration
 }
 
 // repoSnapshot pairs one repository scan with its dense file-id
@@ -289,7 +295,18 @@ func (e *Engine) SnapshotVersion() int64 { return e.snap.Load().version }
 // LoadMetadata is the lazy initial load: header-only scans fill the two
 // metadata tables; mseed.data stays empty. Stats.BytesRead counts the header
 // bytes parsed, 64 a record.
-func (e *Engine) LoadMetadata() (Stats, error) {
+func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false) }
+
+// LoadAll is the eager initial load: the lazy load, and then mseed.data is
+// the extraction stream drained over every record it loaded — no prune, no
+// window, one prefetch worker per processor. Stats.BytesRead is every byte
+// of every file.
+func (e *Engine) LoadAll() (Stats, error) { return e.load(true) }
+
+// load fills the metadata tables from a header scan of every file and, when
+// eager, mseed.data from one extraction over them, and commits all three as
+// one.
+func (e *Engine) load(eager bool) (Stats, error) {
 	start := time.Now()
 	var st Stats
 	sn := e.snap.Load()
@@ -311,13 +328,22 @@ func (e *Engine) LoadMetadata() (Stats, error) {
 		st.Records += len(infos)
 		st.BytesRead += int64(len(infos)) * 64 // header bytes parsed per record
 	}
+	files, records := fb.batch(), rb.batch()
+	data := column.MustNewBatch(newColumns(catalog.DataColumns)...)
+	if eager {
+		var err error
+		if data, err = e.extractData(files, records); err != nil {
+			return st, err
+		}
+		st.BytesRead = sn.repo.TotalSize()
+	}
 	// One atomic commit: a concurrent query snapshot sees either the old
 	// or the new metadata, never files rows from one scan next to records
 	// rows from another.
 	if err := e.store.ReplaceAll(map[string]*column.Batch{
-		catalog.TableFiles:   fb.batch(),
-		catalog.TableRecords: rb.batch(),
-		catalog.TableData:    newDataBuilder().batch(),
+		catalog.TableFiles:   files,
+		catalog.TableRecords: records,
+		catalog.TableData:    data,
 	}); err != nil {
 		return st, err
 	}
@@ -328,7 +354,7 @@ func (e *Engine) LoadMetadata() (Stats, error) {
 // scanFiles header-scans the files on up to GOMAXPROCS goroutines. Results
 // come back by position, so the caller feeds its builders in repository
 // order and reports the first failing file in that order, as a serial scan
-// would.
+// would; a scan that panics fails its own file with the *exec.PanicError.
 func scanFiles(files []repo.File) ([][]mseed.RecordInfo, []error) {
 	scans := make([][]mseed.RecordInfo, len(files))
 	errs := make([]error, len(files))
@@ -338,12 +364,12 @@ func scanFiles(files []repo.File) ([][]mseed.RecordInfo, []error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				x := int(next.Add(1)) - 1
-				if x >= len(files) {
-					return
-				}
-				scans[x], errs[x] = mseed.ScanFile(files[x].AbsPath)
+			for x := int(next.Add(1)) - 1; x < len(files); x = int(next.Add(1)) - 1 {
+				func() {
+					defer exec.RecoverTo(&errs[x])
+					scanFileHook(x)
+					scans[x], errs[x] = mseed.ScanFile(files[x].AbsPath)
+				}()
 			}
 		}()
 	}
@@ -351,55 +377,41 @@ func scanFiles(files []repo.File) ([][]mseed.RecordInfo, []error) {
 	return scans, errs
 }
 
-// LoadAll is the eager initial load: every payload is extracted,
-// transformed and loaded into mseed.data alongside the metadata tables.
-func (e *Engine) LoadAll() (Stats, error) {
-	start := time.Now()
-	var st Stats
-	sn := e.snap.Load()
-	fb := newFilesBuilder()
-	rb := newRecordsBuilder()
-	db := newDataBuilder()
-	var times []int64
-	var values []float64
-	for _, f := range sn.repo.Files {
-		recs, err := mseed.ReadFile(f.AbsPath)
-		if err != nil {
-			return st, fmt.Errorf("etl: eager load %s: %w", f.URI, err)
-		}
-		id := sn.fileID[f.URI]
-		infos := make([]mseed.RecordInfo, len(recs))
-		var off int64
-		for i, r := range recs {
-			infos[i] = mseed.RecordInfo{Header: r.Header, Offset: off}
-			off += int64(r.Header.RecordLength)
-		}
-		fb.add(id, f, infos)
-		for i, r := range recs {
-			rb.add(id, infos[i])
-			n := len(r.Samples)
-			if cap(times) < n {
-				times, values = make([]int64, n), make([]float64, n)
-			}
-			times, values = times[:n], values[:n]
-			sampleTimes(times, r.Header.StartNanos(), r.Header.SampleRate(), 0)
-			e.convert(values, r.Samples)
-			db.add(id, r.Header.SeqNo, times, values)
-			st.Samples += int64(len(values))
-		}
-		st.Files++
-		st.Records += len(recs)
-		st.BytesRead += f.Size
+// scanFileHook runs first in scanFiles' scan of file x; tests make it panic.
+var scanFileHook = func(x int) {}
+
+// dataColumns are the universal-table columns mseed.data holds, in its
+// column order.
+var dataColumns = []string{"R.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
+
+// extractData is mseed.data: the extraction stream over every loaded record,
+// drained at full width by plan.ExtractAll with the columns renamed to
+// mseed.data's. Its metadata is each record's row beside its file's uri and
+// record length.
+func (e *Engine) extractData(files, records *column.Batch) (*column.Batch, error) {
+	ids, _ := records.Col("file_id")
+	fileRow := make([]int32, ids.Len())
+	for i, id := range ids.Int64s() {
+		fileRow[i] = int32(id) // ids are dense: a file's id is its row
 	}
-	if err := e.store.ReplaceAll(map[string]*column.Batch{
-		catalog.TableFiles:   fb.batch(),
-		catalog.TableRecords: rb.batch(),
-		catalog.TableData:    db.batch(),
-	}); err != nil {
-		return st, err
+	var meta []*column.Column
+	for _, name := range []string{"file_id", "seqno", "num_samples", "file_offset"} {
+		c, _ := records.Col(name)
+		meta = append(meta, c.WithName("R."+name))
 	}
-	st.Duration = time.Since(start)
-	return st, nil
+	for _, name := range []string{"uri", "record_length"} {
+		c, _ := files.Col(name)
+		meta = append(meta, c.Gather(fileRow).WithName("F."+name))
+	}
+	data, err := plan.ExtractAll(e, column.MustNewBatch(meta...), dataColumns, nil, plan.NopObserver{}, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*column.Column, len(catalog.DataColumns))
+	for i, cd := range catalog.DataColumns {
+		cols[i] = data.ColAt(i).WithName(cd.Name)
+	}
+	return column.NewBatch(cols...)
 }
 
 // RefreshMetadata re-opens the repository (picking up added, removed and
@@ -426,8 +438,8 @@ func (e *Engine) RefreshMetadata() (Stats, error) {
 	return e.LoadMetadata()
 }
 
-// RefreshAll is the eager counterpart of RefreshMetadata: re-open and fully
-// reload everything (the traditional warehouse refresh).
+// RefreshAll is the eager counterpart of RefreshMetadata: re-open and run
+// the eager load again (the traditional warehouse refresh).
 func (e *Engine) RefreshAll() (Stats, error) {
 	fresh, err := repo.Open(e.snap.Load().repo.Root)
 	if err != nil {
@@ -529,16 +541,19 @@ func sampleTime(start int64, rate float64, i int) int64 {
 	return start + int64(float64(i)/rate*1e9)
 }
 
+// newColumns returns one empty column per definition.
+func newColumns(defs []catalog.ColumnDef) []*column.Column {
+	cols := make([]*column.Column, len(defs))
+	for i, cd := range defs {
+		cols[i] = column.New(cd.Name, cd.Type)
+	}
+	return cols
+}
+
 // filesBuilder accumulates mseed.files rows columnarly.
 type filesBuilder struct{ cols []*column.Column }
 
-func newFilesBuilder() *filesBuilder {
-	cols := make([]*column.Column, len(catalog.FilesColumns))
-	for i, cd := range catalog.FilesColumns {
-		cols[i] = column.New(cd.Name, cd.Type)
-	}
-	return &filesBuilder{cols: cols}
-}
+func newFilesBuilder() *filesBuilder { return &filesBuilder{cols: newColumns(catalog.FilesColumns)} }
 
 func (fb *filesBuilder) add(id int64, f repo.File, infos []mseed.RecordInfo) {
 	var first *mseed.Header
@@ -586,11 +601,7 @@ func (fb *filesBuilder) batch() *column.Batch { return column.MustNewBatch(fb.co
 type recordsBuilder struct{ cols []*column.Column }
 
 func newRecordsBuilder() *recordsBuilder {
-	cols := make([]*column.Column, len(catalog.RecordsColumns))
-	for i, cd := range catalog.RecordsColumns {
-		cols[i] = column.New(cd.Name, cd.Type)
-	}
-	return &recordsBuilder{cols: cols}
+	return &recordsBuilder{cols: newColumns(catalog.RecordsColumns)}
 }
 
 func (rb *recordsBuilder) add(fileID int64, ri mseed.RecordInfo) {
@@ -605,25 +616,3 @@ func (rb *recordsBuilder) add(fileID int64, ri mseed.RecordInfo) {
 }
 
 func (rb *recordsBuilder) batch() *column.Batch { return column.MustNewBatch(rb.cols...) }
-
-// dataBuilder accumulates mseed.data rows columnarly.
-type dataBuilder struct{ cols []*column.Column }
-
-func newDataBuilder() *dataBuilder {
-	cols := make([]*column.Column, len(catalog.DataColumns))
-	for i, cd := range catalog.DataColumns {
-		cols[i] = column.New(cd.Name, cd.Type)
-	}
-	return &dataBuilder{cols: cols}
-}
-
-func (db *dataBuilder) add(fileID int64, seqno int, times []int64, values []float64) {
-	for i := range times {
-		db.cols[0].AppendInt64(fileID)
-		db.cols[1].AppendInt64(int64(seqno))
-		db.cols[2].AppendInt64(times[i])
-		db.cols[3].AppendFloat64(values[i])
-	}
-}
-
-func (db *dataBuilder) batch() *column.Batch { return column.MustNewBatch(db.cols...) }

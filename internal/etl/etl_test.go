@@ -2,15 +2,18 @@ package etl
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
+	"repro/internal/exec"
 	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/repo"
@@ -65,6 +68,15 @@ func TestLoadMetadataVsLoadAll(t *testing.T) {
 	}
 	if st2.BytesRead <= metaBytes*2 {
 		t.Errorf("eager read %d bytes vs metadata %d; expected much more", st2.BytesRead, metaBytes)
+	}
+	data, err := store.Table(catalog.TableData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < data.NumCols(); c++ {
+		if _, _, ok := data.ColAt(c).Runs(); ok {
+			t.Errorf("stored mseed.data column %s is in run form", data.ColAt(c).Name())
+		}
 	}
 }
 
@@ -393,5 +405,45 @@ func TestConvertFastPathMatchesGeneralLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScanFilePanicContainment: a header scan that panics fails the load
+// naming its file, with the *exec.PanicError; when several do, the lowest
+// file index is the one reported, as for scan errors. A failed load
+// commits nothing, and the next one loads.
+func TestScanFilePanicContainment(t *testing.T) {
+	defer func() { scanFileHook = func(int) {} }()
+	e, store, _ := newEngine(t, 500, Options{})
+	st, err := e.LoadMetadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int{{4}, {9, 2, 6}} {
+		lowest := slices.Min(bad)
+		scanFileHook = func(x int) {
+			if slices.Contains(bad, x) {
+				panic(fmt.Sprintf("scan boom %d", x))
+			}
+		}
+		for name, load := range map[string]func() (Stats, error){
+			"LoadMetadata": e.LoadMetadata, "LoadAll": e.LoadAll, "RefreshMetadata": e.RefreshMetadata, "RefreshAll": e.RefreshAll,
+		} {
+			_, err := load()
+			var pe *exec.PanicError
+			if uri := e.Repository().Files[lowest].URI; !errors.As(err, &pe) || pe.Value != fmt.Sprintf("scan boom %d", lowest) || !strings.Contains(err.Error(), uri) {
+				t.Errorf("%s with files %v panicking: want file %d's PanicError naming %s, got %v", name, bad, lowest, uri, err)
+			}
+			if store.Rows(catalog.TableRecords) != st.Records || store.Rows(catalog.TableData) != 0 {
+				t.Errorf("%s: a failed load committed", name)
+			}
+		}
+	}
+	scanFileHook = func(int) {}
+	if _, err := e.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if store.Rows(catalog.TableData) != 15*500 {
+		t.Errorf("data rows = %d after the panics, want %d", store.Rows(catalog.TableData), 15*500)
 	}
 }

@@ -194,7 +194,7 @@ func (o *runOut) flush(obs plan.Observer) {
 // benchmarks; queries consume the stream morsel by morsel, carrying only
 // the columns they read.
 func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
-	return plan.ExtractAll(e, meta, prune, obs, 1)
+	return plan.ExtractAll(e, meta, nil, prune, obs, 1)
 }
 
 // prepare is the front half of an extraction. It validates the metadata

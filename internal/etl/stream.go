@@ -227,24 +227,46 @@ func (s *extractStream) prefetchWorker() {
 			s.cond.Wait() // window full or budget denied; retry on release
 			continue
 		}
-		s.claimed[r] = true
-		s.inflight++
-		s.mu.Unlock()
-		err := s.e.extractRun(&s.runs[r], sc, s.sink, s.obs)
-		s.mu.Lock()
-		s.done[r] = true
-		s.errs[r] = err
-		s.inflight--
-		if err != nil {
-			s.errCount++
-			s.grant.Release(s.est[r])
-		} else {
+		if s.extract(r, sc) == nil {
 			s.e.xstats.prefetchedRuns.Add(1)
 		}
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }
+
+// extract claims run r, whose footprint the caller has charged to the
+// grant, extracts it with mu released, and records how it ended: done, its
+// error — a panic in the extraction recovered into an *exec.PanicError —
+// and, when it failed, the grant released and the error counted. The caller
+// holds mu. sc is the caller's scratch: a prefetch worker's own, or nil for
+// one from the pool for this run.
+func (s *extractStream) extract(r int, sc *extractScratch) (err error) {
+	s.claimed[r] = true
+	s.inflight++
+	s.mu.Unlock()
+	if sc == nil {
+		sc = s.e.getScratch()
+		defer s.e.putScratch(sc)
+	}
+	func() {
+		defer exec.RecoverTo(&err)
+		extractRunHook(r)
+		err = s.e.extractRun(&s.runs[r], sc, s.sink, s.obs)
+	}()
+	s.mu.Lock()
+	s.done[r] = true
+	s.errs[r] = err
+	s.inflight--
+	if err != nil {
+		s.errCount++
+		s.grant.Release(s.est[r])
+	}
+	s.cond.Broadcast()
+	return err
+}
+
+// extractRunHook runs first in the extraction of run r; tests make it panic.
+var extractRunHook = func(r int) {}
 
 // nextUnclaimed returns the lowest-index unclaimed run, or -1 when all runs
 // are claimed. Caller holds mu.
@@ -385,23 +407,10 @@ func (s *extractStream) waitRow(i int) error {
 			return nil
 		}
 		if !s.claimed[r] {
-			s.claimed[r] = true
-			s.inflight++
 			s.grant.Must(s.est[r])
-			s.mu.Unlock()
-			sc := s.e.getScratch()
-			err := s.e.extractRun(&s.runs[r], sc, s.sink, s.obs)
-			s.e.putScratch(sc)
-			s.mu.Lock()
-			s.done[r] = true
-			s.errs[r] = err
-			s.inflight--
-			if err != nil {
-				s.errCount++
-				s.grant.Release(s.est[r])
+			if s.extract(r, nil) != nil {
 				return s.settleLocked()
 			}
-			s.cond.Broadcast()
 			return nil
 		}
 		t0 := time.Now()
@@ -434,18 +443,9 @@ func (s *extractStream) settleLocked() error {
 			}
 			continue
 		}
-		s.claimed[r] = true
-		s.mu.Unlock()
 		s.grant.Must(s.est[r])
-		sc := s.e.getScratch()
-		err := s.e.extractRun(&s.runs[r], sc, s.sink, s.obs)
-		s.e.putScratch(sc)
-		s.grant.Release(s.est[r])
-		s.mu.Lock()
-		s.done[r] = true
-		s.errs[r] = err
-		if err != nil {
-			s.failed = err
+		if s.failed = s.extract(r, nil); s.failed == nil {
+			s.grant.Release(s.est[r]) // nothing will consume its rows
 		}
 	}
 	if s.failed == nil {

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -321,19 +322,20 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesEagerLoad pins the extraction stream against the one
-// oracle that shares no code with it: the eager loader, which reads every
-// file whole through mseed.ReadFile. Over one repository, the concatenated
-// morsels of a stream over every record must equal the mseed.data table
-// LoadAll builds on a second engine, row for row and bit for bit, at every
-// pool width, morsel size and recycler state — and whatever a morsel's
+// TestStreamMatchesEagerLoad pins the extraction stream, and the eager
+// load that drains it, against an oracle that shares no code with either:
+// mseed.data decoded here, file by file, through mseed.ReadFile, with the
+// default gain of 1 and the sample-time expression written out. Over one
+// repository, the eager load's mseed.data and the concatenated morsels of a
+// stream over every record must equal it, row for row and bit for bit, at
+// every pool width, morsel size and recycler state — and whatever a morsel's
 // D.sample_value turns out to be: a view of one run's buffer (all misses,
 // or hits admitted together), or a copy (hits beside misses, rows the zone
 // maps pruned in between, a record whose count went stale after the
 // metadata load and decoded into a buffer of its own) — with D.sample_time
 // listed and generated, and not listed. Cut by a sample window, the stream
-// must deliver exactly the loaded rows whose time lies inside it, and count
-// every other sample of the records it delivered as trimmed.
+// must deliver exactly the oracle's rows whose time lies inside it, and
+// count every other sample of the records it delivered as trimmed.
 func TestStreamMatchesEagerLoad(t *testing.T) {
 	_, _, dir := newEngine(t, 3000, Options{})
 
@@ -366,18 +368,43 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 	stale := patchRecordSampleCount(t, path, infos[2].Offset, 0)
 
 	eager, eagerStore, _ := newEngineAt(t, dir, Options{})
+	fid, seq := column.New("file_id", column.Int64), column.New("seqno", column.Int64)
+	ts, vs := column.New("sample_time", column.Timestamp), column.New("sample_value", column.Float64)
+	for id, f := range eager.Repository().Files {
+		recs, err := mseed.ReadFile(f.AbsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			start, rate := r.Header.StartNanos(), r.Header.SampleRate()
+			for k, x := range r.Samples {
+				fid.AppendInt64(int64(id))
+				seq.AppendInt64(int64(r.Header.SeqNo))
+				if rate > 0 {
+					ts.AppendInt64(start + int64(float64(k)/rate*1e9))
+				} else {
+					ts.AppendInt64(start)
+				}
+				vs.AppendFloat64(float64(x) * 1.0)
+			}
+		}
+	}
+	data := column.MustNewBatch(fid, seq, ts, vs)
+	if stale == 0 || data.NumRows() != 15*3000-stale {
+		t.Fatalf("the files hold %d samples, want %d less the %d that went stale", data.NumRows(), 15*3000, stale)
+	}
 	if _, err := eager.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := eagerStore.Table(catalog.TableData)
+	loaded, err := eagerStore.Table(catalog.TableData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stale == 0 || data.NumRows() != 15*3000-stale {
-		t.Fatalf("eager load holds %d samples, want %d less the %d that went stale", data.NumRows(), 15*3000, stale)
+	if diff := bitDiff(loaded, data, nil); diff != "" {
+		t.Fatalf("eager load: %s", diff)
 	}
-	// eagerCol is the mseed.data column a universal-table column must equal.
-	eagerCol := map[string]string{"F.file_id": "file_id", "R.seqno": "seqno", "D.sample_time": "sample_time", "D.sample_value": "sample_value"}
+	// oracleCol is the mseed.data column a universal-table column must equal.
+	oracleCol := map[string]string{"F.file_id": "file_id", "R.seqno": "seqno", "D.sample_time": "sample_time", "D.sample_value": "sample_value"}
 
 	// The pruned passes drop the records no sample of which exceeds half
 	// the peak; the oracle drops the same records by its own reckoning, from
@@ -530,30 +557,46 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 			if pass.prune != nil && after.RecordsSkipped == before.RecordsSkipped {
 				t.Fatalf("%s: the zone maps pruned nothing", name)
 			}
-			if got.NumRows() != pass.want.NumRows() {
-				t.Fatalf("%s: stream delivered %d rows, the eager load %d", name, got.NumRows(), pass.want.NumRows())
-			}
-			for c := 0; c < got.NumCols(); c++ {
-				gc := got.ColAt(c)
-				wc, _ := pass.want.Col(eagerCol[gc.Name()])
-				if gc.Type() == column.Float64 {
-					g, w := gc.Float64s(), wc.Float64s()
-					for i := range g {
-						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-							t.Fatalf("%s: %s[%d] = %v on the stream, %s[%d] = %v eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
-						}
-					}
-					continue
-				}
-				g, w := gc.Int64s(), wc.Int64s()
-				for i := range g {
-					if g[i] != w[i] {
-						t.Fatalf("%s: %s[%d] = %d on the stream, %s[%d] = %d eagerly loaded", name, gc.Name(), i, g[i], wc.Name(), i, w[i])
-					}
-				}
+			if diff := bitDiff(got, pass.want, oracleCol); diff != "" {
+				t.Fatalf("%s: %s", name, diff)
 			}
 		}
 	}
+}
+
+// bitDiff describes the first difference between got and want, bit for bit
+// and row for row, or returns "" when got's columns equal their
+// counterparts in want: the one named by as (nil: the same name).
+func bitDiff(got, want *column.Batch, as map[string]string) string {
+	if got.NumRows() != want.NumRows() {
+		return fmt.Sprintf("%d rows, want %d", got.NumRows(), want.NumRows())
+	}
+	for c := 0; c < got.NumCols(); c++ {
+		gc := got.ColAt(c)
+		name := gc.Name()
+		if as != nil {
+			name = as[name]
+		}
+		wc, ok := want.Col(name)
+		if !ok || gc.Type() != wc.Type() {
+			return fmt.Sprintf("%s (%v) has no counterpart %s", gc.Name(), gc.Type(), name)
+		}
+		for i := 0; i < gc.Len(); i++ {
+			var same bool
+			switch gc.Type() {
+			case column.Float64:
+				same = math.Float64bits(gc.Float64s()[i]) == math.Float64bits(wc.Float64s()[i])
+			case column.String:
+				same = gc.Strings()[i] == wc.Strings()[i]
+			default:
+				same = gc.Int64s()[i] == wc.Int64s()[i]
+			}
+			if !same {
+				return fmt.Sprintf("%s[%d] = %v, want %s[%d] = %v", gc.Name(), i, gc.Value(i), name, i, wc.Value(i))
+			}
+		}
+	}
+	return ""
 }
 
 // countStream drains one stream over meta as a two-worker pool would — the
@@ -679,5 +722,117 @@ func TestPrefetchWorkers(t *testing.T) {
 		if prefetched != 0 || led.Used() != 0 {
 			t.Fatalf("try %d: %d runs prefetched past the budget, ledger holds %d bytes after Close; want 0 and 0", try, prefetched, led.Used())
 		}
+	}
+}
+
+// TestStreamPanicContainment: a run whose extraction panics fails the
+// stream with that run's *exec.PanicError, not the process, whether a
+// prefetch worker extracted it or the consumer did inline (under a ledger
+// that denies every prefetch), at pool widths {1,2,8}, and so does a
+// pipelined query over it. No goroutine outlives the stream, the ledger is
+// back at 0, and the next stream and query are bit-identical to ones that
+// never failed.
+func TestStreamPanicContainment(t *testing.T) {
+	defer func() { extractRunHook = func(int) {} }()
+	e, store, _ := newEngine(t, 2000, Options{DisableCache: true})
+	if _, err := e.LoadMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview`)
+	cols := []string{"F.file_id", "R.seqno", "D.sample_time", "D.sample_value"}
+	proto, err := plan.ExtractProto(meta, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(width int, led *mem.Ledger) exec.BatchSource {
+		src, err := e.ExtractStream(meta, cols, nil, nil, plan.NopObserver{}, 0, width, led)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	want := drainStream(t, stream(1, nil), proto)
+	q := `SELECT F.station, COUNT(*), SUM(D.sample_value) FROM mseed.dataview GROUP BY F.station ORDER BY F.station`
+	wantQ, err := runQueryEnv(e, store, q, 1, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 2 // the run that panics
+	isBoom := func(err error) bool {
+		var pe *exec.PanicError
+		return errors.As(err, &pe) && pe.Value == "extract boom"
+	}
+	for _, width := range []int{1, 2, 8} {
+		for _, inline := range []bool{false, true} {
+			name := fmt.Sprintf("width=%d inline=%v", width, inline)
+			led := mem.New(0)
+			if inline {
+				led = mem.New(1)
+			}
+			base := runtime.NumGoroutine()
+			prefetched := e.ExtractionStats().PrefetchedRuns
+			fired := make(chan struct{})
+			extractRunHook = func(r int) {
+				if r == at {
+					close(fired)
+					panic("extract boom")
+				}
+			}
+			src := stream(width, led)
+			if !inline {
+				<-fired // a prefetch worker has met the panic
+			}
+			var err error
+			for ok := true; ok && err == nil; {
+				_, ok, err = src.Next()
+			}
+			src.Close()
+			extractRunHook = func(int) {}
+			if !isBoom(err) {
+				t.Errorf("%s: want the run's PanicError, got %v", name, err)
+			}
+			if n := e.ExtractionStats().PrefetchedRuns - prefetched; (n == 0) != inline {
+				t.Errorf("%s: %d runs prefetched", name, n)
+			}
+			waitGoroutines(t, base, name)
+			if used := led.Used(); used != 0 {
+				t.Errorf("%s: ledger holds %d bytes after the failed stream", name, used)
+			}
+			if diff := bitDiff(drainStream(t, stream(width, led), proto), want, nil); diff != "" {
+				t.Errorf("%s: next stream: %s", name, diff)
+			}
+		}
+
+		extractRunHook = func(r int) {
+			if r == at {
+				panic("extract boom")
+			}
+		}
+		_, err := runQueryEnv(e, store, q, width, 0, false)
+		extractRunHook = func(int) {}
+		if !isBoom(err) {
+			t.Errorf("width=%d: want the query to fail with the run's PanicError, got %v", width, err)
+		}
+		got, err := runQueryEnv(e, store, q, width, 0, false)
+		if err != nil {
+			t.Fatalf("width=%d: next query: %v", width, err)
+		}
+		if diff := bitDiff(got, wantQ, nil); diff != "" {
+			t.Errorf("width=%d: next query: %s", width, diff)
+		}
+	}
+}
+
+// waitGoroutines waits up to a second for the goroutine count to fall back
+// to base.
+func waitGoroutines(t *testing.T, base int, name string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Errorf("%s: %d goroutines, want at most %d", name, runtime.NumGoroutine(), base)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -117,7 +117,7 @@ func (p *Pool) morselBounds(mi, n int) (lo, hi int) {
 func (p *Pool) run(tasks int, fn func(int) error) error {
 	errs := make([]error, tasks)
 	task := func(i int) {
-		defer recoverTo(&errs[i])
+		defer RecoverTo(&errs[i])
 		errs[i] = fn(i)
 	}
 	w := p.workers

@@ -247,7 +247,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 }
 
 func applyStages(stages []PipeStage, m Morsel) (_ Morsel, err error) {
-	defer recoverTo(&err)
+	defer RecoverTo(&err)
 	for _, stage := range stages {
 		if m.Rows() == 0 {
 			return Morsel{}, nil
@@ -263,18 +263,19 @@ func applyStages(stages []PipeStage, m Morsel) (_ Morsel, err error) {
 // pull and consume are src.Next and sink.Consume with a panic recovered
 // into the returned error.
 func pull(src BatchSource) (m Morsel, ok bool, err error) {
-	defer recoverTo(&err)
+	defer RecoverTo(&err)
 	return src.Next()
 }
 
 func consume(sink PipeSink, m Morsel) (err error) {
-	defer recoverTo(&err)
+	defer RecoverTo(&err)
 	return sink.Consume(m)
 }
 
 // PanicError is a panic recovered on an engine goroutine: by RunPipeline in
 // a source, stage or sink, returned as the error of the morsel that raised
-// it, or by Pool.run in a task, returned as that task's error.
+// it, by Pool.run in a task, returned as that task's error, or by RecoverTo
+// wherever else it is deferred.
 type PanicError struct {
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack
@@ -290,8 +291,9 @@ func (e *PanicError) Unwrap() error {
 	return err
 }
 
-// recoverTo, deferred, turns a panic of the deferring function into *err.
-func recoverTo(err *error) {
+// RecoverTo, deferred, turns a panic of the deferring function into *err as
+// a *PanicError.
+func RecoverTo(err *error) {
 	if v := recover(); v != nil {
 		*err = &PanicError{Value: v, Stack: debug.Stack()}
 	}

@@ -154,8 +154,9 @@ type Record struct {
 	Samples []int32
 }
 
-// ReadFile fully decodes every record in the file — the eager path. The file
-// is read once; headers and payloads parse from that buffer.
+// ReadFile fully decodes every record in the file, the whole-file reference
+// decode that tests and benchmark fixtures check extraction against. The
+// file is read once; headers and payloads parse from that buffer.
 func ReadFile(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -215,7 +215,7 @@ func executeNode(n Node, env *Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := ExtractAll(env.Source, meta, prune, obs, env.Pool.Workers())
+		out, err := ExtractAll(env.Source, meta, nil, prune, obs, env.Pool.Workers())
 		if err != nil {
 			return nil, err
 		}
@@ -295,18 +295,19 @@ func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
 	return meta, x.Prune, nil
 }
 
-// ExtractAll materializes the whole universal table of meta in one batch:
-// one full-width stream drained as a single unbounded morsel, with nothing
-// reserved from any ledger, and every column flat — the metadata columns the
-// stream hands over as constant runs are expanded here. It is the extraction
-// of the operator-at-a-time reference — the same stream the pipelines
-// consume, minus the morsels, the narrowing, the run form, the sample window
-// and the fusion — so the reference's operators walk rows where the
-// pipelines' may walk runs, and it filters sample times where the pipelines'
-// extraction cuts records. width is the caller's pool width, passed through
-// to the stream.
-func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
-	s, err := src.ExtractStream(meta, nil, prune, nil, obs, math.MaxInt, width, nil)
+// ExtractAll materializes the universal table of meta in one batch: one
+// stream drained as a single unbounded morsel, with nothing reserved from any
+// ledger, and every column flat — the metadata columns the stream hands over
+// as constant runs are expanded here. cols lists the columns, as
+// ExtractSource takes them (nil: the full width). It is the extraction of
+// the operator-at-a-time reference — the same stream the pipelines consume,
+// minus the morsels, the narrowing, the run form, the sample window and the
+// fusion — so the reference's operators walk rows where the pipelines' may
+// walk runs, and it filters sample times where the pipelines' extraction
+// cuts records; and it is the eager load's mseed.data. width is the
+// caller's pool width, passed through to the stream.
+func ExtractAll(src ExtractSource, meta *column.Batch, cols []string, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
+	s, err := src.ExtractStream(meta, cols, prune, nil, obs, math.MaxInt, width, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,13 +317,13 @@ func ExtractAll(src ExtractSource, meta *column.Batch, prune *PruneRange, obs Ob
 		return nil, err
 	}
 	if !ok { // no qualifying record: the stream ends before its first morsel
-		return ExtractProto(meta, nil)
+		return ExtractProto(meta, cols)
 	}
-	cols := make([]*column.Column, m.B.NumCols())
-	for i := range cols {
-		cols[i] = flatten(m.B.ColAt(i))
+	flat := make([]*column.Column, m.B.NumCols())
+	for i := range flat {
+		flat[i] = flatten(m.B.ColAt(i))
 	}
-	return column.NewBatch(cols...)
+	return column.NewBatch(flat...)
 }
 
 // flatten returns c with one value per row: c itself, or the expansion of a

@@ -123,3 +123,31 @@ func TestMemoryBudgetOptionThreadsToStats(t *testing.T) {
 		t.Fatalf("Stats().Mem.Budget = %d, want 123456", got)
 	}
 }
+
+// TestEagerLoadLeavesRecyclerEmpty: the eager load is an extraction stream
+// drained over every record, and a stream admits what it decodes to the
+// recycler. No eager plan reads the recycler, so after an eager Open and an
+// eager Refresh it holds nothing and charges nothing to the ledger.
+func TestEagerLoadLeavesRecyclerEmpty(t *testing.T) {
+	dir := genRepo(t, 500)
+	for _, budget := range []int64{0, 8 << 20} {
+		w, err := Open(dir, Options{Mode: Eager, MemoryBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if n := w.Engine().Cache().Len(); n != 0 {
+				t.Errorf("budget %d, %s: the recycler holds %d entries", budget, when, n)
+			}
+			if used := w.Stats().Mem.Used; used != 0 {
+				t.Errorf("budget %d, %s: the ledger holds %d bytes", budget, when, used)
+			}
+		}
+		check("after Open")
+		if _, err := w.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Refresh")
+	}
+}

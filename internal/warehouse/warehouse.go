@@ -284,8 +284,9 @@ type Warehouse struct {
 }
 
 // Open scans the repository under dir and performs the initial load
-// according to the mode: metadata-only for Lazy and External, everything
-// for Eager.
+// according to the mode: metadata-only for Lazy and External; for Eager,
+// the same load and then every record extracted into mseed.data, with the
+// recycler off, since no eager plan reads it.
 func Open(dir string, opts Options) (*Warehouse, error) {
 	rp, err := repo.Open(dir)
 	if err != nil {
@@ -313,6 +314,7 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 		}
 	}
 	store := catalog.NewStore(catalog.MSEED())
+	opts.ETL.DisableCache = opts.ETL.DisableCache || opts.Mode == Eager
 	w := &Warehouse{
 		mode:        opts.Mode,
 		rp:          rp,
@@ -341,7 +343,7 @@ func (w *Warehouse) initialLoad() error {
 	var err error
 	switch w.mode {
 	case Eager:
-		w.logf("init", "eager initial load: extracting, transforming and loading every file")
+		w.logf("init", "eager initial load: header scans, then every record extracted into mseed.data")
 		st, err = w.engine.LoadAll()
 	default:
 		w.logf("init", "lazy initial load: metadata only (header scans, no payloads)")
@@ -757,7 +759,7 @@ func (p *Prepared) plan(params []column.Value, sqlKey string, root *obs.Span) (*
 
 // Refresh re-synchronizes the warehouse with the repository: lazy modes
 // reload metadata (cached data refreshes itself via mtime staleness at the
-// next query); eager mode re-runs the full load.
+// next query); eager mode re-runs the eager load, metadata and extraction.
 // Refresh blocks until every in-flight query has drained, applies the
 // reload as one atomic commit, and only then admits new queries; queries
 // arriving during a refresh wait for it to finish.
@@ -773,7 +775,7 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	var st etl.Stats
 	var err error
 	if w.mode == Eager {
-		w.logf("refresh", "eager refresh: full reload")
+		w.logf("refresh", "eager refresh: metadata reload, then every record extracted again")
 		st, err = w.engine.RefreshAll()
 	} else {
 		w.logf("refresh", "lazy refresh: metadata reload; stale cache entries invalidate on demand")
