@@ -14,6 +14,7 @@ import (
 
 	lazyetl "repro"
 	"repro/internal/etl"
+	"repro/internal/exec"
 )
 
 // sharedRepos caches generated repositories across benchmarks (generation
@@ -57,6 +58,18 @@ func openBench(b *testing.B, dir string, mode lazyetl.Mode, opts etl.Options) *l
 func mustQuery(b *testing.B, w *lazyetl.Warehouse, q string) *lazyetl.Result {
 	b.Helper()
 	res, err := w.Query(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// mustQueryUncached executes q without the result cache, for the rows that
+// measure extraction, the recycler or the pipeline: a repeated Query is
+// answered by the result cache before any of them runs.
+func mustQueryUncached(b *testing.B, w *lazyetl.Warehouse, q string) *lazyetl.Result {
+	b.Helper()
+	res, err := w.QueryUncached(q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +137,9 @@ func BenchmarkE3_StorageFootprint(b *testing.B) {
 }
 
 // BenchmarkE4_CacheWarmup measures the same query cold (first run extracts)
-// vs warm (recycler hits), plus the granularity ablation (experiment E4).
+// vs warm (recycler hits) vs with the recycler off (experiment E4). The
+// repeated runs bypass the result cache, which would answer them before the
+// recycler is consulted.
 func BenchmarkE4_CacheWarmup(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
 	b.Run("cold", func(b *testing.B) {
@@ -138,7 +153,7 @@ func BenchmarkE4_CacheWarmup(b *testing.B) {
 		mustQuery(b, w, benchQuery)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mustQuery(b, w, benchQuery)
+			mustQueryUncached(b, w, benchQuery)
 		}
 	})
 	b.Run("nocache", func(b *testing.B) {
@@ -146,7 +161,7 @@ func BenchmarkE4_CacheWarmup(b *testing.B) {
 		mustQuery(b, w, benchQuery)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mustQuery(b, w, benchQuery)
+			mustQueryUncached(b, w, benchQuery)
 		}
 	})
 }
@@ -231,7 +246,8 @@ func BenchmarkE6_Refresh(b *testing.B) {
 }
 
 // BenchmarkE7_Figure1 runs the two verbatim paper queries against a warm
-// lazy warehouse (experiment E7).
+// lazy warehouse (experiment E7): recycler-warm, never answered from the
+// result cache.
 func BenchmarkE7_Figure1(b *testing.B) {
 	dir := benchRepo(b, "fullday", lazyetl.RepoConfig{
 		SampleRate: 1, SamplesPerDay: 24 * 3600, EventsPerDay: 2,
@@ -239,18 +255,19 @@ func BenchmarkE7_Figure1(b *testing.B) {
 	w := openBench(b, dir, lazyetl.Lazy, etl.Options{})
 	b.Run("Q1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustQuery(b, w, lazyetl.Figure1Q1)
+			mustQueryUncached(b, w, lazyetl.Figure1Q1)
 		}
 	})
 	b.Run("Q2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mustQuery(b, w, lazyetl.Figure1Q2)
+			mustQueryUncached(b, w, lazyetl.Figure1Q2)
 		}
 	})
 }
 
 // BenchmarkE8_EventHunt measures the full STA/LTA pipeline: range query out
-// of the lazy warehouse plus detection (experiment E8).
+// of the lazy warehouse plus detection (experiment E8), the query executed
+// every time rather than answered from the result cache.
 func BenchmarkE8_EventHunt(b *testing.B) {
 	dir := benchRepo(b, "fullday", lazyetl.RepoConfig{
 		SampleRate: 1, SamplesPerDay: 24 * 3600, EventsPerDay: 2,
@@ -260,7 +277,7 @@ func BenchmarkE8_EventHunt(b *testing.B) {
 	      WHERE F.station = 'HGN' AND F.channel = 'BHZ' ORDER BY D.sample_time`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := mustQuery(b, w, q)
+		res := mustQueryUncached(b, w, q)
 		times, _ := res.Batch.Col("D.sample_time")
 		values, _ := res.Batch.Col("D.sample_value")
 		if _, err := lazyetl.DetectEvents(times.Int64s(), values.Float64s(), lazyetl.EventConfig{
@@ -340,11 +357,12 @@ func BenchmarkDerivedPruning(b *testing.B) {
 // BenchmarkExtractOverlap measures the push pipeline end to end: a ~1M-row
 // cold scan where run N+1 is read and Steim-decoded by prefetch workers
 // while run N's morsels flow through the pipeline, against the serial
-// reference that extracts everything before computing. The warm variant
-// isolates the pipeline itself (pure cache reads, no extraction). The
-// grouped cases run the Figure-1 Q2 shape with and without the production
-// memory budget: the budget must not change which engine runs the query,
-// so the two should cost the same.
+// operator-at-a-time reference (package reference, over the same warehouse)
+// that extracts everything before computing. The warm variant isolates the
+// pipeline itself (pure recycler reads, no extraction; never the result
+// cache). The grouped cases run the Figure-1 Q2 shape with and without the
+// production memory budget: the budget must not change which engine runs
+// the query, so the two should cost the same.
 func BenchmarkExtractOverlap(b *testing.B) {
 	dir := benchRepo(b, "overlap", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 35000})
 	q := `SELECT COUNT(*), AVG(D.sample_value) FROM mseed.dataview WHERE D.sample_value > -100000`
@@ -363,23 +381,24 @@ func BenchmarkExtractOverlap(b *testing.B) {
 	}
 	for _, c := range cases {
 		open := func() *lazyetl.Warehouse {
-			opts := lazyetl.Options{
-				Mode: lazyetl.Lazy, Workers: 4, MemoryBudget: c.budget,
-			}
-			if !c.pipelined {
-				opts.Oracle = lazyetl.NoPipeline
-			}
-			w, err := lazyetl.Open(dir, opts)
+			w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy, Workers: 4, MemoryBudget: c.budget})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return w
 		}
+		run := func(w *lazyetl.Warehouse) {
+			if c.pipelined {
+				mustQueryUncached(b, w, c.q)
+			} else if _, err := referenceQuery(w, c.q, exec.NewPool(4)); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.Run("cold/"+c.name, func(b *testing.B) {
 			var prefetched int64
 			for i := 0; i < b.N; i++ {
 				w := open()
-				mustQuery(b, w, c.q)
+				run(w)
 				prefetched = w.Stats().Extraction.PrefetchedRuns
 			}
 			if c.pipelined {
@@ -388,10 +407,10 @@ func BenchmarkExtractOverlap(b *testing.B) {
 		})
 		b.Run("warm/"+c.name, func(b *testing.B) {
 			w := open()
-			mustQuery(b, w, c.q)
+			run(w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mustQuery(b, w, c.q)
+				run(w)
 			}
 		})
 	}
@@ -400,8 +419,10 @@ func BenchmarkExtractOverlap(b *testing.B) {
 // BenchmarkConcurrentQueries measures query throughput with many clients on
 // one warm warehouse: the concurrent path (per-query snapshots + admission
 // control) against MaxConcurrentQueries: 1, which admits one query at a
-// time the way the pre-concurrency warehouse did. Workers=1 keeps each query serial so the speedup isolates
-// inter-query concurrency rather than intra-query parallelism.
+// time the way the pre-concurrency warehouse did. Workers=1 keeps each
+// query serial so the speedup isolates inter-query concurrency rather than
+// intra-query parallelism. Every query executes on the warm recycler; none
+// is answered from the result cache.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	dir := benchRepo(b, "d2", lazyetl.RepoConfig{Days: 2, SamplesPerDay: 20000})
 	queries := []string{
@@ -437,8 +458,10 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	}
 }
 
+// mustQueryPB executes q, bypassing the result cache, from a RunParallel
+// body (where Fatal is not allowed).
 func mustQueryPB(b *testing.B, w *lazyetl.Warehouse, q string) {
-	if _, err := w.Query(q); err != nil {
+	if _, err := w.QueryUncached(q); err != nil {
 		b.Error(err)
 	}
 }

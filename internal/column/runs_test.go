@@ -180,9 +180,9 @@ func FuzzRunColumn(f *testing.F) {
 
 // TestRunColumnSharedAcrossGoroutines hands one column in run form — and a
 // renamed copy, which shares its runs — to eight goroutines that read it
-// every way at once. The NoPipeline reference and the result cache both
-// share batches across goroutines, so the one lazy expansion must be safe to
-// trigger from all of them; run under -race.
+// every way at once. The operator-at-a-time reference and the result cache
+// both share batches across goroutines, so the one lazy expansion must be
+// safe to trigger from all of them; run under -race.
 func TestRunColumnSharedAcrossGoroutines(t *testing.T) {
 	src := NewStrings("F.station", []string{"ISK", "HGN", "DBN"})
 	run := src.Repeat([]int32{0, 1, 2, 1}, []int{1000, 1, 4000, 3000})

@@ -78,10 +78,10 @@
 // in a buffer of its own. D.sample_time is not stored anywhere: mSEED keeps
 // no per-sample times, an entry carries the record's start and rate, and
 // layout generates the times (sampleTimes) into the morsel only for a
-// statement that lists the column. Extract, the materializing reference, is
-// that same stream drained as one full-width morsel and expanded
-// (plan.ExtractAll); the eager LoadAll drains it the same way, narrowed to
-// mseed.data's columns.
+// statement that lists the column. Extract is that same stream drained as
+// one full-width morsel and expanded (plan.ExtractAll), as the tests'
+// operator-at-a-time reference drains it; the eager LoadAll drains it the
+// same way, narrowed to mseed.data's columns.
 //
 // A statement's D.sample_time range predicates reach the stream as one
 // sample window (plan.SampleWindow) and are answered per record, not per
@@ -93,7 +93,7 @@
 // overlap it, so in practice only the first and last record of a series are
 // cut and a run's morsel stays one view of its buffer; the rows are those
 // the predicates would keep, without a timestamp vector or a selection
-// vector per sample. plan.ExtractAll extracts without a window: the
+// vector per sample. plan.ExtractAll extracts without a window: the tests'
 // reference filters sample times one by one.
 package etl
 

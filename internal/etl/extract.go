@@ -189,10 +189,10 @@ func (o *runOut) flush(obs plan.Observer) {
 
 // Extract returns the universal table of meta in one batch at full width:
 // every meta column replicated per sample plus D.sample_time and
-// D.sample_value, all flat. It drains one ExtractStream (plan.ExtractAll) — the
-// materializing reference (Env.NoPipeline) and the warm-up call of
-// benchmarks; queries consume the stream morsel by morsel, carrying only
-// the columns they read.
+// D.sample_value, all flat. It drains one ExtractStream (plan.ExtractAll),
+// as the tests' operator-at-a-time reference does; benchmarks warm the
+// recycler with it. Queries consume the stream morsel by morsel, carrying
+// only the columns they read.
 func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Observer) (*column.Batch, error) {
 	return plan.ExtractAll(e, meta, nil, prune, obs, 1)
 }

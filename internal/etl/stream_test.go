@@ -17,13 +17,15 @@ import (
 	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/recycler"
+	"repro/internal/reference"
 	"repro/internal/sql"
 )
 
 // runQueryEnv executes a lazy-mode query with an explicit environment
-// configuration, so tests can pin the oracle (NoPipeline) against the
-// pipelined streaming path at chosen worker counts and morsel sizes.
-func runQueryEnv(e *Engine, store *catalog.Store, q string, workers, morselRows int, noPipeline bool) (*column.Batch, error) {
+// configuration, so tests can pin the operator-at-a-time reference
+// (reference true) against the pipelined streaming path at chosen worker
+// counts and morsel sizes.
+func runQueryEnv(e *Engine, store *catalog.Store, q string, workers, morselRows int, ref bool) (*column.Batch, error) {
 	stmt, err := sql.Parse(q)
 	if err != nil {
 		return nil, err
@@ -32,12 +34,11 @@ func runQueryEnv(e *Engine, store *catalog.Store, q string, workers, morselRows 
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(plans.Root, &plan.Env{
-		Store:      store,
-		Source:     e,
-		Pool:       exec.NewPoolMorsel(workers, morselRows),
-		NoPipeline: noPipeline,
-	})
+	run := plan.Execute
+	if ref {
+		run = reference.Execute
+	}
+	return run(plans.Root, &plan.Env{Store: store, Source: e, Pool: exec.NewPoolMorsel(workers, morselRows)})
 }
 
 // TestStreamMatchesExtract requires the streamed universal table (consumed

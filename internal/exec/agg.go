@@ -89,8 +89,8 @@ func aggOutType(fn string, in column.Type) (column.Type, error) {
 //
 // It folds row by row, one state per spec and one key lookup per row — the
 // sink's order, hence its bits, but none of its slots, folds or group
-// walks: that independence is what lets the NoPipeline reference built on
-// this function check the pipeline.
+// walks: that independence is what lets the tests' reference built on this
+// function check the pipeline.
 func Aggregate(b *column.Batch, groupBy []sql.Expr, aggs []AggSpec) (*column.Batch, error) {
 	keyCols, args, err := evalAggInputs(b, groupBy, aggs)
 	if err != nil {

@@ -81,8 +81,8 @@
 // looks at count as skipped scan rows. A build-side predicate that cannot
 // evaluate over the table's types fails when the stage is made, as the hash
 // path's whole-table filter fails it, even if no probe row ever arrives.
-// FuzzIndexProbe holds the index probe to the hash probe; the NoPipeline
-// reference always hashes.
+// FuzzIndexProbe holds the index probe to the hash probe; the tests'
+// operator-at-a-time reference always hashes.
 //
 // # Cache-conscious join and sort structures
 //
@@ -152,11 +152,13 @@
 // data during a parallel phase except each worker's own output slot.
 //
 // The whole-batch functions Filter, Aggregate and Pool.HashJoinMem are the
-// serial reference: the planner's NoPipeline mode runs plans on them one
-// operator at a time, and the oracle tests hold every pipeline to their
-// output bit for bit. Aggregate is a plain row walk, one state per spec,
-// sharing none of the sink's slots, folds or group walks: the aggregate
-// oracle is independent of what it checks. The reference has no extractor
+// serial reference, and no production code calls them: package reference,
+// which only tests import, runs plans on them one operator at a time, and
+// the oracle tests hold every pipeline to their output bit for bit. They
+// live here, not there, because this package's own oracle tests use them
+// and cannot import a package that imports exec. Aggregate is a plain row
+// walk, one state per spec, sharing none of the sink's slots, folds or
+// group walks: the aggregate oracle is independent of what it checks. The reference has no extractor
 // of its own: its input is the same extraction stream (BatchSource) a
 // pipeline consumes, drained into one full-width batch.
 //

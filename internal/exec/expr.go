@@ -268,16 +268,17 @@ func evalBinary(x *sql.Binary, b *column.Batch) (*column.Column, error) {
 }
 
 // coerceConst reconciles a constant operand with the column type it meets,
-// mirroring coerce for the scalar case: string constants against Timestamp
-// columns parse as timestamps; numeric types mix freely.
+// mirroring coerce for the scalar case: a NULL takes the column's type,
+// string constants against Timestamp columns parse as timestamps; numeric
+// types mix freely.
 func coerceConst(ct column.Type, v column.Value) (column.Value, error) {
+	if v.Null {
+		return column.NewNull(ct), nil
+	}
 	if ct == v.Type {
 		return v, nil
 	}
 	if ct == column.Timestamp && v.Type == column.String {
-		if v.Null {
-			return column.NewNull(column.Timestamp), nil
-		}
 		ns, err := column.ParseTimestamp(v.S)
 		if err != nil {
 			return v, err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -71,6 +72,15 @@ func TestEvalComparisons(t *testing.T) {
 		"n > v":             {1, 1, 1, 1},
 		"v < n":             {1, 1, 1, 1},
 		"n BETWEEN 2 AND 3": {0, 1, 1, 0},
+		// A NULL literal takes the type of the column it meets, so it
+		// compares with every column type and matches no row.
+		"station = NULL":           {0, 0, 0, 0},
+		"NULL <> station":          {0, 0, 0, 0},
+		"n = NULL":                 {0, 0, 0, 0},
+		"v < NULL":                 {0, 0, 0, 0},
+		"ts >= NULL":               {0, 0, 0, 0},
+		"station IN ('ISK', NULL)": {1, 0, 0, 1},
+		"station = NULL OR n = 2":  {0, 1, 0, 0},
 	}
 	for exprStr, want := range cases {
 		c, err := Eval(mustExpr(t, exprStr), b)
@@ -78,10 +88,19 @@ func TestEvalComparisons(t *testing.T) {
 			t.Errorf("%s: %v", exprStr, err)
 			continue
 		}
+		var wantSel []int32
 		for i, w := range want {
 			if c.Int64s()[i] != w {
 				t.Errorf("%s row %d = %d, want %d", exprStr, i, c.Int64s()[i], w)
 			}
+			if w == 1 {
+				wantSel = append(wantSel, int32(i))
+			}
+		}
+		// The selection-vector path Filter takes agrees with Eval.
+		sel, err := evalPredSel(mustExpr(t, exprStr), b, nil)
+		if err != nil || fmt.Sprint(sel) != fmt.Sprint(wantSel) {
+			t.Errorf("%s: selection %v, %v; want %v", exprStr, sel, err, wantSel)
 		}
 	}
 }

@@ -42,8 +42,8 @@ type IndexProbeStage struct {
 // before any probe row flows: the hash path filters its whole build side
 // before it builds, so it reports such an error even when no probe row
 // would have reached the table. Whether a filter reaches that predicate
-// depends on the rows the ones before it keep, so the stage then decides as
-// the whole-table Filter does, and fails exactly when it fails.
+// depends on the rows the ones before it keep, so the stage then runs the
+// predicates over the whole table, and fails exactly when that fails.
 func NewIndexProbeStage(leftProto, right *column.Batch, leftKey, rightKey string, preds []sql.Expr) (*IndexProbeStage, error) {
 	lkc, err := keyColumns(leftProto, []string{leftKey})
 	if err != nil {
@@ -59,7 +59,7 @@ func NewIndexProbeStage(leftProto, right *column.Batch, leftKey, rightKey string
 	empty := right.Range(0, 0)
 	for _, p := range preds {
 		if _, err := evalPredSel(p, empty, nil); err != nil {
-			if _, err := Filter(right, preds); err != nil {
+			if _, err := selectWhere(preds, right, nil); err != nil {
 				return nil, err
 			}
 			break

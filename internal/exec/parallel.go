@@ -172,12 +172,12 @@ func firstError(errs []error) error {
 // order follows the left, so metadata-first plans produce deterministically
 // ordered intermediates. A nil pool builds serially; a nil qm, unbounded.
 //
-// It is the NoPipeline reference join. The flat open-addressing build table
-// is radix-partitioned across the pool's workers when the build side
-// exceeds one morsel (each partition built privately in serial row order, so
-// chains — and therefore probe output — match the serial single-table build
-// exactly); the probe and both output gathers then run serially, in left
-// row order.
+// It is the tests' reference join; no production code calls it. The flat
+// open-addressing build table is radix-partitioned across the pool's
+// workers when the build side exceeds one morsel (each partition built
+// privately in serial row order, so chains — and therefore probe output —
+// match the serial single-table build exactly); the probe and both output
+// gathers then run serially, in left row order.
 //
 // Under a finite qm budget, build partitions whose memory grant is denied
 // spill their rows to disk (grace hash); the probe rebuilds them strictly

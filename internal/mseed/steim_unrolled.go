@@ -5,13 +5,13 @@ import (
 	"fmt"
 )
 
-// This file holds the production Steim decoder. Where the oracle in steim.go
-// walks one difference at a time through nested branches and appends, this
-// decoder dispatches once per frame word to a straight-line block for the
-// word's fixed nibble layout (4x8, 2x16, 7x4, 6x5, 5x6, 3x10, 2x15, 1x30,
-// 1x32 bits) and finishes with a fused cumulative-sum reconstruction — the
-// same keep-branches-out-of-the-inner-loop discipline the selection kernels
-// use. Differences are decoded into the output buffer itself: dst[0] is
+// This file holds the production Steim decoder. Where the tests' oracle
+// (steim_oracle_test.go) walks one difference at a time through nested
+// branches and appends, this decoder dispatches once per frame word to a
+// straight-line block for the word's fixed nibble layout (4x8, 2x16, 7x4,
+// 6x5, 5x6, 3x10, 2x15, 1x30, 1x32 bits) and finishes with a fused
+// cumulative-sum reconstruction — the same keep-branches-out-of-the-inner-
+// loop discipline the selection kernels use. Differences are decoded into the output buffer itself: dst[0] is
 // overwritten by X0 during reconstruction and the difference that would sit
 // there never enters the sum, so decode and cumulative sum share the buffer
 // and a full decode performs zero allocations.

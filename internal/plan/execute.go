@@ -104,11 +104,6 @@ type Env struct {
 	// partitions, probe volumes, sort strategies, spill activity) across
 	// queries.
 	Stats *ExecStats
-	// NoPipeline runs every plan on executeNode, the operator-at-a-time
-	// reference: no morsels, no fusion, serial filter and aggregate. It is
-	// the bit-identity oracle the push pipelines are tested against and is
-	// set by tests and benchmarks only.
-	NoPipeline bool
 	// NoSkipping disables every statistics-driven shortcut — record
 	// zone-map pruning before extraction, batch zone-range skipping on
 	// table scans and index-probed joins — making this Env the oracle the
@@ -127,18 +122,15 @@ func (e *Env) obs() Observer {
 	return e.Obs
 }
 
-// Execute runs the plan to completion and returns the result batch. Every
-// plan with work to fuse — a predicate, a join, an aggregate, a lazy
-// extraction — runs as a push pipeline (see pipeline.go), whatever the
-// memory budget. executeNode serves only bare table reads, which have
-// nothing to fuse, and everything when Env.NoPipeline is set.
+// Execute runs the plan to completion as a push pipeline (see pipeline.go)
+// and returns the result batch. Every plan Build produces decomposes; one
+// that does not is an error.
 func Execute(n Node, env *Env) (*column.Batch, error) {
-	if !env.NoPipeline {
-		if pp, ok := decompose(n); ok && pp.fuses() {
-			return executePipelined(pp, env)
-		}
+	pp, ok := decompose(n)
+	if !ok {
+		return nil, fmt.Errorf("plan: %s does not decompose into a pipeline", n.Describe())
 	}
-	return executeNode(n, env)
+	return executePipelined(pp, env)
 }
 
 // scanBase loads a Scan's table and applies its column prefix, without
@@ -159,153 +151,15 @@ func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 	return column.NewBatch(cols...)
 }
 
-// executeNode is the operator-at-a-time reference engine: every operator
-// consumes a fully materialized input batch and produces one.
-func executeNode(n Node, env *Env) (*column.Batch, error) {
-	obs := env.obs()
-	switch x := n.(type) {
-	case *Scan:
-		sp := env.Trace.StartChild("scan " + x.Table)
-		b, err := scanBase(x, env)
-		if err != nil {
-			return nil, err
-		}
-		rows := b.NumRows()
-		b, err = exec.Filter(b, x.Preds)
-		if err != nil {
-			return nil, fmt.Errorf("plan: scan %s: %w", x.Table, err)
-		}
-		sp.AddRows(int64(b.NumRows()))
-		sp.End()
-		if len(x.Preds) > 0 {
-			obs.Event("scan", fmt.Sprintf("%s: %d of %d rows pass %s", x.Table, b.NumRows(), rows, exprList(x.Preds)))
-		} else {
-			obs.Event("scan", fmt.Sprintf("%s: %d rows", x.Table, rows))
-		}
-		return b, nil
-
-	case *Join:
-		l, err := Execute(x.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Execute(x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		sp := env.Trace.StartChild("join " + x.Describe())
-		out, js, err := env.Pool.HashJoinMem(env.Mem, l, r, x.LKeys, x.RKeys)
-		if err != nil {
-			return nil, err
-		}
-		sp.AddRows(int64(out.NumRows()))
-		sp.End()
-		reportJoin(env, x, r.NumRows(), js)
-		return out, nil
-
-	case *Filter:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		return filterBatch(in, x.Preds, env)
-
-	case *LazyExtract:
-		meta, prune, err := lazyMeta(x, env)
-		if err != nil {
-			return nil, err
-		}
-		out, err := ExtractAll(env.Source, meta, nil, prune, obs, env.Pool.Workers())
-		if err != nil {
-			return nil, err
-		}
-		extractEvent(obs, int64(out.NumRows()), out.NumCols(), 0, nil, 0)
-		if x.Window == nil {
-			return out, nil
-		}
-		// The reference cuts no record: it keeps the conjuncts the window
-		// lifted sample by sample, as the Filter they came from did.
-		return filterBatch(out, x.Window.Preds, env)
-
-	case *Aggregate:
-		in, err := Execute(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		sp := env.Trace.StartChild("aggregate")
-		out, err := exec.Aggregate(in, x.GroupBy, x.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		sp.AddRows(int64(out.NumRows()))
-		sp.End()
-		aggregateEvent(obs, int64(in.NumRows()), 0, out.NumRows())
-		return out, nil
-
-	case *Project, *Sort, *Limit:
-		in, err := Execute(n.Children()[0], env)
-		if err != nil {
-			return nil, err
-		}
-		return applyPost(n, in, env)
-
-	default:
-		return nil, fmt.Errorf("plan: unknown node %T", n)
-	}
-}
-
-// filterBatch is the reference's filter: the rows of in that satisfy every
-// predicate, traced and logged.
-func filterBatch(in *column.Batch, preds []sql.Expr, env *Env) (*column.Batch, error) {
-	sp := env.Trace.StartChild("filter " + exprList(preds))
-	out, err := exec.Filter(in, preds)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRows(int64(out.NumRows()))
-	sp.End()
-	env.obs().Event("filter", fmt.Sprintf("%s: %d -> %d rows", exprList(preds), in.NumRows(), out.NumRows()))
-	return out, nil
-}
-
-// lazyMeta is step 1 of a lazy extraction (§3.1): execute the metadata part
-// of the plan and hand back the qualifying records plus the zone-map prune
-// test the source may apply. The metadata operators' spans group under a
-// "metadata" child so the trace separates the metadata phase from the
-// extraction it triggers. Step 2 is the caller's: the rewriting operator
-// injects cache-read / extract operators for exactly those records, minus
-// the ones the zone maps prove irrelevant.
-func lazyMeta(x *LazyExtract, env *Env) (*column.Batch, *PruneRange, error) {
-	msp := env.Trace.StartChild("metadata")
-	menv := *env
-	menv.Trace = msp
-	meta, err := Execute(x.Meta, &menv)
-	if err != nil {
-		return nil, nil, err
-	}
-	msp.AddRows(int64(meta.NumRows()))
-	msp.End()
-	env.obs().Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
-	if env.Source == nil {
-		return nil, nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
-	}
-	if env.NoSkipping {
-		return meta, nil, nil
-	}
-	return meta, x.Prune, nil
-}
-
 // ExtractAll materializes the universal table of meta in one batch: one
 // stream drained as a single unbounded morsel, with nothing reserved from any
 // ledger, and every column flat — the metadata columns the stream hands over
 // as constant runs are expanded here. cols lists the columns, as
-// ExtractSource takes them (nil: the full width). It is the extraction of
-// the operator-at-a-time reference — the same stream the pipelines consume,
-// minus the morsels, the narrowing, the run form, the sample window and the
-// fusion — so the reference's operators walk rows where the pipelines' may
-// walk runs, and it filters sample times where the pipelines' extraction
-// cuts records; and it is the eager load's mseed.data. width is the
-// caller's pool width, passed through to the stream.
+// ExtractSource takes them (nil: the full width). It is the eager load's
+// mseed.data, and the extraction of the tests' operator-at-a-time reference
+// (package reference) — the same stream the pipelines consume, minus the
+// morsels, the run form and the sample window. width is the caller's pool
+// width, passed through to the stream.
 func ExtractAll(src ExtractSource, meta *column.Batch, cols []string, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
 	s, err := src.ExtractStream(meta, cols, prune, nil, obs, math.MaxInt, width, nil)
 	if err != nil {
@@ -345,32 +199,8 @@ func flatten(c *column.Column) *column.Column {
 	return f
 }
 
-// extractEvent logs what an extraction delivered: rows, how many of the
-// universal table's columns each of them carries, how many of those arrived
-// as constant runs rather than one value per row, and — when it cut a sample
-// window — how many samples of the records it read fell outside it.
-func extractEvent(o Observer, rows int64, width, asRuns int, win *SampleWindow, trimmed int64) {
-	detail := fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns (%d as runs)",
-		rows, width, len(catalog.DataviewColumns()), asRuns)
-	if win != nil {
-		detail += fmt.Sprintf("; sample window %s trimmed %d samples at record edges", win, trimmed)
-	}
-	o.Event("extract", detail)
-}
-
-// aggregateEvent logs what an aggregate folded; runs is non-zero when it
-// walked its group keys once per constant run instead of once per row.
-func aggregateEvent(o Observer, rows, runs int64, groups int) {
-	if runs > 0 {
-		o.Event("aggregate", fmt.Sprintf("%d rows in %d runs -> %d groups", rows, runs, groups))
-		return
-	}
-	o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", rows, groups))
-}
-
 // applyPost runs one Project, Sort or Limit over its materialized input —
-// the operators above a plan's last pipeline breaker, the same code on
-// both engines.
+// the operators above a plan's last pipeline breaker.
 func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 	switch x := n.(type) {
 	case *Project:
@@ -396,26 +226,6 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 	default:
 		return nil, fmt.Errorf("plan: %T is not a post-breaker operator", n)
 	}
-}
-
-// reportJoin folds one executed join into the stats and the observer log.
-func reportJoin(env *Env, x *Join, buildRows int, js exec.JoinStats) {
-	env.Stats.recordJoin(js)
-	build := "serial"
-	if js.ParallelBuild {
-		build = "parallel"
-	}
-	keyPath := "encoded"
-	if js.IntKeys {
-		keyPath = "packed-int"
-	}
-	spill := ""
-	if js.SpilledPartitions > 0 {
-		spill = fmt.Sprintf("; spilled %d partitions, %d rows, %d bytes", js.SpilledPartitions, js.SpilledRows, js.SpilledBytes)
-	}
-	env.obs().Event("join", fmt.Sprintf("%s: %d x %d -> %d rows (build: %d rows, %d partitions, %s, %s keys; probed %d rows%s)",
-		x.Describe(), js.ProbeRows, buildRows, js.Matches,
-		js.BuildRows, js.Partitions, build, keyPath, js.ProbeRows, spill))
 }
 
 // MetaPredicates returns the predicates that the compile-time reorder

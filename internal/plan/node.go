@@ -110,9 +110,9 @@ type LazyExtract struct {
 	// in canonical (catalog.DataviewColumns) order, set by Build from the
 	// operators above (see narrowExtract).
 	// The metadata subplan still runs at full width: extraction itself needs
-	// F.uri, R.seqno and friends whether or not the query does. Only a
-	// pipeline passes Cols on; the NoPipeline reference drains the stream
-	// at full width, which is what the bit-identity tests compare against.
+	// F.uri, R.seqno and friends whether or not the query does. The tests'
+	// operator-at-a-time reference ignores Cols and drains the stream at
+	// full width, which is what the bit-identity tests compare against.
 	Cols []string
 	// DataPreds are predicates over D.* columns, applied after extraction —
 	// by the enclosing Filter, or, for the ones Window lifted, by the
@@ -124,7 +124,7 @@ type LazyExtract struct {
 	Prune *PruneRange
 	// Window, when non-nil, holds the D.sample_time conjuncts lifted out of
 	// the enclosing Filter: a pipeline's extraction delivers only the
-	// samples inside it, cut at the record edges, and the NoPipeline
+	// samples inside it, cut at the record edges, and the tests'
 	// reference extracts every sample and applies Window.Preds row by row.
 	Window *SampleWindow
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -37,17 +38,16 @@ import (
 // same ledger and does not spill (package exec's "Memory governance"
 // says why).
 //
-// executeNode (execute.go) stays behind Env.NoPipeline as the serial
-// reference the bit-identity tests compare against. It extracts through the
-// same source as a pipeline does — there is one extraction driver — but
+// The bit-identity tests compare these pipelines against an
+// operator-at-a-time reference that only tests link (package reference). It
+// extracts through the same source — there is one extraction driver — but
 // drains the stream whole, at full width and without a sample window
 // (ExtractAll) before any operator sees a row.
 
 // RowsServedCounter reports how many rows a source has delivered, how many
 // samples of the records it read fell outside its sample window, and how
 // many columns of each morsel were in constant-run form; the extraction
-// stream implements it so a pipeline can log the extract event the
-// reference does.
+// stream implements it so a pipeline can log its extract event.
 type RowsServedCounter interface {
 	RowsServed() (rows, trimmed int64, runCols int)
 }
@@ -105,16 +105,6 @@ peel:
 	}
 }
 
-// fuses reports whether a decomposed spine has any work to fuse. A bare
-// table read — a Scan with no predicate under at most Project/Sort/Limit —
-// has none, and executeNode serves it without the morsel machinery.
-func (pp *pipePlan) fuses() bool {
-	if s, ok := pp.leaf.(*Scan); ok {
-		return len(s.Preds) > 0 || len(pp.ops) > 0 || pp.agg != nil
-	}
-	return true
-}
-
 // ExtractProto is the universal table's zero-row schema for a metadata
 // batch: the meta columns plus the two data columns extraction appends,
 // restricted to cols (in that order) when non-nil. It is the single
@@ -148,6 +138,7 @@ func ExtractProto(meta *column.Batch, cols []string) (*column.Batch, error) {
 type pipeRun struct {
 	env     *Env
 	src     exec.BatchSource // nil while RunPipeline, which closes it, has it
+	whole   *column.Batch    // the batch src ranges over; nil for a stream
 	proto   *column.Batch    // zero-row schema of the morsels leaving the last stage
 	stages  []exec.PipeStage
 	closers []func() // join-table and sink grants
@@ -207,7 +198,7 @@ func (r *pipeRun) drain(sink exec.PipeSink, span string) (*column.Batch, error) 
 		sink = &timedSink{inner: sink, sp: r.env.Trace.Child(span)}
 	}
 	src, stages := r.src, r.stages
-	r.src, r.stages = nil, nil
+	r.src, r.stages, r.whole = nil, nil, nil
 	ps, err := r.env.Pool.RunPipeline(src, stages, sink)
 	r.morsels += ps.Morsels
 	if err != nil {
@@ -216,14 +207,21 @@ func (r *pipeRun) drain(sink exec.PipeSink, span string) (*column.Batch, error) 
 	return sink.Finish()
 }
 
-// collect drains the segment into a final-output collector.
+// collect drains the segment into a final-output collector. A segment with
+// no stage over a materialized batch — a bare table read — is that batch.
 func (r *pipeRun) collect() (*column.Batch, error) {
+	if b := r.whole; b != nil && len(r.stages) == 0 {
+		r.src.Close()
+		r.src, r.whole = nil, nil
+		return b, nil
+	}
 	return r.drain(exec.NewCollectSink(r.proto), "stage collect")
 }
 
 // resume starts the next segment over a materialized breaker result.
 func (r *pipeRun) resume(b *column.Batch) {
 	r.src = exec.NewBatchMorsels(b, r.env.Pool.MorselRows())
+	r.whole = b
 	r.proto = b.Range(0, 0)
 }
 
@@ -259,7 +257,20 @@ func (r *pipeRun) addJoin(x *Join) error {
 		js := jp.Stats()
 		probed, matches := st.Rows()
 		js.ProbeRows, js.Matches = int(probed), int(matches)
-		reportJoin(env, x, buildRows, js)
+		env.Stats.recordJoin(js)
+		build, keyPath, spill := "serial", "encoded", ""
+		if js.ParallelBuild {
+			build = "parallel"
+		}
+		if js.IntKeys {
+			keyPath = "packed-int"
+		}
+		if js.SpilledPartitions > 0 {
+			spill = fmt.Sprintf("; spilled %d partitions, %d rows, %d bytes", js.SpilledPartitions, js.SpilledRows, js.SpilledBytes)
+		}
+		env.obs().Event("join", fmt.Sprintf("%s: %d x %d -> %d rows (build: %d rows, %d partitions, %s, %s keys; probed %d rows%s)",
+			x.Describe(), js.ProbeRows, buildRows, js.Matches,
+			js.BuildRows, js.Partitions, build, keyPath, js.ProbeRows, spill))
 	})
 	if !jp.Spilled() {
 		r.addStage(st)
@@ -379,9 +390,27 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 
 	case *LazyExtract:
-		meta, prune, err := lazyMeta(leaf, env)
+		// Step 1 of a lazy extraction (§3.1): the metadata plan yields the
+		// qualifying records, its spans grouped under "metadata". Step 2 is
+		// the source's: the run-time rewrite injects cache-read / extract
+		// operators for exactly those records, minus the ones the zone maps
+		// prove irrelevant.
+		msp := env.Trace.StartChild("metadata")
+		menv := *env
+		menv.Trace = msp
+		meta, err := Execute(leaf.Meta, &menv)
 		if err != nil {
 			return nil, err
+		}
+		msp.AddRows(int64(meta.NumRows()))
+		msp.End()
+		o.Event("rewrite", fmt.Sprintf("metadata plan yields %d qualifying records; invoking run-time plan rewriting operator", meta.NumRows()))
+		if env.Source == nil {
+			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
+		}
+		prune := leaf.Prune
+		if env.NoSkipping {
+			prune = nil
 		}
 		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, leaf.Window, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
 			return nil, err
@@ -392,8 +421,16 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if rc, ok := r.src.(RowsServedCounter); ok {
 			width := r.proto.NumCols()
 			r.reports = append(r.reports, func() {
+				// Rows, how many of the universal table's columns each
+				// carries, how many of those arrived as constant runs, and how
+				// many samples of the records read fell outside the window.
 				rows, trimmed, runCols := rc.RowsServed()
-				extractEvent(o, rows, width, runCols, leaf.Window, trimmed)
+				detail := fmt.Sprintf("lazy extraction produced %d universal-table rows × %d of %d columns (%d as runs)",
+					rows, width, len(catalog.DataviewColumns()), runCols)
+				if leaf.Window != nil {
+					detail += fmt.Sprintf("; sample window %s trimmed %d samples at record edges", leaf.Window, trimmed)
+				}
+				o.Event("extract", detail)
 			})
 		}
 	}
@@ -425,7 +462,13 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		r.reports = append(r.reports, func() {
-			aggregateEvent(o, sink.RowsIn(), sink.RunsIn(), out.NumRows())
+			// runs is non-zero when the sink walked its group keys once per
+			// constant run instead of once per row.
+			if runs := sink.RunsIn(); runs > 0 {
+				o.Event("aggregate", fmt.Sprintf("%d rows in %d runs -> %d groups", sink.RowsIn(), runs, out.NumRows()))
+			} else {
+				o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", sink.RowsIn(), out.NumRows()))
+			}
 		})
 	} else if out, err = r.collect(); err != nil {
 		return nil, err

@@ -355,3 +355,13 @@ func TestSpineNeedsUnderJoin(t *testing.T) {
 		t.Errorf("plan display hides the narrowed list:\n%s", got)
 	}
 }
+
+// TestExecuteRejectsUndecomposablePlans: Execute runs every plan as a push
+// pipeline, and a spine that is not one — a filter above an aggregate, which
+// Build never emits — is an error before any table is read.
+func TestExecuteRejectsUndecomposablePlans(t *testing.T) {
+	n := &Filter{Child: &Aggregate{Child: &Scan{Table: catalog.TableFiles}}}
+	if _, err := Execute(n, &Env{}); err == nil || !strings.Contains(err.Error(), "does not decompose") {
+		t.Fatalf("Execute: %v, want a decomposition error", err)
+	}
+}

@@ -72,7 +72,7 @@ func checkJoinPath(t *testing.T, name string, w *Warehouse, want map[string]stri
 // reference, whose joins are always hash joins.
 func referenceAnswers(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noPipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestIndexJoinAfterRefresh(t *testing.T) {
 func TestIndexJoinErrorParity(t *testing.T) {
 	dir := genRepo(t, 1000)
 	w := openWH(t, dir, Lazy)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noPipeline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,14 @@ import "testing"
 // BenchmarkTraceOverhead measures what span collection costs on the full
 // serve path. Both variants disable the query cache so every iteration
 // pays parse -> plan -> execute -> emit; the only difference is
-// the NoTrace oracle. The traced/notrace delta is the tracing tax the issue
+// the noTrace oracle. The traced/notrace delta is the tracing tax the issue
 // bounds at 2%.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const q = `SELECT F.station, COUNT(*), MIN(D.sample_value), MAX(D.sample_value)
 	 FROM mseed.dataview WHERE F.network = 'NL' AND D.sample_value > 500 GROUP BY F.station`
-	run := func(b *testing.B, oracle Oracle) {
+	run := func(b *testing.B, o oracle) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache | oracle})
+		w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache|o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	}
 	b.Run("traced", func(b *testing.B) { run(b, 0) })
-	b.Run("notrace", func(b *testing.B) { run(b, NoTrace) })
+	b.Run("notrace", func(b *testing.B) { run(b, noTrace) })
 }
 
 // BenchmarkMetricsScrape measures a GET /metrics render into a reused

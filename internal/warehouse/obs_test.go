@@ -24,7 +24,7 @@ var obsQueries = []string{
 }
 
 // TestTraceBitIdentity proves tracing never changes answers: a traced
-// warehouse and a NoTrace warehouse over the same repository return
+// warehouse and a noTrace warehouse over the same repository return
 // byte-identical batches across worker counts and memory budgets.
 func TestTraceBitIdentity(t *testing.T) {
 	dir := genRepo(t, 1500)
@@ -34,7 +34,7 @@ func TestTraceBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := Open(dir, Options{Mode: Lazy, Workers: workers, MemoryBudget: budget, Oracle: NoTrace})
+			oracle, err := openOracle(dir, Options{Mode: Lazy, Workers: workers, MemoryBudget: budget}, noTrace)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,14 +48,14 @@ func TestTraceBitIdentity(t *testing.T) {
 					t.Fatalf("workers=%d budget=%d oracle: %v", workers, budget, err)
 				}
 				if rt.Batch.String() != ro.Batch.String() {
-					t.Errorf("workers=%d budget=%d: traced and NoTrace answers differ for %q",
+					t.Errorf("workers=%d budget=%d: traced and noTrace answers differ for %q",
 						workers, budget, q)
 				}
 				if rt.Trace.Spans == nil {
 					t.Errorf("workers=%d budget=%d: traced warehouse returned nil span tree", workers, budget)
 				}
 				if ro.Trace.Spans != nil {
-					t.Errorf("workers=%d budget=%d: NoTrace warehouse returned a span tree", workers, budget)
+					t.Errorf("workers=%d budget=%d: noTrace warehouse returned a span tree", workers, budget)
 				}
 			}
 		}
@@ -187,8 +187,8 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Error("slow-query counter did not move")
 	}
 
-	// Under NoTrace the entry still appears, without a tree to render.
-	wnt, err := Open(dir, Options{Mode: Lazy, SlowQueryThreshold: time.Nanosecond, Oracle: NoTrace})
+	// Under noTrace the entry still appears, without a tree to render.
+	wnt, err := openOracle(dir, Options{Mode: Lazy, SlowQueryThreshold: time.Nanosecond}, noTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("NoTrace warehouse logged no slow-query entry")
+		t.Error("noTrace warehouse logged no slow-query entry")
 	}
 }
 

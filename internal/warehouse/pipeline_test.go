@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/recycler"
+	"repro/internal/reference"
 	"repro/internal/sql"
 )
 
@@ -69,7 +70,7 @@ var pipelineMatrixQueries = []string{
 
 // narrowMatrixQueries are chosen by which universal-table columns they read,
 // because the pipelined extraction replicates only those while the
-// NoPipeline reference extracts all 24: nothing but a row count; one D.*
+// noPipeline reference extracts all 24: nothing but a row count; one D.*
 // column or the other; an R.* expression in the select list and the sort
 // key; string group keys beside a D.* filter; and a bare SELECT *, which
 // must stay full width.
@@ -86,7 +87,7 @@ var narrowMatrixQueries = []string{
 }
 
 // runMatrixQueries group on the universal table's metadata columns, which
-// the extraction stream hands over as constant runs and the NoPipeline
+// the extraction stream hands over as constant runs and the noPipeline
 // reference gets expanded — so each cell compares the grouped aggregate's
 // per-run walk against its per-row walk: a composite and a single integer
 // run key; a run key beside a computed one, which takes the row walk over a
@@ -208,7 +209,7 @@ func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
 
 // TestPipelineOracleMatrix runs every matrix query across worker counts x
 // morsel sizes x memory budgets and requires output bit-identical to the
-// serial reference (NoPipeline, one worker, unlimited) — from pipelines
+// serial reference (noPipeline, one worker, unlimited) — from pipelines
 // alone: under no budget may a span of the reference engine appear. The
 // reference extracts the universal table at full width, the pipelines only
 // the columns each statement reads, so every lazy and external cell also
@@ -242,7 +243,7 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		{Eager, []string{eagerMatrixQuery, joinQ}},
 	}
 	for _, m := range modes {
-		ref, err := Open(dir, Options{Mode: m.mode, Workers: 1, Oracle: NoPipeline})
+		ref, err := openOracle(dir, Options{Mode: m.mode, Workers: 1}, noPipeline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +256,12 @@ func TestPipelineOracleMatrix(t *testing.T) {
 			want[q] = renderExact(res.Batch)
 		}
 		if got := ref.Stats().Exec.Pipelines; got != 0 {
-			t.Fatalf("oracle warehouse ran %d pipelines despite NoPipeline", got)
+			t.Fatalf("oracle warehouse ran %d pipelines despite noPipeline", got)
 		}
 		var joined plan.Node
 		if m.mode == Lazy {
 			joined = joinedExtractPlan(t)
-			b, err := plan.Execute(joined, &plan.Env{Store: ref.store.Snapshot(), Source: ref.engine, NoPipeline: true})
+			b, err := reference.Execute(joined, &plan.Env{Store: ref.store.Snapshot(), Source: ref.engine})
 			if err != nil {
 				t.Fatalf("oracle, dataview under a join: %v", err)
 			}
@@ -344,6 +345,22 @@ func TestPipelineOracleMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBareTableReadIsTheStoredBatch: a bare table read runs as a pipeline
+// with no stage, which collects to the stored batch itself rather than a
+// copy — the eager data join's build side is such a read of mseed.data.
+func TestBareTableReadIsTheStoredBatch(t *testing.T) {
+	w := openWH(t, genRepo(t, 1000), Eager)
+	store := w.store.Snapshot()
+	want, err := store.Table(catalog.TableData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Execute(&plan.Scan{Table: catalog.TableData}, &plan.Env{Store: store})
+	if err != nil || got != want {
+		t.Fatalf("bare read of %s: %p, %v; want the stored batch %p", catalog.TableData, got, err, want)
 	}
 }
 
@@ -463,8 +480,7 @@ func TestSpilledBuildBreakerReleasesOnEveryPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refEnv := &plan.Env{Store: env.Store, Source: w.engine, NoPipeline: true}
-				ref, err := plan.Execute(tc.root, refEnv)
+				ref, err := reference.Execute(tc.root, &plan.Env{Store: env.Store, Source: w.engine})
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
@@ -520,7 +536,7 @@ func TestMorselViewsNeverMutateRecycler(t *testing.T) {
 	for q := range runMatrixQueries {
 		queries = append(queries, q)
 	}
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noPipeline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 // template to its *Prepared (the parsed, unbound AST every ad-hoc query of
 // that shape is served through), and the plan cache maps (template,
 // parameter values) to the built plan skeleton. Nothing else goes into a
-// plan: the cache lives on one warehouse whose mode, catalog and Oracle set
-// are immutable after Open, and Build reads no store contents — so plans
-// carry no snapshot version and survive a Refresh.
+// plan: the cache lives on one warehouse whose mode, catalog and oracle
+// switches are immutable after Open, and Build reads no store contents — so
+// plans carry no snapshot version and survive a Refresh.
 //
 // Tier 2 caches completed results, keyed by (normalized SQL + parameters,
 // store snapshot version, repo-metadata snapshot version) and guarded by the

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkPreparedQuery isolates the parse -> plan cost the
 // plan cache removes. The cold variant pays it on every iteration
-// (NoQueryCache); the prepared variant resolves the same statement through
+// (noQueryCache); the prepared variant resolves the same statement through
 // the plan cache. Neither executes — Explain stops at the built plan — so
 // the delta is pure preparation work.
 func BenchmarkPreparedQuery(b *testing.B) {
@@ -21,7 +21,7 @@ func BenchmarkPreparedQuery(b *testing.B) {
 	 FROM mseed.dataview WHERE F.network = 'NL' AND D.sample_value > 500 GROUP BY F.station`
 	b.Run("cold", func(b *testing.B) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+		w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		dir := genRepo(b, 1500)
-		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+		w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ var qcacheQueries = []string{
 }
 
 // TestQueryCacheOracleMatrix is the bit-identity oracle: cached answers
-// must equal NoQueryCache execution, for cold runs, warm (cache-hit) runs,
+// must equal noQueryCache execution, for cold runs, warm (cache-hit) runs,
 // and across a Refresh boundary that changes the repository, across
 // workers x budgets.
 func TestQueryCacheOracleMatrix(t *testing.T) {
@@ -36,17 +36,14 @@ func TestQueryCacheOracleMatrix(t *testing.T) {
 			name := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
 			t.Run(name, func(t *testing.T) {
 				dir := genRepo(t, 2500)
-				open := func(oracle Oracle) *Warehouse {
-					w, err := Open(dir, Options{
-						Mode: Lazy, Workers: workers, MemoryBudget: budget,
-						Oracle: oracle,
-					})
+				open := func(o oracle) *Warehouse {
+					w, err := openOracle(dir, Options{Mode: Lazy, Workers: workers, MemoryBudget: budget}, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return w
 				}
-				cached, oracle := open(0), open(NoQueryCache)
+				cached, oracle := open(0), open(noQueryCache)
 				compare := func(stage string) {
 					t.Helper()
 					for _, q := range qcacheQueries {
@@ -60,7 +57,7 @@ func TestQueryCacheOracleMatrix(t *testing.T) {
 								t.Fatalf("%s run %d: %v\nquery: %s", stage, run, err, q)
 							}
 							if g, w := renderExact(got.Batch), renderExact(want.Batch); g != w {
-								t.Errorf("%s run %d diverged from NoQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s",
+								t.Errorf("%s run %d diverged from noQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s",
 									stage, run, q, w, g)
 							}
 						}
@@ -220,7 +217,7 @@ func TestPreparedStatements(t *testing.T) {
 }
 
 // TestQueryCacheExplicitJoin: the explicit three-table spine answers bit
-// for bit like the NoQueryCache oracle when cold, from the plan cache, and
+// for bit like the noQueryCache oracle when cold, from the plan cache, and
 // from the result cache.
 func TestQueryCacheExplicitJoin(t *testing.T) {
 	dir := genRepo(t, 3000)
@@ -228,7 +225,7 @@ func TestQueryCacheExplicitJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Open(dir, Options{Mode: Eager, Oracle: NoQueryCache})
+	oracle, err := openOracle(dir, Options{Mode: Eager}, noQueryCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +266,7 @@ func TestQueryCacheExplicitJoin(t *testing.T) {
 // TestPlansSurviveRefresh: a plan depends on its statement and parameters
 // alone, so a Refresh that changed a file the query read keeps the plan.
 // The next uncached run is a plan hit, and its answer is bit-identical to a
-// fresh NoQueryCache warehouse's over the touched repository.
+// fresh noQueryCache warehouse's over the touched repository.
 func TestPlansSurviveRefresh(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
@@ -308,7 +305,7 @@ func TestPlansSurviveRefresh(t *testing.T) {
 	if after := w.Stats().QueryCache; after.PlanHits != before.PlanHits+1 {
 		t.Errorf("plan hits %d -> %d after the refresh, want +1", before.PlanHits, after.PlanHits)
 	}
-	fresh, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+	fresh, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +681,7 @@ func checkSegments(t *testing.T, c *segCache[int, int], ledger *mem.Ledger) {
 // — template and params being q's normalization — are the same statement.
 // Whichever runs second is a result-cache hit of the entry the first one
 // admitted (one shared key), both carry the same plans, and both equal the
-// NoQueryCache oracle, whose parse of the raw text is independent of
+// noQueryCache oracle, whose parse of the raw text is independent of
 // Normalize + ParseTemplate + BindParams.
 func TestQueryIsPrepareExecute(t *testing.T) {
 	dir := genRepo(t, 3000)
@@ -698,7 +695,7 @@ func TestQueryIsPrepareExecute(t *testing.T) {
 	}
 	for _, m := range modes {
 		w := openWH(t, dir, m.mode)
-		oracle, err := Open(dir, Options{Mode: m.mode, Oracle: NoQueryCache})
+		oracle, err := openOracle(dir, Options{Mode: m.mode}, noQueryCache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -742,7 +739,7 @@ func TestQueryIsPrepareExecute(t *testing.T) {
 			}
 			for _, r := range []*Result{r1, r2} {
 				if got, exp := renderExact(r.Batch), renderExact(want.Batch); got != exp {
-					t.Errorf("%v: diverged from the NoQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s", m.mode, q, exp, got)
+					t.Errorf("%v: diverged from the noQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s", m.mode, q, exp, got)
 				}
 				if r.Trace.SQL != want.Trace.SQL || r.Trace.Optimized != want.Trace.Optimized {
 					t.Errorf("%v: trace differs from the oracle's\nquery: %s\nwant: %s\n%s\ngot: %s\n%s",

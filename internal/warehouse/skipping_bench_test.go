@@ -8,14 +8,14 @@ import (
 // recycler cache: zone maps (which live on the catalog store, not in the
 // cache) are collected by one warm-up query, then every iteration clears
 // the cache and re-runs the query. The skip variant must answer without
-// re-reading pruned runs; the NoSkipping oracle re-extracts everything.
+// re-reading pruned runs; the noSkipping oracle re-extracts everything.
 // Compare the two sub-benchmarks' ns/op and runs-read/op.
 func BenchmarkColdScanSkip(b *testing.B) {
 	const q = `SELECT COUNT(*) FROM mseed.dataview
 	 WHERE F.station = 'ISK' AND D.sample_value > 1000000000`
-	run := func(b *testing.B, oracle Oracle) {
+	run := func(b *testing.B, o oracle) {
 		dir := genFullDayRepo(b)
-		w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache | oracle})
+		w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache|o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkColdScanSkip(b *testing.B) {
 		st := w.Stats().Extraction
 		read := st.RunsRead - runs0
 		b.ReportMetric(float64(read)/float64(b.N), "runs-read/op")
-		if oracle != 0 {
+		if o != 0 {
 			if read == 0 {
 				b.Fatal("oracle read no runs despite cleared cache")
 			}
@@ -53,5 +53,5 @@ func BenchmarkColdScanSkip(b *testing.B) {
 		}
 	}
 	b.Run("skip", func(b *testing.B) { run(b, 0) })
-	b.Run("oracle", func(b *testing.B) { run(b, NoSkipping) })
+	b.Run("oracle", func(b *testing.B) { run(b, noSkipping) })
 }

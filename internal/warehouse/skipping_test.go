@@ -25,10 +25,10 @@ var skipMatrixQueries = []string{
 // TestSkippingOracleMatrix runs every pruning-eligible query twice per
 // warehouse (first run collects zone maps as an extraction by-product,
 // second run prunes with them) across workers x morsel sizes x memory
-// budgets and requires both runs bit-identical to a NoSkipping oracle.
+// budgets and requires both runs bit-identical to a noSkipping oracle.
 func TestSkippingOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoSkipping})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noSkipping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +41,16 @@ func TestSkippingOracleMatrix(t *testing.T) {
 		want[q] = renderExact(res.Batch)
 	}
 	if st := ref.Stats(); st.Extraction.RecordsSkipped != 0 || st.Exec.ScanRowsSkipped != 0 {
-		t.Fatalf("NoSkipping oracle pruned: %+v", st.Extraction)
+		t.Fatalf("noSkipping oracle pruned: %+v", st.Extraction)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
 		for _, morsel := range []int{7, 61} {
 			for _, budget := range []int64{0, 2 << 20} {
 				name := fmt.Sprintf("workers=%d/morsel=%d/budget=%d", workers, morsel, budget)
-				w, err := Open(dir, Options{
-					Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
-					// The second run must re-execute (not hit the result
-					// cache) for the zone maps to prune anything.
-					Oracle: NoQueryCache,
-				})
+				// The second run must re-execute (not hit the result cache)
+				// for the zone maps to prune anything.
+				w, err := openOracle(dir, Options{Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget}, noQueryCache)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -64,7 +61,7 @@ func TestSkippingOracleMatrix(t *testing.T) {
 							t.Fatalf("%s run %d: %v\nquery: %s", name, run, err, q)
 						}
 						if got := renderExact(res.Batch); got != want[q] {
-							t.Errorf("%s run %d: diverged from NoSkipping oracle\nquery: %s\nwant:\n%s\ngot:\n%s",
+							t.Errorf("%s run %d: diverged from noSkipping oracle\nquery: %s\nwant:\n%s\ngot:\n%s",
 								name, run, q, want[q], got)
 						}
 					}
@@ -100,10 +97,10 @@ ORDER BY D.sample_value, D.sample_time LIMIT 5`
 // TestExplicitJoinOracle runs the explicit three-table spine, aggregated
 // and whole, across workers x memory budgets and requires every answer
 // bit-identical to the serial reference with every statistics shortcut off
-// (NoPipeline|NoSkipping: hash joins only, no zone skipping).
+// (noPipeline|noSkipping: hash joins only, no zone skipping).
 func TestExplicitJoinOracle(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Eager, Workers: 1, Oracle: NoPipeline | NoSkipping})
+	ref, err := openOracle(dir, Options{Mode: Eager, Workers: 1}, noPipeline|noSkipping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +177,7 @@ func TestJoinCommutation(t *testing.T) {
 		want := ""
 		for _, workers := range []int{1, 8} {
 			for _, budget := range []int64{0, 2 << 20} {
-				w, err := Open(dir, Options{Mode: Eager, Workers: workers, MemoryBudget: budget, Oracle: NoQueryCache})
+				w, err := openOracle(dir, Options{Mode: Eager, Workers: workers, MemoryBudget: budget}, noQueryCache)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +216,7 @@ func TestZoneMapStalenessAfterUpdate(t *testing.T) {
 	const q = `SELECT COUNT(*) FROM mseed.dataview
 	 WHERE F.network = 'NL' AND D.sample_value > 1000000000`
 
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoSkipping})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noSkipping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +228,7 @@ func TestZoneMapStalenessAfterUpdate(t *testing.T) {
 
 	// NoQueryCache: the test re-runs one identical query and asserts on
 	// extraction counters, so every run must actually execute.
-	w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+	w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 	if err != nil {
 		t.Fatal(err)
 	}

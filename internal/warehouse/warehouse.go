@@ -52,9 +52,9 @@
 // enclosing filter would delete, and skipping only removes ranges a proof
 // shows empty. No statistic reaches the planner — joins run in the order
 // the SQL states them — so a built plan depends on its statement and
-// parameters alone. The NoSkipping oracle disables all of it and is the
-// retained reference the skipping paths are tested against, across the
-// full workers x morsel x budget matrix. Per-query effects surface in
+// parameters alone. The tests' noSkipping oracle disables all of it and is
+// the reference the skipping paths are tested against, across the full
+// workers x morsel x budget matrix. Per-query effects surface in
 // Result.Trace (Scans) and cumulatively in Stats.
 package warehouse
 
@@ -125,36 +125,27 @@ type Options struct {
 	// tracing is on) so the expensive phase is attributable after the
 	// fact. 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
-	// Oracle switches optimizations off for the tests and benchmarks that
-	// compare against them; zero — everything on — in every frontend.
-	Oracle Oracle
 }
 
-// Oracle is a set of test-facing switches. Each turns one optimization off,
-// leaving the reference its bit-identity tests and benchmarks compare with;
-// answers are bit-identical under every combination.
-type Oracle uint8
+// oracle is a set of switches only tests set (Warehouse.oracle). Each turns
+// one optimization off, leaving the reference the bit-identity tests and
+// benchmarks compare with; answers are bit-identical under every
+// combination.
+type oracle uint8
 
 const (
-	// NoPipeline runs every query on the operator-at-a-time serial
-	// reference instead of push pipelines — the baseline of
-	// BenchmarkExtractOverlap.
-	NoPipeline Oracle = 1 << iota
-	// NoSkipping disables every zone-map shortcut: record pruning before
+	// noSkipping disables every zone-map shortcut: record pruning before
 	// extraction, zone-range skipping on table scans, and index-probed
-	// joins. Without it statistics are exploited when present.
-	NoSkipping
-	// NoQueryCache disables the two-tier query cache (the plan/statement
-	// cache and the snapshot-versioned result cache): every query is parsed
+	// joins.
+	noSkipping oracle = 1 << iota
+	// noQueryCache disables both query-cache tiers: every query is parsed
 	// from its raw text by sql.Parse and pays full plan -> execute, so the
 	// cached path's Normalize + ParseTemplate + BindParams is checked
 	// against an independent parse.
-	NoQueryCache
-	// NoTrace disables per-query trace-span collection (Result.Trace.Spans
-	// stays nil); BenchmarkTraceOverhead bounds the tracing cost against
-	// it. Latency histograms and counters stay on regardless — they are a
-	// handful of atomic adds per query.
-	NoTrace
+	noQueryCache
+	// noTrace disables per-query trace-span collection (Result.Trace.Spans
+	// stays nil). Latency histograms and counters stay on regardless.
+	noTrace
 )
 
 // Severity classifies operation-log entries so \log can filter.
@@ -210,7 +201,7 @@ type Trace struct {
 	// never fed to the pipeline (table scans).
 	Scans []plan.ScanReport
 	// Spans is the query's trace-span tree (wall time, rows and bytes per
-	// serve-path phase and operator). nil under the NoTrace oracle, and for a
+	// serve-path phase and operator). nil under the noTrace oracle, and for a
 	// result-cache hit it covers only the probe that served the hit.
 	Spans *obs.SpanNode
 }
@@ -252,12 +243,15 @@ type Warehouse struct {
 	engine    *etl.Engine
 	pool      *exec.Pool
 	ledger    *mem.Ledger
-	oracle    Oracle
 	slowQuery time.Duration
 	qc        *queryCache
 	exec      plan.ExecStats
 	metrics   obs.Metrics
 	init      InitStats
+	// oracle and run are the tests' hooks: run executes a plan, plan.Execute
+	// unless a test swaps in the operator-at-a-time reference.
+	oracle oracle
+	run    func(plan.Node, *plan.Env) (*column.Batch, error)
 
 	// refreshing is set for the whole Refresh call, including the drain
 	// wait for in-flight queries — the /readyz not-ready window.
@@ -267,8 +261,6 @@ type Warehouse struct {
 	// plan -> execute span, Refresh holds the write side while it
 	// rebuilds and swaps the catalog/engine state.
 	refreshMu sync.RWMutex
-	// rp is the repository snapshot of the last (re)load; refreshMu-guarded.
-	rp *repo.Repository
 	// admit is the admission semaphore: one slot per concurrently
 	// executing query. queryBudget is the per-query memory sub-budget
 	// carved from ledger (0 = unlimited).
@@ -317,7 +309,6 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	opts.ETL.DisableCache = opts.ETL.DisableCache || opts.Mode == Eager
 	w := &Warehouse{
 		mode:        opts.Mode,
-		rp:          rp,
 		store:       store,
 		engine:      etl.New(rp, store, opts.ETL),
 		pool:        exec.NewPoolMorsel(opts.Workers, opts.MorselRows),
@@ -325,8 +316,8 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 		admit:       make(chan struct{}, slots),
 		queryBudget: queryBudget,
 		keepLog:     keep,
-		oracle:      opts.Oracle,
 		slowQuery:   opts.SlowQueryThreshold,
+		run:         plan.Execute,
 	}
 	w.qc = newQueryCache(w.ledger)
 	// Recycler admissions draw on the same ledger as operator working
@@ -352,7 +343,7 @@ func (w *Warehouse) initialLoad() error {
 	if err != nil {
 		return err
 	}
-	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.rp.TotalSize(), StoreBytes: w.store.Bytes()}
+	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.engine.Repository().TotalSize(), StoreBytes: w.store.Bytes()}
 	w.logf("init", "loaded %d files, %d records in %v (%d bytes read)",
 		st.Files, st.Records, st.Duration, st.BytesRead)
 	return nil
@@ -386,7 +377,7 @@ type observer struct {
 	// (deduplicated by URI) — the result cache's re-validation key.
 	stamps   []plan.FileStamp
 	stampSet map[string]bool
-	// span is the query's execute-phase trace span; nil under NoTrace.
+	// span is the query's execute-phase trace span; nil under noTrace.
 	span *obs.Span
 }
 
@@ -484,9 +475,9 @@ func (w *Warehouse) query(q string, useResultCache bool) (*Result, error) {
 }
 
 // newRootSpan starts the query's root trace span, or returns nil (every
-// span operation no-ops) under the NoTrace oracle.
+// span operation no-ops) under the noTrace oracle.
 func (w *Warehouse) newRootSpan() *obs.Span {
-	if w.oracle&NoTrace != 0 {
+	if w.oracle&noTrace != 0 {
 		return nil
 	}
 	return obs.NewRoot("query")
@@ -511,7 +502,7 @@ type Prepared struct {
 	text string // canonical template, or the raw text of a one-off statement
 	stmt *sql.SelectStmt
 	// cached is false for a one-off statement, which bypasses both cache
-	// tiers: text that cannot normalize, and everything under NoQueryCache.
+	// tiers: text that cannot normalize, and everything under noQueryCache.
 	cached bool
 }
 
@@ -527,19 +518,19 @@ func (w *Warehouse) Prepare(q string) (*Prepared, error) {
 		return nil, w.fail("prepare", err)
 	}
 	w.logf("prepare", "%s (%d parameter(s))", tmpl, stmt.NumParams)
-	return &Prepared{w: w, text: tmpl, stmt: stmt, cached: w.oracle&NoQueryCache == 0}, nil
+	return &Prepared{w: w, text: tmpl, stmt: stmt, cached: w.oracle&noQueryCache == 0}, nil
 }
 
 // resolve turns ad-hoc text into the statement that serves it plus the
 // parameters to serve it with: sql.Normalize pulls the literals out, and the
 // template's statement comes from the statement cache or is parsed into it.
 // Text that cannot normalize (explicit '?' markers, malformed literals) or
-// whose template does not parse, and everything under the NoQueryCache
+// whose template does not parse, and everything under the noQueryCache
 // oracle, resolves to a one-off statement parsed from the raw text, so error
 // messages point at real offsets and the oracle's parse is independent of
 // Normalize + ParseTemplate + BindParams.
 func (w *Warehouse) resolve(q string, root *obs.Span) (*Prepared, []column.Value, error) {
-	if w.oracle&NoQueryCache == 0 {
+	if w.oracle&noQueryCache == 0 {
 		nsp := root.StartChild("normalize")
 		n, err := sql.Normalize(q)
 		var p *Prepared
@@ -675,8 +666,8 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 	qm := exec.NewQueryMem(w.ledger.Child(w.queryBudget), "")
 	defer qm.Cleanup()
 	env := &plan.Env{Store: store, Source: w.engine, Obs: o, Pool: w.pool, Mem: qm, Stats: &w.exec,
-		NoPipeline: w.oracle&NoPipeline != 0, NoSkipping: w.oracle&NoSkipping != 0, Trace: esp}
-	res.Batch, err = plan.Execute(pe.root, env)
+		NoSkipping: w.oracle&noSkipping != 0, Trace: esp}
+	res.Batch, err = w.run(pe.root, env)
 	if err != nil {
 		return nil, w.fail("query", err)
 	}
@@ -692,7 +683,7 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 }
 
 // finish closes out one served query: elapsed time, the latency histogram
-// observation, the root span's end+snapshot (nil under NoTrace), the
+// observation, the root span's end+snapshot (nil under noTrace), the
 // slow-query log and the "answer" log entry.
 func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass) *Result {
 	w := p.w
@@ -784,7 +775,6 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	if err != nil {
 		return st, w.fail("refresh", err)
 	}
-	w.rp = w.engine.Repository()
 	// The snapshot versions the result keys carry just changed, so no stale
 	// answer could ever be served again; purging reclaims their memory (and
 	// ledger bytes) immediately instead of via eviction. Plans stay: no

@@ -565,12 +565,11 @@ func TestSampleTimeOfRatelessRecord(t *testing.T) {
 
 	q := `SELECT COUNT(*), MIN(D.sample_time), MAX(D.sample_time), MIN(R.start_time), MAX(R.end_time)
 	      FROM mseed.dataview WHERE F.station = 'SOH'`
-	for _, opts := range []Options{
-		{Mode: Lazy},
-		{Mode: Lazy, Oracle: NoPipeline},
-		{Mode: Eager},
-	} {
-		w, err := Open(dir, opts)
+	for _, tc := range []struct {
+		mode Mode
+		o    oracle
+	}{{Lazy, 0}, {Lazy, noPipeline}, {Eager, 0}} {
+		w, err := openOracle(dir, Options{Mode: tc.mode}, tc.o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +582,7 @@ func TestSampleTimeOfRatelessRecord(t *testing.T) {
 			for c := 1; c < len(row); c++ {
 				if row[0].I != int64(len(samples)) || row[c].I != start.UnixNano() {
 					t.Fatalf("%v oracle=%v %s: %v, want %d samples all at the record start %d",
-						opts.Mode, opts.Oracle, state, row, len(samples), start.UnixNano())
+						tc.mode, tc.o, state, row, len(samples), start.UnixNano())
 				}
 			}
 		}

@@ -27,7 +27,7 @@ func BenchmarkWindowedAgg(b *testing.B) {
 
 	for _, warm := range []bool{false, true} {
 		b.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(b *testing.B) {
-			w, err := Open(dir, Options{Mode: Lazy, Oracle: NoQueryCache})
+			w, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -63,14 +63,14 @@ func recordEdges(t *testing.T, w *Warehouse) (start, end int64) {
 // filter it replaced. Each window — BETWEEN, a literal on the left, integer
 // ns literals, = on an exact sample time, bounds on record edges, an empty
 // window — is run through every shape three ways: lifted on the pipelines
-// (extraction cuts records), lifted on the NoPipeline reference (which
+// (extraction cuts records), lifted on the noPipeline reference (which
 // extracts every sample and filters), and in an unliftable form on the
 // pipelines (the Filter compares every sample). All three agree bit for bit
 // at every worker count, morsel size and budget, with a cold and a warm
 // recycler.
 func TestSampleWindowMetamorphic(t *testing.T) {
 	dir := genRepo(t, 3000)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noPipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +164,12 @@ func TestSampleWindowMetamorphic(t *testing.T) {
 // TestSampleTimeLiteralErrorNamesConjunct: a D.sample_time literal that does
 // not parse fails the query with an error naming the conjunct the user
 // wrote — not an R.end_time predicate derived from it — on the pipelines and
-// on the NoPipeline reference alike, beside a window that keeps rows or
+// on the noPipeline reference alike, beside a window that keeps rows or
 // alone.
 func TestSampleTimeLiteralErrorNamesConjunct(t *testing.T) {
 	dir := genRepo(t, 3000)
 	pipelined := openWH(t, dir, Lazy)
-	ref, err := Open(dir, Options{Mode: Lazy, Workers: 1, Oracle: NoPipeline})
+	ref, err := openOracle(dir, Options{Mode: Lazy, Workers: 1}, noPipeline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,9 @@
 // record edge: extraction delivers only the samples inside it, so no query
 // compares one timestamp per sample to keep a window. Pipelined
 // output is bit-identical to an operator-at-a-time serial reference that
-// tests reach through the NoPipeline oracle — serial in its operators only:
-// it drains that same extraction stream into one batch first. Stats
-// reports pipeline and prefetch counters.
+// only the tests link — serial in its operators only: it drains that same
+// extraction stream into one batch first. Stats reports pipeline and
+// prefetch counters.
 //
 // Execution memory is governed by Options.MemoryBudget (bytes; 0 =
 // unlimited): join tables, aggregation group tables and recycler-cache
@@ -72,8 +72,9 @@
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
 // whitespace and keyword case canonicalize away) and caches the parsed
-// statement and the built plan skeleton keyed by (template, parameters) —
-// a repeated shape skips parse and plan entirely, and Warehouse.Prepare
+// statement under its template and the built plan skeleton under
+// (template, parameters): a repeated shape skips the parse, a repeated
+// (template, parameters) pair skips the plan too, and Warehouse.Prepare
 // exposes the same machinery as explicit prepared statements with '?'
 // markers. A plan reads no data (joins run in the order the SQL states
 // them), so plans survive Refresh. Tier 2 caches completed answers keyed by
@@ -82,20 +83,19 @@
 // every hit, and byte-charged to the shared memory ledger so cached results
 // compete with the recycler cache under one budget. Refresh invalidates
 // this tier.
-// Cached answers are bit-identical to fresh execution; the uncached path
-// is retained as the verification oracle NoQueryCache.
+// Cached answers are bit-identical to fresh execution; the tests hold them
+// to an uncached warehouse that parses every statement from its raw text.
 //
 // The query path is observable end to end. Every query carries a trace of
 // spans (normalize, cache probe, parse, plan, extraction read/decode/
 // prefetch-stall, pipeline stages, emit) returned in Trace.Spans and
 // rendered by the \trace REPL command or POST /query?trace=1 on
-// cmd/lazyetld; the NoTrace oracle disables span collection (for proving
-// tracing never changes answers and costs under 2% —
-// BenchmarkTraceOverhead). Per-class latency histograms, an admission-wait
-// histogram and counters are always on and exported in Prometheus text
-// format at GET /metrics, and Options.SlowQueryThreshold logs the span tree
-// of any query at or over the threshold into the operation log at warn
-// severity. Warehouse.Stats is the one typed snapshot of the counters, the
+// cmd/lazyetld; the tests prove against an untraced warehouse that tracing
+// never changes answers and costs under 2% (BenchmarkTraceOverhead).
+// Per-class latency histograms, an admission-wait histogram and counters
+// are always on and exported in Prometheus text format at GET /metrics, and
+// Options.SlowQueryThreshold logs the span tree of any query at or over the
+// threshold into the operation log at warn severity. Warehouse.Stats is the one typed snapshot of the counters, the
 // initial load's included: GET /stats serves it as JSON, and the REPL's
 // \stats prints that same document. Execution reports through one
 // interface, plan.Observer.
@@ -145,8 +145,6 @@ type (
 	// Prepared is a statement prepared with Warehouse.Prepare: parsed
 	// once, executed repeatedly with per-call parameter values.
 	Prepared = warehouse.Prepared
-	// Oracle is the set of test-facing switches of Options.Oracle.
-	Oracle = warehouse.Oracle
 	// QueryCacheStats is the observable state of the two-tier query cache
 	// (Stats.QueryCache).
 	QueryCacheStats = warehouse.QueryCacheStats
@@ -176,16 +174,6 @@ const (
 	Lazy = warehouse.Lazy
 	// External extracts per query without metadata pruning (baseline).
 	External = warehouse.External
-)
-
-// Oracle switches (Options.Oracle): each turns one optimization off so
-// tests and benchmarks can compare against the reference; no frontend
-// sets them.
-const (
-	NoPipeline   = warehouse.NoPipeline
-	NoSkipping   = warehouse.NoSkipping
-	NoQueryCache = warehouse.NoQueryCache
-	NoTrace      = warehouse.NoTrace
 )
 
 // Operation-log severities (LogEntry.Level).

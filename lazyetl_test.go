@@ -13,8 +13,26 @@ import (
 	lazyetl "repro"
 	"repro/internal/column"
 	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/reference"
 	"repro/internal/sql"
 )
+
+// referenceQuery answers q on the operator-at-a-time reference: the plan w
+// builds for it, run by reference.Execute over a snapshot of w's store and
+// w's extraction engine, with pool as the join builds' and the extraction's
+// width (nil = serial).
+func referenceQuery(w *lazyetl.Warehouse, q string, pool *exec.Pool) (*column.Batch, error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	plans, err := plan.Build(stmt, w.Catalog(), w.Mode())
+	if err != nil {
+		return nil, err
+	}
+	return reference.Execute(plans.Root, &plan.Env{Store: w.Store().Snapshot(), Source: w.Engine(), Pool: pool})
+}
 
 // genRepo builds a small deterministic repository for public-API tests.
 func genRepo(t testing.TB, cfg lazyetl.RepoConfig) string {
@@ -244,22 +262,26 @@ func TestPublicAPIRefreshAfterUpdate(t *testing.T) {
 // TestSumOverflow: an integer SUM answers its exact value or fails — it
 // never wraps. On genRepo's default repository SUM(D.sample_time) over ISK's
 // 12,000 rows used to answer -4,170,228,739,251,428,553; SUM over TIMESTAMP
-// is now a type error, through the pipeline and the NoPipeline reference
-// alike. Over an Int64 column the sink (whole, cut into one-row morsels,
+// is now a type error, through the pipeline and the operator-at-a-time
+// reference alike. Over an Int64 column the sink (whole, cut into one-row morsels,
 // under a selection, grouped) and the reference agree: a running total that
 // wraps and comes back is exact, MaxInt64 + 1 is an error naming the SUM.
 func TestSumOverflow(t *testing.T) {
 	dir := genRepo(t, lazyetl.RepoConfig{})
-	for _, oracle := range []lazyetl.Oracle{0, lazyetl.NoPipeline} {
-		w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy, Oracle: oracle})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err := w.Query("SELECT SUM(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK'"); err == nil {
-			t.Errorf("oracle %d: SUM(D.sample_time) answered %v, want a type error", oracle, res.Batch.Row(0))
-		} else if !strings.Contains(err.Error(), "SUM over TIMESTAMP") {
-			t.Errorf("oracle %d: SUM(D.sample_time): %v, want a type error", oracle, err)
-		}
+	w, err := lazyetl.Open(dir, lazyetl.Options{Mode: lazyetl.Lazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sumTime = "SELECT SUM(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK'"
+	if res, err := w.Query(sumTime); err == nil {
+		t.Errorf("pipeline: SUM(D.sample_time) answered %v, want a type error", res.Batch.Row(0))
+	} else if !strings.Contains(err.Error(), "SUM over TIMESTAMP") {
+		t.Errorf("pipeline: SUM(D.sample_time): %v, want a type error", err)
+	}
+	if b, err := referenceQuery(w, sumTime, nil); err == nil {
+		t.Errorf("reference: SUM(D.sample_time) answered %v, want a type error", b.Row(0))
+	} else if !strings.Contains(err.Error(), "SUM over TIMESTAMP") {
+		t.Errorf("reference: SUM(D.sample_time): %v, want a type error", err)
 	}
 
 	const top = math.MaxInt64
