@@ -196,7 +196,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 		return true
 	case `\tables`:
 		for _, t := range w.Catalog().Tables() {
-			fmt.Printf("table %-16s %8d rows\n", t.Name, w.Store().Rows(t.Name))
+			fmt.Printf("table %-16s %8d rows\n", t.Name, w.Store().Snapshot().Rows(t.Name))
 		}
 		for _, v := range w.Catalog().Views() {
 			fmt.Printf("view  %-16s %s\n", v.Name, v.SQL)

@@ -18,7 +18,7 @@
 //	GET  /stats    warehouse + server counters (including the query cache)
 //	GET  /metrics  Prometheus text exposition (see README.md for the names)
 //	GET  /healthz  liveness: 200 once the process serves
-//	GET  /readyz   readiness: 200 when serving, 503 while a refresh drains
+//	GET  /readyz   readiness: 200 once serving (a refresh never stops queries)
 //
 // POST /query and /execute accept ?trace=1, which adds the query's span
 // tree ("trace" in the response) — wall time, rows and bytes per serve
@@ -474,15 +474,11 @@ func (s *server) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	_, _ = rw.Write([]byte("ok\n"))
 }
 
-// handleReadyz is readiness: 200 when the warehouse serves normally, 503
-// while a Refresh (including its drain of in-flight queries) is running.
+// handleReadyz is readiness: 200 once the daemon is serving. The warehouse
+// is open before the listener starts, and a Refresh never stops queries, so
+// there is no not-ready state to report.
 func (s *server) handleReadyz(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.w.Ready() {
-		rw.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = rw.Write([]byte("refreshing\n"))
-		return
-	}
 	rw.WriteHeader(http.StatusOK)
 	_, _ = rw.Write([]byte("ready\n"))
 }

@@ -91,34 +91,95 @@ func TestDuplicateRegistration(t *testing.T) {
 	}
 }
 
+// recordsBatch is an mseed.records batch of n identical rows.
+func recordsBatch(n int) *column.Batch {
+	ints := func(v int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	rates := make([]float64, n)
+	return column.MustNewBatch(
+		column.NewInt64s("file_id", ints(1)),
+		column.NewInt64s("seqno", ints(1)),
+		column.NewTimestamps("start_time", ints(100)),
+		column.NewTimestamps("end_time", ints(200)),
+		column.NewFloat64s("sample_rate", rates),
+		column.NewInt64s("num_samples", ints(50)),
+		column.NewInt64s("file_offset", ints(0)),
+	)
+}
+
+// TestStoreAppendAndRows: rows reach a table by publishing a batch with
+// Replace, and Rows and Table report the published batch on the store and
+// on its snapshot; a later, larger batch supersedes it whole.
 func TestStoreAppendAndRows(t *testing.T) {
 	s := NewStore(MSEED())
-	if err := s.AppendRow(TableRecords,
-		column.NewInt64(1), column.NewInt64(1), column.NewTimestamp(100),
-		column.NewTimestamp(200), column.NewFloat64(40), column.NewInt64(50),
-		column.NewInt64(0),
-	); err != nil {
+	if err := s.Replace(TableRecords, recordsBatch(1)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Rows(TableRecords) != 1 {
-		t.Errorf("rows = %d", s.Rows(TableRecords))
+	if got := s.Snapshot().Rows(TableRecords); got != 1 {
+		t.Errorf("rows = %d", got)
 	}
-	// Arity check.
-	if err := s.AppendRow(TableRecords, column.NewInt64(1)); err == nil {
-		t.Error("short row accepted")
+	if b, err := s.Table("records"); err != nil || b.NumRows() != 1 {
+		t.Errorf("unqualified lookup = %v, %v", b, err)
 	}
-	// Type check.
-	if err := s.AppendRow(TableFiles,
-		column.NewString("not an id"), column.NewString("uri"), column.NewString("NL"),
-		column.NewString("HGN"), column.NewString(""), column.NewString("BHZ"),
-		column.NewString("D"), column.NewString("STEIM2"), column.NewInt64(512),
-		column.NewFloat64(40), column.NewTimestamp(0), column.NewTimestamp(0),
-		column.NewInt64(1), column.NewInt64(1), column.NewInt64(512), column.NewTimestamp(0),
-	); err == nil {
-		t.Error("type-mismatched row accepted")
+	if err := s.Replace(TableRecords, recordsBatch(3)); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.AppendRow("nosuch", column.NewInt64(1)); err == nil {
-		t.Error("unknown table accepted")
+	if got := s.Snapshot().Rows(TableRecords); got != 3 {
+		t.Errorf("rows after second Replace = %d, want 3", got)
+	}
+	wrongType := column.MustNewBatch(
+		column.New("file_id", column.String),
+		column.New("seqno", column.Int64),
+		column.New("start_time", column.Timestamp),
+		column.New("end_time", column.Timestamp),
+		column.New("sample_rate", column.Float64),
+		column.New("num_samples", column.Int64),
+		column.New("file_offset", column.Int64),
+	)
+	if err := s.Replace(TableRecords, wrongType); err == nil {
+		t.Error("type-mismatched batch accepted")
+	}
+	if got := s.Snapshot().Rows(TableRecords); got != 3 {
+		t.Errorf("rejected batch changed rows to %d", got)
+	}
+}
+
+// TestStoreTruncateAndBytes: Bytes follows the published batches, an empty
+// batch truncates a table, and unknown tables report nothing.
+func TestStoreTruncateAndBytes(t *testing.T) {
+	s := NewStore(MSEED())
+	if s.Bytes() != 0 {
+		t.Errorf("empty store holds %d bytes", s.Bytes())
+	}
+	if err := s.Replace(TableRecords, recordsBatch(4)); err != nil {
+		t.Fatal(err)
+	}
+	full := s.Bytes()
+	if full == 0 {
+		t.Error("bytes = 0 after Replace")
+	}
+	if err := s.Replace(TableRecords, recordsBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Snapshot().Rows(TableRecords) != 0 {
+		t.Error("empty batch left rows")
+	}
+	if s.Bytes() >= full {
+		t.Errorf("bytes = %d after truncating, was %d", s.Bytes(), full)
+	}
+	if err := s.Replace("nosuch", recordsBatch(0)); err == nil {
+		t.Error("unknown table truncated")
+	}
+	if s.Snapshot().Rows("nosuch") != 0 {
+		t.Error("unknown table rows != 0")
+	}
+	if _, err := s.Table("nosuch"); err == nil {
+		t.Error("unknown table lookup succeeded")
 	}
 }
 
@@ -148,34 +209,6 @@ func TestStoreReplaceValidation(t *testing.T) {
 	}
 	if err := s.Replace("nosuch", good); err == nil {
 		t.Error("unknown table accepted")
-	}
-}
-
-func TestStoreTruncateAndBytes(t *testing.T) {
-	s := NewStore(MSEED())
-	if err := s.AppendRow(TableData,
-		column.NewInt64(1), column.NewInt64(1),
-		column.NewTimestamp(1), column.NewFloat64(2.5),
-	); err != nil {
-		t.Fatal(err)
-	}
-	if s.Bytes() == 0 {
-		t.Error("bytes = 0 after append")
-	}
-	if err := s.Truncate(TableData); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows(TableData) != 0 {
-		t.Error("truncate left rows")
-	}
-	if err := s.Truncate("nosuch"); err == nil {
-		t.Error("unknown table truncated")
-	}
-	if s.Rows("nosuch") != 0 {
-		t.Error("unknown table rows != 0")
-	}
-	if _, err := s.Table("nosuch"); err == nil {
-		t.Error("unknown table lookup succeeded")
 	}
 }
 
@@ -225,29 +258,26 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestStoreSnapshotIsolation: a snapshot keeps serving the tables loaded at
-// snapshot time, unaffected by later Replace/Truncate on the live store.
+// TestStoreSnapshotIsolation: a snapshot keeps serving the tables published
+// when it was taken, unaffected by later publications, and each publication
+// is a new version.
 func TestStoreSnapshotIsolation(t *testing.T) {
 	s := NewStore(MSEED())
-	if err := s.AppendRow(TableRecords,
-		column.NewInt64(1), column.NewInt64(1), column.NewTimestamp(100),
-		column.NewTimestamp(200), column.NewFloat64(40), column.NewInt64(50),
-		column.NewInt64(0),
-	); err != nil {
+	if err := s.Replace(TableRecords, recordsBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
-	if err := s.Truncate(TableRecords); err != nil {
+	if err := s.Replace(TableRecords, recordsBatch(2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Rows(TableRecords) != 0 {
-		t.Fatalf("live store rows = %d after truncate", s.Rows(TableRecords))
+	if got := s.Snapshot().Rows(TableRecords); got != 2 {
+		t.Fatalf("live store rows = %d after the second Replace", got)
 	}
 	if snap.Rows(TableRecords) != 1 {
 		t.Fatalf("snapshot rows = %d, want 1 (isolation broken)", snap.Rows(TableRecords))
 	}
-	if snap.Catalog() != s.Catalog() {
-		t.Fatal("snapshot must share the schema registry")
+	if got, was := s.Snapshot().Version(), snap.Version(); got != was+1 {
+		t.Fatalf("version %d after one publication on %d", got, was)
 	}
 }
 
@@ -274,14 +304,14 @@ func TestStoreReplaceAllAtomic(t *testing.T) {
 	}); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
-	if s.Rows(TableData) != 0 {
+	if s.Snapshot().Rows(TableData) != 0 || s.Snapshot().Version() != 0 {
 		t.Fatal("partial ReplaceAll commit observed")
 	}
 	if err := s.ReplaceAll(map[string]*column.Batch{TableData: goodData}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Rows(TableData) != 1 {
-		t.Fatalf("rows = %d after ReplaceAll", s.Rows(TableData))
+	if got := s.Snapshot().Rows(TableData); got != 1 {
+		t.Fatalf("rows = %d after ReplaceAll", got)
 	}
 	if err := s.ReplaceAll(map[string]*column.Batch{"nosuch": goodData}); err == nil {
 		t.Fatal("unknown table accepted")

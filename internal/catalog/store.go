@@ -2,148 +2,83 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/column"
 )
 
-// Store holds the loaded contents of base tables, one batch per table.
+// Store publishes the loaded contents of base tables, one batch per table.
 // In eager mode all three tables are populated; in lazy mode only the two
 // metadata tables are (mseed.data stays empty and is produced at query time
 // by the lazy extraction operators).
 //
 // # Concurrency
 //
-// All methods are safe for concurrent use. Readers that need a consistent
-// multi-table view (a query executing against several base tables, a stats
-// report) should take a Snapshot: a copy-on-write view that shares the
-// batch data but is immune to subsequent Replace/ReplaceAll/Truncate calls.
-// Writers only ever swap whole batch pointers — batches installed in a
-// store are treated as immutable — so a snapshot needs no further locking.
-// AppendRow mutates a live batch in place and is intended for load-time
-// assembly only; it must not race queries reading that table.
+// The tables, their batch statistics and their version are one immutable
+// Snapshot behind one atomic pointer, and Snapshot is that pointer's load: a
+// query takes one and reads it to the end, whatever is published meanwhile.
+// Replace and ReplaceAll build the next Snapshot aside and swap it in; they
+// serialize on a mutex that readers never take. Batches installed in a store
+// are never mutated.
 type Store struct {
-	mu     sync.RWMutex
+	cat *Catalog
+	// zones are the record zone maps. They are not part of a Snapshot: they
+	// are monotone statistics keyed by (uri, mtime, seqno), never
+	// query-visible data, so every snapshot benefits from entries collected
+	// while an older one was being read.
+	zones   *ZoneMaps
+	writeMu sync.Mutex // serializes writers; readers never take it
+	cur     atomic.Pointer[Snapshot]
+}
+
+// Snapshot is one published state of a Store: every table's batch, the
+// batch statistics of every table installed by Replace or ReplaceAll, and
+// the version. Nothing in it changes after publication.
+type Snapshot struct {
 	cat    *Catalog
 	data   map[string]*column.Batch
 	tstats map[string]*column.BatchZones
-	zones  *ZoneMaps
-	// version counts table mutations (AppendRow, Replace, ReplaceAll,
-	// Truncate). A snapshot carries the version it was taken at, so two
-	// snapshots with equal versions hold identical table contents and
-	// batch statistics — the key the warehouse plan/result caches hang
-	// their validity on.
+	// version counts publications, so two snapshots of one store with equal
+	// versions are the same value — the key the warehouse result cache hangs
+	// its validity on.
 	version int64
 }
 
 // NewStore creates a store with an empty batch per catalog table.
 func NewStore(cat *Catalog) *Store {
-	s := &Store{
-		cat:    cat,
-		data:   make(map[string]*column.Batch),
-		tstats: make(map[string]*column.BatchZones),
-		zones:  NewZoneMaps(),
-	}
+	sn := &Snapshot{cat: cat, data: make(map[string]*column.Batch), tstats: make(map[string]*column.BatchZones)}
 	for _, t := range cat.Tables() {
-		s.data[t.Name] = emptyBatch(t)
+		cols := make([]*column.Column, len(t.Columns))
+		for i, cd := range t.Columns {
+			cols[i] = column.New(cd.Name, cd.Type)
+		}
+		sn.data[t.Name] = column.MustNewBatch(cols...)
 	}
+	s := &Store{cat: cat, zones: NewZoneMaps()}
+	s.cur.Store(sn)
 	return s
-}
-
-func emptyBatch(t *TableDef) *column.Batch {
-	cols := make([]*column.Column, len(t.Columns))
-	for i, cd := range t.Columns {
-		cols[i] = column.New(cd.Name, cd.Type)
-	}
-	return column.MustNewBatch(cols...)
 }
 
 // Catalog returns the schema registry.
 func (s *Store) Catalog() *Catalog { return s.cat }
 
-// Snapshot returns a copy-on-write view of the store: it shares the batch
-// data loaded at the time of the call and is unaffected by later writes to
-// s. Queries execute against a snapshot so a concurrent Refresh cannot swap
-// tables out from under them mid-plan.
-func (s *Store) Snapshot() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data := make(map[string]*column.Batch, len(s.data))
-	for k, v := range s.data {
-		data[k] = v
-	}
-	tstats := make(map[string]*column.BatchZones, len(s.tstats))
-	for k, v := range s.tstats {
-		tstats[k] = v
-	}
-	// Record zone maps are shared, not copied: they are monotone statistics
-	// keyed by (uri, mtime, seqno), never query-visible data, so snapshots
-	// benefit from entries collected after the snapshot was taken.
-	return &Store{cat: s.cat, data: data, tstats: tstats, zones: s.zones, version: s.version}
-}
+// Snapshot returns the published state. Queries execute against one, so a
+// concurrent Refresh cannot swap tables out from under them mid-plan.
+func (s *Store) Snapshot() *Snapshot { return s.cur.Load() }
 
-// Version returns the store's mutation counter. Every AppendRow, Replace,
-// ReplaceAll or Truncate bumps it; a snapshot reports the version it was
-// taken at. Equal versions imply identical table contents and statistics.
-func (s *Store) Version() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
-
-// Zones returns the store's record zone-map collection (shared by all
-// snapshots of this store).
+// Zones returns the store's record zone-map collection.
 func (s *Store) Zones() *ZoneMaps { return s.zones }
 
-// TableZones returns the batch zone statistics of a table, or nil when none
-// are held (empty table, or a table assembled row-at-a-time).
-func (s *Store) TableZones(table string) *column.BatchZones {
-	t, ok := s.cat.Table(table)
-	if !ok {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tstats[t.Name]
-}
+// Table returns the published batch of a base table.
+func (s *Store) Table(name string) (*column.Batch, error) { return s.Snapshot().Table(name) }
 
-// Table returns the loaded batch of a base table.
-func (s *Store) Table(name string) (*column.Batch, error) {
-	t, ok := s.cat.Table(name)
-	if !ok {
-		return nil, fmt.Errorf("catalog: unknown table %q", name)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.data[t.Name], nil
-}
-
-// AppendRow appends one row of values to a table, checked against the
-// table definition. Load-time only: it mutates the live batch in place, so
-// it must not race queries snapshotting or scanning the table.
-func (s *Store) AppendRow(table string, vals ...column.Value) error {
-	t, ok := s.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("catalog: unknown table %q", table)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.data[t.Name]
-	if len(vals) != b.NumCols() {
-		return fmt.Errorf("catalog: %s has %d columns, got %d values", table, b.NumCols(), len(vals))
-	}
-	for i, v := range vals {
-		if err := b.ColAt(i).AppendValue(v); err != nil {
-			return fmt.Errorf("catalog: %s: %w", table, err)
-		}
-	}
-	delete(s.tstats, t.Name) // row-at-a-time growth makes range stats stale
-	s.version++
-	return nil
-}
+// Bytes reports the in-memory footprint of the published tables.
+func (s *Store) Bytes() int64 { return s.Snapshot().Bytes() }
 
 // validate checks a batch against a table definition.
-func (s *Store) validate(t *TableDef, b *column.Batch) error {
+func validate(t *TableDef, b *column.Batch) error {
 	if b.NumCols() != len(t.Columns) {
 		return fmt.Errorf("catalog: %s has %d columns, batch has %d", t.Name, len(t.Columns), b.NumCols())
 	}
@@ -157,87 +92,78 @@ func (s *Store) validate(t *TableDef, b *column.Batch) error {
 	return nil
 }
 
-// Replace swaps in a fully built batch for a table (bulk loading). The
+// Replace publishes a fully built batch for one table (bulk loading). The
 // batch column names and types must match the definition.
 func (s *Store) Replace(table string, b *column.Batch) error {
-	t, ok := s.cat.Table(table)
-	if !ok {
-		return fmt.Errorf("catalog: unknown table %q", table)
-	}
-	if err := s.validate(t, b); err != nil {
-		return err
-	}
-	zs := column.BuildZones(b, 0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data[t.Name] = b
-	s.tstats[t.Name] = zs
-	s.version++
-	return nil
+	return s.ReplaceAll(map[string]*column.Batch{table: b})
 }
 
-// ReplaceAll validates and swaps in batches for several tables as one
-// atomic commit: a concurrent Snapshot sees either every table before the
-// call or every table after it, never a mix. Refresh loads go through here
-// so queries cannot observe new files rows next to old records rows.
+// ReplaceAll validates batches for several tables, computes their
+// statistics, and publishes them as one new Snapshot: a reader sees either
+// every table before the call or every table after it, never a mix. Loads
+// and refreshes commit through here, so queries cannot observe new files
+// rows next to old records rows. A batch that fails validation publishes
+// nothing.
 func (s *Store) ReplaceAll(batches map[string]*column.Batch) error {
-	defs := make(map[string]*TableDef, len(batches))
+	data := make(map[string]*column.Batch, len(batches))
+	tstats := make(map[string]*column.BatchZones, len(batches))
 	for name, b := range batches {
 		t, ok := s.cat.Table(name)
 		if !ok {
 			return fmt.Errorf("catalog: unknown table %q", name)
 		}
-		if err := s.validate(t, b); err != nil {
+		if err := validate(t, b); err != nil {
 			return err
 		}
-		defs[name] = t
+		data[t.Name], tstats[t.Name] = b, column.BuildZones(b, 0)
 	}
-	zs := make(map[string]*column.BatchZones, len(batches))
-	for name, b := range batches {
-		zs[defs[name].Name] = column.BuildZones(b, 0)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, b := range batches {
-		s.data[defs[name].Name] = b
-		s.tstats[defs[name].Name] = zs[defs[name].Name]
-	}
-	s.version++
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	old := s.cur.Load()
+	next := &Snapshot{cat: s.cat, data: maps.Clone(old.data), tstats: maps.Clone(old.tstats), version: old.version + 1}
+	maps.Copy(next.data, data)
+	maps.Copy(next.tstats, tstats)
+	s.cur.Store(next)
 	return nil
 }
 
-// Truncate empties a table.
-func (s *Store) Truncate(table string) error {
-	t, ok := s.cat.Table(table)
+// Version identifies the snapshot among its store's publications: equal
+// versions imply identical table contents and statistics.
+func (sn *Snapshot) Version() int64 { return sn.version }
+
+// Table returns the batch of a base table.
+func (sn *Snapshot) Table(name string) (*column.Batch, error) {
+	t, ok := sn.cat.Table(name)
 	if !ok {
-		return fmt.Errorf("catalog: unknown table %q", table)
+		return nil, fmt.Errorf("catalog: unknown table %q", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data[t.Name] = emptyBatch(t)
-	delete(s.tstats, t.Name)
-	s.version++
-	return nil
+	return sn.data[t.Name], nil
 }
 
-// Bytes reports the in-memory footprint of all loaded tables.
-func (s *Store) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// TableZones returns the batch zone statistics of a table, or nil for a
+// table no Replace or ReplaceAll has installed yet (still empty).
+func (sn *Snapshot) TableZones(table string) *column.BatchZones {
+	t, ok := sn.cat.Table(table)
+	if !ok {
+		return nil
+	}
+	return sn.tstats[t.Name]
+}
+
+// Bytes reports the in-memory footprint of all tables.
+func (sn *Snapshot) Bytes() int64 {
 	var n int64
-	for _, b := range s.data {
+	for _, b := range sn.data {
 		n += b.Bytes()
 	}
 	return n
 }
 
 // Rows reports the row count of a table (0 for unknown names).
-func (s *Store) Rows(table string) int {
-	t, ok := s.cat.Table(table)
+func (sn *Snapshot) Rows(table string) int {
+	t, ok := sn.cat.Table(table)
 	if !ok {
 		return 0
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.data[t.Name].NumRows()
+	return sn.data[t.Name].NumRows()
 }

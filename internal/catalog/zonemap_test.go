@@ -65,26 +65,31 @@ func TestZoneMapsMtimeInvalidation(t *testing.T) {
 }
 
 // TestSnapshotSharesZones pins the persistence contract: zone maps live on
-// the catalog store and are SHARED across snapshots (statistics are monotone
+// the catalog store, outside its snapshots (statistics are monotone
 // metadata, not query-visible data), so zones collected by a query running
-// against an older snapshot benefit every later query.
+// against an older snapshot survive every later publication.
 func TestSnapshotSharesZones(t *testing.T) {
 	s := NewStore(MSEED())
-	snap := s.Snapshot()
+	zm := s.Zones()
 
 	mt := time.Unix(42, 0)
-	snap.Zones().PutRun("x", mt, []int{7}, []ZoneEntry{{Min: -1, Max: 1, Finite: 2, Samples: 2}})
-	if z, ok := s.Zones().Get("x", mt, 7); !ok || z.Max != 1 {
-		t.Fatalf("zone written through a snapshot not visible on the store: %+v, %v", z, ok)
+	zm.PutRun("x", mt, []int{7}, []ZoneEntry{{Min: -1, Max: 1, Finite: 2, Samples: 2}})
+	if err := s.ReplaceAll(map[string]*column.Batch{TableData: column.MustNewBatch(
+		column.New("file_id", column.Int64), column.New("seqno", column.Int64),
+		column.New("sample_time", column.Timestamp), column.New("sample_value", column.Float64),
+	)}); err != nil {
+		t.Fatal(err)
 	}
-	if s.Zones() != snap.Zones() {
-		t.Fatal("snapshot must share the store's ZoneMaps instance")
+	if s.Zones() != zm {
+		t.Fatal("a publication replaced the store's ZoneMaps instance")
+	}
+	if z, ok := s.Zones().Get("x", mt, 7); !ok || z.Max != 1 {
+		t.Fatalf("zone collected before a publication lost after it: %+v, %v", z, ok)
 	}
 }
 
 // TestReplaceComputesTableZones checks the stored-table side: installing a
-// batch computes per-range statistics, and AppendRow/Truncate discard them
-// (row-at-a-time growth makes range stats stale).
+// batch computes per-range statistics, which its snapshot carries.
 func TestReplaceComputesTableZones(t *testing.T) {
 	s := NewStore(MSEED())
 	n := 100
@@ -110,7 +115,11 @@ func TestReplaceComputesTableZones(t *testing.T) {
 	if err := s.ReplaceAll(map[string]*column.Batch{TableData: b}); err != nil {
 		t.Fatal(err)
 	}
-	bz := s.TableZones(TableData)
+	if s.Snapshot().TableZones(TableFiles) != nil {
+		t.Fatal("a table no Replace installed has zones")
+	}
+	snap := s.Snapshot()
+	bz := snap.TableZones(TableData)
 	if bz == nil || bz.Rows != n {
 		t.Fatalf("table zones = %+v", bz)
 	}
@@ -119,28 +128,15 @@ func TestReplaceComputesTableZones(t *testing.T) {
 		t.Fatalf("sample_value zones = %+v", zs)
 	}
 
-	if err := s.AppendRow(TableData,
-		column.Value{Type: column.Int64, I: 1},
-		column.Value{Type: column.Int64, I: int64(n)},
-		column.Value{Type: column.Timestamp, I: 0},
-		column.Value{Type: column.Float64, F: 1e9},
-	); err != nil {
+	// Replace publishes the next batch's statistics with it; the earlier
+	// snapshot keeps its own.
+	if err := s.Replace(TableData, b.Slice(n/2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.TableZones(TableData) != nil {
-		t.Fatal("AppendRow must drop stale table zones")
+	if got := s.Snapshot().TableZones(TableData); got == nil || got.Rows != n/2 {
+		t.Fatalf("table zones after Replace = %+v", got)
 	}
-
-	if err := s.Replace(TableData, b); err != nil {
-		t.Fatal(err)
-	}
-	if s.TableZones(TableData) == nil {
-		t.Fatal("Replace must rebuild table zones")
-	}
-	if err := s.Truncate(TableData); err != nil {
-		t.Fatal(err)
-	}
-	if s.TableZones(TableData) != nil {
-		t.Fatal("Truncate must drop table zones")
+	if snap.TableZones(TableData) != bz {
+		t.Fatal("a publication changed an earlier snapshot's table zones")
 	}
 }

@@ -163,37 +163,20 @@ type Stats struct {
 	Duration time.Duration
 }
 
-// repoSnapshot pairs one repository scan with its dense file-id
-// assignment. The engine publishes the current snapshot through an atomic
-// pointer: refreshes build a fresh snapshot and swap it in, while each
-// extraction captures one snapshot up front and works against it for the
-// whole call — a refresh landing mid-extraction cannot tear the view.
-type repoSnapshot struct {
-	repo *repo.Repository
-	// fileID assigns dense ids in repository order; stable per snapshot.
-	fileID map[string]int64
-	// version is the engine's publication counter for this snapshot:
-	// every swap (initial load, RefreshMetadata, RefreshAll) gets a new
-	// version, so equal versions imply the identical metadata view.
-	version int64
-}
-
-func newRepoSnapshot(rp *repo.Repository) *repoSnapshot {
-	sn := &repoSnapshot{repo: rp, fileID: make(map[string]int64, len(rp.Files))}
-	for i, f := range rp.Files {
-		sn.fileID[f.URI] = int64(i)
-	}
-	return sn
-}
-
-// Engine drives ETL for one repository snapshot into one store.
+// Engine drives ETL for one repository into one store.
 type Engine struct {
-	snap atomic.Pointer[repoSnapshot]
-	// snapVersion feeds repoSnapshot.version at each publication.
-	snapVersion atomic.Int64
-	store       *catalog.Store
-	cache       *recycler.Cache
-	opts        Options
+	// root is the repository's directory, fixed at New: extraction opens a
+	// record's file as root joined with its F.uri, so the store snapshot a
+	// query reads alone decides which files it reads.
+	root string
+	// rp is the listing the published tables were loaded from.
+	rp    atomic.Pointer[repo.Repository]
+	store *catalog.Store
+	cache *recycler.Cache
+	opts  Options
+	// loadMu serializes loads and refreshes: each builds the next tables
+	// from its own listing and publishes them, or nothing, as one.
+	loadMu sync.Mutex
 
 	// xstats counters are updated atomically: prefetch workers and the
 	// consumer extract concurrently.
@@ -256,7 +239,7 @@ func (e *Engine) putScratch(sc *extractScratch) {
 	e.scratch.Put(sc)
 }
 
-// New creates an engine over a repository snapshot.
+// New creates an engine over a repository listing.
 func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 	opts.fill()
 	budget := opts.CacheBudget
@@ -264,61 +247,70 @@ func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 		budget = 0
 	}
 	e := &Engine{
+		root:  rp.Root,
 		store: store,
 		cache: recycler.New(budget),
 		opts:  opts,
 	}
-	e.publish(newRepoSnapshot(rp))
+	e.rp.Store(rp)
 	e.scratch.New = func() any { return new(extractScratch) }
 	return e
-}
-
-// publish swaps in a fresh repository snapshot under a new version.
-func (e *Engine) publish(sn *repoSnapshot) {
-	sn.version = e.snapVersion.Add(1)
-	e.snap.Store(sn)
 }
 
 // Cache exposes the recycler for inspection (demo point 7).
 func (e *Engine) Cache() *recycler.Cache { return e.cache }
 
-// Repository returns the engine's current repository snapshot.
-func (e *Engine) Repository() *repo.Repository { return e.snap.Load().repo }
-
-// SnapshotVersion identifies the currently published repository snapshot.
-// It changes on every swap (initial load and each refresh); equal versions
-// imply the identical repository metadata view. The warehouse result cache
-// keys on it so an entry computed against a superseded snapshot can never
-// be served.
-func (e *Engine) SnapshotVersion() int64 { return e.snap.Load().version }
+// Repository returns the listing the published tables were loaded from.
+func (e *Engine) Repository() *repo.Repository { return e.rp.Load() }
 
 // LoadMetadata is the lazy initial load: header-only scans fill the two
 // metadata tables; mseed.data stays empty. Stats.BytesRead counts the header
 // bytes parsed, 64 a record.
-func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false) }
+func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false, false) }
 
 // LoadAll is the eager initial load: the lazy load, and then mseed.data is
 // the extraction stream drained over every record it loaded — no prune, no
 // window, one prefetch worker per processor. Stats.BytesRead is every byte
 // of every file.
-func (e *Engine) LoadAll() (Stats, error) { return e.load(true) }
+func (e *Engine) LoadAll() (Stats, error) { return e.load(true, false) }
 
-// load fills the metadata tables from a header scan of every file and, when
-// eager, mseed.data from one extraction over them, and commits all three as
-// one.
-func (e *Engine) load(eager bool) (Stats, error) {
-	start := time.Now()
+// RefreshMetadata re-opens the repository (picking up added, removed and
+// modified files) and reloads the metadata tables from it. Cached entries
+// of modified files are invalidated lazily via their mtime; entries of
+// removed files are dropped here.
+func (e *Engine) RefreshMetadata() (Stats, error) { return e.load(false, true) }
+
+// RefreshAll is the eager counterpart of RefreshMetadata: re-open and run
+// the eager load again (the traditional warehouse refresh).
+func (e *Engine) RefreshAll() (Stats, error) { return e.load(true, true) }
+
+// load fills the metadata tables from a header scan of every file of the
+// listing — a fresh one when rescan — and, when eager, mseed.data from one
+// extraction over them. It publishes the three tables, and then the
+// listing, only if every step succeeded: a failed load leaves the published
+// state as it was.
+func (e *Engine) load(eager, rescan bool) (Stats, error) {
+	e.loadMu.Lock()
+	defer e.loadMu.Unlock()
 	var st Stats
-	sn := e.snap.Load()
+	old := e.rp.Load()
+	rp := old
+	if rescan {
+		var err error
+		if rp, err = repo.Open(e.root); err != nil {
+			return st, err
+		}
+	}
+	start := time.Now()
 	fb := newFilesBuilder()
 	rb := newRecordsBuilder()
-	scans, errs := scanFiles(sn.repo.Files)
-	for x, f := range sn.repo.Files {
+	scans, errs := scanFiles(rp.Files)
+	for x, f := range rp.Files {
 		infos, err := scans[x], errs[x]
 		if err != nil {
 			return st, fmt.Errorf("etl: metadata scan %s: %w", f.URI, err)
 		}
-		id := sn.fileID[f.URI]
+		id := int64(x) // dense ids in repository order
 		fb.add(id, f, infos)
 		for _, ri := range infos {
 			rb.add(id, ri)
@@ -335,7 +327,7 @@ func (e *Engine) load(eager bool) (Stats, error) {
 		if data, err = e.extractData(files, records); err != nil {
 			return st, err
 		}
-		st.BytesRead = sn.repo.TotalSize()
+		st.BytesRead = rp.TotalSize()
 	}
 	// One atomic commit: a concurrent query snapshot sees either the old
 	// or the new metadata, never files rows from one scan next to records
@@ -346,6 +338,17 @@ func (e *Engine) load(eager bool) (Stats, error) {
 		catalog.TableData:    data,
 	}); err != nil {
 		return st, err
+	}
+	e.rp.Store(rp)
+	// Drop cache entries for files that no longer exist.
+	known := make(map[string]bool, len(rp.Files))
+	for _, f := range rp.Files {
+		known[f.URI] = true
+	}
+	for _, f := range old.Files {
+		if !known[f.URI] {
+			e.cache.InvalidateFile(f.URI)
+		}
 	}
 	st.Duration = time.Since(start)
 	return st, nil
@@ -412,41 +415,6 @@ func (e *Engine) extractData(files, records *column.Batch) (*column.Batch, error
 		cols[i] = data.ColAt(i).WithName(cd.Name)
 	}
 	return column.NewBatch(cols...)
-}
-
-// RefreshMetadata re-opens the repository (picking up added, removed and
-// modified files) and reloads the metadata tables. Cached entries of
-// modified files are invalidated lazily via their mtime; entries of
-// removed files are dropped here.
-func (e *Engine) RefreshMetadata() (Stats, error) {
-	old := e.snap.Load()
-	fresh, err := repo.Open(old.repo.Root)
-	if err != nil {
-		return Stats{}, err
-	}
-	// Drop cache entries for files that no longer exist.
-	known := make(map[string]bool, len(fresh.Files))
-	for _, f := range fresh.Files {
-		known[f.URI] = true
-	}
-	for _, f := range old.repo.Files {
-		if !known[f.URI] {
-			e.cache.InvalidateFile(f.URI)
-		}
-	}
-	e.publish(newRepoSnapshot(fresh))
-	return e.LoadMetadata()
-}
-
-// RefreshAll is the eager counterpart of RefreshMetadata: re-open and run
-// the eager load again (the traditional warehouse refresh).
-func (e *Engine) RefreshAll() (Stats, error) {
-	fresh, err := repo.Open(e.snap.Load().repo.Root)
-	if err != nil {
-		return Stats{}, err
-	}
-	e.publish(newRepoSnapshot(fresh))
-	return e.LoadAll()
 }
 
 // convert applies the value-level transformations — calibration gain, then

@@ -45,14 +45,14 @@ func TestLoadMetadataVsLoadAll(t *testing.T) {
 	if st.Files != 15 || st.Records == 0 {
 		t.Fatalf("metadata stats: %+v", st)
 	}
-	if store.Rows(catalog.TableFiles) != 15 {
-		t.Errorf("files rows = %d", store.Rows(catalog.TableFiles))
+	if store.Snapshot().Rows(catalog.TableFiles) != 15 {
+		t.Errorf("files rows = %d", store.Snapshot().Rows(catalog.TableFiles))
 	}
-	if store.Rows(catalog.TableRecords) != st.Records {
-		t.Errorf("records rows = %d, want %d", store.Rows(catalog.TableRecords), st.Records)
+	if store.Snapshot().Rows(catalog.TableRecords) != st.Records {
+		t.Errorf("records rows = %d, want %d", store.Snapshot().Rows(catalog.TableRecords), st.Records)
 	}
-	if store.Rows(catalog.TableData) != 0 {
-		t.Errorf("data rows = %d, want 0", store.Rows(catalog.TableData))
+	if store.Snapshot().Rows(catalog.TableData) != 0 {
+		t.Errorf("data rows = %d, want 0", store.Snapshot().Rows(catalog.TableData))
 	}
 	metaBytes := st.BytesRead
 
@@ -60,8 +60,8 @@ func TestLoadMetadataVsLoadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(store.Rows(catalog.TableData)) != st2.Samples {
-		t.Errorf("data rows = %d, want %d", store.Rows(catalog.TableData), st2.Samples)
+	if int64(store.Snapshot().Rows(catalog.TableData)) != st2.Samples {
+		t.Errorf("data rows = %d, want %d", store.Snapshot().Rows(catalog.TableData), st2.Samples)
 	}
 	if st2.Samples != int64(15*2000) {
 		t.Errorf("samples = %d, want %d", st2.Samples, 15*2000)
@@ -137,7 +137,7 @@ func runLazyQueryErr(e *Engine, store *catalog.Store, q string) (*column.Batch, 
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(plans.Root, &plan.Env{Store: store, Source: e})
+	return plan.Execute(plans.Root, &plan.Env{Store: store.Snapshot(), Source: e})
 }
 
 func TestExtractTransformsValues(t *testing.T) {
@@ -252,7 +252,7 @@ func TestRefreshMetadataDropsRemovedFiles(t *testing.T) {
 	if _, err := e.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	before := store.Rows(catalog.TableFiles)
+	before := store.Snapshot().Rows(catalog.TableFiles)
 
 	// Warm the cache, then remove one file.
 	runLazyQuery(t, e, store, `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'WIT'`)
@@ -272,7 +272,7 @@ func TestRefreshMetadataDropsRemovedFiles(t *testing.T) {
 	if _, err := e.RefreshMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Rows(catalog.TableFiles); got != before-1 {
+	if got := store.Snapshot().Rows(catalog.TableFiles); got != before-1 {
 		t.Errorf("files after refresh = %d, want %d", got, before-1)
 	}
 	_ = dir
@@ -349,7 +349,7 @@ func TestLoadMetadataRejectsYearPast2261(t *testing.T) {
 	if !errors.Is(err, mseed.ErrBadHeader) || !strings.Contains(err.Error(), "future.mseed") || !strings.Contains(err.Error(), "offset 512") {
 		t.Fatalf("LoadMetadata error %v, want ErrBadHeader naming future.mseed and offset 512", err)
 	}
-	if n := store.Rows(catalog.TableRecords); n != 0 {
+	if n := store.Snapshot().Rows(catalog.TableRecords); n != 0 {
 		t.Errorf("a failed load installed %d records", n)
 	}
 }
@@ -434,7 +434,7 @@ func TestScanFilePanicContainment(t *testing.T) {
 			if uri := e.Repository().Files[lowest].URI; !errors.As(err, &pe) || pe.Value != fmt.Sprintf("scan boom %d", lowest) || !strings.Contains(err.Error(), uri) {
 				t.Errorf("%s with files %v panicking: want file %d's PanicError naming %s, got %v", name, bad, lowest, uri, err)
 			}
-			if store.Rows(catalog.TableRecords) != st.Records || store.Rows(catalog.TableData) != 0 {
+			if store.Snapshot().Rows(catalog.TableRecords) != st.Records || store.Snapshot().Rows(catalog.TableData) != 0 {
 				t.Errorf("%s: a failed load committed", name)
 			}
 		}
@@ -443,7 +443,7 @@ func TestScanFilePanicContainment(t *testing.T) {
 	if _, err := e.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if store.Rows(catalog.TableData) != 15*500 {
-		t.Errorf("data rows = %d after the panics, want %d", store.Rows(catalog.TableData), 15*500)
+	if store.Snapshot().Rows(catalog.TableData) != 15*500 {
+		t.Errorf("data rows = %d after the panics, want %d", store.Snapshot().Rows(catalog.TableData), 15*500)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -232,26 +233,20 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		recLens = c.Int64s()
 	}
 
-	// Capture one repository snapshot for the whole extraction: a refresh
-	// landing mid-call swaps the engine's snapshot pointer but cannot
-	// change which files this extraction resolves against.
-	sn := e.snap.Load()
-
-	// Stat each distinct file once per query for staleness checks.
+	// Stat each distinct file once per query for staleness checks. A file
+	// is the repository root joined with its uri: the metadata batch, cut
+	// from the query's store snapshot, alone decides what is read.
 	states := make(map[string]*fileState)
 	stateOf := func(uri string) (*fileState, error) {
 		if fs, ok := states[uri]; ok {
 			return fs, nil
 		}
-		f, ok := sn.repo.Lookup(uri)
-		if !ok {
-			return nil, fmt.Errorf("etl: file %q not in repository snapshot; run a metadata refresh", uri)
-		}
-		info, err := os.Stat(f.AbsPath)
+		path := filepath.Join(e.root, filepath.FromSlash(uri))
+		info, err := os.Stat(path)
 		if err != nil {
 			return nil, fmt.Errorf("etl: stat %s: %w", uri, err)
 		}
-		fs := &fileState{uri: uri, path: f.AbsPath, mtime: info.ModTime(), size: info.Size()}
+		fs := &fileState{uri: uri, path: path, mtime: info.ModTime(), size: info.Size()}
 		states[uri] = fs
 		return fs, nil
 	}

@@ -38,7 +38,7 @@ func runQueryEnv(e *Engine, store *catalog.Store, q string, workers, morselRows 
 	if ref {
 		run = reference.Execute
 	}
-	return run(plans.Root, &plan.Env{Store: store, Source: e, Pool: exec.NewPoolMorsel(workers, morselRows)})
+	return run(plans.Root, &plan.Env{Store: store.Snapshot(), Source: e, Pool: exec.NewPoolMorsel(workers, morselRows)})
 }
 
 // TestStreamMatchesExtract requires the streamed universal table (consumed
@@ -167,7 +167,7 @@ func dataviewMeta(t testing.TB, store *catalog.Store, q string) *column.Batch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: store})
+	meta, err := plan.Execute(plans.Root.(*plan.LazyExtract).Meta, &plan.Env{Store: store.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func (NopObserver) TraceSpan() *obs.Span                      { return nil }
 
 // Env carries everything plan execution needs.
 type Env struct {
-	Store  *catalog.Store
+	Store  *catalog.Snapshot
 	Source ExtractSource // required for Lazy/External plans
 	Obs    Observer      // defaults to NopObserver
 	// Pool is the morsel-driven worker pool operators run on. nil (or a

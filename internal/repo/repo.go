@@ -84,29 +84,6 @@ func (r *Repository) TotalSize() int64 {
 	return n
 }
 
-// Lookup returns the file with the given URI, or false.
-func (r *Repository) Lookup(uri string) (File, bool) {
-	i := sort.Search(len(r.Files), func(i int) bool { return r.Files[i].URI >= uri })
-	if i < len(r.Files) && r.Files[i].URI == uri {
-		return r.Files[i], true
-	}
-	return File{}, false
-}
-
-// StatMtime re-reads the current modification time of a file by URI. The
-// lazy cache uses this to detect updates made after the snapshot.
-func (r *Repository) StatMtime(uri string) (time.Time, error) {
-	f, ok := r.Lookup(uri)
-	if !ok {
-		return time.Time{}, fmt.Errorf("repo: unknown file %q", uri)
-	}
-	info, err := os.Stat(f.AbsPath)
-	if err != nil {
-		return time.Time{}, err
-	}
-	return info.ModTime(), nil
-}
-
 // Touch sets a file's modification time to now (or a given time), used by
 // tests and the demo to simulate repository updates without changing
 // content.

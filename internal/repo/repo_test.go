@@ -41,38 +41,6 @@ func TestOpenFindsOnlyMseedFiles(t *testing.T) {
 	}
 }
 
-func TestLookupAndStatMtime(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "a.mseed")
-	writeFile(t, p, 128)
-	rp, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, ok := rp.Lookup("a.mseed")
-	if !ok || f.Size != 128 {
-		t.Fatalf("lookup: %+v %v", f, ok)
-	}
-	if _, ok := rp.Lookup("nope.mseed"); ok {
-		t.Error("lookup of missing file succeeded")
-	}
-
-	at := time.Now().Add(2 * time.Hour).Truncate(time.Second)
-	if err := Touch(p, at); err != nil {
-		t.Fatal(err)
-	}
-	mt, err := rp.StatMtime("a.mseed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mt.Equal(at) {
-		t.Errorf("mtime = %v, want %v", mt, at)
-	}
-	if _, err := rp.StatMtime("nope.mseed"); err == nil {
-		t.Error("StatMtime of unknown URI should fail")
-	}
-}
-
 func TestTouchDefaultsToNow(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a.mseed")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/column"
 	"repro/internal/obs"
 	"repro/internal/seisgen"
 )
@@ -92,16 +93,16 @@ func referenceAnswers(t *testing.T, dir string) map[string]string {
 
 // TestIndexJoinPathSelection checks that the data, not a setting, picks the
 // join's access path: a loaded records table (stored in file_id order)
-// takes the index probe; the same records installed out of file_id order
-// through Store.Replace, or assembled row by row with AppendRow (which keeps
-// no statistics), take the hash path — and all three answer as the
-// reference does, row for row.
+// takes the index probe, and so does a copy of it assembled row by row and
+// installed through Store.Replace; the same records installed out of
+// file_id order take the hash path — and all three answer as the reference
+// does, row for row.
 func TestIndexJoinPathSelection(t *testing.T) {
 	dir := genRepo(t, 3000)
 	want := referenceAnswers(t, dir)
 
 	w := openWH(t, dir, Lazy)
-	if bz := w.store.TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
+	if bz := w.store.Snapshot().TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
 		t.Fatal("a loaded records table is not marked sorted on file_id")
 	}
 	checkJoinPath(t, "loaded", w, want, true)
@@ -129,24 +130,28 @@ func TestIndexJoinPathSelection(t *testing.T) {
 	if err := reversed.store.Replace(catalog.TableRecords, records.Gather(sel)); err != nil {
 		t.Fatal(err)
 	}
-	if reversed.store.TableZones(catalog.TableRecords).Sorted["file_id"] {
+	if reversed.store.Snapshot().TableZones(catalog.TableRecords).Sorted["file_id"] {
 		t.Fatal("records out of file_id order are marked sorted")
 	}
 	checkJoinPath(t, "out of order", reversed, want, false)
 
 	appended := openWH(t, dir, Lazy)
-	if err := appended.store.Truncate(catalog.TableRecords); err != nil {
-		t.Fatal(err)
+	var cols []*column.Column
+	for _, name := range records.Names() {
+		c, _ := records.Col(name)
+		cols = append(cols, column.New(name, c.Type()))
 	}
 	for i := 0; i < records.NumRows(); i++ {
-		if err := appended.store.AppendRow(catalog.TableRecords, records.Row(i)...); err != nil {
-			t.Fatal(err)
+		for c, v := range records.Row(i) {
+			if err := cols[c].AppendValue(v); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if appended.store.TableZones(catalog.TableRecords) != nil {
-		t.Fatal("a table built row by row holds statistics")
+	if err := appended.store.Replace(catalog.TableRecords, column.MustNewBatch(cols...)); err != nil {
+		t.Fatal(err)
 	}
-	checkJoinPath(t, "appended", appended, want, false)
+	checkJoinPath(t, "appended", appended, want, true)
 }
 
 // TestIndexJoinAfterRefresh adds a station whose files sort into the middle
@@ -171,7 +176,7 @@ func TestIndexJoinAfterRefresh(t *testing.T) {
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if bz := w.store.TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
+	if bz := w.store.Snapshot().TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
 		t.Fatal("the refreshed records table is not marked sorted on file_id")
 	}
 	res, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'EXT'`)
@@ -230,7 +235,7 @@ func TestIndexJoinCountsSkippedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.Stats()
-	records := int64(w.store.Rows(catalog.TableRecords))
+	records := int64(w.store.Snapshot().Rows(catalog.TableRecords))
 	var examined, kept int64
 	event := lastLog(w, "join")
 	if _, err := fmt.Sscanf(event, "F.file_id = R.file_id: index on R.file_id: 1 probe rows, %d rows examined -> %d rows", &examined, &kept); err != nil {

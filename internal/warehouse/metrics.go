@@ -18,7 +18,7 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	for c := obs.QueryClass(0); c < obs.NumClasses; c++ {
 		b = obs.AppendHistogram(b, "lazyetl_query_duration_seconds", c.Label(), m.Query[c].Snapshot())
 	}
-	b = obs.AppendHeader(b, "lazyetl_admit_wait_seconds", "histogram", "Time a query waited for an admission slot and the snapshot lock (a refresh drain).")
+	b = obs.AppendHeader(b, "lazyetl_admit_wait_seconds", "histogram", "Time a query waited for an admission slot.")
 	b = obs.AppendHistogram(b, "lazyetl_admit_wait_seconds", "", m.Admit.Snapshot())
 
 	b = obs.AppendCounter(b, "lazyetl_queries_total", "Queries admitted for execution.", w.queries.Load())
@@ -70,15 +70,7 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendSecondsCounter(b, "lazyetl_spill_seconds_total", "Time spent writing spill files and rebuilding spilled partitions.", es.SpillNanos)
 	b = obs.AppendCounter(b, "lazyetl_scan_rows_skipped_total", "Scan rows never looked at: inside zone ranges proved irrelevant, or outside every key range an index-probed join searched.", es.ScanRowsSkipped)
 
-	// Read Bytes/Rows straight off the live store (RLock, no allocation)
-	// rather than through a Snapshot, whose map copies would defeat the
-	// zero-allocation scrape path.
-	b = obs.AppendGauge(b, "lazyetl_store_bytes", "In-memory footprint of the loaded tables.", w.store.Bytes())
-	b = obs.AppendGauge(b, "lazyetl_store_data_rows", "Rows materialized in the data table.", int64(w.store.Rows(catalog.TableData)))
-
-	ready := int64(0)
-	if w.Ready() {
-		ready = 1
-	}
-	return obs.AppendGauge(b, "lazyetl_ready", "1 when serving normally, 0 while a refresh drains and rebuilds.", ready)
+	sn := w.store.Snapshot()
+	b = obs.AppendGauge(b, "lazyetl_store_bytes", "In-memory footprint of the loaded tables.", sn.Bytes())
+	return obs.AppendGauge(b, "lazyetl_store_data_rows", "Rows materialized in the data table.", int64(sn.Rows(catalog.TableData)))
 }

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -278,91 +279,78 @@ func TestLogSeqAndSeverity(t *testing.T) {
 	}
 }
 
-// TestFailedRefreshIsAccounted: a Refresh that cannot scan the repository
-// (its directory vanished) is one counted, error-severity log entry, leaves
-// the warehouse ready and its state untouched — once the directory is back
-// the next answer is bit-identical to the one before.
+// TestFailedRefreshIsAccounted: a Refresh that fails — the repository's
+// directory vanished, or a file's header scan fails — is one counted,
+// error-severity log entry and publishes nothing: the repository listing is
+// unchanged, and the repeat of a cached answer is a result-cache hit,
+// bit-identical to the answer before.
 func TestFailedRefreshIsAccounted(t *testing.T) {
-	dir := genRepo(t, 1500)
-	w := openWH(t, dir, Lazy)
-	want, err := w.Query(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone := dir + ".gone"
-	if err := os.Rename(dir, gone); err != nil {
-		t.Fatal(err)
-	}
-	w.ClearLog()
-	errs := w.Metrics().Errors.Load()
-	if _, err := w.Refresh(); err == nil {
-		t.Fatal("refresh of a vanished repository succeeded")
-	}
-	if err := os.Rename(gone, dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Metrics().Errors.Load(); got != errs+1 {
-		t.Errorf("error counter moved by %d, want 1", got-errs)
-	}
-	var entries int
-	for _, e := range w.Log() {
-		if e.Level >= SeverityError {
-			entries++
-			if e.Op != "error" || !strings.Contains(e.Detail, "refresh failed") {
-				t.Errorf("unexpected error entry %q: %s", e.Op, e.Detail)
+	cases := []struct {
+		name        string
+		break_, fix func(t *testing.T, dir string)
+	}{
+		{"vanished repository", func(t *testing.T, dir string) {
+			if err := os.Rename(dir, dir+".gone"); err != nil {
+				t.Fatal(err)
 			}
-		}
+		}, func(t *testing.T, dir string) {
+			if err := os.Rename(dir+".gone", dir); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"corrupt file", func(t *testing.T, dir string) {
+			junk := []byte(strings.Repeat("not a miniSEED record ", 24))
+			if err := os.WriteFile(filepath.Join(dir, "zz_corrupt.mseed"), junk, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, func(*testing.T, string) {}},
 	}
-	if entries != 1 {
-		t.Errorf("%d error-severity entries after a failed refresh, want 1", entries)
-	}
-	if !w.Ready() {
-		t.Error("warehouse not ready after a failed refresh")
-	}
-	got, err := w.Query(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderExact(got.Batch) != renderExact(want.Batch) {
-		t.Errorf("answer changed across a failed refresh\nwant:\n%s\ngot:\n%s", renderExact(want.Batch), renderExact(got.Batch))
-	}
-}
-
-// TestReadyDuringRefresh checks the readiness signal: a warehouse is
-// not-ready for the whole refresh window, including the drain phase where
-// Refresh is blocked behind in-flight queries.
-func TestReadyDuringRefresh(t *testing.T) {
-	dir := genRepo(t, 1500)
-	w := openWH(t, dir, Lazy)
-	if !w.Ready() {
-		t.Fatal("fresh warehouse not ready")
-	}
-
-	// Hold the snapshot read-lock like an in-flight query would, so
-	// Refresh blocks in its drain; readiness must drop immediately.
-	w.refreshMu.RLock()
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Refresh()
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Ready() {
-		if time.Now().After(deadline) {
-			w.refreshMu.RUnlock()
-			t.Fatal("warehouse still ready while a refresh is draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	w.refreshMu.RUnlock()
-	if err := <-done; err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
-	if !w.Ready() {
-		t.Error("warehouse not ready after refresh completed")
-	}
-	if got := w.Metrics().Query[obs.ClassRefresh].Snapshot().Count; got != 1 {
-		t.Errorf("refresh-class histogram count = %d, want 1", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := genRepo(t, 1500)
+			w := openWH(t, dir, Lazy)
+			want, err := w.Query(q2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listing := w.Engine().Repository()
+			tc.break_(t, dir)
+			w.ClearLog()
+			errs := w.Metrics().Errors.Load()
+			if _, err := w.Refresh(); err == nil {
+				t.Fatal("refresh succeeded")
+			}
+			tc.fix(t, dir)
+			if got := w.Metrics().Errors.Load(); got != errs+1 {
+				t.Errorf("error counter moved by %d, want 1", got-errs)
+			}
+			var entries int
+			for _, e := range w.Log() {
+				if e.Level >= SeverityError {
+					entries++
+					if e.Op != "error" || !strings.Contains(e.Detail, "refresh failed") {
+						t.Errorf("unexpected error entry %q: %s", e.Op, e.Detail)
+					}
+				}
+			}
+			if entries != 1 {
+				t.Errorf("%d error-severity entries after a failed refresh, want 1", entries)
+			}
+			if got := w.Engine().Repository(); got != listing {
+				t.Errorf("repository listing changed across a failed refresh: %d files, was %d", len(got.Files), len(listing.Files))
+			}
+			hits := w.Stats().QueryCache.ResultHits
+			got, err := w.Query(q2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qc := w.Stats().QueryCache; qc.ResultHits != hits+1 || qc.ResultEntries != 1 {
+				t.Errorf("repeat after a failed refresh: %+d result hits, %d entries; want +1 and 1", qc.ResultHits-hits, qc.ResultEntries)
+			}
+			if renderExact(got.Batch) != renderExact(want.Batch) {
+				t.Errorf("answer changed across a failed refresh\nwant:\n%s\ngot:\n%s", renderExact(want.Batch), renderExact(got.Batch))
+			}
+		})
 	}
 }
 

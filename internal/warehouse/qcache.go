@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/mem"
 	"repro/internal/plan"
@@ -23,13 +24,13 @@ import (
 // plans carry no snapshot version and survive a Refresh.
 //
 // Tier 2 caches completed results, keyed by (normalized SQL + parameters,
-// store snapshot version, repo-metadata snapshot version) and guarded by the
-// per-file stamps the extraction reported: a hit re-stats every source file
-// the answer depends on and is dropped when any mtime/size moved, the same
-// staleness contract the recycler cache and the zone maps use. Entries are
-// byte-charged to the warehouse mem.Ledger, so cached results compete with
-// the recycler and operator working sets under the one global budget, and
-// admission is declined — never blocked — under pressure.
+// store snapshot version) and guarded by the per-file stamps the extraction
+// reported: a hit re-stats every source file the answer depends on and is
+// dropped when any mtime/size moved, the same staleness contract the
+// recycler cache and the zone maps use. Entries are byte-charged to the
+// warehouse mem.Ledger, so cached results compete with the recycler and
+// operator working sets under the one global budget, and admission is
+// declined — never blocked — under pressure.
 //
 // Both tiers admit only what repeats: each is a segCache (2Q), where a new
 // plan or answer waits in probation and reaches the protected LRU, governed
@@ -37,7 +38,10 @@ import (
 // literals holds at most probationCap entries of either tier instead of
 // filling the result budget with answers nobody asks for again.
 type queryCache struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// store is the live store: an answer is admitted only while the snapshot
+	// it was computed on is still the published one.
+	store   *catalog.Store
 	stmts   map[string]*Prepared
 	plans   *segCache[string, *planEntry]      // cost 1 each against maxPlans
 	results *segCache[resultKey, *resultEntry] // cost in bytes against resultBudget
@@ -77,8 +81,8 @@ func (pe *planEntry) trace() Trace {
 }
 
 type resultKey struct {
-	sqlKey            string
-	storeVer, repoVer int64
+	sqlKey  string
+	version int64 // the store snapshot's
 }
 
 type resultEntry struct {
@@ -99,8 +103,9 @@ func (e *resultEntry) fresh() bool {
 	return true
 }
 
-func newQueryCache(ledger *mem.Ledger) *queryCache {
+func newQueryCache(ledger *mem.Ledger, store *catalog.Store) *queryCache {
 	return &queryCache{
+		store:   store,
 		stmts:   make(map[string]*Prepared),
 		plans:   newSegCache[string, *planEntry](maxPlans, nil),
 		results: newSegCache[resultKey, *resultEntry](resultBudget, ledger),
@@ -184,9 +189,8 @@ func (c *queryCache) storePlan(sqlKey string, pe *planEntry) {
 // file stamps against the live filesystem. A stamp mismatch (or a vanished
 // file) invalidates the entry: query answers depend on live file mtimes
 // through the recycler cache and the zone maps, not only on the snapshot
-// versions, so the stamps are part of the key's meaning.
-func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resultEntry, bool) {
-	key := resultKey{sqlKey: sqlKey, storeVer: storeVer, repoVer: repoVer}
+// version, so the stamps are part of the key's meaning.
+func (c *queryCache) lookupResult(key resultKey) (*resultEntry, bool) {
 	c.mu.Lock()
 	ent, ok := c.results.get(key, false)
 	c.mu.Unlock()
@@ -213,8 +217,11 @@ func (c *queryCache) lookupResult(sqlKey string, storeVer, repoVer int64) (*resu
 // the stamp cap or the cache's own budget, and entries the shared ledger
 // has no room for, are declined — queries never block on cache admission.
 // A concurrent identical query that admitted first keeps its entry (the
-// answers are bit-identical by construction).
-func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Result, stamps []plan.FileStamp) {
+// answers are bit-identical by construction). An answer computed on a
+// snapshot a Refresh has since superseded is not offered at all: no later
+// query can carry its version. The check is made under the lock purge
+// takes after every publication, so no superseded entry outlives a purge.
+func (c *queryCache) admitResult(key resultKey, res *Result, stamps []plan.FileStamp) {
 	sz := res.Batch.Bytes() + int64(len(res.Trace.SQL)+len(res.Trace.Naive)+len(res.Trace.Optimized)) + resultOverhead
 	for _, st := range stamps {
 		sz += int64(len(st.URI)+len(st.Path)) + 32
@@ -227,7 +234,10 @@ func (c *queryCache) admitResult(sqlKey string, storeVer, repoVer int64, res *Re
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(stamps) > maxResultStamps || !c.results.add(resultKey{sqlKey: sqlKey, storeVer: storeVer, repoVer: repoVer}, ent, sz) {
+	if key.version != c.store.Snapshot().Version() {
+		return
+	}
+	if len(stamps) > maxResultStamps || !c.results.add(key, ent, sz) {
 		c.st.ResultDeclined++
 		c.st.ResultDeclinedBytes += sz
 	}

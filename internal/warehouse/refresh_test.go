@@ -1,0 +1,326 @@
+package warehouse
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/column"
+	"repro/internal/plan"
+	"repro/internal/repo"
+	"repro/internal/seisgen"
+)
+
+// park makes the first query that reaches execution wait in the run hook:
+// entered is closed when it arrives, and it executes once release is
+// closed. Every later query runs unhindered.
+func park(w *Warehouse) (entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var parked atomic.Bool
+	w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+		if parked.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return plan.Execute(n, env)
+	}
+	return entered, release
+}
+
+type answer struct {
+	res *Result
+	err error
+}
+
+// addStation writes one day of a new NL station's BHZ series into dir, so
+// q2 grows a group.
+func addStation(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := seisgen.Generate(seisgen.RepoConfig{
+		Dir:           dir,
+		Stations:      []seisgen.Station{{Network: "NL", Code: "NEW"}},
+		Channels:      []string{"BHZ"},
+		SamplesPerDay: 500,
+		Seed:          7,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefreshDoesNotWaitForQueries: a Refresh that adds a file returns
+// while a query admitted before it is still executing; that query answers
+// from the snapshot it loaded at admission, bit-identical to the answer
+// before the refresh, and the next query sees the new file.
+func TestRefreshDoesNotWaitForQueries(t *testing.T) {
+	dir := genRepo(t, 1500)
+	w := openWH(t, dir, Lazy)
+	want, err := w.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := park(w)
+	parked := make(chan answer, 1)
+	go func() {
+		res, err := w.QueryUncached(q2)
+		parked <- answer{res, err}
+	}()
+	<-entered
+
+	addStation(t, dir)
+	refreshed := make(chan error, 1)
+	go func() {
+		_, err := w.Refresh()
+		refreshed <- err
+	}()
+	select {
+	case err := <-refreshed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(release)
+		t.Fatal("Refresh waited for the in-flight query")
+	}
+	if st := w.Stats(); st.InFlight != 1 {
+		t.Fatalf("%d queries in flight after the refresh, want the parked one", st.InFlight)
+	}
+
+	close(release)
+	a := <-parked
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if got, want := renderExact(a.res.Batch), renderExact(want.Batch); got != want {
+		t.Errorf("a query admitted before the refresh saw its effect\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	res, err := w.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, was := res.Batch.NumRows(), want.Batch.NumRows(); got != was+1 {
+		t.Errorf("after the refresh q2 has %d groups, want %d (the new station's)", got, was+1)
+	}
+	requireIdle(t, "after the refresh", w, t.TempDir())
+}
+
+// TestSupersededAnswerIsNotAdmitted: a query whose snapshot a Refresh
+// superseded while it executed does not admit its answer to the result
+// cache, where no later query could carry its version.
+func TestSupersededAnswerIsNotAdmitted(t *testing.T) {
+	w := openWH(t, genRepo(t, 1500), Lazy)
+	entered, release := park(w)
+	parked := make(chan answer, 1)
+	go func() {
+		res, err := w.Query(q2)
+		parked <- answer{res, err}
+	}()
+	<-entered
+	if _, err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Stats().QueryCache
+	close(release)
+	if a := <-parked; a.err != nil {
+		t.Fatal(a.err)
+	}
+	if qc := w.Stats().QueryCache; qc.ResultEntries != before.ResultEntries || qc.ResultBytes != before.ResultBytes {
+		t.Errorf("result cache grew from %d entries (%d B) to %d (%d B) by a superseded answer",
+			before.ResultEntries, before.ResultBytes, qc.ResultEntries, qc.ResultBytes)
+	}
+	requireIdle(t, "after the superseded query", w, t.TempDir())
+}
+
+// TestAdmissionIsCancellable: with the one admission slot held, a query
+// whose context is cancelled, or passes its deadline, while it waits fails
+// with ctx.Err() as one failed query and holds no slot.
+func TestAdmissionIsCancellable(t *testing.T) {
+	w, err := Open(genRepo(t, 1500), Options{Mode: Lazy, MaxConcurrentQueries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Prepare(`SELECT COUNT(*) FROM mseed.files WHERE station = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := park(w)
+	holder := make(chan answer, 1)
+	go func() {
+		res, err := w.QueryUncached(q2)
+		holder <- answer{res, err}
+	}()
+	<-entered
+
+	errs, queries := w.Metrics().Errors.Load(), w.Stats().Queries
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	if _, err := w.QueryContext(ctx, `SELECT COUNT(*) FROM mseed.files`); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled while waiting: %v, want %v", err, context.Canceled)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := p.ExecuteContext(ctx, column.NewString("ISK")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline while waiting: %v, want %v", err, context.DeadlineExceeded)
+	}
+	if got := w.Metrics().Errors.Load(); got != errs+2 {
+		t.Errorf("error counter moved by %d, want 2", got-errs)
+	}
+	if st := w.Stats(); st.Queries != queries || st.InFlight != 1 {
+		t.Errorf("%d queries admitted and %d slots held while waiting; want %d and the holder's", st.Queries, st.InFlight, queries)
+	}
+
+	close(release)
+	if a := <-holder; a.err != nil {
+		t.Fatal(a.err)
+	}
+	requireIdle(t, "after cancelled admissions", w, t.TempDir())
+	if _, err := p.ExecuteContext(context.Background(), column.NewString("ISK")); err != nil {
+		t.Fatalf("the slot was not released: %v", err)
+	}
+}
+
+// TestRefreshUnderReaders: eight readers query while a refresher touches
+// files, adds file-days and refreshes. Each reader's statement answers the
+// number of files and a windowed aggregate of their samples together, and
+// that pair must be the answer of exactly one repository state of the
+// sequence — a fresh warehouse's over the directory as each refresh finds
+// it — with the states each reader sees never going backwards.
+func TestRefreshUnderReaders(t *testing.T) {
+	dir := t.TempDir()
+	day0 := time.Date(2010, 1, 12, 0, 0, 0, 0, time.UTC)
+	addDay := func(day int) {
+		if _, err := seisgen.Generate(seisgen.RepoConfig{
+			Dir:           dir,
+			Stations:      []seisgen.Station{{Network: "NL", Code: "HGN"}},
+			Channels:      []string{"BHZ", "BHN"},
+			StartDay:      day0.AddDate(0, 0, day),
+			SamplesPerDay: 2000,
+			Seed:          int64(day),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addDay(0)
+	// The window starts inside day 0's series and ends inside day 3's, so
+	// it cuts records at both ends once day 3 is there.
+	const pairQ = `SELECT COUNT(DISTINCT F.uri), COUNT(*), MIN(D.sample_value), MAX(D.sample_value)
+	 FROM mseed.dataview
+	 WHERE D.sample_time >= '2010-01-12 00:00:10' AND D.sample_time < '2010-01-15 00:00:20'`
+	reference := func() string {
+		ref, err := Open(dir, Options{Mode: Lazy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := ref.Query(`SELECT COUNT(*) FROM mseed.files`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := ref.Query(pairQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, d := files.Batch.Row(0)[0].I, pair.Batch.Row(0)[0].I; n != d {
+			t.Fatalf("setup: %d files, %d of them in the window", n, d)
+		}
+		return renderExact(pair.Batch)
+	}
+
+	w, err := Open(dir, Options{Mode: Lazy, Workers: 2, MaxConcurrentQueries: 8, MorselRows: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []string{reference()}
+	var mu sync.Mutex // guards states
+	stateOf := func(got string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, s := range states {
+			if s == got {
+				return i
+			}
+		}
+		return -1
+	}
+
+	const readers = 8
+	stop := make(chan struct{})
+	fails := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			last := 0
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					if n == 0 {
+						fails <- fmt.Errorf("reader %d never queried", r)
+					}
+					return
+				default:
+				}
+				query := w.Query
+				if r%2 == 1 {
+					query = w.QueryUncached
+				}
+				res, err := query(pairQ)
+				if err != nil {
+					fails <- fmt.Errorf("reader %d: %w", r, err)
+					return
+				}
+				got := renderExact(res.Batch)
+				i := stateOf(got)
+				if i < 0 {
+					fails <- fmt.Errorf("reader %d: answer of no repository state:\n%s", r, got)
+					return
+				}
+				if i < last {
+					fails <- fmt.Errorf("reader %d: saw state %d after state %d", r, i, last)
+					return
+				}
+				last = i
+			}
+		}(r)
+	}
+
+	rp, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 6; step++ {
+		at := time.Now().Add(time.Duration(step) * time.Second)
+		if err := repo.Touch(rp.Files[step%len(rp.Files)].AbsPath, at); err != nil {
+			t.Fatal(err)
+		}
+		if step%2 == 0 {
+			addDay(step / 2)
+		}
+		// The refresher is the only writer, so the directory now holds the
+		// state the refresh below publishes: its answer is known before any
+		// reader can see it.
+		if ref := reference(); ref != states[len(states)-1] {
+			mu.Lock()
+			states = append(states, ref)
+			mu.Unlock()
+		}
+		if _, err := w.Refresh(); err != nil {
+			fails <- err
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(fails)
+	for err := range fails {
+		t.Error(err)
+	}
+	if len(states) != 4 {
+		t.Errorf("%d distinct repository states, want 4 (day 0, then three added days)", len(states))
+	}
+	requireIdle(t, "after the readers", w, t.TempDir())
+}

@@ -16,22 +16,26 @@
 // There is one serve path. Every query is a *Prepared statement — Query
 // resolves ad-hoc text to one through the template-keyed statement cache,
 // Prepare hands one out — and Prepared.serve is the only code that admits,
-// snapshot-locks, counts, cache-probes, executes and accounts it.
+// counts, cache-probes, executes and accounts it.
 //
-// Queries execute against per-query snapshots: each one captures a
-// copy-on-write view of the catalog store and the engine's repository
-// snapshot, so it observes one consistent warehouse state for its whole
-// plan -> execute span. Refresh is the only writer. It takes the
-// write side of the snapshot lock: it waits for in-flight queries to
-// drain, rebuilds the metadata (one atomic multi-table commit), and only
-// then admits new queries — a query never sees a half-applied refresh.
+// Everything a query reads comes from one value published once: the store
+// snapshot (catalog.Snapshot) it loads at admission — the tables, their
+// statistics and one version. Extraction opens a record's file as the
+// repository root joined with its F.uri, so that snapshot alone decides
+// which files are read, and the query runs to completion on it whatever is
+// published meanwhile. Refresh is the only writer. It builds the next
+// tables aside from a fresh repository listing and swaps them in as one
+// snapshot, or publishes nothing when any step fails; it waits only for
+// another Refresh, never for queries, and queries never wait for it.
+// The admission slot is the only thing serve waits for.
 //
 // Execution memory is shared fairly: when Options.MemoryBudget is set,
 // each query draws from a per-query sub-budget carved out of the shared
 // ledger (budget / MaxConcurrentQueries, at least 1 MiB), so one spilling
 // join degrades itself to disk instead of starving every other client.
 // Admission control bounds the number of simultaneously executing queries
-// at Options.MaxConcurrentQueries; excess callers wait in Query.
+// at Options.MaxConcurrentQueries; excess callers wait in Query, or in
+// QueryContext until their context ends.
 //
 // # Statistics-driven skipping
 //
@@ -59,6 +63,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -253,14 +258,6 @@ type Warehouse struct {
 	oracle oracle
 	run    func(plan.Node, *plan.Env) (*column.Batch, error)
 
-	// refreshing is set for the whole Refresh call, including the drain
-	// wait for in-flight queries — the /readyz not-ready window.
-	refreshing atomic.Bool
-
-	// refreshMu is the snapshot lock: queries hold the read side for their
-	// plan -> execute span, Refresh holds the write side while it
-	// rebuilds and swaps the catalog/engine state.
-	refreshMu sync.RWMutex
 	// admit is the admission semaphore: one slot per concurrently
 	// executing query. queryBudget is the per-query memory sub-budget
 	// carved from ledger (0 = unlimited).
@@ -319,7 +316,7 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 		slowQuery:   opts.SlowQueryThreshold,
 		run:         plan.Execute,
 	}
-	w.qc = newQueryCache(w.ledger)
+	w.qc = newQueryCache(w.ledger, store)
 	// Recycler admissions draw on the same ledger as operator working
 	// sets, so a loaded cache and a heavy join compete for one budget.
 	w.engine.Cache().AttachLedger(w.ledger)
@@ -330,20 +327,16 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 }
 
 func (w *Warehouse) initialLoad() error {
-	var st etl.Stats
-	var err error
-	switch w.mode {
-	case Eager:
-		w.logf("init", "eager initial load: header scans, then every record extracted into mseed.data")
-		st, err = w.engine.LoadAll()
-	default:
-		w.logf("init", "lazy initial load: metadata only (header scans, no payloads)")
-		st, err = w.engine.LoadMetadata()
+	load, what := w.engine.LoadMetadata, "lazy initial load: metadata only (header scans, no payloads)"
+	if w.mode == Eager {
+		load, what = w.engine.LoadAll, "eager initial load: header scans, then every record extracted into mseed.data"
 	}
+	w.logf("init", "%s", what)
+	st, err := load()
 	if err != nil {
 		return err
 	}
-	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.engine.Repository().TotalSize(), StoreBytes: w.store.Bytes()}
+	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.engine.Repository().TotalSize(), StoreBytes: w.store.Snapshot().Bytes()}
 	w.logf("init", "loaded %d files, %d records in %v (%d bytes read)",
 		st.Files, st.Records, st.Duration, st.BytesRead)
 	return nil
@@ -451,27 +444,36 @@ func (o *observer) Event(op, detail string) {
 // normalized to its template, the template's statement comes from (or goes
 // into) the statement cache, and that statement is served. Repeated shapes
 // therefore reuse their built plan, and bit-identical answers may come
-// straight from the result cache (validated against the snapshot versions
+// straight from the result cache (validated against the snapshot version
 // and the source files' stamps, so a cached answer never differs from fresh
 // execution). Both caches admit on probation: the second identical query
 // is a hit, but a plan or answer no query asks for again is dropped after
 // 256 newer ones instead of crowding out those that repeat.
-func (w *Warehouse) Query(q string) (*Result, error) { return w.query(q, true) }
+func (w *Warehouse) Query(q string) (*Result, error) { return w.QueryContext(context.Background(), q) }
+
+// QueryContext is Query with a context that bounds the wait for an
+// admission slot: a query cancelled, or past its deadline, while it waits
+// fails with ctx.Err() and holds no slot.
+func (w *Warehouse) QueryContext(ctx context.Context, q string) (*Result, error) {
+	return w.query(ctx, q, true)
+}
 
 // QueryUncached executes like Query but never serves the answer from the
 // result cache, so the run-time trace (injected operators, per-scan skip
 // tallies) reflects a real execution — the \explain surface uses it. The
 // plan cache still applies.
-func (w *Warehouse) QueryUncached(q string) (*Result, error) { return w.query(q, false) }
+func (w *Warehouse) QueryUncached(q string) (*Result, error) {
+	return w.query(context.Background(), q, false)
+}
 
-func (w *Warehouse) query(q string, useResultCache bool) (*Result, error) {
+func (w *Warehouse) query(ctx context.Context, q string, useResultCache bool) (*Result, error) {
 	start, root := time.Now(), w.newRootSpan()
 	w.logf("query", "%s", q)
 	p, params, err := w.resolve(q, root)
 	if err != nil {
 		return nil, w.fail("query", err)
 	}
-	return p.serve(start, root, params, obs.ClassCold, useResultCache)
+	return p.serve(ctx, start, root, params, obs.ClassCold, useResultCache)
 }
 
 // newRootSpan starts the query's root trace span, or returns nil (every
@@ -578,11 +580,17 @@ func (p *Prepared) key(params []column.Value) string {
 // concurrency, admission and caching contract as Query. A parameter-count
 // mismatch fails before admission; it is a failed query all the same.
 func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
+	return p.ExecuteContext(context.Background(), params...)
+}
+
+// ExecuteContext is Execute with a context that bounds the wait for an
+// admission slot, as QueryContext does.
+func (p *Prepared) ExecuteContext(ctx context.Context, params ...column.Value) (*Result, error) {
 	if len(params) != p.stmt.NumParams {
 		return nil, p.w.fail("query", fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params)))
 	}
 	p.w.logf("query", "EXECUTE %s %v", p.text, params)
-	return p.serve(time.Now(), p.w.newRootSpan(), params, obs.ClassPrepared, true)
+	return p.serve(ctx, time.Now(), p.w.newRootSpan(), params, obs.ClassPrepared, true)
 }
 
 // Explain resolves the plan the statement would execute with for these
@@ -610,7 +618,7 @@ func (w *Warehouse) Explain(q string) (*Trace, error) {
 }
 
 // serve runs the statement once. It is the whole serve path, and the only
-// one: admission, the snapshot lock, the query count, the result-cache
+// one: admission, the store snapshot, the query count, the result-cache
 // probe, plan resolution, execution, cache admission, and the close-out of
 // spans, histograms, slow-query log, "answer" entry and error accounting.
 // (The "query" log entry is its callers': each has the text as it arrived,
@@ -619,17 +627,17 @@ func (w *Warehouse) Explain(q string) (*Trace, error) {
 // hit is always ClassCached); useResultCache false keeps the statement away
 // from the result cache, probe and admission both — the plan cache still
 // applies.
-func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass, useResultCache bool) (*Result, error) {
+func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass, useResultCache bool) (*Result, error) {
 	w := p.w
 	adm, admStart := root.StartChild("admit"), time.Now()
 	// Admission control: at most cap(w.admit) queries execute at once;
 	// the rest wait here, keeping the per-query memory sub-budgets honest.
-	w.admit <- struct{}{}
+	select {
+	case w.admit <- struct{}{}:
+	case <-ctx.Done():
+		return nil, w.fail("query", ctx.Err())
+	}
 	defer func() { <-w.admit }()
-	// Snapshot lock (read side): a Refresh cannot swap the catalog or the
-	// repository snapshot out from under this query.
-	w.refreshMu.RLock()
-	defer w.refreshMu.RUnlock()
 	w.metrics.Admit.Observe(time.Since(admStart))
 	adm.End()
 
@@ -641,9 +649,9 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 	psp := root.StartChild("cache-probe")
 	sqlKey := p.key(params)
 	useResultCache = useResultCache && sqlKey != ""
-	repoVer := w.engine.SnapshotVersion()
+	key := resultKey{sqlKey: sqlKey, version: store.Version()}
 	if useResultCache {
-		if ent, ok := w.qc.lookupResult(sqlKey, store.Version(), repoVer); ok {
+		if ent, ok := w.qc.lookupResult(key); ok {
 			psp.AddRows(int64(ent.batch.NumRows()))
 			psp.End()
 			res := &Result{Columns: ent.columns, Batch: ent.batch, Trace: ent.trace}
@@ -676,7 +684,7 @@ func (p *Prepared) serve(start time.Time, root *obs.Span, params []column.Value,
 	msp := root.StartChild("emit")
 	res.Columns = res.Batch.Names()
 	if useResultCache {
-		w.qc.admitResult(sqlKey, store.Version(), repoVer, res, o.stamps)
+		w.qc.admitResult(key, res, o.stamps)
 	}
 	msp.End()
 	return p.finish(res, start, root, params, class), nil
@@ -751,31 +759,22 @@ func (p *Prepared) plan(params []column.Value, sqlKey string, root *obs.Span) (*
 // Refresh re-synchronizes the warehouse with the repository: lazy modes
 // reload metadata (cached data refreshes itself via mtime staleness at the
 // next query); eager mode re-runs the eager load, metadata and extraction.
-// Refresh blocks until every in-flight query has drained, applies the
-// reload as one atomic commit, and only then admits new queries; queries
-// arriving during a refresh wait for it to finish.
+// The reload is built aside and published as one snapshot, or not at all if
+// it fails. Refresh waits only for another Refresh: queries admitted before
+// the publication run to completion on the snapshot they loaded, and
+// queries admitted after it see the new one.
 func (w *Warehouse) Refresh() (etl.Stats, error) {
 	start := time.Now()
-	// Not-ready covers the whole refresh including the drain wait, so a
-	// load balancer polling Ready stops routing before the write lock
-	// starts stalling new queries.
-	w.refreshing.Store(true)
-	defer w.refreshing.Store(false)
-	w.refreshMu.Lock()
-	defer w.refreshMu.Unlock()
-	var st etl.Stats
-	var err error
+	refresh, what := w.engine.RefreshMetadata, "lazy refresh: metadata reload; stale cache entries invalidate on demand"
 	if w.mode == Eager {
-		w.logf("refresh", "eager refresh: metadata reload, then every record extracted again")
-		st, err = w.engine.RefreshAll()
-	} else {
-		w.logf("refresh", "lazy refresh: metadata reload; stale cache entries invalidate on demand")
-		st, err = w.engine.RefreshMetadata()
+		refresh, what = w.engine.RefreshAll, "eager refresh: metadata reload, then every record extracted again"
 	}
+	w.logf("refresh", "%s", what)
+	st, err := refresh()
 	if err != nil {
 		return st, w.fail("refresh", err)
 	}
-	// The snapshot versions the result keys carry just changed, so no stale
+	// The snapshot version the result keys carry just changed, so no stale
 	// answer could ever be served again; purging reclaims their memory (and
 	// ledger bytes) immediately instead of via eviction. Plans stay: no
 	// plan depends on what the refresh changed.
@@ -784,11 +783,6 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	w.logf("refresh", "done: %d files, %d records in %v", st.Files, st.Records, st.Duration)
 	return st, nil
 }
-
-// Ready reports whether the warehouse is serving normally: true after Open
-// returns, false only while a Refresh (including its drain wait) is in
-// progress. The lazyetld /readyz endpoint surfaces it.
-func (w *Warehouse) Ready() bool { return !w.refreshing.Load() }
 
 // Metrics exposes the always-on latency histograms and counters.
 func (w *Warehouse) Metrics() *obs.Metrics { return &w.metrics }
@@ -839,7 +833,7 @@ type Stats struct {
 // queries and refreshes are in flight. Each block is consistent in itself —
 // the execution counters are copied under their mutex, the query-cache
 // counters under the cache's, and the store row/byte figures come from one
-// copy-on-write snapshot, so they agree even mid-refresh — but the blocks
+// store snapshot, so they agree even mid-refresh — but the blocks
 // are read one after another, not at one instant.
 func (w *Warehouse) Stats() Stats {
 	store := w.store.Snapshot()

@@ -59,15 +59,17 @@
 //
 // A Warehouse serves queries concurrently: Query, Explain, Stats, Log and
 // ClearLog may be called from any number of goroutines. Each query runs
-// against an immutable snapshot of the catalog store and repository
-// metadata; Refresh is the only writer and drains in-flight queries
-// before swapping state. Admitted queries (Options.MaxConcurrentQueries
-// at a time) each get a sub-budget carved from the shared memory ledger
-// so one spilling query cannot starve the rest. Concurrent answers are
-// bit-identical to serial execution (MaxConcurrentQueries: 1). There is
-// one serve path: every query, ad-hoc or prepared, is a Prepared statement
-// served by one function. cmd/lazyetld serves a warehouse to many clients
-// over HTTP/JSON.
+// against the immutable store snapshot it loads at admission — tables,
+// statistics and version published as one value — and that snapshot alone
+// decides which files it reads. Refresh is the only writer: it builds the
+// next snapshot aside and swaps it in, or publishes nothing if it fails,
+// and never waits for queries nor makes them wait. Admitted queries
+// (Options.MaxConcurrentQueries at a time) each get a sub-budget carved
+// from the shared memory ledger so one spilling query cannot starve the
+// rest. Concurrent answers are bit-identical to serial execution
+// (MaxConcurrentQueries: 1). There is one serve path: every query, ad-hoc
+// or prepared, is a Prepared statement served by one function. cmd/lazyetld
+// serves a warehouse to many clients over HTTP/JSON.
 //
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
@@ -78,11 +80,10 @@
 // exposes the same machinery as explicit prepared statements with '?'
 // markers. A plan reads no data (joins run in the order the SQL states
 // them), so plans survive Refresh. Tier 2 caches completed answers keyed by
-// (normalized SQL + parameters, store snapshot version, repository-metadata
-// snapshot version), guarded by per-file mtime/size stamps re-validated on
-// every hit, and byte-charged to the shared memory ledger so cached results
-// compete with the recycler cache under one budget. Refresh invalidates
-// this tier.
+// (normalized SQL + parameters, store snapshot version), guarded by
+// per-file mtime/size stamps re-validated on every hit, and byte-charged to
+// the shared memory ledger so cached results compete with the recycler
+// cache under one budget. Refresh invalidates this tier.
 // Cached answers are bit-identical to fresh execution; the tests hold them
 // to an uncached warehouse that parses every statement from its raw text.
 //
