@@ -295,8 +295,8 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	var st Stats
 	old := e.rp.Load()
 	rp := old
+	var err error
 	if rescan {
-		var err error
 		if rp, err = repo.Open(e.root); err != nil {
 			return st, err
 		}
@@ -304,12 +304,26 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	start := time.Now()
 	fb := newFilesBuilder()
 	rb := newRecordsBuilder()
-	scans, errs := scanFiles(rp.Files)
+	// Header-scan the files on the pool; a scan that fails or panics fails
+	// its own file, and the lowest-indexed failure is reported, as a serial
+	// scan would report it.
+	scans := make([][]mseed.RecordInfo, len(rp.Files))
+	err = exec.NewPool(0).Run(len(rp.Files), func(x int) (err error) {
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("etl: metadata scan %s: %w", rp.Files[x].URI, err)
+			}
+		}()
+		defer exec.RecoverTo(&err)
+		scanFileHook(x)
+		scans[x], err = mseed.ScanFile(rp.Files[x].AbsPath)
+		return err
+	})
+	if err != nil {
+		return st, err
+	}
 	for x, f := range rp.Files {
-		infos, err := scans[x], errs[x]
-		if err != nil {
-			return st, fmt.Errorf("etl: metadata scan %s: %w", f.URI, err)
-		}
+		infos := scans[x]
 		id := int64(x) // dense ids in repository order
 		fb.add(id, f, infos)
 		for _, ri := range infos {
@@ -323,7 +337,6 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	files, records := fb.batch(), rb.batch()
 	data := column.MustNewBatch(newColumns(catalog.DataColumns)...)
 	if eager {
-		var err error
 		if data, err = e.extractData(files, records); err != nil {
 			return st, err
 		}
@@ -354,33 +367,7 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	return st, nil
 }
 
-// scanFiles header-scans the files on up to GOMAXPROCS goroutines. Results
-// come back by position, so the caller feeds its builders in repository
-// order and reports the first failing file in that order, as a serial scan
-// would; a scan that panics fails its own file with the *exec.PanicError.
-func scanFiles(files []repo.File) ([][]mseed.RecordInfo, []error) {
-	scans := make([][]mseed.RecordInfo, len(files))
-	errs := make([]error, len(files))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(files)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for x := int(next.Add(1)) - 1; x < len(files); x = int(next.Add(1)) - 1 {
-				func() {
-					defer exec.RecoverTo(&errs[x])
-					scanFileHook(x)
-					scans[x], errs[x] = mseed.ScanFile(files[x].AbsPath)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	return scans, errs
-}
-
-// scanFileHook runs first in scanFiles' scan of file x; tests make it panic.
+// scanFileHook runs first in the header scan of file x; tests make it panic.
 var scanFileHook = func(x int) {}
 
 // dataColumns are the universal-table columns mseed.data holds, in its

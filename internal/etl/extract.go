@@ -159,7 +159,7 @@ func newRunOut(e *Engine, fs *fileState, records int) *runOut {
 // sample counts went stale after the metadata load), gets a buffer of its
 // own, so the entry always carries the record's actual length.
 func (o *runOut) add(seqno, at, planned int, h *mseed.Header, samples []int32) *recycler.Entry {
-	o.ents = append(o.ents, recycler.Entry{Start: h.StartNanos(), Rate: h.SampleRate(), FileMtime: o.fs.mtime})
+	o.ents = append(o.ents, recycler.Entry{Start: h.StartNanos(), Rate: h.SampleRate(), FileMtime: o.fs.mtime, FileSize: o.fs.size})
 	ent := &o.ents[len(o.ents)-1]
 	if n := len(samples); at >= 0 && planned == n {
 		ent.Buf, ent.Off = o.buf, at
@@ -283,7 +283,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 			}
 		}
 		key := recycler.Key{URI: uris[i], SeqNo: int(seqs[i])}
-		if ent, hit := e.cache.Lookup(key, fs.mtime); hit {
+		if ent, hit := e.cache.Lookup(key, fs.mtime, fs.size); hit {
 			sink.entries[i] = ent
 			sink.lens[i] = len(ent.Values)
 			if !quiet {
@@ -637,7 +637,7 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 	}
 	for _, i := range run.rows {
 		key := recycler.Key{URI: fs.uri, SeqNo: int(sink.seqs[i])}
-		if ent, hit := e.cache.Lookup(key, fs.mtime); hit {
+		if ent, hit := e.cache.Lookup(key, fs.mtime, fs.size); hit {
 			sink.entries[i] = ent
 			continue
 		}

@@ -498,7 +498,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 		forget := func(step int) (dropped int) {
 			for i := 0; i < meta.NumRows(); i += step {
 				key := recycler.Key{URI: uris.Strings()[i], SeqNo: int(seqs.Int64s()[i])}
-				if _, hit := e.Cache().Lookup(key, time.Now().Add(time.Hour)); hit {
+				if _, hit := e.Cache().Lookup(key, time.Now().Add(time.Hour), 0); hit {
 					t.Fatal("a lookup from the future must invalidate, not hit")
 				}
 				dropped++

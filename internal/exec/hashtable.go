@@ -354,7 +354,7 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 	// Pass 1: hash every non-null-key row (encoding generic keys once into
 	// the morsel's arena, reused by the partition build) and count rows per
 	// (morsel, partition).
-	err := p.run(mcount, func(mi int) error {
+	err := p.Run(mcount, func(mi int) error {
 		buildTaskHook(1, mi)
 		lo, hi := p.morselBounds(mi, rn)
 		cnt := counts[mi*nparts : (mi+1)*nparts]
@@ -406,7 +406,7 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 
 	// Pass 2: scatter row indices into the reserved windows. Each (morsel,
 	// partition) cursor is owned by exactly one worker.
-	err = p.run(mcount, func(mi int) error {
+	err = p.Run(mcount, func(mi int) error {
 		buildTaskHook(2, mi)
 		lo, hi := p.morselBounds(mi, rn)
 		cur := starts[mi*nparts : (mi+1)*nparts]
@@ -464,7 +464,7 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 		spillNanos = make([]int64, nparts)
 		spillBytes = make([]int64, nparts)
 	}
-	err = p.run(nparts, func(pi int) (err error) {
+	err = p.Run(nparts, func(pi int) (err error) {
 		buildTaskHook(3, pi)
 		rows := partRows[partStart[pi]:partStart[pi+1]]
 		if spillNeeded && jt.spilled[pi] {

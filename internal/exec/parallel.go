@@ -14,13 +14,14 @@ import (
 // still load-balances across workers by stealing.
 const DefaultMorselRows = 16384
 
-// Pool is the morsel-driven parallel execution layer, used in two places:
-// RunPipeline drives push pipelines over it (pipeline.go), and the
+// Pool is the morsel-driven parallel execution layer, used in three places:
+// RunPipeline drives push pipelines over it (pipeline.go), the
 // radix-partitioned hash-join build splits its input into contiguous
 // row-range morsels that workers pull from a shared atomic cursor (dynamic
-// stealing, no static assignment). Per-morsel results are placed by morsel
-// index, so the output is bit-identical to the serial engine's — see
-// doc.go for the determinism argument.
+// stealing, no static assignment), and the metadata load header-scans its
+// files as Run tasks. Per-morsel results are placed by morsel index, so the
+// output is bit-identical to the serial engine's — see doc.go for the
+// determinism argument.
 //
 // A nil *Pool and a 1-worker pool both mean the serial engine. Pools hold
 // no goroutines between calls and are safe for concurrent use by multiple
@@ -108,13 +109,13 @@ func (p *Pool) morselBounds(mi, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// run executes fn(0) .. fn(tasks-1), each exactly once, across the pool's
+// Run executes fn(0) .. fn(tasks-1), each exactly once, across the pool's
 // workers, and returns the lowest-indexed task's error — a panic in fn is
 // recovered into a *PanicError and is that task's error — once every worker
 // has exited. Workers claim task indices from an atomic cursor; fn must
 // write only to its own task's output slot, which is what makes the result
 // deterministic regardless of scheduling.
-func (p *Pool) run(tasks int, fn func(int) error) error {
+func (p *Pool) Run(tasks int, fn func(int) error) error {
 	errs := make([]error, tasks)
 	task := func(i int) {
 		defer RecoverTo(&errs[i])

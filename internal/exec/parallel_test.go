@@ -45,7 +45,7 @@ func TestPoolRunEachTaskOnce(t *testing.T) {
 		for _, tasks := range []int{0, 1, 7, 64, 1000} {
 			p := &Pool{workers: workers}
 			counts := make([]int32, tasks)
-			err := p.run(tasks, func(i int) error {
+			err := p.Run(tasks, func(i int) error {
 				atomic.AddInt32(&counts[i], 1)
 				return nil
 			})
@@ -96,7 +96,7 @@ func TestPoolRunPanicContainment(t *testing.T) {
 			name := fmt.Sprintf("workers=%d, %s", workers, c.name)
 			base := runtime.NumGoroutine()
 			var ran atomic.Int32
-			err := p.run(tasks, func(i int) error {
+			err := p.Run(tasks, func(i int) error {
 				ran.Add(1)
 				kind, v, _ := strings.Cut(c.fail[i], ":")
 				switch kind {

@@ -274,7 +274,7 @@ func consume(sink PipeSink, m Morsel) (err error) {
 
 // PanicError is a panic recovered on an engine goroutine: by RunPipeline in
 // a source, stage or sink, returned as the error of the morsel that raised
-// it, by Pool.run in a task, returned as that task's error, or by RecoverTo
+// it, by Pool.Run in a task, returned as that task's error, or by RecoverTo
 // wherever else it is deferred.
 type PanicError struct {
 	Value any    // the value passed to panic

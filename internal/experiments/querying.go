@@ -10,7 +10,8 @@ import (
 
 // E4 demonstrates lazy loading (§3.3): the first query extracts from files
 // (cold); repeats, which bypass the result cache, hit the recycler (warm);
-// a byte budget forces LRU evictions; and the extraction granularity
+// a byte budget forces evictions from the recycler's 2Q segments (E4b's
+// hit-rate curve); and the extraction granularity
 // ablation (record vs whole-file prefetch) trades extra decode work on the
 // first query for fewer file opens later.
 func E4(w io.Writer, cfg Config) error {
@@ -75,7 +76,8 @@ func E4(w io.Writer, cfg Config) error {
 		t.addRow(mb(budget), ms(d), fmt.Sprintf("%.0f%%", 100*rate), fmt.Sprintf("%d", cs.Evictions))
 	}
 	t.flush()
-	fmt.Fprintln(w, "shape check: hit rate climbs to 100% once the budget holds the working set")
+	fmt.Fprintln(w, "shape check: hit rate climbs to 100% once the recycler's probation, a quarter of the budget, holds the working set;")
+	fmt.Fprintln(w, "a budget that holds it only whole hits part of it here and all of it from the next repeat on, through the ghost ring")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "E4c: extraction granularity ablation (record vs whole-file prefetch)")

@@ -49,7 +49,7 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	cs := w.engine.Cache().Stats()
 	b = obs.AppendCounter(b, "lazyetl_recycler_hits_total", "Recycler-cache record hits.", cs.Hits)
 	b = obs.AppendCounter(b, "lazyetl_recycler_misses_total", "Recycler-cache record misses.", cs.Misses)
-	b = obs.AppendCounter(b, "lazyetl_recycler_evictions_total", "Recycler-cache evictions.", cs.Evictions)
+	b = obs.AppendCounter(b, "lazyetl_recycler_evictions_total", "Recycler-cache records dropped for room.", cs.Evictions)
 	b = obs.AppendCounter(b, "lazyetl_recycler_invalidations_total", "Recycler-cache entries invalidated as stale.", cs.Invalidations)
 	b = obs.AppendGauge(b, "lazyetl_recycler_bytes", "Bytes held by the recycler cache.", w.engine.Cache().Used())
 

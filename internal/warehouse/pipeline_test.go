@@ -561,7 +561,7 @@ func TestMorselViewsNeverMutateRecycler(t *testing.T) {
 		checksums := func() map[recycler.Key]uint64 {
 			sums := make(map[recycler.Key]uint64)
 			for _, ce := range cache.Contents() {
-				ent, ok := cache.Lookup(ce.Key, ce.FileMtime)
+				ent, ok := cache.Lookup(ce.Key, ce.FileMtime, ce.FileSize)
 				if !ok {
 					t.Fatalf("entry %v vanished from the recycler", ce.Key)
 				}

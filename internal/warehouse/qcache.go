@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/mem"
@@ -32,19 +33,20 @@ import (
 // operator working sets under the one global budget, and admission is
 // declined — never blocked — under pressure.
 //
-// Both tiers admit only what repeats: each is a segCache (2Q), where a new
-// plan or answer waits in probation and reaches the protected LRU, governed
-// by maxPlans or resultBudget, only on its second use. A stream of one-off
-// literals holds at most probationCap entries of either tier instead of
-// filling the result budget with answers nobody asks for again.
+// Both tiers admit only what repeats: each is a cache.Cache (2Q, as the
+// recycler is), where a new plan or answer waits in probation and reaches
+// the protected LRU, governed by maxPlans or resultBudget, only on its
+// second use. A stream of one-off literals holds at most a quarter of
+// either tier's budget — 64 plans, 1 MiB of answers — instead of filling
+// it with entries nobody asks for again.
 type queryCache struct {
 	mu sync.Mutex
 	// store is the live store: an answer is admitted only while the snapshot
 	// it was computed on is still the published one.
 	store   *catalog.Store
 	stmts   map[string]*Prepared
-	plans   *segCache[string, *planEntry]      // cost 1 each against maxPlans
-	results *segCache[resultKey, *resultEntry] // cost in bytes against resultBudget
+	plans   *cache.Cache[string, *planEntry]      // cost 1 each against maxPlans
+	results *cache.Cache[resultKey, *resultEntry] // cost in bytes against resultBudget
 	// st counts hits, misses, invalidations and declines; see statsSnapshot.
 	st QueryCacheStats
 }
@@ -55,9 +57,13 @@ const (
 	maxStmts = 256
 	maxPlans = 256
 	// resultBudget bounds tier 2's own footprint; the shared ledger may
-	// shrink it further. maxResultStamps caps the per-entry re-validation
-	// cost: answers touching more files than this are not admitted.
-	resultBudget    = 64 << 20
+	// shrink it further. A quarter of it is probation, where one-off answers
+	// wait: 1 MiB, some 500 small answers. A bigger budget keeps more
+	// one-offs live for the garbage collector to mark: with 16 MiB of them,
+	// cold_scan spent ~20 % more CPU per query. maxResultStamps caps the
+	// per-entry re-validation cost: answers touching more files than this
+	// are not admitted.
+	resultBudget    = 4 << 20
 	maxResultStamps = 64
 	// resultOverhead approximates an entry's bookkeeping beyond the batch
 	// payload (strings, stamps, list/map slots).
@@ -107,8 +113,8 @@ func newQueryCache(ledger *mem.Ledger, store *catalog.Store) *queryCache {
 	return &queryCache{
 		store:   store,
 		stmts:   make(map[string]*Prepared),
-		plans:   newSegCache[string, *planEntry](maxPlans, nil),
-		results: newSegCache[resultKey, *resultEntry](resultBudget, ledger),
+		plans:   cache.New[string, *planEntry](maxPlans, nil),
+		results: cache.New[resultKey, *resultEntry](resultBudget, ledger),
 	}
 }
 
@@ -171,7 +177,7 @@ func (c *queryCache) storeStmt(p *Prepared) {
 func (c *queryCache) lookupPlan(sqlKey string) (*planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if pe, ok := c.plans.get(sqlKey, true); ok {
+	if pe, ok := c.plans.Get(sqlKey, true); ok {
 		c.st.PlanHits++
 		return pe, true
 	}
@@ -182,7 +188,7 @@ func (c *queryCache) lookupPlan(sqlKey string) (*planEntry, bool) {
 func (c *queryCache) storePlan(sqlKey string, pe *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.add(sqlKey, pe, 1)
+	c.plans.Add(sqlKey, pe, 1, nil)
 }
 
 // lookupResult returns a cached answer for the key after re-validating its
@@ -192,20 +198,20 @@ func (c *queryCache) storePlan(sqlKey string, pe *planEntry) {
 // version, so the stamps are part of the key's meaning.
 func (c *queryCache) lookupResult(key resultKey) (*resultEntry, bool) {
 	c.mu.Lock()
-	ent, ok := c.results.get(key, false)
+	ent, ok := c.results.Get(key, false)
 	c.mu.Unlock()
 	// Stat outside the lock: one slow filesystem must not stall every
 	// other query's cache path.
 	fresh := ok && ent.fresh()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch cur, _ := c.results.get(key, false); {
+	switch cur, _ := c.results.Get(key, false); {
 	case !ok || cur != ent: // absent, or evicted or invalidated while we were statting
 	case !fresh:
-		c.results.unlink(c.results.items[key])
+		c.results.Remove(key)
 		c.st.ResultInvalidations++
 	default:
-		c.results.get(key, true)
+		c.results.Get(key, true)
 		c.st.ResultHits++
 		return ent, true
 	}
@@ -237,7 +243,7 @@ func (c *queryCache) admitResult(key resultKey, res *Result, stamps []plan.FileS
 	if key.version != c.store.Snapshot().Version() {
 		return
 	}
-	if len(stamps) > maxResultStamps || !c.results.add(key, ent, sz) {
+	if len(stamps) > maxResultStamps || !c.results.Add(key, ent, sz, nil) {
 		c.st.ResultDeclined++
 		c.st.ResultDeclinedBytes += sz
 	}
@@ -251,7 +257,7 @@ func (c *queryCache) admitResult(key resultKey, res *Result, stamps []plan.FileS
 func (c *queryCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.st.ResultInvalidations += int64(c.results.clear())
+	c.st.ResultInvalidations += int64(c.results.Clear())
 }
 
 // QueryCacheStats is the observable state of the two-tier query cache.
@@ -277,7 +283,7 @@ func (c *queryCache) statsSnapshot() QueryCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.PlanEntries, st.ResultEntries = len(c.plans.items), len(c.results.items)
-	st.ResultEvictions, st.ResultUnreused, st.ResultBytes = c.results.evictions, c.results.unreused, c.results.cost
+	st.PlanEntries, st.ResultEntries = c.plans.Len(), c.results.Len()
+	st.ResultEvictions, st.ResultUnreused, st.ResultBytes = c.results.Evictions, c.results.Unreused, c.results.Cost()
 	return st
 }

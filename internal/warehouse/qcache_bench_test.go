@@ -140,8 +140,8 @@ func BenchmarkPreparedExecute(b *testing.B) {
 // cycles per query (gc/op), the runtime's estimate of GC CPU time per query
 // (gc-cpu-ns/op: fewer cycles over a bigger heap can cost more), and the
 // heap still live after a final GC (live-B): the plans and answers the
-// caches retain, which admission on probation bounds at probationCap
-// entries per tier.
+// caches retain, which admission on probation bounds at a quarter of each
+// tier's budget.
 func BenchmarkOneOffQueries(b *testing.B) {
 	const width = 500 * time.Second
 	dir := genRepo(b, 80000)

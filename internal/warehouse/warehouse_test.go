@@ -334,6 +334,59 @@ func TestLazyRefreshAfterUpdate(t *testing.T) {
 	}
 }
 
+// TestRewriteWithOlderMtimeIsNotServedStale: a file rewritten with an
+// mtime older than the one its cached records were extracted at (restored
+// from a backup, copied with its timestamps kept) has changed all the same.
+// The recycler must re-extract it rather than serve the old samples beside
+// the refreshed metadata.
+func TestRewriteWithOlderMtimeIsNotServedStale(t *testing.T) {
+	const perFile = `SELECT F.uri, COUNT(*), SUM(D.sample_value), MIN(D.sample_value), MAX(D.sample_value)
+FROM mseed.dataview GROUP BY F.uri`
+	const uri = "KO/ISK/BHE/KO.ISK..BHE.2010.012.mseed"
+	dir := genRepo(t, 3000)
+	w := openWH(t, dir, Lazy)
+	if _, err := w.QueryUncached(perFile); err != nil {
+		t.Fatal(err)
+	}
+
+	other := t.TempDir()
+	if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: other, SamplesPerDay: 3000, EventsPerDay: 1, Seed: 43}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, filepath.FromSlash(uri))
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(other, filepath.FromSlash(uri)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	older := info.ModTime().Add(-time.Hour)
+	if err := os.Chtimes(path, older, older); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := w.QueryUncached(perFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := openWH(t, dir, Lazy).QueryUncached(perFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, perFile, want.Batch, got.Batch)
+	if w.Engine().Cache().Stats().Invalidations == 0 {
+		t.Error("the rewritten file invalidated no recycler entry")
+	}
+}
+
 func TestExternalModeTouchesEverything(t *testing.T) {
 	dir := genRepo(t, 2000)
 	ext := openWH(t, dir, External)
