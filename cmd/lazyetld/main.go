@@ -282,7 +282,7 @@ type errorResponse struct {
 }
 
 func (s *server) handleQuery(rw http.ResponseWriter, r *http.Request, req *request) {
-	res, err := s.w.Query(req.SQL)
+	res, err := s.w.QueryContext(r.Context(), req.SQL)
 	if s.counted(rw, err) {
 		writeResult(rw, res, wantTrace(r))
 	}
@@ -394,7 +394,7 @@ func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request, req *req
 		}
 		params[i] = v
 	}
-	res, err := e.ps.Execute(params...)
+	res, err := e.ps.ExecuteContext(r.Context(), params...)
 	if s.counted(rw, err) {
 		writeResult(rw, res, wantTrace(r))
 	}

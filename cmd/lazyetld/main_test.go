@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +115,52 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestHostileAndAbandonedQueries: a statement nested past the parser's
+// depth bound — 100,000 NOTs, 400 KB — is a 422 naming the offset, on
+// /query and /prepare, and a query whose client has gone is cancelled
+// (the handler's context is the request's). Either way the warehouse is
+// idle afterwards and the next query answers.
+func TestHostileAndAbandonedQueries(t *testing.T) {
+	srv, w := testServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const where = "SELECT COUNT(*) FROM mseed.files WHERE "
+	deep := where + strings.Repeat("NOT ", 100_000) + "station = 'ISK'"
+	want := fmt.Sprintf("sql: at offset %d: expression nested deeper than 256 levels", len(where)+4*256)
+	for _, ep := range []string{"/query", "/prepare"} {
+		body, _ := json.Marshal(request{SQL: deep})
+		resp, err := ts.Client().Post(ts.URL+ep, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(out.Error, want) {
+			t.Errorf("%s: status %d, error %q (%v), want 422 and %q", ep, resp.StatusCode, out.Error, err, want)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body, _ := json.Marshal(request{SQL: "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK'"})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)).WithContext(ctx))
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+		t.Errorf("abandoned query: status %d, body %s, want 422 and %q", rec.Code, rec.Body, context.Canceled)
+	}
+
+	st := w.Stats()
+	if st.InFlight != 0 || st.Mem.Used != st.CacheBytes+st.QueryCache.ResultBytes {
+		t.Errorf("not idle: %d slots held, ledger %d bytes for recycler %d + results %d",
+			st.InFlight, st.Mem.Used, st.CacheBytes, st.QueryCache.ResultBytes)
+	}
+	if resp, body := postQuery(t, ts, "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK'"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("next query: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := testServer(t)
 	ts := httptest.NewServer(srv)
@@ -194,7 +242,7 @@ func TestStatsReportSkipping(t *testing.T) {
 	defer ts.Close()
 
 	// Distinct literals so the second request re-executes (one template,
-	// plan-cache hit) instead of being served from the result cache; the
+	// one statement) instead of being served from the result cache; the
 	// first run collects zone maps, the second prunes with them.
 	for i, q := range []string{
 		"SELECT COUNT(*) FROM mseed.dataview WHERE D.sample_value > 1000000000",
@@ -261,7 +309,7 @@ func TestRepeatedQueryReportsCacheHit(t *testing.T) {
 	if qc.ResultHits == 0 {
 		t.Fatalf("repeated query reported no result-cache hit: %+v", qc)
 	}
-	if qc.PlanMisses == 0 || qc.ResultEntries == 0 {
+	if qc.ResultMisses == 0 || qc.ResultEntries == 0 {
 		t.Fatalf("query-cache stats implausible: %+v", qc)
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -119,9 +120,21 @@ type PipelineStats struct {
 // source's Next, a stage or the sink's Consume, on whichever goroutine, is
 // recovered into a *PanicError and is that morsel's error. RunPipeline
 // returns only after every goroutine it started has exited.
-func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (PipelineStats, error) {
+//
+// ctx stops the run early: before each morsel, the caller's loop and the
+// feeder load one atomic flag that is set when ctx ends, and stop once it
+// is. A run whose ctx has ended fails with ctx.Err() even if it reached the
+// end of its source, so a cancelled query never answers with part of its
+// rows.
+func (p *Pool) RunPipeline(ctx context.Context, src BatchSource, stages []PipeStage, sink PipeSink) (st PipelineStats, err error) {
 	defer src.Close()
-	var st PipelineStats
+	var done atomic.Bool
+	defer context.AfterFunc(ctx, func() { done.Store(true) })()
+	defer func() {
+		if err == nil {
+			err = ctx.Err()
+		}
+	}()
 	fold := func(m Morsel) error {
 		m, err := applyStages(stages, m)
 		if err != nil || m.Rows() == 0 {
@@ -147,7 +160,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 	}
 	if serial {
 		for m := first; ; st.Morsels++ {
-			if err := fold(m); err != nil || !ok { // !ok: the look-ahead met the end
+			if err := fold(m); err != nil || !ok || done.Load() { // !ok: the look-ahead met the end
 				return st, err
 			}
 			if m, ok, err = pull(src); err != nil || !ok {
@@ -178,7 +191,7 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 			case <-stop:
 				return
 			}
-			if r.err != nil {
+			if r.err != nil || done.Load() {
 				return
 			}
 			m, ok, err := pull(src)
@@ -215,6 +228,10 @@ func (p *Pool) RunPipeline(src BatchSource, stages []PipeStage, sink PipeSink) (
 		halt()
 	}
 	for r := range out {
+		if firstErr == nil && done.Load() {
+			firstErr = ctx.Err()
+			halt()
+		}
 		if firstErr != nil {
 			continue // draining after halt
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -117,7 +118,7 @@ func TestRunPipelineMatchesMaterializing(t *testing.T) {
 			run := func(sink PipeSink) *column.Batch {
 				t.Helper()
 				src := NewBatchMorsels(b, morsel)
-				if _, err := p.RunPipeline(src, []PipeStage{NewFilterStage(preds)}, sink); err != nil {
+				if _, err := p.RunPipeline(context.Background(), src, []PipeStage{NewFilterStage(preds)}, sink); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				out, err := sink.Finish()
@@ -314,7 +315,7 @@ func TestGlobalAggBitIdenticalAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), stages, sink); err != nil {
+					if _, err := p.RunPipeline(context.Background(), NewBatchMorsels(b, p.MorselRows()), stages, sink); err != nil {
 						t.Fatal(err)
 					}
 					if sc.name == "empty" && n > 0 { // the driver drops empty morsels; the sink takes them too
@@ -448,7 +449,7 @@ func TestRunPipelineErrorMatchesSerial(t *testing.T) {
 	var want error
 	for _, workers := range []int{1, 2, 8} {
 		src := NewBatchMorsels(b, 61)
-		_, err := NewPoolMorsel(workers, 61).RunPipeline(src, []PipeStage{NewFilterStage(preds)}, NewCollectSink(proto))
+		_, err := NewPoolMorsel(workers, 61).RunPipeline(context.Background(), src, []PipeStage{NewFilterStage(preds)}, NewCollectSink(proto))
 		if err == nil {
 			t.Fatalf("workers=%d: no error from bad predicate", workers)
 		}
@@ -548,7 +549,7 @@ func TestRunPipelinePanicContainment(t *testing.T) {
 	b := pipeBatch(5_000)
 	proto := b.Range(0, 0)
 	run := func(p *Pool, src BatchSource, stages []PipeStage, sink PipeSink) (string, error) {
-		if _, err := p.RunPipeline(src, stages, sink); err != nil {
+		if _, err := p.RunPipeline(context.Background(), src, stages, sink); err != nil {
 			return "", err
 		}
 		out, err := sink.Finish()
@@ -660,6 +661,47 @@ func TestRunPipelinePanicContainment(t *testing.T) {
 	}
 }
 
+// endlessSource hands out one morsel forever, calling cancel after the
+// first.
+type endlessSource struct {
+	m      Morsel
+	cancel func()
+	calls  int
+}
+
+func (s *endlessSource) Next() (Morsel, bool, error) {
+	if s.calls++; s.calls == 2 {
+		s.cancel()
+	}
+	return s.m, true, nil
+}
+
+func (s *endlessSource) Close() {}
+
+// TestRunPipelineStopsWhenCtxEnds: a source that never ends is stopped by
+// its context alone — RunPipeline's per-morsel check is its only way out —
+// and the run returns ctx.Err() with no goroutine left behind, serial and
+// parallel alike.
+func TestRunPipelineStopsWhenCtxEnds(t *testing.T) {
+	const morsel = 61
+	b := pipeBatch(5_000)
+	proto := b.Range(0, 0)
+	for _, workers := range []int{1, 2, 8} {
+		p := NewPoolMorsel(workers, morsel)
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &endlessSource{m: Morsel{B: b.Range(0, morsel)}, cancel: cancel}
+		if _, err := p.RunPipeline(ctx, src, nil, NewCollectSink(proto)); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: %v, want %v", workers, err, context.Canceled)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines outlive the run (%d before)", workers, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
 // TestProbeStagePartitionedMatchesDirect probes a build table large enough
 // to be radix-partitioned morsel by morsel and requires output identical to
 // the materializing hash join.
@@ -697,7 +739,7 @@ func TestProbeStagePartitionedMatchesDirect(t *testing.T) {
 			}
 			sink := NewCollectSink(proto)
 			src := NewBatchMorsels(left, morsel)
-			if _, err := p.RunPipeline(src, []PipeStage{jp.NewStage()}, sink); err != nil {
+			if _, err := p.RunPipeline(context.Background(), src, []PipeStage{jp.NewStage()}, sink); err != nil {
 				t.Fatal(err)
 			}
 			out, err := sink.Finish()
@@ -794,7 +836,7 @@ func BenchmarkPipelineFilterAgg(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := NewBatchMorsels(batch, p.MorselRows())
-				if _, err := p.RunPipeline(src, []PipeStage{NewFilterStage(preds)}, sink); err != nil {
+				if _, err := p.RunPipeline(context.Background(), src, []PipeStage{NewFilterStage(preds)}, sink); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := sink.Finish(); err != nil {

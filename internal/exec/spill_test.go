@@ -9,6 +9,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,7 +141,7 @@ func TestJoinSpillBitIdenticalToInMemory(t *testing.T) {
 						piped, err = jp.NewStage().ProbeBatch(left)
 					} else {
 						sink := NewCollectSink(oracle.Range(0, 0))
-						if _, err = eng.pool.RunPipeline(NewBatchMorsels(left, eng.pool.MorselRows()), []PipeStage{jp.NewStage()}, sink); err == nil {
+						if _, err = eng.pool.RunPipeline(context.Background(), NewBatchMorsels(left, eng.pool.MorselRows()), []PipeStage{jp.NewStage()}, sink); err == nil {
 							piped, err = sink.Finish()
 						}
 					}

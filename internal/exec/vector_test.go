@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -442,7 +443,7 @@ func batchesEqual(a, b *column.Batch) (string, bool) {
 // morsels into a CollectSink, driven by p.
 func pipeFilter(p *Pool, b *column.Batch, preds []sql.Expr) (*column.Batch, error) {
 	sink := NewCollectSink(b.Range(0, 0))
-	if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), []PipeStage{NewFilterStage(preds)}, sink); err != nil {
+	if _, err := p.RunPipeline(context.Background(), NewBatchMorsels(b, p.MorselRows()), []PipeStage{NewFilterStage(preds)}, sink); err != nil {
 		return nil, err
 	}
 	return sink.Finish()
@@ -456,7 +457,7 @@ func pipeAggregate(p *Pool, qm *QueryMem, b *column.Batch, groupBy []sql.Expr, a
 		return nil, err
 	}
 	defer sink.Close()
-	if _, err := p.RunPipeline(NewBatchMorsels(b, p.MorselRows()), nil, sink); err != nil {
+	if _, err := p.RunPipeline(context.Background(), NewBatchMorsels(b, p.MorselRows()), nil, sink); err != nil {
 		return nil, err
 	}
 	return sink.Finish()

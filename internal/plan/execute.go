@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -86,6 +87,9 @@ func (NopObserver) TraceSpan() *obs.Span                      { return nil }
 
 // Env carries everything plan execution needs.
 type Env struct {
+	// Ctx ends the query: each pipeline stops within one morsel of it
+	// ending and fails with its error. nil means context.Background().
+	Ctx    context.Context
 	Store  *catalog.Snapshot
 	Source ExtractSource // required for Lazy/External plans
 	Obs    Observer      // defaults to NopObserver

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -199,7 +201,7 @@ func (r *pipeRun) drain(sink exec.PipeSink, span string) (*column.Batch, error) 
 	}
 	src, stages := r.src, r.stages
 	r.src, r.stages, r.whole = nil, nil, nil
-	ps, err := r.env.Pool.RunPipeline(src, stages, sink)
+	ps, err := r.env.Pool.RunPipeline(cmp.Or(r.env.Ctx, context.Background()), src, stages, sink)
 	r.morsels += ps.Morsels
 	if err != nil {
 		return nil, err

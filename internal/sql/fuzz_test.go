@@ -1,12 +1,16 @@
 package sql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse asserts the front-end's crash-safety contract: arbitrary input
 // must yield a statement or an error, never a panic — queries arrive from
 // untrusted callers through the public Query API. On a successful parse,
 // rendering the statement back to SQL must not panic either (the planner
-// and trace rely on String()).
+// and trace rely on String()). The seeds include expressions nested at,
+// just past and far past the parser's depth bound.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT 1",
@@ -25,6 +29,14 @@ func FuzzParse(f *testing.F) {
 		"\x00\xff SELECT",            // junk bytes
 		"select 9223372036854775808", // int64 overflow
 		"SELECT 1e309",               // float overflow
+	}
+	// Nesting at the depth bound, one past it, and far past it.
+	for _, n := range []int{maxDepth, maxDepth + 1, 10_000} {
+		seeds = append(seeds,
+			"SELECT x FROM t WHERE "+strings.Repeat("(", n)+"a = 1"+strings.Repeat(")", n),
+			"SELECT x FROM t WHERE "+strings.Repeat("NOT ", n)+"a = 1",
+			"SELECT "+strings.Repeat("- ", n)+"a FROM t",
+			"SELECT "+strings.Repeat("MIN(", n)+"a"+strings.Repeat(")", n)+" FROM t")
 	}
 	for _, s := range seeds {
 		f.Add(s)

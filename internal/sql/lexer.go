@@ -6,27 +6,17 @@ import (
 	"unicode"
 )
 
-// lexer produces tokens from a query string.
+// lexer produces tokens from a query string, one per next call; at the end
+// of the string, next returns TokEOF.
 type lexer struct {
 	src string
 	pos int
 }
 
-// Lex tokenizes a full query, returning the token stream (terminated by a
-// TokEOF token) or a syntax error.
-func Lex(src string) ([]Token, error) {
-	lx := &lexer{src: src}
-	var toks []Token
-	for {
-		tok, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, tok)
-		if tok.Kind == TokEOF {
-			return toks, nil
-		}
-	}
+// peek returns the token next would, without consuming it: lx is a copy.
+func (lx lexer) peek() Token {
+	t, _ := lx.next()
+	return t
 }
 
 func (lx *lexer) errf(pos int, format string, args ...any) error {

@@ -13,7 +13,7 @@ import (
 // canonical single-space form, plus the extracted literal values in marker
 // order. Two queries that differ only in whitespace, keyword case or
 // literal values normalize to the same Template — the key the warehouse
-// plan and result caches share with explicitly prepared statements.
+// statement and result caches share with explicitly prepared statements.
 type Normalized struct {
 	Template string
 	Params   []column.Value
@@ -28,11 +28,7 @@ type Normalized struct {
 // ParseTemplate the returned template (and fall back to parsing the
 // original text when that fails, so error messages point at real offsets).
 func Normalize(src string) (Normalized, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return Normalized{}, err
-	}
-	tmpl, params, err := renderTemplate(toks, true)
+	tmpl, params, err := renderTemplate(src, true)
 	if err != nil {
 		return Normalized{}, err
 	}
@@ -42,21 +38,17 @@ func Normalize(src string) (Normalized, error) {
 // CanonicalTemplate renders src in the same canonical form Normalize uses
 // but keeps literals in place — only explicit '?' markers remain
 // parameters. It is the statement key for PREPARE: two spellings of the
-// same template canonicalize identically, and a prepared "x = ?" shares
-// plan-cache entries with ad-hoc "x = 5" queries (whose normalization
+// same template canonicalize identically, and a prepared "x = ?" is the
+// same cached statement as ad-hoc "x = 5" queries (whose normalization
 // yields the same template when the rest matches).
 func CanonicalTemplate(src string) (string, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return "", err
-	}
-	tmpl, _, err := renderTemplate(toks, false)
+	tmpl, _, err := renderTemplate(src, false)
 	return tmpl, err
 }
 
-// renderTemplate joins tokens into canonical text. With extract set,
+// renderTemplate joins src's tokens into canonical text. With extract set,
 // literals are pulled out into params and rendered as '?'.
-func renderTemplate(toks []Token, extract bool) (string, []column.Value, error) {
+func renderTemplate(src string, extract bool) (string, []column.Value, error) {
 	var sb strings.Builder
 	var params []column.Value
 	var prev Token
@@ -69,13 +61,16 @@ func renderTemplate(toks []Token, extract bool) (string, []column.Value, error) 
 		prev = t
 		wrote = true
 	}
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
+	for lx := (lexer{src: src}); ; {
+		t, err := lx.next()
+		if err != nil {
+			return "", nil, err
+		}
 		switch t.Kind {
 		case TokEOF:
 			return sb.String(), params, nil
 		case TokSemicolon:
-			if i+1 < len(toks) && toks[i+1].Kind == TokEOF {
+			if lx.peek().Kind == TokEOF {
 				continue // drop the optional trailing semicolon
 			}
 			emit(t, ";") // mid-stream ';' is a syntax error; keep it so parsing still fails
@@ -103,15 +98,15 @@ func renderTemplate(toks []Token, extract bool) (string, []column.Value, error) 
 			// A '-' in unary position directly before a number folds into
 			// a negative parameter, mirroring the parser's literal folding
 			// — so "x > -5" and "x > -7" share one template.
-			if extract && t.Text == "-" && i+1 < len(toks) && toks[i+1].Kind == TokNumber &&
+			if extract && t.Text == "-" && lx.peek().Kind == TokNumber &&
 				unaryPosition(prev, wrote) && !(prev.Kind == TokKeyword && prev.Text == "LIMIT") {
-				v, err := numberValue(toks[i+1].Text, true)
+				num, _ := lx.next()
+				v, err := numberValue(num.Text, true)
 				if err != nil {
 					return "", nil, err
 				}
 				params = append(params, v)
 				emit(Token{Kind: TokQuestion, Text: "?"}, "?")
-				i++
 				continue
 			}
 			emit(t, t.Text)
@@ -124,7 +119,6 @@ func renderTemplate(toks []Token, extract bool) (string, []column.Value, error) 
 			emit(t, t.Text)
 		}
 	}
-	return sb.String(), params, nil
 }
 
 // unaryPosition reports whether a '-' following prev negates an operand
@@ -275,13 +269,12 @@ func substParams(e Expr, params []column.Value) Expr {
 // ('ISK', 42, -3.5, TRUE, NULL) into values, for binding EXECUTE parameters
 // given as text (the REPL's \execute line).
 func ParseParams(s string) ([]column.Value, error) {
-	toks, err := Lex(s)
-	if err != nil {
-		return nil, err
-	}
 	var out []column.Value
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
+	for lx := (lexer{src: s}); ; {
+		t, err := lx.next()
+		if err != nil {
+			return nil, err
+		}
 		switch {
 		case t.Kind == TokEOF:
 			return out, nil
@@ -295,13 +288,13 @@ func ParseParams(s string) ([]column.Value, error) {
 				return nil, err
 			}
 			out = append(out, v)
-		case t.Kind == TokOp && t.Text == "-" && i+1 < len(toks) && toks[i+1].Kind == TokNumber:
-			v, err := numberValue(toks[i+1].Text, true)
+		case t.Kind == TokOp && t.Text == "-" && lx.peek().Kind == TokNumber:
+			num, _ := lx.next()
+			v, err := numberValue(num.Text, true)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, v)
-			i++
 		case t.Kind == TokKeyword && t.Text == "TRUE":
 			out = append(out, column.NewBool(true))
 		case t.Kind == TokKeyword && t.Text == "FALSE":
@@ -312,5 +305,4 @@ func ParseParams(s string) ([]column.Value, error) {
 			return nil, fmt.Errorf("sql: bad parameter literal %q", t.Text)
 		}
 	}
-	return out, nil
 }

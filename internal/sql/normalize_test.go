@@ -121,7 +121,7 @@ func TestCanonicalTemplateKeepsLiterals(t *testing.T) {
 
 // A prepared template whose only variability is the '?' must canonicalize
 // to the same text an ad-hoc query of that shape normalizes to, so the two
-// share plan-cache entries.
+// share one cached statement.
 func TestCanonicalMatchesNormalized(t *testing.T) {
 	tmpl, err := CanonicalTemplate("SELECT station FROM mseed.files WHERE station = ?")
 	if err != nil {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,33 +27,58 @@ func Parse(src string) (*SelectStmt, error) {
 // parameter markers ('?'). The returned statement carries NumParams and
 // must be bound with BindParams before planning.
 func ParseTemplate(src string) (*SelectStmt, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: lexer{src: src}}
+	p.advance()
 	stmt, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().Kind == TokSemicolon {
+	if err == nil && p.peek().Kind == TokSemicolon {
 		p.advance()
 	}
-	if p.peek().Kind != TokEOF {
-		return nil, p.errf("unexpected %s %q after statement", p.peek().Kind, p.peek().Text)
+	if err == nil && p.peek().Kind != TokEOF {
+		err = p.errf("unexpected %s %q after statement", p.peek().Kind, p.peek().Text)
+	}
+	if err = cmp.Or(p.lexErr, err); err != nil {
+		return nil, err
 	}
 	stmt.NumParams = p.params
 	return stmt, nil
 }
 
+// parser lexes as it parses, so a statement that fails early fails fast.
+// After a lexing error every token is TokEOF, and lexErr is the error.
 type parser struct {
-	toks   []Token
-	pos    int
+	lx     lexer
+	tok    Token // the current token
+	lexErr error
 	params int // '?' markers seen so far (assigns Param.Index)
+	depth  int // nesting levels open at the current token (see nest)
 }
 
-func (p *parser) peek() Token    { return p.toks[p.pos] }
-func (p *parser) advance() Token { t := p.toks[p.pos]; p.pos++; return t }
+// maxDepth bounds expression nesting: parentheses, function calls, NOT and
+// unary minus each open one level, and parsing, rendering and planning each
+// recurse once per level.
+const maxDepth = 256
+
+// nest opens a nesting level, failing past maxDepth; the caller closes it.
+func (p *parser) nest() error {
+	if p.depth == maxDepth {
+		return p.errf("expression nested deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) peek() Token { return p.tok }
+
+// advance consumes the current token and lexes the next.
+func (p *parser) advance() Token {
+	t := p.tok
+	var err error
+	if p.tok, err = p.lx.next(); err != nil {
+		p.lexErr = cmp.Or(p.lexErr, err)
+		p.tok = Token{Kind: TokEOF, Pos: p.lx.pos}
+	}
+	return t
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: at offset %d: %s", p.peek().Pos, fmt.Sprintf(format, args...))
@@ -300,6 +326,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.atKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.advance()
 		x, err := p.parseNot()
 		if err != nil {
@@ -333,7 +363,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	negate := false
 	if p.atKeyword("NOT") {
 		// expr NOT IN (...) / expr NOT LIKE 'pat' / fall through otherwise.
-		if nt := p.toks[p.pos+1]; nt.Kind == TokKeyword && (nt.Text == "IN" || nt.Text == "LIKE" || nt.Text == "BETWEEN") {
+		if nt := p.lx.peek(); nt.Kind == TokKeyword && (nt.Text == "IN" || nt.Text == "LIKE" || nt.Text == "BETWEEN") {
 			p.advance()
 			negate = true
 		}
@@ -489,6 +519,10 @@ func (p *parser) parseKey(clause string) (Expr, error) {
 func (p *parser) parseUnary() (Expr, error) {
 	t := p.peek()
 	if t.Kind == TokOp && t.Text == "-" {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
@@ -551,6 +585,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return nil, p.errf("unexpected keyword %q in expression", t.Text)
 
 	case TokLParen:
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
@@ -569,6 +607,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		// Function call?
 		if p.peek().Kind == TokLParen && !strings.Contains(name, ".") {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			defer func() { p.depth-- }()
 			fn := strings.ToUpper(name)
 			p.advance() // (
 			call := &Call{Func: fn}

@@ -1,8 +1,10 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/column"
 )
@@ -268,9 +270,14 @@ func TestWalkColumnRefs(t *testing.T) {
 }
 
 func TestLexTokens(t *testing.T) {
-	toks, err := Lex("SELECT a1, <= >= <> != ( ) * ; 3.5 'x'")
-	if err != nil {
-		t.Fatal(err)
+	lx := lexer{src: "SELECT a1, <= >= <> != ( ) * ; 3.5 'x'"}
+	var toks []Token
+	for len(toks) == 0 || toks[len(toks)-1].Kind != TokEOF {
+		tok, err := lx.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, tok)
 	}
 	kinds := []TokenKind{TokKeyword, TokIdent, TokComma, TokOp, TokOp, TokOp, TokOp, TokLParen, TokRParen, TokStar, TokSemicolon, TokNumber, TokString, TokEOF}
 	if len(toks) != len(kinds) {
@@ -283,5 +290,57 @@ func TestLexTokens(t *testing.T) {
 	}
 	if toks[6].Text != "<>" { // != normalizes to <>
 		t.Errorf("!= lexed as %q", toks[6].Text)
+	}
+}
+
+// TestParseDepthBound: an expression nests up to maxDepth levels —
+// parentheses, function calls, NOT and unary minus each open one — and a
+// deeper one fails at the offset of the token that opens level maxDepth+1,
+// in time independent of how long the chain behind that token runs.
+func TestParseDepthBound(t *testing.T) {
+	const where = "SELECT x FROM t WHERE "
+	shapes := []struct {
+		name, prefix, open, body, close, suffix string
+		levels, at                              int // levels one open adds; offset in open of the level maxDepth+1 opens
+	}{
+		{"parentheses", where, "(", "a = 1", ")", "", 1, 0},
+		{"NOT", where, "NOT ", "a = 1", "", "", 1, 0},
+		{"unary minus", where, "- ", "a", "", " = 1", 1, 0},
+		{"calls", "SELECT ", "MIN(", "a", ")", " FROM t", 1, 3},
+		{"NOT and parentheses", where, "NOT (", "a = 1", ")", "", 2, 0},
+		{"minus and parentheses", where, "-(", "a", ")", " = 1", 2, 0},
+	}
+	for _, sh := range shapes {
+		nested := func(n int) string {
+			return sh.prefix + strings.Repeat(sh.open, n) + sh.body + strings.Repeat(sh.close, n) + sh.suffix
+		}
+		n := maxDepth / sh.levels
+		if _, err := Parse(nested(n)); err != nil {
+			t.Errorf("%s: %d levels: %v", sh.name, n*sh.levels, err)
+		}
+		_, err := Parse(nested(n + 1))
+		want := fmt.Sprintf("sql: at offset %d: expression nested deeper than %d levels", len(sh.prefix)+n*len(sh.open)+sh.at, maxDepth)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: %d levels: error %v, want %q", sh.name, (n+1)*sh.levels, err, want)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		src  string
+		at   int
+	}{
+		{"100,000 NOTs", where + strings.Repeat("NOT ", 100_000) + "a = 1", len(where) + 4*maxDepth},
+		{"300,000 parentheses", where + strings.Repeat("(", 300_000) + "a = 1" + strings.Repeat(")", 300_000), len(where) + maxDepth},
+	} {
+		start := time.Now()
+		_, err := Parse(c.src)
+		took := time.Since(start)
+		if want := fmt.Sprintf("sql: at offset %d: expression nested", c.at); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %v, want it to start %q", c.name, err, want)
+		}
+		if took > 10*time.Millisecond {
+			t.Errorf("%s: failing took %v, want < 10ms", c.name, took)
+		}
 	}
 }

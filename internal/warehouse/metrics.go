@@ -35,9 +35,6 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendCounter(b, "lazyetl_mem_denials_total", "Memory reservations denied by the ledger.", ms.Denials)
 
 	qs := w.qc.statsSnapshot()
-	b = obs.AppendCounter(b, "lazyetl_plan_cache_hits_total", "Plan-cache hits.", qs.PlanHits)
-	b = obs.AppendCounter(b, "lazyetl_plan_cache_misses_total", "Plan-cache misses.", qs.PlanMisses)
-	b = obs.AppendGauge(b, "lazyetl_plan_cache_entries", "Plans currently cached.", int64(qs.PlanEntries))
 	b = obs.AppendCounter(b, "lazyetl_result_cache_hits_total", "Result-cache hits.", qs.ResultHits)
 	b = obs.AppendCounter(b, "lazyetl_result_cache_misses_total", "Result-cache misses.", qs.ResultMisses)
 	b = obs.AppendCounter(b, "lazyetl_result_cache_evictions_total", "Reused (protected) result-cache entries evicted under byte pressure.", qs.ResultEvictions)

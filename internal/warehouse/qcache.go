@@ -1,10 +1,9 @@
 package warehouse
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cache"
@@ -16,75 +15,57 @@ import (
 
 // Two-tier query cache.
 //
-// Tier 1 caches parse and plan work: the statement cache maps a canonical
-// template to its *Prepared (the parsed, unbound AST every ad-hoc query of
-// that shape is served through), and the plan cache maps (template,
-// parameter values) to the built plan skeleton. Nothing else goes into a
-// plan: the cache lives on one warehouse whose mode, catalog and oracle
-// switches are immutable after Open, and Build reads no store contents — so
-// plans carry no snapshot version and survive a Refresh.
+// The statement tier maps a canonical template to its *Prepared: the
+// parsed, unbound AST that every ad-hoc query of that shape and every
+// Prepare of it is served through. Parsing is all it saves; each execution
+// binds its parameters and builds and renders its plan afresh, since a plan
+// depends on its literals (sample window, prune range, derived interval
+// predicates, output names) and an exact repeat is answered by the result
+// tier before any plan is needed.
 //
-// Tier 2 caches completed results, keyed by (normalized SQL + parameters,
-// store snapshot version) and guarded by the per-file stamps the extraction
-// reported: a hit re-stats every source file the answer depends on and is
-// dropped when any mtime/size moved, the same staleness contract the
-// recycler cache and the zone maps use. Entries are byte-charged to the
-// warehouse mem.Ledger, so cached results compete with the recycler and
-// operator working sets under the one global budget, and admission is
-// declined — never blocked — under pressure.
+// The result tier caches completed answers, keyed by (normalized SQL +
+// parameters, store snapshot version) and guarded by the per-file stamps
+// the extraction reported: a hit re-stats every source file the answer
+// depends on and is dropped when any mtime/size moved, the same staleness
+// contract the recycler cache and the zone maps use. Entries are
+// byte-charged to the warehouse mem.Ledger, so cached results compete with
+// the recycler and operator working sets under the one global budget, and
+// admission is declined — never blocked — under pressure.
 //
 // Both tiers admit only what repeats: each is a cache.Cache (2Q, as the
-// recycler is), where a new plan or answer waits in probation and reaches
-// the protected LRU, governed by maxPlans or resultBudget, only on its
-// second use. A stream of one-off literals holds at most a quarter of
-// either tier's budget — 64 plans, 1 MiB of answers — instead of filling
-// it with entries nobody asks for again.
+// recycler is), where a new statement or answer waits in probation and
+// reaches the protected LRU, governed by maxStmts or resultBudget, only on
+// its second use. A stream of one-off shapes or literals holds at most a
+// quarter of either tier's budget — 64 statements, 1 MiB of answers —
+// instead of evicting the entries that repeat.
 type queryCache struct {
 	mu sync.Mutex
 	// store is the live store: an answer is admitted only while the snapshot
 	// it was computed on is still the published one.
 	store   *catalog.Store
-	stmts   map[string]*Prepared
-	plans   *cache.Cache[string, *planEntry]      // cost 1 each against maxPlans
+	stmts   *cache.Cache[string, *Prepared]       // cost 1 each against maxStmts
 	results *cache.Cache[resultKey, *resultEntry] // cost in bytes against resultBudget
 	// st counts hits, misses, invalidations and declines; see statsSnapshot.
 	st QueryCacheStats
 }
 
 const (
-	// maxStmts / maxPlans bound tier 1. Plans are small (node skeletons and
-	// two rendered strings), so a simple entry cap is enough.
+	// maxStmts bounds the statement tier. A statement is a small AST, so an
+	// entry cap is enough.
 	maxStmts = 256
-	maxPlans = 256
-	// resultBudget bounds tier 2's own footprint; the shared ledger may
-	// shrink it further. A quarter of it is probation, where one-off answers
-	// wait: 1 MiB, some 500 small answers. A bigger budget keeps more
-	// one-offs live for the garbage collector to mark: with 16 MiB of them,
-	// cold_scan spent ~20 % more CPU per query. maxResultStamps caps the
-	// per-entry re-validation cost: answers touching more files than this
-	// are not admitted.
+	// resultBudget bounds the result tier's own footprint; the shared ledger
+	// may shrink it further. A quarter of it is probation, where one-off
+	// answers wait: 1 MiB, some 500 small answers. A bigger budget keeps
+	// more one-offs live for the garbage collector to mark: with 16 MiB of
+	// them, cold_scan spent ~20 % more CPU per query. maxResultStamps caps
+	// the per-entry re-validation cost: answers touching more files than
+	// this are not admitted.
 	resultBudget    = 4 << 20
 	maxResultStamps = 64
 	// resultOverhead approximates an entry's bookkeeping beyond the batch
 	// payload (strings, stamps, list/map slots).
 	resultOverhead = 512
 )
-
-// planEntry is one built plan: everything Query needs that is independent
-// of the executing snapshot's data (the plan tree is never mutated by
-// execution, so concurrent queries share it).
-type planEntry struct {
-	sqlText   string // bound statement rendering (Trace.SQL)
-	root      plan.Node
-	naive     string
-	optimized string
-}
-
-// trace is the plan's Trace skeleton: SQL and plans; the run-time fields
-// fill in during execution.
-func (pe *planEntry) trace() Trace {
-	return Trace{SQL: pe.sqlText, Naive: pe.naive, Optimized: pe.optimized}
-}
 
 type resultKey struct {
 	sqlKey  string
@@ -112,83 +93,57 @@ func (e *resultEntry) fresh() bool {
 func newQueryCache(ledger *mem.Ledger, store *catalog.Store) *queryCache {
 	return &queryCache{
 		store:   store,
-		stmts:   make(map[string]*Prepared),
-		plans:   cache.New[string, *planEntry](maxPlans, nil),
+		stmts:   cache.New[string, *Prepared](maxStmts, nil),
 		results: cache.New[resultKey, *resultEntry](resultBudget, ledger),
 	}
 }
 
-// paramsKey encodes parameter values into an exact, collision-free key
-// fragment: type-tagged, length-prefixed strings, float64s by bit pattern
-// (so 1.0 and the integer 1 never alias, and NaN payloads stay distinct).
-func paramsKey(params []column.Value) string {
-	if len(params) == 0 {
+// key is the statement's result-cache key for these parameter values, or ""
+// for a one-off statement, which has none. After the template come, per
+// value, its type, a tag (null, or the payload's kind) and its payload:
+// float64s by bit pattern (so 1.0 and the integer 1 never alias, and NaN
+// payloads stay distinct), strings length-prefixed. No two bindings share a
+// key.
+func (p *Prepared) key(params []column.Value) string {
+	if !p.cached {
 		return ""
 	}
-	var sb strings.Builder
+	b := append(make([]byte, 0, len(p.text)+1+10*len(params)), p.text...)
+	b = append(b, 0x1f)
 	for _, v := range params {
-		sb.WriteByte(0x01)
-		if v.Null {
-			sb.WriteByte('n')
-			sb.WriteString(strconv.Itoa(int(v.Type)))
-			continue
-		}
-		switch v.Type {
-		case column.Float64:
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatUint(math.Float64bits(v.F), 16))
-		case column.String:
-			sb.WriteByte('s')
-			sb.WriteString(strconv.Itoa(len(v.S)))
-			sb.WriteByte(':')
-			sb.WriteString(v.S)
+		switch b = append(b, byte(v.Type)); {
+		case v.Null:
+			b = append(b, 'n')
+		case v.Type == column.Float64:
+			b = binary.LittleEndian.AppendUint64(append(b, 'f'), math.Float64bits(v.F))
+		case v.Type == column.String:
+			b = append(binary.AppendUvarint(append(b, 's'), uint64(len(v.S))), v.S...)
 		default: // Int64, Timestamp, Bool all live in I
-			sb.WriteByte('i')
-			sb.WriteString(strconv.Itoa(int(v.Type)))
-			sb.WriteByte(':')
-			sb.WriteString(strconv.FormatInt(v.I, 10))
+			b = binary.LittleEndian.AppendUint64(append(b, 'i'), uint64(v.I))
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
-// lookupStmt returns the cached statement of a template, or nil.
-func (c *queryCache) lookupStmt(template string) *Prepared {
+// statement returns the cached statement of a template, counting a use, or
+// else the one parse makes, admitted unless it is a one-off. Of concurrent
+// misses of one template, all return the statement admitted first.
+func (c *queryCache) statement(tmpl string, parse func() (*Prepared, error)) (*Prepared, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stmts[template]
-}
-
-func (c *queryCache) storeStmt(p *Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.stmts) >= maxStmts {
-		// Drop an arbitrary entry; the statement cache is tiny and any
-		// victim re-parses in microseconds.
-		for k := range c.stmts {
-			delete(c.stmts, k)
-			break
-		}
+	p, ok := c.stmts.Get(tmpl, true)
+	c.mu.Unlock()
+	if ok {
+		return p, nil
 	}
-	c.stmts[p.text] = p
-}
-
-// lookupPlan returns the plan cached for this key.
-func (c *queryCache) lookupPlan(sqlKey string) (*planEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if pe, ok := c.plans.Get(sqlKey, true); ok {
-		c.st.PlanHits++
-		return pe, true
+	p, err := parse()
+	if err != nil || !p.cached {
+		return p, err
 	}
-	c.st.PlanMisses++
-	return nil, false
-}
-
-func (c *queryCache) storePlan(sqlKey string, pe *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans.Add(sqlKey, pe, 1, nil)
+	c.stmts.Add(tmpl, p, 1, nil)
+	p, _ = c.stmts.Get(tmpl, false)
+	return p, nil
 }
 
 // lookupResult returns a cached answer for the key after re-validating its
@@ -252,8 +207,8 @@ func (c *queryCache) admitResult(key resultKey, res *Result, stamps []plan.FileS
 // purge drops every cached result and clears the result tier's probation
 // and ghost segments. Refresh calls it so a snapshot swap reclaims the
 // superseded answers at once — their versioned keys already guarantee they
-// could never be served again. Statements and plans survive: neither
-// depends on the repository's contents.
+// could never be served again. Statements survive: they do not depend on
+// the repository's contents.
 func (c *queryCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,9 +217,12 @@ func (c *queryCache) purge() {
 
 // QueryCacheStats is the observable state of the two-tier query cache.
 type QueryCacheStats struct {
-	PlanHits    int64
-	PlanMisses  int64
-	PlanEntries int
+	// PlanHits and PlanMisses are always 0: no tier caches plans, since a
+	// plan depends on its literals and costs microseconds to build. They
+	// stay so that /stats keeps its wire shape for the clients that decode
+	// them.
+	PlanHits   int64
+	PlanMisses int64
 
 	ResultHits   int64
 	ResultMisses int64
@@ -283,7 +241,7 @@ func (c *queryCache) statsSnapshot() QueryCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.PlanEntries, st.ResultEntries = c.plans.Len(), c.results.Len()
+	st.ResultEntries = c.results.Len()
 	st.ResultEvictions, st.ResultUnreused, st.ResultBytes = c.results.Evictions, c.results.Unreused, c.results.Cost()
 	return st
 }

@@ -11,11 +11,11 @@ import (
 	"repro/internal/seisgen"
 )
 
-// BenchmarkPreparedQuery isolates the parse -> plan cost the
-// plan cache removes. The cold variant pays it on every iteration
-// (noQueryCache); the prepared variant resolves the same statement through
-// the plan cache. Neither executes — Explain stops at the built plan — so
-// the delta is pure preparation work.
+// BenchmarkPreparedQuery isolates the parse cost the statement cache
+// removes. The cold variant parses the raw text on every iteration
+// (noQueryCache); the prepared variant binds the statement it parsed once.
+// Both then build and render the plan, and neither executes — Explain stops
+// at the built plan — so the delta is the parse alone.
 func BenchmarkPreparedQuery(b *testing.B) {
 	const q = `SELECT F.station, COUNT(*), MIN(D.sample_value), MAX(D.sample_value)
 	 FROM mseed.dataview WHERE F.network = 'NL' AND D.sample_value > 500 GROUP BY F.station`
@@ -45,9 +45,6 @@ func BenchmarkPreparedQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		params := []column.Value{column.NewString("NL"), column.NewInt64(500)}
-		if _, err := ps.Explain(params...); err != nil { // build and cache the plan
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -106,8 +103,8 @@ func BenchmarkResultCacheHit(b *testing.B) {
 }
 
 // BenchmarkPreparedExecute is the end-to-end prepared-statement path with
-// varying parameters: plan-cache hits per distinct value, result-cache
-// hits on repeats.
+// varying parameters: three distinct values cycling, so every execution
+// after the first three is a result-cache hit of the one statement.
 func BenchmarkPreparedExecute(b *testing.B) {
 	dir := genRepo(b, 1500)
 	w, err := Open(dir, Options{Mode: Lazy})
@@ -136,12 +133,12 @@ func BenchmarkPreparedExecute(b *testing.B) {
 // BenchmarkOneOffQueries serves the warm windowed-aggregate shape (the
 // cold_scan statement over a recycler that holds the whole fleet) with both
 // query-cache tiers on and a window no earlier iteration asked for, so every
-// plan and answer is a one-off. Besides time and allocations it reports GC
-// cycles per query (gc/op), the runtime's estimate of GC CPU time per query
-// (gc-cpu-ns/op: fewer cycles over a bigger heap can cost more), and the
-// heap still live after a final GC (live-B): the plans and answers the
-// caches retain, which admission on probation bounds at a quarter of each
-// tier's budget.
+// answer is a one-off, served through the one statement of its shape.
+// Besides time and allocations it reports GC cycles per query (gc/op), the
+// runtime's estimate of GC CPU time per query (gc-cpu-ns/op: fewer cycles
+// over a bigger heap can cost more), and the heap still live after a final
+// GC (live-B): the answers the result cache retains, which admission on
+// probation bounds at a quarter of its budget.
 func BenchmarkOneOffQueries(b *testing.B) {
 	const width = 500 * time.Second
 	dir := genRepo(b, 80000)

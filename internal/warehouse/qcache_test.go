@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -130,31 +131,97 @@ func TestResultCacheHitSkipsExecution(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHit pins tier 1: two queries sharing a normalized template
-// (different literals) share the parsed statement, and a respelling of one
-// reuses its built plan.
-func TestPlanCacheHit(t *testing.T) {
-	dir := genRepo(t, 2000)
-	w := openWH(t, dir, Lazy)
-	if _, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK'`); err != nil {
+// TestStatementTierSharesShapes: every spelling of one shape resolves to
+// the same *Prepared — ad-hoc queries differing in literals, whitespace or
+// keyword case, and Prepare of the shape's template — and Prepare reports a
+// statement that does not parse at its offset in the text as sent.
+func TestStatementTierSharesShapes(t *testing.T) {
+	w := openWH(t, genRepo(t, 500), Lazy)
+	ps, err := w.Prepare(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = ?`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := w.Stats().QueryCache
-	if _, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN'`); err != nil {
-		t.Fatal(err)
+	// Identifiers — function names included — stay case-sensitive, so COUNT
+	// keeps its spelling.
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK'`,
+		`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN'`,
+		"select COUNT(*)  from mseed.dataview\n where F.station='HGN'",
+	} {
+		p, params, err := w.resolve(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != ps || len(params) != 1 {
+			t.Errorf("%q resolved to %q with %d parameter(s), want the prepared %q with 1", q, p.SQL(), len(params), ps.SQL())
+		}
 	}
-	after := w.Stats().QueryCache
-	// Different literals → different plan keys (params are part of the
-	// key), but the parsed template statement is shared; re-running the
-	// HGN spelling with other whitespace and keyword case must hit the
-	// plan cache (identifiers — including function names — stay
-	// case-sensitive, so COUNT keeps its spelling).
-	if _, err := w.QueryUncached("select COUNT(*)  from mseed.dataview where F.station='HGN'"); err != nil {
-		t.Fatal(err)
+	if again, err := w.Prepare(ps.SQL()); err != nil || again != ps {
+		t.Errorf("preparing the template again: %v, a new statement %t", err, again != ps)
 	}
-	final := w.Stats().QueryCache
-	if final.PlanHits != after.PlanHits+1 {
-		t.Errorf("plan hits %d -> %d, want +1 (stats before: %+v)", after.PlanHits, final.PlanHits, before)
+	const bad = "SELECT   COUNT(*)\n\tFROM mseed.files   WHERE station = ?   AND AND"
+	_, err = w.Prepare(bad)
+	if want := fmt.Sprintf("offset %d", strings.LastIndex(bad, "AND")); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v does not point at %s of the raw text", err, want)
+	}
+}
+
+// TestStatementTierKeepsHotTemplates: a template asked twice is protected,
+// so a stream of 4,000 one-off templates — each asked once, as a random
+// LIMIT makes them — cycles through probation without evicting it, and
+// leaves at most a quarter of the tier's budget resident besides.
+func TestStatementTierKeepsHotTemplates(t *testing.T) {
+	w := openWH(t, genRepo(t, 500), Lazy)
+	const hot = `SELECT station, COUNT(*) FROM mseed.files WHERE network = 'NL' GROUP BY station`
+	var tmpl string
+	for i := 0; i < 2; i++ {
+		p, _, err := w.resolve(hot, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl = p.SQL()
+	}
+	for i := 0; i < 4000; i++ {
+		if _, _, err := w.resolve(fmt.Sprintf("SELECT station FROM mseed.files LIMIT %d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.qc.mu.Lock()
+	_, resident := w.qc.stmts.Get(tmpl, false)
+	n := w.qc.stmts.Len()
+	w.qc.mu.Unlock()
+	if !resident {
+		t.Error("the template asked twice was evicted by 4,000 one-offs")
+	}
+	if n > 1+maxStmts/4 {
+		t.Errorf("%d statements resident, want at most the hot one and a quarter of %d", n, maxStmts)
+	}
+}
+
+// TestResultKeysAreExact: bindings that differ in any value — its type,
+// null or not, a float's bits, where one string ends and the next begins —
+// get distinct result-cache keys, and a one-off statement gets none.
+func TestResultKeysAreExact(t *testing.T) {
+	p := &Prepared{text: "SELECT ?, ?", cached: true}
+	bindings := [][]column.Value{
+		nil,
+		{column.NewInt64(1)}, {column.NewFloat64(1)}, {column.NewBool(true)}, {column.NewTimestamp(1)},
+		{column.NewNull(column.Int64)}, {column.NewNull(column.String)}, {column.NewString("n")},
+		{column.NewFloat64(math.NaN())}, {column.NewFloat64(math.Float64frombits(0x7ff8000000000002))},
+		{column.NewFloat64(0)}, {column.NewFloat64(math.Copysign(0, -1))},
+		{column.NewString("ab"), column.NewString("c")}, {column.NewString("a"), column.NewString("bc")},
+		{column.NewString(""), column.NewString("")}, {column.NewString("")},
+	}
+	seen := make(map[string]int)
+	for i, b := range bindings {
+		k := p.key(b)
+		if j, ok := seen[k]; ok {
+			t.Errorf("bindings %v and %v share the key %q", bindings[j], b, k)
+		}
+		seen[k] = i
+	}
+	if k := (&Prepared{text: p.text}).key(bindings[1]); k != "" {
+		t.Errorf("a one-off statement has the key %q", k)
 	}
 }
 
@@ -215,8 +282,8 @@ func TestPreparedStatements(t *testing.T) {
 }
 
 // TestQueryCacheExplicitJoin: the explicit three-table spine answers bit
-// for bit like the noQueryCache oracle when cold, from the plan cache, and
-// from the result cache.
+// for bit like the noQueryCache oracle when cold, warm from the statement
+// cache, and from the result cache.
 func TestQueryCacheExplicitJoin(t *testing.T) {
 	dir := genRepo(t, 3000)
 	w, err := Open(dir, Options{Mode: Eager})
@@ -239,18 +306,13 @@ func TestQueryCacheExplicitJoin(t *testing.T) {
 	if renderExact(cold.Batch) != want {
 		t.Error("cold cached answer diverged from oracle")
 	}
-	// Warm plan-cache path (bypassing the result cache): same answer, one
-	// more plan hit.
-	before := w.Stats().QueryCache
+	// Warm statement, bypassing the result cache: same answer.
 	warm, err := w.QueryUncached(joinQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Stats().QueryCache.PlanHits != before.PlanHits+1 {
-		t.Errorf("warm run missed the plan cache: %+v", w.Stats().QueryCache)
-	}
 	if renderExact(warm.Batch) != want {
-		t.Error("plan-cache answer diverged from oracle")
+		t.Error("warm uncached answer diverged from oracle")
 	}
 	hit, err := w.Query(joinQ)
 	if err != nil {
@@ -262,9 +324,9 @@ func TestQueryCacheExplicitJoin(t *testing.T) {
 }
 
 // TestPlansSurviveRefresh: a plan depends on its statement and parameters
-// alone, so a Refresh that changed a file the query read keeps the plan.
-// The next uncached run is a plan hit, and its answer is bit-identical to a
-// fresh noQueryCache warehouse's over the touched repository.
+// alone, so after a Refresh that changed a file the query read, the next
+// uncached run of the cached statement answers bit for bit like a fresh
+// noQueryCache warehouse over the touched repository.
 func TestPlansSurviveRefresh(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
@@ -295,13 +357,9 @@ func TestPlansSurviveRefresh(t *testing.T) {
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	before := w.Stats().QueryCache
 	got, err := w.QueryUncached(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if after := w.Stats().QueryCache; after.PlanHits != before.PlanHits+1 {
-		t.Errorf("plan hits %d -> %d after the refresh, want +1", before.PlanHits, after.PlanHits)
 	}
 	fresh, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
 	if err != nil {
@@ -434,21 +492,20 @@ func TestQueryCacheInvalidationUnderChurn(t *testing.T) {
 
 // TestQueryCacheLedgerAccounting: the result cache charges the shared
 // ledger and releases on purge, so a Refresh returns the bytes and empties
-// the result tier, while the plan tier keeps every plan. (That a purge also
-// empties the probation and ghost segments is the cache package's to pin.)
+// the result tier. (That a purge also empties the probation and ghost
+// segments is the cache package's to pin.)
 func TestQueryCacheLedgerAccounting(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
 	for _, q := range qcacheQueries {
-		// The second Query promotes the answer, the uncached run the plan.
+		// The second Query promotes the answer.
 		for _, run := range []func(string) (*Result, error){w.Query, w.Query, w.QueryUncached} {
 			if _, err := run(q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// Overflow the result tier's probation into its ghost ring; the plan
-	// tier's, a quarter of maxPlans, overflows long before.
+	// Overflow the result tier's probation into its ghost ring.
 	oneOffsUntil(t, w, 0, func(st QueryCacheStats) bool { return st.ResultUnreused > 0 })
 	st := w.Stats()
 	if st.QueryCache.ResultEntries == 0 || st.QueryCache.ResultBytes == 0 || st.QueryCache.ResultHits == 0 {
@@ -458,13 +515,12 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 		t.Errorf("ledger (%d) holds less than the result cache (%d): entries not charged",
 			st.Mem.Used, st.QueryCache.ResultBytes)
 	}
-	plans := st.QueryCache.PlanEntries
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	st = w.Stats()
-	if st.QueryCache.ResultEntries != 0 || st.QueryCache.ResultBytes != 0 || st.QueryCache.PlanEntries != plans {
-		t.Errorf("refresh left results or dropped plans (%d before): %+v", plans, st.QueryCache)
+	if st.QueryCache.ResultEntries != 0 || st.QueryCache.ResultBytes != 0 {
+		t.Errorf("refresh left results: %+v", st.QueryCache)
 	}
 	if st.Mem.Used != st.CacheBytes {
 		t.Errorf("ledger holds %d after purge, recycler accounts for %d", st.Mem.Used, st.CacheBytes)
@@ -472,7 +528,7 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 }
 
 // oneOff is the i-th of a stream of distinct-literal metadata queries, each
-// asked once: every one has its own plan and result key.
+// asked once: every one has its own result key.
 func oneOff(i int) string {
 	return fmt.Sprintf("SELECT COUNT(*) FROM mseed.files WHERE file_id > %d", -1-i)
 }
@@ -493,16 +549,20 @@ func oneOffsUntil(t *testing.T, w *Warehouse, i int, done func(QueryCacheStats) 
 }
 
 // TestQueryCacheOneOffsStayOnProbation: distinct-literal queries, enough to
-// drop a thousand answers off probation, leave at most a quarter of either
-// tier's budget resident, none of it evicted from protected, and every
-// dropped answer counted as unreused.
+// drop a thousand answers off probation, leave at most a quarter of the
+// result tier's budget resident and one statement, their shared template;
+// none of it is evicted from protected, and every dropped answer is counted
+// as unreused.
 func TestQueryCacheOneOffsStayOnProbation(t *testing.T) {
 	w := openWH(t, genRepo(t, 500), Lazy)
 	n := oneOffsUntil(t, w, 0, func(st QueryCacheStats) bool { return st.ResultUnreused >= 1000 })
 	st := w.Stats().QueryCache
-	if st.ResultBytes > resultBudget/4 || st.PlanEntries > maxPlans/4 {
-		t.Errorf("%d one-offs left %d result bytes and %d plans resident, want <= %d and %d",
-			n, st.ResultBytes, st.PlanEntries, resultBudget/4, maxPlans/4)
+	w.qc.mu.Lock()
+	stmts := w.qc.stmts.Len()
+	w.qc.mu.Unlock()
+	if st.ResultBytes > resultBudget/4 || stmts != 1 {
+		t.Errorf("%d one-offs left %d result bytes and %d statements resident, want <= %d and 1",
+			n, st.ResultBytes, stmts, resultBudget/4)
 	}
 	if st.ResultHits != 0 || st.ResultEvictions != 0 || st.ResultUnreused != int64(n-st.ResultEntries) {
 		t.Errorf("%d one-offs: %+v, want 0 hits, 0 evictions and every dropped answer unreused", n, st)

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/column"
+	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
@@ -179,6 +181,78 @@ func TestAdmissionIsCancellable(t *testing.T) {
 	requireIdle(t, "after cancelled admissions", w, t.TempDir())
 	if _, err := p.ExecuteContext(context.Background(), column.NewString("ISK")); err != nil {
 		t.Fatalf("the slot was not released: %v", err)
+	}
+}
+
+// cancelAfterFirst is an ExtractSource whose streams call cancel once they
+// have handed out their first morsel.
+type cancelAfterFirst struct {
+	plan.ExtractSource
+	cancel context.CancelFunc
+}
+
+func (s cancelAfterFirst) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.ExtractSource.ExtractStream(meta, cols, prune, window, obs, morselRows, width, led)
+	if err != nil {
+		return nil, err
+	}
+	return cancelOnNext{src, s.cancel}, nil
+}
+
+type cancelOnNext struct {
+	exec.BatchSource
+	cancel context.CancelFunc
+}
+
+func (s cancelOnNext) Next() (exec.Morsel, bool, error) {
+	m, ok, err := s.BatchSource.Next()
+	s.cancel()
+	return m, ok, err
+}
+
+// TestQueryCancelledMidPipeline: a query whose context ends after its
+// extraction stream handed out the first morsel fails with
+// context.Canceled, on the serial loop and the parallel driver; it leaves
+// no slot, ledger bytes or spill directory behind and no cached answer, and
+// the next run of the statement answers bit for bit like the noQueryCache
+// oracle.
+func TestQueryCancelledMidPipeline(t *testing.T) {
+	dir := genRepo(t, 2000)
+	root := t.TempDir()
+	t.Setenv("TMPDIR", root)
+	oracle, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		w, err := Open(dir, Options{Mode: Lazy, Workers: workers, MorselRows: 64, MemoryBudget: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+			env.Source = cancelAfterFirst{env.Source, cancel}
+			return plan.Execute(n, env)
+		}
+		if _, err := w.QueryContext(ctx, q2); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: %v, want %v", workers, err, context.Canceled)
+		}
+		requireIdle(t, fmt.Sprintf("workers=%d, after the cancelled query", workers), w, root)
+		w.run = plan.Execute
+		got, err := w.Query(q2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := w.Stats().QueryCache; st.ResultHits != 0 {
+			t.Errorf("workers=%d: the cancelled query left an answer in the result cache: %+v", workers, st)
+		}
+		if g, e := renderExact(got.Batch), renderExact(want.Batch); g != e {
+			t.Errorf("workers=%d: answer after the cancelled query diverged from the oracle\nwant:\n%s\ngot:\n%s", workers, e, g)
+		}
 	}
 }
 

@@ -15,8 +15,10 @@
 //
 // There is one serve path. Every query is a *Prepared statement — Query
 // resolves ad-hoc text to one through the template-keyed statement cache,
-// Prepare hands one out — and Prepared.serve is the only code that admits,
-// counts, cache-probes, executes and accounts it.
+// Prepare resolves its template through the same cache — and Prepared.serve
+// is the only code that admits, counts, cache-probes, executes and accounts
+// it. A query's context bounds both its wait for admission and its
+// execution: a pipeline stops within one morsel of the context ending.
 //
 // Everything a query reads comes from one value published once: the store
 // snapshot (catalog.Snapshot) it loads at admission — the tables, their
@@ -55,14 +57,15 @@
 // The shortcuts are semantically invisible: pruning only drops rows an
 // enclosing filter would delete, and skipping only removes ranges a proof
 // shows empty. No statistic reaches the planner — joins run in the order
-// the SQL states them — so a built plan depends on its statement and
-// parameters alone. The tests' noSkipping oracle disables all of it and is
-// the reference the skipping paths are tested against, across the full
+// the SQL states them — so a plan depends on its statement and parameters
+// alone. The tests' noSkipping oracle disables all of it and is the
+// reference the skipping paths are tested against, across the full
 // workers x morsel x budget matrix. Per-query effects surface in
 // Result.Trace (Scans) and cumulatively in Stats.
 package warehouse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -443,17 +446,17 @@ func (o *observer) Event(op, detail string) {
 // Query is Prepare + Execute with the literals as parameters: the text is
 // normalized to its template, the template's statement comes from (or goes
 // into) the statement cache, and that statement is served. Repeated shapes
-// therefore reuse their built plan, and bit-identical answers may come
-// straight from the result cache (validated against the snapshot version
-// and the source files' stamps, so a cached answer never differs from fresh
+// therefore skip the parse, and bit-identical answers may come straight
+// from the result cache (validated against the snapshot version and the
+// source files' stamps, so a cached answer never differs from fresh
 // execution). Both caches admit on probation: the second identical query
-// is a hit, but a plan or answer no query asks for again is dropped after
-// 256 newer ones instead of crowding out those that repeat.
+// is a hit, but a statement or answer no query asks for again waits in
+// probation instead of crowding out those that repeat.
 func (w *Warehouse) Query(q string) (*Result, error) { return w.QueryContext(context.Background(), q) }
 
-// QueryContext is Query with a context that bounds the wait for an
-// admission slot: a query cancelled, or past its deadline, while it waits
-// fails with ctx.Err() and holds no slot.
+// QueryContext is Query with a context that bounds the query: cancelled, or
+// past its deadline, while it waits for an admission slot or while it
+// executes, the query fails with ctx.Err() and holds no slot and no memory.
 func (w *Warehouse) QueryContext(ctx context.Context, q string) (*Result, error) {
 	return w.query(ctx, q, true)
 }
@@ -461,7 +464,7 @@ func (w *Warehouse) QueryContext(ctx context.Context, q string) (*Result, error)
 // QueryUncached executes like Query but never serves the answer from the
 // result cache, so the run-time trace (injected operators, per-scan skip
 // tallies) reflects a real execution — the \explain surface uses it. The
-// plan cache still applies.
+// statement cache still applies.
 func (w *Warehouse) QueryUncached(q string) (*Result, error) {
 	return w.query(context.Background(), q, false)
 }
@@ -497,8 +500,9 @@ func (w *Warehouse) fail(op string, err error) error {
 // Prepared is a statement of the warehouse: parsed once, with '?' markers
 // bound to values per execution. It is the one statement object — Prepare
 // returns one for explicit reuse, and every ad-hoc Query resolves to one —
-// so both share the query caches: a prepared "x = ?" and ad-hoc "x = 5"
-// queries of the same shape hit the same plan and result entries.
+// and both resolve through the statement cache: a prepared "x = ?" and
+// ad-hoc "x = 5" queries of the same shape are the same *Prepared, and
+// share result entries.
 type Prepared struct {
 	w    *Warehouse
 	text string // canonical template, or the raw text of a one-off statement
@@ -508,19 +512,37 @@ type Prepared struct {
 	cached bool
 }
 
-// Prepare parses a SELECT statement that may contain '?' parameter
-// markers, for repeated execution with per-call parameter values.
+// Prepare resolves a SELECT statement that may contain '?' parameter
+// markers, for repeated execution with per-call parameter values: its
+// canonical template's statement comes from (or goes into) the statement
+// cache. A statement that does not parse fails at an offset in q as sent.
 func (w *Warehouse) Prepare(q string) (*Prepared, error) {
-	stmt, err := sql.ParseTemplate(q)
-	if err != nil {
-		return nil, w.fail("prepare", err)
-	}
 	tmpl, err := sql.CanonicalTemplate(q)
-	if err != nil {
-		return nil, w.fail("prepare", err)
+	var p *Prepared
+	if err == nil {
+		p, err = w.statement(tmpl, nil)
 	}
-	w.logf("prepare", "%s (%d parameter(s))", tmpl, stmt.NumParams)
-	return &Prepared{w: w, text: tmpl, stmt: stmt, cached: w.oracle&noQueryCache == 0}, nil
+	if err != nil {
+		_, perr := sql.ParseTemplate(q)
+		return nil, w.fail("prepare", cmp.Or(perr, err))
+	}
+	w.logf("prepare", "%s (%d parameter(s))", tmpl, p.stmt.NumParams)
+	return p, nil
+}
+
+// statement returns the statement of a canonical template from the
+// statement cache, parsing it on a miss. Under the noQueryCache oracle it is
+// a one-off: never admitted, and kept away from both tiers.
+func (w *Warehouse) statement(tmpl string, root *obs.Span) (*Prepared, error) {
+	return w.qc.statement(tmpl, func() (*Prepared, error) {
+		psp := root.StartChild("parse")
+		defer psp.End()
+		stmt, err := sql.ParseTemplate(tmpl)
+		if err != nil {
+			return nil, err
+		}
+		return &Prepared{w: w, text: tmpl, stmt: stmt, cached: w.oracle&noQueryCache == 0}, nil
+	})
 }
 
 // resolve turns ad-hoc text into the statement that serves it plus the
@@ -535,21 +557,11 @@ func (w *Warehouse) resolve(q string, root *obs.Span) (*Prepared, []column.Value
 	if w.oracle&noQueryCache == 0 {
 		nsp := root.StartChild("normalize")
 		n, err := sql.Normalize(q)
-		var p *Prepared
-		if err == nil {
-			p = w.qc.lookupStmt(n.Template)
-		}
 		nsp.End()
-		if err == nil && p == nil {
-			psp := root.StartChild("parse")
-			if stmt, perr := sql.ParseTemplate(n.Template); perr == nil {
-				p = &Prepared{w: w, text: n.Template, stmt: stmt, cached: true}
-				w.qc.storeStmt(p)
+		if err == nil {
+			if p, err := w.statement(n.Template, root); err == nil {
+				return p, n.Params, nil
 			}
-			psp.End()
-		}
-		if p != nil {
-			return p, n.Params, nil
 		}
 	}
 	psp := root.StartChild("parse")
@@ -567,15 +579,6 @@ func (p *Prepared) SQL() string { return p.text }
 // NumParams returns how many '?' markers the statement carries.
 func (p *Prepared) NumParams() int { return p.stmt.NumParams }
 
-// key is the statement's entry in both query-cache tiers for these
-// parameter values, or "" for a one-off statement, which has none.
-func (p *Prepared) key(params []column.Value) string {
-	if !p.cached {
-		return ""
-	}
-	return p.text + "\x1f" + paramsKey(params)
-}
-
 // Execute binds the parameters and serves the statement under the same
 // concurrency, admission and caching contract as Query. A parameter-count
 // mismatch fails before admission; it is a failed query all the same.
@@ -583,8 +586,8 @@ func (p *Prepared) Execute(params ...column.Value) (*Result, error) {
 	return p.ExecuteContext(context.Background(), params...)
 }
 
-// ExecuteContext is Execute with a context that bounds the wait for an
-// admission slot, as QueryContext does.
+// ExecuteContext is Execute with a context that bounds the query, as
+// QueryContext does.
 func (p *Prepared) ExecuteContext(ctx context.Context, params ...column.Value) (*Result, error) {
 	if len(params) != p.stmt.NumParams {
 		return nil, p.w.fail("query", fmt.Errorf("warehouse: prepared statement wants %d parameter(s), got %d", p.stmt.NumParams, len(params)))
@@ -593,18 +596,16 @@ func (p *Prepared) ExecuteContext(ctx context.Context, params ...column.Value) (
 	return p.serve(ctx, time.Now(), p.w.newRootSpan(), params, obs.ClassPrepared, true)
 }
 
-// Explain resolves the plan the statement would execute with for these
-// parameters, without executing it. It reads no store snapshot: a plan
-// depends on the statement and parameters alone. On a warm plan cache this
-// is the pure statement-resolution path: no lexing, no parse, no Build —
-// just the cache lookup. Per-scan skip tallies require execution; use
-// QueryUncached and read Result.Trace.Scans.
+// Explain builds the plan the statement would execute with for these
+// parameters, as serve does, without executing it. It reads no store
+// snapshot: a plan depends on the statement and parameters alone. Per-scan
+// skip tallies require execution; use QueryUncached and read
+// Result.Trace.Scans.
 func (p *Prepared) Explain(params ...column.Value) (*Trace, error) {
-	pe, err := p.plan(params, p.key(params), nil)
+	_, tr, err := p.plan(params, nil)
 	if err != nil {
 		return nil, err
 	}
-	tr := pe.trace()
 	return &tr, nil
 }
 
@@ -625,8 +626,8 @@ func (w *Warehouse) Explain(q string) (*Trace, error) {
 // which a statement shared by every query of its shape does not.)
 // class is the latency-histogram class of a computed answer (a result-cache
 // hit is always ClassCached); useResultCache false keeps the statement away
-// from the result cache, probe and admission both — the plan cache still
-// applies.
+// from the result cache, probe and admission both. ctx ends the query at
+// admission or, on plan.Env, within one morsel of its execution.
 func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, params []column.Value, class obs.QueryClass, useResultCache bool) (*Result, error) {
 	w := p.w
 	adm, admStart := root.StartChild("admit"), time.Now()
@@ -660,11 +661,11 @@ func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, p
 	}
 	psp.End()
 
-	pe, err := p.plan(params, sqlKey, root)
+	node, tr, err := p.plan(params, root)
 	if err != nil {
 		return nil, w.fail("query", err)
 	}
-	res := &Result{Trace: pe.trace()}
+	res := &Result{Trace: tr}
 	esp := root.StartChild("execute")
 	o := &observer{w: w, trace: &res.Trace, touched: make(map[string]bool), span: esp}
 	// The query's memory context: operator reservations come from a
@@ -673,9 +674,9 @@ func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, p
 	// that the deferred Cleanup removes on every exit path, error included.
 	qm := exec.NewQueryMem(w.ledger.Child(w.queryBudget), "")
 	defer qm.Cleanup()
-	env := &plan.Env{Store: store, Source: w.engine, Obs: o, Pool: w.pool, Mem: qm, Stats: &w.exec,
+	env := &plan.Env{Ctx: ctx, Store: store, Source: w.engine, Obs: o, Pool: w.pool, Mem: qm, Stats: &w.exec,
 		NoSkipping: w.oracle&noSkipping != 0, Trace: esp}
-	res.Batch, err = w.run(pe.root, env)
+	res.Batch, err = w.run(node, env)
 	if err != nil {
 		return nil, w.fail("query", err)
 	}
@@ -715,45 +716,29 @@ func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params [
 	return res
 }
 
-// plan resolves the statement to an executable plan for these parameters:
-// the seam serve and Explain share. A plan is a function of the statement
-// and its parameters alone — Build reads the catalog's fixed schema and the
+// plan binds the parameters and builds and renders the plan the statement
+// executes with: the seam serve and Explain share. It returns the plan's
+// root and the query's Trace skeleton (SQL and plans; the run-time fields
+// fill in during execution). A plan is a function of the statement and its
+// parameters alone — Build reads the catalog's fixed schema and the
 // warehouse's fixed mode, never the store's contents — so it needs no
-// snapshot. For a cached statement it is the plan-cache fast path: a hit
-// skips bind and Build entirely; a miss builds the plan and caches it under
-// (template, params), where it survives every Refresh.
-func (p *Prepared) plan(params []column.Value, sqlKey string, root *obs.Span) (*planEntry, error) {
+// snapshot.
+func (p *Prepared) plan(params []column.Value, root *obs.Span) (plan.Node, Trace, error) {
 	w := p.w
-	if sqlKey != "" {
-		csp := root.StartChild("plan-cache")
-		pe, ok := w.qc.lookupPlan(sqlKey)
-		csp.End()
-		if ok {
-			return pe, nil
-		}
-	}
 	psp := root.StartChild("parse")
 	bound, err := sql.BindParams(p.stmt, params)
 	psp.End()
 	if err != nil {
-		return nil, err
+		return nil, Trace{}, err
 	}
 	bsp := root.StartChild("plan")
 	plans, err := plan.Build(bound, w.store.Catalog(), w.mode)
 	if err != nil {
-		return nil, err
+		return nil, Trace{}, err
 	}
-	pe := &planEntry{
-		sqlText:   bound.String(),
-		root:      plans.Root,
-		naive:     plan.Render(plans.Naive),
-		optimized: plan.Render(plans.Root),
-	}
-	if sqlKey != "" {
-		w.qc.storePlan(sqlKey, pe)
-	}
+	tr := Trace{SQL: bound.String(), Naive: plan.Render(plans.Naive), Optimized: plan.Render(plans.Root)}
 	bsp.End()
-	return pe, nil
+	return plans.Root, tr, nil
 }
 
 // Refresh re-synchronizes the warehouse with the repository: lazy modes
@@ -776,8 +761,8 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	}
 	// The snapshot version the result keys carry just changed, so no stale
 	// answer could ever be served again; purging reclaims their memory (and
-	// ledger bytes) immediately instead of via eviction. Plans stay: no
-	// plan depends on what the refresh changed.
+	// ledger bytes) immediately instead of via eviction. Statements stay:
+	// none depends on what the refresh changed.
 	w.qc.purge()
 	w.metrics.ObserveQuery(obs.ClassRefresh, time.Since(start))
 	w.logf("refresh", "done: %d files, %d records in %v", st.Files, st.Records, st.Duration)
@@ -810,9 +795,9 @@ type Stats struct {
 	CacheEntries   int
 	CacheBytes     int64
 	CacheStats     string
-	// QueryCache summarizes the two-tier query cache: plan-cache hit
-	// ratios and the result cache's entries, bytes (ledger-charged),
-	// evictions, unreused probation drops and invalidations.
+	// QueryCache summarizes the two-tier query cache: the result cache's
+	// hits, misses, entries, bytes (ledger-charged), evictions, unreused
+	// probation drops and invalidations.
 	QueryCache QueryCacheStats
 	// Extraction counts lazy-extraction work, including the coalesced-run
 	// read path: RunsRead / RunRecords give the records-per-syscall ratio

@@ -74,16 +74,15 @@
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
 // whitespace and keyword case canonicalize away) and caches the parsed
-// statement under its template and the built plan skeleton under
-// (template, parameters): a repeated shape skips the parse, a repeated
-// (template, parameters) pair skips the plan too, and Warehouse.Prepare
-// exposes the same machinery as explicit prepared statements with '?'
-// markers. A plan reads no data (joins run in the order the SQL states
-// them), so plans survive Refresh. Tier 2 caches completed answers keyed by
-// (normalized SQL + parameters, store snapshot version), guarded by
-// per-file mtime/size stamps re-validated on every hit, and byte-charged to
-// the shared memory ledger so cached results compete with the recycler
-// cache under one budget. Refresh invalidates this tier.
+// statement under its template, so a repeated shape skips the parse;
+// Warehouse.Prepare resolves explicit prepared statements with '?' markers
+// through the same tier. Plans are built per execution: a plan depends on
+// its literals, and costs microseconds beside extraction. Tier 2 caches
+// completed answers keyed by (normalized SQL + parameters, store snapshot
+// version), guarded by per-file mtime/size stamps re-validated on every
+// hit, and byte-charged to the shared memory ledger so cached results
+// compete with the recycler cache under one budget. Refresh invalidates
+// this tier.
 // Cached answers are bit-identical to fresh execution; the tests hold them
 // to an uncached warehouse that parses every statement from its raw text.
 //
