@@ -7,6 +7,7 @@ package lazyetl_test
 // serving benchmark.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -69,7 +70,7 @@ func mustQuery(b *testing.B, w *lazyetl.Warehouse, q string) *lazyetl.Result {
 // answered by the result cache before any of them runs.
 func mustQueryUncached(b *testing.B, w *lazyetl.Warehouse, q string) *lazyetl.Result {
 	b.Helper()
-	res, err := w.QueryUncached(q)
+	res, err := w.QueryUncached(context.Background(), q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 // mustQueryPB executes q, bypassing the result cache, from a RunParallel
 // body (where Fatal is not allowed).
 func mustQueryPB(b *testing.B, w *lazyetl.Warehouse, q string) {
-	if _, err := w.QueryUncached(q); err != nil {
+	if _, err := w.QueryUncached(context.Background(), q); err != nil {
 		b.Error(err)
 	}
 }

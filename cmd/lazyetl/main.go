@@ -14,97 +14,66 @@
 // Usage:
 //
 //	lazyetl -repo DIR [-mode lazy|eager|external] [-gen] [-cache BYTES]
+//	        [-workers N] [-mem-budget BYTES] [-slow-query DURATION]
+//
+// Ctrl-C while a statement runs cancels that statement, not the session.
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/column"
-	"repro/internal/etl"
 	"repro/internal/obs"
-	"repro/internal/seisgen"
 	"repro/internal/sql"
 	"repro/internal/warehouse"
 )
 
 func main() {
-	repoDir := flag.String("repo", "", "mSEED repository directory (required)")
-	modeStr := flag.String("mode", "lazy", "warehouse mode: lazy, eager or external")
-	gen := flag.Bool("gen", false, "generate a demo repository into -repo if it is empty or missing")
-	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
-	workers := flag.Int("workers", 0, "workers per query for pipeline stages, hash-join builds and extraction read-ahead (0 = GOMAXPROCS, 1 = serial engine)")
-	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes (0 = unlimited); join builds spill to disk under pressure, cache admissions are declined")
-	slowQuery := flag.Duration("slow-query", 0, "log the span tree of any query at or over this duration (0 = off), e.g. 250ms")
-	flag.Parse()
-
-	if *repoDir == "" {
-		fmt.Fprintln(os.Stderr, "lazyetl: -repo is required (use -gen to create a demo repository)")
-		os.Exit(2)
-	}
-	if *gen {
-		if _, err := os.Stat(*repoDir); os.IsNotExist(err) {
-			fmt.Printf("generating demo repository under %s ...\n", *repoDir)
-			if _, err := seisgen.Generate(seisgen.RepoConfig{
-				Dir: *repoDir, SampleRate: 1, SamplesPerDay: 24 * 3600,
-				EventsPerDay: 2, Seed: 42,
-			}); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	var mode warehouse.Mode
-	switch *modeStr {
-	case "lazy":
-		mode = warehouse.Lazy
-	case "eager":
-		mode = warehouse.Eager
-	case "external":
-		mode = warehouse.External
-	default:
-		fmt.Fprintf(os.Stderr, "lazyetl: unknown mode %q\n", *modeStr)
-		os.Exit(2)
-	}
-
+	repoDir, opts := cli.Parse("lazyetl")
 	start := time.Now()
-	w, err := warehouse.Open(*repoDir, warehouse.Options{
-		Mode: mode, Workers: *workers, MemoryBudget: *memBudget, SlowQueryThreshold: *slowQuery,
-		ETL: etl.Options{CacheBudget: *cache},
-	})
+	w, err := warehouse.Open(repoDir, opts)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "lazyetl:", err)
+		os.Exit(1)
 	}
 	ist := w.InitStats()
-	fmt.Printf("lazy ETL demo — %s mode\n", mode)
+	fmt.Printf("lazy ETL demo — %s mode\n", opts.Mode)
 	fmt.Printf("initial load: %d files, %d records, %d samples in %v (%d bytes read of %d in repo)\n",
 		ist.Files, ist.Records, ist.Samples, time.Since(start).Round(time.Microsecond),
 		ist.BytesRead, ist.RepoBytes)
-	if mode != warehouse.Eager {
+	if opts.Mode != warehouse.Eager {
 		fmt.Println("the warehouse is ready: only metadata was loaded; waveform data stays in the files")
 	}
 	fmt.Println(`type SQL (end with ;), or \help for demo commands`)
 
-	repl(w, *repoDir)
+	s := &session{w: w, repoDir: repoDir, opts: opts, prepared: make(map[string]*warehouse.Prepared)}
+	s.repl()
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lazyetl:", err)
-	os.Exit(1)
+// session is one REPL's state: the warehouse and the options it was opened
+// with (\compare opens its eager warehouse with them), the last query's
+// trace, and the statements \prepare named.
+type session struct {
+	w         *warehouse.Warehouse
+	repoDir   string
+	opts      warehouse.Options
+	lastTrace *warehouse.Trace
+	prepared  map[string]*warehouse.Prepared
 }
 
-func repl(w *warehouse.Warehouse, repoDir string) {
+func (s *session) repl() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lastTrace *warehouse.Trace
 	var pending strings.Builder
-	prepared := make(map[string]*warehouse.Prepared)
 
 	prompt := func() {
 		if pending.Len() > 0 {
@@ -116,10 +85,14 @@ func repl(w *warehouse.Warehouse, repoDir string) {
 	prompt()
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		// Ctrl-C cancels the statement this line runs; between statements
+		// it keeps its default and ends the process.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		switch {
 		case line == "":
 		case strings.HasPrefix(line, `\`) && pending.Len() == 0:
-			if quit := command(w, line, &lastTrace, repoDir, prepared); quit {
+			if quit := s.command(ctx, line); quit {
+				stop()
 				return
 			}
 		default:
@@ -128,15 +101,16 @@ func repl(w *warehouse.Warehouse, repoDir string) {
 			if strings.HasSuffix(line, ";") {
 				q := strings.TrimSuffix(strings.TrimSpace(pending.String()), ";")
 				pending.Reset()
-				runQuery(w, q, &lastTrace)
+				s.runQuery(ctx, q)
 			}
 		}
+		stop()
 		prompt()
 	}
 }
 
-func runQuery(w *warehouse.Warehouse, q string, lastTrace **warehouse.Trace) {
-	res, err := w.Query(q)
+func (s *session) runQuery(ctx context.Context, q string) {
+	res, err := s.w.QueryContext(ctx, q)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -145,7 +119,7 @@ func runQuery(w *warehouse.Warehouse, q string, lastTrace **warehouse.Trace) {
 	fmt.Printf("(%d rows in %v; %d files touched)\n",
 		res.Batch.NumRows(), res.Elapsed.Round(time.Microsecond), len(res.Trace.TouchedFiles))
 	tr := res.Trace
-	*lastTrace = &tr
+	s.lastTrace = &tr
 }
 
 // printExplain renders the zone-map skipping record of a trace: per-scan
@@ -169,7 +143,8 @@ func printExplain(tr *warehouse.Trace) {
 	}
 }
 
-func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, repoDir string, prepared map[string]*warehouse.Prepared) (quit bool) {
+func (s *session) command(ctx context.Context, line string) (quit bool) {
+	w := s.w
 	fields := strings.Fields(line)
 	cmd, rest := fields[0], strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
 	switch cmd {
@@ -244,13 +219,13 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 		}
 		// Uncached: a result-cache hit would carry no per-scan skip
 		// tallies; \explain is about watching a real execution.
-		res, err := w.QueryUncached(strings.TrimSuffix(rest, ";"))
+		res, err := w.QueryUncached(ctx, strings.TrimSuffix(rest, ";"))
 		if err != nil {
 			fmt.Println("error:", err)
 			break
 		}
 		tr := res.Trace
-		*lastTrace = &tr
+		s.lastTrace = &tr
 		fmt.Println("-- plan executed:")
 		fmt.Print(tr.Optimized)
 		printExplain(&tr)
@@ -267,7 +242,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 			fmt.Println("error:", err)
 			break
 		}
-		prepared[name] = ps
+		s.prepared[name] = ps
 		fmt.Printf("prepared %s (%d parameter(s)): %s\n", name, ps.NumParams(), ps.SQL())
 	case `\execute`:
 		parts := strings.SplitN(rest, " ", 2)
@@ -275,7 +250,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 			fmt.Println("usage: \\execute <name> [param, ...]")
 			break
 		}
-		ps, ok := prepared[parts[0]]
+		ps, ok := s.prepared[parts[0]]
 		if !ok {
 			fmt.Printf("no prepared statement %q (use \\prepare)\n", parts[0])
 			break
@@ -288,7 +263,7 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 				break
 			}
 		}
-		res, err := ps.Execute(params...)
+		res, err := ps.ExecuteContext(ctx, params...)
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -296,13 +271,13 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 		fmt.Print(res.Batch)
 		fmt.Printf("(%d rows in %v)\n", res.Batch.NumRows(), res.Elapsed.Round(time.Microsecond))
 		tr := res.Trace
-		*lastTrace = &tr
+		s.lastTrace = &tr
 	case `\trace`:
-		if *lastTrace == nil {
+		tr := s.lastTrace
+		if tr == nil {
 			fmt.Println("no query has run yet")
 			break
 		}
-		tr := *lastTrace
 		fmt.Println("-- optimized plan:")
 		fmt.Print(tr.Optimized)
 		fmt.Printf("-- operators injected at run time (%d):\n", len(tr.RuntimeOps))
@@ -314,14 +289,14 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 			fmt.Print(obs.Render(tr.Spans))
 		}
 	case `\touched`:
-		if *lastTrace == nil {
+		if s.lastTrace == nil {
 			fmt.Println("no query has run yet")
 			break
 		}
-		for _, f := range (*lastTrace).TouchedFiles {
+		for _, f := range s.lastTrace.TouchedFiles {
 			fmt.Println(" ", f)
 		}
-		fmt.Printf("(%d files)\n", len((*lastTrace).TouchedFiles))
+		fmt.Printf("(%d files)\n", len(s.lastTrace.TouchedFiles))
 	case `\cache`:
 		contents := w.Engine().Cache().Contents()
 		for i, e := range contents {
@@ -388,18 +363,20 @@ func command(w *warehouse.Warehouse, line string, lastTrace **warehouse.Trace, r
 		}
 		q := strings.TrimSuffix(rest, ";")
 		t0 := time.Now()
-		ew, err := warehouse.Open(repoDir, warehouse.Options{Mode: warehouse.Eager})
+		eager := s.opts
+		eager.Mode = warehouse.Eager
+		ew, err := warehouse.Open(s.repoDir, eager)
 		if err != nil {
 			fmt.Println("error opening eager warehouse:", err)
 			break
 		}
 		eagerLoad := time.Since(t0)
-		eres, err := ew.Query(q)
+		eres, err := ew.QueryContext(ctx, q)
 		if err != nil {
 			fmt.Println("eager error:", err)
 			break
 		}
-		lres, err := w.Query(q)
+		lres, err := w.QueryContext(ctx, q)
 		if err != nil {
 			fmt.Println("error:", err)
 			break

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -42,18 +43,19 @@ func TestCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastTrace *warehouse.Trace
-	prepared := make(map[string]*warehouse.Prepared)
-	run := func(line string) (out string, quit bool) {
+	s := &session{w: w, repoDir: dir, opts: warehouse.Options{Mode: warehouse.Lazy, Workers: 2},
+		prepared: make(map[string]*warehouse.Prepared)}
+	runCtx := func(ctx context.Context, line string) (out string, quit bool) {
 		out = capture(t, func() {
 			if strings.HasPrefix(line, `\`) {
-				quit = command(w, line, &lastTrace, dir, prepared)
+				quit = s.command(ctx, line)
 			} else {
-				runQuery(w, line, &lastTrace)
+				s.runQuery(ctx, line)
 			}
 		})
 		return out, quit
 	}
+	run := func(line string) (string, bool) { return runCtx(context.Background(), line) }
 
 	const q = `SELECT F.station, COUNT(*) FROM mseed.dataview WHERE F.network = 'NL' GROUP BY F.station`
 	help, _ := run(`\help`)
@@ -107,5 +109,24 @@ func TestCommands(t *testing.T) {
 	}
 	if st.Queries < 1 || st.Init.Files <= 0 {
 		t.Errorf("\\stats: Queries = %d, Init.Files = %d; want a query and the initial load", st.Queries, st.Init.Files)
+	}
+
+	// Ctrl-C cancels the running statement, not the session: every line
+	// that runs one reports the cancellation, the warehouse holds no slot
+	// and no query memory afterwards, and the next statement answers.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const cold = `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 17`
+	for _, line := range []string{cold, `\explain ` + cold, `\execute p 'HGN'`, `\compare ` + cold} {
+		if out, _ := runCtx(ctx, line); !strings.Contains(out, "error: context canceled") {
+			t.Errorf("%s under a cancelled context printed %q, want \"error: context canceled\"", line, out)
+		}
+	}
+	if st := w.Stats(); st.InFlight != 0 || st.Mem.Used != st.CacheBytes+st.QueryCache.ResultBytes {
+		t.Errorf("not idle after cancelled statements: %d slots held, ledger %d bytes for recycler %d + results %d",
+			st.InFlight, st.Mem.Used, st.CacheBytes, st.QueryCache.ResultBytes)
+	}
+	if out, _ := run(cold); !strings.Contains(out, "files touched") {
+		t.Errorf("query after the cancelled ones printed %q", out)
 	}
 }

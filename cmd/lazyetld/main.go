@@ -4,17 +4,20 @@
 // the paper's demo — where cmd/lazyetl is a single-user REPL, lazyetld
 // serves the same lazy-ETL warehouse to a fleet.
 //
-//	lazyetld -repo DIR [-addr :8632] [-mode lazy|eager|external]
-//	         [-workers N] [-mem-budget BYTES] [-max-concurrent N]
-//	         [-per-client N] [-gen]
+//	lazyetld -repo DIR [-addr :8632] [-mode lazy|eager|external] [-gen]
+//	         [-cache BYTES] [-workers N] [-mem-budget BYTES]
+//	         [-slow-query DURATION] [-max-concurrent N] [-per-client N]
+//	         [-drain DURATION] [-pprof-addr ADDR]
+//
+// The flags up to -slow-query are cmd/lazyetl's too (internal/cli).
 //
 // Endpoints:
 //
 //	POST /query    {"sql": "SELECT ..."}  ->  {"columns": [...], "rows": [[...]], ...}
 //	POST /explain  {"sql": "SELECT ..."}  ->  executed plan and per-scan
 //	               zone-map skipping (runs/records/rows read vs skipped)
-//	POST /prepare  {"sql": "SELECT ... WHERE x = ?"}  ->  {"id": "p1", ...}
-//	POST /execute  {"id": "p1", "params": ["ISK", 500]}  ->  same shape as /query
+//	POST /prepare  {"sql": "select ... where x=?"}  ->  {"id": "SELECT ... WHERE x = ?", ...}
+//	POST /execute  {"id": "SELECT ... WHERE x = ?", "params": ["ISK", 500]}  ->  same shape as /query
 //	GET  /stats    warehouse + server counters (including the query cache)
 //	GET  /metrics  Prometheus text exposition (see README.md for the names)
 //	GET  /healthz  liveness: 200 once the process serves
@@ -51,72 +54,30 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/column"
-	"repro/internal/etl"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/seisgen"
 	"repro/internal/warehouse"
 )
 
 func main() {
-	repoDir := flag.String("repo", "", "mSEED repository directory (required)")
 	addr := flag.String("addr", ":8632", "listen address")
-	modeStr := flag.String("mode", "lazy", "warehouse mode: lazy, eager or external")
-	gen := flag.Bool("gen", false, "generate a demo repository into -repo if it is missing")
-	workers := flag.Int("workers", 0, "workers per query for pipeline stages, hash-join builds and extraction read-ahead (0 = GOMAXPROCS, 1 = serial engine)")
-	memBudget := flag.Int64("mem-budget", 0, "execution-memory budget in bytes, shared by all queries (0 = unlimited)")
-	cache := flag.Int64("cache", 0, "recycler cache budget in bytes (0 = default 256MiB)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries admitted to execute simultaneously (0 = GOMAXPROCS)")
 	perClient := flag.Int("per-client", 4, "in-flight queries allowed per client IP")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight queries")
-	slowQuery := flag.Duration("slow-query", 0, "log queries at or over this wall time at warn severity with their span tree (0 = off)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-	flag.Parse()
-
-	if *repoDir == "" {
-		fmt.Fprintln(os.Stderr, "lazyetld: -repo is required (use -gen to create a demo repository)")
-		os.Exit(2)
-	}
-	if *gen {
-		if _, err := os.Stat(*repoDir); os.IsNotExist(err) {
-			fmt.Printf("generating demo repository under %s ...\n", *repoDir)
-			if _, err := seisgen.Generate(seisgen.RepoConfig{
-				Dir: *repoDir, SampleRate: 1, SamplesPerDay: 24 * 3600,
-				EventsPerDay: 2, Seed: 42,
-			}); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	var mode warehouse.Mode
-	switch *modeStr {
-	case "lazy":
-		mode = warehouse.Lazy
-	case "eager":
-		mode = warehouse.Eager
-	case "external":
-		mode = warehouse.External
-	default:
-		fmt.Fprintf(os.Stderr, "lazyetld: unknown mode %q\n", *modeStr)
-		os.Exit(2)
-	}
+	repoDir, opts := cli.Parse("lazyetld")
+	opts.MaxConcurrentQueries = *maxConcurrent
 
 	start := time.Now()
-	w, err := warehouse.Open(*repoDir, warehouse.Options{
-		Mode:                 mode,
-		Workers:              *workers,
-		MemoryBudget:         *memBudget,
-		MaxConcurrentQueries: *maxConcurrent,
-		SlowQueryThreshold:   *slowQuery,
-		ETL:                  etl.Options{CacheBudget: *cache},
-	})
+	w, err := warehouse.Open(repoDir, opts)
 	if err != nil {
 		fatal(err)
 	}
 	ist := w.InitStats()
 	fmt.Printf("lazyetld: %v warehouse over %s: %d files, %d records loaded in %v\n",
-		mode, *repoDir, ist.Files, ist.Records, time.Since(start).Round(time.Millisecond))
+		opts.Mode, repoDir, ist.Files, ist.Records, time.Since(start).Round(time.Millisecond))
 
 	srv := newHTTPServer(*addr, newServer(w, *perClient))
 
@@ -180,14 +141,6 @@ type server struct {
 
 	clients *clientLimiter
 
-	// prepared is the server-wide statement registry: /prepare parses once
-	// and returns an id, /execute binds parameters per call. One entry per
-	// canonical template, by id; bounded at maxPreparedStatements by
-	// evicting the least recently executed.
-	prepMu    sync.Mutex
-	prepared  map[string]*registered
-	prepClock int64 // ticks per prepare/execute: recency order, and the ids
-
 	served   atomic.Int64 // queries answered successfully
 	failed   atomic.Int64 // queries that returned an error
 	rejected atomic.Int64 // requests bounced by the per-client limit
@@ -198,18 +151,8 @@ type server struct {
 	metricsBuf []byte
 }
 
-// registered is one /prepare registry entry.
-type registered struct {
-	id   string
-	ps   *warehouse.Prepared
-	used int64 // prepClock at the last prepare or execute
-}
-
-// maxPreparedStatements bounds the /prepare registry.
-const maxPreparedStatements = 1024
-
 func newServer(w *warehouse.Warehouse, perClient int) *server {
-	s := &server{w: w, clients: newClientLimiter(perClient), prepared: make(map[string]*registered)}
+	s := &server{w: w, clients: newClientLimiter(perClient)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query", s.post("sql", s.handleQuery))
 	s.mux.HandleFunc("/explain", s.post("sql", s.handleExplain))
@@ -234,7 +177,7 @@ type request struct {
 	Params []any  `json:"params"`
 }
 
-// post is what every POST endpoint is registered through: the method check,
+// post wraps every POST endpoint handler in what they share: the method check,
 // the per-client in-flight cap (held for the whole request), the bounded
 // body decode (one JSON object, followed by nothing but whitespace) and the
 // required-field check ("sql" or "id").
@@ -320,7 +263,7 @@ type explainResponse struct {
 func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request, req *request) {
 	// Uncached: a result-cache hit carries no per-scan skip tallies, and
 	// /explain exists to observe a real execution.
-	res, err := s.w.QueryUncached(req.SQL)
+	res, err := s.w.QueryUncached(r.Context(), req.SQL)
 	if !s.counted(rw, err) {
 		return
 	}
@@ -334,7 +277,11 @@ func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request, req *req
 }
 
 // prepareResponse is the POST /prepare answer: the handle /execute wants,
-// plus the canonical statement text and its parameter count.
+// plus the canonical statement text and its parameter count. The handle is
+// that canonical text, so the daemon keeps no registry: /execute prepares
+// the handle again, through the warehouse's statement cache, and gets the
+// same statement whether or not the cache still holds it. Every spelling of
+// a statement gets one handle, and a handle never expires.
 type prepareResponse struct {
 	ID        string `json:"id"`
 	SQL       string `json:"sql"`
@@ -347,41 +294,12 @@ func (s *server) handlePrepare(rw http.ResponseWriter, r *http.Request, req *req
 		writeJSON(rw, http.StatusUnprocessableEntity, errorResponse{err.Error()})
 		return
 	}
-	// One pass finds this statement, if registered already (its id is
-	// returned), and the least recently executed one: evicted when a new
-	// statement finds the registry full — its id 404s, the client re-prepares.
-	s.prepMu.Lock()
-	var e, oldest *registered
-	for _, c := range s.prepared {
-		if c.ps.SQL() == ps.SQL() {
-			e = c
-		}
-		if oldest == nil || c.used < oldest.used {
-			oldest = c
-		}
-	}
-	s.prepClock++
-	if e == nil {
-		if len(s.prepared) >= maxPreparedStatements {
-			delete(s.prepared, oldest.id)
-		}
-		e = &registered{id: fmt.Sprintf("p%d", s.prepClock), ps: ps}
-		s.prepared[e.id] = e
-	}
-	e.used = s.prepClock
-	s.prepMu.Unlock()
-	writeJSON(rw, http.StatusOK, prepareResponse{ID: e.id, SQL: e.ps.SQL(), NumParams: e.ps.NumParams()})
+	writeJSON(rw, http.StatusOK, prepareResponse{ID: ps.SQL(), SQL: ps.SQL(), NumParams: ps.NumParams()})
 }
 
 func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request, req *request) {
-	s.prepMu.Lock()
-	e := s.prepared[req.ID]
-	if e != nil {
-		s.prepClock++
-		e.used = s.prepClock
-	}
-	s.prepMu.Unlock()
-	if e == nil {
+	ps, err := s.w.Prepare(req.ID)
+	if err != nil {
 		writeJSON(rw, http.StatusNotFound, errorResponse{fmt.Sprintf("no prepared statement %q", req.ID)})
 		return
 	}
@@ -394,7 +312,7 @@ func (s *server) handleExecute(rw http.ResponseWriter, r *http.Request, req *req
 		}
 		params[i] = v
 	}
-	res, err := e.ps.ExecuteContext(r.Context(), params...)
+	res, err := ps.ExecuteContext(r.Context(), params...)
 	if s.counted(rw, err) {
 		writeResult(rw, res, wantTrace(r))
 	}

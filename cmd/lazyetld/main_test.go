@@ -118,8 +118,8 @@ func TestQueryEndpointErrors(t *testing.T) {
 // TestHostileAndAbandonedQueries: a statement nested past the parser's
 // depth bound — 100,000 NOTs, 400 KB — is a 422 naming the offset, on
 // /query and /prepare, and a query whose client has gone is cancelled
-// (the handler's context is the request's). Either way the warehouse is
-// idle afterwards and the next query answers.
+// (the handler's context is the request's), on /query and /explain.
+// Either way the warehouse is idle afterwards and the next query answers.
 func TestHostileAndAbandonedQueries(t *testing.T) {
 	srv, w := testServer(t)
 	ts := httptest.NewServer(srv)
@@ -145,10 +145,12 @@ func TestHostileAndAbandonedQueries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	body, _ := json.Marshal(request{SQL: "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK'"})
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)).WithContext(ctx))
-	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
-		t.Errorf("abandoned query: status %d, body %s, want 422 and %q", rec.Code, rec.Body, context.Canceled)
+	for _, ep := range []string{"/query", "/explain"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep, bytes.NewReader(body)).WithContext(ctx))
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+			t.Errorf("abandoned %s: status %d, body %s, want 422 and %q", ep, rec.Code, rec.Body, context.Canceled)
+		}
 	}
 
 	st := w.Stats()
@@ -332,8 +334,22 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prepare status %d", resp.StatusCode)
 	}
-	if prep.ID == "" || prep.NumParams != 2 {
-		t.Fatalf("prepare response: %+v", prep)
+	if prep.ID != prep.SQL || prep.NumParams != 2 {
+		t.Fatalf("prepare response: %+v; want the canonical text as id", prep)
+	}
+	prepare := func(sql string) prepareResponse {
+		t.Helper()
+		body, _ := json.Marshal(request{SQL: sql})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/prepare", bytes.NewReader(body)))
+		var out prepareResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("prepare %q: status %d, %s", sql, rec.Code, rec.Body)
+		}
+		return out
+	}
+	if again := prepare("select COUNT(*)  from mseed.dataview  where F.station=? and D.sample_value >?"); again.ID != prep.ID {
+		t.Fatalf("another spelling of the statement got id %q, want %q", again.ID, prep.ID)
 	}
 
 	exec := func(params ...any) (*http.Response, queryResponse, []byte) {
@@ -357,13 +373,25 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("execute status %d: %s", resp2.StatusCode, raw)
 	}
-	want, err := w.QueryUncached("SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 500")
+	want, err := w.QueryUncached(context.Background(), "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 500")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.RowCount != want.Batch.NumRows() ||
 		fmt.Sprint(out.Rows[0][0]) != fmt.Sprint(jsonValue(want.Batch.Row(0)[0])) {
 		t.Fatalf("execute answer %s diverged from direct query %v", raw, want.Batch.Row(0))
+	}
+
+	// A handle never expires: it executes after 300 other statements, each
+	// prepared twice so that it reaches the statement cache's protected
+	// segment, have pushed its statement out of the 256-entry cache.
+	for i := 1; i <= 300; i++ {
+		for range 2 {
+			prepare(fmt.Sprintf("SELECT COUNT(*) FROM mseed.files WHERE station = ? AND file_id > %d", i))
+		}
+	}
+	if resp, _, raw := exec("ISK", 500); resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute after the statement left the cache: status %d: %s", resp.StatusCode, raw)
 	}
 
 	// Wrong parameter count is a client error, not a 500.
@@ -385,70 +413,6 @@ func TestPrepareExecuteEndpoints(t *testing.T) {
 	resp5, raw5 := postQuery(t, ts, "SELECT COUNT(*) FROM mseed.files WHERE station = ?")
 	if resp5.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("raw '?' over /query status %d: %s", resp5.StatusCode, raw5)
-	}
-}
-
-// TestPrepareRegistryIsBounded: the /prepare registry holds one entry per
-// canonical statement, so re-preparing never fills it, and when
-// maxPreparedStatements distinct statements are held a new one evicts the
-// least recently executed instead of being refused.
-func TestPrepareRegistryIsBounded(t *testing.T) {
-	srv, _ := testServer(t)
-	post := func(path string, req request) (int, prepareResponse) {
-		t.Helper()
-		body, _ := json.Marshal(req)
-		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, r)
-		var out prepareResponse
-		_ = json.Unmarshal(rec.Body.Bytes(), &out)
-		return rec.Code, out
-	}
-
-	// One client preparing one statement over and over, in two spellings.
-	var id string
-	for i := 0; i < 2000; i++ {
-		q := "SELECT COUNT(*) FROM mseed.files WHERE station = ?"
-		if i%2 == 1 {
-			q = "select  COUNT(*)  from mseed.files where station=?"
-		}
-		code, prep := post("/prepare", request{SQL: q})
-		if code != http.StatusOK {
-			t.Fatalf("prepare %d: status %d", i, code)
-		}
-		if id == "" {
-			id = prep.ID
-		}
-		if prep.ID != id {
-			t.Fatalf("prepare %d: id %q, want the registered %q", i, prep.ID, id)
-		}
-	}
-	if n := len(srv.prepared); n != 1 {
-		t.Fatalf("registry holds %d entries after 2000 prepares of one statement, want 1", n)
-	}
-
-	// One more distinct statement than the registry holds: the first, never
-	// executed, is evicted (404, the client re-prepares); the rest execute.
-	ids := []string{id}
-	for i := 1; i <= maxPreparedStatements; i++ {
-		code, prep := post("/prepare", request{SQL: fmt.Sprintf("SELECT COUNT(*) FROM mseed.files WHERE station = ? AND file_id > %d", i)})
-		if code != http.StatusOK {
-			t.Fatalf("distinct prepare %d: status %d", i, code)
-		}
-		ids = append(ids, prep.ID)
-	}
-	if n := len(srv.prepared); n != maxPreparedStatements {
-		t.Fatalf("registry holds %d entries, want %d", n, maxPreparedStatements)
-	}
-	for i, id := range ids {
-		code, _ := post("/execute", request{ID: id, Params: []any{"ISK"}})
-		want := http.StatusOK
-		if i == 0 {
-			want = http.StatusNotFound
-		}
-		if code != want {
-			t.Fatalf("execute of statement %d (%s): status %d, want %d", i, id, code, want)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -193,6 +194,6 @@ func queryTimed(w *warehouse.Warehouse, q string) (*warehouse.Result, time.Durat
 // cache before the recycler is consulted.
 func queryUncachedTimed(w *warehouse.Warehouse, q string) (*warehouse.Result, time.Duration, error) {
 	start := time.Now()
-	res, err := w.QueryUncached(q)
+	res, err := w.QueryUncached(context.Background(), q)
 	return res, time.Since(start), err
 }

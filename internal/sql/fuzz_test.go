@@ -29,6 +29,8 @@ func FuzzParse(f *testing.F) {
 		"\x00\xff SELECT",            // junk bytes
 		"select 9223372036854775808", // int64 overflow
 		"SELECT 1e309",               // float overflow
+		"select  COUNT(*)  from mseed.files where station=? AND file_id > 3",
+		";;", // canonicalizes to ";", and that to "": neither parses
 	}
 	// Nesting at the depth bound, one past it, and far past it.
 	for _, n := range []int{maxDepth, maxDepth + 1, 10_000} {
@@ -42,6 +44,16 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		// A canonical template that parses is its own canonical template:
+		// lazyetld hands it out as a prepared statement's handle and
+		// prepares the handle again on every execution.
+		if tmpl, err := CanonicalTemplate(src); err == nil {
+			if _, err := ParseTemplate(tmpl); err == nil {
+				if again, err := CanonicalTemplate(tmpl); again != tmpl {
+					t.Fatalf("CanonicalTemplate(%q) = %q, but CanonicalTemplate of that is %q (%v)", src, tmpl, again, err)
+				}
+			}
+		}
 		stmt, err := Parse(src)
 		if err != nil {
 			return

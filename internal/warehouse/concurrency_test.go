@@ -329,30 +329,25 @@ func TestSerializeQueriesOracle(t *testing.T) {
 }
 
 // TestKeepLogBounds pins the operation-log trim behavior: the log must
-// never exceed KeepLog entries (the old trim let a KeepLog=1 log grow to
-// 2), and a negative KeepLog must clamp to the default instead of
-// degenerating into a copy on every append.
+// never exceed its bound (the old trim let a bound of 1 grow to 2), and the
+// newest entry always survives the trim.
 func TestKeepLogBounds(t *testing.T) {
 	dir := genRepo(t, 800)
-	for _, keep := range []int{1, 2, -5} {
-		w, err := Open(dir, Options{Mode: Lazy, KeepLog: keep})
+	for _, keep := range []int{1, 2, maxLogEntries} {
+		w, err := Open(dir, Options{Mode: Lazy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := keep
-		if keep <= 0 {
-			bound = 10000 // the documented default
-		}
+		w.keepLog = keep
 		for i := 0; i < 25; i++ {
 			w.logf("test", "entry %d", i)
-			if n := len(w.Log()); n > bound {
-				t.Fatalf("KeepLog=%d: log grew to %d entries", keep, n)
+			if n := len(w.Log()); n > keep {
+				t.Fatalf("keepLog=%d: log grew to %d entries", keep, n)
 			}
 		}
-		// The newest entry always survives the trim.
 		log := w.Log()
 		if got := log[len(log)-1].Detail; got != "entry 24" {
-			t.Errorf("KeepLog=%d: newest entry is %q, want \"entry 24\"", keep, got)
+			t.Errorf("keepLog=%d: newest entry is %q, want \"entry 24\"", keep, got)
 		}
 	}
 }

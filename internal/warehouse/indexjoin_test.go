@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func joinSpans(n *obs.SpanNode) []string {
 func checkJoinPath(t *testing.T, name string, w *Warehouse, want map[string]string, index bool) {
 	t.Helper()
 	for _, q := range indexJoinQueries {
-		res, err := w.QueryUncached(q)
+		res, err := w.QueryUncached(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v\nquery: %s", name, err, q)
 		}

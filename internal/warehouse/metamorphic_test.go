@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -83,7 +84,7 @@ func TestTernaryPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all, err := w.QueryUncached(sel)
+			all, err := w.QueryUncached(context.Background(), sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestTernaryPartition(t *testing.T) {
 					var parts []int64
 					for _, where := range []string{"(%s)", "NOT (%s)", "(%s) IS NULL"} {
 						q := sel + " WHERE " + fmt.Sprintf(where, p)
-						res, err := w.QueryUncached(q)
+						res, err := w.QueryUncached(context.Background(), q)
 						if err != nil {
 							t.Fatalf("%s pass %d: %v\nquery: %s", name, pass, err, q)
 						}

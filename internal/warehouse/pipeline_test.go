@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -303,7 +304,7 @@ func TestPipelineOracleMatrix(t *testing.T) {
 				for _, budget := range []int64{0, 2 << 20, 4 << 10} {
 					name := fmt.Sprintf("%v/workers=%d/morsel=%d/budget=%d", m.mode, workers, morsel, budget)
 					w, err := Open(dir, Options{
-						Mode: m.mode, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
+						Mode: m.mode, Workers: workers, morselRows: morsel, MemoryBudget: budget,
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -550,7 +551,7 @@ func TestMorselViewsNeverMutateRecycler(t *testing.T) {
 	}
 
 	for _, morsel := range []int{61, 0} {
-		w, err := Open(dir, Options{Mode: Lazy, Workers: 4, MorselRows: morsel})
+		w, err := Open(dir, Options{Mode: Lazy, Workers: 4, morselRows: morsel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,7 +589,7 @@ func TestMorselViewsNeverMutateRecycler(t *testing.T) {
 				defer wg.Done()
 				for x := range queries {
 					q := queries[(x+c*7)%len(queries)]
-					res, err := w.QueryUncached(q)
+					res, err := w.QueryUncached(context.Background(), q)
 					if err != nil {
 						t.Errorf("morsel=%d: %v\nquery: %s", morsel, err, q)
 						return

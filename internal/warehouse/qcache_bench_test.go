@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/metrics"
@@ -150,7 +151,7 @@ func BenchmarkOneOffQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.QueryUncached(`SELECT COUNT(*) FROM mseed.dataview`); err != nil {
+	if _, err := w.QueryUncached(context.Background(), `SELECT COUNT(*) FROM mseed.dataview`); err != nil {
 		b.Fatal(err)
 	}
 	var ms runtime.MemStats

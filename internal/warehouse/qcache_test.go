@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -235,7 +236,7 @@ func TestPreparedStatements(t *testing.T) {
 	if ps.NumParams() != 2 {
 		t.Fatalf("NumParams = %d, want 2", ps.NumParams())
 	}
-	want, err := w.QueryUncached(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 500`)
+	want, err := w.QueryUncached(context.Background(), `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'ISK' AND D.sample_value > 500`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestPreparedStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOther, err := w.QueryUncached(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN' AND D.sample_value > 500`)
+	wantOther, err := w.QueryUncached(context.Background(), `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'HGN' AND D.sample_value > 500`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestQueryCacheExplicitJoin(t *testing.T) {
 		t.Error("cold cached answer diverged from oracle")
 	}
 	// Warm statement, bypassing the result cache: same answer.
-	warm, err := w.QueryUncached(joinQ)
+	warm, err := w.QueryUncached(context.Background(), joinQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestPlansSurviveRefresh(t *testing.T) {
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.QueryUncached(q)
+	got, err := w.QueryUncached(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +500,8 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 	w := openWH(t, dir, Lazy)
 	for _, q := range qcacheQueries {
 		// The second Query promotes the answer.
-		for _, run := range []func(string) (*Result, error){w.Query, w.Query, w.QueryUncached} {
-			if _, err := run(q); err != nil {
+		for _, run := range []func(context.Context, string) (*Result, error){w.QueryContext, w.QueryContext, w.QueryUncached} {
+			if _, err := run(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 		}

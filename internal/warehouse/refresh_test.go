@@ -67,7 +67,7 @@ func TestRefreshDoesNotWaitForQueries(t *testing.T) {
 	entered, release := park(w)
 	parked := make(chan answer, 1)
 	go func() {
-		res, err := w.QueryUncached(q2)
+		res, err := w.QueryUncached(context.Background(), q2)
 		parked <- answer{res, err}
 	}()
 	<-entered
@@ -151,7 +151,7 @@ func TestAdmissionIsCancellable(t *testing.T) {
 	entered, release := park(w)
 	holder := make(chan answer, 1)
 	go func() {
-		res, err := w.QueryUncached(q2)
+		res, err := w.QueryUncached(context.Background(), q2)
 		holder <- answer{res, err}
 	}()
 	<-entered
@@ -229,7 +229,7 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		w, err := Open(dir, Options{Mode: Lazy, Workers: workers, MorselRows: 64, MemoryBudget: 64 << 20})
+		w, err := Open(dir, Options{Mode: Lazy, Workers: workers, morselRows: 64, MemoryBudget: 64 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestRefreshUnderReaders(t *testing.T) {
 		return renderExact(pair.Batch)
 	}
 
-	w, err := Open(dir, Options{Mode: Lazy, Workers: 2, MaxConcurrentQueries: 8, MorselRows: 500})
+	w, err := Open(dir, Options{Mode: Lazy, Workers: 2, MaxConcurrentQueries: 8, morselRows: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +337,11 @@ func TestRefreshUnderReaders(t *testing.T) {
 					return
 				default:
 				}
-				query := w.Query
+				query := w.QueryContext
 				if r%2 == 1 {
 					query = w.QueryUncached
 				}
-				res, err := query(pairQ)
+				res, err := query(context.Background(), pairQ)
 				if err != nil {
 					fails <- fmt.Errorf("reader %d: %w", r, err)
 					return

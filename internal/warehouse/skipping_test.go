@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestSkippingOracleMatrix(t *testing.T) {
 				name := fmt.Sprintf("workers=%d/morsel=%d/budget=%d", workers, morsel, budget)
 				// The second run must re-execute (not hit the result cache)
 				// for the zone maps to prune anything.
-				w, err := openOracle(dir, Options{Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget}, noQueryCache)
+				w, err := openOracle(dir, Options{Mode: Lazy, Workers: workers, morselRows: morsel, MemoryBudget: budget}, noQueryCache)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -295,7 +296,7 @@ func TestExplainSurface(t *testing.T) {
 	}
 	// QueryUncached: a result-cache hit would return a trace skeleton with
 	// no scan reports; the warm-run skip tallies need a real execution.
-	res, err := w.QueryUncached(q)
+	res, err := w.QueryUncached(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,25 +115,26 @@ type Options struct {
 	// high-water overage; cache admissions are declined under pressure.
 	// Results are bit-identical at every budget.
 	MemoryBudget int64
-	// KeepLog bounds the in-memory operation log (entries); values <= 0
-	// select the default of 10000.
-	KeepLog int
 	// MaxConcurrentQueries bounds how many queries execute simultaneously;
 	// additional queries wait for a slot. It also sets the per-query
 	// memory sub-budget under MemoryBudget (budget / slots, floored at
 	// 1 MiB — the shared ledger still enforces the global bound). 0 means
 	// GOMAXPROCS.
 	MaxConcurrentQueries int
-	// MorselRows overrides the rows-per-morsel granularity of the parallel
-	// engine and the push pipelines. <= 0 keeps the default; tests shrink
-	// it to force multi-morsel schedules on small inputs.
-	MorselRows int
 	// SlowQueryThreshold, when > 0, logs every query whose wall time
 	// reaches it at warn severity, with its rendered span tree (when
 	// tracing is on) so the expensive phase is attributable after the
 	// fact. 0 disables the slow-query log.
 	SlowQueryThreshold time.Duration
+
+	// morselRows overrides the rows-per-morsel granularity of the parallel
+	// engine and the push pipelines. <= 0 keeps the default; tests shrink
+	// it to force multi-morsel schedules on small inputs.
+	morselRows int
 }
+
+// maxLogEntries bounds the in-memory operation log.
+const maxLogEntries = 10000
 
 // oracle is a set of switches only tests set (Warehouse.oracle). Each turns
 // one optimization off, leaving the reference the bit-identity tests and
@@ -272,7 +273,7 @@ type Warehouse struct {
 	logMu   sync.Mutex
 	log     []LogEntry
 	logSeq  int64
-	keepLog int
+	keepLog int // maxLogEntries; tests shrink it
 }
 
 // Open scans the repository under dir and performs the initial load
@@ -286,10 +287,6 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	}
 	if len(rp.Files) == 0 {
 		return nil, fmt.Errorf("warehouse: no mSEED files under %s", dir)
-	}
-	keep := opts.KeepLog
-	if keep <= 0 {
-		keep = 10000
 	}
 	slots := opts.MaxConcurrentQueries
 	if slots <= 0 {
@@ -311,11 +308,11 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 		mode:        opts.Mode,
 		store:       store,
 		engine:      etl.New(rp, store, opts.ETL),
-		pool:        exec.NewPoolMorsel(opts.Workers, opts.MorselRows),
+		pool:        exec.NewPoolMorsel(opts.Workers, opts.morselRows),
 		ledger:      mem.New(opts.MemoryBudget),
 		admit:       make(chan struct{}, slots),
 		queryBudget: queryBudget,
-		keepLog:     keep,
+		keepLog:     maxLogEntries,
 		slowQuery:   opts.SlowQueryThreshold,
 		run:         plan.Execute,
 	}
@@ -464,9 +461,10 @@ func (w *Warehouse) QueryContext(ctx context.Context, q string) (*Result, error)
 // QueryUncached executes like Query but never serves the answer from the
 // result cache, so the run-time trace (injected operators, per-scan skip
 // tallies) reflects a real execution — the \explain surface uses it. The
-// statement cache still applies.
-func (w *Warehouse) QueryUncached(q string) (*Result, error) {
-	return w.query(context.Background(), q, false)
+// statement cache still applies, and ctx bounds the query as it does for
+// QueryContext.
+func (w *Warehouse) QueryUncached(ctx context.Context, q string) (*Result, error) {
+	return w.query(ctx, q, false)
 }
 
 func (w *Warehouse) query(ctx context.Context, q string, useResultCache bool) (*Result, error) {

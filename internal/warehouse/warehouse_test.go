@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -345,7 +346,7 @@ FROM mseed.dataview GROUP BY F.uri`
 	const uri = "KO/ISK/BHE/KO.ISK..BHE.2010.012.mseed"
 	dir := genRepo(t, 3000)
 	w := openWH(t, dir, Lazy)
-	if _, err := w.QueryUncached(perFile); err != nil {
+	if _, err := w.QueryUncached(context.Background(), perFile); err != nil {
 		t.Fatal(err)
 	}
 
@@ -373,11 +374,11 @@ FROM mseed.dataview GROUP BY F.uri`
 		t.Fatal(err)
 	}
 
-	got, err := w.QueryUncached(perFile)
+	got, err := w.QueryUncached(context.Background(), perFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := openWH(t, dir, Lazy).QueryUncached(perFile)
+	want, err := openWH(t, dir, Lazy).QueryUncached(context.Background(), perFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +628,7 @@ func TestSampleTimeOfRatelessRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, state := range []string{"cold", "warm"} {
-			res, err := w.QueryUncached(q)
+			res, err := w.QueryUncached(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

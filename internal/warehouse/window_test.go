@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -125,7 +126,7 @@ func TestSampleWindowMetamorphic(t *testing.T) {
 				for _, warm := range []bool{false, true} {
 					name := fmt.Sprintf("workers=%d/morsel=%d/budget=%d/warm=%v", workers, morsel, budget, warm)
 					w, err := Open(dir, Options{
-						Mode: Lazy, Workers: workers, MorselRows: morsel, MemoryBudget: budget,
+						Mode: Lazy, Workers: workers, morselRows: morsel, MemoryBudget: budget,
 						ETL: etl.Options{DisableCache: !warm},
 					})
 					if err != nil {
@@ -139,7 +140,7 @@ func TestSampleWindowMetamorphic(t *testing.T) {
 					var trimmed int64
 					for _, s := range stmts {
 						for _, q := range []string{s.lifted, s.unliftable} {
-							res, err := w.QueryUncached(q)
+							res, err := w.QueryUncached(context.Background(), q)
 							if err != nil {
 								t.Fatalf("%s: %v\nquery: %s", name, err, q)
 							}
