@@ -16,6 +16,7 @@ import (
 	lazyetl "repro"
 	"repro/internal/etl"
 	"repro/internal/exec"
+	"repro/internal/repo"
 )
 
 // sharedRepos caches generated repositories across benchmarks (generation
@@ -225,7 +226,11 @@ func BenchmarkE6_Refresh(b *testing.B) {
 		dir := benchRepo(b, "e6", lazyetl.RepoConfig{Days: 1, SamplesPerDay: 20000})
 		w := openBench(b, dir, lazyetl.Lazy, etl.Options{})
 		mustQuery(b, w, scan)
-		victim := w.Engine().Repository().Files[0]
+		rp, err := repo.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		victim := rp.Files[0]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

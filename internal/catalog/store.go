@@ -25,7 +25,7 @@ import (
 type Store struct {
 	cat *Catalog
 	// zones are the record zone maps. They are not part of a Snapshot: they
-	// are monotone statistics keyed by (uri, mtime, seqno), never
+	// are monotone statistics keyed by (uri, mtime, size, seqno), never
 	// query-visible data, so every snapshot benefits from entries collected
 	// while an older one was being read.
 	zones   *ZoneMaps

@@ -40,18 +40,26 @@ func CollectZone(values []float64) ZoneEntry {
 }
 
 // fileZones holds one file's per-record zone entries, valid for exactly one
-// observed mtime — the same staleness token the recycler cache uses.
+// observed (mtime, size) — the same staleness token the recycler cache uses.
 type fileZones struct {
 	mtime time.Time
+	size  int64
 	recs  map[int]ZoneEntry // keyed by record sequence number
+}
+
+// stale reports whether fz is missing or was collected at another
+// (mtime, size).
+func (fz *fileZones) stale(mtime time.Time, size int64) bool {
+	return fz == nil || !fz.mtime.Equal(mtime) || fz.size != size
 }
 
 // ZoneMaps is the catalog-resident collection of record zone maps, keyed by
 // file URI and record sequence number. Entries are valid only for the file
-// mtime they were collected at: a PutRun or Get with a different mtime discards
-// the file's stale entries, mirroring the recycler's invalidation rule, so a
-// rewritten file is re-extracted (and its zones re-collected) rather than
-// wrongly skipped. Safe for concurrent use; shared across store snapshots
+// (mtime, size) they were collected at: a PutRun with a different pair
+// discards the file's stale entries and a Get with one finds none, mirroring
+// the recycler's invalidation rule, so a rewritten file is re-extracted (and
+// its zones re-collected) rather than wrongly skipped, even when the rewrite
+// kept the mtime. Safe for concurrent use; shared across store snapshots
 // (statistics are monotone metadata, not query-visible data).
 type ZoneMaps struct {
 	mu    sync.RWMutex
@@ -64,14 +72,14 @@ func NewZoneMaps() *ZoneMaps {
 }
 
 // PutRun records the zone entries of one extraction run — zones[x] for
-// (uri, seqnos[x]), all observed at mtime — under one lock. Entries
-// collected at a different mtime are dropped first.
-func (zm *ZoneMaps) PutRun(uri string, mtime time.Time, seqnos []int, zones []ZoneEntry) {
+// (uri, seqnos[x]), all observed at (mtime, size) — under one lock. Entries
+// collected at a different (mtime, size) are dropped first.
+func (zm *ZoneMaps) PutRun(uri string, mtime time.Time, size int64, seqnos []int, zones []ZoneEntry) {
 	zm.mu.Lock()
 	defer zm.mu.Unlock()
 	fz := zm.files[uri]
-	if fz == nil || !fz.mtime.Equal(mtime) {
-		fz = &fileZones{mtime: mtime, recs: make(map[int]ZoneEntry, len(seqnos))}
+	if fz.stale(mtime, size) {
+		fz = &fileZones{mtime: mtime, size: size, recs: make(map[int]ZoneEntry, len(seqnos))}
 		zm.files[uri] = fz
 	}
 	for x, seqno := range seqnos {
@@ -80,20 +88,21 @@ func (zm *ZoneMaps) PutRun(uri string, mtime time.Time, seqnos []int, zones []Zo
 }
 
 // Get returns the zone entry for (uri, seqno) if one was collected at exactly
-// the given mtime. A stale or missing entry reports ok == false — the caller
-// must extract (and thereby re-collect).
-func (zm *ZoneMaps) Get(uri string, mtime time.Time, seqno int) (ZoneEntry, bool) {
+// the given (mtime, size). A stale or missing entry reports ok == false — the
+// caller must extract (and thereby re-collect).
+func (zm *ZoneMaps) Get(uri string, mtime time.Time, size int64, seqno int) (ZoneEntry, bool) {
 	zm.mu.RLock()
 	defer zm.mu.RUnlock()
 	fz := zm.files[uri]
-	if fz == nil || !fz.mtime.Equal(mtime) {
+	if fz.stale(mtime, size) {
 		return ZoneEntry{}, false
 	}
 	z, ok := fz.recs[seqno]
 	return z, ok
 }
 
-// InvalidateFile drops every zone entry of one file.
+// InvalidateFile drops every zone entry of one file; a load calls it for
+// each file that left the repository.
 func (zm *ZoneMaps) InvalidateFile(uri string) {
 	zm.mu.Lock()
 	defer zm.mu.Unlock()

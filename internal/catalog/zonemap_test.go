@@ -34,33 +34,59 @@ func TestZoneMapsMtimeInvalidation(t *testing.T) {
 	t1 := time.Unix(1000, 0)
 	t2 := time.Unix(2000, 0)
 
-	zm.PutRun("a", t1, []int{1, 2}, []ZoneEntry{
+	zm.PutRun("a", t1, 512, []int{1, 2}, []ZoneEntry{
 		{Min: 1, Max: 2, Finite: 10, Samples: 10},
 		{Min: 3, Max: 4, Finite: 10, Samples: 10},
 	})
 	if zm.Records() != 2 {
 		t.Fatalf("records = %d, want 2", zm.Records())
 	}
-	if z, ok := zm.Get("a", t1, 1); !ok || z.Min != 1 {
-		t.Fatalf("Get(a, t1, 1) = %+v, %v", z, ok)
+	if z, ok := zm.Get("a", t1, 512, 1); !ok || z.Min != 1 {
+		t.Fatalf("Get(a, t1, 512, 1) = %+v, %v", z, ok)
 	}
 
 	// Same seqno at a different mtime: stale, must miss.
-	if _, ok := zm.Get("a", t2, 1); ok {
+	if _, ok := zm.Get("a", t2, 512, 1); ok {
 		t.Fatal("stale mtime must not serve zone entries")
 	}
 	// A PutRun at the new mtime drops every entry collected at the old one.
-	zm.PutRun("a", t2, []int{1}, []ZoneEntry{{Min: 9, Max: 9, Finite: 1, Samples: 1}})
+	zm.PutRun("a", t2, 512, []int{1}, []ZoneEntry{{Min: 9, Max: 9, Finite: 1, Samples: 1}})
 	if zm.Records() != 1 {
 		t.Fatalf("records after mtime change = %d, want 1", zm.Records())
 	}
-	if _, ok := zm.Get("a", t1, 2); ok {
+	if _, ok := zm.Get("a", t1, 512, 2); ok {
 		t.Fatal("old-mtime entry survived a new-mtime PutRun")
 	}
 
 	zm.InvalidateFile("a")
 	if zm.Records() != 0 {
 		t.Fatalf("records after invalidate = %d, want 0", zm.Records())
+	}
+}
+
+// TestZoneMapsSizeInvalidation: a file rewritten in place with its mtime
+// kept (restored from a backup, copied with its timestamps) but a different
+// size is a different file: its zones miss, and a PutRun at the new size
+// drops the old ones.
+func TestZoneMapsSizeInvalidation(t *testing.T) {
+	zm := NewZoneMaps()
+	mt := time.Unix(1000, 0)
+	zm.PutRun("a", mt, 512, []int{1, 2}, []ZoneEntry{
+		{Min: 1, Max: 2, Finite: 10, Samples: 10},
+		{Min: 3, Max: 4, Finite: 10, Samples: 10},
+	})
+	if _, ok := zm.Get("a", mt, 1024, 1); ok {
+		t.Fatal("an entry collected at size 512 served a file of size 1024")
+	}
+	zm.PutRun("a", mt, 1024, []int{1}, []ZoneEntry{{Min: 9, Max: 9, Finite: 1, Samples: 1}})
+	if zm.Records() != 1 {
+		t.Fatalf("records after size change = %d, want 1", zm.Records())
+	}
+	if _, ok := zm.Get("a", mt, 512, 2); ok {
+		t.Fatal("old-size entry survived a new-size PutRun")
+	}
+	if z, ok := zm.Get("a", mt, 1024, 1); !ok || z.Min != 9 {
+		t.Fatalf("Get(a, mt, 1024, 1) = %+v, %v", z, ok)
 	}
 }
 
@@ -73,7 +99,7 @@ func TestSnapshotSharesZones(t *testing.T) {
 	zm := s.Zones()
 
 	mt := time.Unix(42, 0)
-	zm.PutRun("x", mt, []int{7}, []ZoneEntry{{Min: -1, Max: 1, Finite: 2, Samples: 2}})
+	zm.PutRun("x", mt, 64, []int{7}, []ZoneEntry{{Min: -1, Max: 1, Finite: 2, Samples: 2}})
 	if err := s.ReplaceAll(map[string]*column.Batch{TableData: column.MustNewBatch(
 		column.New("file_id", column.Int64), column.New("seqno", column.Int64),
 		column.New("sample_time", column.Timestamp), column.New("sample_value", column.Float64),
@@ -83,7 +109,7 @@ func TestSnapshotSharesZones(t *testing.T) {
 	if s.Zones() != zm {
 		t.Fatal("a publication replaced the store's ZoneMaps instance")
 	}
-	if z, ok := s.Zones().Get("x", mt, 7); !ok || z.Max != 1 {
+	if z, ok := s.Zones().Get("x", mt, 64, 7); !ok || z.Max != 1 {
 		t.Fatalf("zone collected before a publication lost after it: %+v, %v", z, ok)
 	}
 }

@@ -3,15 +3,24 @@
 //
 //   - Eager (traditional) ETL: LoadAll is the lazy load followed by the
 //     extraction stream drained over every record, which fills mseed.data.
-//   - Lazy ETL: LoadMetadata performs the metadata-only initial load
-//     (header scans, no payloads); actual data is extracted at query time
-//     by ExtractStream, which implements plan.ExtractSource — the run-time
-//     rewriting operator asks for the universal-table rows of exactly the
-//     records that survived the metadata predicates, consulting the
-//     recycler cache first (lazy loading) and applying record- and
-//     value-level transformations at the end of extraction (§3.2). Lazy
+//   - Lazy ETL: LoadMetadata performs the metadata-only load (header scans,
+//     no payloads) of the files under the root now; actual data is
+//     extracted at query time by ExtractStream, which implements
+//     plan.ExtractSource — the run-time rewriting operator asks for the
+//     universal-table rows of exactly the records that survived the
+//     metadata predicates, consulting the recycler cache first (lazy
+//     loading) and applying record- and value-level transformations at the
+//     end of extraction (§3.2). Lazy
 //     goes for columns as for records: the stream replicates only the
 //     metadata columns the statement reads (plan.LazyExtract.Cols).
+//
+// There is one load path. The initial load and every refresh are the same
+// call: it lists the files under the root afresh and publishes the tables
+// it builds from them as one store snapshot, which is then the only record
+// of which files the engine knows. A file that left the repository is
+// found by diffing the replaced snapshot's mseed.files against the new
+// listing, and its recycler and zone-map entries go with it; a file that
+// changed in place goes stale by its (mtime, size) at its next extraction.
 //
 // # Extraction data path
 //
@@ -144,7 +153,7 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats reports the work done by a load or refresh.
+// Stats reports the work done by one load.
 type Stats struct {
 	Files   int
 	Records int
@@ -158,24 +167,25 @@ type Stats struct {
 	// touches every page of the file anyway, and skips unread only records
 	// longer than a chunk.
 	BytesRead int64
-	// Duration is the whole load: the header scan and, for the eager load,
-	// the extraction after it.
+	// RepoBytes is the on-disk size of the files the load listed.
+	RepoBytes int64
+	// Duration is the whole load: the listing, the header scan and, for the
+	// eager load, the extraction after it.
 	Duration time.Duration
 }
 
 // Engine drives ETL for one repository into one store.
 type Engine struct {
-	// root is the repository's directory, fixed at New: extraction opens a
-	// record's file as root joined with its F.uri, so the store snapshot a
-	// query reads alone decides which files it reads.
-	root string
-	// rp is the listing the published tables were loaded from.
-	rp    atomic.Pointer[repo.Repository]
+	// root is the repository's directory, fixed at New: every load lists
+	// the files under it afresh, and extraction opens a record's file as
+	// root joined with its F.uri, so the published store snapshot alone
+	// records which files the engine knows.
+	root  string
 	store *catalog.Store
 	cache *recycler.Cache
 	opts  Options
-	// loadMu serializes loads and refreshes: each builds the next tables
-	// from its own listing and publishes them, or nothing, as one.
+	// loadMu serializes loads: each builds the next tables from its own
+	// listing and publishes them, or nothing, as one.
 	loadMu sync.Mutex
 
 	// xstats counters are updated atomically: prefetch workers and the
@@ -239,7 +249,8 @@ func (e *Engine) putScratch(sc *extractScratch) {
 	e.scratch.Put(sc)
 }
 
-// New creates an engine over a repository listing.
+// New creates an engine over the repository rooted at rp.Root. It keeps
+// only the root: every load lists the files under it afresh.
 func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 	opts.fill()
 	budget := opts.CacheBudget
@@ -252,7 +263,6 @@ func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 		cache: recycler.New(budget),
 		opts:  opts,
 	}
-	e.rp.Store(rp)
 	e.scratch.New = func() any { return new(extractScratch) }
 	return e
 }
@@ -260,48 +270,36 @@ func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 // Cache exposes the recycler for inspection (demo point 7).
 func (e *Engine) Cache() *recycler.Cache { return e.cache }
 
-// Repository returns the listing the published tables were loaded from.
-func (e *Engine) Repository() *repo.Repository { return e.rp.Load() }
+// LoadMetadata is the lazy load of what is under the root now: header-only
+// scans of every file listed fill the two metadata tables, and mseed.data
+// stays empty. The first call is the initial load and every later one a
+// refresh: the same load, run against the snapshot it replaces. Cached
+// payloads of modified files go stale by their (mtime, size); those of files
+// that left the repository are dropped here. Stats.BytesRead counts the
+// header bytes parsed, 64 a record.
+func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false) }
 
-// LoadMetadata is the lazy initial load: header-only scans fill the two
-// metadata tables; mseed.data stays empty. Stats.BytesRead counts the header
-// bytes parsed, 64 a record.
-func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false, false) }
+// LoadAll is the eager load of what is under the root now: LoadMetadata's
+// load, and then mseed.data is the extraction stream drained over every
+// record it loaded — no prune, no window, one prefetch worker per
+// processor. Stats.BytesRead is every byte of every file.
+func (e *Engine) LoadAll() (Stats, error) { return e.load(true) }
 
-// LoadAll is the eager initial load: the lazy load, and then mseed.data is
-// the extraction stream drained over every record it loaded — no prune, no
-// window, one prefetch worker per processor. Stats.BytesRead is every byte
-// of every file.
-func (e *Engine) LoadAll() (Stats, error) { return e.load(true, false) }
-
-// RefreshMetadata re-opens the repository (picking up added, removed and
-// modified files) and reloads the metadata tables from it. Cached entries
-// of modified files are invalidated lazily via their mtime; entries of
-// removed files are dropped here.
-func (e *Engine) RefreshMetadata() (Stats, error) { return e.load(false, true) }
-
-// RefreshAll is the eager counterpart of RefreshMetadata: re-open and run
-// the eager load again (the traditional warehouse refresh).
-func (e *Engine) RefreshAll() (Stats, error) { return e.load(true, true) }
-
-// load fills the metadata tables from a header scan of every file of the
-// listing — a fresh one when rescan — and, when eager, mseed.data from one
-// extraction over them. It publishes the three tables, and then the
-// listing, only if every step succeeded: a failed load leaves the published
-// state as it was.
-func (e *Engine) load(eager, rescan bool) (Stats, error) {
+// load lists the files under the root, fills the metadata tables from a
+// header scan of each and, when eager, mseed.data from one extraction over
+// them. It publishes the three tables only if every step succeeded — a
+// failed load leaves the published snapshot as it was — and then drops the
+// recycler and zone-map entries of every file the replaced snapshot listed
+// and this one does not.
+func (e *Engine) load(eager bool) (Stats, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	var st Stats
-	old := e.rp.Load()
-	rp := old
-	var err error
-	if rescan {
-		if rp, err = repo.Open(e.root); err != nil {
-			return st, err
-		}
-	}
 	start := time.Now()
+	rp, err := repo.Open(e.root)
+	if err != nil {
+		return st, err
+	}
 	fb := newFilesBuilder()
 	rb := newRecordsBuilder()
 	// Header-scan the files on the pool; a scan that fails or panics fails
@@ -322,6 +320,7 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	if err != nil {
 		return st, err
 	}
+	known := make(map[string]bool, len(rp.Files))
 	for x, f := range rp.Files {
 		infos := scans[x]
 		id := int64(x) // dense ids in repository order
@@ -330,18 +329,21 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 			rb.add(id, ri)
 			st.Samples += int64(ri.Header.NumSamples)
 		}
+		known[f.URI] = true
 		st.Files++
 		st.Records += len(infos)
 		st.BytesRead += int64(len(infos)) * 64 // header bytes parsed per record
 	}
+	st.RepoBytes = rp.TotalSize()
 	files, records := fb.batch(), rb.batch()
 	data := column.MustNewBatch(newColumns(catalog.DataColumns)...)
 	if eager {
 		if data, err = e.extractData(files, records); err != nil {
 			return st, err
 		}
-		st.BytesRead = rp.TotalSize()
+		st.BytesRead = st.RepoBytes
 	}
+	prev, _ := e.store.Snapshot().Table(catalog.TableFiles)
 	// One atomic commit: a concurrent query snapshot sees either the old
 	// or the new metadata, never files rows from one scan next to records
 	// rows from another.
@@ -352,15 +354,11 @@ func (e *Engine) load(eager, rescan bool) (Stats, error) {
 	}); err != nil {
 		return st, err
 	}
-	e.rp.Store(rp)
-	// Drop cache entries for files that no longer exist.
-	known := make(map[string]bool, len(rp.Files))
-	for _, f := range rp.Files {
-		known[f.URI] = true
-	}
-	for _, f := range old.Files {
-		if !known[f.URI] {
-			e.cache.InvalidateFile(f.URI)
+	uris, _ := prev.Col("uri")
+	for _, uri := range uris.Strings() {
+		if !known[uri] {
+			e.cache.InvalidateFile(uri)
+			e.store.Zones().InvalidateFile(uri)
 		}
 	}
 	st.Duration = time.Since(start)

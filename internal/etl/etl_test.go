@@ -247,35 +247,66 @@ func TestExtractUnknownFile(t *testing.T) {
 	}
 }
 
-func TestRefreshMetadataDropsRemovedFiles(t *testing.T) {
-	e, store, dir := newEngine(t, 400, Options{})
+// TestLoadDropsRemovedFiles: a load drops a file that left the repository
+// from the tables, and with it the file's recycler and zone-map entries —
+// found by diffing the replaced snapshot's mseed.files against the new
+// listing — while the entries of the files that stayed survive.
+func TestLoadDropsRemovedFiles(t *testing.T) {
+	e, store, _ := newEngine(t, 400, Options{})
 	if _, err := e.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
 	before := store.Snapshot().Rows(catalog.TableFiles)
 
-	// Warm the cache, then remove one file.
+	// Warm the cache and the zone maps, then remove one file.
 	runLazyQuery(t, e, store, `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'WIT'`)
-	var victim string
-	for _, f := range e.Repository().Files {
+	var victim repo.File
+	for _, f := range listed(t, e) {
 		if strings.Contains(f.URI, "WIT") {
-			victim = f.AbsPath
+			victim = f
 			break
 		}
 	}
-	if victim == "" {
+	if victim.URI == "" {
 		t.Fatal("no WIT file")
 	}
-	if err := os.Remove(victim); err != nil {
+	infos, err := mseed.ScanFile(victim.AbsPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RefreshMetadata(); err != nil {
+	cached := func(uri string) (n int) {
+		for _, c := range e.Cache().Contents() {
+			if c.Key.URI == uri {
+				n++
+			}
+		}
+		return n
+	}
+	zones := store.Zones().Records()
+	if cached(victim.URI) != len(infos) || zones <= len(infos) {
+		t.Fatalf("setup: %d of the victim's %d records cached, %d zone entries", cached(victim.URI), len(infos), zones)
+	}
+	if err := os.Remove(victim.AbsPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Snapshot().Rows(catalog.TableFiles); got != before-1 {
-		t.Errorf("files after refresh = %d, want %d", got, before-1)
+		t.Errorf("files after the load = %d, want %d", got, before-1)
 	}
-	_ = dir
+	if n := cached(victim.URI); n != 0 {
+		t.Errorf("%d recycler entries of the removed file survived the load", n)
+	}
+	if got := store.Zones().Records(); got != zones-len(infos) {
+		t.Errorf("zone entries after the load = %d, want %d - %d", got, zones, len(infos))
+	}
+	if _, ok := store.Zones().Get(victim.URI, victim.ModTime, victim.Size, infos[0].Header.SeqNo); ok {
+		t.Error("the removed file's zone entry survived the load")
+	}
+	if e.Cache().Len() != zones-len(infos) {
+		t.Errorf("recycler holds %d entries after the load, want the %d of the files that stayed", e.Cache().Len(), zones-len(infos))
+	}
 }
 
 func TestDisableCache(t *testing.T) {
@@ -419,6 +450,7 @@ func TestScanFilePanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	files := listed(t, e)
 	for _, bad := range [][]int{{4}, {9, 2, 6}} {
 		lowest := slices.Min(bad)
 		scanFileHook = func(x int) {
@@ -426,12 +458,10 @@ func TestScanFilePanicContainment(t *testing.T) {
 				panic(fmt.Sprintf("scan boom %d", x))
 			}
 		}
-		for name, load := range map[string]func() (Stats, error){
-			"LoadMetadata": e.LoadMetadata, "LoadAll": e.LoadAll, "RefreshMetadata": e.RefreshMetadata, "RefreshAll": e.RefreshAll,
-		} {
+		for name, load := range map[string]func() (Stats, error){"LoadMetadata": e.LoadMetadata, "LoadAll": e.LoadAll} {
 			_, err := load()
 			var pe *exec.PanicError
-			if uri := e.Repository().Files[lowest].URI; !errors.As(err, &pe) || pe.Value != fmt.Sprintf("scan boom %d", lowest) || !strings.Contains(err.Error(), uri) {
+			if uri := files[lowest].URI; !errors.As(err, &pe) || pe.Value != fmt.Sprintf("scan boom %d", lowest) || !strings.Contains(err.Error(), uri) {
 				t.Errorf("%s with files %v panicking: want file %d's PanicError naming %s, got %v", name, bad, lowest, uri, err)
 			}
 			if store.Snapshot().Rows(catalog.TableRecords) != st.Records || store.Snapshot().Rows(catalog.TableData) != 0 {

@@ -172,7 +172,7 @@ func (o *runOut) add(seqno, at, planned int, h *mseed.Header, samples []int32) *
 	return ent
 }
 
-// flush installs the run's zone entries under (uri, mtime, seqno) — the
+// flush installs the run's zone entries under (uri, mtime, size, seqno) — the
 // staleness key the recycler uses too, so a touched file invalidates its
 // zones — offers its entries to the recycler, and reports its ExtractRecord
 // operators: one lock round-trip each.
@@ -181,7 +181,7 @@ func (o *runOut) flush(obs plan.Observer) {
 		return
 	}
 	e, fs := o.e, o.fs
-	e.store.Zones().PutRun(fs.uri, fs.mtime, o.seqnos, o.zones)
+	e.store.Zones().PutRun(fs.uri, fs.mtime, fs.size, o.seqnos, o.zones)
 	e.cache.AdmitRun(fs.uri, o.seqnos, o.ents)
 	e.xstats.extractions.Add(int64(len(o.ents)))
 	e.xstats.runRecords.Add(int64(len(o.ents)))
@@ -275,7 +275,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 			return nil, nil, err
 		}
 		if prune != nil {
-			if z, ok := zones.Get(uris[i], fs.mtime, int(seqs[i])); ok && !prune.Admits(z) {
+			if z, ok := zones.Get(uris[i], fs.mtime, fs.size, int(seqs[i])); ok && !prune.Admits(z) {
 				sink.lens[i] = 0
 				sink.entries[i] = prunedEntry
 				prunedIdx = append(prunedIdx, i)

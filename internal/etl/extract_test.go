@@ -29,6 +29,16 @@ func newEngineAt(t *testing.T, dir string, opts Options) (*Engine, *catalog.Stor
 	return New(rp, store, opts), store, dir
 }
 
+// listed lists the files under the engine's root, as its next load will.
+func listed(t *testing.T, e *Engine) []repo.File {
+	t.Helper()
+	rp, err := repo.Open(e.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp.Files
+}
+
 // numSamplesFieldOffset is where the fixed header stores the sample count
 // (big-endian uint16), relative to the record start.
 const numSamplesFieldOffset = 30
@@ -54,7 +64,7 @@ func patchRecordSampleCount(t *testing.T, path string, recordOffset int64, count
 // given station/channel pair.
 func fileFor(t *testing.T, e *Engine, station, channel string) (path, uri string) {
 	t.Helper()
-	for _, f := range e.Repository().Files {
+	for _, f := range listed(t, e) {
 		if strings.Contains(f.URI, station) && strings.Contains(f.URI, channel) {
 			return f.AbsPath, f.URI
 		}
@@ -263,7 +273,7 @@ func TestExtractDeterministicErrorOrder(t *testing.T) {
 	// valid (loaded before corruption below), decode fails.
 	corrupt := func(e *Engine) {
 		n := 0
-		for _, f := range e.Repository().Files {
+		for _, f := range listed(t, e) {
 			if !strings.Contains(f.URI, "BHZ") {
 				continue
 			}

@@ -47,7 +47,7 @@ func TestParallelExtractionPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var victim string
-	for _, f := range e.Repository().Files {
+	for _, f := range listed(t, e) {
 		if strings.Contains(f.URI, "BHZ") {
 			victim = f.AbsPath
 			break

@@ -99,7 +99,7 @@ func TestStreamDeterministicReadFailure(t *testing.T) {
 
 	truncate := func(e *Engine) {
 		n := 0
-		for _, f := range e.Repository().Files {
+		for _, f := range listed(t, e) {
 			if !strings.Contains(f.URI, "BHZ") {
 				continue
 			}
@@ -371,7 +371,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 	eager, eagerStore, _ := newEngineAt(t, dir, Options{})
 	fid, seq := column.New("file_id", column.Int64), column.New("seqno", column.Int64)
 	ts, vs := column.New("sample_time", column.Timestamp), column.New("sample_value", column.Float64)
-	for id, f := range eager.Repository().Files {
+	for id, f := range listed(t, eager) {
 		recs, err := mseed.ReadFile(f.AbsPath)
 		if err != nil {
 			t.Fatal(err)

@@ -482,11 +482,20 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 	}
 	o.Event("pipeline", fmt.Sprintf("%d stage(s) fused over %d morsels", r.fused, r.morsels))
 
-	// Post-pipeline breakers, innermost first.
+	// Post-pipeline breakers, innermost first. A query whose ctx ended
+	// stops before the next one and after the last; a breaker that has
+	// started (a sort) runs to its end.
+	ctx := cmp.Or(env.Ctx, context.Background())
 	for i := len(pp.post) - 1; i >= 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if out, err = applyPost(pp.post[i], out, env); err != nil {
 			return nil, err
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

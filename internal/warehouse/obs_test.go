@@ -281,9 +281,10 @@ func TestLogSeqAndSeverity(t *testing.T) {
 
 // TestFailedRefreshIsAccounted: a Refresh that fails — the repository's
 // directory vanished, or a file's header scan fails — is one counted,
-// error-severity log entry and publishes nothing: the repository listing is
-// unchanged, and the repeat of a cached answer is a result-cache hit,
-// bit-identical to the answer before.
+// error-severity log entry and publishes nothing: the store snapshot, the
+// one record of which files the warehouse knows, is unchanged, and the
+// repeat of a cached answer is a result-cache hit, bit-identical to the
+// answer before.
 func TestFailedRefreshIsAccounted(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -313,7 +314,7 @@ func TestFailedRefreshIsAccounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			listing := w.Engine().Repository()
+			published := w.Store().Snapshot()
 			tc.break_(t, dir)
 			w.ClearLog()
 			errs := w.Metrics().Errors.Load()
@@ -336,8 +337,8 @@ func TestFailedRefreshIsAccounted(t *testing.T) {
 			if entries != 1 {
 				t.Errorf("%d error-severity entries after a failed refresh, want 1", entries)
 			}
-			if got := w.Engine().Repository(); got != listing {
-				t.Errorf("repository listing changed across a failed refresh: %d files, was %d", len(got.Files), len(listing.Files))
+			if got := w.Store().Snapshot(); got != published {
+				t.Errorf("a failed refresh published snapshot %d over %d", got.Version(), published.Version())
 			}
 			hits := w.Stats().QueryCache.ResultHits
 			got, err := w.Query(q2)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/mem"
@@ -210,12 +212,28 @@ func (s cancelOnNext) Next() (exec.Morsel, bool, error) {
 	return m, ok, err
 }
 
-// TestQueryCancelledMidPipeline: a query whose context ends after its
-// extraction stream handed out the first morsel fails with
-// context.Canceled, on the serial loop and the parallel driver; it leaves
-// no slot, ledger bytes or spill directory behind and no cached answer, and
-// the next run of the statement answers bit for bit like the noQueryCache
-// oracle.
+// cancelOnEvent is an Observer that calls cancel when execution reports
+// an event of kind op.
+type cancelOnEvent struct {
+	plan.Observer
+	op     string
+	cancel context.CancelFunc
+}
+
+func (o cancelOnEvent) Event(op, detail string) {
+	o.Observer.Event(op, detail)
+	if op == o.op {
+		o.cancel()
+	}
+}
+
+// TestQueryCancelledMidPipeline: a query whose context ends mid-execution
+// fails with context.Canceled, on the serial loop and the parallel driver —
+// ended after its extraction stream handed out the first morsel, or after
+// its sort, a post-pipeline breaker, has finished but before the Limit
+// above it. It leaves no slot, ledger bytes or spill directory behind and
+// no cached answer, and the next run of the statement answers bit for bit
+// like the noQueryCache oracle.
 func TestQueryCancelledMidPipeline(t *testing.T) {
 	dir := genRepo(t, 2000)
 	root := t.TempDir()
@@ -224,35 +242,108 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Query(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		w, err := Open(dir, Options{Mode: Lazy, Workers: workers, morselRows: 64, MemoryBudget: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+	cases := []struct {
+		name, q string
+		hook    func(env *plan.Env, cancel context.CancelFunc)
+	}{
+		{"first morsel", q2, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Source = cancelAfterFirst{env.Source, cancel}
-			return plan.Execute(n, env)
-		}
-		if _, err := w.QueryContext(ctx, q2); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: %v, want %v", workers, err, context.Canceled)
-		}
-		requireIdle(t, fmt.Sprintf("workers=%d, after the cancelled query", workers), w, root)
-		w.run = plan.Execute
-		got, err := w.Query(q2)
+		}},
+		{"sort event", `SELECT D.sample_value, F.station FROM mseed.dataview ORDER BY D.sample_value, F.station LIMIT 1`,
+			func(env *plan.Env, cancel context.CancelFunc) {
+				env.Obs = cancelOnEvent{env.Obs, "sort", cancel}
+			}},
+	}
+	for _, tc := range cases {
+		want, err := oracle.Query(tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := w.Stats().QueryCache; st.ResultHits != 0 {
-			t.Errorf("workers=%d: the cancelled query left an answer in the result cache: %+v", workers, st)
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s, workers=%d", tc.name, workers)
+			w, err := Open(dir, Options{Mode: Lazy, Workers: workers, morselRows: 64, MemoryBudget: 64 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+				tc.hook(env, cancel)
+				return plan.Execute(n, env)
+			}
+			if _, err := w.QueryContext(ctx, tc.q); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: %v, want %v", name, err, context.Canceled)
+			}
+			requireIdle(t, name+", after the cancelled query", w, root)
+			w.run = plan.Execute
+			got, err := w.Query(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := w.Stats().QueryCache; st.ResultHits != 0 {
+				t.Errorf("%s: the cancelled query left an answer in the result cache: %+v", name, st)
+			}
+			if g, e := renderExact(got.Batch), renderExact(want.Batch); g != e {
+				t.Errorf("%s: answer after the cancelled query diverged from the oracle\nwant:\n%s\ngot:\n%s", name, e, g)
+			}
 		}
-		if g, e := renderExact(got.Batch), renderExact(want.Batch); g != e {
-			t.Errorf("workers=%d: answer after the cancelled query diverged from the oracle\nwant:\n%s\ngot:\n%s", workers, e, g)
-		}
+	}
+}
+
+// TestRefreshMatchesOpen: Open is the first Refresh. After one file is
+// removed, one added and one touched, a Refresh publishes bit for bit the
+// tables a fresh Open of the directory loads — mseed.files, mseed.records
+// and, in Eager mode, mseed.data — and reports the same load figures.
+func TestRefreshMatchesOpen(t *testing.T) {
+	for _, mode := range []Mode{Lazy, Eager} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := genRepo(t, 1500)
+			w := openWH(t, dir, mode)
+			if _, err := w.Query(q2); err != nil {
+				t.Fatal(err)
+			}
+			rp, err := repo.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(rp.Files[0].AbsPath); err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Touch(rp.Files[5].AbsPath, time.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			addStation(t, dir)
+			st, err := w.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			fresh := openWH(t, dir, mode)
+			tables := []string{catalog.TableFiles, catalog.TableRecords}
+			if mode == Eager {
+				tables = append(tables, catalog.TableData)
+			}
+			for _, name := range tables {
+				got, err := w.Store().Snapshot().Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Store().Snapshot().Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, e := renderExact(got), renderExact(want); g != e {
+					t.Errorf("%s after the refresh differs from a fresh Open's (%d rows, want %d)", name, got.NumRows(), want.NumRows())
+				}
+			}
+			opened := fresh.InitStats().Stats
+			if st.Files != opened.Files || st.Records != opened.Records || st.Samples != opened.Samples ||
+				st.BytesRead != opened.BytesRead || st.RepoBytes != opened.RepoBytes {
+				t.Errorf("refresh loaded %+v, a fresh Open %+v", st, opened)
+			}
+			if st.Files != len(rp.Files) {
+				t.Errorf("refresh loaded %d files, want %d (one removed, one added)", st.Files, len(rp.Files))
+			}
+		})
 	}
 }
 

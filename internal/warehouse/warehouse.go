@@ -25,10 +25,11 @@
 // statistics and one version. Extraction opens a record's file as the
 // repository root joined with its F.uri, so that snapshot alone decides
 // which files are read, and the query runs to completion on it whatever is
-// published meanwhile. Refresh is the only writer. It builds the next
-// tables aside from a fresh repository listing and swaps them in as one
-// snapshot, or publishes nothing when any step fails; it waits only for
-// another Refresh, never for queries, and queries never wait for it.
+// published meanwhile; it is the one record of which files the warehouse
+// knows. Open's first load and every Refresh are one load: it lists the root
+// afresh, builds the next tables aside and swaps them in as one snapshot, or
+// publishes nothing when a step fails. Refresh waits only for another
+// Refresh, never for queries, and queries never wait for it.
 // The admission slot is the only thing serve waits for.
 //
 // Execution memory is shared fairly: when Options.MemoryBudget is set,
@@ -43,9 +44,9 @@
 //
 // Lazy extraction collects zone maps as a by-product: every record it
 // decodes leaves a min/max/NaN/null summary of its transformed sample
-// values in the catalog, keyed by (uri, mtime, seqno) — the same staleness
-// key the recycler cache uses, so modifying a file invalidates its zones
-// exactly like its cached payloads. Later queries consult them at run time:
+// values in the catalog, keyed by (uri, mtime, size, seqno) — the recycler's
+// staleness key, so modifying a file invalidates its zones exactly like its
+// cached payloads. Later queries consult them at run time:
 //
 //   - Skip-before-decode pruning: comparison predicates on D.sample_value
 //     compile into a PruneRange carried below extraction, and qualifying
@@ -68,6 +69,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -232,13 +234,11 @@ func (r *Result) Rows() [][]column.Value {
 	return out
 }
 
-// InitStats describes the initial load: the load's own etl.Stats plus the
-// sizes it went from and to.
+// InitStats describes the initial load: the load's own etl.Stats (the
+// repository's size, RepoBytes, among them) plus the size it loaded to.
 type InitStats struct {
 	Mode Mode
 	etl.Stats
-	// RepoBytes is the on-disk size of the repository snapshot.
-	RepoBytes int64
 	// StoreBytes is the in-memory footprint of the loaded tables after the
 	// initial load.
 	StoreBytes int64
@@ -276,17 +276,14 @@ type Warehouse struct {
 	keepLog int // maxLogEntries; tests shrink it
 }
 
-// Open scans the repository under dir and performs the initial load
-// according to the mode: metadata-only for Lazy and External; for Eager,
+// Open builds a warehouse over the repository under dir and runs its first
+// load, the one Refresh runs: metadata-only for Lazy and External; for Eager,
 // the same load and then every record extracted into mseed.data, with the
 // recycler off, since no eager plan reads it.
 func Open(dir string, opts Options) (*Warehouse, error) {
-	rp, err := repo.Open(dir)
+	root, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
-	}
-	if len(rp.Files) == 0 {
-		return nil, fmt.Errorf("warehouse: no mSEED files under %s", dir)
 	}
 	slots := opts.MaxConcurrentQueries
 	if slots <= 0 {
@@ -307,7 +304,7 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	w := &Warehouse{
 		mode:        opts.Mode,
 		store:       store,
-		engine:      etl.New(rp, store, opts.ETL),
+		engine:      etl.New(&repo.Repository{Root: root}, store, opts.ETL),
 		pool:        exec.NewPoolMorsel(opts.Workers, opts.morselRows),
 		ledger:      mem.New(opts.MemoryBudget),
 		admit:       make(chan struct{}, slots),
@@ -320,26 +317,31 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 	// Recycler admissions draw on the same ledger as operator working
 	// sets, so a loaded cache and a heavy join compete for one budget.
 	w.engine.Cache().AttachLedger(w.ledger)
-	if err := w.initialLoad(); err != nil {
+	st, err := w.load("init")
+	if err != nil {
 		return nil, err
 	}
+	if st.Files == 0 {
+		return nil, fmt.Errorf("warehouse: no mSEED files under %s", dir)
+	}
+	w.init = InitStats{Mode: w.mode, Stats: st, StoreBytes: w.store.Snapshot().Bytes()}
 	return w, nil
 }
 
-func (w *Warehouse) initialLoad() error {
-	load, what := w.engine.LoadMetadata, "lazy initial load: metadata only (header scans, no payloads)"
+// load is the one metadata load path, Open's and Refresh's (see
+// etl.Engine.LoadMetadata); op names it in the log and error accounting.
+func (w *Warehouse) load(op string) (etl.Stats, error) {
+	load, what := w.engine.LoadMetadata, "metadata only (header scans, no payloads)"
 	if w.mode == Eager {
-		load, what = w.engine.LoadAll, "eager initial load: header scans, then every record extracted into mseed.data"
+		load, what = w.engine.LoadAll, "header scans, then every record extracted into mseed.data"
 	}
-	w.logf("init", "%s", what)
+	w.logf(op, "%v load: %s", w.mode, what)
 	st, err := load()
 	if err != nil {
-		return err
+		return st, w.fail(op, err)
 	}
-	w.init = InitStats{Mode: w.mode, Stats: st, RepoBytes: w.engine.Repository().TotalSize(), StoreBytes: w.store.Snapshot().Bytes()}
-	w.logf("init", "loaded %d files, %d records in %v (%d bytes read)",
-		st.Files, st.Records, st.Duration, st.BytesRead)
-	return nil
+	w.logf(op, "loaded %d files, %d records in %v (%d bytes read)", st.Files, st.Records, st.Duration, st.BytesRead)
+	return st, nil
 }
 
 // Mode returns the warehouse's operating mode.
@@ -739,23 +741,18 @@ func (p *Prepared) plan(params []column.Value, root *obs.Span) (plan.Node, Trace
 	return plans.Root, tr, nil
 }
 
-// Refresh re-synchronizes the warehouse with the repository: lazy modes
-// reload metadata (cached data refreshes itself via mtime staleness at the
-// next query); eager mode re-runs the eager load, metadata and extraction.
-// The reload is built aside and published as one snapshot, or not at all if
-// it fails. Refresh waits only for another Refresh: queries admitted before
-// the publication run to completion on the snapshot they loaded, and
-// queries admitted after it see the new one.
+// Refresh re-synchronizes the warehouse with the repository by running
+// Open's load again: lazy modes reload metadata (cached payloads go stale by
+// (mtime, size), and those of removed files are dropped); eager mode re-runs
+// the eager load, metadata and extraction. The reload is published as one
+// snapshot, or not at all if it fails. Refresh waits only for another
+// Refresh: queries admitted before the publication run to completion on the
+// snapshot they loaded, and queries admitted after it see the new one.
 func (w *Warehouse) Refresh() (etl.Stats, error) {
 	start := time.Now()
-	refresh, what := w.engine.RefreshMetadata, "lazy refresh: metadata reload; stale cache entries invalidate on demand"
-	if w.mode == Eager {
-		refresh, what = w.engine.RefreshAll, "eager refresh: metadata reload, then every record extracted again"
-	}
-	w.logf("refresh", "%s", what)
-	st, err := refresh()
+	st, err := w.load("refresh")
 	if err != nil {
-		return st, w.fail("refresh", err)
+		return st, err
 	}
 	// The snapshot version the result keys carry just changed, so no stale
 	// answer could ever be served again; purging reclaims their memory (and
@@ -763,7 +760,6 @@ func (w *Warehouse) Refresh() (etl.Stats, error) {
 	// none depends on what the refresh changed.
 	w.qc.purge()
 	w.metrics.ObserveQuery(obs.ClassRefresh, time.Since(start))
-	w.logf("refresh", "done: %d files, %d records in %v", st.Files, st.Records, st.Duration)
 	return st, nil
 }
 

@@ -337,54 +337,79 @@ func TestLazyRefreshAfterUpdate(t *testing.T) {
 
 // TestRewriteWithOlderMtimeIsNotServedStale: a file rewritten with an
 // mtime older than the one its cached records were extracted at (restored
-// from a backup, copied with its timestamps kept) has changed all the same.
-// The recycler must re-extract it rather than serve the old samples beside
-// the refreshed metadata.
+// from a backup, copied with its timestamps kept), or with its mtime kept
+// and its size changed, has changed all the same. The recycler must
+// re-extract it rather than serve the old samples beside the refreshed
+// metadata, and its zone entries must not prune the new records.
 func TestRewriteWithOlderMtimeIsNotServedStale(t *testing.T) {
 	const perFile = `SELECT F.uri, COUNT(*), SUM(D.sample_value), MIN(D.sample_value), MAX(D.sample_value)
 FROM mseed.dataview GROUP BY F.uri`
-	const uri = "KO/ISK/BHE/KO.ISK..BHE.2010.012.mseed"
-	dir := genRepo(t, 3000)
-	w := openWH(t, dir, Lazy)
-	if _, err := w.QueryUncached(context.Background(), perFile); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, uri string
+		samples   int           // the replacement's samples per day
+		shift     time.Duration // its mtime against the original's
+	}{
+		{"older mtime", "KO/ISK/BHE/KO.ISK..BHE.2010.012.mseed", 3000, -time.Hour},
+		{"same mtime, other size", "NL/DBN/BHZ/NL.DBN..BHZ.2010.012.mseed", 4000, 0},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// pruned asks for the file's samples above a threshold, so its
+			// zone entries, collected by the first run, prune records.
+			pruned := fmt.Sprintf(`SELECT COUNT(*), MIN(D.sample_value) FROM mseed.dataview
+WHERE F.uri = '%s' AND D.sample_value > 243`, tc.uri)
+			dir := genRepo(t, 3000)
+			w := openWH(t, dir, Lazy)
+			for _, q := range []string{perFile, pruned} {
+				if _, err := w.QueryUncached(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	other := t.TempDir()
-	if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: other, SamplesPerDay: 3000, EventsPerDay: 1, Seed: 43}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, filepath.FromSlash(uri))
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(other, filepath.FromSlash(uri)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	older := info.ModTime().Add(-time.Hour)
-	if err := os.Chtimes(path, older, older); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+			other := t.TempDir()
+			if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: other, SamplesPerDay: tc.samples, EventsPerDay: 1, Seed: 43}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, filepath.FromSlash(tc.uri))
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(other, filepath.FromSlash(tc.uri)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shift == 0 && int64(len(data)) == info.Size() {
+				t.Fatalf("setup: the replacement has the original's size, %d bytes", info.Size())
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			at := info.ModTime().Add(tc.shift)
+			if err := os.Chtimes(path, at, at); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Refresh(); err != nil {
+				t.Fatal(err)
+			}
 
-	got, err := w.QueryUncached(context.Background(), perFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := openWH(t, dir, Lazy).QueryUncached(context.Background(), perFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, perFile, want.Batch, got.Batch)
-	if w.Engine().Cache().Stats().Invalidations == 0 {
-		t.Error("the rewritten file invalidated no recycler entry")
+			// pruned first: a run of perFile would re-collect every zone.
+			fresh := openWH(t, dir, Lazy)
+			for _, q := range []string{pruned, perFile} {
+				got, err := w.QueryUncached(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.QueryUncached(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, q, want.Batch, got.Batch)
+			}
+			if w.Engine().Cache().Stats().Invalidations == 0 {
+				t.Error("the rewritten file invalidated no recycler entry")
+			}
+		})
 	}
 }
 
@@ -528,10 +553,35 @@ func TestExplainAndLog(t *testing.T) {
 	}
 }
 
+// TestRefreshPicksUpNewFiles: a Refresh that adds a file changes answers
+// the result tier already holds, although no file any of them depends on
+// changed. COUNT(*) over mseed.files extracts nothing, so its answer
+// carries no file stamp; the GR aggregate's stamps list the GR files there
+// were (none), all unchanged. That is why answers are keyed on the snapshot
+// version and purged by Refresh, not invalidated file by file.
 func TestRefreshPicksUpNewFiles(t *testing.T) {
+	const (
+		filesQ = `SELECT COUNT(*) FROM mseed.files`
+		grQ    = `SELECT COUNT(*) FROM mseed.dataview WHERE F.network = 'GR'`
+	)
 	dir := genRepo(t, 1000)
 	w := openWH(t, dir, Lazy)
-	before := w.Stats().FilesRows
+	ask := func(q string) int64 {
+		t.Helper()
+		res, err := w.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Batch.Row(0)[0].I
+	}
+	hits := w.Stats().QueryCache.ResultHits
+	files, gr := ask(filesQ), ask(grQ)
+	if ask(filesQ) != files || ask(grQ) != gr {
+		t.Fatal("a repeated answer changed")
+	}
+	if got := w.Stats().QueryCache.ResultHits - hits; got != 2 {
+		t.Fatalf("the repeats were %d result hits, want 2: both answers resident", got)
+	}
 
 	// Add a new station's files.
 	_, err := seisgen.Generate(seisgen.RepoConfig{
@@ -547,15 +597,14 @@ func TestRefreshPicksUpNewFiles(t *testing.T) {
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Stats().FilesRows; got != before+1 {
-		t.Errorf("after refresh: %d files, want %d", got, before+1)
+	if got := w.Stats().FilesRows; int64(got) != files+1 {
+		t.Errorf("after refresh: %d files, want %d", got, files+1)
 	}
-	res, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.network = 'GR'`)
-	if err != nil {
-		t.Fatal(err)
+	if got := ask(filesQ); got != files+1 {
+		t.Errorf("%s after refresh = %d, want %d", filesQ, got, files+1)
 	}
-	if res.Batch.Row(0)[0].I != 500 {
-		t.Errorf("new station samples = %v, want 500", res.Batch.Row(0)[0])
+	if got := ask(grQ); got != 500 {
+		t.Errorf("new station samples = %d, want 500 (was %d)", got, gr)
 	}
 }
 

@@ -61,9 +61,11 @@
 // ClearLog may be called from any number of goroutines. Each query runs
 // against the immutable store snapshot it loads at admission — tables,
 // statistics and version published as one value — and that snapshot alone
-// decides which files it reads. Refresh is the only writer: it builds the
-// next snapshot aside and swaps it in, or publishes nothing if it fails,
-// and never waits for queries nor makes them wait. Admitted queries
+// decides which files it reads. Open's initial load and Refresh are one
+// load, run by Open from an empty snapshot: it lists the repository afresh,
+// builds the next snapshot aside and swaps it in, or publishes nothing if it
+// fails. After Open, Refresh is the only writer, and it never waits for
+// queries nor makes them wait. Admitted queries
 // (Options.MaxConcurrentQueries at a time) each get a sub-budget carved
 // from the shared memory ledger so one spilling query cannot starve the
 // rest. Concurrent answers are bit-identical to serial execution
