@@ -2,6 +2,7 @@ package etl
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
@@ -173,22 +174,51 @@ func fleetEngine(b *testing.B) *Engine {
 	return New(rp, catalog.NewStore(catalog.MSEED()), Options{})
 }
 
-// BenchmarkLoadMetadata times the lazy initial load — the header scan of
-// every file plus the two metadata tables — which a cold start pays before
-// its first answer and every Refresh pays again. allocs/op is per load; the
-// records/op metric turns it into allocations per record.
+// BenchmarkLoadMetadata times the lazy load over the serving fleet. first
+// is the initial load — a fresh store each iteration, so every file is
+// header-scanned — which a cold start pays before its first answer.
+// reload/unchanged is a Refresh that finds nothing changed: the walk and the
+// merge, no scan and no publication. reload/touched=1 is one after a file's
+// mtime moved: that file scanned, every other file's rows carried, and the
+// tables published. records/op turns allocs/op into allocations per record.
 func BenchmarkLoadMetadata(b *testing.B) {
 	e := fleetEngine(b)
-	var st Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if st, err = e.LoadMetadata(); err != nil {
+	load := func(b *testing.B, e *Engine) {
+		st, err := e.LoadMetadata()
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(st.Records), "records/op")
 	}
-	b.ReportMetric(float64(st.Records), "records/op")
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			load(b, New(&repo.Repository{Root: e.root}, catalog.NewStore(e.store.Catalog()), Options{}))
+		}
+	})
+	load(b, e)
+	b.Run("reload", func(b *testing.B) {
+		b.Run("unchanged", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				load(b, e)
+			}
+		})
+		files, touches := listed(b, e), 0
+		b.Run("touched=1", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				touches++ // every touch a new mtime, across the benchmark's rounds
+				f := files[touches%len(files)]
+				if err := repo.Touch(f.AbsPath, f.ModTime.Add(time.Duration(touches)*time.Millisecond)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				load(b, e)
+			}
+		})
+	})
 }
 
 var convertSink catalog.ZoneEntry

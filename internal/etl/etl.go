@@ -15,12 +15,13 @@
 //     metadata columns the statement reads (plan.LazyExtract.Cols).
 //
 // There is one load path. The initial load and every refresh are the same
-// call: it lists the files under the root afresh and publishes the tables
-// it builds from them as one store snapshot, which is then the only record
-// of which files the engine knows. A file that left the repository is
-// found by diffing the replaced snapshot's mseed.files against the new
-// listing, and its recycler and zone-map entries go with it; a file that
-// changed in place goes stale by its (mtime, size) at its next extraction.
+// call: a merge of the files listed under the root now with the store
+// snapshot it replaces, the only record of which files the engine knows. A
+// file whose (uri, size, mtime) is unchanged keeps its rows; only new and
+// changed files are header-scanned, so a load costs the listing plus work in
+// proportion to what changed, and one that finds no change publishes
+// nothing. The initial load is the merge against an empty snapshot. Files
+// that left or changed lose their recycler and zone-map entries.
 //
 // # Extraction data path
 //
@@ -110,6 +111,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,13 +161,13 @@ type Stats struct {
 	Records int
 	Samples int64
 	// BytesRead is the source bytes the load consumed: every byte of every
-	// file for the eager load, which extracts every record, the 64 header
-	// bytes of each record for the lazy one — what it parses, which is what
-	// the eager-versus-lazy ratio of E2/E3 compares. It is not what the lazy
-	// load requests from the OS: the header scan reads files in chunks
-	// (mseed.ScanHeaders), because a 64-byte read per record of 4 KiB or less
-	// touches every page of the file anyway, and skips unread only records
-	// longer than a chunk.
+	// file for an eager load that publishes, which extracts every record, the
+	// 64 header bytes of each record of the files a lazy one scanned — what
+	// it parses, which is what the eager-versus-lazy ratio of E2/E3 compares.
+	// It is not what the lazy load requests from the OS: the header scan
+	// reads files in chunks (mseed.ScanHeaders), because a 64-byte read per
+	// record of 4 KiB or less touches every page of the file anyway, and
+	// skips unread only records longer than a chunk.
 	BytesRead int64
 	// RepoBytes is the on-disk size of the files the load listed.
 	RepoBytes int64
@@ -271,71 +273,67 @@ func New(rp *repo.Repository, store *catalog.Store, opts Options) *Engine {
 func (e *Engine) Cache() *recycler.Cache { return e.cache }
 
 // LoadMetadata is the lazy load of what is under the root now: header-only
-// scans of every file listed fill the two metadata tables, and mseed.data
-// stays empty. The first call is the initial load and every later one a
-// refresh: the same load, run against the snapshot it replaces. Cached
-// payloads of modified files go stale by their (mtime, size); those of files
-// that left the repository are dropped here. Stats.BytesRead counts the
-// header bytes parsed, 64 a record.
+// scans of the new and changed files, beside every other file's rows carried
+// from the snapshot it replaces, fill the two metadata tables, and
+// mseed.data stays empty. The first call, against an empty snapshot, is the
+// initial load and every later one a refresh. Stats.BytesRead counts the
+// header bytes parsed, 64 a record scanned.
 func (e *Engine) LoadMetadata() (Stats, error) { return e.load(false) }
 
 // LoadAll is the eager load of what is under the root now: LoadMetadata's
-// load, and then mseed.data is the extraction stream drained over every
-// record it loaded — no prune, no window, one prefetch worker per
-// processor. Stats.BytesRead is every byte of every file.
+// merge, and then mseed.data is the extraction stream drained over every
+// record of the merged tables — no prune, no window, one prefetch worker per
+// processor. Stats.BytesRead is every byte of every file, or 0 when nothing
+// changed and nothing is published.
 func (e *Engine) LoadAll() (Stats, error) { return e.load(true) }
 
-// load lists the files under the root, fills the metadata tables from a
-// header scan of each and, when eager, mseed.data from one extraction over
-// them. It publishes the three tables only if every step succeeded — a
-// failed load leaves the published snapshot as it was — and then drops the
-// recycler and zone-map entries of every file the replaced snapshot listed
-// and this one does not.
-func (e *Engine) load(eager bool) (Stats, error) {
+// load merges the files listed under the root with the replaced snapshot's
+// mseed.files, both in uri order, carrying each file whose (uri, size,
+// mtime) is unchanged. A load that carries every file, lists no other and
+// keeps mseed.data's mode publishes nothing; any other publishes only if
+// every step succeeded, and then drops the recycler and zone-map entries of
+// every replaced file it did not carry, removed or changed.
+func (e *Engine) load(eager bool) (st Stats, err error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
-	var st Stats
 	start := time.Now()
+	defer func() { st.Duration = time.Since(start) }()
 	rp, err := repo.Open(e.root)
 	if err != nil {
 		return st, err
 	}
-	fb := newFilesBuilder()
-	rb := newRecordsBuilder()
-	// Header-scan the files on the pool; a scan that fails or panics fails
-	// its own file, and the lowest-indexed failure is reported, as a serial
-	// scan would report it.
-	scans := make([][]mseed.RecordInfo, len(rp.Files))
-	err = exec.NewPool(0).Run(len(rp.Files), func(x int) (err error) {
-		defer func() {
-			if err != nil {
-				err = fmt.Errorf("etl: metadata scan %s: %w", rp.Files[x].URI, err)
-			}
-		}()
-		defer exec.RecoverTo(&err)
-		scanFileHook(x)
-		scans[x], err = mseed.ScanFile(rp.Files[x].AbsPath)
-		return err
-	})
-	if err != nil {
-		return st, err
-	}
-	known := make(map[string]bool, len(rp.Files))
-	for x, f := range rp.Files {
-		infos := scans[x]
-		id := int64(x) // dense ids in repository order
-		fb.add(id, f, infos)
-		for _, ri := range infos {
-			rb.add(id, ri)
-			st.Samples += int64(ri.Header.NumSamples)
+	st.Files, st.RepoBytes = len(rp.Files), rp.TotalSize()
+	snap := e.store.Snapshot()
+	files, _ := snap.Table(catalog.TableFiles)
+	records, _ := snap.Table(catalog.TableRecords)
+	// uri, file_size and mod_time; from[x] is the row listed file x carries,
+	// or -1.
+	uris, sizes, mtimes := files.ColAt(1).Strings(), files.ColAt(14).Int64s(), files.ColAt(15).Int64s()
+	from := make([]int, len(rp.Files))
+	carried := make([]bool, len(uris))
+	for x, j := 0, 0; x < len(rp.Files); x++ {
+		f := rp.Files[x]
+		for j < len(uris) && uris[j] < f.URI {
+			j++
 		}
-		known[f.URI] = true
-		st.Files++
-		st.Records += len(infos)
-		st.BytesRead += int64(len(infos)) * 64 // header bytes parsed per record
+		from[x] = -1
+		if j < len(uris) && uris[j] == f.URI && sizes[j] == f.Size && mtimes[j] == f.ModTime.UnixNano() {
+			from[x], carried[j] = j, true
+		}
 	}
-	st.RepoBytes = rp.TotalSize()
-	files, records := fb.batch(), rb.batch()
+	changed := slices.Contains(from, -1) || len(uris) != len(rp.Files) || (snap.Rows(catalog.TableData) > 0) != eager
+	if changed {
+		if files, records, st.BytesRead, err = merge(rp.Files, from, files, records); err != nil {
+			return st, err
+		}
+	}
+	st.Records = records.NumRows()
+	for _, n := range files.ColAt(13).Int64s() { // num_samples
+		st.Samples += n
+	}
+	if !changed {
+		return st, nil
+	}
 	data := column.MustNewBatch(newColumns(catalog.DataColumns)...)
 	if eager {
 		if data, err = e.extractData(files, records); err != nil {
@@ -343,7 +341,6 @@ func (e *Engine) load(eager bool) (Stats, error) {
 		}
 		st.BytesRead = st.RepoBytes
 	}
-	prev, _ := e.store.Snapshot().Table(catalog.TableFiles)
 	// One atomic commit: a concurrent query snapshot sees either the old
 	// or the new metadata, never files rows from one scan next to records
 	// rows from another.
@@ -354,15 +351,75 @@ func (e *Engine) load(eager bool) (Stats, error) {
 	}); err != nil {
 		return st, err
 	}
-	uris, _ := prev.Col("uri")
-	for _, uri := range uris.Strings() {
-		if !known[uri] {
+	for j, uri := range uris {
+		if !carried[j] {
 			e.cache.InvalidateFile(uri)
 			e.store.Zones().InvalidateFile(uri)
 		}
 	}
-	st.Duration = time.Since(start)
 	return st, nil
+}
+
+// merge assembles the next mseed.files and mseed.records in listing order:
+// each run of consecutive carried files (from[x] >= 0) as one range of the
+// replaced tables, whose records rows are in file order, and every other
+// file from its header scan on the pool. file_id, the listing index, is
+// written once over both. It returns the header bytes parsed.
+func merge(listed []repo.File, from []int, files, records *column.Batch) (*column.Batch, *column.Batch, int64, error) {
+	// A scan that fails or panics fails its own file, and the lowest-indexed
+	// failure is reported, as a serial scan would report it.
+	scans := make([][]mseed.RecordInfo, len(listed))
+	err := exec.NewPool(0).Run(len(listed), func(x int) (err error) {
+		if from[x] >= 0 {
+			return nil // carried
+		}
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("etl: metadata scan %s: %w", listed[x].URI, err)
+			}
+		}()
+		defer exec.RecoverTo(&err)
+		scanFileHook(x)
+		scans[x], err = mseed.ScanFile(listed[x].AbsPath)
+		return err
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	recStart := []int{0}
+	for _, n := range files.ColAt(12).Int64s() { // num_records
+		recStart = append(recStart, recStart[len(recStart)-1]+int(n))
+	}
+	fcols, rcols := newColumns(catalog.FilesColumns), newColumns(catalog.RecordsColumns)
+	var parsed int64
+	for x := 0; x < len(listed); {
+		if j := from[x]; j >= 0 {
+			y := x + 1
+			for y < len(from) && from[y] == j+y-x {
+				y++
+			}
+			appendRows(fcols, files, j, j+y-x)
+			appendRows(rcols, records, recStart[j], recStart[j+y-x])
+			x = y
+			continue
+		}
+		appendFile(fcols, listed[x], scans[x])
+		for _, ri := range scans[x] {
+			appendRecord(rcols, ri)
+		}
+		parsed += int64(len(scans[x])) * 64 // header bytes parsed per record
+		x++
+	}
+	nrecs := fcols[12].Int64s()
+	ids, recIDs := make([]int64, len(nrecs)), make([]int64, 0, rcols[1].Len())
+	for x, n := range nrecs {
+		ids[x] = int64(x)
+		for range n {
+			recIDs = append(recIDs, int64(x))
+		}
+	}
+	fcols[0], rcols[0] = column.NewInt64s("file_id", ids), column.NewInt64s("file_id", recIDs)
+	return column.MustNewBatch(fcols...), column.MustNewBatch(rcols...), parsed, nil
 }
 
 // scanFileHook runs first in the header scan of file x; tests make it panic.
@@ -503,69 +560,49 @@ func newColumns(defs []catalog.ColumnDef) []*column.Column {
 	return cols
 }
 
-// filesBuilder accumulates mseed.files rows columnarly.
-type filesBuilder struct{ cols []*column.Column }
+// appendRows appends rows [lo, hi) of a replaced table, file_id aside.
+func appendRows(cols []*column.Column, b *column.Batch, lo, hi int) {
+	for c := 1; c < len(cols); c++ {
+		_ = cols[c].AppendColumn(b.ColAt(c).Range(lo, hi)) // one schema: the types match
+	}
+}
 
-func newFilesBuilder() *filesBuilder { return &filesBuilder{cols: newColumns(catalog.FilesColumns)} }
-
-func (fb *filesBuilder) add(id int64, f repo.File, infos []mseed.RecordInfo) {
-	var first *mseed.Header
-	var start, end int64
-	var samples int64
+// appendFile appends a scanned file's mseed.files row, file_id aside.
+func appendFile(cols []*column.Column, f repo.File, infos []mseed.RecordInfo) {
+	first := &mseed.Header{}
+	var start, end, samples int64
 	for i, ri := range infos {
 		h := ri.Header
 		if i == 0 {
-			first = h
-			start, end = h.StartNanos(), h.EndNanos()
-		} else {
-			if s := h.StartNanos(); s < start {
-				start = s
-			}
-			if e := h.EndNanos(); e > end {
-				end = e
-			}
+			first, start, end = h, h.StartNanos(), h.EndNanos()
 		}
+		start, end = min(start, h.StartNanos()), max(end, h.EndNanos())
 		samples += int64(h.NumSamples)
 	}
-	if first == nil {
-		first = &mseed.Header{}
-	}
-	fb.cols[0].AppendInt64(id)
-	fb.cols[1].AppendString(f.URI)
-	fb.cols[2].AppendString(first.Network)
-	fb.cols[3].AppendString(first.Station)
-	fb.cols[4].AppendString(first.Location)
-	fb.cols[5].AppendString(first.Channel)
-	fb.cols[6].AppendString(string(first.Quality))
-	fb.cols[7].AppendString(first.Encoding.String())
-	fb.cols[8].AppendInt64(int64(first.RecordLength))
-	fb.cols[9].AppendFloat64(first.SampleRate())
-	fb.cols[10].AppendInt64(start)
-	fb.cols[11].AppendInt64(end)
-	fb.cols[12].AppendInt64(int64(len(infos)))
-	fb.cols[13].AppendInt64(samples)
-	fb.cols[14].AppendInt64(f.Size)
-	fb.cols[15].AppendInt64(f.ModTime.UnixNano())
+	cols[1].AppendString(f.URI)
+	cols[2].AppendString(first.Network)
+	cols[3].AppendString(first.Station)
+	cols[4].AppendString(first.Location)
+	cols[5].AppendString(first.Channel)
+	cols[6].AppendString(string(first.Quality))
+	cols[7].AppendString(first.Encoding.String())
+	cols[8].AppendInt64(int64(first.RecordLength))
+	cols[9].AppendFloat64(first.SampleRate())
+	cols[10].AppendInt64(start)
+	cols[11].AppendInt64(end)
+	cols[12].AppendInt64(int64(len(infos)))
+	cols[13].AppendInt64(samples)
+	cols[14].AppendInt64(f.Size)
+	cols[15].AppendInt64(f.ModTime.UnixNano())
 }
 
-func (fb *filesBuilder) batch() *column.Batch { return column.MustNewBatch(fb.cols...) }
-
-// recordsBuilder accumulates mseed.records rows columnarly.
-type recordsBuilder struct{ cols []*column.Column }
-
-func newRecordsBuilder() *recordsBuilder {
-	return &recordsBuilder{cols: newColumns(catalog.RecordsColumns)}
-}
-
-func (rb *recordsBuilder) add(fileID int64, ri mseed.RecordInfo) {
+// appendRecord appends a scanned record's mseed.records row, file_id aside.
+func appendRecord(cols []*column.Column, ri mseed.RecordInfo) {
 	h := ri.Header
-	rb.cols[0].AppendInt64(fileID)
-	rb.cols[1].AppendInt64(int64(h.SeqNo))
-	rb.cols[2].AppendInt64(h.StartNanos())
-	rb.cols[3].AppendInt64(h.EndNanos())
-	rb.cols[4].AppendFloat64(h.SampleRate())
-	rb.cols[5].AppendInt64(int64(h.NumSamples))
-	rb.cols[6].AppendInt64(ri.Offset)
+	cols[1].AppendInt64(int64(h.SeqNo))
+	cols[2].AppendInt64(h.StartNanos())
+	cols[3].AppendInt64(h.EndNanos())
+	cols[4].AppendFloat64(h.SampleRate())
+	cols[5].AppendInt64(int64(h.NumSamples))
+	cols[6].AppendInt64(ri.Offset)
 }
-
-func (rb *recordsBuilder) batch() *column.Batch { return column.MustNewBatch(rb.cols...) }

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
@@ -327,28 +328,44 @@ func TestDisableCache(t *testing.T) {
 	}
 }
 
-// TestLoadMetadataAllocs gates what the lazy initial load allocates: per file
-// a header slab, the infos that point into it and the handful of objects an
-// open costs, plus the columns' amortised growth — well under one allocation
+// TestLoadMetadataAllocs gates what the lazy load allocates. A first load —
+// a fresh store each run, so every file is scanned — allocates per file a
+// header slab, the infos that point into it and the handful of objects an
+// open costs, plus the columns' amortised growth: well under one allocation
 // per record. (A header and three identification strings per record, as a
-// per-record parse allocates, is four.) Machine-independent: it counts
+// per-record parse allocates, is four.) An unchanged reload scans nothing
+// and publishes nothing: what it allocates is the listing and the merge, in
+// proportion to the files, not the records. Machine-independent: it counts
 // allocations, not time.
 func TestLoadMetadataAllocs(t *testing.T) {
-	e, _, _ := newEngine(t, 60000, Options{})
+	e, _, dir := newEngine(t, 60000, Options{})
 	st, err := e.LoadMetadata()
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	cat := catalog.MSEED()
+	first := testing.AllocsPerRun(5, func() {
+		fresh := New(&repo.Repository{Root: dir}, catalog.NewStore(cat), Options{})
+		if _, err := fresh.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := first / float64(st.Records); perRecord >= 0.5 {
+		t.Errorf("a first load allocated %.0f times for %d records in %d files (%.2f per record), want < 0.5",
+			first, st.Records, st.Files, perRecord)
+	} else {
+		t.Logf("first load: %.0f allocations for %d records in %d files (%.3f per record)", first, st.Records, st.Files, perRecord)
+	}
+	reload := testing.AllocsPerRun(5, func() {
 		if _, err := e.LoadMetadata(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perRecord := allocs / float64(st.Records); perRecord >= 0.5 {
-		t.Errorf("LoadMetadata allocated %.0f times for %d records in %d files (%.2f per record), want < 0.5",
-			allocs, st.Records, st.Files, perRecord)
+	if perFile := reload / float64(st.Files); perFile >= 32 {
+		t.Errorf("an unchanged reload allocated %.0f times for %d files (%.1f per file; %d records), want < 32 per file",
+			reload, st.Files, perFile, st.Records)
 	} else {
-		t.Logf("%.0f allocations for %d records in %d files (%.3f per record)", allocs, st.Records, st.Files, perRecord)
+		t.Logf("unchanged reload: %.0f allocations for %d files (%.1f per file; %d records)", reload, st.Files, perFile, st.Records)
 	}
 }
 
@@ -442,7 +459,8 @@ func TestConvertFastPathMatchesGeneralLoop(t *testing.T) {
 // TestScanFilePanicContainment: a header scan that panics fails the load
 // naming its file, with the *exec.PanicError; when several do, the lowest
 // file index is the one reported, as for scan errors. A failed load
-// commits nothing, and the next one loads.
+// commits nothing, and the next one loads. Every file is touched after the
+// first load, so every later load scans it again.
 func TestScanFilePanicContainment(t *testing.T) {
 	defer func() { scanFileHook = func(int) {} }()
 	e, store, _ := newEngine(t, 500, Options{})
@@ -451,6 +469,11 @@ func TestScanFilePanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := listed(t, e)
+	for _, f := range files {
+		if err := repo.Touch(f.AbsPath, f.ModTime.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, bad := range [][]int{{4}, {9, 2, 6}} {
 		lowest := slices.Min(bad)
 		scanFileHook = func(x int) {

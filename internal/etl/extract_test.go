@@ -30,7 +30,7 @@ func newEngineAt(t *testing.T, dir string, opts Options) (*Engine, *catalog.Stor
 }
 
 // listed lists the files under the engine's root, as its next load will.
-func listed(t *testing.T, e *Engine) []repo.File {
+func listed(t testing.TB, e *Engine) []repo.File {
 	t.Helper()
 	rp, err := repo.Open(e.root)
 	if err != nil {

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -74,7 +75,10 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // budget. Failures are as deterministic: in-flight runs drain, remaining
 // runs execute in plan order, and the earliest failing run in plan order is
 // the one reported (settleLocked).
-func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+//
+// ctx ends the stream: once it is done no run is claimed, a Next waiting for
+// a run in flight returns ctx.Err(), and runs in flight finish unconsumed.
+func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
 	proto, err := plan.ExtractProto(meta, cols)
 	if err != nil {
 		return nil, err
@@ -94,6 +98,7 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 	}
 	s := &extractStream{
 		e:          e,
+		ctx:        ctx,
 		meta:       meta,
 		proto:      proto,
 		win:        window,
@@ -114,6 +119,12 @@ func (e *Engine) ExtractStream(meta *column.Batch, cols []string, prune *plan.Pr
 		s.grant.Close()
 		return nil, err
 	}
+	s.stopCtx = context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.stopping = true
+		s.cond.Broadcast() // wake a stalled consumer and waiting workers
+		s.mu.Unlock()
+	})
 
 	s.runLeft = make([]int, len(s.runs))
 	s.est = make([]int64, len(s.runs))
@@ -165,6 +176,8 @@ func prefetchWorkers(width, runs int) int {
 // must wake it.
 type extractStream struct {
 	e          *Engine
+	ctx        context.Context
+	stopCtx    func() bool // releases the AfterFunc that stops the stream on ctx
 	meta       *column.Batch
 	proto      *column.Batch      // zero-row schema of the morsels
 	win        *plan.SampleWindow // nil: every sample
@@ -216,7 +229,7 @@ func (s *extractStream) prefetchWorker() {
 	defer s.e.putScratch(sc)
 	s.mu.Lock()
 	for {
-		if s.stopping || s.errCount > 0 {
+		if s.stopping || s.errCount > 0 || s.ctx.Err() != nil {
 			break
 		}
 		r := s.nextUnclaimed()
@@ -385,7 +398,8 @@ rows:
 // waitRow makes meta row i's entry available: a no-op for cache hits and
 // prefetched runs, an inline extraction when the row's run is unclaimed
 // (the progress guarantee under a denying budget — inline claims use Must,
-// not Try), and a stall wait when a worker has the run in flight.
+// not Try), and a stall wait when a worker has the run in flight. Once ctx
+// is done it returns ctx.Err() instead of either, and never settles.
 func (s *extractStream) waitRow(i int) error {
 	r := s.sink.rowRun[i]
 	if r < 0 {
@@ -396,6 +410,9 @@ func (s *extractStream) waitRow(i int) error {
 	for {
 		if s.closed {
 			return errStreamClosed
+		}
+		if err := s.ctx.Err(); err != nil {
+			return err
 		}
 		if s.errCount > 0 {
 			return s.settleLocked()
@@ -437,6 +454,9 @@ func (s *extractStream) settleLocked() error {
 		s.cond.Wait()
 	}
 	for r := 0; r < len(s.runs) && s.failed == nil; r++ {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
 		if s.done[r] {
 			if s.errs[r] != nil {
 				s.failed = s.errs[r]
@@ -473,6 +493,7 @@ func (s *extractStream) RowsServed() (int64, int64, int) {
 // blocked in Next: it wakes the feeder, waits for it to leave, then tears
 // down.
 func (s *extractStream) Close() {
+	s.stopCtx()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -1,12 +1,14 @@
 package etl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -295,7 +297,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 			if got := strings.Join(proto.Names(), ","); got != strings.Join(want, ",") || proto.NumRows() != 0 {
 				t.Fatalf("ExtractProto(%v) = [%s], %d rows", cols, got, proto.NumRows())
 			}
-			src, err := e.ExtractStream(meta, cols, prune, nil, plan.NopObserver{}, 61, width, nil)
+			src, err := e.ExtractStream(context.Background(), meta, cols, prune, nil, plan.NopObserver{}, 61, width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +319,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		if _, err := plan.ExtractProto(meta, []string{"F.station", "D.nosuch"}); err == nil {
 			t.Error("ExtractProto accepted a column the universal table lacks")
 		}
-		if _, err := e.ExtractStream(meta, []string{"D.nosuch"}, nil, nil, plan.NopObserver{}, 61, width, nil); err == nil {
+		if _, err := e.ExtractStream(context.Background(), meta, []string{"D.nosuch"}, nil, nil, plan.NopObserver{}, 61, width, nil); err == nil {
 			t.Error("ExtractStream accepted a column the universal table lacks")
 		}
 	}
@@ -539,7 +541,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := e.ExtractionStats()
-			src, err := e.ExtractStream(meta, pass.cols, pass.prune, pass.win, plan.NopObserver{}, le.morsel, le.width, nil)
+			src, err := e.ExtractStream(context.Background(), meta, pass.cols, pass.prune, pass.win, plan.NopObserver{}, le.morsel, le.width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -605,7 +607,7 @@ func bitDiff(got, want *column.Batch, as map[string]string) string {
 // the rows it served.
 func countStream(tb testing.TB, e *Engine, meta *column.Batch, cols []string) (rows int) {
 	tb.Helper()
-	src, err := e.ExtractStream(meta, cols, nil, nil, plan.NopObserver{}, 0, 2, nil)
+	src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, plan.NopObserver{}, 0, 2, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -702,7 +704,7 @@ func TestPrefetchWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := e.ExtractStream(meta, nil, nil, nil, plan.NopObserver{}, 500, width, led)
+		src, err := e.ExtractStream(context.Background(), meta, nil, nil, nil, plan.NopObserver{}, 500, width, led)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,7 +748,7 @@ func TestStreamPanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := func(width int, led *mem.Ledger) exec.BatchSource {
-		src, err := e.ExtractStream(meta, cols, nil, nil, plan.NopObserver{}, 0, width, led)
+		src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, plan.NopObserver{}, 0, width, led)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -821,6 +823,71 @@ func TestStreamPanicContainment(t *testing.T) {
 		if diff := bitDiff(got, wantQ, nil); diff != "" {
 			t.Errorf("width=%d: next query: %s", width, diff)
 		}
+	}
+}
+
+// TestStreamStopsOnCancel: a cancel reaches a stream whose one prefetch
+// worker is held inside its first run and whose consumer waits for that
+// run. Next returns context.Canceled while the run is still held, the
+// worker claims no run after the cancel, and Close leaves no goroutine and
+// no ledger byte behind.
+func TestStreamStopsOnCancel(t *testing.T) {
+	defer func() { extractRunHook = func(int) {} }()
+	e, store, _ := newEngine(t, 2000, Options{DisableCache: true})
+	if _, err := e.LoadMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	meta := dataviewMeta(t, store, `SELECT * FROM mseed.dataview`)
+	var mu sync.Mutex // guards started and cancelled
+	started, cancelled := 0, false
+	held, release := make(chan struct{}), make(chan struct{})
+	extractRunHook = func(r int) {
+		mu.Lock()
+		started++
+		if cancelled {
+			t.Errorf("run %d started after the cancel", r)
+		}
+		mu.Unlock()
+		if r == 0 {
+			close(held)
+			<-release
+		}
+	}
+	base := runtime.NumGoroutine()
+	led := mem.New(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src, err := e.ExtractStream(ctx, meta, nil, nil, nil, plan.NopObserver{}, 64, 1, led)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held // the worker holds run 0, so the consumer waits for it
+	next := make(chan error, 1)
+	go func() {
+		_, _, err := src.Next()
+		next <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // time to reach the stall wait; Canceled either way
+	mu.Lock()
+	cancel()
+	cancelled = true
+	mu.Unlock()
+	select {
+	case err := <-next:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Next after the cancel: %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next still waits for the held run after the cancel")
+	}
+	close(release)
+	src.Close()
+	if started != 1 {
+		t.Errorf("%d runs started, want only the held one", started)
+	}
+	waitGoroutines(t, base, "after the cancelled stream")
+	if used := led.Used(); used != 0 {
+		t.Errorf("ledger holds %d bytes after the cancelled stream", used)
 	}
 }
 

@@ -238,6 +238,6 @@ func E6(w io.Writer, cfg Config) error {
 		)
 	}
 	t.flush()
-	fmt.Fprintln(w, "shape check: lazy re-query cost scales with the stale fraction; eager reload is flat and pays the full load every time")
+	fmt.Fprintln(w, "shape check: lazy re-query cost scales with the stale fraction; eager reload pays the full extraction once any file changed, and nothing when none did")
 	return nil
 }

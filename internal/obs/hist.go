@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -23,7 +22,6 @@ const (
 type Histogram struct {
 	counts [NumHistBuckets]atomic.Int64
 	sum    atomic.Int64
-	max    atomic.Int64
 }
 
 // bucketOf returns the index of the smallest bucket whose upper bound
@@ -61,12 +59,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[bucketOf(n)].Add(1)
 	h.sum.Add(n)
-	for {
-		cur := h.max.Load()
-		if n <= cur || h.max.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // HistSnapshot is a point-in-time copy of a histogram.
@@ -74,10 +66,9 @@ type HistSnapshot struct {
 	Counts [NumHistBuckets]int64
 	Count  int64 // sum of Counts
 	Sum    int64 // total nanoseconds observed
-	Max    int64 // largest single observation, nanoseconds
 }
 
-// Snapshot copies the histogram. Counts, Sum and Max are each atomically
+// Snapshot copies the histogram. Counts and Sum are each atomically
 // read; a concurrent Observe may land between them, so derived figures
 // are consistent to within the in-flight observations.
 func (h *Histogram) Snapshot() HistSnapshot {
@@ -91,39 +82,5 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Count += c
 	}
 	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
 	return s
-}
-
-// Quantile returns an upper bound on the q-th quantile (0 < q <= 1): the
-// upper bound of the bucket holding the rank-q observation, clamped to
-// the observed maximum.
-func (s HistSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range s.Counts {
-		cum += s.Counts[i]
-		if cum >= rank {
-			ub := BucketBound(i)
-			if ub < 0 || ub > s.Max {
-				ub = s.Max
-			}
-			return time.Duration(ub)
-		}
-	}
-	return time.Duration(s.Max)
-}
-
-// Mean returns the average observed duration.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
 }

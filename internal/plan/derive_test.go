@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestDeriveIntervalPreds(t *testing.T) {
 	if len(r) != 3 || len(f) != 3 {
 		t.Fatalf("derived %d R and %d F preds: %v %v", len(r), len(f), r, f)
 	}
-	joined := sql.JoinConjuncts(r).String()
+	joined := fmt.Sprint(r)
 	for _, want := range []string{
 		"R.end_time > '2010-01-12T22:15:00.000'",
 		"R.start_time < '2010-01-12T22:15:02.000'",
@@ -177,7 +178,7 @@ func TestDeriveSkipsLiteralsThatDoNotCoerce(t *testing.T) {
 	}
 	f, r := deriveIntervalPreds(sql.SplitConjuncts(stmt.Where))
 	// The float and NULL literals coerce, and derive their bounds.
-	if got := sql.JoinConjuncts(r).String(); len(r) != 2 || len(f) != 2 || strings.Contains(got, "garbage") || strings.Contains(got, "TRUE") {
+	if got := fmt.Sprint(r); len(r) != 2 || len(f) != 2 || strings.Contains(got, "garbage") || strings.Contains(got, "TRUE") {
 		t.Errorf("derived %v and %v", r, f)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/sql"
 )
 
 // ExtractSource is implemented by the lazy ETL engine: given the metadata
@@ -46,8 +45,11 @@ import (
 // Prefetch buffers are charged to led (nil = unlimited), so overlap
 // degrades to synchronous extraction under budget pressure rather than
 // blowing it.
+//
+// ctx ends the stream: it claims no further run, and a Next that would wait
+// for one returns ctx.Err().
 type ExtractSource interface {
-	ExtractStream(meta *column.Batch, cols []string, prune *PruneRange, window *SampleWindow, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
+	ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *PruneRange, window *SampleWindow, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
 }
 
 // Observer is everything one query's execution reports, plan operators and
@@ -165,7 +167,7 @@ func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 // morsels, the run form and the sample window. width is the caller's pool
 // width, passed through to the stream.
 func ExtractAll(src ExtractSource, meta *column.Batch, cols []string, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
-	s, err := src.ExtractStream(meta, cols, prune, nil, obs, math.MaxInt, width, nil)
+	s, err := src.ExtractStream(context.Background(), meta, cols, prune, nil, obs, math.MaxInt, width, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -230,37 +232,4 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 	default:
 		return nil, fmt.Errorf("plan: %T is not a post-breaker operator", n)
 	}
-}
-
-// MetaPredicates returns the predicates that the compile-time reorder
-// classified as metadata predicates (everything pushed into or above the
-// F/R side), for reporting. It walks the plan collecting Scan preds and
-// Filters below LazyExtract/data joins.
-func MetaPredicates(n Node) []sql.Expr {
-	var out []sql.Expr
-	var walkMeta func(Node)
-	walkMeta = func(n Node) {
-		switch x := n.(type) {
-		case *Scan:
-			out = append(out, x.Preds...)
-		case *Filter:
-			out = append(out, x.Preds...)
-			walkMeta(x.Child)
-		case *Join:
-			walkMeta(x.L)
-			walkMeta(x.R)
-		}
-	}
-	var find func(Node)
-	find = func(n Node) {
-		if le, ok := n.(*LazyExtract); ok {
-			walkMeta(le.Meta)
-			return
-		}
-		for _, c := range n.Children() {
-			find(c)
-		}
-	}
-	find(n)
-	return out
 }

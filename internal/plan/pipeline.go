@@ -414,7 +414,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if env.NoSkipping {
 			prune = nil
 		}
-		if r.src, err = env.Source.ExtractStream(meta, leaf.Cols, prune, leaf.Window, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
+		if r.src, err = env.Source.ExtractStream(cmp.Or(env.Ctx, context.Background()), meta, leaf.Cols, prune, leaf.Window, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
 			return nil, err
 		}
 		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {

@@ -84,11 +84,6 @@ func TestBuildLazyShape(t *testing.T) {
 	}) == nil {
 		t.Errorf("naive plan lacks data scan:\n%s", Render(p.Naive))
 	}
-	// MetaPredicates reporting covers the four user metadata conjuncts plus
-	// the four derived interval predicates.
-	if got := MetaPredicates(p.Root); len(got) != 8 {
-		t.Errorf("MetaPredicates = %d, want 8", len(got))
-	}
 }
 
 func TestBuildEagerShape(t *testing.T) {

@@ -341,16 +341,3 @@ func SplitConjuncts(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
-
-// JoinConjuncts rebuilds an AND tree from conjuncts; nil for an empty list.
-func JoinConjuncts(exprs []Expr) Expr {
-	var out Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &Binary{Op: OpAnd, L: out, R: e}
-		}
-	}
-	return out
-}

@@ -244,13 +244,6 @@ func TestSplitJoinConjuncts(t *testing.T) {
 	if len(conj) != 3 {
 		t.Fatalf("split: %d", len(conj))
 	}
-	rejoined := JoinConjuncts(conj)
-	if rejoined.String() != stmt.Where.String() {
-		t.Errorf("rejoin: %s != %s", rejoined, stmt.Where)
-	}
-	if JoinConjuncts(nil) != nil {
-		t.Error("JoinConjuncts(nil)")
-	}
 	if SplitConjuncts(nil) != nil {
 		t.Error("SplitConjuncts(nil)")
 	}

@@ -492,9 +492,9 @@ func TestQueryCacheInvalidationUnderChurn(t *testing.T) {
 }
 
 // TestQueryCacheLedgerAccounting: the result cache charges the shared
-// ledger and releases on purge, so a Refresh returns the bytes and empties
-// the result tier. (That a purge also empties the probation and ghost
-// segments is the cache package's to pin.)
+// ledger and releases on purge, so a Refresh that publishes returns the
+// bytes and empties the result tier. (That a purge also empties the
+// probation and ghost segments is the cache package's to pin.)
 func TestQueryCacheLedgerAccounting(t *testing.T) {
 	dir := genRepo(t, 2000)
 	w := openWH(t, dir, Lazy)
@@ -516,6 +516,7 @@ func TestQueryCacheLedgerAccounting(t *testing.T) {
 		t.Errorf("ledger (%d) holds less than the result cache (%d): entries not charged",
 			st.Mem.Used, st.QueryCache.ResultBytes)
 	}
+	touchFirst(t, dir)
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}

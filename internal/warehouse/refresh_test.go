@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/mem"
+	"repro/internal/mseed"
 	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
@@ -51,6 +53,19 @@ func addStation(t *testing.T, dir string) {
 		SamplesPerDay: 500,
 		Seed:          7,
 	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// touchFirst moves the first listed file's mtime an hour ahead, so the next
+// Refresh finds a change and publishes a new snapshot.
+func touchFirst(t *testing.T, dir string) {
+	t.Helper()
+	rp, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Touch(rp.Files[0].AbsPath, rp.Files[0].ModTime.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +130,8 @@ func TestRefreshDoesNotWaitForQueries(t *testing.T) {
 // superseded while it executed does not admit its answer to the result
 // cache, where no later query could carry its version.
 func TestSupersededAnswerIsNotAdmitted(t *testing.T) {
-	w := openWH(t, genRepo(t, 1500), Lazy)
+	dir := genRepo(t, 1500)
+	w := openWH(t, dir, Lazy)
 	entered, release := park(w)
 	parked := make(chan answer, 1)
 	go func() {
@@ -123,6 +139,7 @@ func TestSupersededAnswerIsNotAdmitted(t *testing.T) {
 		parked <- answer{res, err}
 	}()
 	<-entered
+	touchFirst(t, dir)
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +210,8 @@ type cancelAfterFirst struct {
 	cancel context.CancelFunc
 }
 
-func (s cancelAfterFirst) ExtractStream(meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
-	src, err := s.ExtractSource.ExtractStream(meta, cols, prune, window, obs, morselRows, width, led)
+func (s cancelAfterFirst) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.ExtractSource.ExtractStream(ctx, meta, cols, prune, window, obs, morselRows, width, led)
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +244,25 @@ func (o cancelOnEvent) Event(op, detail string) {
 	}
 }
 
+// cancelOnOps is an Observer that calls cancel when extraction injects
+// operators of kind op, which it does inside the run that extracted them.
+type cancelOnOps struct {
+	plan.Observer
+	kind   string
+	cancel context.CancelFunc
+}
+
+func (o cancelOnOps) InjectedOps(kind string, details []string) {
+	o.Observer.InjectedOps(kind, details)
+	if kind == o.kind {
+		o.cancel()
+	}
+}
+
 // TestQueryCancelledMidPipeline: a query whose context ends mid-execution
 // fails with context.Canceled, on the serial loop and the parallel driver —
-// ended after its extraction stream handed out the first morsel, or after
+// ended inside its first extraction run, after its extraction stream handed
+// out the first morsel, or after
 // its sort, a post-pipeline breaker, has finished but before the Limit
 // above it. It leaves no slot, ledger bytes or spill directory behind and
 // no cached answer, and the next run of the statement answers bit for bit
@@ -246,6 +279,9 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 		name, q string
 		hook    func(env *plan.Env, cancel context.CancelFunc)
 	}{
+		{"extraction run", q2, func(env *plan.Env, cancel context.CancelFunc) {
+			env.Obs = cancelOnOps{env.Obs, "ExtractRecord", cancel}
+		}},
 		{"first morsel", q2, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Source = cancelAfterFirst{env.Source, cancel}
 		}},
@@ -290,9 +326,13 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 }
 
 // TestRefreshMatchesOpen: Open is the first Refresh. After one file is
-// removed, one added and one touched, a Refresh publishes bit for bit the
-// tables a fresh Open of the directory loads — mseed.files, mseed.records
-// and, in Eager mode, mseed.data — and reports the same load figures.
+// removed, one touched, one rewritten to another size under its old mtime
+// and one added, a Refresh publishes bit for bit the tables a fresh Open of
+// the directory loads — mseed.files, mseed.records and, in Eager mode,
+// mseed.data — and reports the same load figures, having parsed only the
+// headers of the touched, rewritten and added files in Lazy mode. A second
+// Refresh with nothing changed publishes nothing: the version stays, it
+// reads no byte, and a cached answer is still served.
 func TestRefreshMatchesOpen(t *testing.T) {
 	for _, mode := range []Mode{Lazy, Eager} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -305,10 +345,23 @@ func TestRefreshMatchesOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(rp.Files[0].AbsPath); err != nil {
+			// The removed file sits between carried ones, splitting their run.
+			if err := os.Remove(rp.Files[2].AbsPath); err != nil {
 				t.Fatal(err)
 			}
-			if err := repo.Touch(rp.Files[5].AbsPath, time.Now().Add(time.Hour)); err != nil {
+			touched, rewritten := rp.Files[5], rp.Files[9]
+			if err := repo.Touch(touched.AbsPath, time.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			// The rewrite drops the file's last record and restores its mtime.
+			content, err := os.ReadFile(rewritten.AbsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(rewritten.AbsPath, content[:len(content)-512], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := repo.Touch(rewritten.AbsPath, rewritten.ModTime); err != nil {
 				t.Fatal(err)
 			}
 			addStation(t, dir)
@@ -335,47 +388,104 @@ func TestRefreshMatchesOpen(t *testing.T) {
 					t.Errorf("%s after the refresh differs from a fresh Open's (%d rows, want %d)", name, got.NumRows(), want.NumRows())
 				}
 			}
+			after, err := repo.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRead := after.TotalSize()
+			if mode == Lazy {
+				listed := make(map[string]bool)
+				for _, f := range rp.Files {
+					listed[f.URI] = true
+				}
+				wantRead = 0
+				for _, f := range after.Files {
+					if f.URI == touched.URI || f.URI == rewritten.URI || !listed[f.URI] {
+						infos, err := mseed.ScanFile(f.AbsPath)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantRead += 64 * int64(len(infos))
+					}
+				}
+			}
 			opened := fresh.InitStats().Stats
 			if st.Files != opened.Files || st.Records != opened.Records || st.Samples != opened.Samples ||
-				st.BytesRead != opened.BytesRead || st.RepoBytes != opened.RepoBytes {
-				t.Errorf("refresh loaded %+v, a fresh Open %+v", st, opened)
+				st.BytesRead != wantRead || st.RepoBytes != opened.RepoBytes {
+				t.Errorf("refresh loaded %+v, want a fresh Open's %+v with %d bytes read", st, opened, wantRead)
 			}
 			if st.Files != len(rp.Files) {
 				t.Errorf("refresh loaded %d files, want %d (one removed, one added)", st.Files, len(rp.Files))
+			}
+
+			if _, err := w.Query(q2); err != nil {
+				t.Fatal(err)
+			}
+			version, hits := w.Store().Snapshot().Version(), w.Stats().QueryCache.ResultHits
+			again, err := w.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := w.Store().Snapshot().Version(); v != version {
+				t.Errorf("an unchanged refresh moved the version from %d to %d", version, v)
+			}
+			if again.BytesRead != 0 || again.Files != st.Files || again.Records != st.Records || again.Samples != st.Samples {
+				t.Errorf("unchanged refresh loaded %+v, want %+v with 0 bytes read", again, st)
+			}
+			if _, err := w.Query(q2); err != nil {
+				t.Fatal(err)
+			}
+			if h := w.Stats().QueryCache.ResultHits; h != hits+1 {
+				t.Errorf("result hits went from %d to %d across an unchanged refresh, want one more", hits, h)
 			}
 		})
 	}
 }
 
 // TestRefreshUnderReaders: eight readers query while a refresher touches
-// files, adds file-days and refreshes. Each reader's statement answers the
-// number of files and a windowed aggregate of their samples together, and
-// that pair must be the answer of exactly one repository state of the
-// sequence — a fresh warehouse's over the directory as each refresh finds
-// it — with the states each reader sees never going backwards.
+// files, adds file-days, rewrites one in place and refreshes, the last time
+// with nothing changed. Each reader's statement answers the number of files
+// and a windowed aggregate of their samples together, and that pair must be
+// the answer of exactly one repository state of the sequence — a fresh
+// warehouse's over the directory as each refresh finds it — with the states
+// each reader sees never going backwards. The series are INT32-encoded, so
+// the rewrite, new samples under a new mtime renamed over the file, keeps
+// every record's offset and length: a query on the snapshot before it reads
+// the new samples as the new state's. The rename waits for the queries in
+// flight: one on an older snapshot still, or one that stat'ed the file
+// before the rename and reads it after, would pair that snapshot's metadata
+// or cached records with the new samples, an answer of no state.
 func TestRefreshUnderReaders(t *testing.T) {
 	dir := t.TempDir()
 	day0 := time.Date(2010, 1, 12, 0, 0, 0, 0, time.UTC)
-	addDay := func(day int) {
+	hgn := seisgen.Station{Network: "NL", Code: "HGN"}
+	generate := func(into string, day int, channels []string, seed int64) {
 		if _, err := seisgen.Generate(seisgen.RepoConfig{
-			Dir:           dir,
-			Stations:      []seisgen.Station{{Network: "NL", Code: "HGN"}},
-			Channels:      []string{"BHZ", "BHN"},
+			Dir:           into,
+			Stations:      []seisgen.Station{hgn},
+			Channels:      channels,
 			StartDay:      day0.AddDate(0, 0, day),
 			SamplesPerDay: 2000,
-			Seed:          int64(day),
+			Encoding:      mseed.EncodingInt32,
+			Seed:          seed,
 		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addDay := func(day int) { generate(dir, day, []string{"BHZ", "BHN"}, int64(day)) }
+	must := func(err error) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	addDay(0)
 	// The window starts inside day 0's series and ends inside day 3's, so
 	// it cuts records at both ends once day 3 is there.
-	const pairQ = `SELECT COUNT(DISTINCT F.uri), COUNT(*), MIN(D.sample_value), MAX(D.sample_value)
+	const pairQ = `SELECT COUNT(DISTINCT F.uri), COUNT(*), MIN(D.sample_value), MAX(D.sample_value), SUM(D.sample_value)
 	 FROM mseed.dataview
 	 WHERE D.sample_time >= '2010-01-12 00:00:10' AND D.sample_time < '2010-01-15 00:00:20'`
-	reference := func() string {
-		ref, err := Open(dir, Options{Mode: Lazy})
+	reference := func(root string) string {
+		ref, err := Open(root, Options{Mode: Lazy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,8 +507,17 @@ func TestRefreshUnderReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := []string{reference()}
+	states := []string{reference(dir)}
 	var mu sync.Mutex // guards states
+	// record adds the answer over root as the next state, unless it is the
+	// last one's.
+	record := func(root string) {
+		if ref := reference(root); ref != states[len(states)-1] {
+			mu.Lock()
+			states = append(states, ref)
+			mu.Unlock()
+		}
+	}
 	stateOf := func(got string) int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -411,6 +530,7 @@ func TestRefreshUnderReaders(t *testing.T) {
 	}
 
 	const readers = 8
+	var inFlight sync.RWMutex // readers hold it shared per query; the rewrite's rename, exclusively
 	stop := make(chan struct{})
 	fails := make(chan error, readers+1)
 	var wg sync.WaitGroup
@@ -432,7 +552,9 @@ func TestRefreshUnderReaders(t *testing.T) {
 				if r%2 == 1 {
 					query = w.QueryUncached
 				}
+				inFlight.RLock()
 				res, err := query(context.Background(), pairQ)
+				inFlight.RUnlock()
 				if err != nil {
 					fails <- fmt.Errorf("reader %d: %w", r, err)
 					return
@@ -456,25 +578,48 @@ func TestRefreshUnderReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for step := 1; step <= 6; step++ {
+	for step := 1; step <= 8; step++ {
 		at := time.Now().Add(time.Duration(step) * time.Second)
-		if err := repo.Touch(rp.Files[step%len(rp.Files)].AbsPath, at); err != nil {
-			t.Fatal(err)
-		}
-		if step%2 == 0 {
-			addDay(step / 2)
+		version := w.Store().Snapshot().Version()
+		switch step {
+		case 7:
+			// Readers see a rewrite in place at once, not at the refresh:
+			// stage the new file in a hard-linked copy of the directory,
+			// record that state, then rename the file over the old one.
+			next := t.TempDir()
+			generate(next, 0, []string{"BHZ"}, 99)
+			rel := seisgen.FilePath(hgn, "BHZ", day0)
+			must(repo.Touch(filepath.Join(next, rel), at))
+			cur, err := repo.Open(dir)
+			must(err)
+			for _, f := range cur.Files {
+				if f.URI != filepath.ToSlash(rel) {
+					link := filepath.Join(next, filepath.FromSlash(f.URI))
+					must(os.MkdirAll(filepath.Dir(link), 0o755))
+					must(os.Link(f.AbsPath, link))
+				}
+			}
+			record(next)
+			inFlight.Lock()
+			must(os.Rename(filepath.Join(next, rel), filepath.Join(dir, rel)))
+			inFlight.Unlock()
+		case 8: // nothing changes: the refresh publishes nothing
+		default:
+			must(repo.Touch(rp.Files[step%len(rp.Files)].AbsPath, at))
+			if step%2 == 0 {
+				addDay(step / 2)
+			}
 		}
 		// The refresher is the only writer, so the directory now holds the
-		// state the refresh below publishes: its answer is known before any
-		// reader can see it.
-		if ref := reference(); ref != states[len(states)-1] {
-			mu.Lock()
-			states = append(states, ref)
-			mu.Unlock()
-		}
+		// state the refresh below publishes: short of the rewrite, recorded
+		// above, its answer is known before any reader can see it.
+		record(dir)
 		if _, err := w.Refresh(); err != nil {
 			fails <- err
 			break
+		}
+		if moved := w.Store().Snapshot().Version() != version; moved != (step != 8) {
+			fails <- fmt.Errorf("step %d: refresh moved the version: %v", step, moved)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -484,8 +629,8 @@ func TestRefreshUnderReaders(t *testing.T) {
 	for err := range fails {
 		t.Error(err)
 	}
-	if len(states) != 4 {
-		t.Errorf("%d distinct repository states, want 4 (day 0, then three added days)", len(states))
+	if len(states) != 5 {
+		t.Errorf("%d distinct repository states, want 5 (day 0, three added days, then the rewrite)", len(states))
 	}
 	requireIdle(t, "after the readers", w, t.TempDir())
 }

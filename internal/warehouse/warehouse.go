@@ -27,9 +27,11 @@
 // which files are read, and the query runs to completion on it whatever is
 // published meanwhile; it is the one record of which files the warehouse
 // knows. Open's first load and every Refresh are one load: it lists the root
-// afresh, builds the next tables aside and swaps them in as one snapshot, or
-// publishes nothing when a step fails. Refresh waits only for another
-// Refresh, never for queries, and queries never wait for it.
+// afresh, merges the listing with the snapshot it replaces — header-scanning
+// only new and changed files, carrying every other file's rows — and swaps
+// the next tables in as one snapshot, or publishes nothing when a step fails
+// or nothing changed. Refresh waits only for another Refresh, never for
+// queries, and queries never wait for it.
 // The admission slot is the only thing serve waits for.
 //
 // Execution memory is shared fairly: when Options.MemoryBudget is set,
@@ -277,9 +279,10 @@ type Warehouse struct {
 }
 
 // Open builds a warehouse over the repository under dir and runs its first
-// load, the one Refresh runs: metadata-only for Lazy and External; for Eager,
-// the same load and then every record extracted into mseed.data, with the
-// recycler off, since no eager plan reads it.
+// load, the one Refresh runs, against the empty snapshot, so it header-scans
+// every file: metadata-only for Lazy and External; for Eager, the same load
+// and then every record extracted into mseed.data, with the recycler off,
+// since no eager plan reads it.
 func Open(dir string, opts Options) (*Warehouse, error) {
 	root, err := filepath.Abs(dir)
 	if err != nil {
@@ -742,23 +745,29 @@ func (p *Prepared) plan(params []column.Value, root *obs.Span) (plan.Node, Trace
 }
 
 // Refresh re-synchronizes the warehouse with the repository by running
-// Open's load again: lazy modes reload metadata (cached payloads go stale by
-// (mtime, size), and those of removed files are dropped); eager mode re-runs
-// the eager load, metadata and extraction. The reload is published as one
-// snapshot, or not at all if it fails. Refresh waits only for another
-// Refresh: queries admitted before the publication run to completion on the
-// snapshot they loaded, and queries admitted after it see the new one.
+// Open's load again: only new and changed files are header-scanned, every
+// other file's rows are carried from the snapshot it replaces, and removed
+// and changed files lose their cached payloads and zones; eager mode then
+// re-extracts mseed.data. The reload is published as one snapshot, or not
+// at all if it fails or finds nothing changed. Refresh waits only for
+// another Refresh: queries admitted before the publication run to
+// completion on the snapshot they loaded, and queries admitted after it see
+// the new one.
 func (w *Warehouse) Refresh() (etl.Stats, error) {
 	start := time.Now()
+	version := w.store.Snapshot().Version()
 	st, err := w.load("refresh")
 	if err != nil {
 		return st, err
 	}
-	// The snapshot version the result keys carry just changed, so no stale
-	// answer could ever be served again; purging reclaims their memory (and
-	// ledger bytes) immediately instead of via eviction. Statements stay:
-	// none depends on what the refresh changed.
-	w.qc.purge()
+	// When the load published, the snapshot version the result keys carry
+	// changed, so no stale answer could ever be served again; purging
+	// reclaims their memory (and ledger bytes) immediately instead of via
+	// eviction. A load that published nothing leaves every answer current.
+	// Statements stay: none depends on what the refresh changed.
+	if w.store.Snapshot().Version() != version {
+		w.qc.purge()
+	}
 	w.metrics.ObserveQuery(obs.ClassRefresh, time.Since(start))
 	return st, nil
 }

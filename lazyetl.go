@@ -63,15 +63,16 @@
 // statistics and version published as one value — and that snapshot alone
 // decides which files it reads. Open's initial load and Refresh are one
 // load, run by Open from an empty snapshot: it lists the repository afresh,
-// builds the next snapshot aside and swaps it in, or publishes nothing if it
-// fails. After Open, Refresh is the only writer, and it never waits for
-// queries nor makes them wait. Admitted queries
-// (Options.MaxConcurrentQueries at a time) each get a sub-budget carved
-// from the shared memory ledger so one spilling query cannot starve the
-// rest. Concurrent answers are bit-identical to serial execution
-// (MaxConcurrentQueries: 1). There is one serve path: every query, ad-hoc
-// or prepared, is a Prepared statement served by one function. cmd/lazyetld
-// serves a warehouse to many clients over HTTP/JSON.
+// header-scans only new and changed files, carries every other file's rows
+// from the snapshot it replaces, and swaps the next snapshot in — or
+// publishes nothing if it fails or finds no change. After Open, Refresh is
+// the only writer, and it never waits for queries nor makes them wait.
+// Admitted queries (Options.MaxConcurrentQueries at a time) each get a
+// sub-budget carved from the shared memory ledger so one spilling query
+// cannot starve the rest. Concurrent answers are bit-identical to serial
+// execution (MaxConcurrentQueries: 1). There is one serve path: every
+// query, ad-hoc or prepared, is a Prepared statement served by one
+// function. cmd/lazyetld serves a warehouse to many clients over HTTP/JSON.
 //
 // Repeated statement shapes are served through a two-tier query cache.
 // Tier 1 normalizes each query (literals become positional parameters;
@@ -83,8 +84,8 @@
 // completed answers keyed by (normalized SQL + parameters, store snapshot
 // version), guarded by per-file mtime/size stamps re-validated on every
 // hit, and byte-charged to the shared memory ledger so cached results
-// compete with the recycler cache under one budget. Refresh invalidates
-// this tier.
+// compete with the recycler cache under one budget. A Refresh that
+// publishes a new snapshot invalidates this tier.
 // Cached answers are bit-identical to fresh execution; the tests hold them
 // to an uncached warehouse that parses every statement from its raw text.
 //
