@@ -132,8 +132,8 @@ func printExplain(tr *warehouse.Trace) {
 	}
 	for _, s := range tr.Scans {
 		if s.Target == "extract" {
-			fmt.Printf("-- extract: %d runs read, %d skipped; %d records extracted, %d skipped; %d cache reads\n",
-				s.Runs, s.RunsSkipped, s.Records, s.RecordsSkipped, s.CacheReads)
+			fmt.Printf("-- extract: %d runs read, %d skipped; %d records extracted, %d skipped, %d answered from zones; %d cache reads\n",
+				s.Runs, s.RunsSkipped, s.Records, s.RecordsSkipped, s.RecordsAnswered, s.CacheReads)
 			if s.Window != "" {
 				fmt.Printf("   sample window %s: %d samples trimmed at record edges\n", s.Window, s.SamplesTrimmed)
 			}

@@ -318,8 +318,9 @@ func TestConcurrentScrapes(t *testing.T) {
 }
 
 // TestStatsWireContract pins the GET /stats paths benchmark/client.go
-// decodes by field name (its counters type): a renamed or deleted field
-// would read as zero there, silently. CacheStats stays a string only
+// decodes by field name (its counters type), and the zone-answer counter on
+// /stats and /metrics: a renamed or deleted field would read as zero
+// there, silently. CacheStats stays a string only
 // because that client scans it.
 func TestStatsWireContract(t *testing.T) {
 	srv, _ := testServer(t)
@@ -349,7 +350,7 @@ func TestStatsWireContract(t *testing.T) {
 	paths := []string{"server.rejected", "warehouse.StoreBytes", "warehouse.CacheBytes", "warehouse.CacheStats"}
 	for block, fields := range map[string][]string{
 		"QueryCache": {"PlanHits", "PlanMisses", "ResultHits", "ResultMisses", "ResultEvictions", "ResultUnreused", "ResultInvalidations"},
-		"Extraction": {"Extractions", "CacheReads", "BytesRead", "SamplesServed", "RunsRead", "RunRecords", "RecordsSkipped"},
+		"Extraction": {"Extractions", "CacheReads", "BytesRead", "SamplesServed", "RunsRead", "RunRecords", "RecordsSkipped", "RecordsAnswered"},
 		"Exec":       {"Pipelines", "FilterRowsIn", "FilterRowsOut", "ScanRowsSkipped", "JoinReorders", "BytesSpilled", "SpillNanos"},
 		"Mem":        {"HighWater", "Denials"},
 	} {
@@ -371,6 +372,11 @@ func TestStatsWireContract(t *testing.T) {
 	}
 	if files, _ := lookup("warehouse.Init.Files"); files == nil || files.(float64) <= 0 {
 		t.Errorf("warehouse.Init.Files = %v, want the initial load's file count", files)
+	}
+	// Records answered from zones are counted apart from records pruned:
+	// the benchmark's etl.records_skipped_ratio reads RecordsSkipped alone.
+	if _, metrics := getBody(t, ts, "/metrics"); !strings.Contains(metrics, "\nlazyetl_extract_records_answered_total ") {
+		t.Error("GET /metrics has no lazyetl_extract_records_answered_total")
 	}
 }
 

@@ -10,13 +10,17 @@ import (
 // the record's finite sample values plus NaN/null tallies. Collected lazily —
 // the first extraction of a record has the decoded samples in hand anyway —
 // and consulted before later extractions to prove a record cannot satisfy a
-// pushed-down predicate, so its run is never read nor Steim-decoded again.
+// pushed-down predicate, so its run is never read nor Steim-decoded again —
+// or that every sample does, so an aggregate can take the record from here.
 type ZoneEntry struct {
 	Min, Max float64 // over non-NaN values; meaningless when Finite == 0
 	Finite   int64   // samples that are neither NaN nor null
 	NaNs     int64
 	Nulls    int64
 	Samples  int64
+	Sum      int64   // exact sum of the raw samples under a gain-only transform, else 0
+	Start    int64   // the decoded header's first-sample time (ns)
+	Rate     float64 // and sample rate (Hz), which generate the sample times
 }
 
 // CollectZone computes the zone statistic of one record's (transformed)

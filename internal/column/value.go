@@ -118,9 +118,6 @@ func (v Value) AsInt() int64 {
 	return v.I
 }
 
-// Bool reports the truth value of a Bool Value; nulls are false.
-func (v Value) AsBool() bool { return !v.Null && v.I != 0 }
-
 // String renders the value for display.
 func (v Value) String() string {
 	if v.Null {

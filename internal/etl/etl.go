@@ -26,8 +26,11 @@
 // # Extraction data path
 //
 // There is one extraction driver, the morsel stream (stream.go). Pass 1
-// (prepare) closes out the records the zone maps prune and the records the
-// recycler holds; what is left are misses, and misses are not read record
+// (prepare) gives each qualifying record one of three outcomes. Its fresh
+// zone can prune it (no sample passes) or, for an aggregate that asks
+// (plan.ZoneAnswer), answer it (every sample passes): no recycler lookup,
+// read, decode or rows, just its zone folded into the aggregate's partial.
+// Else the recycler serves it, or it is a miss; misses are not read record
 // by record. Per file, the missed records are sorted by offset and
 // coalesced into runs — groups of records whose byte ranges are adjacent
 // (or separated by gaps small enough that reading through them beats
@@ -210,8 +213,9 @@ type extractCounters struct {
 	runRecords    atomic.Int64
 	decodeNanos   atomic.Int64
 
-	runsSkipped    atomic.Int64
-	recordsSkipped atomic.Int64
+	runsSkipped     atomic.Int64
+	recordsSkipped  atomic.Int64
+	recordsAnswered atomic.Int64
 
 	prefetchedRuns     atomic.Int64
 	prefetchStallNanos atomic.Int64
@@ -480,10 +484,10 @@ func gainOnly(gain, clip float64) bool {
 }
 
 // convertGain is convert for a finite positive gain and no clip: a bare
-// multiply loop with the integer minimum and maximum kept beside it. The
-// transform is monotone, so the extremes of the values are the transformed
-// extremes of the samples — an overflow to ±Inf included, which the zone
-// counts as finite, as CollectZone does.
+// multiply loop with the integer minimum, maximum and sum kept beside it.
+// The transform is monotone, so the extremes of the values are the
+// transformed extremes of the samples — an overflow to ±Inf included, which
+// the zone counts as finite, as CollectZone does.
 func convertGain(dst []float64, samples []int32, gain float64) catalog.ZoneEntry {
 	n := int64(len(samples))
 	if n == 0 {
@@ -491,11 +495,13 @@ func convertGain(dst []float64, samples []int32, gain float64) catalog.ZoneEntry
 	}
 	dst = dst[:len(samples)]
 	lo, hi := samples[0], samples[0]
+	var sum int64
 	for i, s := range samples {
 		dst[i] = float64(s) * gain
 		lo, hi = min(lo, s), max(hi, s)
+		sum += int64(s)
 	}
-	return catalog.ZoneEntry{Min: float64(lo) * gain, Max: float64(hi) * gain, Finite: n, Samples: n}
+	return catalog.ZoneEntry{Min: float64(lo) * gain, Max: float64(hi) * gain, Finite: n, Samples: n, Sum: sum}
 }
 
 // convertGeneral is convert for any gain and clip.

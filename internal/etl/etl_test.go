@@ -310,17 +310,35 @@ func TestLoadDropsRemovedFiles(t *testing.T) {
 	}
 }
 
+// TestDisableCache: with the recycler disabled every record a query
+// delivers in rows is decoded again. The ungrouped COUNT(*) takes its
+// records from their zones the second time — zones are not the recycler —
+// so pruned + answered + decoded = qualifying on each run; the grouped
+// statement decodes every record both times.
 func TestDisableCache(t *testing.T) {
 	e, store, _ := newEngine(t, 500, Options{DisableCache: true})
 	if _, err := e.LoadMetadata(); err != nil {
 		t.Fatal(err)
 	}
-	q := `SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'DBN' AND F.channel = 'BHN'`
-	runLazyQuery(t, e, store, q)
+	const where = ` FROM mseed.dataview WHERE F.station = 'DBN' AND F.channel = 'BHN'`
+	q := `SELECT COUNT(*)` + where
+	qualifying := runLazyQuery(t, e, store, `SELECT COUNT(*) FROM mseed.records r JOIN mseed.files f ON f.file_id = r.file_id WHERE f.station = 'DBN' AND f.channel = 'BHN'`).Row(0)[0].I
+	for run, want := range []struct{ decoded, answered int64 }{{qualifying, 0}, {0, qualifying}} {
+		before := e.ExtractionStats()
+		runLazyQuery(t, e, store, q)
+		after := e.ExtractionStats()
+		decoded, answered := after.Extractions-before.Extractions, after.RecordsAnswered-before.RecordsAnswered
+		pruned := after.RecordsSkipped - before.RecordsSkipped
+		if decoded != want.decoded || answered != want.answered || pruned+answered+decoded != qualifying {
+			t.Errorf("run %d: %d pruned + %d answered + %d decoded of %d qualifying, want %+v", run, pruned, answered, decoded, qualifying, want)
+		}
+	}
+	grouped := `SELECT F.station, COUNT(*)` + where + ` GROUP BY F.station`
+	runLazyQuery(t, e, store, grouped)
 	first := e.ExtractionStats().Extractions
-	runLazyQuery(t, e, store, q)
+	runLazyQuery(t, e, store, grouped)
 	second := e.ExtractionStats().Extractions
-	if second != 2*first || first == 0 {
+	if second-first != qualifying {
 		t.Errorf("extractions %d then %d; cache should be disabled", first, second)
 	}
 	if e.Cache().Len() != 0 {

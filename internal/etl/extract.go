@@ -1,15 +1,18 @@
 package etl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
+	"repro/internal/exec"
 	"repro/internal/mseed"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -31,8 +34,9 @@ type ExtractStats struct {
 	// entry failed the query's pushed-down value predicate and were dropped
 	// before any read or decode, and the coalesced runs that never had to
 	// be issued because of it.
-	RunsSkipped    int64
-	RecordsSkipped int64
+	RunsSkipped     int64
+	RecordsSkipped  int64
+	RecordsAnswered int64 // taken from their zones by an aggregate (plan.ZoneAnswer)
 
 	// Streaming extraction (ExtractStream) counters: runs read+decoded by
 	// background prefetch workers ahead of the consumer, and time the
@@ -119,8 +123,10 @@ type extractSink struct {
 
 	// report is the extraction's \explain tally, filed when the stream
 	// closes (the samples its window trims are counted as it goes); nil
-	// when the extraction has neither a prune range nor a sample window.
+	// when the extraction has no prune range, sample window or zone answer.
 	report *plan.ScanReport
+	// zones is the partial aggregate of the records answered from zones.
+	zones exec.ZonePartial
 }
 
 // prunedEntry marks rows dropped by zone-map pruning: a shared empty entry,
@@ -167,7 +173,9 @@ func (o *runOut) add(seqno, at, planned int, h *mseed.Header, samples []int32) *
 	} else {
 		ent.Values = make([]float64, n)
 	}
-	o.zones = append(o.zones, o.e.convert(ent.Values, samples))
+	z := o.e.convert(ent.Values, samples)
+	z.Start, z.Rate = ent.Start, ent.Rate
+	o.zones = append(o.zones, z)
 	o.seqnos = append(o.seqnos, seqno)
 	return ent
 }
@@ -198,13 +206,72 @@ func (e *Engine) Extract(meta *column.Batch, prune *plan.PruneRange, obs plan.Ob
 	return plan.ExtractAll(e, meta, nil, prune, obs, 1)
 }
 
+// zoneAnswer folds the zones of answered records into a partial. COUNT,
+// MIN and MAX do not depend on order (a positive gain makes no −0; no NaN is
+// answered); SUM does unless every partial sum is exact, as under a
+// power-of-two, gain-only transform while bound stays under 2⁵³: in raw
+// units, answered magnitudes × counts plus 2³¹ × the others' counts (+Inf
+// for a count no zone knows) — its own float sum exact below that too.
+type zoneAnswer struct {
+	part        exec.ZonePartial
+	raw         int64 // exact raw sum of the answered records
+	gain, bound float64
+	sum         bool // the aggregate needs SUM
+}
+
+// newZoneAnswer returns nil when nothing is asked or the transform forbids.
+func (e *Engine) newZoneAnswer(answer plan.ZoneAnswer) *zoneAnswer {
+	gain, sum := e.opts.Gain, slices.Contains(answer, "SUM")
+	frac, _ := math.Frexp(gain)
+	if answer == nil || !(gain > 0) || sum && !(gainOnly(gain, e.opts.ClipAbs) && frac == 0.5 && !math.IsInf(gain*0x1p53, 1)) {
+		return nil
+	}
+	return &zoneAnswer{part: exec.ZonePartial{Min: math.Inf(1), Max: math.Inf(-1)}, gain: gain, sum: sum}
+}
+
+// take folds in, and reports, a record whose fresh (ok) zone z has no NaN
+// or null and whose every sample prune (all) and win admit — windowRange's
+// (0, n), as the stream would cut it; it counts any other into bound.
+func (a *zoneAnswer) take(z catalog.ZoneEntry, ok, all bool, win *plan.SampleWindow) bool {
+	if a == nil {
+		return false
+	}
+	if !ok {
+		a.bound = math.Inf(1)
+		return false
+	}
+	n := int(z.Samples)
+	lo, hi, inside := 0, n, true
+	if win != nil {
+		lo, hi, inside = windowRange(z.Start, z.Rate, n, win.Lo, win.Hi)
+	}
+	if !all || n == 0 || !inside || lo != 0 || hi != n || z.NaNs+z.Nulls > 0 {
+		a.bound += 0x1p31 * float64(n)
+		return false
+	}
+	a.part.Count += z.Samples
+	a.part.Min, a.part.Max = min(a.part.Min, z.Min), max(a.part.Max, z.Max)
+	a.raw += z.Sum
+	a.bound += max(math.Abs(z.Min), math.Abs(z.Max)) / a.gain * float64(n)
+	return true
+}
+
+// partial returns the partial, false when SUM would be inexact or none.
+func (a *zoneAnswer) partial() (exec.ZonePartial, bool) {
+	if a == nil {
+		return exec.ZonePartial{}, false
+	}
+	a.part.Sum = float64(a.raw) * a.gain
+	return a.part, !a.sum || a.bound < 0x1p53
+}
+
 // prepare is the front half of an extraction. It validates the metadata
-// batch, stats the source files, and runs pass 1: rows pruned by the zone
-// maps are closed out immediately (zero samples, no I/O), rows with a fresh
-// cache entry are served (reported as CacheRead injections), and the rest
-// are coalesced into the runs it returns beside the sink. No file is opened
-// here.
-func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.SampleWindow, obs plan.Observer) (*extractSink, []runPlan, error) {
+// batch, stats the source files, and runs pass 1: rows the zone maps prune,
+// and rows they answer (answer), are closed out immediately (zero samples,
+// no I/O), rows with a fresh cache entry are served (reported as CacheRead
+// injections), and the rest are coalesced into the runs it returns beside
+// the sink. No file is opened here.
+func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.SampleWindow, answer plan.ZoneAnswer, obs plan.Observer) (*extractSink, []runPlan, error) {
 	uriCol, ok := meta.Col("F.uri")
 	if !ok {
 		return nil, nil, fmt.Errorf("etl: extraction metadata lacks F.uri (have %v)", meta.Names())
@@ -263,24 +330,39 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		quiet:   quiet,
 	}
 
-	// Pass 1: skip what the zone maps prove irrelevant, then serve what the
-	// cache has (fresh entries only).
-	zones := e.store.Zones()
-	var missIdx, prunedIdx []int
-	var hitOps []string
-	var cacheHits int64
-	for i := 0; i < n; i++ {
+	// Pass 1: zones prune or answer what they can; the cache serves the rest.
+	zones, za := e.store.Zones(), e.newZoneAnswer(answer)
+	var missIdx, prunedIdx, answeredIdx []int
+	for i := 0; i < n && (prune != nil || za != nil); i++ {
 		fs, err := stateOf(uris[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		if prune != nil {
-			if z, ok := zones.Get(uris[i], fs.mtime, fs.size, int(seqs[i])); ok && !prune.Admits(z) {
-				sink.lens[i] = 0
-				sink.entries[i] = prunedEntry
-				prunedIdx = append(prunedIdx, i)
-				continue
-			}
+		z, ok := zones.Get(uris[i], fs.mtime, fs.size, int(seqs[i]))
+		if v := prune.Admit(z); ok && v == plan.AdmitNone {
+			sink.entries[i] = prunedEntry
+			prunedIdx = append(prunedIdx, i)
+		} else if za.take(z, ok, v == plan.AdmitAll, win) {
+			answeredIdx = append(answeredIdx, i)
+		}
+	}
+	if part, exact := za.partial(); exact {
+		for _, i := range answeredIdx {
+			sink.entries[i] = prunedEntry
+		}
+		sink.zones = part
+	} else {
+		answeredIdx = nil
+	}
+	var hitOps []string
+	var cacheHits int64
+	for i := 0; i < n; i++ {
+		if sink.entries[i] != nil {
+			continue // pruned or answered
+		}
+		fs, err := stateOf(uris[i])
+		if err != nil {
+			return nil, nil, err
 		}
 		key := recycler.Key{URI: uris[i], SeqNo: int(seqs[i])}
 		if ent, hit := e.cache.Lookup(key, fs.mtime, fs.size); hit {
@@ -339,14 +421,22 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 				len(prunedIdx), n, runsSkipped))
 		}
 	}
-	if prune != nil || win != nil {
+	if len(answeredIdx) > 0 {
+		e.xstats.recordsAnswered.Add(int64(len(answeredIdx)))
+		if !quiet {
+			obs.Event("zone-answer", fmt.Sprintf("zone maps answer %d of %d qualifying records (%d samples never decoded)",
+				len(answeredIdx), n, sink.zones.Count))
+		}
+	}
+	if prune != nil || win != nil || za != nil {
 		sink.report = &plan.ScanReport{
-			Target:         "extract",
-			Runs:           int64(len(runs)),
-			RunsSkipped:    int64(runsSkipped),
-			Records:        int64(len(missIdx)),
-			RecordsSkipped: int64(len(prunedIdx)),
-			CacheReads:     cacheHits,
+			Target:          "extract",
+			Runs:            int64(len(runs)),
+			RunsSkipped:     int64(runsSkipped),
+			Records:         int64(len(missIdx)),
+			RecordsSkipped:  int64(len(prunedIdx)),
+			RecordsAnswered: int64(len(answeredIdx)),
+			CacheReads:      cacheHits,
 		}
 		if win != nil {
 			sink.report.Window = win.String()
@@ -464,8 +554,11 @@ func recordLen(recLens []int64, i int) int64 {
 	return fallbackRecordLen
 }
 
+var errFileChanged = errors.New("file changed between stat and open")
+
 // openRuns opens each run's file, once per file and in plan order, and
-// returns the files it opened — on error too, for the caller to close.
+// returns the files it opened — on error too, for the caller to close. A
+// file that is not the (mtime, size) prepare planned for is errFileChanged.
 func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fileState, error) {
 	var opened []*fileState
 	for r := range runs {
@@ -479,6 +572,13 @@ func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fil
 		}
 		fs.f = f
 		opened = append(opened, fs)
+		info, err := f.Stat()
+		if err != nil {
+			return opened, fmt.Errorf("etl: stat %s: %w", fs.uri, err)
+		}
+		if !info.ModTime().Equal(fs.mtime) || info.Size() != fs.size {
+			return opened, fmt.Errorf("etl: %s: %w", fs.uri, errFileChanged)
+		}
 		e.xstats.filesTouched.Add(1)
 		if !quiet {
 			obs.Event("open", fs.uri)
@@ -819,8 +919,9 @@ func (e *Engine) ExtractionStats() ExtractStats {
 		RunRecords:    e.xstats.runRecords.Load(),
 		DecodeNanos:   e.xstats.decodeNanos.Load(),
 
-		RunsSkipped:    e.xstats.runsSkipped.Load(),
-		RecordsSkipped: e.xstats.recordsSkipped.Load(),
+		RunsSkipped:     e.xstats.runsSkipped.Load(),
+		RecordsSkipped:  e.xstats.recordsSkipped.Load(),
+		RecordsAnswered: e.xstats.recordsAnswered.Load(),
 
 		PrefetchedRuns:     e.xstats.prefetchedRuns.Load(),
 		PrefetchStallNanos: e.xstats.prefetchStallNanos.Load(),

@@ -25,8 +25,8 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // R.* columns).
 //
 // This is the run-time half of lazy extraction (§3.1): for each qualifying
-// record the injected operator is either a cache read or a file extraction,
-// and each injection is reported to the observer. Misses are read in
+// record not pruned or answered by its zone, the injected operator is a
+// cache read or a file extraction, reported to the observer. Misses are read in
 // coalesced runs (see the package documentation) so a cold-cache query
 // costs O(1) syscalls and allocations per run, not per record.
 //
@@ -35,6 +35,11 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // are skipped before any ReadAt or decode (they still yield a metadata row
 // with zero samples, which the enclosing data filter would have deleted
 // anyway). Records without a fresh zone entry always extract.
+//
+// answer (plan.ZoneAnswer) lets a record whose zone prune and window admit
+// wholly yield no samples: ZonePartial folds it (zoneAnswer). A file that
+// moved between stat and open is prepared again (maxReprepares), so all
+// the stream reads describes one state of it.
 //
 // Extraction overlaps compute: background workers read and Steim-decode run
 // N+1 while the consumer assembles run N's rows into morsels, claiming runs
@@ -78,19 +83,33 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 //
 // ctx ends the stream: once it is done no run is claimed, a Next waiting for
 // a run in flight returns ctx.Err(), and runs in flight finish unconsumed.
-func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, answer plan.ZoneAnswer, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
 	proto, err := plan.ExtractProto(meta, cols)
 	if err != nil {
 		return nil, err
+	}
+	var (
+		sink   *extractSink
+		runs   []runPlan
+		opened []*fileState
+	)
+	for attempt := 0; ; attempt++ {
+		if sink, runs, err = e.prepare(meta, prune, window, answer, obs); err != nil {
+			return nil, err
+		}
+		openRunsHook()
+		if opened, err = e.openRuns(runs, sink.quiet, obs); err == nil {
+			break
+		}
+		closeFiles(opened)
+		if !errors.Is(err, errFileChanged) || attempt == maxReprepares {
+			return nil, err
+		}
 	}
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
 	ext := obs.TraceSpan().Child("extract-stream")
-	sink, runs, err := e.prepare(meta, prune, window, obs)
-	if err != nil {
-		return nil, err
-	}
 	sink.readSpan = ext.Child("read")
 	sink.decodeSpan = ext.Child("decode")
 	if morselRows <= 0 {
@@ -105,6 +124,7 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 		obs:        obs,
 		sink:       sink,
 		runs:       runs,
+		opened:     opened,
 		morselRows: morselRows,
 		n:          meta.NumRows(),
 		grant:      led.NewGrant(),
@@ -113,12 +133,6 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 		gatherSpan: ext.Child("assemble"),
 	}
 	s.cond = sync.NewCond(&s.mu)
-
-	if s.opened, err = e.openRuns(runs, sink.quiet, obs); err != nil {
-		closeFiles(s.opened)
-		s.grant.Close()
-		return nil, err
-	}
 	s.stopCtx = context.AfterFunc(ctx, func() {
 		s.mu.Lock()
 		s.stopping = true
@@ -161,6 +175,15 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 	}
 	return s, nil
 }
+
+// maxReprepares bounds ExtractStream's prepares after the first.
+const maxReprepares = 3
+
+// openRunsHook runs between prepare and openRuns; tests rewrite files there.
+var openRunsHook = func() {}
+
+// ZonePartial implements plan.ZoneAnswerer.
+func (s *extractStream) ZonePartial() exec.ZonePartial { return s.sink.zones }
 
 // prefetchWorkers is how many workers extract the runs of one stream ahead of
 // its consumer: one per worker of the consuming pool — reading, first-touch

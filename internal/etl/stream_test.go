@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,6 +21,8 @@ import (
 	"repro/internal/plan"
 	"repro/internal/recycler"
 	"repro/internal/reference"
+	"repro/internal/repo"
+	"repro/internal/seisgen"
 	"repro/internal/sql"
 )
 
@@ -297,7 +300,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 			if got := strings.Join(proto.Names(), ","); got != strings.Join(want, ",") || proto.NumRows() != 0 {
 				t.Fatalf("ExtractProto(%v) = [%s], %d rows", cols, got, proto.NumRows())
 			}
-			src, err := e.ExtractStream(context.Background(), meta, cols, prune, nil, plan.NopObserver{}, 61, width, nil)
+			src, err := e.ExtractStream(context.Background(), meta, cols, prune, nil, nil, plan.NopObserver{}, 61, width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +322,7 @@ func TestStreamCarriesExactlyListedColumns(t *testing.T) {
 		if _, err := plan.ExtractProto(meta, []string{"F.station", "D.nosuch"}); err == nil {
 			t.Error("ExtractProto accepted a column the universal table lacks")
 		}
-		if _, err := e.ExtractStream(context.Background(), meta, []string{"D.nosuch"}, nil, nil, plan.NopObserver{}, 61, width, nil); err == nil {
+		if _, err := e.ExtractStream(context.Background(), meta, []string{"D.nosuch"}, nil, nil, nil, plan.NopObserver{}, 61, width, nil); err == nil {
 			t.Error("ExtractStream accepted a column the universal table lacks")
 		}
 	}
@@ -435,7 +438,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 			for hi < len(v) && f[hi] == f[lo] && s[hi] == s[lo] {
 				hi++
 			}
-			if prune.Admits(catalog.CollectZone(v[lo:hi])) {
+			if prune.Admit(catalog.CollectZone(v[lo:hi])) != plan.AdmitNone {
 				for i := lo; i < hi; i++ {
 					kept = append(kept, int32(i))
 				}
@@ -541,7 +544,7 @@ func TestStreamMatchesEagerLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := e.ExtractionStats()
-			src, err := e.ExtractStream(context.Background(), meta, pass.cols, pass.prune, pass.win, plan.NopObserver{}, le.morsel, le.width, nil)
+			src, err := e.ExtractStream(context.Background(), meta, pass.cols, pass.prune, pass.win, nil, plan.NopObserver{}, le.morsel, le.width, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -607,7 +610,7 @@ func bitDiff(got, want *column.Batch, as map[string]string) string {
 // the rows it served.
 func countStream(tb testing.TB, e *Engine, meta *column.Batch, cols []string) (rows int) {
 	tb.Helper()
-	src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, plan.NopObserver{}, 0, 2, nil)
+	src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, nil, plan.NopObserver{}, 0, 2, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -704,7 +707,7 @@ func TestPrefetchWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := e.ExtractStream(context.Background(), meta, nil, nil, nil, plan.NopObserver{}, 500, width, led)
+		src, err := e.ExtractStream(context.Background(), meta, nil, nil, nil, nil, plan.NopObserver{}, 500, width, led)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -748,7 +751,7 @@ func TestStreamPanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := func(width int, led *mem.Ledger) exec.BatchSource {
-		src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, plan.NopObserver{}, 0, width, led)
+		src, err := e.ExtractStream(context.Background(), meta, cols, nil, nil, nil, plan.NopObserver{}, 0, width, led)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -857,7 +860,7 @@ func TestStreamStopsOnCancel(t *testing.T) {
 	led := mem.New(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src, err := e.ExtractStream(ctx, meta, nil, nil, nil, plan.NopObserver{}, 64, 1, led)
+	src, err := e.ExtractStream(ctx, meta, nil, nil, nil, nil, plan.NopObserver{}, 64, 1, led)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -902,5 +905,126 @@ func waitGoroutines(t *testing.T, base int, name string) {
 			return
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFileReplacedBetweenStatAndOpen: a file renamed over between
+// prepare's stat and openRuns' open is prepared again, so a query never
+// pairs the zone answers and recycled records of the file it stat'ed with
+// records read from the file it opened. The rewrite keeps the layout
+// (INT32 records, the same times and counts) and the size, and moves the
+// mtime: the answer must be the new file's, as a fresh engine loads it —
+// for a statement whose early records the old file's zones answer, and for
+// one (with SUM, which records without zones keep from being answered)
+// whose early records the recycler holds. A file that keeps changing fails
+// the query naming it, after three tries.
+func TestFileReplacedBetweenStatAndOpen(t *testing.T) {
+	defer func() { openRunsHook = func() {} }()
+	gen := func(seed int64) string {
+		dir := t.TempDir()
+		if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: dir, Stations: seisgen.DefaultStations[:1], Channels: []string{"BHZ"},
+			SamplesPerDay: 3000, Encoding: mseed.EncodingInt32, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	open := func(dir string) (*Engine, *catalog.Store) {
+		rp, err := repo.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := catalog.NewStore(catalog.MSEED())
+		e := New(rp, store, Options{})
+		if _, err := e.LoadMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		return e, store
+	}
+	var (
+		e       *Engine
+		store   *catalog.Store
+		uri     string
+		replace func()
+	)
+	for _, c := range []struct {
+		q        string
+		answered bool // the old file's zones answer the early records
+	}{
+		{`SELECT COUNT(*), MIN(D.sample_value), MAX(D.sample_value) FROM mseed.dataview`, true},
+		{`SELECT COUNT(*), SUM(D.sample_value), MIN(D.sample_value), MAX(D.sample_value) FROM mseed.dataview`, false},
+	} {
+		dir, next := gen(1), gen(2)
+		rp, err := repo.Open(dir)
+		if err != nil || len(rp.Files) != 1 {
+			t.Fatalf("setup: %v, %d files", err, len(rp.Files))
+		}
+		path := rp.Files[0].AbsPath
+		uri = rp.Files[0].URI
+		replacement, err := os.ReadFile(filepath.Join(next, filepath.FromSlash(uri)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(replacement)) != rp.Files[0].Size {
+			t.Fatalf("setup: the replacement has %d bytes, the file %d", len(replacement), rp.Files[0].Size)
+		}
+		old, oldStore := open(dir)
+		before := fmt.Sprint(runLazyQuery(t, old, oldStore, c.q).Row(0))
+		// The early records have zones, and recycler entries, at the old
+		// stat: the query takes them from there and reads the rest.
+		e, store = open(dir)
+		runLazyQuery(t, e, store, `SELECT COUNT(*) FROM mseed.dataview WHERE D.sample_time < '2010-01-12 00:00:40'`)
+
+		// replace renames a copy of the replacement over the file, one
+		// second further on each time.
+		mtime := rp.Files[0].ModTime
+		replace = func() {
+			mtime = mtime.Add(time.Second)
+			tmp := path + ".new"
+			if err := os.WriteFile(tmp, replacement, 0o644); err != nil {
+				t.Error(err)
+			}
+			if err := os.Chtimes(tmp, mtime, mtime); err != nil {
+				t.Error(err)
+			}
+			if err := os.Rename(tmp, path); err != nil {
+				t.Error(err)
+			}
+		}
+		prepares, answered := 0, int64(0)
+		openRunsHook = func() {
+			if prepares++; prepares == 1 {
+				answered = e.ExtractionStats().RecordsAnswered
+				replace()
+			}
+		}
+		got := fmt.Sprint(runLazyQuery(t, e, store, c.q).Row(0))
+		if prepares != 2 {
+			t.Errorf("%s: prepared %d times, want 2: once at the old stat, once at the new", c.q, prepares)
+		}
+		if c.answered != (answered > 0) {
+			t.Errorf("%s: the first prepare answered %d records from zones", c.q, answered)
+		}
+		openRunsHook = func() {}
+		fresh, freshStore := open(dir)
+		want := fmt.Sprint(runLazyQuery(t, fresh, freshStore, c.q).Row(0))
+		if want == before {
+			t.Fatalf("setup: the rewrite left the answer %s unchanged", want)
+		}
+		if got != want {
+			t.Errorf("%s: answer across the rename = %s, want the new file's %s (the old file's was %s)", c.q, got, want, before)
+		}
+	}
+
+	// A file that changes before every open fails the query, naming it.
+	e.Cache().InvalidateFile(uri)
+	store.Zones().InvalidateFile(uri)
+	prepares := 0
+	openRunsHook = func() { prepares++; replace() }
+	_, err := runLazyQueryErr(e, store, `SELECT F.uri, COUNT(*) FROM mseed.dataview GROUP BY F.uri`)
+	if err == nil || !errors.Is(err, errFileChanged) || !strings.Contains(err.Error(), uri) {
+		t.Errorf("a file changing before every open: %v, want an error naming %s", err, uri)
+	}
+	if prepares != 1+maxReprepares {
+		t.Errorf("prepared %d times, want %d", prepares, 1+maxReprepares)
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -229,7 +230,7 @@ func BenchmarkSortByTimestamp(b *testing.B) {
 	keys := []SortKey{{Expr: &sql.ColumnRef{Name: "v"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Sort(batch, keys); err != nil {
+		if _, _, err := Sort(context.Background(), batch, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,7 +392,7 @@ func BenchmarkOrderByTimestamp(b *testing.B) {
 	keys := []SortKey{{Expr: &sql.ColumnRef{Name: "ts"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Sort(batch, keys); err != nil {
+		if _, _, err := Sort(context.Background(), batch, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +408,7 @@ func BenchmarkOrderByMultiKey(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Sort(batch, keys); err != nil {
+		if _, _, err := Sort(context.Background(), batch, keys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,7 +423,7 @@ func BenchmarkOrderByTimestampComparator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sel := selAll(batch.NumRows())
-		comparatorSortSel([]sortKeyData{k}, sel)
+		comparatorSortSel(context.Background(), []sortKeyData{k}, sel)
 	}
 }
 

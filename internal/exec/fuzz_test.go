@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -52,9 +53,9 @@ func FuzzRadixSortOracle(f *testing.F) {
 		}
 		k := sortKeyData{desc: desc, typ: column.Int64, ints: ints, nulls: nulls}
 		radixSel := selAll(n)
-		radixSortInts(&k, radixSel)
+		radixSortInts(context.Background(), &k, radixSel)
 		cmpSel := selAll(n)
-		comparatorSortSel([]sortKeyData{k}, cmpSel)
+		comparatorSortSel(context.Background(), []sortKeyData{k}, cmpSel)
 		for i := range radixSel {
 			if radixSel[i] != cmpSel[i] {
 				t.Fatalf("desc=%v: radix and comparator permutations diverge at %d: %d vs %d\nradix: %v\ncmp:   %v",

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -331,7 +332,7 @@ func TestSortSingleAndMultiKey(t *testing.T) {
 		column.NewStrings("s", []string{"b", "a", "b", "a"}),
 		column.NewInt64s("n", []int64{1, 2, 3, 4}),
 	)
-	out, _, err := Sort(b, []SortKey{{Expr: &sql.ColumnRef{Name: "s"}}})
+	out, _, err := Sort(context.Background(), b, []SortKey{{Expr: &sql.ColumnRef{Name: "s"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestSortSingleAndMultiKey(t *testing.T) {
 		t.Errorf("stable order: %v", nc.Int64s())
 	}
 	// Multi-key with DESC.
-	out, _, err = Sort(b, []SortKey{
+	out, _, err = Sort(context.Background(), b, []SortKey{
 		{Expr: &sql.ColumnRef{Name: "s"}},
 		{Expr: &sql.ColumnRef{Name: "n"}, Desc: true},
 	})
@@ -365,12 +366,12 @@ func TestSortTypeMismatchError(t *testing.T) {
 	b := column.MustNewBatch(s)
 	// Build an expression mixing string and int per row is impossible via a
 	// single column, so check the no-key and tiny-batch fast paths instead.
-	out, _, err := Sort(b, nil)
+	out, _, err := Sort(context.Background(), b, nil)
 	if err != nil || out != b {
 		t.Error("no-key sort should be identity")
 	}
 	one := column.MustNewBatch(column.NewInt64s("n", []int64{1}))
-	out, _, err = Sort(one, []SortKey{{Expr: &sql.ColumnRef{Name: "n"}}})
+	out, _, err = Sort(context.Background(), one, []SortKey{{Expr: &sql.ColumnRef{Name: "n"}}})
 	if err != nil || out != one {
 		t.Error("single-row sort should be identity")
 	}

@@ -847,6 +847,27 @@ func (s *AggSink) runGroup() (int, error) {
 	return len(s.groups) - 1, nil
 }
 
+// ZonePartial stands in for rows a source answered from statistics: over
+// the one float argument, with no NaN or −0 and every partial sum exact, so
+// where they fold changes no bit of the answer.
+type ZonePartial struct {
+	Count         int64
+	Min, Max, Sum float64
+}
+
+// FoldPartial folds p into an ungrouped sink, once, before Finish.
+func (s *AggSink) FoldPartial(p ZonePartial) {
+	for i := 0; p.Count > 0 && i < len(s.slots); i++ {
+		st := &s.groups[0].states[i]
+		if st.count += p.Count; !s.protoArgs[i].star {
+			st.sum += p.Sum
+			st.minF, st.maxF = bounds(st.any, st.minF, st.maxF, p.Min)
+			st.minF, st.maxF = bounds(true, st.minF, st.maxF, p.Max)
+			st.any = true
+		}
+	}
+}
+
 // Finish implements PipeSink. The ledger reservations are held until the
 // output columns have been built from the group table, then released.
 func (s *AggSink) Finish() (*column.Batch, error) {

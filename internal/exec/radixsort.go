@@ -7,7 +7,10 @@ package exec
 // (nulls first ascending, last descending, matching sortKeyData.compareRows
 // with the Desc flip), so they produce the identical permutation.
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 // Sort strategy names, reported through SortStats.
 const (
@@ -23,22 +26,28 @@ func radixEligible(keyData []sortKeyData) bool {
 }
 
 // sortSel stably sorts sel — batch row indices — by the evaluated keys,
-// choosing the radix path when it applies, and reports the strategy used.
-func sortSel(keyData []sortKeyData, sel []int32) string {
+// choosing the radix path when it applies, and reports the strategy used
+// (or ctx.Err(), sel then in no order).
+func sortSel(ctx context.Context, keyData []sortKeyData, sel []int32) (string, error) {
 	if radixEligible(keyData) {
-		radixSortInts(&keyData[0], sel)
-		return SortStrategyRadix
+		return SortStrategyRadix, radixSortInts(ctx, &keyData[0], sel)
 	}
-	comparatorSortSel(keyData, sel)
-	return SortStrategyComparator
+	return SortStrategyComparator, comparatorSortSel(ctx, keyData, sel)
 }
 
 // comparatorSortSel is the generic stable path: sort.SliceStable over the
-// unpacked key vectors.
-func comparatorSortSel(keyData []sortKeyData, sel []int32) {
+// unpacked key vectors. Every 2¹⁴ comparisons it looks at ctx; once it is
+// done, every comparison is false, which ends the sort in near-linear time.
+func comparatorSortSel(ctx context.Context, keyData []sortKeyData, sel []int32) error {
+	var calls uint
+	var err error
 	sort.SliceStable(sel, func(a, z int) bool {
-		return lessRows(keyData, int(sel[a]), int(sel[z]))
+		if calls++; calls%(1<<14) == 0 && err == nil {
+			err = ctx.Err()
+		}
+		return err == nil && lessRows(keyData, int(sel[a]), int(sel[z]))
 	})
+	return err
 }
 
 // lessRows is the engine's ORDER BY ordering over unpacked keys: the first
@@ -74,11 +83,12 @@ func radixBias(v int64, desc bool) uint64 {
 // and the remaining rows run an 8-pass byte-digit LSD counting sort over
 // bias-mapped keys. Histograms for all eight digits are built in one scan
 // and uniform digits skip their pass, so nearly-sorted or small-range keys
-// (dense ids, timestamps) pay only the passes that discriminate.
-func radixSortInts(k *sortKeyData, sel []int32) {
+// (dense ids, timestamps) pay only the passes that discriminate, each
+// after a look at ctx.
+func radixSortInts(ctx context.Context, k *sortKeyData, sel []int32) error {
 	n := len(sel)
 	if n <= 1 {
-		return
+		return nil
 	}
 	keys := make([]uint64, 0, n)
 	rows := make([]int32, 0, n)
@@ -115,6 +125,9 @@ func radixSortInts(k *sortKeyData, sel []int32) {
 		tmpK := make([]uint64, m)
 		tmpR := make([]int32, m)
 		for d := 0; d < 8; d++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			h := &hist[d]
 			shift := uint(d * 8)
 			// A digit with one occupied bucket cannot reorder anything.
@@ -147,4 +160,5 @@ func radixSortInts(k *sortKeyData, sel []int32) {
 		copy(sel, nullRows)
 		copy(sel[len(nullRows):], rows)
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/column"
@@ -99,8 +100,9 @@ func evalSortKeys(b *column.Batch, keys []SortKey) ([]sortKeyData, error) {
 
 // Sort returns the batch reordered by the keys (stable), with the execution
 // stats: one sortSel over the whole batch (radix for a single
-// integer-family key, comparator otherwise) and one gather.
-func Sort(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
+// integer-family key, comparator otherwise) and one gather — none once ctx
+// is done: then it returns ctx.Err() within a radix pass or 2¹⁴ comparisons.
+func Sort(ctx context.Context, b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
 	n := b.NumRows()
 	if len(keys) == 0 || n <= 1 {
 		return b, SortStats{Strategy: SortStrategyNone, Rows: n}, nil
@@ -110,7 +112,10 @@ func Sort(b *column.Batch, keys []SortKey) (*column.Batch, SortStats, error) {
 		return nil, SortStats{}, err
 	}
 	sel := selAll(n)
-	strategy := sortSel(keyData, sel)
+	strategy, err := sortSel(ctx, keyData, sel)
+	if err != nil {
+		return nil, SortStats{}, err
+	}
 	return b.Gather(sel), SortStats{Strategy: strategy, Rows: n}, nil
 }
 

@@ -51,7 +51,7 @@ func oracleEval(t *testing.T, e sql.Expr, b *column.Batch, row int) column.Value
 		case sql.OpAnd, sql.OpOr:
 			l := oracleEval(t, x.L, b, row)
 			r := oracleEval(t, x.R, b, row)
-			lv, rv := l.AsBool(), r.AsBool()
+			lv, rv := asBool(l), asBool(r)
 			if x.Op == sql.OpAnd {
 				return column.NewBool(lv && rv)
 			}
@@ -136,7 +136,7 @@ func oracleFilter(t *testing.T, b *column.Batch, preds []sql.Expr) []int32 {
 	for row := 0; row < b.NumRows(); row++ {
 		keep := true
 		for _, p := range preds {
-			if !oracleEval(t, p, b, row).AsBool() {
+			if !asBool(oracleEval(t, p, b, row)) {
 				keep = false
 				break
 			}
@@ -946,7 +946,7 @@ func TestSortMatchesOracleOnRandomBatches(t *testing.T) {
 	for iter := 0; iter < 80; iter++ {
 		b := randNullBatch(rng, rng.Intn(120))
 		keys := keyConfigs[rng.Intn(len(keyConfigs))]
-		got, _, err := Sort(b, keys)
+		got, _, err := Sort(context.Background(), b, keys)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -1265,9 +1265,9 @@ func TestRadixSortMatchesComparatorOnFullRangeKeys(t *testing.T) {
 		for _, desc := range []bool{false, true} {
 			k := sortKeyData{desc: desc, typ: column.Int64, ints: ints, nulls: nulls}
 			radixSel := selAll(n)
-			radixSortInts(&k, radixSel)
+			radixSortInts(context.Background(), &k, radixSel)
 			cmpSel := selAll(n)
-			comparatorSortSel([]sortKeyData{k}, cmpSel)
+			comparatorSortSel(context.Background(), []sortKeyData{k}, cmpSel)
 			if fmt.Sprint(radixSel) != fmt.Sprint(cmpSel) {
 				t.Fatalf("iter %d desc=%v: radix %v != comparator %v", iter, desc, radixSel, cmpSel)
 			}
@@ -1325,7 +1325,7 @@ func TestSortLargeParallel(t *testing.T) {
 			{"comparator-multikey", []SortKey{{Expr: &sql.ColumnRef{Name: "v"}, Desc: desc}, {Expr: &sql.ColumnRef{Name: "ts"}}}},
 			{"comparator-nan-multikey", []SortKey{{Expr: &sql.ColumnRef{Name: "nan"}, Desc: desc}, {Expr: &sql.ColumnRef{Name: "s"}}}},
 		} {
-			got, _, err := Sort(b, c.keys)
+			got, _, err := Sort(context.Background(), b, c.keys)
 			if err != nil {
 				t.Fatalf("%s desc=%v: %v", c.label, desc, err)
 			}
@@ -1370,3 +1370,6 @@ func TestAggregateFloatKeyCanonicalization(t *testing.T) {
 		}
 	}
 }
+
+// asBool is the truth value of a Bool Value; nulls are false.
+func asBool(v column.Value) bool { return !v.Null && v.I != 0 }

@@ -213,18 +213,6 @@ func marshalHeader(buf []byte, h *Header, order binary.ByteOrder) {
 	order.PutUint16(buf[46:48], uint16(h.BlocketteOffset))
 }
 
-// parseHeader parses the fixed header and follows the blockette chain.
-// buf must contain at least the header and all blockettes (headerScanSize
-// bytes is always sufficient for records written by this package; for
-// foreign records buf should extend to the data offset).
-func parseHeader(buf []byte) (*Header, error) {
-	h := new(Header)
-	if err := parseHeaderInto(h, buf); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // reuseTrimmed returns the space-trimmed field as a string, reusing prev
 // when the content is unchanged. Reused headers (the run extractor parses
 // every record of a file into one pooled Header) then pay zero string

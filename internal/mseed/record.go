@@ -114,23 +114,6 @@ func ParseRecordHeaderInto(h *Header, buf []byte) error {
 	return parseHeaderInto(h, buf)
 }
 
-// DecodeRecord parses a complete record: header, blockettes and payload.
-func DecodeRecord(buf []byte) (*Header, []int32, error) {
-	h, err := parseHeader(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(buf) < h.RecordLength {
-		return nil, nil, fmt.Errorf("%w: header declares %d bytes, buffer has %d",
-			ErrShortRecord, h.RecordLength, len(buf))
-	}
-	samples, err := DecodePayload(h, buf[h.DataOffset:h.RecordLength])
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, samples, nil
-}
-
 // DecodePayload decodes the sample payload of a record whose header has
 // already been parsed. payload must span from the header's data offset to
 // the end of the record.

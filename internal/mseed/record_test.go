@@ -3,11 +3,31 @@ package mseed
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
+
+// DecodeRecord parses a complete record: header, blockettes and payload.
+// The record tests and FuzzDecodeRecord drive the whole record path
+// through it; the engine parses headers and payloads separately.
+func DecodeRecord(buf []byte) (*Header, []int32, error) {
+	h := new(Header)
+	if err := parseHeaderInto(h, buf); err != nil {
+		return nil, nil, err
+	}
+	if len(buf) < h.RecordLength {
+		return nil, nil, fmt.Errorf("%w: header declares %d bytes, buffer has %d",
+			ErrShortRecord, h.RecordLength, len(buf))
+	}
+	samples, err := DecodePayload(h, buf[h.DataOffset:h.RecordLength])
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, samples, nil
+}
 
 func testHeader(enc Encoding, reclen int) *Header {
 	return &Header{

@@ -42,6 +42,9 @@ func Build(stmt *sql.SelectStmt, cat *catalog.Catalog, mode Mode) (*Plans, error
 		return nil, err
 	}
 	narrowExtract(root)
+	if mode == Lazy {
+		markZoneAnswer(root)
+	}
 	naiveRoot, err := buildUpper(stmt, naive)
 	if err != nil {
 		return nil, err
@@ -397,6 +400,34 @@ func buildUpper(stmt *sql.SelectStmt, from Node) (Node, error) {
 		node = &Limit{Child: node, N: stmt.Limit}
 	}
 	return node, nil
+}
+
+// markZoneAnswer sets ZoneAnswer on a LazyExtract under an ungrouped
+// aggregate — through at most a Filter whose conjuncts all fold into Prune —
+// of COUNT(*) and of bare, non-DISTINCT D.sample_value only.
+func markZoneAnswer(root Node) {
+	pp, ok := decompose(root)
+	if !ok || pp.agg == nil || len(pp.agg.GroupBy) > 0 || len(pp.ops) > 1 {
+		return
+	}
+	leaf, ok := pp.leaf.(*LazyExtract)
+	for _, op := range pp.ops {
+		if f, isFilter := op.(*Filter); !ok || !isFilter || !leaf.Prune.foldsAll(f.Preds) {
+			return
+		}
+	}
+	need := map[string]bool{}
+	for _, a := range pp.agg.Aggs {
+		if ref, isRef := a.Arg.(*sql.ColumnRef); !ok || !a.Star && (a.Distinct || !isRef || ref.Name != "D.sample_value") {
+			return
+		}
+		need[a.Func] = true
+	}
+	for _, f := range []string{"COUNT", "MIN", "MAX", "SUM"} {
+		if need[f] || need["AVG"] && (f == "COUNT" || f == "SUM") {
+			leaf.ZoneAnswer = append(leaf.ZoneAnswer, f)
+		}
+	}
 }
 
 func walkCalls(e sql.Expr, fn func(*sql.Call)) {

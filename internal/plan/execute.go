@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -39,6 +40,10 @@ import (
 // in the same order. Records are still decoded and cached whole. nil means
 // every sample.
 //
+// answer, when non-nil, is LazyExtract.ZoneAnswer: the source may leave a
+// record prune and window wholly admit out of the morsels, answered from
+// its zone; the stream's ZoneAnswerer partial stands in for its rows.
+//
 // morselRows and width are the consuming pool's morsel size and worker
 // count: the source sizes its read-ahead from width (one prefetch worker per
 // pool worker), so extraction has no parallelism setting of its own.
@@ -49,7 +54,13 @@ import (
 // ctx ends the stream: it claims no further run, and a Next that would wait
 // for one returns ctx.Err().
 type ExtractSource interface {
-	ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *PruneRange, window *SampleWindow, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
+	ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *PruneRange, window *SampleWindow, answer ZoneAnswer, obs Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error)
+}
+
+// ZoneAnswerer is an extraction stream's partial aggregate of the records
+// it answered from their zones, known before its first morsel.
+type ZoneAnswerer interface {
+	ZonePartial() exec.ZonePartial
 }
 
 // Observer is everything one query's execution reports, plan operators and
@@ -167,7 +178,7 @@ func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 // morsels, the run form and the sample window. width is the caller's pool
 // width, passed through to the stream.
 func ExtractAll(src ExtractSource, meta *column.Batch, cols []string, prune *PruneRange, obs Observer, width int) (*column.Batch, error) {
-	s, err := src.ExtractStream(context.Background(), meta, cols, prune, nil, obs, math.MaxInt, width, nil)
+	s, err := src.ExtractStream(context.Background(), meta, cols, prune, nil, nil, obs, math.MaxInt, width, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +227,7 @@ func applyPost(n Node, in *column.Batch, env *Env) (*column.Batch, error) {
 		return out, err
 	case *Sort:
 		sp := env.Trace.StartChild("sort")
-		out, ss, err := exec.Sort(in, x.Keys)
+		out, ss, err := exec.Sort(cmp.Or(env.Ctx, context.Background()), in, x.Keys)
 		if err != nil {
 			return nil, err
 		}

@@ -11,10 +11,11 @@ import (
 	"repro/internal/sql"
 )
 
-// FuzzZoneMapPrune checks the pruning soundness invariant against the real
-// filter kernels: whenever the compiled PruneRange rejects a record's zone
-// statistic, executing the predicate over the record's actual samples must
-// select zero rows. Values are raw float64 bit patterns, so NaNs and
+// FuzzZoneMapPrune checks the soundness of both of Admit's claims against
+// the real filter kernels: whenever the compiled PruneRange rejects a
+// record's zone statistic (AdmitNone), executing the predicate over the
+// record's actual samples must select zero rows, and whenever it admits the
+// record wholly (AdmitAll), every sample. Values are raw float64 bit patterns, so NaNs and
 // infinities (where the kernels' NaN convention bites) are exercised.
 func FuzzZoneMapPrune(f *testing.F) {
 	some := func(vs ...float64) []byte {
@@ -49,8 +50,9 @@ func FuzzZoneMapPrune(f *testing.F) {
 		if p == nil {
 			t.Fatalf("comparison %s did not compile to a prune range", pred)
 		}
-		if p.Admits(catalog.CollectZone(vals)) {
-			return // admitted: pruning makes no claim, nothing to verify
+		verdict := p.Admit(catalog.CollectZone(vals))
+		if verdict == AdmitSome {
+			return // pruning makes no claim, nothing to verify
 		}
 		b, err := column.NewBatch(column.NewFloat64s("D.sample_value", vals))
 		if err != nil {
@@ -60,8 +62,12 @@ func FuzzZoneMapPrune(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.NumRows() != 0 {
+		if verdict == AdmitNone && out.NumRows() != 0 {
 			t.Fatalf("zone %+v pruned under %s (%s) but %d of %d samples pass",
+				catalog.CollectZone(vals), pred, p, out.NumRows(), n)
+		}
+		if verdict == AdmitAll && out.NumRows() != n {
+			t.Fatalf("zone %+v wholly admitted under %s (%s) but %d of %d samples pass",
 				catalog.CollectZone(vals), pred, p, out.NumRows(), n)
 		}
 	})

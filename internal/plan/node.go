@@ -127,7 +127,15 @@ type LazyExtract struct {
 	// samples inside it, cut at the record edges, and the tests'
 	// reference extracts every sample and applies Window.Preds row by row.
 	Window *SampleWindow
+	// ZoneAnswer, set by Build (markZoneAnswer), lets the extraction take
+	// the records Prune and Window wholly admit from their zones instead;
+	// Env.NoSkipping turns that off.
+	ZoneAnswer ZoneAnswer
 }
+
+// ZoneAnswer lists the partial aggregates an ungrouped aggregate takes from
+// zones, in the order COUNT, MIN, MAX, SUM (AVG needs COUNT and SUM).
+type ZoneAnswer []string
 
 func (l *LazyExtract) Describe() string {
 	s := "LazyExtract"
@@ -139,6 +147,9 @@ func (l *LazyExtract) Describe() string {
 	}
 	if l.Window != nil {
 		s += " (sample window: " + l.Window.String() + ")"
+	}
+	if l.ZoneAnswer != nil {
+		s += " (zone answer: " + strings.Join(l.ZoneAnswer, ", ") + ")"
 	}
 	if l.Cols != nil {
 		s += " (columns: " + strings.Join(l.Cols, ", ") + ")"

@@ -346,6 +346,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 	o := env.obs()
 	r := &pipeRun{env: env}
 	defer r.close()
+	var zones exec.ZonePartial
 
 	switch leaf := pp.leaf.(type) {
 	case *Scan:
@@ -410,12 +411,15 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		if env.Source == nil {
 			return nil, fmt.Errorf("plan: LazyExtract requires an ExtractSource in the environment")
 		}
-		prune := leaf.Prune
+		prune, answer := leaf.Prune, leaf.ZoneAnswer
 		if env.NoSkipping {
-			prune = nil
+			prune, answer = nil, nil
 		}
-		if r.src, err = env.Source.ExtractStream(cmp.Or(env.Ctx, context.Background()), meta, leaf.Cols, prune, leaf.Window, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
+		if r.src, err = env.Source.ExtractStream(cmp.Or(env.Ctx, context.Background()), meta, leaf.Cols, prune, leaf.Window, answer, o, env.Pool.MorselRows(), env.Pool.Workers(), env.Mem.Ledger()); err != nil {
 			return nil, err
+		}
+		if za, ok := r.src.(ZoneAnswerer); ok && answer != nil {
+			zones = za.ZonePartial()
 		}
 		if r.proto, err = ExtractProto(meta, leaf.Cols); err != nil {
 			return nil, err
@@ -460,6 +464,7 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 			return nil, err
 		}
 		r.closers = append(r.closers, sink.Close)
+		sink.FoldPartial(zones)
 		if out, err = r.drain(sink, "stage aggregate"); err != nil {
 			return nil, err
 		}

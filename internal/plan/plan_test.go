@@ -360,3 +360,48 @@ func TestExecuteRejectsUndecomposablePlans(t *testing.T) {
 		t.Fatalf("Execute: %v, want a decomposition error", err)
 	}
 }
+
+// TestZoneAnswerEligibility: Build marks a LazyExtract zone-answerable only
+// under an ungrouped aggregate of COUNT(*) and bare, non-DISTINCT
+// D.sample_value COUNT/MIN/MAX/SUM/AVG, with every D.* conjunct folded into
+// the prune range or the sample window, in Lazy mode.
+func TestZoneAnswerEligibility(t *testing.T) {
+	const from = ` FROM mseed.dataview WHERE F.station = 'ISK'`
+	const win = ` AND D.sample_time >= '2010-01-12 00:00:00' AND D.sample_time < '2010-01-12 00:08:20'`
+	cases := []struct {
+		q    string
+		mode Mode
+		want string // the partial aggregates, "" for none
+	}{
+		{`SELECT COUNT(*)` + from, Lazy, "COUNT"},
+		{`SELECT AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value), COUNT(*)` + from + win, Lazy, "COUNT, MIN, MAX, SUM"},
+		{`SELECT MAX(D.sample_value), COUNT(D.sample_value)` + from + ` AND D.sample_value > 5 AND D.sample_value <> 7`, Lazy, "COUNT, MAX"},
+		{`SELECT SUM(D.sample_value)` + from + ` ORDER BY SUM(D.sample_value) LIMIT 1`, Lazy, "SUM"},
+		{`SELECT COUNT(*)` + from, Eager, ""},
+		{`SELECT COUNT(*)` + from, External, ""},
+		{`SELECT F.channel, COUNT(*)` + from + ` GROUP BY F.channel`, Lazy, ""},
+		{`SELECT COUNT(DISTINCT D.sample_value)` + from, Lazy, ""},
+		{`SELECT SUM(D.sample_value + 1)` + from, Lazy, ""},
+		{`SELECT MIN(D.sample_time)` + from, Lazy, ""},
+		{`SELECT MIN(R.seqno), COUNT(*)` + from, Lazy, ""},
+		{`SELECT COUNT(*)` + from + ` AND (D.sample_value > 5 OR D.sample_value < -5)`, Lazy, ""},
+		{`SELECT COUNT(*)` + from + ` AND D.sample_value * 2 > 5`, Lazy, ""},
+		{`SELECT COUNT(*)` + from + ` AND (D.sample_time >= '2010-01-12 00:00:00' OR 1 = 0)`, Lazy, ""},
+		{`SELECT D.sample_value` + from, Lazy, ""},
+		{`SELECT COUNT(*) FROM mseed.files WHERE 1 = 1`, Lazy, ""},
+	}
+	for _, c := range cases {
+		p := build(t, c.q, c.mode)
+		le, _ := findNode(p.Root, func(n Node) bool { _, ok := n.(*LazyExtract); return ok }).(*LazyExtract)
+		got := ""
+		if le != nil {
+			got = strings.Join(le.ZoneAnswer, ", ")
+		}
+		if got != c.want {
+			t.Errorf("%v %s: zone answer %q, want %q\n%s", c.mode, c.q, got, c.want, Render(p.Root))
+		}
+		if le != nil && (got != "") != strings.Contains(le.Describe(), "(zone answer: "+got+")") {
+			t.Errorf("%s: plan line %q does not show the zone answer", c.q, le.Describe())
+		}
+	}
+}

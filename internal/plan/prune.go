@@ -9,24 +9,39 @@ import (
 )
 
 // PruneRange is the zone-map admissibility test compiled from the eligible
-// comparison conjuncts over D.sample_value. A record whose zone entry fails
-// Admits provably contains no sample that passes every conjunct — its run is
-// never read nor decoded. Ineligible conjuncts (ORs, arithmetic, other
-// columns) are simply not folded in, so the admitted set is always a
-// superset of the qualifying set: pruning can only delete work, never rows.
+// comparison conjuncts over D.sample_value. Admit's verdict on a record's
+// zone is AdmitNone when it provably holds no sample that passes every
+// conjunct (its run is never read nor decoded), AdmitAll when every sample
+// passes every folded conjunct (LazyExtract.ZoneAnswer may take the record
+// from its zone; a folded <> rules that out), else AdmitSome. Ineligible
+// conjuncts (ORs, arithmetic, other columns) are simply not folded in, so
+// the admitted set is always a superset of the qualifying set: pruning can
+// only delete work, never rows.
 //
 // The test mirrors the exec float comparison kernels exactly, including
 // their NaN convention (comparisons are phrased via < and >, so Eq/Le/Ge
 // hold against NaN while Ne/Lt/Gt do not): NaNPasses tracks whether a NaN
 // sample satisfies every folded conjunct, and a zone containing NaNs is
-// admitted whenever it does.
+// admitted whenever it does, but never wholly.
 type PruneRange struct {
 	Lo, Hi         float64
 	HasLo, HasHi   bool
 	LoOpen, HiOpen bool // strict bound (> / <) rather than inclusive
 	AlwaysFalse    bool // some conjunct admits no value at all
 	NaNPasses      bool // a NaN sample satisfies every folded conjunct
+	NotEqual       bool // some folded conjunct is a <> the interval cannot hold
+	folded         int  // conjuncts folded in
 }
+
+// Admission is a zone's verdict under a PruneRange: no, some or every
+// sample passes.
+type Admission int8
+
+const (
+	AdmitNone Admission = iota
+	AdmitSome
+	AdmitAll
+)
 
 // CompilePrune folds the eligible conjuncts of dPreds (comparisons of
 // D.sample_value against a numeric literal) into a PruneRange. Returns nil
@@ -34,7 +49,6 @@ type PruneRange struct {
 // "no pruning".
 func CompilePrune(dPreds []sql.Expr) *PruneRange {
 	p := &PruneRange{NaNPasses: true}
-	folded := false
 	for _, e := range dPreds {
 		b, ok := e.(*sql.Binary)
 		if !ok {
@@ -49,7 +63,7 @@ func CompilePrune(dPreds []sql.Expr) *PruneRange {
 			// empty selection), NaN samples included.
 			p.AlwaysFalse = true
 			p.NaNPasses = false
-			folded = true
+			p.folded++
 			continue
 		}
 		if !lit.Val.Type.Numeric() {
@@ -65,7 +79,7 @@ func CompilePrune(dPreds []sql.Expr) *PruneRange {
 				p.AlwaysFalse = true
 				p.NaNPasses = false
 			}
-			folded = true
+			p.folded++
 			continue
 		}
 		switch op {
@@ -85,15 +99,21 @@ func CompilePrune(dPreds []sql.Expr) *PruneRange {
 		case sql.OpNe:
 			// No interval constraint, but a NaN sample fails <>.
 			p.NaNPasses = false
+			p.NotEqual = true
 		default:
 			continue
 		}
-		folded = true
+		p.folded++
 	}
-	if !folded {
+	if p.folded == 0 {
 		return nil
 	}
 	return p
+}
+
+// foldsAll reports whether every one of preds is folded into p.
+func (p *PruneRange) foldsAll(preds []sql.Expr) bool {
+	return len(preds) == 0 || p != nil && p.folded == len(preds)
 }
 
 func (p *PruneRange) addLo(v float64, open bool) {
@@ -108,34 +128,26 @@ func (p *PruneRange) addHi(v float64, open bool) {
 	}
 }
 
-// Admits reports whether a record with zone statistic z may contain a sample
-// satisfying every folded conjunct. nil admits everything.
-func (p *PruneRange) Admits(z catalog.ZoneEntry) bool {
-	if p == nil {
-		return true
+// Admit returns the verdict on a record with zone statistic z; nil admits
+// every sample.
+func (p *PruneRange) Admit(z catalog.ZoneEntry) Admission {
+	switch {
+	case p == nil:
+		return AdmitAll
+	case z.NaNs > 0 && p.NaNPasses:
+		return AdmitSome
+	case p.AlwaysFalse || z.Finite == 0 || !p.aboveLo(z.Max) || !p.belowHi(z.Min) ||
+		p.HasLo && p.HasHi && !(p.aboveLo(p.Hi) && p.belowHi(p.Lo)): // Finite 0: only NaNs, which fail here
+		return AdmitNone
+	case p.NotEqual || z.NaNs+z.Nulls > 0 || !p.aboveLo(z.Min) || !p.belowHi(z.Max):
+		return AdmitSome
 	}
-	if z.NaNs > 0 && p.NaNPasses {
-		return true
-	}
-	if p.AlwaysFalse {
-		return false
-	}
-	if z.Finite == 0 {
-		return false // only NaNs (or empty), and NaN fails some conjunct here
-	}
-	if p.HasLo && p.HasHi {
-		if p.Lo > p.Hi || (p.Lo == p.Hi && (p.LoOpen || p.HiOpen)) {
-			return false // empty interval
-		}
-	}
-	if p.HasLo && (z.Max < p.Lo || (p.LoOpen && z.Max == p.Lo)) {
-		return false
-	}
-	if p.HasHi && (z.Min > p.Hi || (p.HiOpen && z.Min == p.Hi)) {
-		return false
-	}
-	return true
+	return AdmitAll
 }
+
+// aboveLo and belowHi report whether v passes the lower and the upper bound.
+func (p *PruneRange) aboveLo(v float64) bool { return !p.HasLo || v > p.Lo || !p.LoOpen && v == p.Lo }
+func (p *PruneRange) belowHi(v float64) bool { return !p.HasHi || v < p.Hi || !p.HiOpen && v == p.Hi }
 
 // String renders the admissible interval for plan display.
 func (p *PruneRange) String() string {
@@ -173,14 +185,15 @@ func (p *PruneRange) String() string {
 // extraction's sample window cut from the records it delivered. Target
 // names the scanned relation.
 type ScanReport struct {
-	Target         string
-	Runs           int64 // coalesced read runs actually planned
-	RunsSkipped    int64 // runs deleted by record zone maps
-	Records        int64 // records extracted (cache misses)
-	RecordsSkipped int64 // records pruned before ReadAt/decode
-	CacheReads     int64 // records served from the recycler cache
-	Rows           int64 // table-scan rows fed to the pipeline
-	RowsSkipped    int64 // table-scan rows skipped via batch zone ranges
+	Target          string
+	Runs            int64 // coalesced read runs actually planned
+	RunsSkipped     int64 // runs deleted by record zone maps
+	Records         int64 // records extracted (cache misses)
+	RecordsSkipped  int64 // records pruned before ReadAt/decode
+	RecordsAnswered int64 `json:",omitempty"` // records answered from zones
+	CacheReads      int64 // records served from the recycler cache
+	Rows            int64 // table-scan rows fed to the pipeline
+	RowsSkipped     int64 // table-scan rows skipped via batch zone ranges
 	// Window is the extraction's sample window (SampleWindow.String), ""
 	// without one; SamplesTrimmed counts the samples of delivered records
 	// that fell outside it.

@@ -149,9 +149,6 @@ func (c *Cache) InvalidateFile(uri string) int {
 	return n
 }
 
-// Clear empties the cache (stats are preserved).
-func (c *Cache) Clear() { c.mu.Lock(); defer c.mu.Unlock(); c.segs.Clear() }
-
 // Used returns the bytes the cache charges against its budget and ledger,
 // each shared buffer with an entry in the cache whole and once.
 func (c *Cache) Used() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.segs.Cost() }

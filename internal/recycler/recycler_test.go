@@ -456,3 +456,6 @@ func TestRecyclerChargesSharedBuffers(t *testing.T) {
 		t.Fatalf("oversized run admitted: %d entries, %d bytes", c.Len(), c.Used())
 	}
 }
+
+// Clear empties the cache (stats are preserved).
+func (c *Cache) Clear() { c.mu.Lock(); defer c.mu.Unlock(); c.segs.Clear() }

@@ -14,6 +14,7 @@
 package reference
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/column"
@@ -107,7 +108,7 @@ func Execute(n plan.Node, env *plan.Env) (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, _, err := exec.Sort(in, x.Keys)
+		out, _, err := exec.Sort(context.Background(), in, x.Keys)
 		return out, err
 
 	case *plan.Limit:

@@ -383,3 +383,11 @@ func TestFailedQueryLogsError(t *testing.T) {
 		}
 	}
 }
+
+// ClearLog empties the operation log; the concurrency tests race it
+// against queries, refreshes and Stats.
+func (w *Warehouse) ClearLog() {
+	w.logMu.Lock()
+	defer w.logMu.Unlock()
+	w.log = w.log[:0]
+}

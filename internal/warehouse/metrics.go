@@ -56,6 +56,7 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendCounter(b, "lazyetl_extract_bytes_read_total", "Bytes read from repository files.", xs.BytesRead)
 	b = obs.AppendCounter(b, "lazyetl_extract_runs_total", "Coalesced reads issued (one ReadAt each).", xs.RunsRead)
 	b = obs.AppendCounter(b, "lazyetl_extract_records_skipped_total", "Records zone-map pruning dropped before read/decode.", xs.RecordsSkipped)
+	b = obs.AppendCounter(b, "lazyetl_extract_records_answered_total", "Records an ungrouped aggregate took from their zone entries, never read or decoded.", xs.RecordsAnswered)
 	b = obs.AppendSecondsCounter(b, "lazyetl_extract_decode_seconds_total", "Time spent parsing and Steim-decoding run bytes.", xs.DecodeNanos)
 	b = obs.AppendCounter(b, "lazyetl_extract_prefetched_runs_total", "Runs extracted ahead of the consumer by prefetch workers.", xs.PrefetchedRuns)
 	b = obs.AppendSecondsCounter(b, "lazyetl_extract_prefetch_stall_seconds_total", "Consumer time stalled waiting on in-flight prefetches.", xs.PrefetchStallNanos)

@@ -415,8 +415,8 @@ type trackedSource struct {
 	opened, closed int
 }
 
-func (s *trackedSource) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, win *plan.SampleWindow, o plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
-	src, err := s.Engine.ExtractStream(ctx, meta, cols, prune, win, o, morselRows, width, led)
+func (s *trackedSource) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, win *plan.SampleWindow, answer plan.ZoneAnswer, o plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.Engine.ExtractStream(ctx, meta, cols, prune, win, answer, o, morselRows, width, led)
 	if err != nil || src == nil {
 		return src, err
 	}

@@ -210,8 +210,8 @@ type cancelAfterFirst struct {
 	cancel context.CancelFunc
 }
 
-func (s cancelAfterFirst) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
-	src, err := s.ExtractSource.ExtractStream(ctx, meta, cols, prune, window, obs, morselRows, width, led)
+func (s cancelAfterFirst) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, answer plan.ZoneAnswer, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.ExtractSource.ExtractStream(ctx, meta, cols, prune, window, answer, obs, morselRows, width, led)
 	if err != nil {
 		return nil, err
 	}
@@ -262,35 +262,57 @@ func (o cancelOnOps) InjectedOps(kind string, details []string) {
 // TestQueryCancelledMidPipeline: a query whose context ends mid-execution
 // fails with context.Canceled, on the serial loop and the parallel driver —
 // ended inside its first extraction run, after its extraction stream handed
-// out the first morsel, or after
-// its sort, a post-pipeline breaker, has finished but before the Limit
-// above it. It leaves no slot, ledger bytes or spill directory behind and
-// no cached answer, and the next run of the statement answers bit for bit
-// like the noQueryCache oracle.
+// out the first morsel, after its sort, a post-pipeline breaker, has
+// finished but before the Limit above it, or inside a comparator sort of
+// 1.05 M rows, from which it must return within 500 ms of the cancel (the
+// sort itself takes about a second). It leaves no slot, ledger bytes or
+// spill directory behind and no cached answer, and the next run of the
+// statement answers bit for bit like the noQueryCache oracle.
 func TestQueryCancelledMidPipeline(t *testing.T) {
-	dir := genRepo(t, 2000)
+	small, big := genRepo(t, 2000), ""
 	root := t.TempDir()
 	t.Setenv("TMPDIR", root)
-	oracle, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cancelledAt atomic.Int64 // unix ns of the delayed cancel, 0 before it
 	cases := []struct {
 		name, q string
+		big     bool // over a repository of 1.05 M samples
 		hook    func(env *plan.Env, cancel context.CancelFunc)
 	}{
-		{"extraction run", q2, func(env *plan.Env, cancel context.CancelFunc) {
+		{"extraction run", q2, false, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Obs = cancelOnOps{env.Obs, "ExtractRecord", cancel}
 		}},
-		{"first morsel", q2, func(env *plan.Env, cancel context.CancelFunc) {
+		{"first morsel", q2, false, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Source = cancelAfterFirst{env.Source, cancel}
 		}},
-		{"sort event", `SELECT D.sample_value, F.station FROM mseed.dataview ORDER BY D.sample_value, F.station LIMIT 1`,
+		{"sort event", `SELECT D.sample_value, F.station FROM mseed.dataview ORDER BY D.sample_value, F.station LIMIT 1`, false,
 			func(env *plan.Env, cancel context.CancelFunc) {
 				env.Obs = cancelOnEvent{env.Obs, "sort", cancel}
 			}},
+		{"inside the sort", `SELECT D.sample_value FROM mseed.dataview ORDER BY D.sample_value LIMIT 1`, true,
+			func(env *plan.Env, cancel context.CancelFunc) {
+				// The extract event is logged once the extraction's pipeline
+				// has drained, just before the post-pipeline breakers start;
+				// the sort is under way 20 ms later.
+				env.Obs = cancelOnEvent{env.Obs, "extract", func() {
+					time.AfterFunc(20*time.Millisecond, func() {
+						cancelledAt.Store(time.Now().UnixNano())
+						cancel()
+					})
+				}}
+			}},
 	}
 	for _, tc := range cases {
+		dir := small
+		if tc.big {
+			if big == "" {
+				big = genRepo(t, 70000)
+			}
+			dir = big
+		}
+		oracle, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := oracle.Query(tc.q)
 		if err != nil {
 			t.Fatal(err)
@@ -306,8 +328,16 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 				tc.hook(env, cancel)
 				return plan.Execute(n, env)
 			}
+			cancelledAt.Store(0)
 			if _, err := w.QueryContext(ctx, tc.q); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: %v, want %v", name, err, context.Canceled)
+			}
+			if at := cancelledAt.Load(); at != 0 {
+				lag := time.Duration(time.Now().UnixNano() - at)
+				t.Logf("%s: returned %v after the cancel", name, lag)
+				if lag > 500*time.Millisecond {
+					t.Errorf("%s: returned %v after the cancel, want within 500ms", name, lag)
+				}
 			}
 			requireIdle(t, name+", after the cancelled query", w, root)
 			w.run = plan.Execute

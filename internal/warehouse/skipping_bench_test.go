@@ -26,7 +26,9 @@ func BenchmarkColdScanSkip(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.Engine().Cache().Clear()
+			b.StopTimer()
+			forgetExtractions(w, false)
+			b.StartTimer()
 			res, err := w.Query(q)
 			if err != nil {
 				b.Fatal(err)

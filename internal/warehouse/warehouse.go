@@ -7,9 +7,9 @@
 //
 // # Concurrency contract
 //
-// A *Warehouse is safe for concurrent use. Query, Explain, Stats, Log,
-// ClearLog and the read-only accessors may all be called from any number
-// of goroutines at once; answers are bit-identical to the ones a single
+// A *Warehouse is safe for concurrent use. Query, Explain, Stats, Log and
+// the read-only accessors may all be called from any number of goroutines
+// at once; answers are bit-identical to the ones a single
 // serial client would get (MaxConcurrentQueries: 1 is that client: one
 // query at a time, holding the whole memory budget).
 //
@@ -856,13 +856,6 @@ func (w *Warehouse) Log() []LogEntry {
 	out := make([]LogEntry, len(w.log))
 	copy(out, w.log)
 	return out
-}
-
-// ClearLog empties the operation log.
-func (w *Warehouse) ClearLog() {
-	w.logMu.Lock()
-	defer w.logMu.Unlock()
-	w.log = w.log[:0]
 }
 
 // logf appends an entry with severity derived from the op: "error" ops are

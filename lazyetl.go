@@ -57,8 +57,8 @@
 // spilling. Results stay bit-identical to the in-memory path, and Stats
 // reports the ledger high-water mark, denials and spill counters.
 //
-// A Warehouse serves queries concurrently: Query, Explain, Stats, Log and
-// ClearLog may be called from any number of goroutines. Each query runs
+// A Warehouse serves queries concurrently: Query, Explain, Stats and Log
+// may be called from any number of goroutines. Each query runs
 // against the immutable store snapshot it loads at admission — tables,
 // statistics and version published as one value — and that snapshot alone
 // decides which files it reads. Open's initial load and Refresh are one
