@@ -209,9 +209,9 @@ func (s *session) command(ctx context.Context, line string) (quit bool) {
 			break
 		}
 		fmt.Println("-- plan as generated (before compile-time reorganization):")
-		fmt.Print(tr.Naive)
+		fmt.Print(tr.Naive())
 		fmt.Println("-- plan after metadata-predicates-first reorganization:")
-		fmt.Print(tr.Optimized)
+		fmt.Print(tr.Optimized())
 	case `\explain`:
 		if rest == "" {
 			fmt.Println("usage: \\explain <sql>")
@@ -227,7 +227,7 @@ func (s *session) command(ctx context.Context, line string) (quit bool) {
 		tr := res.Trace
 		s.lastTrace = &tr
 		fmt.Println("-- plan executed:")
-		fmt.Print(tr.Optimized)
+		fmt.Print(tr.Optimized())
 		printExplain(&tr)
 		fmt.Printf("(%d rows in %v)\n", res.Batch.NumRows(), res.Elapsed.Round(time.Microsecond))
 	case `\prepare`:
@@ -279,7 +279,7 @@ func (s *session) command(ctx context.Context, line string) (quit bool) {
 			break
 		}
 		fmt.Println("-- optimized plan:")
-		fmt.Print(tr.Optimized)
+		fmt.Print(tr.Optimized())
 		fmt.Printf("-- operators injected at run time (%d):\n", len(tr.RuntimeOps))
 		for _, op := range tr.RuntimeOps {
 			fmt.Println("   ", op)

@@ -268,8 +268,8 @@ func (s *server) handleExplain(rw http.ResponseWriter, r *http.Request, req *req
 		return
 	}
 	writeJSON(rw, http.StatusOK, explainResponse{
-		SQL:       res.Trace.SQL,
-		Plan:      res.Trace.Optimized,
+		SQL:       res.Trace.SQL(),
+		Plan:      res.Trace.Optimized(),
 		Scans:     res.Trace.Scans,
 		RowCount:  res.Batch.NumRows(),
 		ElapsedNS: res.Elapsed.Nanoseconds(),

@@ -318,9 +318,9 @@ func TestConcurrentScrapes(t *testing.T) {
 }
 
 // TestStatsWireContract pins the GET /stats paths benchmark/client.go
-// decodes by field name (its counters type), and the zone-answer counter on
-// /stats and /metrics: a renamed or deleted field would read as zero
-// there, silently. CacheStats stays a string only
+// decodes by field name (its counters type), and the zone-answer and
+// failure counters on /stats and /metrics: a renamed or deleted field would
+// read as zero there, silently. CacheStats stays a string only
 // because that client scans it.
 func TestStatsWireContract(t *testing.T) {
 	srv, _ := testServer(t)
@@ -353,6 +353,7 @@ func TestStatsWireContract(t *testing.T) {
 		"Extraction": {"Extractions", "CacheReads", "BytesRead", "SamplesServed", "RunsRead", "RunRecords", "RecordsSkipped", "RecordsAnswered"},
 		"Exec":       {"Pipelines", "FilterRowsIn", "FilterRowsOut", "ScanRowsSkipped", "JoinReorders", "BytesSpilled", "SpillNanos"},
 		"Mem":        {"HighWater", "Denials"},
+		"Failures":   {"Errors", "Cancelled", "DeadlineExceeded", "PanicsRecovered"},
 	} {
 		for _, f := range fields {
 			paths = append(paths, "warehouse."+block+"."+f)
@@ -375,8 +376,12 @@ func TestStatsWireContract(t *testing.T) {
 	}
 	// Records answered from zones are counted apart from records pruned:
 	// the benchmark's etl.records_skipped_ratio reads RecordsSkipped alone.
-	if _, metrics := getBody(t, ts, "/metrics"); !strings.Contains(metrics, "\nlazyetl_extract_records_answered_total ") {
-		t.Error("GET /metrics has no lazyetl_extract_records_answered_total")
+	_, metrics := getBody(t, ts, "/metrics")
+	for _, fam := range []string{"lazyetl_extract_records_answered_total", "lazyetl_query_cancelled_total",
+		"lazyetl_query_deadline_exceeded_total", "lazyetl_query_panics_recovered_total"} {
+		if !strings.Contains(metrics, "\n"+fam+" ") {
+			t.Errorf("GET /metrics has no %s", fam)
+		}
 	}
 }
 

@@ -71,9 +71,9 @@ GROUP BY F.station`
 	fmt.Print(lres.Batch)
 
 	fmt.Println("\nlazy plan before the compile-time reorganization:")
-	fmt.Print(lres.Trace.Naive)
+	fmt.Print(lres.Trace.Naive())
 	fmt.Println("\nlazy plan after metadata predicates were pushed first:")
-	fmt.Print(lres.Trace.Optimized)
+	fmt.Print(lres.Trace.Optimized())
 
 	fmt.Printf("\noperators injected by the run-time rewrite (%d total, first 5):\n",
 		len(lres.Trace.RuntimeOps))

@@ -62,8 +62,13 @@ const DataviewSQL = `SELECT F.*, R.seqno, R.start_time, R.end_time, ` +
 
 // DataviewColumns lists the output columns of mseed.dataview. Column names
 // carry their source-table alias prefix (F., R., D.) exactly as the
-// paper's queries reference them.
-func DataviewColumns() []ColumnDef {
+// paper's queries reference them. The list is built once and shared:
+// callers must not modify it.
+func DataviewColumns() []ColumnDef { return dataviewColumns }
+
+var dataviewColumns = dataview()
+
+func dataview() []ColumnDef {
 	var out []ColumnDef
 	for _, c := range FilesColumns {
 		out = append(out, ColumnDef{Name: "F." + c.Name, Type: c.Type})
@@ -80,7 +85,7 @@ func DataviewColumns() []ColumnDef {
 		}
 		out = append(out, ColumnDef{Name: "D." + c.Name, Type: c.Type})
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // MSEED builds the full mSEED warehouse catalog.

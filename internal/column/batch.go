@@ -82,6 +82,19 @@ func (b *Batch) Names() []string {
 	return out
 }
 
+// Select returns a batch of b's columns named in names, in that order,
+// sharing their vectors with b (no copying); names b lacks are skipped.
+func (b *Batch) Select(names []string) *Batch {
+	out := &Batch{byName: make(map[string]int, len(names))}
+	for _, name := range names {
+		if i, ok := b.byName[name]; ok {
+			out.byName[name] = len(out.cols)
+			out.cols = append(out.cols, b.cols[i])
+		}
+	}
+	return out
+}
+
 // Slice returns a prefix view of the first n rows. Column vectors are
 // shared with b (O(1), no copying); callers must not append to either batch
 // afterwards. This is how LIMIT avoids a full gather.

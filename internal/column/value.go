@@ -198,12 +198,16 @@ func Compare(a, b Value) (int, error) {
 // RFC3339-like with optional fractional seconds and optional date-only
 // form, always interpreted as UTC.
 func ParseTimestamp(s string) (int64, error) {
-	layouts := []string{
-		"2006-01-02T15:04:05.999999999",
-		"2006-01-02 15:04:05.999999999",
-		"2006-01-02T15:04:05",
-		"2006-01-02 15:04:05",
-		"2006-01-02",
+	// Only the layouts whose date/time separator (or end) sits where the
+	// literal has it can match: every field before it is fixed-width.
+	var layouts []string
+	switch {
+	case len(s) == 10:
+		layouts = dateLayouts
+	case len(s) > 10 && s[10] == 'T':
+		layouts = tLayouts
+	case len(s) > 10 && s[10] == ' ':
+		layouts = spaceLayouts
 	}
 	for _, l := range layouts {
 		if t, err := time.ParseInLocation(l, s, time.UTC); err == nil {
@@ -212,3 +216,9 @@ func ParseTimestamp(s string) (int64, error) {
 	}
 	return 0, fmt.Errorf("column: cannot parse timestamp literal %q", s)
 }
+
+var (
+	tLayouts     = []string{"2006-01-02T15:04:05.999999999", "2006-01-02T15:04:05"}
+	spaceLayouts = []string{"2006-01-02 15:04:05.999999999", "2006-01-02 15:04:05"}
+	dateLayouts  = []string{"2006-01-02"}
+)

@@ -125,6 +125,10 @@ type extractSink struct {
 	// closes (the samples its window trims are counted as it goes); nil
 	// when the extraction has no prune range, sample window or zone answer.
 	report *plan.ScanReport
+	// publish applies pass 1's side effects — counters, CacheRead
+	// operators, zone events and file stamps — once the files it planned
+	// for are open: a prepare repeated because a file changed leaves none.
+	publish func()
 	// zones is the partial aggregate of the records answered from zones.
 	zones exec.ZonePartial
 }
@@ -270,7 +274,8 @@ func (a *zoneAnswer) partial() (exec.ZonePartial, bool) {
 // and rows they answer (answer), are closed out immediately (zero samples,
 // no I/O), rows with a fresh cache entry are served (reported as CacheRead
 // injections), and the rest are coalesced into the runs it returns beside
-// the sink. No file is opened here.
+// the sink. No file is opened here, and nothing is counted or reported
+// until the caller, its files open, calls sink.publish.
 func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.SampleWindow, answer plan.ZoneAnswer, obs plan.Observer) (*extractSink, []runPlan, error) {
 	uriCol, ok := meta.Col("F.uri")
 	if !ok {
@@ -380,9 +385,6 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		}
 		missIdx = append(missIdx, i)
 	}
-	e.xstats.cacheReads.Add(cacheHits)
-	obs.InjectedOps("CacheRead", hitOps)
-
 	runs := e.coalesce(missIdx, uris, offs, recLens, states)
 	for i := range sink.rowRun {
 		sink.rowRun[i], sink.at[i] = -1, -1
@@ -414,19 +416,6 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		all = append(all, prunedIdx...)
 		sort.Ints(all)
 		runsSkipped = len(e.coalesce(all, uris, offs, recLens, states)) - len(runs)
-		e.xstats.runsSkipped.Add(int64(runsSkipped))
-		e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
-		if !quiet {
-			obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
-				len(prunedIdx), n, runsSkipped))
-		}
-	}
-	if len(answeredIdx) > 0 {
-		e.xstats.recordsAnswered.Add(int64(len(answeredIdx)))
-		if !quiet {
-			obs.Event("zone-answer", fmt.Sprintf("zone maps answer %d of %d qualifying records (%d samples never decoded)",
-				len(answeredIdx), n, sink.zones.Count))
-		}
 	}
 	if prune != nil || win != nil || za != nil {
 		sink.report = &plan.ScanReport{
@@ -443,26 +432,45 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		}
 	}
 
-	// Report the answer's file dependencies: pass 1 stat'ed every distinct
-	// file the qualifying records live in (hits, misses and pruned rows
-	// alike), so the states map is exactly the set of files whose content
-	// this extraction's output depends on. The warehouse result cache
-	// stores the stamps and re-stats them on a hit — the same mtime
-	// staleness contract the recycler cache and the zone maps use.
-	if !quiet && len(states) > 0 {
-		stamps := make([]plan.FileStamp, 0, len(states))
-		for _, fs := range states {
-			stamps = append(stamps, plan.FileStamp{
-				URI:        fs.uri,
-				Path:       fs.path,
-				MtimeNanos: fs.mtime.UnixNano(),
-				Size:       fs.size,
-			})
+	sink.publish = func() {
+		e.xstats.cacheReads.Add(cacheHits)
+		obs.InjectedOps("CacheRead", hitOps)
+		if len(prunedIdx) > 0 {
+			e.xstats.runsSkipped.Add(int64(runsSkipped))
+			e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
+			if !quiet {
+				obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
+					len(prunedIdx), n, runsSkipped))
+			}
 		}
-		sort.Slice(stamps, func(i, j int) bool { return stamps[i].URI < stamps[j].URI })
-		obs.FileStamps(stamps)
+		if len(answeredIdx) > 0 {
+			e.xstats.recordsAnswered.Add(int64(len(answeredIdx)))
+			if !quiet {
+				obs.Event("zone-answer", fmt.Sprintf("zone maps answer %d of %d qualifying records (%d samples never decoded)",
+					len(answeredIdx), n, sink.zones.Count))
+			}
+		}
+		// Report the answer's file dependencies: pass 1 stat'ed every
+		// distinct file the qualifying records live in (hits, misses and
+		// pruned rows alike), so the states map is exactly the set of files
+		// whose content this extraction's output depends on. The warehouse
+		// result cache stores the stamps and re-stats them on a hit — the
+		// same mtime staleness contract the recycler cache and the zone
+		// maps use.
+		if !quiet && len(states) > 0 {
+			stamps := make([]plan.FileStamp, 0, len(states))
+			for _, fs := range states {
+				stamps = append(stamps, plan.FileStamp{
+					URI:        fs.uri,
+					Path:       fs.path,
+					MtimeNanos: fs.mtime.UnixNano(),
+					Size:       fs.size,
+				})
+			}
+			sort.Slice(stamps, func(i, j int) bool { return stamps[i].URI < stamps[j].URI })
+			obs.FileStamps(stamps)
+		}
 	}
-
 	return sink, runs, nil
 }
 
@@ -559,7 +567,8 @@ var errFileChanged = errors.New("file changed between stat and open")
 // openRuns opens each run's file, once per file and in plan order, and
 // returns the files it opened — on error too, for the caller to close. A
 // file that is not the (mtime, size) prepare planned for is errFileChanged.
-func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fileState, error) {
+// The caller counts and reports the opens once all of them succeeded.
+func (e *Engine) openRuns(runs []runPlan) ([]*fileState, error) {
 	var opened []*fileState
 	for r := range runs {
 		fs := runs[r].fs
@@ -578,10 +587,6 @@ func (e *Engine) openRuns(runs []runPlan, quiet bool, obs plan.Observer) ([]*fil
 		}
 		if !info.ModTime().Equal(fs.mtime) || info.Size() != fs.size {
 			return opened, fmt.Errorf("etl: %s: %w", fs.uri, errFileChanged)
-		}
-		e.xstats.filesTouched.Add(1)
-		if !quiet {
-			obs.Event("open", fs.uri)
 		}
 	}
 	return opened, nil

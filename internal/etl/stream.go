@@ -39,7 +39,8 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // answer (plan.ZoneAnswer) lets a record whose zone prune and window admit
 // wholly yield no samples: ZonePartial folds it (zoneAnswer). A file that
 // moved between stat and open is prepared again (maxReprepares), so all
-// the stream reads describes one state of it.
+// the stream reads describes one state of it, and all it counts and reports
+// comes from that last prepare.
 //
 // Extraction overlaps compute: background workers read and Steim-decode run
 // N+1 while the consumer assembles run N's rows into morsels, claiming runs
@@ -68,10 +69,12 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 // for the delivered samples only, and only when cols lists it.
 //
 // cols (plan.LazyExtract.Cols) lists the universal-table columns the query
-// reads; the morsels carry exactly those, nil meaning all of them. The full
-// metadata batch still drives the extraction itself — which files, offsets
-// and lengths to read — only the per-sample output narrows, so a query that
-// reads two columns is not charged for replicating twenty-two more.
+// reads; the morsels carry exactly those, nil meaning all of them. The
+// metadata batch drives the extraction itself — which files, offsets and
+// lengths to read — and under a narrowed plan carries only that and the
+// listed F.*/R.* columns (plan.LazyExtract.MetaCols), so a query that reads
+// two columns is charged neither for gathering nor for replicating twenty-two
+// more.
 //
 // The stream's content does not depend on how it is cut or scheduled:
 // morsels are laid out in metadata-row order by one helper (layout) from
@@ -97,14 +100,22 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 		if sink, runs, err = e.prepare(meta, prune, window, answer, obs); err != nil {
 			return nil, err
 		}
-		openRunsHook()
-		if opened, err = e.openRuns(runs, sink.quiet, obs); err == nil {
+		openRunsHook(sink)
+		if opened, err = e.openRuns(runs); err == nil {
 			break
 		}
 		closeFiles(opened)
 		if !errors.Is(err, errFileChanged) || attempt == maxReprepares {
 			return nil, err
 		}
+	}
+	sink.publish()
+	e.xstats.filesTouched.Add(int64(len(opened)))
+	for _, fs := range opened {
+		if sink.quiet {
+			break
+		}
+		obs.Event("open", fs.uri)
 	}
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
@@ -180,7 +191,7 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 const maxReprepares = 3
 
 // openRunsHook runs between prepare and openRuns; tests rewrite files there.
-var openRunsHook = func() {}
+var openRunsHook = func(*extractSink) {}
 
 // ZonePartial implements plan.ZoneAnswerer.
 func (s *extractStream) ZonePartial() exec.ZonePartial { return s.sink.zones }

@@ -919,7 +919,7 @@ func waitGoroutines(t *testing.T, base int, name string) {
 // whose early records the recycler holds. A file that keeps changing fails
 // the query naming it, after three tries.
 func TestFileReplacedBetweenStatAndOpen(t *testing.T) {
-	defer func() { openRunsHook = func() {} }()
+	defer func() { openRunsHook = func(*extractSink) {} }()
 	gen := func(seed int64) string {
 		dir := t.TempDir()
 		if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: dir, Stations: seisgen.DefaultStations[:1], Channels: []string{"BHZ"},
@@ -990,21 +990,40 @@ func TestFileReplacedBetweenStatAndOpen(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		prepares, answered := 0, int64(0)
-		openRunsHook = func() {
+		prepares, answered, recycled := 0, int64(0), int64(0)
+		openRunsHook = func(sink *extractSink) {
 			if prepares++; prepares == 1 {
-				answered = e.ExtractionStats().RecordsAnswered
+				answered = sink.zones.Count
+				for _, ent := range sink.entries {
+					if ent != nil && ent != prunedEntry {
+						recycled++
+					}
+				}
 				replace()
 			}
 		}
+		stats := e.ExtractionStats()
 		got := fmt.Sprint(runLazyQuery(t, e, store, c.q).Row(0))
 		if prepares != 2 {
 			t.Errorf("%s: prepared %d times, want 2: once at the old stat, once at the new", c.q, prepares)
 		}
-		if c.answered != (answered > 0) {
-			t.Errorf("%s: the first prepare answered %d records from zones", c.q, answered)
+		if c.answered != (answered > 0) || !c.answered && recycled == 0 {
+			t.Errorf("%s: the first prepare answered %d samples from zones and recycled %d records", c.q, answered, recycled)
 		}
-		openRunsHook = func() {}
+		// Only the prepare whose files opened counts: the query's qualifying
+		// records, each once.
+		after := e.ExtractionStats()
+		qualifying := int64(store.Snapshot().Rows(catalog.TableRecords))
+		if split := after.CacheReads - stats.CacheReads + after.Extractions - stats.Extractions +
+			after.RecordsAnswered - stats.RecordsAnswered + after.RecordsSkipped - stats.RecordsSkipped; split != qualifying {
+			t.Errorf("%s: %d recycled + %d decoded + %d answered + %d pruned, want %d qualifying records", c.q,
+				after.CacheReads-stats.CacheReads, after.Extractions-stats.Extractions,
+				after.RecordsAnswered-stats.RecordsAnswered, after.RecordsSkipped-stats.RecordsSkipped, qualifying)
+		}
+		if opened := after.FilesTouched - stats.FilesTouched; opened != 1 {
+			t.Errorf("%s: %d file opens counted, want 1", c.q, opened)
+		}
+		openRunsHook = func(*extractSink) {}
 		fresh, freshStore := open(dir)
 		want := fmt.Sprint(runLazyQuery(t, fresh, freshStore, c.q).Row(0))
 		if want == before {
@@ -1019,7 +1038,7 @@ func TestFileReplacedBetweenStatAndOpen(t *testing.T) {
 	e.Cache().InvalidateFile(uri)
 	store.Zones().InvalidateFile(uri)
 	prepares := 0
-	openRunsHook = func() { prepares++; replace() }
+	openRunsHook = func(*extractSink) { prepares++; replace() }
 	_, err := runLazyQueryErr(e, store, `SELECT F.uri, COUNT(*) FROM mseed.dataview GROUP BY F.uri`)
 	if err == nil || !errors.Is(err, errFileChanged) || !strings.Contains(err.Error(), uri) {
 		t.Errorf("a file changing before every open: %v, want an error naming %s", err, uri)

@@ -25,6 +25,7 @@ import (
 // reserves nothing from any ledger.
 type IndexProbeStage struct {
 	right      *column.Batch
+	carried    *column.Batch // the right columns a match carries
 	lkey, rkey string
 	keys       []int64 // right's key vector: null-free, non-decreasing
 	preds      []sql.Expr
@@ -36,7 +37,8 @@ type IndexProbeStage struct {
 // column the caller knows to be null-free and non-decreasing
 // (column.BatchZones.Sorted says which are) — for morsels shaped like
 // leftProto, keeping the right rows that satisfy preds. Both keys must be
-// integer-family.
+// integer-family. A match carries the right columns named in cols (nil:
+// every one) but the key; preds may read any column of right.
 //
 // A predicate that cannot evaluate over right's column types fails here,
 // before any probe row flows: the hash path filters its whole build side
@@ -44,7 +46,7 @@ type IndexProbeStage struct {
 // would have reached the table. Whether a filter reaches that predicate
 // depends on the rows the ones before it keep, so the stage then runs the
 // predicates over the whole table, and fails exactly when that fails.
-func NewIndexProbeStage(leftProto, right *column.Batch, leftKey, rightKey string, preds []sql.Expr) (*IndexProbeStage, error) {
+func NewIndexProbeStage(leftProto, right *column.Batch, leftKey, rightKey string, preds []sql.Expr, cols []string) (*IndexProbeStage, error) {
 	lkc, err := keyColumns(leftProto, []string{leftKey})
 	if err != nil {
 		return nil, err
@@ -65,7 +67,11 @@ func NewIndexProbeStage(leftProto, right *column.Batch, leftKey, rightKey string
 			break
 		}
 	}
-	return &IndexProbeStage{right: right, lkey: leftKey, rkey: rightKey, keys: rkc[0].Int64s(), preds: preds}, nil
+	carried := right
+	if cols != nil {
+		carried = right.Select(cols)
+	}
+	return &IndexProbeStage{right: right, carried: carried, lkey: leftKey, rkey: rightKey, keys: rkc[0].Int64s(), preds: preds}, nil
 }
 
 // Label implements PipeStage. The "probe " prefix files the stage's span
@@ -82,7 +88,7 @@ func (s *IndexProbeStage) Examined() int64 { return s.examined.Load() }
 
 // Proto returns the stage's output schema for a given input schema.
 func (s *IndexProbeStage) Proto(leftProto *column.Batch) (*column.Batch, error) {
-	return assembleJoin(leftProto, s.right, []string{s.rkey}, nil, nil)
+	return assembleJoin(leftProto, s.carried, []string{s.rkey}, nil, nil)
 }
 
 // Process implements PipeStage.
@@ -96,7 +102,7 @@ func (s *IndexProbeStage) Process(m Morsel) (Morsel, error) {
 	if len(lsel) == 0 {
 		return Morsel{}, nil
 	}
-	out, err := assembleJoin(m.B, s.right, []string{s.rkey}, lsel, rsel)
+	out, err := assembleJoin(m.B, s.carried, []string{s.rkey}, lsel, rsel)
 	if err != nil {
 		return Morsel{}, err
 	}

@@ -178,11 +178,11 @@ func FuzzIndexProbe(f *testing.F) {
 		}
 		proto := c.morsels[0].B.Range(0, 0)
 		// ix yields the pairs, stage the assembled morsels and the counters.
-		ix, err := NewIndexProbeStage(proto, c.right, "lk", "rk", c.preds)
+		ix, err := NewIndexProbeStage(proto, c.right, "lk", "rk", c.preds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stage, err := NewIndexProbeStage(proto, c.right, "lk", "rk", c.preds)
+		stage, err := NewIndexProbeStage(proto, c.right, "lk", "rk", c.preds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestIndexProbeExtremeKeys(t *testing.T) {
 		column.NewInt64s("rowid", []int64{0, 1, 2, 3, 4}),
 	)
 	left := column.MustNewBatch(column.NewInt64s("lk", []int64{math.MaxInt64, 1, math.MinInt64, 0, math.MaxInt64 - 1}))
-	ix, err := NewIndexProbeStage(left.Range(0, 0), right, "lk", "rk", nil)
+	ix, err := NewIndexProbeStage(left.Range(0, 0), right, "lk", "rk", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestIndexProbeBuildErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewIndexProbeStage(proto, right, "lk", "rk", tc.preds)
+			_, err := NewIndexProbeStage(proto, right, "lk", "rk", tc.preds, nil)
 			_, want := Filter(right, tc.preds)
 			if fmt.Sprint(err) != fmt.Sprint(want) {
 				t.Fatalf("stage error %v, whole-table filter error %v", err, want)
@@ -314,10 +314,10 @@ func TestIndexProbeBuildErrors(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewIndexProbeStage(proto, right, "lk", "s", nil); err == nil {
+	if _, err := NewIndexProbeStage(proto, right, "lk", "s", nil, nil); err == nil {
 		t.Error("a string build key must be refused")
 	}
-	if _, err := NewIndexProbeStage(proto, right, "nope", "rk", nil); err == nil {
+	if _, err := NewIndexProbeStage(proto, right, "nope", "rk", nil, nil); err == nil {
 		t.Error("a missing probe key must be refused")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -350,6 +351,25 @@ func (s *FilterStage) Process(m Morsel) (Morsel, error) {
 	out := Morsel{B: m.B, Sel: sel}
 	s.out.Add(int64(out.Rows()))
 	return out, nil
+}
+
+// ProjectStage narrows each morsel to the listed columns it has, in list
+// order, sharing their vectors: it moves no row and copies no value, so a
+// sink downstream gathers only what is listed.
+type ProjectStage struct{ cols []string }
+
+// NewProjectStage builds a stage that keeps the named columns.
+func NewProjectStage(cols []string) *ProjectStage { return &ProjectStage{cols: cols} }
+
+// Label implements PipeStage.
+func (s *ProjectStage) Label() string { return "project " + strings.Join(s.cols, ", ") }
+
+// Rows implements PipeStage. A projection keeps every row; it counts none.
+func (s *ProjectStage) Rows() (int64, int64) { return 0, 0 }
+
+// Process implements PipeStage.
+func (s *ProjectStage) Process(m Morsel) (Morsel, error) {
+	return Morsel{B: m.B.Select(s.cols), Sel: m.Sel}, nil
 }
 
 // selectWhere threads the selection vector sel (nil = every row of b)

@@ -63,6 +63,12 @@ type Metrics struct {
 	Admit  Histogram
 	Errors atomic.Int64 // queries that returned an error
 	Slow   atomic.Int64 // queries at or over the slow-query threshold
+	// Of the Errors: queries their context cancelled, queries past their
+	// context's deadline, and queries failed by a panic the engine
+	// recovered.
+	Cancelled        atomic.Int64
+	DeadlineExceeded atomic.Int64
+	Panics           atomic.Int64
 }
 
 // ObserveQuery records one successfully served query (or refresh).

@@ -41,7 +41,7 @@ func Build(stmt *sql.SelectStmt, cat *catalog.Catalog, mode Mode) (*Plans, error
 	if err != nil {
 		return nil, err
 	}
-	narrowExtract(root)
+	narrowExtract(root, cat)
 	if mode == Lazy {
 		markZoneAnswer(root)
 	}
@@ -316,11 +316,15 @@ func buildUpper(stmt *sql.SelectStmt, from Node) (Node, error) {
 		seen := make(map[string]bool)
 		collect := func(e sql.Expr) {
 			walkCalls(e, func(c *sql.Call) {
-				if !c.IsAggregate() || seen[c.String()] {
+				if !c.IsAggregate() {
 					return
 				}
-				seen[c.String()] = true
-				spec := exec.AggSpec{Func: c.Func, Star: c.Star, Distinct: c.Distinct, OutName: c.String()}
+				name := c.String()
+				if seen[name] {
+					return
+				}
+				seen[name] = true
+				spec := exec.AggSpec{Func: c.Func, Star: c.Star, Distinct: c.Distinct, OutName: name}
 				if !c.Star {
 					spec.Arg = c.Args[0]
 				}

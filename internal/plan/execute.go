@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/column"
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sql"
 )
 
 // ExtractSource is implemented by the lazy ETL engine: given the metadata
@@ -28,7 +30,8 @@ import (
 //
 // cols is LazyExtract.Cols: the morsels are whole batches (no selection
 // vector) carrying exactly the columns of ExtractProto(meta, cols), nil
-// meaning the full width.
+// meaning the full width. Under a narrowed plan meta carries only
+// LazyExtract.MetaCols.
 //
 // prune, when non-nil, is the zone-map admissibility test for the records'
 // sample values: the source may drop records whose collected zone entry
@@ -151,19 +154,34 @@ func Execute(n Node, env *Env) (*column.Batch, error) {
 }
 
 // scanBase loads a Scan's table and applies its column prefix, without
-// evaluating predicates.
+// evaluating predicates. A narrowed scan (Cols) loads only the columns it
+// hands on and the ones its predicates read.
 func scanBase(x *Scan, env *Env) (*column.Batch, error) {
 	b, err := env.Store.Table(x.Table)
 	if err != nil {
 		return nil, err
 	}
-	if x.Prefix == "" {
+	if x.Prefix == "" && x.Cols == nil {
 		return b, nil
 	}
-	cols := make([]*column.Column, b.NumCols())
-	for i := range cols {
+	var reads []string
+	if x.Cols != nil {
+		reads = append(reads, x.Cols...)
+		for _, p := range x.Preds {
+			sql.WalkColumnRefs(p, func(ref *sql.ColumnRef) { reads = append(reads, ref.Name) })
+		}
+	}
+	cols := make([]*column.Column, 0, b.NumCols())
+	for i := 0; i < b.NumCols(); i++ {
 		c := b.ColAt(i)
-		cols[i] = c.WithName(x.Prefix + c.Name())
+		name := x.Prefix + c.Name()
+		if reads != nil && !slices.Contains(reads, name) {
+			continue
+		}
+		if x.Prefix != "" {
+			c = c.WithName(name)
+		}
+		cols = append(cols, c)
 	}
 	return column.NewBatch(cols...)
 }

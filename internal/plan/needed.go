@@ -65,14 +65,15 @@ func spineNeeds(root Node) (leaf Node, needed map[string]bool, narrow bool) {
 }
 
 // narrowExtract records on the plan's LazyExtract, when its spine ends in
-// one, the dataview columns the query reads, in canonical order. Cols stays
-// nil (full width) for a bare spine and whenever a reference under the
-// F./R./D. aliases, or an unqualified one, is not an exact dataview column:
-// that statement fails at run time, and it should fail against the same
-// schema it always did. Names under any other alias belong to a join's
-// build side. A query that reads nothing (COUNT(*)) keeps the first
-// column as its row-count carrier.
-func narrowExtract(root Node) {
+// one, the dataview columns the query reads, in canonical order, and
+// narrows its metadata subplan to match (narrowMeta). Cols stays nil (full
+// width, metadata included) for a bare spine and whenever a reference
+// under the F./R./D. aliases, or an unqualified one, is not an exact
+// dataview column: that statement fails at run time, and it should fail
+// against the same schema it always did. Names under any other alias
+// belong to a join's build side. A query that reads nothing (COUNT(*))
+// keeps the first column as its row-count carrier.
+func narrowExtract(root Node, cat *catalog.Catalog) {
 	leaf, needed, narrow := spineNeeds(root)
 	le, ok := leaf.(*LazyExtract)
 	if !ok || !narrow {
@@ -96,4 +97,51 @@ func narrowExtract(root Node) {
 		cols = append(cols, view[0].Name)
 	}
 	le.Cols = cols
+	narrowMeta(le, cat)
+}
+
+// narrowMeta sets Cols on every Scan of le's metadata subplan: of its
+// table's columns, in table order, those the subplan hands on (MetaCols),
+// the join keys and the columns the subplan's filters read. A Scan's own
+// predicates read from the full table and cost it no column.
+func narrowMeta(le *LazyExtract, cat *catalog.Catalog) {
+	needed := make(map[string]bool)
+	for _, name := range le.MetaCols() {
+		needed[name] = true
+	}
+	var scans []*Scan
+	var walk func(n Node)
+	walk = func(n Node) {
+		switch x := n.(type) {
+		case *Scan:
+			scans = append(scans, x)
+		case *Filter:
+			for _, p := range x.Preds {
+				sql.WalkColumnRefs(p, func(ref *sql.ColumnRef) { needed[ref.Name] = true })
+			}
+		case *Join:
+			for i := range x.LKeys {
+				needed[x.LKeys[i]], needed[x.RKeys[i]] = true, true
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(le.Meta)
+	for _, s := range scans {
+		t, ok := cat.Table(s.Table)
+		if !ok {
+			continue
+		}
+		var cols []string
+		for _, cd := range t.Columns {
+			if needed[s.Prefix+cd.Name] {
+				cols = append(cols, s.Prefix+cd.Name)
+			}
+		}
+		if cols != nil {
+			s.Cols = cols
+		}
+	}
 }

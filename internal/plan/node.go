@@ -7,8 +7,10 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/sql"
 )
@@ -55,6 +57,13 @@ type Scan struct {
 	Table  string
 	Prefix string     // "" or "F." / "R." / "D." / "<alias>."
 	Preds  []sql.Expr // conjuncts over the (prefixed) scan output
+	// Cols, when non-nil, lists the (prefixed) columns the scan hands on,
+	// in table order: it reads those and the columns of its Preds, and
+	// drops the predicate-only ones once the predicates have run. Build
+	// sets it on the metadata scans under a narrowed LazyExtract
+	// (narrowMeta); nil means every column. The tests' operator-at-a-time
+	// reference ignores it.
+	Cols []string
 }
 
 func (s *Scan) Describe() string {
@@ -65,6 +74,9 @@ func (s *Scan) Describe() string {
 	}
 	if len(s.Preds) > 0 {
 		fmt.Fprintf(&sb, " WHERE %s", exprList(s.Preds))
+	}
+	if s.Cols != nil {
+		fmt.Fprintf(&sb, " (columns: %s)", strings.Join(s.Cols, ", "))
 	}
 	return sb.String()
 }
@@ -108,11 +120,13 @@ type LazyExtract struct {
 	Meta Node
 	// Cols, when non-nil, lists the universal-table columns the query reads,
 	// in canonical (catalog.DataviewColumns) order, set by Build from the
-	// operators above (see narrowExtract).
-	// The metadata subplan still runs at full width: extraction itself needs
-	// F.uri, R.seqno and friends whether or not the query does. The tests'
-	// operator-at-a-time reference ignores Cols and drains the stream at
-	// full width, which is what the bit-identity tests compare against.
+	// operators above (see narrowExtract). It narrows the metadata subplan
+	// too: Meta delivers only MetaCols — what extraction itself reads plus
+	// the F.* and R.* columns of Cols — and Build narrows its scans to those,
+	// the join keys and the columns of the metadata filters (narrowMeta).
+	// The tests' operator-at-a-time reference ignores Cols and drains the
+	// stream at full width, which is what the bit-identity tests compare
+	// against.
 	Cols []string
 	// DataPreds are predicates over D.* columns, applied after extraction —
 	// by the enclosing Filter, or, for the ones Window lifted, by the
@@ -157,6 +171,27 @@ func (l *LazyExtract) Describe() string {
 	return s
 }
 func (l *LazyExtract) Children() []Node { return []Node{l.Meta} }
+
+// extractionCols are the metadata columns extraction itself reads: which
+// file and record, where the record starts, and the sizes that let it
+// pre-size runs and coalesce reads.
+var extractionCols = []string{"F.uri", "F.record_length", "R.seqno", "R.num_samples", "R.file_offset"}
+
+// MetaCols lists, in canonical order, the columns the metadata subplan
+// delivers to extraction: extractionCols and the F.* and R.* columns of
+// Cols. nil when Cols is nil: the full width.
+func (l *LazyExtract) MetaCols() []string {
+	if l.Cols == nil {
+		return nil
+	}
+	var out []string
+	for _, cd := range catalog.DataviewColumns() {
+		if slices.Contains(extractionCols, cd.Name) || !strings.HasPrefix(cd.Name, "D.") && slices.Contains(l.Cols, cd.Name) {
+			out = append(out, cd.Name)
+		}
+	}
+	return out
+}
 
 // Aggregate groups and aggregates.
 type Aggregate struct {

@@ -26,7 +26,10 @@ import (
 // collector. Joins run in the order the SQL states them. Hash-join build
 // sides (a join answered by index probe has none), sort, and the metadata
 // plan under a LazyExtract materialize — they need their whole input by
-// nature.
+// nature. The metadata plan materializes only what its scans carry
+// (Scan.Cols) and, of that, only what extraction takes (MetaCols): stages
+// that drop a column reference, never a row, narrow the morsels before the
+// join and before the collector.
 //
 // The memory budget (Env.Mem) never changes the engine, only where the
 // breakers fall. A join build that spilled partitions to disk cannot be
@@ -60,6 +63,10 @@ type pipePlan struct {
 	ops  []Node     // *Filter / *Join stages, leaf-to-root order
 	agg  *Aggregate // optional aggregation breaker
 	post []Node     // *Project / *Sort / *Limit, outermost-first
+	// keep, when non-nil, narrows what a spine without an aggregate
+	// collects to these columns: a LazyExtract's MetaCols, for its
+	// metadata subplan.
+	keep []string
 }
 
 // decompose peels a plan into a pipePlan, reporting whether the spine fits
@@ -111,25 +118,25 @@ peel:
 // batch: the meta columns plus the two data columns extraction appends,
 // restricted to cols (in that order) when non-nil. It is the single
 // definition of what an extraction emits — the pipeline types its stages
-// from it and the extraction source lays its rows out by it.
+// from it and the extraction source lays its rows out by it. A listed
+// column is built from its name and type alone: a narrowed extraction is
+// not charged for the meta columns it does not list.
 func ExtractProto(meta *column.Batch, cols []string) (*column.Batch, error) {
-	p := meta.Gather([]int32{})
-	if err := p.AddColumn(column.NewTimestamps("D.sample_time", nil)); err != nil {
-		return nil, err
-	}
-	if err := p.AddColumn(column.NewFloat64s("D.sample_value", nil)); err != nil {
-		return nil, err
-	}
 	if cols == nil {
-		return p, nil
+		cols = append(meta.Names(), "D.sample_time", "D.sample_value")
 	}
 	listed := make([]*column.Column, len(cols))
 	for i, name := range cols {
-		c, ok := p.Col(name)
-		if !ok {
-			return nil, fmt.Errorf("plan: extract column %q is not in the universal table (have %v)", name, p.Names())
+		switch c, ok := meta.Col(name); {
+		case ok:
+			listed[i] = column.New(name, c.Type())
+		case name == "D.sample_time":
+			listed[i] = column.New(name, column.Timestamp)
+		case name == "D.sample_value":
+			listed[i] = column.New(name, column.Float64)
+		default:
+			return nil, fmt.Errorf("plan: extract column %q is not in the universal table (have %v)", name, meta.Names())
 		}
-		listed[i] = c
 	}
 	return column.NewBatch(listed...)
 }
@@ -206,6 +213,13 @@ func (r *pipeRun) drain(sink exec.PipeSink, span string) (*column.Batch, error) 
 	if err != nil {
 		return nil, err
 	}
+	return finish(sink)
+}
+
+// finish is sink.Finish with a panic recovered into the returned error, as
+// RunPipeline recovers one in Consume.
+func finish(sink exec.PipeSink) (_ *column.Batch, err error) {
+	defer exec.RecoverTo(&err)
 	return sink.Finish()
 }
 
@@ -218,6 +232,16 @@ func (r *pipeRun) collect() (*column.Batch, error) {
 		return b, nil
 	}
 	return r.drain(exec.NewCollectSink(r.proto), "stage collect")
+}
+
+// project narrows the segment's morsels to cols, when they carry more: a
+// stage that only drops column references, so it is neither timed nor
+// counted among the fused operators.
+func (r *pipeRun) project(cols []string) {
+	if narrowed := r.proto.Select(cols); narrowed.NumCols() < r.proto.NumCols() {
+		r.stages = append(r.stages, exec.NewProjectStage(cols))
+		r.proto = narrowed
+	}
 }
 
 // resume starts the next segment over a materialized breaker result.
@@ -323,7 +347,7 @@ func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	st, err := exec.NewIndexProbeStage(r.proto, right, x.LKeys[0], x.RKeys[0], s.Preds)
+	st, err := exec.NewIndexProbeStage(r.proto, right, x.LKeys[0], x.RKeys[0], s.Preds, s.Cols)
 	if err != nil {
 		// A predicate that fails over the table: the reference's scan error.
 		return true, fmt.Errorf("plan: scan %s: %w", s.Table, err)
@@ -401,7 +425,12 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		msp := env.Trace.StartChild("metadata")
 		menv := *env
 		menv.Trace = msp
-		meta, err := Execute(leaf.Meta, &menv)
+		mp, ok := decompose(leaf.Meta)
+		if !ok {
+			return nil, fmt.Errorf("plan: %s does not decompose into a pipeline", leaf.Meta.Describe())
+		}
+		mp.keep = leaf.MetaCols()
+		meta, err := executePipelined(mp, &menv)
 		if err != nil {
 			return nil, err
 		}
@@ -441,6 +470,10 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		}
 	}
 
+	if s, ok := pp.leaf.(*Scan); ok && s.Cols != nil {
+		r.project(s.Cols) // the predicate-only columns have served
+	}
+
 	for _, op := range pp.ops {
 		switch x := op.(type) {
 		case *Filter:
@@ -477,8 +510,13 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 				o.Event("aggregate", fmt.Sprintf("%d rows -> %d groups", sink.RowsIn(), out.NumRows()))
 			}
 		})
-	} else if out, err = r.collect(); err != nil {
-		return nil, err
+	} else {
+		if pp.keep != nil {
+			r.project(pp.keep)
+		}
+		if out, err = r.collect(); err != nil {
+			return nil, err
+		}
 	}
 
 	env.Stats.recordPipeline(r.morsels)

@@ -1,10 +1,13 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/column"
+	"repro/internal/exec"
 	"repro/internal/sql"
 )
 
@@ -342,7 +345,7 @@ func TestSpineNeedsUnderJoin(t *testing.T) {
 			t.Errorf("spineNeeds misses %s: %v", name, needed)
 		}
 	}
-	narrowExtract(root)
+	narrowExtract(root, catalog.MSEED())
 	if got := strings.Join(le.Cols, ","); got != "F.file_id,R.seqno,D.sample_value" {
 		t.Errorf("Cols under a join = %q", got)
 	}
@@ -405,3 +408,21 @@ func TestZoneAnswerEligibility(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainRecoversAPanicInFinish: a sink whose Finish panics fails the
+// pipeline with the recovered *exec.PanicError, as one whose Consume
+// panics does, instead of taking the process down.
+func TestDrainRecoversAPanicInFinish(t *testing.T) {
+	r := &pipeRun{env: &Env{}}
+	defer r.close()
+	r.resume(column.MustNewBatch(column.NewInt64s("x", []int64{1, 2, 3})))
+	_, err := r.drain(panicInFinish{exec.NewCollectSink(r.proto)}, "stage collect")
+	var pe *exec.PanicError
+	if !errors.As(err, &pe) || pe.Value != "in Finish" {
+		t.Fatalf("drain: %v, want the recovered panic", err)
+	}
+}
+
+type panicInFinish struct{ exec.PipeSink }
+
+func (panicInFinish) Finish() (*column.Batch, error) { panic("in Finish") }

@@ -23,6 +23,9 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 
 	b = obs.AppendCounter(b, "lazyetl_queries_total", "Queries admitted for execution.", w.queries.Load())
 	b = obs.AppendCounter(b, "lazyetl_query_errors_total", "Queries that returned an error.", m.Errors.Load())
+	b = obs.AppendCounter(b, "lazyetl_query_cancelled_total", "Queries their context cancelled.", m.Cancelled.Load())
+	b = obs.AppendCounter(b, "lazyetl_query_deadline_exceeded_total", "Queries past their context's deadline.", m.DeadlineExceeded.Load())
+	b = obs.AppendCounter(b, "lazyetl_query_panics_recovered_total", "Queries failed by a panic the engine recovered.", m.Panics.Load())
 	b = obs.AppendCounter(b, "lazyetl_slow_queries_total", "Queries at or over Options.SlowQueryThreshold.", m.Slow.Load())
 
 	b = obs.AppendGauge(b, "lazyetl_inflight_queries", "Queries currently holding an admission slot.", int64(len(w.admit)))

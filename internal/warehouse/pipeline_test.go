@@ -70,11 +70,15 @@ var pipelineMatrixQueries = []string{
 }
 
 // narrowMatrixQueries are chosen by which universal-table columns they read,
-// because the pipelined extraction replicates only those while the
-// noPipeline reference extracts all 24: nothing but a row count; one D.*
-// column or the other; an R.* expression in the select list and the sort
-// key; string group keys beside a D.* filter; and a bare SELECT *, which
-// must stay full width.
+// because the pipelined extraction replicates only those, and its metadata
+// subplan carries only those and what extraction reads, while the
+// noPipeline reference runs everything at full width: nothing but a row
+// count; one D.* column or the other; an R.* expression in the select list
+// and the sort key; string group keys beside a D.* filter; F.* and R.*
+// predicate columns no operator above the scans reads; a filter over F and
+// R between the join and the extract, its columns read nowhere else; R.*
+// group keys; F.uri and R.file_offset, which extraction reads too, in the
+// select list; and a bare SELECT *, which must stay full width.
 var narrowMatrixQueries = []string{
 	`SELECT COUNT(*) FROM mseed.dataview WHERE F.channel = 'BHZ'`,
 	`SELECT MIN(D.sample_time), MAX(D.sample_time) FROM mseed.dataview WHERE F.station = 'ISK'`,
@@ -84,6 +88,14 @@ var narrowMatrixQueries = []string{
 	 ORDER BY R.num_samples * 2 DESC, D.sample_time LIMIT 50`,
 	`SELECT F.channel, F.station, COUNT(*), AVG(D.sample_value) FROM mseed.dataview
 	 WHERE D.sample_value > 0 GROUP BY F.channel, F.station`,
+	`SELECT SUM(D.sample_value), COUNT(*) FROM mseed.dataview
+	 WHERE F.location = '' AND F.quality <> 'X' AND R.sample_rate > 1 AND R.end_time > '2010-01-12 00:00:10'`,
+	`SELECT R.seqno, MAX(D.sample_value) FROM mseed.dataview
+	 WHERE F.network = 'NL' AND R.start_time + 20000000000 < F.end_time GROUP BY R.seqno`,
+	`SELECT R.seqno, R.start_time, COUNT(*), MIN(D.sample_value) FROM mseed.dataview
+	 WHERE F.channel = 'BHZ' GROUP BY R.seqno, R.start_time`,
+	`SELECT F.uri, R.file_offset, D.sample_value FROM mseed.dataview
+	 WHERE F.station = 'DBN' AND D.sample_value > 200 ORDER BY F.uri, R.file_offset, D.sample_value LIMIT 30`,
 	selectStarQuery,
 }
 
@@ -217,7 +229,9 @@ func requireIdle(t *testing.T, name string, w *Warehouse, root string) {
 // compares narrow against wide — and, for the metadata columns, constant
 // runs against one value per row (runMatrixQueries). The 4 KiB budget spills
 // the hash join builds, so each cell also crosses the spilled-build breaker,
-// and must leave ledgers and the spill root idle.
+// and must leave ledgers and the spill root idle. The cells of one morsel
+// size run under noSkipping, which hashes the files ⋈ records join the
+// others answer by index probe, over the same narrowed scans.
 func TestPipelineOracleMatrix(t *testing.T) {
 	dir := genRepo(t, 3000)
 	// Spill dirs go under the system temp dir; point it at a private root
@@ -302,10 +316,14 @@ func TestPipelineOracleMatrix(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, morsel := range []int{7, 13, 61} {
 				for _, budget := range []int64{0, 2 << 20, 4 << 10} {
-					name := fmt.Sprintf("%v/workers=%d/morsel=%d/budget=%d", m.mode, workers, morsel, budget)
-					w, err := Open(dir, Options{
+					var o oracle
+					if morsel == 13 {
+						o = noSkipping
+					}
+					name := fmt.Sprintf("%v/workers=%d/morsel=%d/budget=%d/noSkipping=%v", m.mode, workers, morsel, budget, o != 0)
+					w, err := openOracle(dir, Options{
 						Mode: m.mode, Workers: workers, morselRows: morsel, MemoryBudget: budget,
-					})
+					}, o)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

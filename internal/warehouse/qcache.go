@@ -65,6 +65,10 @@ const (
 	// resultOverhead approximates an entry's bookkeeping beyond the batch
 	// payload (strings, stamps, list/map slots).
 	resultOverhead = 512
+	// planEstimate is what an entry is charged for the statement and the
+	// two plan trees its Trace holds: about what their rendered text takes
+	// for the statements the daemon serves most.
+	planEstimate = 1 << 10
 )
 
 type resultKey struct {
@@ -75,7 +79,7 @@ type resultKey struct {
 type resultEntry struct {
 	columns []string
 	batch   *column.Batch
-	trace   Trace // skeleton: SQL and plans; no runtime ops
+	trace   Trace // skeleton: statement and plans; no runtime ops
 	stamps  []plan.FileStamp
 }
 
@@ -183,14 +187,14 @@ func (c *queryCache) lookupResult(key resultKey) (*resultEntry, bool) {
 // query can carry its version. The check is made under the lock purge
 // takes after every publication, so no superseded entry outlives a purge.
 func (c *queryCache) admitResult(key resultKey, res *Result, stamps []plan.FileStamp) {
-	sz := res.Batch.Bytes() + int64(len(res.Trace.SQL)+len(res.Trace.Naive)+len(res.Trace.Optimized)) + resultOverhead
+	sz := res.Batch.Bytes() + planEstimate + resultOverhead
 	for _, st := range stamps {
 		sz += int64(len(st.URI)+len(st.Path)) + 32
 	}
 	ent := &resultEntry{
 		columns: res.Columns,
 		batch:   res.Batch,
-		trace:   Trace{SQL: res.Trace.SQL, Naive: res.Trace.Naive, Optimized: res.Trace.Optimized},
+		trace:   Trace{stmt: res.Trace.stmt, naive: res.Trace.naive, optim: res.Trace.optim},
 		stamps:  stamps,
 	}
 	c.mu.Lock()

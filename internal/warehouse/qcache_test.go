@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/column"
+	"repro/internal/plan"
 	"repro/internal/repo"
 	"repro/internal/seisgen"
 	"repro/internal/sql"
@@ -117,7 +119,7 @@ func TestResultCacheHitSkipsExecution(t *testing.T) {
 	if renderExact(hit.Batch) != renderExact(warm.Batch) {
 		t.Error("cached answer differs from the computed one")
 	}
-	if hit.Trace.SQL == "" || hit.Trace.Optimized == "" {
+	if hit.Trace.SQL() == "" || hit.Trace.Optimized() == "" {
 		t.Errorf("cached trace lost its plans: %+v", hit.Trace)
 	}
 	// The warehouse log labels the served answer.
@@ -675,9 +677,9 @@ func TestQueryIsPrepareExecute(t *testing.T) {
 				if got, exp := renderExact(r.Batch), renderExact(want.Batch); got != exp {
 					t.Errorf("%v: diverged from the noQueryCache oracle\nquery: %s\nwant:\n%s\ngot:\n%s", m.mode, q, exp, got)
 				}
-				if r.Trace.SQL != want.Trace.SQL || r.Trace.Optimized != want.Trace.Optimized {
+				if r.Trace.SQL() != want.Trace.SQL() || r.Trace.Optimized() != want.Trace.Optimized() {
 					t.Errorf("%v: trace differs from the oracle's\nquery: %s\nwant: %s\n%s\ngot: %s\n%s",
-						m.mode, q, want.Trace.SQL, want.Trace.Optimized, r.Trace.SQL, r.Trace.Optimized)
+						m.mode, q, want.Trace.SQL(), want.Trace.Optimized(), r.Trace.SQL(), r.Trace.Optimized())
 				}
 			}
 		}
@@ -691,5 +693,78 @@ func TestQueryIsPrepareExecute(t *testing.T) {
 	_, err := w.Query(bad)
 	if want := fmt.Sprintf("offset %d", strings.LastIndex(bad, "AND")); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("error %v does not point at %s of the raw text", err, want)
+	}
+}
+
+// TestTraceTextIsRenderedOnDemand: a Trace keeps the bound statement and
+// the plans, and renders their text only when asked. For every statement of
+// the oracle matrix the text it renders — after the query executed, from a
+// result-cache hit, and from Explain — is the text of rendering the plans
+// right after Build, so execution modifies no plan. A narrowed extraction's
+// metadata scans say which columns they carry.
+func TestTraceTextIsRenderedOnDemand(t *testing.T) {
+	dir := genRepo(t, 3000)
+	var runQueries, zoneQueries []string
+	for q := range runMatrixQueries {
+		runQueries = append(runQueries, q)
+	}
+	for _, shape := range zoneAnswerShapes {
+		zoneQueries = append(zoneQueries, shape.q)
+	}
+	modes := []struct {
+		mode    Mode
+		queries []string
+	}{
+		{Lazy, slices.Concat([]string{nanMidStream}, pipelineMatrixQueries, narrowMatrixQueries, runQueries, zoneQueries)},
+		{External, slices.Concat([]string{nanMidStream, spillQueries[1]}, narrowMatrixQueries, runQueries)},
+		{Eager, []string{eagerMatrixQuery, joinQ}},
+	}
+	for _, m := range modes {
+		w := openWH(t, dir, m.mode)
+		for _, q := range m.queries {
+			p, params, err := w.resolve(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, err := sql.BindParams(p.stmt, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans, err := plan.Build(bound, w.store.Catalog(), w.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := [3]string{bound.String(), plan.Render(plans.Naive), plan.Render(plans.Root)}
+			text := func(tr *Trace) [3]string { return [3]string{tr.SQL(), tr.Naive(), tr.Optimized()} }
+
+			hits := w.Stats().QueryCache.ResultHits
+			executed, err := w.Query(q)
+			if err != nil {
+				t.Fatalf("%v: %v\nquery: %s", m.mode, err, q)
+			}
+			hit, err := w.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.Stats().QueryCache.ResultHits; got != hits+1 {
+				t.Fatalf("%v: the second run was not a result-cache hit\nquery: %s", m.mode, q)
+			}
+			explained, err := w.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, tr := range map[string]*Trace{"executed": &executed.Trace, "result-cache hit": &hit.Trace, "explained": explained} {
+				if got := text(tr); got != want {
+					t.Errorf("%v, %s: trace text differs from rendering after Build\nquery: %s\nwant:\n%s\n%s\n%s\ngot:\n%s\n%s\n%s",
+						m.mode, what, q, want[0], want[1], want[2], got[0], got[1], got[2])
+				}
+			}
+			narrowed := strings.Contains(want[2], "LazyExtract") && strings.Contains(want[2], "(columns: ")
+			for _, line := range strings.Split(want[2], "\n") {
+				if narrowed && strings.Contains(line, "Scan mseed.") && !strings.Contains(line, " (columns: ") {
+					t.Errorf("%v: a narrowed extraction's metadata scan carries every column: %q\nquery: %s", m.mode, line, q)
+				}
+			}
+		}
 	}
 }

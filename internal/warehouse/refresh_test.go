@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,6 +190,9 @@ func TestAdmissionIsCancellable(t *testing.T) {
 	if got := w.Metrics().Errors.Load(); got != errs+2 {
 		t.Errorf("error counter moved by %d, want 2", got-errs)
 	}
+	if f := w.Stats().Failures; f.Cancelled != 1 || f.DeadlineExceeded != 1 {
+		t.Errorf("failure counters %+v, want one cancelled and one past its deadline", f)
+	}
 	if st := w.Stats(); st.Queries != queries || st.InFlight != 1 {
 		t.Errorf("%d queries admitted and %d slots held while waiting; want %d and the holder's", st.Queries, st.InFlight, queries)
 	}
@@ -205,6 +209,58 @@ func TestAdmissionIsCancellable(t *testing.T) {
 
 // cancelAfterFirst is an ExtractSource whose streams call cancel once they
 // have handed out their first morsel.
+// TestRecoveredPanicFailsTheQuery: a panic inside execution — here in the
+// extraction stream's Next, on whichever goroutine pulls it — fails that
+// query with the recovered *exec.PanicError, counts it, logs the query's
+// span tree at error severity, and leaves the warehouse idle and serving.
+func TestRecoveredPanicFailsTheQuery(t *testing.T) {
+	root := t.TempDir()
+	t.Setenv("TMPDIR", root)
+	for _, workers := range []int{1, 4} {
+		w, err := Open(genRepo(t, 2000), Options{Mode: Lazy, Workers: workers, morselRows: 64, MemoryBudget: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+			env.Source = panicOnNext{env.Source}
+			return plan.Execute(n, env)
+		}
+		var pe *exec.PanicError
+		if _, err := w.Query(q2); !errors.As(err, &pe) || pe.Value != "injected" {
+			t.Fatalf("workers=%d: %v, want the recovered panic", workers, err)
+		}
+		if f := w.Stats().Failures; f.Errors != 1 || f.PanicsRecovered != 1 || f.Cancelled+f.DeadlineExceeded != 0 {
+			t.Errorf("workers=%d: failure counters %+v, want one error, a recovered panic", workers, f)
+		}
+		var logged bool
+		for _, e := range w.Log() {
+			logged = logged || e.Op == "panic" && e.Level == SeverityError && strings.Contains(e.Detail, "metadata")
+		}
+		if !logged {
+			t.Errorf("workers=%d: no error-severity span tree in the log", workers)
+		}
+		requireIdle(t, fmt.Sprintf("workers=%d, after the panic", workers), w, root)
+		w.run = plan.Execute
+		if _, err := w.Query(q2); err != nil {
+			t.Fatalf("workers=%d: the warehouse must keep serving after a recovered panic: %v", workers, err)
+		}
+	}
+}
+
+type panicOnNext struct{ plan.ExtractSource }
+
+func (s panicOnNext) ExtractStream(ctx context.Context, meta *column.Batch, cols []string, prune *plan.PruneRange, window *plan.SampleWindow, answer plan.ZoneAnswer, obs plan.Observer, morselRows, width int, led *mem.Ledger) (exec.BatchSource, error) {
+	src, err := s.ExtractSource.ExtractStream(ctx, meta, cols, prune, window, answer, obs, morselRows, width, led)
+	if err != nil {
+		return nil, err
+	}
+	return panicking{src}, nil
+}
+
+type panicking struct{ exec.BatchSource }
+
+func (panicking) Next() (exec.Morsel, bool, error) { panic("injected") }
+
 type cancelAfterFirst struct {
 	plan.ExtractSource
 	cancel context.CancelFunc
@@ -338,6 +394,9 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 				if lag > 500*time.Millisecond {
 					t.Errorf("%s: returned %v after the cancel, want within 500ms", name, lag)
 				}
+			}
+			if f := w.Stats().Failures; f.Errors != 1 || f.Cancelled != 1 || f.DeadlineExceeded+f.PanicsRecovered != 0 {
+				t.Errorf("%s: failure counters %+v, want one error, cancelled", name, f)
 			}
 			requireIdle(t, name+", after the cancelled query", w, root)
 			w.run = plan.Execute

@@ -70,6 +70,7 @@ package warehouse
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -195,15 +196,14 @@ type LogEntry struct {
 }
 
 // Trace captures the plans of one query, before and after each of the two
-// plan-modification steps of §3.1.
+// plan-modification steps of §3.1. It holds the bound statement and the two
+// plan trees Build produced, and renders their text only when asked (SQL,
+// Naive, Optimized): a query whose plan nobody reads pays nothing for it.
+// Execution never modifies a plan, so the text is the same whenever it is
+// asked for — after the query ran, or from a result-cache hit.
 type Trace struct {
-	SQL string
-	// Naive is the plan before the compile-time reorganization (no
-	// pushdown; filter sits above the full view expansion).
-	Naive string
-	// Optimized is the plan after the compile-time step: metadata
-	// predicates pushed below the data access so they execute first.
-	Optimized string
+	stmt         *sql.SelectStmt
+	naive, optim plan.Node
 	// RuntimeOps lists the operators injected by the run-time rewriting
 	// operator (cache reads and file extractions), in execution order.
 	RuntimeOps []string
@@ -217,6 +217,30 @@ type Trace struct {
 	// serve-path phase and operator). nil under the noTrace oracle, and for a
 	// result-cache hit it covers only the probe that served the hit.
 	Spans *obs.SpanNode
+}
+
+// SQL renders the statement as executed: its canonical text with the
+// parameters bound.
+func (t *Trace) SQL() string {
+	if t.stmt == nil {
+		return ""
+	}
+	return t.stmt.String()
+}
+
+// Naive renders the plan before the compile-time reorganization (no
+// pushdown; the filter sits above the full view expansion).
+func (t *Trace) Naive() string { return render(t.naive) }
+
+// Optimized renders the plan after the compile-time step: metadata
+// predicates pushed below the data access so they execute first.
+func (t *Trace) Optimized() string { return render(t.optim) }
+
+func render(n plan.Node) string {
+	if n == nil {
+		return ""
+	}
+	return plan.Render(n)
 }
 
 // Result is the answer to one query plus its observability record.
@@ -496,8 +520,29 @@ func (w *Warehouse) newRootSpan() *obs.Span {
 // error-severity log entry (TestLogSeqAndSeverity pins the pairing).
 func (w *Warehouse) fail(op string, err error) error {
 	w.metrics.Errors.Add(1)
+	var pe *exec.PanicError
+	switch {
+	case errors.Is(err, context.Canceled):
+		w.metrics.Cancelled.Add(1)
+	case errors.Is(err, context.DeadlineExceeded):
+		w.metrics.DeadlineExceeded.Add(1)
+	case errors.As(err, &pe):
+		w.metrics.Panics.Add(1)
+	}
 	w.logf("error", "%s failed: %v", op, err)
 	return err
+}
+
+// failExecution is fail for an execution error, which it logs, when the
+// engine recovered a panic, beside the query's span tree so far (none
+// under noTrace): where the query was when it broke.
+func (w *Warehouse) failExecution(err error, root *obs.Span) error {
+	var pe *exec.PanicError
+	if errors.As(err, &pe) && root != nil {
+		root.End()
+		w.logAt(SeverityError, "panic", "recovered in execution; span tree:\n%s", obs.Render(root.Snapshot()))
+	}
+	return w.fail("query", err)
 }
 
 // Prepared is a statement of the warehouse: parsed once, with '?' markers
@@ -681,7 +726,7 @@ func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, p
 		NoSkipping: w.oracle&noSkipping != 0, Trace: esp}
 	res.Batch, err = w.run(node, env)
 	if err != nil {
-		return nil, w.fail("query", err)
+		return nil, w.failExecution(err, root)
 	}
 	esp.AddRows(int64(res.Batch.NumRows()))
 	esp.End()
@@ -719,10 +764,10 @@ func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params [
 	return res
 }
 
-// plan binds the parameters and builds and renders the plan the statement
-// executes with: the seam serve and Explain share. It returns the plan's
-// root and the query's Trace skeleton (SQL and plans; the run-time fields
-// fill in during execution). A plan is a function of the statement and its
+// plan binds the parameters and builds the plan the statement executes
+// with: the seam serve and Explain share. It returns the plan's root and the
+// query's Trace skeleton (statement and plans, rendered on demand; the
+// run-time fields fill in during execution). A plan is a function of the statement and its
 // parameters alone — Build reads the catalog's fixed schema and the
 // warehouse's fixed mode, never the store's contents — so it needs no
 // snapshot.
@@ -739,9 +784,8 @@ func (p *Prepared) plan(params []column.Value, root *obs.Span) (plan.Node, Trace
 	if err != nil {
 		return nil, Trace{}, err
 	}
-	tr := Trace{SQL: bound.String(), Naive: plan.Render(plans.Naive), Optimized: plan.Render(plans.Root)}
 	bsp.End()
-	return plans.Root, tr, nil
+	return plans.Root, Trace{stmt: bound, naive: plans.Naive, optim: plans.Root}, nil
 }
 
 // Refresh re-synchronizes the warehouse with the repository by running
@@ -815,6 +859,17 @@ type Stats struct {
 	// bytes currently reserved (operator working sets plus cache
 	// entries), the high-water mark, and reservation denials.
 	Mem mem.Snapshot
+	// Failures counts the queries that returned an error, and of those the
+	// ones cancelled, past their deadline, or failed by a recovered panic.
+	Failures FailureStats
+}
+
+// FailureStats counts failed queries by cause.
+type FailureStats struct {
+	Errors           int64
+	Cancelled        int64
+	DeadlineExceeded int64
+	PanicsRecovered  int64
 }
 
 // Stats returns a snapshot of warehouse counters. Safe to call while
@@ -846,6 +901,12 @@ func (w *Warehouse) Stats() Stats {
 		Extraction: w.engine.ExtractionStats(),
 		Exec:       w.exec.Snapshot(),
 		Mem:        w.ledger.Snapshot(),
+		Failures: FailureStats{
+			Errors:           w.metrics.Errors.Load(),
+			Cancelled:        w.metrics.Cancelled.Load(),
+			DeadlineExceeded: w.metrics.DeadlineExceeded.Load(),
+			PanicsRecovered:  w.metrics.Panics.Load(),
+		},
 	}
 }
 

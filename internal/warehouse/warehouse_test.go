@@ -236,15 +236,15 @@ func TestLazyTraceShowsRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if !strings.Contains(tr.Naive, "Scan mseed.data") {
-		t.Errorf("naive plan should scan mseed.data:\n%s", tr.Naive)
+	if !strings.Contains(tr.Naive(), "Scan mseed.data") {
+		t.Errorf("naive plan should scan mseed.data:\n%s", tr.Naive())
 	}
-	if !strings.Contains(tr.Optimized, "LazyExtract") {
-		t.Errorf("optimized plan should contain LazyExtract:\n%s", tr.Optimized)
+	if !strings.Contains(tr.Optimized(), "LazyExtract") {
+		t.Errorf("optimized plan should contain LazyExtract:\n%s", tr.Optimized())
 	}
 	// Metadata predicates must sit below the extraction in the plan.
-	if !strings.Contains(tr.Optimized, "F.network = 'NL'") {
-		t.Errorf("optimized plan lost the metadata predicate:\n%s", tr.Optimized)
+	if !strings.Contains(tr.Optimized(), "F.network = 'NL'") {
+		t.Errorf("optimized plan lost the metadata predicate:\n%s", tr.Optimized())
 	}
 	if len(tr.RuntimeOps) == 0 {
 		t.Error("no run-time injected operators recorded")
@@ -514,8 +514,8 @@ func TestExplainAndLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Naive == "" || tr.Optimized == "" || tr.Naive == tr.Optimized {
-		t.Errorf("explain plans missing or identical:\n%s\n%s", tr.Naive, tr.Optimized)
+	if tr.Naive() == "" || tr.Optimized() == "" || tr.Naive() == tr.Optimized() {
+		t.Errorf("explain plans missing or identical:\n%s\n%s", tr.Naive(), tr.Optimized())
 	}
 	if _, err := w.Query(q2); err != nil {
 		t.Fatal(err)

@@ -96,16 +96,16 @@ func TestSampleWindowMetamorphic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v\nquery: %s", err, s.lifted)
 			}
-			if !strings.Contains(res.Trace.Optimized, "(sample window: ") {
-				t.Fatalf("%s: the window was not lifted:\n%s", c.name, res.Trace.Optimized)
+			if !strings.Contains(res.Trace.Optimized(), "(sample window: ") {
+				t.Fatalf("%s: the window was not lifted:\n%s", c.name, res.Trace.Optimized())
 			}
 			want[s.lifted] = renderExact(res.Batch)
 			unl, err := ref.Query(s.unliftable)
 			if err != nil {
 				t.Fatalf("reference: %v\nquery: %s", err, s.unliftable)
 			}
-			if strings.Contains(unl.Trace.Optimized, "sample window") {
-				t.Fatalf("%s: the unliftable form was lifted:\n%s", c.name, unl.Trace.Optimized)
+			if strings.Contains(unl.Trace.Optimized(), "sample window") {
+				t.Fatalf("%s: the unliftable form was lifted:\n%s", c.name, unl.Trace.Optimized())
 			}
 			if got := renderExact(unl.Batch); got != want[s.lifted] {
 				t.Fatalf("%s: reference differs between the lifted and the unliftable form\nquery: %s\nlifted:\n%s\nunliftable:\n%s",

@@ -1,9 +1,12 @@
 package warehouse
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/etl"
 	"repro/internal/seisgen"
@@ -126,5 +129,65 @@ func TestZoneAnswerOracle(t *testing.T) {
 			}
 			check("after a same-mtime resize")
 		})
+	}
+}
+
+// TestZoneAnsweredQueryAllocs pins the fixed cost of the statement a
+// refreshing reader asks over and over: refresh_mix's ungrouped aggregate
+// over one series and a 500 s sample window, with distinct literals so each
+// run misses the result cache, on zones an earlier query collected — so
+// zones answer all but the window's edge records and what is left is the
+// per-query work around them: parse, plan, the metadata subplan, the
+// extraction's pass 1 and the answer. It fails above a budget of
+// allocations and bytes per query. Machine-independent: it counts, it does
+// not time.
+func TestZoneAnsweredQueryAllocs(t *testing.T) {
+	// The parent of this test's change measured 1,123 allocations and
+	// 111,854 bytes; the budgets are 75 % and 65 % of those.
+	const maxAllocs, maxBytes = 842, 72_700
+	dir := t.TempDir()
+	if _, err := seisgen.Generate(seisgen.RepoConfig{Dir: dir, SamplesPerDay: 80_000, EventsPerDay: 1, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(dir, Options{Mode: Lazy, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const series = `F.station = 'HGN' AND F.channel = 'BHZ'`
+	if _, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE ` + series); err != nil {
+		t.Fatal(err)
+	}
+	day := time.Date(2010, 1, 12, 0, 0, 0, 0, time.UTC)
+	n := 0
+	query := func() *Result {
+		n++
+		t0 := day.Add(time.Duration(n) * 700 * time.Millisecond)
+		res, err := w.Query(fmt.Sprintf(`SELECT AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value), COUNT(*)
+			FROM mseed.dataview WHERE %s AND D.sample_time >= '%s' AND D.sample_time < '%s'`,
+			series, t0.Format("2006-01-02 15:04:05.000"), t0.Add(500*time.Second).Format("2006-01-02 15:04:05.000")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sc := query().Trace.Scans
+	if len(sc) != 1 || sc[0].RecordsAnswered < 20 {
+		t.Fatalf("setup: the statement is not answered from zones: %+v", sc)
+	}
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { query() })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if hits := w.Stats().QueryCache.ResultHits; hits != 0 {
+		t.Fatalf("%d result-cache hits: the literals repeat", hits)
+	}
+	t.Logf("%.0f allocations, %.0f bytes per query (%d records answered from zones)", allocs, bytes, sc[0].RecordsAnswered)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("%.0f allocations and %.0f bytes per query, budget %d and %d", allocs, bytes, maxAllocs, maxBytes)
 	}
 }

@@ -138,8 +138,9 @@ type (
 	Mode = warehouse.Mode
 	// Result is a query answer with its plan trace and touched-file list.
 	Result = warehouse.Result
-	// Trace carries the naive plan, the reorganized plan, and the
-	// operators injected by the run-time rewrite.
+	// Trace carries the naive plan, the reorganized plan (rendered on
+	// demand by its Naive and Optimized methods), and the operators
+	// injected by the run-time rewrite.
 	Trace = warehouse.Trace
 	// InitStats describes the cost of the initial load.
 	InitStats = warehouse.InitStats

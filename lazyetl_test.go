@@ -224,10 +224,10 @@ func TestPublicAPITraceAndLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Trace.Optimized, "LazyExtract") {
+	if !strings.Contains(res.Trace.Optimized(), "LazyExtract") {
 		t.Error("optimized plan lacks LazyExtract")
 	}
-	if !strings.Contains(res.Trace.Naive, "Scan mseed.data") {
+	if !strings.Contains(res.Trace.Naive(), "Scan mseed.data") {
 		t.Error("naive plan lacks the data scan")
 	}
 	if len(w.Log()) == 0 {
