@@ -212,7 +212,7 @@ func TestAdmissionIsCancellable(t *testing.T) {
 // TestRecoveredPanicFailsTheQuery: a panic inside execution — here in the
 // extraction stream's Next, on whichever goroutine pulls it — fails that
 // query with the recovered *exec.PanicError, counts it, logs the query's
-// span tree at error severity, and leaves the warehouse idle and serving.
+// span tree in its error entry, and leaves the warehouse idle and serving.
 func TestRecoveredPanicFailsTheQuery(t *testing.T) {
 	root := t.TempDir()
 	t.Setenv("TMPDIR", root)
@@ -234,7 +234,7 @@ func TestRecoveredPanicFailsTheQuery(t *testing.T) {
 		}
 		var logged bool
 		for _, e := range w.Log() {
-			logged = logged || e.Op == "panic" && e.Level == SeverityError && strings.Contains(e.Detail, "metadata")
+			logged = logged || e.Op == "error" && e.Level == SeverityError && strings.Contains(e.Detail, "span tree:\nquery") && strings.Contains(e.Detail, "metadata")
 		}
 		if !logged {
 			t.Errorf("workers=%d: no error-severity span tree in the log", workers)

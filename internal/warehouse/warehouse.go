@@ -516,10 +516,18 @@ func (w *Warehouse) newRootSpan() *obs.Span {
 }
 
 // fail is the one error-accounting site: every failed Query, Execute,
-// Prepare and Refresh bumps the error counter and leaves exactly one
-// error-severity log entry (TestLogSeqAndSeverity pins the pairing).
-func (w *Warehouse) fail(op string, err error) error {
+// Prepare and Refresh bumps the error counter, and the counter of its cause
+// when it was cancelled, timed out or recovered from a panic, and leaves
+// exactly one error-severity log entry (TestLogSeqAndSeverity pins the
+// pairing).
+func (w *Warehouse) fail(op string, err error) error { return w.failIn(op, err, nil) }
+
+// failIn is fail for an execution under the trace span root: when the
+// engine recovered a panic, the log entry also holds the query's span tree
+// so far (none under noTrace) — where the query was when it broke.
+func (w *Warehouse) failIn(op string, err error, root *obs.Span) error {
 	w.metrics.Errors.Add(1)
+	tree := ""
 	var pe *exec.PanicError
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -528,21 +536,13 @@ func (w *Warehouse) fail(op string, err error) error {
 		w.metrics.DeadlineExceeded.Add(1)
 	case errors.As(err, &pe):
 		w.metrics.Panics.Add(1)
+		if root != nil {
+			root.End()
+			tree = "\nspan tree:\n" + obs.Render(root.Snapshot())
+		}
 	}
-	w.logf("error", "%s failed: %v", op, err)
+	w.logf("error", "%s failed: %v%s", op, err, tree)
 	return err
-}
-
-// failExecution is fail for an execution error, which it logs, when the
-// engine recovered a panic, beside the query's span tree so far (none
-// under noTrace): where the query was when it broke.
-func (w *Warehouse) failExecution(err error, root *obs.Span) error {
-	var pe *exec.PanicError
-	if errors.As(err, &pe) && root != nil {
-		root.End()
-		w.logAt(SeverityError, "panic", "recovered in execution; span tree:\n%s", obs.Render(root.Snapshot()))
-	}
-	return w.fail("query", err)
 }
 
 // Prepared is a statement of the warehouse: parsed once, with '?' markers
@@ -726,7 +726,7 @@ func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, p
 		NoSkipping: w.oracle&noSkipping != 0, Trace: esp}
 	res.Batch, err = w.run(node, env)
 	if err != nil {
-		return nil, w.failExecution(err, root)
+		return nil, w.failIn("query", err, root)
 	}
 	esp.AddRows(int64(res.Batch.NumRows()))
 	esp.End()
@@ -767,10 +767,10 @@ func (p *Prepared) finish(res *Result, start time.Time, root *obs.Span, params [
 // plan binds the parameters and builds the plan the statement executes
 // with: the seam serve and Explain share. It returns the plan's root and the
 // query's Trace skeleton (statement and plans, rendered on demand; the
-// run-time fields fill in during execution). A plan is a function of the statement and its
-// parameters alone — Build reads the catalog's fixed schema and the
-// warehouse's fixed mode, never the store's contents — so it needs no
-// snapshot.
+// run-time fields fill in during execution). A plan is a function of the
+// statement and its parameters alone — Build reads the catalog's fixed
+// schema and the warehouse's fixed mode, never the store's contents — so it
+// needs no snapshot.
 func (p *Prepared) plan(params []column.Value, root *obs.Span) (plan.Node, Trace, error) {
 	w := p.w
 	psp := root.StartChild("parse")
