@@ -122,23 +122,19 @@ func (s *session) runQuery(ctx context.Context, q string) {
 	s.lastTrace = &tr
 }
 
-// printExplain renders the zone-map skipping record of a trace: per-scan
-// runs/records/rows read vs skipped, and the samples a sample window cut
-// from the records extracted.
+// printExplain renders the zone-map skipping record of a trace: per
+// extraction, runs/records read vs skipped, and the samples a sample window
+// cut from the records extracted.
 func printExplain(tr *warehouse.Trace) {
 	if len(tr.Scans) == 0 {
 		fmt.Println("-- no zone-map pruning applied (no statistics yet, or no eligible predicate)")
 		return
 	}
 	for _, s := range tr.Scans {
-		if s.Target == "extract" {
-			fmt.Printf("-- extract: %d runs read, %d skipped; %d records extracted, %d skipped, %d answered from zones; %d cache reads\n",
-				s.Runs, s.RunsSkipped, s.Records, s.RecordsSkipped, s.RecordsAnswered, s.CacheReads)
-			if s.Window != "" {
-				fmt.Printf("   sample window %s: %d samples trimmed at record edges\n", s.Window, s.SamplesTrimmed)
-			}
-		} else {
-			fmt.Printf("-- scan %s: %d rows fed, %d skipped by zone ranges\n", s.Target, s.Rows, s.RowsSkipped)
+		fmt.Printf("-- extract: %d runs read, %d skipped; %d records extracted, %d skipped, %d answered from zones; %d cache reads\n",
+			s.Runs, s.RunsSkipped, s.Records, s.RecordsSkipped, s.RecordsAnswered, s.CacheReads)
+		if s.Window != "" {
+			fmt.Printf("   sample window %s: %d samples trimmed at record edges\n", s.Window, s.SamplesTrimmed)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	var skipped int64
 	for _, sc := range out.Scans {
-		skipped += sc.RecordsSkipped + sc.RowsSkipped
+		skipped += sc.RecordsSkipped
 	}
 	if len(out.Scans) == 0 || skipped == 0 {
 		t.Fatalf("explain scans report no skipping after zone collection: %+v", out.Scans)

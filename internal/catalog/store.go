@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,7 +17,7 @@ import (
 //
 // # Concurrency
 //
-// The tables, their batch statistics and their version are one immutable
+// The tables, their sorted flags and their version are one immutable
 // Snapshot behind one atomic pointer, and Snapshot is that pointer's load: a
 // query takes one and reads it to the end, whatever is published meanwhile.
 // Replace and ReplaceAll build the next Snapshot aside and swap it in; they
@@ -34,12 +35,16 @@ type Store struct {
 }
 
 // Snapshot is one published state of a Store: every table's batch, the
-// batch statistics of every table installed by Replace or ReplaceAll, and
-// the version. Nothing in it changes after publication.
+// sorted flags of every table installed by Replace or ReplaceAll, and the
+// version. Nothing in it changes after publication.
 type Snapshot struct {
-	cat    *Catalog
-	data   map[string]*column.Batch
-	tstats map[string]*column.BatchZones
+	cat  *Catalog
+	data map[string]*column.Batch
+	// sorted holds, per installed table, its integer-family columns that are
+	// null-free and non-decreasing over the whole batch. A join whose build
+	// side is such a table, on such a column, finds each key's rows by
+	// binary search instead of building a hash table.
+	sorted map[string]map[string]bool
 	// version counts publications, so two snapshots of one store with equal
 	// versions are the same value — the key the warehouse result cache hangs
 	// its validity on.
@@ -48,7 +53,7 @@ type Snapshot struct {
 
 // NewStore creates a store with an empty batch per catalog table.
 func NewStore(cat *Catalog) *Store {
-	sn := &Snapshot{cat: cat, data: make(map[string]*column.Batch), tstats: make(map[string]*column.BatchZones)}
+	sn := &Snapshot{cat: cat, data: make(map[string]*column.Batch), sorted: make(map[string]map[string]bool)}
 	for _, t := range cat.Tables() {
 		cols := make([]*column.Column, len(t.Columns))
 		for i, cd := range t.Columns {
@@ -98,15 +103,15 @@ func (s *Store) Replace(table string, b *column.Batch) error {
 	return s.ReplaceAll(map[string]*column.Batch{table: b})
 }
 
-// ReplaceAll validates batches for several tables, computes their
-// statistics, and publishes them as one new Snapshot: a reader sees either
+// ReplaceAll validates batches for several tables, records their sorted
+// columns, and publishes them as one new Snapshot: a reader sees either
 // every table before the call or every table after it, never a mix. Loads
 // and refreshes commit through here, so queries cannot observe new files
 // rows next to old records rows. A batch that fails validation publishes
 // nothing.
 func (s *Store) ReplaceAll(batches map[string]*column.Batch) error {
 	data := make(map[string]*column.Batch, len(batches))
-	tstats := make(map[string]*column.BatchZones, len(batches))
+	sorted := make(map[string]map[string]bool, len(batches))
 	for name, b := range batches {
 		t, ok := s.cat.Table(name)
 		if !ok {
@@ -115,20 +120,33 @@ func (s *Store) ReplaceAll(batches map[string]*column.Batch) error {
 		if err := validate(t, b); err != nil {
 			return err
 		}
-		data[t.Name], tstats[t.Name] = b, column.BuildZones(b, 0)
+		data[t.Name], sorted[t.Name] = b, sortedCols(b)
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	old := s.cur.Load()
-	next := &Snapshot{cat: s.cat, data: maps.Clone(old.data), tstats: maps.Clone(old.tstats), version: old.version + 1}
+	next := &Snapshot{cat: s.cat, data: maps.Clone(old.data), sorted: maps.Clone(old.sorted), version: old.version + 1}
 	maps.Copy(next.data, data)
-	maps.Copy(next.tstats, tstats)
+	maps.Copy(next.sorted, sorted)
 	s.cur.Store(next)
 	return nil
 }
 
+// sortedCols returns the integer-family columns of b that are null-free and
+// non-decreasing.
+func sortedCols(b *column.Batch) map[string]bool {
+	sorted := make(map[string]bool)
+	for ci := 0; ci < b.NumCols(); ci++ {
+		c := b.ColAt(ci)
+		if c.Type().IntFamily() && !slices.Contains(c.Nulls(), true) && slices.IsSorted(c.Int64s()) {
+			sorted[c.Name()] = true
+		}
+	}
+	return sorted
+}
+
 // Version identifies the snapshot among its store's publications: equal
-// versions imply identical table contents and statistics.
+// versions imply identical table contents and sorted flags.
 func (sn *Snapshot) Version() int64 { return sn.version }
 
 // Table returns the batch of a base table.
@@ -140,14 +158,12 @@ func (sn *Snapshot) Table(name string) (*column.Batch, error) {
 	return sn.data[t.Name], nil
 }
 
-// TableZones returns the batch zone statistics of a table, or nil for a
-// table no Replace or ReplaceAll has installed yet (still empty).
-func (sn *Snapshot) TableZones(table string) *column.BatchZones {
+// Sorted reports whether col of table is an integer-family column, null-free
+// and non-decreasing over the table's published batch. A table no Replace or
+// ReplaceAll has installed yet (still empty) reads as unsorted.
+func (sn *Snapshot) Sorted(table, col string) bool {
 	t, ok := sn.cat.Table(table)
-	if !ok {
-		return nil
-	}
-	return sn.tstats[t.Name]
+	return ok && sn.sorted[t.Name][col]
 }
 
 // Bytes reports the in-memory footprint of all tables.

@@ -114,9 +114,10 @@ func TestSnapshotSharesZones(t *testing.T) {
 	}
 }
 
-// TestReplaceComputesTableZones checks the stored-table side: installing a
-// batch computes per-range statistics, which its snapshot carries.
-func TestReplaceComputesTableZones(t *testing.T) {
+// TestSnapshotSorted checks the stored-table side: installing a batch
+// records which integer columns are null-free and non-decreasing, and each
+// snapshot keeps the flags of the batch it holds.
+func TestSnapshotSorted(t *testing.T) {
 	s := NewStore(MSEED())
 	n := 100
 	ids := make([]int64, n)
@@ -124,15 +125,19 @@ func TestReplaceComputesTableZones(t *testing.T) {
 	times := make([]int64, n)
 	vals := make([]float64, n)
 	for i := range vals {
-		ids[i] = 1
-		seqs[i] = int64(i)
+		ids[i] = int64(i)
+		seqs[i] = int64((i * 37) % n)
 		times[i] = int64(i) * 1e9
-		vals[i] = float64(i) - 50
+		vals[i] = float64(i)
 	}
+	timeCol := column.NewTimestamps("sample_time", times) // sorted, but for a null
+	nulls := make([]bool, n)
+	nulls[n/2] = true
+	timeCol.SetNulls(nulls)
 	b, err := column.NewBatch(
 		column.NewInt64s("file_id", ids),
 		column.NewInt64s("seqno", seqs),
-		column.NewTimestamps("sample_time", times),
+		timeCol,
 		column.NewFloat64s("sample_value", vals),
 	)
 	if err != nil {
@@ -141,28 +146,29 @@ func TestReplaceComputesTableZones(t *testing.T) {
 	if err := s.ReplaceAll(map[string]*column.Batch{TableData: b}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Snapshot().TableZones(TableFiles) != nil {
-		t.Fatal("a table no Replace installed has zones")
-	}
 	snap := s.Snapshot()
-	bz := snap.TableZones(TableData)
-	if bz == nil || bz.Rows != n {
-		t.Fatalf("table zones = %+v", bz)
+	for col, want := range map[string]bool{"file_id": true, "seqno": false, "sample_time": false, "sample_value": false} {
+		if got := snap.Sorted(TableData, col); got != want {
+			t.Errorf("Sorted(%s) = %v, want %v", col, got, want)
+		}
 	}
-	zs := bz.Cols["sample_value"]
-	if len(zs) != 1 || zs[0].FMin != -50 || zs[0].FMax != 49 {
-		t.Fatalf("sample_value zones = %+v", zs)
+	if snap.Sorted(TableFiles, "file_id") {
+		t.Error("a table no Replace installed reads as sorted")
 	}
 
-	// Replace publishes the next batch's statistics with it; the earlier
+	// Replace publishes the next batch's flags with it; the earlier
 	// snapshot keeps its own.
-	if err := s.Replace(TableData, b.Slice(n/2)); err != nil {
+	rev := make([]int32, n)
+	for i := range rev {
+		rev[i] = int32(n - 1 - i)
+	}
+	if err := s.Replace(TableData, b.Gather(rev)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Snapshot().TableZones(TableData); got == nil || got.Rows != n/2 {
-		t.Fatalf("table zones after Replace = %+v", got)
+	if s.Snapshot().Sorted(TableData, "file_id") {
+		t.Error("a table replaced with a reversed batch reads as sorted")
 	}
-	if snap.TableZones(TableData) != bz {
-		t.Fatal("a publication changed an earlier snapshot's table zones")
+	if !snap.Sorted(TableData, "file_id") {
+		t.Error("a publication changed an earlier snapshot's sorted flags")
 	}
 }

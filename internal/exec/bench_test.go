@@ -346,7 +346,7 @@ func BenchmarkJoinBuildParallel(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := buildJoinTable(left, right, []string{"id"}, []string{"rid"}, p, nil); err != nil {
+				if _, err := buildJoinTable(context.Background(), left, right, []string{"id"}, []string{"rid"}, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

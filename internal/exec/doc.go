@@ -65,7 +65,7 @@
 //
 // An equi-join reaches its build side one of two ways, and the data decides
 // which. When the build side is a stored table sorted on its one
-// integer-family join key — column.BatchZones.Sorted, recorded when the
+// integer-family join key — catalog.Snapshot.Sorted, recorded when the
 // table is installed; the loaders store mseed.records in file_id order and
 // mseed.files by file_id — IndexProbeStage builds nothing: for each probe
 // key it binary-searches the key vector for that key's rows, filters the

@@ -28,6 +28,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -272,7 +273,7 @@ func (pt *joinPart) slotKey(s uint64) []byte {
 // radix-partitioned on the hash prefix (even under the serial engine, on a
 // one-worker pool) so that partitions whose grant is denied can spill their
 // build rows to disk and be processed one at a time during the probe.
-func (jt *joinTable) buildTable(p *Pool, qm *QueryMem) error {
+func (jt *joinTable) buildTable(ctx context.Context, p *Pool, qm *QueryMem) error {
 	rn := len(jt.next)
 	for i := range jt.next {
 		jt.next[i] = -1
@@ -283,7 +284,7 @@ func (jt *joinTable) buildTable(p *Pool, qm *QueryMem) error {
 		jt.buildSerial(rn)
 		return nil
 	}
-	return jt.buildPartitioned(p.orSerial(), rn, qm)
+	return jt.buildPartitioned(ctx, p.orSerial(), rn, qm)
 }
 
 // estKeyBytes is the upfront per-row encoded-key estimate used before any
@@ -330,9 +331,11 @@ var buildTaskHook = func(pass, task int) {}
 // finite memory budget each partition's table is granted before pass 3;
 // partitions whose grant is denied serialize their build rows to a spill
 // file instead (in the same ascending row order) and are rebuilt
-// one-partition-at-a-time during the probe. A panic in a pass is the
-// build's error, and the caller releases every partition grant taken.
-func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
+// one-partition-at-a-time during the probe. A partition about to spill
+// first checks ctx, so a cancelled query writes no further spill file and
+// the build returns ctx.Err(). A panic in a pass is the build's error, and
+// the caller releases every partition grant taken.
+func (jt *joinTable) buildPartitioned(ctx context.Context, p *Pool, rn int, qm *QueryMem) error {
 	nparts := nextPow2(4 * p.Workers())
 	if nparts > joinPartitionCap {
 		nparts = joinPartitionCap
@@ -468,6 +471,9 @@ func (jt *joinTable) buildPartitioned(p *Pool, rn int, qm *QueryMem) error {
 		buildTaskHook(3, pi)
 		rows := partRows[partStart[pi]:partStart[pi+1]]
 		if spillNeeded && jt.spilled[pi] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			t0 := time.Now()
 			spillBytes[pi], err = jt.spillPartition(pi, rows, hashes, enc, qm)
 			spillNanos[pi] = time.Since(t0).Nanoseconds()

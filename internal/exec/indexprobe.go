@@ -34,8 +34,8 @@ type IndexProbeStage struct {
 }
 
 // NewIndexProbeStage prepares the index probe of right on rightKey — a
-// column the caller knows to be null-free and non-decreasing
-// (column.BatchZones.Sorted says which are) — for morsels shaped like
+// column the caller knows to be null-free and non-decreasing (the catalog
+// snapshot's sorted flags say which are) — for morsels shaped like
 // leftProto, keeping the right rows that satisfy preds. Both keys must be
 // integer-family. A match carries the right columns named in cols (nil:
 // every one) but the key; preds may read any column of right.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -190,7 +191,7 @@ func FuzzIndexProbe(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jp, err := BuildProbeTable(proto, built, []string{"lk"}, []string{"rk"}, nil, nil)
+		jp, err := BuildProbeTable(context.Background(), proto, built, []string{"lk"}, []string{"rk"}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ type joinTable struct {
 // workers otherwise — and, under a finite qm budget, spilling over-grant
 // partitions to disk. Whatever shape the build takes, the probe output is
 // identical.
-func buildJoinTable(left, right *column.Batch, leftKeys, rightKeys []string, p *Pool, qm *QueryMem) (*joinTable, error) {
+func buildJoinTable(ctx context.Context, left, right *column.Batch, leftKeys, rightKeys []string, p *Pool, qm *QueryMem) (*joinTable, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: join needs matching non-empty key lists, got %v and %v", leftKeys, rightKeys)
 	}
@@ -110,7 +111,7 @@ func buildJoinTable(left, right *column.Batch, leftKeys, rightKeys []string, p *
 		jt.rpk = packKeyCols(rkc)
 	}
 	jt.stats = JoinStats{IntKeys: intKeys, Partitions: 1, BuildRows: right.NumRows()}
-	if err := jt.buildTable(p, qm); err != nil {
+	if err := jt.buildTable(ctx, p, qm); err != nil {
 		jt.grant.Close()
 		return nil, err
 	}
@@ -254,7 +255,7 @@ func (jt *joinTable) probeMorsel(b *column.Batch, sel []int32) ([]int32, []int32
 
 // probeAll probes every row of left: resident partitions through probe,
 // spilled partitions via probeSpilled, merged back into the probe order.
-func (jt *joinTable) probeAll(left *column.Batch) ([]int32, []int32, error) {
+func (jt *joinTable) probeAll(ctx context.Context, left *column.Batch) ([]int32, []int32, error) {
 	k, err := jt.bind(left)
 	if err != nil {
 		return nil, nil, err
@@ -263,7 +264,7 @@ func (jt *joinTable) probeAll(left *column.Batch) ([]int32, []int32, error) {
 	if jt.spilled == nil {
 		return lsel, rsel, nil
 	}
-	return jt.probeSpilled(k, lsel, rsel, spl, sph)
+	return jt.probeSpilled(ctx, k, lsel, rsel, spl, sph)
 }
 
 // probeSpilled handles the spilled partitions of a grace-hash join: the
@@ -274,8 +275,9 @@ func (jt *joinTable) probeAll(left *column.Batch) ([]int32, []int32, error) {
 // the working set and keeps error reporting deterministic. Every left
 // row's key lives in exactly one partition, so merging the per-partition
 // match lists with the resident matches by left row reproduces the serial
-// probe order exactly.
-func (jt *joinTable) probeSpilled(k probeKeys, residentL, residentR, spl []int32, sph []uint64) ([]int32, []int32, error) {
+// probe order exactly. Each rebuild first checks ctx: a cancelled query
+// reads no further spill file and gets ctx.Err().
+func (jt *joinTable) probeSpilled(ctx context.Context, k probeKeys, residentL, residentR, spl []int32, sph []uint64) ([]int32, []int32, error) {
 	t0 := time.Now()
 	defer func() { jt.stats.SpillNanos += time.Since(t0).Nanoseconds() }()
 
@@ -292,6 +294,9 @@ func (jt *joinTable) probeSpilled(k probeKeys, residentL, residentR, spl []int32
 	for pi := range jt.parts {
 		if !jt.spilled[pi] {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
 		pl, pr, err := jt.probeOneSpilled(k, pi, pRows[pi], pHash[pi])
 		if err != nil {

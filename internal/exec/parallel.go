@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -186,12 +187,13 @@ func firstError(errs []error) error {
 // output is bit-identical to the unbounded in-memory path at every budget,
 // worker count and morsel size.
 func (p *Pool) HashJoinMem(qm *QueryMem, left, right *column.Batch, leftKeys, rightKeys []string) (*column.Batch, JoinStats, error) {
-	jt, err := buildJoinTable(left, right, leftKeys, rightKeys, p, qm)
+	ctx := context.Background()
+	jt, err := buildJoinTable(ctx, left, right, leftKeys, rightKeys, p, qm)
 	if err != nil {
 		return nil, JoinStats{}, err
 	}
 	defer jt.grant.Close()
-	lsel, rsel, err := jt.probeAll(left)
+	lsel, rsel, err := jt.probeAll(ctx, left)
 	if err != nil {
 		return nil, jt.stats, err
 	}

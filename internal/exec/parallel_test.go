@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -149,7 +150,7 @@ func TestJoinBuildPanicContainment(t *testing.T) {
 						panic("build boom")
 					}
 				}
-				_, err := BuildProbeTable(left.Range(0, 0), right, lk, rk, p, qm)
+				_, err := BuildProbeTable(context.Background(), left.Range(0, 0), right, lk, rk, p, qm)
 				buildTaskHook = func(int, int) {}
 				var pe *PanicError
 				if !errors.As(err, &pe) || pe.Value != "build boom" {

@@ -410,9 +410,10 @@ type JoinProbe struct {
 
 // BuildProbeTable builds the join table over the right (build) side.
 // leftProto supplies the probe side's schema — a zero-row prototype of the
-// morsels that will flow through the stage.
-func BuildProbeTable(leftProto, right *column.Batch, leftKeys, rightKeys []string, p *Pool, qm *QueryMem) (*JoinProbe, error) {
-	jt, err := buildJoinTable(leftProto, right, leftKeys, rightKeys, p, qm)
+// morsels that will flow through the stage. Once ctx is done the build
+// spills no further partition and returns ctx.Err().
+func BuildProbeTable(ctx context.Context, leftProto, right *column.Batch, leftKeys, rightKeys []string, p *Pool, qm *QueryMem) (*JoinProbe, error) {
+	jt, err := buildJoinTable(ctx, leftProto, right, leftKeys, rightKeys, p, qm)
 	if err != nil {
 		return nil, err
 	}
@@ -484,9 +485,10 @@ func (s *ProbeStage) Process(m Morsel) (Morsel, error) {
 // probes every row of a materialized batch — resident partitions first,
 // then each spilled partition rebuilt from disk one at a time — and
 // assembles the joined batch in the order the morsel-wise probe of the
-// same rows would have produced.
-func (s *ProbeStage) ProbeBatch(b *column.Batch) (*column.Batch, error) {
-	lsel, rsel, err := s.jp.jt.probeAll(b)
+// same rows would have produced. Once ctx is done it rebuilds no further
+// spilled partition and returns ctx.Err().
+func (s *ProbeStage) ProbeBatch(ctx context.Context, b *column.Batch) (*column.Batch, error) {
+	lsel, rsel, err := s.jp.jt.probeAll(ctx, b)
 	if err != nil {
 		return nil, err
 	}

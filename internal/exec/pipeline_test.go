@@ -729,7 +729,7 @@ func TestProbeStagePartitionedMatchesDirect(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, morsel := range []int{13, 4096} {
 			p := NewPoolMorsel(workers, morsel)
-			jp, err := BuildProbeTable(left.Range(0, 0), right, lk, rk, p, nil)
+			jp, err := BuildProbeTable(context.Background(), left.Range(0, 0), right, lk, rk, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -771,7 +771,7 @@ func TestProbeMorselAllocs(t *testing.T) {
 	m := Morsel{B: column.MustNewBatch(column.NewInt64s("lid", lid), column.NewFloat64s("v", v))}
 	var allocs []float64
 	for _, parts := range []int{8, 64} {
-		jp, err := BuildProbeTable(m.B.Range(0, 0), right, []string{"lid"}, []string{"rid"}, NewPool(parts/4), nil)
+		jp, err := BuildProbeTable(context.Background(), m.B.Range(0, 0), right, []string{"lid"}, []string{"rid"}, NewPool(parts/4), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -131,14 +132,14 @@ func TestJoinSpillBitIdenticalToInMemory(t *testing.T) {
 					// The pipeline's form of the same join: the table is built
 					// against a zero-row prototype, then probed morsel-wise when
 					// resident or as one collected batch when it spilled.
-					jp, err := BuildProbeTable(left.Range(0, 0), right, cfg.lk, cfg.rk, eng.pool, qm)
+					jp, err := BuildProbeTable(context.Background(), left.Range(0, 0), right, cfg.lk, cfg.rk, eng.pool, qm)
 					if err != nil {
 						t.Fatalf("BuildProbeTable: %v", err)
 					}
 					defer jp.Close()
 					var piped *column.Batch
 					if jp.Spilled() {
-						piped, err = jp.NewStage().ProbeBatch(left)
+						piped, err = jp.NewStage().ProbeBatch(context.Background(), left)
 					} else {
 						sink := NewCollectSink(oracle.Range(0, 0))
 						if _, err = eng.pool.RunPipeline(context.Background(), NewBatchMorsels(left, eng.pool.MorselRows()), []PipeStage{jp.NewStage()}, sink); err == nil {
@@ -330,7 +331,7 @@ func forceSpillJoin(t *testing.T, qm *QueryMem) (*JoinProbe, *column.Batch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	left, right := spillJoinInputs(rng, 600, 900)
-	jp, err := BuildProbeTable(left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
+	jp, err := BuildProbeTable(context.Background(), left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
 	if err != nil {
 		t.Fatalf("BuildProbeTable: %v", err)
 	}
@@ -368,17 +369,58 @@ func TestJoinProbeFailsDeterministicallyOnCorruptSpillFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err1 := jp.NewStage().ProbeBatch(left)
+	_, err1 := jp.NewStage().ProbeBatch(context.Background(), left)
 	if err1 == nil || !strings.Contains(err1.Error(), "spill") {
 		t.Fatalf("probe over truncated spill files must fail with a spill error, got %v", err1)
 	}
-	_, err2 := jp.NewStage().ProbeBatch(left)
+	_, err2 := jp.NewStage().ProbeBatch(context.Background(), left)
 	if fmt.Sprint(err1) != fmt.Sprint(err2) {
 		t.Fatalf("corruption error must be deterministic: %v vs %v", err1, err2)
 	}
 	jp.Close()
 	if used := qm.Ledger().Used(); used != 0 {
 		t.Fatalf("closed JoinProbe left %d bytes reserved after a failed probe", used)
+	}
+}
+
+// TestSpillStopsOnCancel: the grace-hash join checks the query's ctx before
+// each partition its build spills and before each spilled partition its
+// probe rebuilds. A cancel in the build's third pass returns
+// context.Canceled with no spill file written (every partition spills under
+// the tiny budget, and the one worker runs them in order), and a probe
+// under a cancelled ctx returns it before reading any. Either way every
+// reserved byte goes back to the ledger.
+func TestSpillStopsOnCancel(t *testing.T) {
+	defer func() { buildTaskHook = func(int, int) {} }()
+	root := t.TempDir()
+	qm := NewQueryMem(mem.New(tinyBudget), root)
+	defer qm.Cleanup()
+	left, right := spillJoinInputs(rand.New(rand.NewSource(5)), 600, 900)
+	ctx, cancel := context.WithCancel(context.Background())
+	buildTaskHook = func(pass, _ int) {
+		if pass == 3 {
+			cancel()
+		}
+	}
+	jp, err := BuildProbeTable(ctx, left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 1, morsel: 61}, qm)
+	buildTaskHook = func(int, int) {}
+	if !errors.Is(err, context.Canceled) || jp != nil {
+		t.Fatalf("build cancelled in pass 3: %v, want %v", err, context.Canceled)
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Fatalf("the cancelled build wrote spill files: %v %v", entries, err)
+	}
+	if used := qm.Ledger().Used(); used != 0 {
+		t.Fatalf("the cancelled build left %d bytes reserved", used)
+	}
+
+	jp, left = forceSpillJoin(t, qm)
+	if _, err := jp.NewStage().ProbeBatch(ctx, left); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe under a cancelled ctx: %v, want %v", err, context.Canceled)
+	}
+	jp.Close()
+	if used := qm.Ledger().Used(); used != 0 {
+		t.Fatalf("closed JoinProbe left %d bytes reserved after a cancelled probe", used)
 	}
 }
 
@@ -395,7 +437,7 @@ func TestMidSpillFailureCleansUpSpillDir(t *testing.T) {
 	// The pipeline's spilled-build breaker takes the same failure at its
 	// build step: no JoinProbe comes back, and the failed build has already
 	// returned its partition reservations to the ledger.
-	jp, err := BuildProbeTable(left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
+	jp, err := BuildProbeTable(context.Background(), left.Range(0, 0), right, []string{"lid"}, []string{"rid"}, &Pool{workers: 2, morsel: 61}, qm)
 	if err == nil || jp != nil || !strings.Contains(err.Error(), "injected write failure") {
 		t.Fatalf("mid-spill failure must fail the probe-table build, got %v", err)
 	}

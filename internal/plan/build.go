@@ -147,9 +147,7 @@ func buildFrom(stmt *sql.SelectStmt, cat *catalog.Catalog, mode Mode) (naive, op
 				single = false
 			}
 		})
-		if single && target >= 0 && len(stmt.Joins) > 0 {
-			scans[target].scan.Preds = append(scans[target].scan.Preds, c)
-		} else if single && target >= 0 {
+		if single && target >= 0 {
 			scans[target].scan.Preds = append(scans[target].scan.Preds, c)
 		} else {
 			above = append(above, c)

@@ -80,8 +80,8 @@ type Observer interface {
 	InjectedOps(kind string, details []string)
 	// Event records a general operational log entry.
 	Event(op, detail string)
-	// ScanReport records one data access's skip accounting (the \explain
-	// surface).
+	// ScanReport records one lazy extraction's skip accounting (the
+	// \explain surface).
 	ScanReport(r ScanReport)
 	// FileStamps records the source files a data access's output depends
 	// on.
@@ -125,9 +125,9 @@ type Env struct {
 	// queries.
 	Stats *ExecStats
 	// NoSkipping disables every statistics-driven shortcut — record
-	// zone-map pruning before extraction, batch zone-range skipping on
-	// table scans and index-probed joins — making this Env the oracle the
-	// skipping paths are tested against.
+	// zone-map pruning and zone answers before extraction, and index-probed
+	// joins — making this Env the oracle the skipping paths are tested
+	// against.
 	NoSkipping bool
 	// Trace, when non-nil, collects per-operator timing spans under it.
 	// nil (tracing disabled) costs nothing: every span method no-ops on

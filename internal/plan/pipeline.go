@@ -270,7 +270,8 @@ func (r *pipeRun) addJoin(x *Join) error {
 	if err != nil {
 		return err
 	}
-	jp, err := exec.BuildProbeTable(r.proto, right, x.LKeys, x.RKeys, env.Pool, env.Mem)
+	ctx := cmp.Or(env.Ctx, context.Background())
+	jp, err := exec.BuildProbeTable(ctx, r.proto, right, x.LKeys, x.RKeys, env.Pool, env.Mem)
 	if err != nil {
 		return err
 	}
@@ -309,7 +310,7 @@ func (r *pipeRun) addJoin(x *Join) error {
 	}
 	sp := r.span(st)
 	t0 := time.Now()
-	joined, err := st.ProbeBatch(collected)
+	joined, err := st.ProbeBatch(ctx, collected)
 	sp.Add(time.Since(t0))
 	jp.Close()
 	if err != nil {
@@ -320,14 +321,14 @@ func (r *pipeRun) addJoin(x *Join) error {
 }
 
 // addIndexJoin appends x's probe stage as an index probe, and reports
-// whether it did. That takes a build side that is a Scan on one key whose
-// table statistics mark the key column sorted — the loaders store
-// mseed.records in file_id order and mseed.files by file_id — and an
-// integer-family key on both sides. Then the build side is never executed
-// and nothing is built: the stage searches out each probe key's rows of
-// the scanned table and applies the scan's predicates to just those, and
-// the rows it never looks at count as skipped scan rows. NoSkipping, which
-// turns off every statistics-driven shortcut, leaves every join hashed.
+// whether it did. That takes a build side that is a Scan on one key the
+// snapshot marks sorted — the loaders store mseed.records in file_id order
+// and mseed.files by file_id — and an integer-family key on both sides.
+// Then the build side is never executed and nothing is built: the stage
+// searches out each probe key's rows of the scanned table and applies the
+// scan's predicates to just those, and the rows it never looks at count as
+// skipped scan rows. NoSkipping, which turns off every statistics-driven
+// shortcut, leaves every join hashed.
 func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
 	env := r.env
 	s, ok := x.R.(*Scan)
@@ -335,9 +336,7 @@ func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
 		return false, nil
 	}
 	col, ok := strings.CutPrefix(x.RKeys[0], s.Prefix)
-	stored, err := env.Store.Table(s.Table)
-	bz := env.Store.TableZones(s.Table)
-	if !ok || err != nil || bz == nil || bz.Rows != stored.NumRows() || !bz.Sorted[col] {
+	if !ok || !env.Store.Sorted(s.Table, col) {
 		return false, nil
 	}
 	if lk, ok := r.proto.Col(x.LKeys[0]); !ok || !lk.Type().IntFamily() {
@@ -353,11 +352,11 @@ func (r *pipeRun) addIndexJoin(x *Join) (bool, error) {
 		return true, fmt.Errorf("plan: scan %s: %w", s.Table, err)
 	}
 	r.addStage(st)
-	rows := int64(stored.NumRows())
+	rows := int64(env.Store.Rows(s.Table))
 	r.reports = append(r.reports, func() {
 		probed, matched := st.Rows()
 		examined := st.Examined()
-		env.Stats.recordScanSkip(0, max(rows-examined, 0))
+		env.Stats.recordScanSkip(max(rows-examined, 0))
 		env.obs().Event("join", fmt.Sprintf("%s: index on %s: %d probe rows, %d rows examined -> %d rows",
 			x.on(), x.RKeys[0], probed, examined, matched))
 	})
@@ -390,31 +389,6 @@ func executePipelined(pp *pipePlan, env *Env) (*column.Batch, error) {
 		r.addFilter(leaf.Preds, func(_, kept int64) {
 			o.Event("scan", fmt.Sprintf("%s: %d of %d rows pass %s", leaf.Table, kept, scanRows, exprList(leaf.Preds)))
 		})
-		// Zone-range skipping: morsels over ranges the batch statistics
-		// prove empty against the pushed-down predicates never enter the
-		// pipeline. The filter stage stays — surviving ranges are a
-		// superset — so output is bit-identical to the full feed.
-		if env.NoSkipping {
-			break
-		}
-		stored, _ := env.Store.Table(leaf.Table)
-		bz := env.Store.TableZones(leaf.Table)
-		if stored != nil && bz != nil && bz.Rows == scanRows {
-			if checks := compileZoneChecks(leaf.Preds, leaf.Prefix, stored); len(checks) > 0 {
-				segs, skRanges, skRows := keptSegments(bz, checks)
-				if skRanges > 0 {
-					r.src = newSegmentMorsels(b, segs, env.Pool.MorselRows())
-					env.Stats.recordScanSkip(skRanges, skRows)
-					o.ScanReport(ScanReport{
-						Target:      leaf.Table,
-						Rows:        int64(scanRows) - skRows,
-						RowsSkipped: skRows,
-					})
-					o.Event("scan-skip", fmt.Sprintf("%s: zone maps skip %d ranges (%d of %d rows) against %s",
-						leaf.Table, skRanges, skRows, scanRows, exprList(leaf.Preds)))
-				}
-			}
-		}
 
 	case *LazyExtract:
 		// Step 1 of a lazy extraction (§3.1): the metadata plan yields the

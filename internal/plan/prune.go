@@ -179,11 +179,10 @@ func (p *PruneRange) String() string {
 	return s
 }
 
-// ScanReport carries one scan's skip accounting to the observer: how many
-// runs/records (lazy extraction) or row ranges/rows (table scans) were read
-// versus proven irrelevant by zone statistics, and the samples a lazy
-// extraction's sample window cut from the records it delivered. Target
-// names the scanned relation.
+// ScanReport carries one lazy extraction's skip accounting to the observer:
+// how many runs and records were read versus proven irrelevant or answered by
+// the record zone maps, how many came from the recycler, and the samples the
+// sample window cut from the records it delivered. Target is "extract".
 type ScanReport struct {
 	Target          string
 	Runs            int64 // coalesced read runs actually planned
@@ -192,8 +191,6 @@ type ScanReport struct {
 	RecordsSkipped  int64 // records pruned before ReadAt/decode
 	RecordsAnswered int64 `json:",omitempty"` // records answered from zones
 	CacheReads      int64 // records served from the recycler cache
-	Rows            int64 // table-scan rows fed to the pipeline
-	RowsSkipped     int64 // table-scan rows skipped via batch zone ranges
 	// Window is the extraction's sample window (SampleWindow.String), ""
 	// without one; SamplesTrimmed counts the samples of delivered records
 	// that fell outside it.

@@ -50,13 +50,9 @@ type ExecSnapshot struct {
 	FilterRowsIn    int64
 	FilterRowsOut   int64
 
-	// Statistics-driven skipping counters: scan zone ranges proven empty
-	// against pushed-down predicates and never fed to a pipeline; the scan
-	// rows never looked at — those inside the skipped ranges, plus the rows
-	// of an index-probed join's build table outside every probed key's
-	// range.
-	ScanRangesSkipped int64
-	ScanRowsSkipped   int64
+	// ScanRowsSkipped counts the scan rows never looked at: the rows of an
+	// index-probed join's build table outside every probed key's range.
+	ScanRowsSkipped int64
 	// JoinReorders is always 0: joins run in the order the SQL states them.
 	// It stays on GET /stats only because the benchmark client decodes it;
 	// ROADMAP F(i), the next change to the benchmark, drops it.
@@ -84,12 +80,10 @@ func (s *ExecStats) record(apply func(c *ExecSnapshot)) {
 	apply(&s.c)
 }
 
-// recordScanSkip folds one scan's zone-range skipping into the counters.
-func (s *ExecStats) recordScanSkip(ranges int, rows int64) {
-	s.record(func(c *ExecSnapshot) {
-		c.ScanRangesSkipped += int64(ranges)
-		c.ScanRowsSkipped += rows
-	})
+// recordScanSkip folds the build-table rows one index probe never looked at
+// into the counters.
+func (s *ExecStats) recordScanSkip(rows int64) {
+	s.record(func(c *ExecSnapshot) { c.ScanRowsSkipped += rows })
 }
 
 // recordPipeline folds one pipelined plan execution into the counters.

@@ -103,7 +103,7 @@ func TestIndexJoinPathSelection(t *testing.T) {
 	want := referenceAnswers(t, dir)
 
 	w := openWH(t, dir, Lazy)
-	if bz := w.store.Snapshot().TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
+	if !w.store.Snapshot().Sorted(catalog.TableRecords, "file_id") {
 		t.Fatal("a loaded records table is not marked sorted on file_id")
 	}
 	checkJoinPath(t, "loaded", w, want, true)
@@ -131,7 +131,7 @@ func TestIndexJoinPathSelection(t *testing.T) {
 	if err := reversed.store.Replace(catalog.TableRecords, records.Gather(sel)); err != nil {
 		t.Fatal(err)
 	}
-	if reversed.store.Snapshot().TableZones(catalog.TableRecords).Sorted["file_id"] {
+	if reversed.store.Snapshot().Sorted(catalog.TableRecords, "file_id") {
 		t.Fatal("records out of file_id order are marked sorted")
 	}
 	checkJoinPath(t, "out of order", reversed, want, false)
@@ -177,7 +177,7 @@ func TestIndexJoinAfterRefresh(t *testing.T) {
 	if _, err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if bz := w.store.Snapshot().TableZones(catalog.TableRecords); bz == nil || !bz.Sorted["file_id"] {
+	if !w.store.Snapshot().Sorted(catalog.TableRecords, "file_id") {
 		t.Fatal("the refreshed records table is not marked sorted on file_id")
 	}
 	res, err := w.Query(`SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'EXT'`)

@@ -69,7 +69,7 @@ func (w *Warehouse) AppendMetrics(b []byte) []byte {
 	b = obs.AppendCounter(b, "lazyetl_spilled_partitions_total", "Join build partitions spilled to disk.", es.PartitionsSpilled)
 	b = obs.AppendCounter(b, "lazyetl_spilled_bytes_total", "Bytes spilled to disk under memory pressure.", es.BytesSpilled)
 	b = obs.AppendSecondsCounter(b, "lazyetl_spill_seconds_total", "Time spent writing spill files and rebuilding spilled partitions.", es.SpillNanos)
-	b = obs.AppendCounter(b, "lazyetl_scan_rows_skipped_total", "Scan rows never looked at: inside zone ranges proved irrelevant, or outside every key range an index-probed join searched.", es.ScanRowsSkipped)
+	b = obs.AppendCounter(b, "lazyetl_scan_rows_skipped_total", "Build-table rows an index-probed join never looked at: outside every key range it searched.", es.ScanRowsSkipped)
 
 	sn := w.store.Snapshot()
 	b = obs.AppendGauge(b, "lazyetl_store_bytes", "In-memory footprint of the loaded tables.", sn.Bytes())

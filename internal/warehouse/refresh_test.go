@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/catalog"
 	"repro/internal/column"
@@ -315,36 +316,53 @@ func (o cancelOnOps) InjectedOps(kind string, details []string) {
 	}
 }
 
+// buildTaskHook is exec's hook at the start of every task of the
+// partitioned join build's passes; tests replace it to act inside a pass.
+//
+//go:linkname buildTaskHook repro/internal/exec.buildTaskHook
+var buildTaskHook func(pass, task int)
+
+// spillJoinQ is an explicit eager join whose hash build is over mseed.data,
+// which a 2 MiB budget cannot hold: some of its build partitions spill.
+const spillJoinQ = `SELECT F.station, COUNT(*), MIN(D.sample_time), MAX(D.sample_time)
+FROM mseed.files F
+JOIN mseed.records R ON F.file_id = R.file_id
+JOIN mseed.data D ON F.file_id = D.file_id AND R.seqno = D.seqno
+GROUP BY F.station ORDER BY F.station`
+
 // TestQueryCancelledMidPipeline: a query whose context ends mid-execution
 // fails with context.Canceled, on the serial loop and the parallel driver —
 // ended inside its first extraction run, after its extraction stream handed
 // out the first morsel, after its sort, a post-pipeline breaker, has
-// finished but before the Limit above it, or inside a comparator sort of
+// finished but before the Limit above it, inside a comparator sort of
 // 1.05 M rows, from which it must return within 500 ms of the cancel (the
-// sort itself takes about a second). It leaves no slot, ledger bytes or
-// spill directory behind and no cached answer, and the next run of the
+// sort itself takes about a second), or in the third pass of an eager hash
+// build that spills under a 2 MiB budget. It leaves no slot, ledger bytes
+// or spill directory behind and no cached answer, and the next run of the
 // statement answers bit for bit like the noQueryCache oracle.
 func TestQueryCancelledMidPipeline(t *testing.T) {
 	small, big := genRepo(t, 2000), ""
 	root := t.TempDir()
 	t.Setenv("TMPDIR", root)
+	defer func() { buildTaskHook = func(int, int) {} }()
 	var cancelledAt atomic.Int64 // unix ns of the delayed cancel, 0 before it
 	cases := []struct {
 		name, q string
 		big     bool // over a repository of 1.05 M samples
+		eager   bool // Eager mode under a 2 MiB budget
 		hook    func(env *plan.Env, cancel context.CancelFunc)
 	}{
-		{"extraction run", q2, false, func(env *plan.Env, cancel context.CancelFunc) {
+		{"extraction run", q2, false, false, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Obs = cancelOnOps{env.Obs, "ExtractRecord", cancel}
 		}},
-		{"first morsel", q2, false, func(env *plan.Env, cancel context.CancelFunc) {
+		{"first morsel", q2, false, false, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Source = cancelAfterFirst{env.Source, cancel}
 		}},
-		{"sort event", `SELECT D.sample_value, F.station FROM mseed.dataview ORDER BY D.sample_value, F.station LIMIT 1`, false,
+		{"sort event", `SELECT D.sample_value, F.station FROM mseed.dataview ORDER BY D.sample_value, F.station LIMIT 1`, false, false,
 			func(env *plan.Env, cancel context.CancelFunc) {
 				env.Obs = cancelOnEvent{env.Obs, "sort", cancel}
 			}},
-		{"inside the sort", `SELECT D.sample_value FROM mseed.dataview ORDER BY D.sample_value LIMIT 1`, true,
+		{"inside the sort", `SELECT D.sample_value FROM mseed.dataview ORDER BY D.sample_value LIMIT 1`, true, false,
 			func(env *plan.Env, cancel context.CancelFunc) {
 				// The extract event is logged once the extraction's pipeline
 				// has drained, just before the post-pipeline breakers start;
@@ -356,6 +374,13 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 					})
 				}}
 			}},
+		{"spill partition", spillJoinQ, false, true, func(_ *plan.Env, cancel context.CancelFunc) {
+			buildTaskHook = func(pass, _ int) {
+				if pass == 3 {
+					cancel()
+				}
+			}
+		}},
 	}
 	for _, tc := range cases {
 		dir := small
@@ -365,7 +390,11 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 			}
 			dir = big
 		}
-		oracle, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
+		opts := Options{Mode: Lazy, MemoryBudget: 64 << 20}
+		if tc.eager {
+			opts = Options{Mode: Eager, MemoryBudget: 2 << 20}
+		}
+		oracle, err := openOracle(dir, Options{Mode: opts.Mode}, noQueryCache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +404,8 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("%s, workers=%d", tc.name, workers)
-			w, err := Open(dir, Options{Mode: Lazy, Workers: workers, morselRows: 64, MemoryBudget: 64 << 20})
+			opts.Workers, opts.morselRows = workers, 64
+			w, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,6 +428,7 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 			if f := w.Stats().Failures; f.Errors != 1 || f.Cancelled != 1 || f.DeadlineExceeded+f.PanicsRecovered != 0 {
 				t.Errorf("%s: failure counters %+v, want one error, cancelled", name, f)
 			}
+			buildTaskHook = func(int, int) {}
 			requireIdle(t, name+", after the cancelled query", w, root)
 			w.run = plan.Execute
 			got, err := w.Query(tc.q)
@@ -409,6 +440,9 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 			}
 			if g, e := renderExact(got.Batch), renderExact(want.Batch); g != e {
 				t.Errorf("%s: answer after the cancelled query diverged from the oracle\nwant:\n%s\ngot:\n%s", name, e, g)
+			}
+			if tc.eager && w.Stats().Exec.JoinSpills == 0 {
+				t.Errorf("%s: the uncancelled run spilled nothing; the cancel point is vacuous", name)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ ORDER BY D.sample_value, D.sample_time LIMIT 5`
 // TestExplicitJoinOracle runs the explicit three-table spine, aggregated
 // and whole, across workers x memory budgets and requires every answer
 // bit-identical to the serial reference with every statistics shortcut off
-// (noPipeline|noSkipping: hash joins only, no zone skipping).
+// (noPipeline|noSkipping: hash joins only, no index probes).
 func TestExplicitJoinOracle(t *testing.T) {
 	dir := genRepo(t, 3000)
 	ref, err := openOracle(dir, Options{Mode: Eager, Workers: 1}, noPipeline|noSkipping)
@@ -302,7 +302,7 @@ func TestExplainSurface(t *testing.T) {
 	}
 	var skipped int64
 	for _, sc := range res.Trace.Scans {
-		skipped += sc.RecordsSkipped + sc.RowsSkipped
+		skipped += sc.RecordsSkipped
 	}
 	if len(res.Trace.Scans) == 0 || skipped == 0 {
 		t.Fatalf("warm trace reports no skipping: %+v", res.Trace.Scans)

@@ -53,13 +53,14 @@
 //   - Skip-before-decode pruning: comparison predicates on D.sample_value
 //     compile into a PruneRange carried below extraction, and qualifying
 //     records whose zone entry proves no sample can pass are never ReadAt
-//     nor Steim-decoded. Batches installed in the store carry per-range
-//     statistics too, so pipelined table scans skip whole morsel ranges the
-//     pushed-down predicates prove empty.
+//     nor Steim-decoded.
+//   - Index-probed joins: the store records which integer columns of each
+//     installed table are sorted, so a join on such a column searches each
+//     probe key's rows instead of building a hash table.
 //
 // The shortcuts are semantically invisible: pruning only drops rows an
-// enclosing filter would delete, and skipping only removes ranges a proof
-// shows empty. No statistic reaches the planner — joins run in the order
+// enclosing filter would delete, and an index probe finds exactly the rows
+// a hash probe would match, in the same order. No statistic reaches the planner — joins run in the order
 // the SQL states them — so a plan depends on its statement and parameters
 // alone. The tests' noSkipping oracle disables all of it and is the
 // reference the skipping paths are tested against, across the full
@@ -148,9 +149,8 @@ const maxLogEntries = 10000
 type oracle uint8
 
 const (
-	// noSkipping disables every zone-map shortcut: record pruning before
-	// extraction, zone-range skipping on table scans, and index-probed
-	// joins.
+	// noSkipping disables every statistics-driven shortcut: record pruning
+	// and zone answers before extraction, and index-probed joins.
 	noSkipping oracle = 1 << iota
 	// noQueryCache disables both query-cache tiers: every query is parsed
 	// from its raw text by sql.Parse and pays full plan -> execute, so the
@@ -209,9 +209,8 @@ type Trace struct {
 	RuntimeOps []string
 	// TouchedFiles are the distinct source files opened by the query.
 	TouchedFiles []string
-	// Scans reports, per data access, what the zone maps skipped: coalesced
-	// runs and records never read/decoded (lazy extraction) or batch rows
-	// never fed to the pipeline (table scans).
+	// Scans reports, per lazy extraction, what the record zone maps
+	// skipped: coalesced runs and records never read nor decoded.
 	Scans []plan.ScanReport
 	// Spans is the query's trace-span tree (wall time, rows and bytes per
 	// serve-path phase and operator). nil under the noTrace oracle, and for a
