@@ -153,11 +153,11 @@ func (s *session) command(ctx context.Context, line string) (quit bool) {
   \explain <sql>    run a query and show zone-map skipping
   \prepare <name> <sql>      prepare a statement ('?' parameter markers)
   \execute <name> [params]   run a prepared statement ('ISK', 42, -3.5, TRUE, NULL)
-  \trace            plans, injected operators and span tree of last query (demo points 4-6)
+  \trace            plans, injected operators (one per record) and span tree of last query (demo points 4-6)
   \touched          files the last query extracted from            (demo point 5)
   \cache            recycler contents and statistics               (demo point 7)
-  \log [level] [n]  last n log entries (default 20), optionally at or above
-                    a severity: \log error, \log warn 50           (demo point 8)
+  \log [level] [n]  last n log entries of query steps (default 20), at or above
+                    a severity if given: \log error, \log warn 50 (demo point 8)
   \stats            warehouse statistics as JSON (GET /stats)      (demo points 1, 3)
   \compare <sql>    run against a fresh eager warehouse and compare (demo point 3)
   \refresh          re-synchronize with the repository
@@ -276,8 +276,9 @@ func (s *session) command(ctx context.Context, line string) (quit bool) {
 		}
 		fmt.Println("-- optimized plan:")
 		fmt.Print(tr.Optimized())
-		fmt.Printf("-- operators injected at run time (%d):\n", len(tr.RuntimeOps))
-		for _, op := range tr.RuntimeOps {
+		ops := tr.RuntimeOps()
+		fmt.Printf("-- operators injected at run time (%d):\n", len(ops))
+		for _, op := range ops {
 			fmt.Println("   ", op)
 		}
 		if tr.Spans != nil {

@@ -75,9 +75,9 @@ GROUP BY F.station`
 	fmt.Println("\nlazy plan after metadata predicates were pushed first:")
 	fmt.Print(lres.Trace.Optimized())
 
-	fmt.Printf("\noperators injected by the run-time rewrite (%d total, first 5):\n",
-		len(lres.Trace.RuntimeOps))
-	for i, op := range lres.Trace.RuntimeOps {
+	ops := lres.Trace.RuntimeOps()
+	fmt.Printf("\noperators injected by the run-time rewrite (%d total, first 5):\n", len(ops))
+	for i, op := range ops {
 		if i == 5 {
 			break
 		}

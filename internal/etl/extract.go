@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -111,10 +112,6 @@ type extractSink struct {
 	// decoded record, or prunedEntry.
 	entries []*recycler.Entry
 
-	// quiet is set when the observer is the no-op observer, letting the
-	// hot path skip formatting per-record messages nobody will read.
-	quiet bool
-
 	// readSpan and decodeSpan accumulate file-read and decode time from all
 	// extraction workers when the query traces; nil (the common case) costs
 	// nothing.
@@ -125,10 +122,10 @@ type extractSink struct {
 	// closes (the samples its window trims are counted as it goes); nil
 	// when the extraction has no prune range, sample window or zone answer.
 	report *plan.ScanReport
-	// publish applies pass 1's side effects — counters, CacheRead
-	// operators, zone events and file stamps — once the files it planned
+	// publish applies pass 1's side effects — counters, its ExtractRun
+	// (file stamps included) and zone events — once the files it planned
 	// for are open: a prepare repeated because a file changed leaves none.
-	publish func()
+	publish func(opened []*fileState)
 	// zones is the partial aggregate of the records answered from zones.
 	zones exec.ZonePartial
 }
@@ -148,7 +145,9 @@ type runOut struct {
 	seqnos []int
 	zones  []catalog.ZoneEntry
 	ents   []recycler.Entry
-	ops    []string // ExtractRecord details; stays empty under a quiet observer
+	// rec is the run's report; decodeAt appends each record's sample count
+	// and encoding, and flush adds seqnos.
+	rec plan.ExtractRun
 }
 
 func newRunOut(e *Engine, fs *fileState, records int) *runOut {
@@ -184,11 +183,10 @@ func (o *runOut) add(seqno, at, planned int, h *mseed.Header, samples []int32) *
 	return ent
 }
 
-// flush installs the run's zone entries under (uri, mtime, size, seqno) — the
+// install puts the run's zone entries under (uri, mtime, size, seqno) — the
 // staleness key the recycler uses too, so a touched file invalidates its
-// zones — offers its entries to the recycler, and reports its ExtractRecord
-// operators: one lock round-trip each.
-func (o *runOut) flush(obs plan.Observer) {
+// zones — and offers its entries to the recycler: one lock round-trip each.
+func (o *runOut) install() {
 	if len(o.ents) == 0 {
 		return
 	}
@@ -197,7 +195,13 @@ func (o *runOut) flush(obs plan.Observer) {
 	e.cache.AdmitRun(fs.uri, o.seqnos, o.ents)
 	e.xstats.extractions.Add(int64(len(o.ents)))
 	e.xstats.runRecords.Add(int64(len(o.ents)))
-	obs.InjectedOps("ExtractRecord", o.ops)
+}
+
+// flush installs the run and hands its report to the observer.
+func (o *runOut) flush(obs plan.Observer) {
+	o.install()
+	o.rec.Seqs = o.seqnos
+	obs.ExtractRun(o.rec)
 }
 
 // Extract returns the universal table of meta in one batch at full width:
@@ -323,7 +327,6 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		return fs, nil
 	}
 
-	_, quiet := obs.(plan.NopObserver)
 	sink := &extractSink{
 		e:       e,
 		seqs:    seqs,
@@ -332,7 +335,6 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		rowRun:  make([]int, n),
 		at:      make([]int, n),
 		entries: make([]*recycler.Entry, n),
-		quiet:   quiet,
 	}
 
 	// Pass 1: zones prune or answer what they can; the cache serves the rest.
@@ -359,8 +361,7 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 	} else {
 		answeredIdx = nil
 	}
-	var hitOps []string
-	var cacheHits int64
+	hits := plan.ExtractRun{Kind: plan.CacheRead, Run: -1}
 	for i := 0; i < n; i++ {
 		if sink.entries[i] != nil {
 			continue // pruned or answered
@@ -373,10 +374,12 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 		if ent, hit := e.cache.Lookup(key, fs.mtime, fs.size); hit {
 			sink.entries[i] = ent
 			sink.lens[i] = len(ent.Values)
-			if !quiet {
-				hitOps = append(hitOps, fmt.Sprintf("%s seq=%d (%d samples)", uris[i], seqs[i], len(ent.Values)))
+			if hits.Seqs == nil { // sized for the rows left, once
+				hits.URIs, hits.Seqs, hits.Samples = make([]string, 0, n-i), make([]int, 0, n-i), make([]int, 0, n-i)
 			}
-			cacheHits++
+			hits.URIs = append(hits.URIs, uris[i])
+			hits.Seqs = append(hits.Seqs, int(seqs[i]))
+			hits.Samples = append(hits.Samples, len(ent.Values))
 			continue
 		}
 		sink.lens[i] = -1
@@ -425,50 +428,42 @@ func (e *Engine) prepare(meta *column.Batch, prune *plan.PruneRange, win *plan.S
 			Records:         int64(len(missIdx)),
 			RecordsSkipped:  int64(len(prunedIdx)),
 			RecordsAnswered: int64(len(answeredIdx)),
-			CacheReads:      cacheHits,
+			CacheReads:      int64(len(hits.Seqs)),
 		}
 		if win != nil {
 			sink.report.Window = win.String()
 		}
 	}
 
-	sink.publish = func() {
-		e.xstats.cacheReads.Add(cacheHits)
-		obs.InjectedOps("CacheRead", hitOps)
+	sink.publish = func(opened []*fileState) {
+		e.xstats.cacheReads.Add(int64(len(hits.Seqs)))
+		e.xstats.filesTouched.Add(int64(len(opened)))
+		// Pass 1 stat'ed every distinct file the qualifying records live in
+		// (hits, misses and pruned rows alike), so the states map is exactly
+		// the set of files whose content this extraction's output depends
+		// on. The warehouse result cache stores their stamps and re-stats
+		// them on a hit — the same mtime staleness contract the recycler
+		// cache and the zone maps use.
+		hits.Opened = make([]string, len(opened))
+		for x, fs := range opened {
+			hits.Opened[x] = fs.uri
+		}
+		hits.Stamps = make([]plan.FileStamp, 0, len(states))
+		for _, fs := range states {
+			hits.Stamps = append(hits.Stamps, plan.FileStamp{URI: fs.uri, Path: fs.path, MtimeNanos: fs.mtime.UnixNano(), Size: fs.size})
+		}
+		slices.SortFunc(hits.Stamps, func(a, b plan.FileStamp) int { return cmp.Compare(a.URI, b.URI) })
+		obs.ExtractRun(hits)
 		if len(prunedIdx) > 0 {
 			e.xstats.runsSkipped.Add(int64(runsSkipped))
 			e.xstats.recordsSkipped.Add(int64(len(prunedIdx)))
-			if !quiet {
-				obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
-					len(prunedIdx), n, runsSkipped))
-			}
+			obs.Event("zone-prune", fmt.Sprintf("zone maps skip %d of %d qualifying records (%d coalesced runs never read)",
+				len(prunedIdx), n, runsSkipped))
 		}
 		if len(answeredIdx) > 0 {
 			e.xstats.recordsAnswered.Add(int64(len(answeredIdx)))
-			if !quiet {
-				obs.Event("zone-answer", fmt.Sprintf("zone maps answer %d of %d qualifying records (%d samples never decoded)",
-					len(answeredIdx), n, sink.zones.Count))
-			}
-		}
-		// Report the answer's file dependencies: pass 1 stat'ed every
-		// distinct file the qualifying records live in (hits, misses and
-		// pruned rows alike), so the states map is exactly the set of files
-		// whose content this extraction's output depends on. The warehouse
-		// result cache stores the stamps and re-stats them on a hit — the
-		// same mtime staleness contract the recycler cache and the zone
-		// maps use.
-		if !quiet && len(states) > 0 {
-			stamps := make([]plan.FileStamp, 0, len(states))
-			for _, fs := range states {
-				stamps = append(stamps, plan.FileStamp{
-					URI:        fs.uri,
-					Path:       fs.path,
-					MtimeNanos: fs.mtime.UnixNano(),
-					Size:       fs.size,
-				})
-			}
-			sort.Slice(stamps, func(i, j int) bool { return stamps[i].URI < stamps[j].URI })
-			obs.FileStamps(stamps)
+			obs.Event("zone-answer", fmt.Sprintf("zone maps answer %d of %d qualifying records (%d samples never decoded)",
+				len(answeredIdx), n, sink.zones.Count))
 		}
 	}
 	return sink, runs, nil
@@ -567,7 +562,8 @@ var errFileChanged = errors.New("file changed between stat and open")
 // openRuns opens each run's file, once per file and in plan order, and
 // returns the files it opened — on error too, for the caller to close. A
 // file that is not the (mtime, size) prepare planned for is errFileChanged.
-// The caller counts and reports the opens once all of them succeeded.
+// The caller counts and reports the opens once all of them succeeded
+// (sink.publish).
 func (e *Engine) openRuns(runs []runPlan) ([]*fileState, error) {
 	var opened []*fileState
 	for r := range runs {
@@ -592,11 +588,11 @@ func (e *Engine) openRuns(runs []runPlan) ([]*fileState, error) {
 	return opened, nil
 }
 
-// extractRun performs one coalesced read and decodes its records. The run's
-// byte range is an estimate from metadata; if a parsed header says a record
-// extends past the buffer, the buffer is extended with one more read rather
-// than trusting the stale estimate.
-func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink, obs plan.Observer) error {
+// extractRun performs one coalesced read, of run r, and decodes its records.
+// The run's byte range is an estimate from metadata; if a parsed header says
+// a record extends past the buffer, the buffer is extended with one more
+// read rather than trusting the stale estimate.
+func (e *Engine) extractRun(r int, run *runPlan, sc *extractScratch, sink *extractSink, obs plan.Observer) error {
 	fs := run.fs
 	buf := sc.bytes(int(run.end - run.start))
 	if len(buf) > 0 {
@@ -614,10 +610,9 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 	}
 	e.xstats.bytesRead.Add(int64(len(buf)))
 	e.xstats.runsRead.Add(1)
-	if !sink.quiet {
-		obs.Event("read", fmt.Sprintf("%s: coalesced run of %d records (%d bytes at offset %d)",
-			fs.uri, len(run.rows), len(buf), run.start))
-	}
+	out := newRunOut(e, fs, len(run.rows))
+	out.rec = plan.ExtractRun{Kind: plan.ExtractRecord, Run: r, URI: fs.uri, Offset: run.start, Bytes: int64(len(buf)),
+		Samples: make([]int, 0, len(run.rows)), Encodings: make([]string, 0, len(run.rows))}
 
 	// ensure grows the buffer to at least need bytes with one extra read.
 	// recOff is the offset of the record being decoded, for diagnostics.
@@ -639,10 +634,10 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 			return fmt.Errorf("etl: %s offset %d: %w (metadata may be stale; refresh the warehouse)", fs.uri, recOff, err)
 		}
 		e.xstats.bytesRead.Add(need - int64(have))
+		out.rec.Bytes = need
 		return nil
 	}
 
-	out := newRunOut(e, fs, len(run.rows))
 	if !run.prefetch {
 		out.buf = recycler.NewBuffer(run.samples)
 	}
@@ -678,9 +673,8 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 		if err := mseed.DecodePayloadInto(h, payload, samples); err != nil {
 			return fmt.Errorf("etl: %s offset %d: %w", fs.uri, off, err)
 		}
-		if !sink.quiet {
-			out.ops = append(out.ops, fmt.Sprintf("%s seq=%d (%d samples, %s)", fs.uri, h.SeqNo, len(samples), h.Encoding))
-		}
+		out.rec.Samples = append(out.rec.Samples, len(samples))
+		out.rec.Encodings = append(out.rec.Encodings, h.Encoding.String())
 		sink.entries[i] = out.add(int(sink.seqs[i]), sink.at[i], sink.lens[i], h, samples)
 		return nil
 	}
@@ -693,7 +687,7 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 	}()
 
 	if run.prefetch {
-		return e.prefetchRun(run, buf, sc, sink, decodeAt, obs)
+		return e.prefetchRun(run, buf, sc, sink, decodeAt, out)
 	}
 	for _, i := range run.rows {
 		if err := decodeAt(i); err != nil {
@@ -707,17 +701,15 @@ func (e *Engine) extractRun(run *runPlan, sc *extractScratch, sink *extractSink,
 // file, every record is decoded from the buffer into one value buffer and
 // admitted to the cache, and the qualifying rows are then served from the
 // cache. Rows the cache could not hold (budget too small for the file) fall
-// back to direct decodes from the same bytes.
+// back to direct decodes from the same bytes, into out: the run's report.
 func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink *extractSink,
-	decodeAt func(int) error, obs plan.Observer) error {
+	decodeAt func(int) error, out *runOut) error {
 	fs := run.fs
 	infos, err := mseed.ScanBuffer(buf)
 	if err != nil {
 		return fmt.Errorf("etl: prefetch %s: %w; metadata is stale, refresh the warehouse", fs.uri, err)
 	}
-	if !sink.quiet {
-		obs.InjectedOps("ExtractFile", []string{fmt.Sprintf("%s (%d records)", fs.uri, len(infos))})
-	}
+	out.rec.Kind, out.rec.FileRecords = plan.ExtractFile, len(infos)
 	total := 0
 	for _, ri := range infos {
 		total += ri.Header.NumSamples
@@ -736,7 +728,7 @@ func (e *Engine) prefetchRun(run *runPlan, buf []byte, sc *extractScratch, sink 
 		file.add(h.SeqNo, at, len(samples), h, samples)
 		at += len(samples)
 	}
-	file.flush(obs)
+	file.install()
 	if err != nil {
 		return err
 	}

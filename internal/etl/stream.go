@@ -26,9 +26,11 @@ var errStreamClosed = errors.New("etl: extraction stream closed")
 //
 // This is the run-time half of lazy extraction (§3.1): for each qualifying
 // record not pruned or answered by its zone, the injected operator is a
-// cache read or a file extraction, reported to the observer. Misses are read in
-// coalesced runs (see the package documentation) so a cold-cache query
-// costs O(1) syscalls and allocations per run, not per record.
+// cache read or a file extraction, reported to the observer as one record
+// per run read (plan.ExtractRun), plus one for the cache reads and the files
+// opened. Misses are read in coalesced runs (see the package documentation)
+// so a cold-cache query costs O(1) syscalls and allocations per run, not per
+// record.
 //
 // prune, when non-nil, is consulted against the zone maps collected by
 // earlier extractions: records whose zone entry proves no sample can pass
@@ -109,14 +111,7 @@ func (e *Engine) ExtractStream(ctx context.Context, meta *column.Batch, cols []s
 			return nil, err
 		}
 	}
-	sink.publish()
-	e.xstats.filesTouched.Add(int64(len(opened)))
-	for _, fs := range opened {
-		if sink.quiet {
-			break
-		}
-		obs.Event("open", fs.uri)
-	}
+	sink.publish(opened)
 	// A pure container span: its children (read/decode/assemble/stall) are
 	// Add-accumulated across workers; the container itself has no single
 	// wall interval, so SpanNode.Duration sums the children.
@@ -298,7 +293,7 @@ func (s *extractStream) extract(r int, sc *extractScratch) (err error) {
 	func() {
 		defer exec.RecoverTo(&err)
 		extractRunHook(r)
-		err = s.e.extractRun(&s.runs[r], sc, s.sink, s.obs)
+		err = s.e.extractRun(r, &s.runs[r], sc, s.sink, s.obs)
 	}()
 	s.mu.Lock()
 	s.done[r] = true

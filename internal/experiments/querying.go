@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/etl"
+	"repro/internal/plan"
 	"repro/internal/warehouse"
 )
 
@@ -36,12 +37,11 @@ func E4(w io.Writer, cfg Config) error {
 			return err
 		}
 		var hits, extracts int
-		for _, op := range res.Trace.RuntimeOps {
-			switch {
-			case len(op) >= 9 && op[:9] == "CacheRead":
-				hits++
-			default:
-				extracts++
+		for _, r := range res.Trace.Runs {
+			if r.Kind == plan.CacheRead {
+				hits += len(r.Seqs)
+			} else {
+				extracts += len(r.Seqs)
 			}
 		}
 		t.addRow(fmt.Sprintf("%d", run), ms(d),

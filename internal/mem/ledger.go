@@ -223,14 +223,6 @@ func (g *Grant) Release(n int64) {
 	g.l.Release(n)
 }
 
-// Held returns the bytes currently held by the grant.
-func (g *Grant) Held() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.held.Load()
-}
-
 // Close releases everything the grant still holds. Idempotent.
 func (g *Grant) Close() {
 	if g == nil {

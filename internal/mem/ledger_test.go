@@ -185,3 +185,11 @@ func TestChildOfNilLedger(t *testing.T) {
 		t.Fatal("unlimited chain should not report limited")
 	}
 }
+
+// Held returns the bytes currently held by the grant.
+func (g *Grant) Held() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.held.Load()
+}

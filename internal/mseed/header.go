@@ -42,15 +42,6 @@ func (e Encoding) String() string {
 	}
 }
 
-// Integer reports whether the encoding carries integer samples.
-func (e Encoding) Integer() bool {
-	switch e {
-	case EncodingInt16, EncodingInt32, EncodingSteim1, EncodingSteim2:
-		return true
-	}
-	return false
-}
-
 // Quality indicators from the fixed header (field 2).
 const (
 	QualityUnknown    = 'D' // indeterminate

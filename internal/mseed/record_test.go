@@ -305,3 +305,12 @@ func TestEncodingString(t *testing.T) {
 		t.Error("Integer() classification wrong")
 	}
 }
+
+// Integer reports whether the encoding carries integer samples.
+func (e Encoding) Integer() bool {
+	switch e {
+	case EncodingInt16, EncodingInt32, EncodingSteim1, EncodingSteim2:
+		return true
+	}
+	return false
+}

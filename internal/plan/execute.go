@@ -68,38 +68,69 @@ type ZoneAnswerer interface {
 
 // Observer is everything one query's execution reports, plan operators and
 // the ExtractSource alike. It has two implementations: NopObserver, and the
-// warehouse's per-query observer, which files operators and events in the
-// query's trace and the operation log, scan tallies in Trace.Scans, and
-// stamps in the result cache's re-validation key. Implementations must be
-// safe for concurrent use: lazy extraction reports from its prefetch
+// warehouse's per-query observer, which files extraction runs and scan
+// tallies in the query's trace, events in the operation log, and pass 1's
+// file stamps in the result cache's re-validation key. Implementations must
+// be safe for concurrent use: lazy extraction reports from its prefetch
 // workers as well as from its consumer.
 type Observer interface {
-	// InjectedOps records the operators one step of the run-time rewrite
-	// injected (e.g. "CacheRead" or "ExtractFile"), one per human-readable
-	// detail, in order; an empty details slice records nothing.
-	InjectedOps(kind string, details []string)
+	// ExtractRun records one step of the run-time rewrite: one record per
+	// extraction run, handed over once the run is decoded, plus one for
+	// pass 1 once the extraction's files are open. Nothing in it is
+	// formatted; a reader renders it (warehouse.Trace.RuntimeOps).
+	ExtractRun(r ExtractRun)
 	// Event records a general operational log entry.
 	Event(op, detail string)
 	// ScanReport records one lazy extraction's skip accounting (the
 	// \explain surface).
 	ScanReport(r ScanReport)
-	// FileStamps records the source files a data access's output depends
-	// on.
-	FileStamps(stamps []FileStamp)
 	// TraceSpan is the span instrumented code (extraction read/decode)
 	// attaches its spans under; nil when the query is not traced, which
 	// every Span method treats as a no-op.
 	TraceSpan() *obs.Span
 }
 
+// The operators the run-time rewrite injects (§3.1), as ExtractRun.Kind
+// names them.
+const (
+	CacheRead     = "CacheRead"     // a record served from the recycler
+	ExtractRecord = "ExtractRecord" // a record read and decoded from its file
+	ExtractFile   = "ExtractFile"   // a whole file read and decoded (etl.Options.PrefetchWholeFile)
+)
+
+// ExtractRun is what one step of a lazy extraction injected, kept as the
+// numbers and constant strings extraction already holds. Kind is
+// ExtractRecord for a coalesced run, ExtractFile for a whole-file run, and
+// CacheRead for pass 1, which serves the records the recycler holds before
+// any run is read. Run is the run's index in plan order, -1 for pass 1.
+type ExtractRun struct {
+	Kind string
+	Run  int
+	// URI is the run's file; Offset and Bytes are the byte range it read,
+	// and FileRecords the records an ExtractFile run decoded.
+	URI           string
+	Offset, Bytes int64
+	FileRecords   int
+	// One entry per record, in order: its seqno and sample count, the
+	// encoding it was decoded from (runs) or its file (pass 1). The records
+	// of an ExtractFile run are those it decoded again because the recycler
+	// could not hold the file.
+	Seqs, Samples []int
+	Encodings     []string
+	URIs          []string
+	// Pass 1's record also lists the files the extraction opened, in plan
+	// order, and stamps every file its output depends on.
+	Opened []string
+	Stamps []FileStamp
+}
+
 // NopObserver discards all observations.
 type NopObserver struct{}
 
-func (NopObserver) InjectedOps(kind string, details []string) {}
-func (NopObserver) Event(op, detail string)                   {}
-func (NopObserver) ScanReport(r ScanReport)                   {}
-func (NopObserver) FileStamps(stamps []FileStamp)             {}
-func (NopObserver) TraceSpan() *obs.Span                      { return nil }
+func (NopObserver) ExtractRun(r ExtractRun) {}
+func (NopObserver) Event(op, detail string) {}
+func (NopObserver) ScanReport(r ScanReport) {}
+func (NopObserver) TraceSpan() *obs.Span    { return nil }
 
 // Env carries everything plan execution needs.
 type Env struct {

@@ -232,9 +232,3 @@ func writeWithGaps(path string, opts mseed.SeriesOptions, day time.Time, samples
 
 // seriesGap is a dropped chunk: `size` samples missing from offset `at`.
 type seriesGap struct{ at, size int }
-
-// NumFiles reports how many files Generate will produce for the config.
-func (c RepoConfig) NumFiles() int {
-	c.fill()
-	return len(c.Stations) * len(c.Channels) * c.Days
-}

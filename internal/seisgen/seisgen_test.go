@@ -195,3 +195,9 @@ func TestGenerateStartDayAndEncoding(t *testing.T) {
 		t.Errorf("file name %s", filepath.Base(files[0].Path))
 	}
 }
+
+// NumFiles reports how many files Generate will produce for the config.
+func (c RepoConfig) NumFiles() int {
+	c.fill()
+	return len(c.Stations) * len(c.Channels) * c.Days
+}

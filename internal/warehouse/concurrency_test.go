@@ -101,18 +101,19 @@ func TestParallelExtractionThroughWarehouse(t *testing.T) {
 	}
 	// The parallel trace records the same set of injected operators,
 	// possibly in a different order.
-	if len(rs.Trace.RuntimeOps) != len(rp.Trace.RuntimeOps) {
-		t.Errorf("injected ops differ: %d vs %d", len(rs.Trace.RuntimeOps), len(rp.Trace.RuntimeOps))
+	sops, pops := rs.Trace.RuntimeOps(), rp.Trace.RuntimeOps()
+	if len(sops) != len(pops) {
+		t.Errorf("injected ops differ: %d vs %d", len(sops), len(pops))
 	}
-	sortStrings(rs.Trace.RuntimeOps)
-	sortStrings(rp.Trace.RuntimeOps)
-	for i := range rs.Trace.RuntimeOps {
-		if rs.Trace.RuntimeOps[i] != rp.Trace.RuntimeOps[i] {
-			t.Fatalf("op %d differs: %q vs %q", i, rs.Trace.RuntimeOps[i], rp.Trace.RuntimeOps[i])
+	sortStrings(sops)
+	sortStrings(pops)
+	for i := range sops {
+		if sops[i] != pops[i] {
+			t.Fatalf("op %d differs: %q vs %q", i, sops[i], pops[i])
 		}
 	}
-	if !strings.Contains(rs.Trace.RuntimeOps[0], "seq=") {
-		t.Errorf("unexpected op format: %q", rs.Trace.RuntimeOps[0])
+	if !strings.Contains(sops[0], "seq=") {
+		t.Errorf("unexpected op format: %q", sops[0])
 	}
 }
 

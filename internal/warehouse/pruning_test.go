@@ -41,7 +41,7 @@ func TestDerivedPruningMatchesEagerAndExtractsLess(t *testing.T) {
 		t.Fatalf("touched %v", rl.Trace.TouchedFiles)
 	}
 	extractions := 0
-	for _, op := range rl.Trace.RuntimeOps {
+	for _, op := range rl.Trace.RuntimeOps() {
 		if strings.HasPrefix(op, "ExtractRecord") {
 			extractions++
 		}

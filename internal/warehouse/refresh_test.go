@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/column"
+	"repro/internal/etl"
 	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/mseed"
@@ -301,17 +302,16 @@ func (o cancelOnEvent) Event(op, detail string) {
 	}
 }
 
-// cancelOnOps is an Observer that calls cancel when extraction injects
-// operators of kind op, which it does inside the run that extracted them.
-type cancelOnOps struct {
+// cancelOnRun is an Observer that calls cancel when extraction reports a
+// run it read, which it does inside that run.
+type cancelOnRun struct {
 	plan.Observer
-	kind   string
 	cancel context.CancelFunc
 }
 
-func (o cancelOnOps) InjectedOps(kind string, details []string) {
-	o.Observer.InjectedOps(kind, details)
-	if kind == o.kind {
+func (o cancelOnRun) ExtractRun(r plan.ExtractRun) {
+	o.Observer.ExtractRun(r)
+	if r.Run >= 0 {
 		o.cancel()
 	}
 }
@@ -353,7 +353,7 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 		hook    func(env *plan.Env, cancel context.CancelFunc)
 	}{
 		{"extraction run", q2, false, false, func(env *plan.Env, cancel context.CancelFunc) {
-			env.Obs = cancelOnOps{env.Obs, "ExtractRecord", cancel}
+			env.Obs = cancelOnRun{env.Obs, cancel}
 		}},
 		{"first morsel", q2, false, false, func(env *plan.Env, cancel context.CancelFunc) {
 			env.Source = cancelAfterFirst{env.Source, cancel}
@@ -445,6 +445,113 @@ func TestQueryCancelledMidPipeline(t *testing.T) {
 				t.Errorf("%s: the uncancelled run spilled nothing; the cancel point is vacuous", name)
 			}
 		}
+	}
+}
+
+// waitOnRun is an Observer that, inside each extraction run it hears of,
+// waits for ctx to end: a deadline on ctx then passes mid-extraction.
+type waitOnRun struct {
+	plan.Observer
+	ctx context.Context
+}
+
+func (o waitOnRun) ExtractRun(r plan.ExtractRun) {
+	o.Observer.ExtractRun(r)
+	if r.Run >= 0 {
+		<-o.ctx.Done()
+	}
+}
+
+// queryHook is the context key of the hook a soak query applies to its
+// plan.Env: w.run is the warehouse's, so each query names its own.
+type queryHook struct{}
+
+// TestFailuresUnderLoad: on one warehouse at Workers: 4, with the recycler
+// off so that every Q2 reads extraction runs, four kinds of query run at
+// once — cancelled inside an extraction run, past their deadline inside
+// one, panicking in the extraction stream, and plain Q2s, which must each
+// answer as the noQueryCache oracle does. Afterwards the warehouse is idle,
+// its failure counters are exactly what was issued, and the next Q2 answers
+// bit for bit like the oracle.
+func TestFailuresUnderLoad(t *testing.T) {
+	root := t.TempDir()
+	t.Setenv("TMPDIR", root)
+	dir := genRepo(t, 2000)
+	oracle, err := openOracle(dir, Options{Mode: Lazy}, noQueryCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := oracle.Query(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderExact(res.Batch)
+	w, err := Open(dir, Options{Mode: Lazy, Workers: 4, morselRows: 64, MemoryBudget: 64 << 20, ETL: etl.Options{DisableCache: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.run = func(n plan.Node, env *plan.Env) (*column.Batch, error) {
+		if hook, ok := env.Ctx.Value(queryHook{}).(func(*plan.Env)); ok {
+			hook(env)
+		}
+		return plan.Execute(n, env)
+	}
+	hooked := func(ctx context.Context, hook func(*plan.Env)) error {
+		_, err := w.QueryUncached(context.WithValue(ctx, queryHook{}, hook), q2)
+		return err
+	}
+	kinds := []struct {
+		name string
+		run  func() error
+		ok   func(error) bool
+	}{
+		{"cancelled in a run", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return hooked(ctx, func(env *plan.Env) { env.Obs = cancelOnRun{env.Obs, cancel} })
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"deadline in a run", func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			return hooked(ctx, func(env *plan.Env) { env.Obs = waitOnRun{env.Obs, ctx} })
+		}, func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
+		{"panic in the stream", func() error {
+			return hooked(context.Background(), func(env *plan.Env) { env.Source = panicOnNext{env.Source} })
+		}, func(err error) bool {
+			var pe *exec.PanicError
+			return errors.As(err, &pe) && pe.Value == "injected"
+		}},
+		{"plain Q2", func() error {
+			res, err := w.QueryContext(context.Background(), q2)
+			if err == nil && renderExact(res.Batch) != want {
+				err = fmt.Errorf("answer diverged from the oracle:\n%s", renderExact(res.Batch))
+			}
+			return err
+		}, func(err error) bool { return err == nil }},
+	}
+	const each = 8
+	var wg sync.WaitGroup
+	for _, k := range kinds {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range each / 2 {
+					if err := k.run(); !k.ok(err) {
+						t.Errorf("%s: %v", k.name, err)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if f := w.Stats().Failures; f.Cancelled != each || f.DeadlineExceeded != each || f.PanicsRecovered != each || f.Errors != 3*each {
+		t.Errorf("failure counters %+v, want %d of each cause and %d errors", f, each, 3*each)
+	}
+	requireIdle(t, "after the load", w, root)
+	w.run = plan.Execute
+	if res, err := w.Query(q2); err != nil || renderExact(res.Batch) != want {
+		t.Fatalf("next Q2 after the load: %v, or its answer diverged from the oracle", err)
 	}
 }
 

@@ -34,6 +34,12 @@
 // queries, and queries never wait for it.
 // The admission slot is the only thing serve waits for.
 //
+// A query reads a file rewritten under it with its snapshot's metadata, as
+// lazy reads of a mutable file must: records are read at the offsets the
+// snapshot names, and one that no longer parses fails the query naming the
+// file and offset. Extraction prepares again when a file's (mtime, size)
+// changed between its stat and its open, which bounds only that window.
+//
 // Execution memory is shared fairly: when Options.MemoryBudget is set,
 // each query draws from a per-query sub-budget carved out of the shared
 // ledger (budget / MaxConcurrentQueries, at least 1 MiB), so one spilling
@@ -75,6 +81,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,18 +203,20 @@ type LogEntry struct {
 }
 
 // Trace captures the plans of one query, before and after each of the two
-// plan-modification steps of §3.1. It holds the bound statement and the two
-// plan trees Build produced, and renders their text only when asked (SQL,
-// Naive, Optimized): a query whose plan nobody reads pays nothing for it.
-// Execution never modifies a plan, so the text is the same whenever it is
-// asked for — after the query ran, or from a result-cache hit.
+// plan-modification steps of §3.1. It holds the bound statement, the two
+// plan trees Build produced and the records of the run-time rewrite, and
+// renders their text only when asked (SQL, Naive, Optimized, RuntimeOps): a
+// query whose trace nobody reads pays nothing for it. Execution never
+// modifies a plan, so the text is the same whenever it is asked for — after
+// the query ran, or from a result-cache hit.
 type Trace struct {
 	stmt         *sql.SelectStmt
 	naive, optim plan.Node
-	// RuntimeOps lists the operators injected by the run-time rewriting
-	// operator (cache reads and file extractions), in execution order.
-	RuntimeOps []string
-	// TouchedFiles are the distinct source files opened by the query.
+	// Runs are the run-time rewrite's records as lazy extraction reported
+	// them, in plan order: pass 1's cache reads, then one per run read.
+	Runs []plan.ExtractRun
+	// TouchedFiles are the distinct source files opened by the query, in
+	// the order it opened them.
 	TouchedFiles []string
 	// Scans reports, per lazy extraction, what the record zone maps
 	// skipped: coalesced runs and records never read nor decoded.
@@ -240,6 +249,29 @@ func render(n plan.Node) string {
 		return ""
 	}
 	return plan.Render(n)
+}
+
+// RuntimeOps renders the operators the run-time rewriting operator injected,
+// one line each, from Runs: every cache read, then each run's records as it
+// decoded them — an ExtractFile run's line first, then the records it
+// decoded again because the recycler could not hold its file.
+func (t *Trace) RuntimeOps() []string {
+	var ops []string
+	for _, r := range t.Runs {
+		switch r.Kind {
+		case plan.CacheRead:
+			for k, seq := range r.Seqs {
+				ops = append(ops, fmt.Sprintf("CacheRead %s seq=%d (%d samples)", r.URIs[k], seq, r.Samples[k]))
+			}
+			continue
+		case plan.ExtractFile:
+			ops = append(ops, fmt.Sprintf("ExtractFile %s (%d records)", r.URI, r.FileRecords))
+		}
+		for k, seq := range r.Seqs {
+			ops = append(ops, fmt.Sprintf("ExtractRecord %s seq=%d (%d samples, %s)", r.URI, seq, r.Samples[k], r.Encodings[k]))
+		}
+	}
+	return ops
 }
 
 // Result is the answer to one query plus its observability record.
@@ -390,14 +422,12 @@ func (w *Warehouse) Engine() *etl.Engine { return w.engine }
 // lazy extraction reports from its prefetch workers as well as from the
 // consumer.
 type observer struct {
-	mu      sync.Mutex
-	w       *Warehouse
-	trace   *Trace
-	touched map[string]bool
-	// stamps collects the file dependencies the data accesses reported
-	// (deduplicated by URI) — the result cache's re-validation key.
-	stamps   []plan.FileStamp
-	stampSet map[string]bool
+	mu    sync.Mutex
+	w     *Warehouse
+	trace *Trace
+	// stamps are the files the answer depends on, as the extraction's
+	// pass 1 stamped them: the result cache re-validates a hit by stat.
+	stamps []plan.FileStamp
 	// span is the query's execute-phase trace span; nil under noTrace.
 	span *obs.Span
 }
@@ -406,22 +436,20 @@ type observer struct {
 // query's execute span.
 func (o *observer) TraceSpan() *obs.Span { return o.span }
 
-// InjectedOps files the operators of one extraction run in the trace and
-// the log under one lock each, in order.
-func (o *observer) InjectedOps(kind string, details []string) {
-	if len(details) == 0 {
-		return
-	}
+// ExtractRun files one step of the run-time rewrite in the trace, in plan
+// order whatever order the prefetch workers finish runs in (a query has one
+// extraction), and pass 1's opened files and stamps.
+func (o *observer) ExtractRun(r plan.ExtractRun) {
 	o.mu.Lock()
-	for _, d := range details {
-		o.trace.RuntimeOps = append(o.trace.RuntimeOps, kind+" "+d)
+	runs := o.trace.Runs
+	at := len(runs)
+	for at > 0 && runs[at-1].Run > r.Run {
+		at--
 	}
+	o.trace.Runs = slices.Insert(runs, at, r)
+	o.trace.TouchedFiles = append(o.trace.TouchedFiles, r.Opened...)
+	o.stamps = append(o.stamps, r.Stamps...)
 	o.mu.Unlock()
-	o.w.logMu.Lock()
-	for _, d := range details {
-		o.w.appendLogLocked(SeverityInfo, kind, d)
-	}
-	o.w.logMu.Unlock()
 }
 
 // ScanReport files per-scan skipping tallies in the trace for the \explain
@@ -432,35 +460,8 @@ func (o *observer) ScanReport(r plan.ScanReport) {
 	o.mu.Unlock()
 }
 
-// FileStamps collects the files the answer depends on, so the result cache
-// can re-validate a hit by stat.
-func (o *observer) FileStamps(stamps []plan.FileStamp) {
-	o.mu.Lock()
-	for _, s := range stamps {
-		if o.stampSet == nil {
-			o.stampSet = make(map[string]bool)
-		}
-		if !o.stampSet[s.URI] {
-			o.stampSet[s.URI] = true
-			o.stamps = append(o.stamps, s)
-		}
-	}
-	o.mu.Unlock()
-}
-
-func (o *observer) Event(op, detail string) {
-	if op == "open" {
-		o.mu.Lock()
-		if !o.touched[detail] {
-			o.touched[detail] = true
-			o.trace.TouchedFiles = append(o.trace.TouchedFiles, detail)
-		}
-		o.mu.Unlock()
-		o.w.logf("open", "%s", detail)
-		return
-	}
-	o.w.logf(op, "%s", detail)
-}
+// Event files a plan operator's or an extraction's event in the log.
+func (o *observer) Event(op, detail string) { o.w.logf(op, "%s", detail) }
 
 // Query serves one ad-hoc SELECT statement. It is safe to call from many
 // goroutines at once: queries execute concurrently against per-query
@@ -714,7 +715,7 @@ func (p *Prepared) serve(ctx context.Context, start time.Time, root *obs.Span, p
 	}
 	res := &Result{Trace: tr}
 	esp := root.StartChild("execute")
-	o := &observer{w: w, trace: &res.Trace, touched: make(map[string]bool), span: esp}
+	o := &observer{w: w, trace: &res.Trace, span: esp}
 	// The query's memory context: operator reservations come from a
 	// per-query sub-budget of the warehouse ledger (so one spilling query
 	// cannot starve the fleet); spill files live in a per-query temp dir
@@ -929,16 +930,11 @@ func (w *Warehouse) logf(op, format string, args ...any) {
 	w.logAt(level, op, format, args...)
 }
 
+// logAt appends one entry to the bounded operation log.
 func (w *Warehouse) logAt(level Severity, op, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)
 	w.logMu.Lock()
 	defer w.logMu.Unlock()
-	w.appendLogLocked(level, op, detail)
-}
-
-// appendLogLocked appends one entry to the bounded operation log; the
-// caller holds logMu.
-func (w *Warehouse) appendLogLocked(level Severity, op, detail string) {
 	if len(w.log) >= w.keepLog {
 		// Make room so the appended entry keeps len <= keepLog, dropping
 		// the oldest half when possible to amortize the copy (dropping
